@@ -12,6 +12,15 @@ so every z value is in range, dividing by the number of retained samples.
 Both estimators produce the same sums: the least-squares route recovers them
 from the normal equations of a linear regression, which is the identity the
 tests pin down.
+
+The direct estimator makes one pass per lag k.  Each sample's k-long mode
+window is extended by one letter per lag and looked up as the index of a
+requested word of length k (or "none"), and np.bincount adds y(t) u(t-k)^T
+and y(t) y(t-k)^T into one bin per word.  That costs
+O(N * max|w| * n_y * (n_u + n_y)) for the passes plus O(#words * max|w| * D)
+for the lookup tables, independent of how many words share a length.  The
+per-word masked block _z_block is the reference it is tested against; the
+least-squares estimator and the per-mode moments use it directly.
 """
 from __future__ import annotations
 
@@ -183,6 +192,43 @@ def _moment_parts(data: Dataset, p, modes: Sequence[int], n0: int, n_eff: int):
     return t_yy, q_u
 
 
+def _suffix_tables(words: Sequence[Word], n_modes: int) -> List[Tuple[np.ndarray, List[Word]]]:
+    """Per-lag lookup tables that map mode windows to requested words.
+
+    Entry k-1 belongs to lag k and pairs its table with the requested words
+    of length k.  Its node ids index the k-long suffixes of the requested
+    words: first the words of length k, in the given order, then the other
+    suffixes, then one "none" node.  table[i, d] is the node
+    reached from node i of lag k-1 when the mode k steps back is d+1; column
+    n_modes stands for a mode outside 1..n_modes, which leads to "none".
+    Lag 0 has the root (id 0) and "none" (id 1).  The ids stay below the
+    number of suffixes, so the tables never hold D^k entries or overflow.
+    """
+    levels = []
+    prev = {(): 0}
+    for k in range(1, max((len(w) for w in words), default=0) + 1):
+        heads = [w for w in words if len(w) == k]
+        nodes = dict.fromkeys(w.letters for w in heads)
+        nodes.update((w.letters[-k:], None) for w in words if len(w) > k)
+        nodes = {v: i for i, v in enumerate(nodes)}
+        table = np.full((len(prev) + 1, n_modes + 1), len(nodes), dtype=np.intp)
+        for v, i in nodes.items():
+            table[prev[v[1:]], v[0] - 1] = i
+        levels.append((table, heads))
+        prev = nodes
+    return levels
+
+
+def _binned_outer(node: np.ndarray, r: np.ndarray, b: np.ndarray, n_bins: int) -> np.ndarray:
+    """Sums of r(t) b(t)^T over the samples whose node is i, for i < n_bins."""
+    out = np.empty((n_bins, r.shape[1], b.shape[1]))
+    for a in range(r.shape[1]):
+        for c in range(b.shape[1]):
+            out[:, a, c] = np.bincount(node, weights=r[:, a] * b[:, c],
+                                       minlength=n_bins)[:n_bins]
+    return out
+
+
 def empirical_covariances(
     data: Dataset,
     p: Sequence[float],
@@ -196,24 +242,49 @@ def empirical_covariances(
     requested modes, and the empirical q_u.  A word pattern that never occurs
     in the data yields a zero estimate plus a warning recorded under
     metadata["degenerate_words"].
+
+    One pass per lag k follows every sample's k-long mode window through
+    _suffix_tables and bincounts y(t) u(t-k)^T and y(t) y(t-k)^T into one
+    bin per requested word of length k; each bin is then scaled by
+    1/(n_eff sqrt(p_w)).  The sums equal those of the per-word _z_block
+    products up to rounding.
     """
     p = np.asarray(p, dtype=float)
     if modes is None:
         modes = list(range(1, p.shape[0] + 1))
     words, n0, n_eff = _prepare(data, words, modes)
+    D, T = p.shape[0], len(data)
+    # Words with a letter outside 1..D get no bins: word_probability rejects them below.
+    valid = [w for w in words if len(w) > 0 and max(w) <= D]
+    mode_digit = np.where(data.q <= D, data.q - 1, D)
+    node = np.zeros(n_eff, dtype=np.intp)
     y_block = data.y[n0:]
+    sums = {}
+    for k, (table, heads) in enumerate(_suffix_tables(valid, D), start=1):
+        node = table[node, mode_digit[n0 - k:T - k]]
+        if not heads:
+            continue
+        n_words = len(heads)
+        y_lag = data.y[n0 - k:T - k]
+        s_yu = _binned_outer(node, y_block, data.u[n0 - k:T - k], n_words)
+        s_yy = _binned_outer(node, y_block, y_lag, n_words)
+        occurs = np.bincount(node[np.any(y_lag != 0, axis=1)], minlength=n_words)[:n_words] > 0
+        sums.update(zip(heads, zip(s_yu, s_yy, occurs)))
+
     lam_yu = WordIndexedMatrixTable((data.n_y, data.n_u))
     lam_yy = WordIndexedMatrixTable((data.n_y, data.n_y))
     degenerate: List[str] = []
     for w in words:
-        z_u = _z_block(data.u, data.q, p, w, n0)
-        lam_yu[w] = y_block.T @ z_u / n_eff
-        if len(w) > 0:
-            z_y = _z_block(data.y, data.q, p, w, n0)
-            lam_yy[w] = y_block.T @ z_y / n_eff
-            if not np.any(z_y):
-                degenerate.append(str(w))
-                warnings.warn(f"word '{w}' never occurs in the data; covariance set to 0")
+        if len(w) == 0:
+            lam_yu[w] = y_block.T @ data.u[n0:] / n_eff
+            continue
+        scale = n_eff * np.sqrt(word_probability(p, w))
+        s_yu, s_yy, occurs = sums[w]
+        lam_yu[w] = s_yu / scale
+        lam_yy[w] = s_yy / scale
+        if not occurs:
+            degenerate.append(str(w))
+            warnings.warn(f"word '{w}' never occurs in the data; covariance set to 0")
     t_yy, q_u = _moment_parts(data, p, modes, n0, n_eff)
     meta = {"estimator": "direct", "N": len(data), "N_0": n0, "n_eff": n_eff,
             "degenerate_words": degenerate}

@@ -5,9 +5,24 @@ DimensionError to 4, ModelInvalidError to 2, and plain I/O problems to 3.
 """
 from __future__ import annotations
 
+from typing import Optional
+
 
 class SlsidError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.
+
+    stage names the pipeline step that raised the error, when one did; str()
+    then reads "<stage>: <message>".
+    """
+
+    stage: Optional[str] = None
+
+    def __str__(self) -> str:
+        text = self._message()
+        return f"{self.stage}: {text}" if self.stage else text
+
+    def _message(self) -> str:
+        return super().__str__()
 
 
 class InvalidModeError(SlsidError, ValueError):
@@ -33,7 +48,7 @@ class MissingMarkovParameterError(SlsidError, KeyError):
         super().__init__(word_text)
         self.word_text = word_text
 
-    def __str__(self) -> str:  # KeyError quotes its arg; keep the message plain
+    def _message(self) -> str:  # KeyError quotes its arg; keep the message plain
         return f"no matrix stored for word '{self.word_text}'"
 
 

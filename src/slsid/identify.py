@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -70,9 +70,7 @@ class IdentConfig:
     selection / selection_bar may be explicit Selection objects or the string
     "search" (deterministic enumeration of full-rank candidates).  p is the
     known mode-probability vector or "empirical" to use observed mode
-    frequencies.  refine_hook, when set, is called as hook(model, data) after
-    identification and must return a (possibly improved) model; none ships
-    with the package.
+    frequencies.
     """
 
     n_x: int
@@ -86,7 +84,6 @@ class IdentConfig:
     search_budget: int = 50000
     search_retries: int = 200
     rank_tol: float = 1e-8
-    refine_hook: Optional[Callable] = None
 
     def __post_init__(self):
         if self.n_x < 1:
@@ -290,9 +287,6 @@ def identify(data: Dataset, cfg: IdentConfig) -> Tuple[InnovationModel, dict]:
     diagnostics.update(real_diag)
     diagnostics["N"] = len(data)
     diagnostics["N_0"] = cov.metadata.get("N_0")
-    if cfg.refine_hook is not None:
-        model = cfg.refine_hook(model, data)
-        model.validate()
     return model, diagnostics
 
 

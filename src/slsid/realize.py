@@ -17,6 +17,7 @@ max-norm step falls below tol):
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
@@ -42,6 +43,7 @@ from .errors import (
     NoSelectionFoundError,
     NotFullRankError,
     SingularHankelError,
+    SlsidError,
 )
 from .model import (
     RANK_TOL,
@@ -369,17 +371,23 @@ def lambda_ydyd(
     return table, t_dd
 
 
-def _stage(exc: Exception, stage: str) -> Exception:
-    """Re-wrap an exception with the pipeline stage in its message."""
-    cls = type(exc)
+@contextmanager
+def _stage(stage: str):
+    """Tag any exception raised in the block with the pipeline stage.
+
+    The exception itself is re-raised, so its class and attributes survive.
+    Package errors carry the stage in .stage and print it before their
+    message; other exceptions get .stage and, when their only argument is a
+    string, the same prefix on it.
+    """
     try:
-        out = cls(f"{stage}: {exc}")
-    except TypeError:  # exception with a non-standard signature
-        return exc
-    for attr in ("rank", "last_delta", "residuals"):
-        if hasattr(exc, attr):
-            setattr(out, attr, getattr(exc, attr))
-    return out
+        yield
+    except Exception as exc:
+        exc.stage = stage
+        if (not isinstance(exc, SlsidError) and len(exc.args) == 1
+                and isinstance(exc.args[0], str)):
+            exc.args = (f"{stage}: {exc.args[0]}",)
+        raise
 
 
 def covariance_realization(
@@ -413,19 +421,15 @@ def covariance_realization(
     modes = list(range(1, D + 1))
 
     words_bar = required_words(sel_bar)
-    try:
+    with _stage("step 1 (input Markov values)"):
         psi = psi_uy(cov, words_bar)
         psi_eps = np.linalg.solve(cov.q_u, cov.lambda_yu[EMPTY_WORD].T).T
-    except Exception as exc:  # noqa: BLE001 - re-tagged below
-        raise _stage(exc, "step 1 (input Markov values)") from exc
-    try:
+    with _stage("step 2 (input-part realization)"):
         m_psi = ho_kalman(sel_bar, psi, psi_eps, rank_tol=rank_tol)
-    except Exception as exc:
-        raise _stage(exc, "step 2 (input-part realization)") from exc
     diagnostics["n_bar"] = m_psi.n_x
 
     words_full = required_words(sel)
-    try:
+    with _stage("steps 3-4 (noise-part covariances)"):
         lam_dd, t_dd = lambda_ydyd(m_psi, cov.q_u, cov.p, words_full, modes,
                                    tol=tol, max_iter=max_iter)
         psi_full = psi_uy(cov, words_full)
@@ -433,22 +437,16 @@ def covariance_realization(
         for w in words_full:
             M[w] = np.hstack([psi_full[w], cov.lambda_yy[w] - lam_dd[w]])
         M_eps = np.hstack([psi_eps, np.eye(sel.n_y)])
-    except Exception as exc:
-        raise _stage(exc, "steps 3-4 (noise-part covariances)") from exc
-    try:
+    with _stage("step 5 (joint realization)"):
         m_full = ho_kalman(sel, M, M_eps, rank_tol=rank_tol)
-    except Exception as exc:
-        raise _stage(exc, "step 5 (joint realization)") from exc
 
     t_ys = {}
     for s in modes:
         leftover = cov.t_yy_sigma[s] - t_dd[s]
         t_ys[s] = (leftover + leftover.T) / 2.0
-    try:
+    with _stage("step 6 (innovation conversion)"):
         model, state = associated_slss(m_full, cov.p, t_ys, max_iter=max_iter,
                                        tol=tol, q_u=cov.q_u, return_state=True)
-    except Exception as exc:
-        raise _stage(exc, "step 6 (innovation conversion)") from exc
 
     diagnostics["kq_iterations"] = state.iterations
     diagnostics["kq_last_delta"] = state.last_delta

@@ -1,5 +1,11 @@
+import json
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slsid import (
     CovarianceTable,
@@ -8,6 +14,8 @@ from slsid import (
     EMPTY_WORD,
     IllConditionedRegressorError,
     InsufficientDataError,
+    InvalidModeError,
+    InvalidProbabilityError,
     SimConfig,
     Word,
     empirical_covariances,
@@ -17,6 +25,7 @@ from slsid import (
     simulate,
     z_process,
 )
+from slsid.covariance import _z_block
 
 
 # ---------------------------------------------------------------- z-process
@@ -93,6 +102,154 @@ def test_empirical_requires_enough_samples():
     with pytest.raises(InsufficientDataError):
         empirical_covariances(data.slice(0, 4), (0.5, 0.5),
                               [Word((1, 1, 1))])
+
+
+# ---------------------------------------------------------------- per-lag kernel vs per-word oracle
+
+
+def per_word_oracle(data, p, words):
+    """The direct estimator written word by word from _z_block.
+
+    Returns (lambda_yu, lambda_yy, degenerate words) for the same N_0 the
+    estimator uses with the default modes.
+    """
+    words = sorted(set(words), key=lambda w: w.sort_key)
+    n0 = max([len(w) for w in words] + [1]) + 1
+    n_eff = len(data) - n0
+    y_block = data.y[n0:]
+    lam_yu, lam_yy, degenerate = {}, {}, []
+    for w in words:
+        lam_yu[w] = y_block.T @ _z_block(data.u, data.q, p, w, n0) / n_eff
+        if len(w) > 0:
+            z_y = _z_block(data.y, data.q, p, w, n0)
+            lam_yy[w] = y_block.T @ z_y / n_eff
+            if not np.any(z_y):
+                degenerate.append(str(w))
+    return lam_yu, lam_yy, degenerate
+
+
+def assert_matches_oracle(data, p, words):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cov = empirical_covariances(data, p, words)
+    want_yu, want_yy, want_degenerate = per_word_oracle(data, p, words)
+    for got, want in ((cov.lambda_yu, want_yu), (cov.lambda_yy, want_yy)):
+        assert got.words() == sorted(want, key=lambda w: w.sort_key)
+        scale = max([float(np.max(np.abs(m))) for m in want.values()] + [1e-300])
+        for w, m in want.items():
+            np.testing.assert_allclose(got[w], m, rtol=1e-12, atol=1e-12 * scale,
+                                       err_msg=f"word {w}")
+    assert cov.metadata["degenerate_words"] == want_degenerate
+    assert [str(c.message) for c in caught] == [
+        f"word '{w}' never occurs in the data; covariance set to 0"
+        for w in want_degenerate]
+    return cov
+
+
+def random_dataset(seed, n, n_y, n_u, n_letters, zero_rows=0.0):
+    """Random signals over modes 1..n_letters; a share of y rows set to 0."""
+    rng = np.random.default_rng(seed)
+    y = rng.normal(size=(n, n_y))
+    y[rng.random(n) < zero_rows] = 0.0
+    return Dataset(y=y, u=rng.normal(size=(n, n_u)),
+                   q=rng.integers(1, n_letters + 1, size=n))
+
+
+@st.composite
+def estimation_cases(draw):
+    D = draw(st.integers(1, 3))
+    letters = st.lists(st.integers(1, D), max_size=5).map(lambda s: Word(tuple(s)))
+    words = draw(st.lists(letters, min_size=1, max_size=12))
+    if draw(st.booleans()):
+        words.append(EMPTY_WORD)
+    raw_p = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=D, max_size=D)))
+    # Modes above D in the data must match no word.
+    data = random_dataset(draw(st.integers(0, 2**32 - 1)), draw(st.integers(20, 300)),
+                          draw(st.integers(1, 2)), draw(st.integers(1, 2)),
+                          D + draw(st.integers(0, 2)),
+                          zero_rows=draw(st.sampled_from([0.0, 0.5, 0.95])))
+    return data, raw_p / raw_p.sum(), words
+
+
+@settings(deadline=None, max_examples=150)
+@given(estimation_cases())
+def test_empirical_matches_per_word_oracle(case):
+    assert_matches_oracle(*case)
+
+
+@pytest.mark.parametrize("D", [1, 2, 3])
+@pytest.mark.parametrize("n_y,n_u", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_empirical_matches_oracle_on_all_short_words(D, n_y, n_u):
+    data = random_dataset(D * 10 + n_y * 3 + n_u, 400, n_y, n_u, D)
+    p = np.arange(1.0, D + 1) / np.sum(np.arange(1.0, D + 1))
+    assert_matches_oracle(data, p, list(enumerate_words(D, 4)))
+
+
+def test_modes_outside_the_alphabet_match_no_word():
+    # With D = 2, mode 3 read as a base-2 digit would alias onto another word.
+    data = random_dataset(5, 200, 1, 1, 3)
+    words = list(enumerate_words(2, 3))
+    assert_matches_oracle(data, (0.5, 0.5), words)
+    only_3 = Dataset(y=data.y, u=data.u, q=np.full(len(data), 3))
+    with pytest.warns(UserWarning):
+        cov = empirical_covariances(only_3, (0.5, 0.5), words)
+    assert cov.metadata["degenerate_words"] == [str(w) for w in words if len(w) > 0]
+    assert all(not np.any(m) for w, m in cov.lambda_yu.items() if len(w) > 0)
+
+
+def test_word_that_never_occurs_is_degenerate():
+    data = hand_dataset()
+    q = np.array([1, 1, 1, 2, 1, 1, 1, 1])
+    data = Dataset(y=data.y, u=data.u, q=q)
+    cov = assert_matches_oracle(data, (0.5, 0.5),
+                                [Word((2, 2)), Word((1,)), Word((2, 1)), Word((1, 2, 2))])
+    assert cov.metadata["degenerate_words"] == ["22", "122"]
+    assert not np.any(cov.lambda_yu[Word((2, 2))])
+
+
+@pytest.mark.parametrize("k", [64, 65])
+def test_long_word_does_not_overflow(k):
+    # A k-letter base-2 code needs k bits: past 63 a signed int64 code wraps,
+    # and past 64 words that differ in their first letter share one code.
+    data = random_dataset(7, 200, 1, 1, 2)
+    t = 150
+    w = Word(tuple(data.q[t - k:t]))
+    flip_first = Word((3 - w.letters[0],) + w.letters[1:])
+    flip_last = Word(w.letters[:-1] + (3 - w.letters[-1],))
+    cov = assert_matches_oracle(data, (0.5, 0.5), [w, flip_first, flip_last, Word((1,))])
+    assert str(w) not in cov.metadata["degenerate_words"]
+
+
+def test_sparse_request_memory_scales_with_words():
+    D, k = 12, 8
+    data = random_dataset(9, 2000, 1, 1, D)
+    w = Word(tuple(data.q[1500 - k:1500]))
+    p = np.full(D, 1.0 / D)
+    tracemalloc.start()
+    try:
+        cov = empirical_covariances(data, p, [w])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6  # a dense table of all 12^8 words would take ~3.4 GB
+    assert_matches_oracle(data, p, [w])
+    assert cov.metadata["degenerate_words"] == []
+
+
+def test_empirical_rejects_bad_probabilities_and_letters():
+    data = hand_dataset()
+    with pytest.raises(InvalidProbabilityError):
+        empirical_covariances(data, (0.5, 0.6), [Word((1,))])
+    with pytest.raises(InvalidModeError):
+        empirical_covariances(data, (0.5, 0.5), [Word((1,)), Word((3, 1))])
+
+
+def test_empirical_rerun_is_byte_identical():
+    data = random_dataset(11, 3000, 2, 2, 2)
+    words = list(enumerate_words(2, 5))
+    a = empirical_covariances(data, (0.4, 0.6), words).to_jsonable()
+    b = empirical_covariances(data, (0.4, 0.6), words).to_jsonable()
+    assert json.dumps(a) == json.dumps(b)
 
 
 # ---------------------------------------------------------------- regression

@@ -28,6 +28,7 @@ from slsid import (
     search_selection,
     state_second_moment,
 )
+from slsid.realize import _stage
 
 
 def unit_innovation(a=0.5, k=1.0, c=1.0, b=0.0, d=0.0, q_v=1.0, q_u=1.0):
@@ -241,8 +242,14 @@ def test_covariance_realization_oracle_quality(two_mode, two_mode_cov):
 
 def test_covariance_realization_missing_words(two_mode):
     cov = exact_covariances(two_mode.model, 1)
-    with pytest.raises(MissingMarkovParameterError):
+    with pytest.raises(MissingMarkovParameterError) as info:
         covariance_realization(cov, two_mode.sel, two_mode.sel_bar)
+    exc = info.value
+    stage = "step 1 (input Markov values)"
+    assert exc.stage == stage
+    word = Word.parse(exc.word_text)  # the bare word, not the whole message
+    assert len(word) > 1 and word not in cov.lambda_yu
+    assert str(exc) == f"{stage}: no matrix stored for word '{exc.word_text}'"
 
 
 def test_covariance_realization_rejects_overambitious_order(scalar):
@@ -253,5 +260,24 @@ def test_covariance_realization_rejects_overambitious_order(scalar):
     sel_bar = Selection(((EMPTY_WORD, 1), (Word((1,)), 1)),
                         ((1, EMPTY_WORD, 1), (1, Word((1,)), 1)),
                         n_modes=1, n_y=1, n_cols=1)
-    with pytest.raises(SingularHankelError):
+    with pytest.raises(SingularHankelError) as info:
         covariance_realization(cov, sel, sel_bar)
+    stage = "step 2 (input-part realization)"
+    assert info.value.stage == stage
+    assert info.value.rank == 1
+    assert str(info.value).startswith(f"{stage}: ") and str(info.value).count(stage) == 1
+
+
+def test_stage_keeps_exceptions_with_other_signatures():
+    class TwoArgs(Exception):
+        def __init__(self, code, detail):
+            super().__init__(code, detail)
+
+    with pytest.raises(TwoArgs) as info:
+        with _stage("step 5 (joint realization)"):
+            raise TwoArgs(3, "detail")
+    assert info.value.stage == "step 5 (joint realization)"
+    assert info.value.args == (3, "detail")
+    with pytest.raises(np.linalg.LinAlgError, match=r"^step 1 \(input Markov values\): Singular"):
+        with _stage("step 1 (input Markov values)"):
+            np.linalg.solve(np.zeros((2, 2)), np.ones(2))

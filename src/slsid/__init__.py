@@ -49,6 +49,7 @@ from .identify import (
     consistency_experiment,
     identify,
     predict,
+    resolve_p,
     resolve_selections,
     validate_model,
 )
@@ -99,7 +100,7 @@ __all__ = [
     "associated_dlss", "associated_slss", "psi_uy", "lambda_ydyd",
     "covariance_realization", "search_selection", "iter_full_rank_selections",
     # identify
-    "IdentConfig", "identify", "resolve_selections", "predict", "bfr",
+    "IdentConfig", "identify", "resolve_selections", "resolve_p", "predict", "bfr",
     "ValidationReport", "validate_model", "consistency_experiment",
     "ConsistencyResult",
     # errors

@@ -36,7 +36,7 @@ from .errors import (
     NumericalError,
     UndefinedBfrError,
 )
-from .identify import IdentConfig, identify, resolve_selections, validate_model
+from .identify import IdentConfig, identify, resolve_p, resolve_selections, validate_model
 from .model import SwitchedModel, find_isomorphism, model_from_dict, transform_model
 from .realize import FP_MAX_ITER, FP_TOL, covariance_realization
 from .simulate import Dataset, SimConfig, simulate
@@ -155,21 +155,11 @@ def _word_list(spec, n_modes: int):
     raise _fail_io("'words' must be a list of word strings or {\"max_len\": L}")
 
 
-def _resolve_p_spec(spec, data: Dataset):
-    if spec == "empirical" or spec is None:
-        D = int(data.q.max())
-        counts = np.bincount(data.q, minlength=D + 1)[1:].astype(float)
-        if np.any(counts == 0.0):
-            raise InvalidProbabilityError("some modes never occur; supply p explicitly")
-        return counts / counts.sum()
-    return np.asarray(spec, dtype=float)
-
-
 def cmd_estimate(args) -> int:
     cfg = _load_json(args.config)
     base = Path(args.config).parent
     data = _load_dataset(_require(cfg, "data", "estimate"), base)
-    p = _resolve_p_spec(cfg.get("p", "empirical"), data)
+    p = resolve_p(cfg.get("p", "empirical"), data)
     estimator = args.estimator or cfg.get("estimator", "direct")
     words = _word_list(_require(cfg, "words", "estimate"), p.shape[0])
     t0 = time.perf_counter()
@@ -210,7 +200,7 @@ def cmd_realize(args) -> int:
     sel, sel_bar, search_diag = resolve_selections(
         cov, n_x, n_bar, sel, sel_bar,
         search_budget=int(cfg.get("search_budget", 50000)),
-        rank_tol=rank_tol, fp_tol=fp_tol, fp_max_iter=fp_max_iter)
+        rank_tol=rank_tol)
     model, diag = covariance_realization(cov, sel, sel_bar, max_iter=fp_max_iter,
                                          tol=fp_tol, rank_tol=rank_tol)
     diag.update(search_diag)

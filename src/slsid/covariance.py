@@ -362,8 +362,6 @@ def least_squares_covariances(
 def exact_covariances(
     model: SwitchedModel,
     max_len: int,
-    tol: float = 1e-12,
-    max_iter: int = 10000,
 ) -> CovarianceTable:
     """Ground-truth covariance table of a known model, all words |w| <= max_len.
 
@@ -377,7 +375,7 @@ def exact_covariances(
     from .realize import associated_dlss, lambda_ydyd, state_second_moment
 
     model.validate()
-    d_assoc = associated_dlss(model, tol=tol, max_iter=max_iter)
+    d_assoc = associated_dlss(model)
     D, n_u, n_y = model.n_modes, model.n_u, model.n_y
     words = list(enumerate_words(D, max_len))
     from .model import markov_parameter
@@ -401,14 +399,13 @@ def exact_covariances(
     )
     nonempty = [w for w in words if len(w) > 0]
     modes = list(range(1, D + 1))
-    lam_dd, t_dd = lambda_ydyd(m_tilde, model.Q_u, model.p, nonempty, modes,
-                               tol=tol, max_iter=max_iter)
+    lam_dd, t_dd = lambda_ydyd(m_tilde, model.Q_u, model.p, nonempty, modes)
 
     lam_yy = WordIndexedMatrixTable((n_y, n_y))
     for w in nonempty:
         lam_yy[w] = lam_ys[w] + lam_dd[w]
 
-    P = state_second_moment(model, tol=tol, max_iter=max_iter)
+    P = state_second_moment(model)
     t_yy = {}
     for s in modes:
         t_ys = (model.C @ P[s - 1] @ model.C.T

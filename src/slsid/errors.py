@@ -73,7 +73,8 @@ class SingularHankelError(NumericalError):
 
 
 class NonConvergenceError(NumericalError):
-    """A fixed-point iteration hit its iteration limit."""
+    """A fixed-point iteration hit its iteration limit, or a stationary second
+    moment does not exist because its family is not mean-square stable."""
 
     def __init__(self, message: str, last_delta: float | None = None):
         super().__init__(message)
@@ -81,7 +82,7 @@ class NonConvergenceError(NumericalError):
 
 
 class NotFullRankError(NumericalError):
-    """A matrix that must be invertible is numerically singular."""
+    """A matrix that must be invertible (or positive definite) is not, numerically."""
 
 
 class IllConditionedRegressorError(NumericalError):

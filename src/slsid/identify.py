@@ -35,9 +35,10 @@ from .errors import (
     ModelInvalidError,
     NonConvergenceError,
     NumericalError,
+    SingularHankelError,
     UndefinedBfrError,
 )
-from .model import InnovationModel, SwitchedModel, markov_parameter
+from .model import InnovationModel, SwitchedModel, markov_parameter, stability_margin
 from .realize import (
     FP_MAX_ITER,
     FP_TOL,
@@ -60,7 +61,12 @@ __all__ = [
     "consistency_experiment",
     "ConsistencyResult",
     "resolve_selections",
+    "resolve_p",
 ]
+
+# full-rank candidates a selection search examines (beyond the skipped hits)
+# before it gives up on finding a mean-square stable realization
+SEARCH_RETRIES = 200
 
 
 @dataclass
@@ -82,7 +88,6 @@ class IdentConfig:
     fp_max_iter: int = FP_MAX_ITER
     p: Union[Sequence[float], str] = "empirical"
     search_budget: int = 50000
-    search_retries: int = 200
     rank_tol: float = 1e-8
 
     def __post_init__(self):
@@ -117,10 +122,15 @@ class ValidationReport:
         return out
 
 
-def _resolve_p(data: Dataset, cfg: IdentConfig) -> np.ndarray:
-    if isinstance(cfg.p, str):
-        if cfg.p != "empirical":
-            raise InvalidProbabilityError(f"unknown p mode {cfg.p!r}")
+def resolve_p(spec: Union[Sequence[float], str], data: Dataset) -> np.ndarray:
+    """Mode probabilities from a spec: a vector, or "empirical".
+
+    A vector must be finite and positive and is normalized to sum 1;
+    "empirical" uses the observed mode frequencies of the data.
+    """
+    if isinstance(spec, str):
+        if spec != "empirical":
+            raise InvalidProbabilityError(f"unknown p mode {spec!r}")
         D = int(data.q.max())
         counts = np.bincount(data.q, minlength=D + 1)[1:]
         if np.any(counts == 0):
@@ -130,8 +140,8 @@ def _resolve_p(data: Dataset, cfg: IdentConfig) -> np.ndarray:
             )
         p = counts.astype(float)
         return p / p.sum()
-    p = np.asarray(cfg.p, dtype=float)
-    if np.any(p <= 0.0):
+    p = np.atleast_1d(np.asarray(spec, dtype=float))
+    if p.ndim != 1 or not np.all(np.isfinite(p)) or np.any(p <= 0.0):
         raise InvalidProbabilityError(f"probabilities must be positive, got {p}")
     return p / p.sum()
 
@@ -152,22 +162,18 @@ def _realizes_stable(sel: Selection, table: WordIndexedMatrixTable,
     Table entries absorb sqrt(p), so the realized A_s are the deterministic
     ones and the relevant operator is sum_s A_s kron A_s.  Under estimation
     noise a full-rank selection can still realize an unstable family, which
-    every later fixed point rejects; vetting here keeps the search moving.
+    every later stage rejects; vetting here keeps the search moving.
     """
-    from .algebra import build_hankel
-
-    H, H_sigma, _, _ = build_hankel(sel, table)
-    U, s, Vh = np.linalg.svd(H)
-    if s[-1] <= rank_tol * s[0]:
+    try:
+        # the feedthrough does not enter A; any matrix of the right shape does
+        m = ho_kalman(sel, table, np.zeros(table.shape), rank_tol=rank_tol)
+    except SingularHankelError:
         return False
-    A = [Vh.T @ ((U.T @ Hs) / s[:, None]) for Hs in H_sigma]
-    rho = float(np.max(np.abs(np.linalg.eigvals(sum(np.kron(a, a) for a in A)))))
-    return rho < 1.0
+    return stability_margin(m.A, np.ones(m.n_modes)) < 1.0
 
 
 def _search_vetted(table: WordIndexedMatrixTable, n: int, n_y: int, n_cols: int,
-                   D: int, budget: int, rank_tol: float, skip: int,
-                   retries: int) -> Selection:
+                   D: int, budget: int, rank_tol: float, skip: int) -> Selection:
     """(skip+1)-th full-rank selection whose realization is mean-square stable."""
     examined = 0
     accepted = 0
@@ -178,7 +184,7 @@ def _search_vetted(table: WordIndexedMatrixTable, n: int, n_y: int, n_cols: int,
                 return cand
             accepted += 1
         examined += 1
-        if examined >= max(1, retries) + skip:
+        if examined >= SEARCH_RETRIES + skip:
             break
     raise NonConvergenceError(
         f"{examined} full-rank selection(s) examined, none usable; "
@@ -194,18 +200,15 @@ def resolve_selections(
     sel_bar: Union[Selection, str],
     search_budget: int = 50000,
     rank_tol: float = 1e-8,
-    fp_tol: float = FP_TOL,
-    fp_max_iter: int = FP_MAX_ITER,
     skip: int = 0,
-    retries: int = 8,
 ) -> Tuple[Selection, Selection, dict]:
     """Turn "search" placeholders into concrete selections on a table.
 
     Explicit selections pass through untouched.  Searches run over whatever
     words the table holds; candidates needing absent words are skipped, as
     are full-rank candidates realizing mean-square unstable models (up to
-    `retries` of them).  skip > 0 bypasses that many accepted hits, yielding
-    the next distinct selection.
+    SEARCH_RETRIES of them).  skip > 0 bypasses that many accepted hits,
+    yielding the next distinct selection.
     """
     diag: dict = {}
     if isinstance(sel, Selection) and isinstance(sel_bar, Selection):
@@ -216,19 +219,18 @@ def resolve_selections(
     psi = psi_uy(cov, words)
     if sel_bar == "search":
         sel_bar = _search_vetted(psi, n_bar, cov.n_y, cov.n_u, D,
-                                 search_budget, rank_tol, skip, retries)
+                                 search_budget, rank_tol, skip)
         diag["selection_bar_found"] = sel_bar.to_jsonable()
     if sel == "search":
         m_psi = ho_kalman(sel_bar, psi, psi[EMPTY_WORD], rank_tol=rank_tol)
         nonempty = sorted((words & set(cov.lambda_yy.words())) - {EMPTY_WORD},
                           key=lambda w: w.sort_key)
-        lam_dd, _ = lambda_ydyd(m_psi, cov.q_u, cov.p, nonempty, modes,
-                                tol=fp_tol, max_iter=fp_max_iter)
+        lam_dd, _ = lambda_ydyd(m_psi, cov.q_u, cov.p, nonempty, modes)
         M = WordIndexedMatrixTable((cov.n_y, cov.n_u + cov.n_y))
         for w in nonempty:
             M[w] = np.hstack([psi[w], cov.lambda_yy[w] - lam_dd[w]])
         sel = _search_vetted(M, n_x, cov.n_y, cov.n_u + cov.n_y, D,
-                             search_budget, rank_tol, skip, retries)
+                             search_budget, rank_tol, skip)
         diag["selection_found"] = sel.to_jsonable()
     return sel, sel_bar, diag
 
@@ -243,7 +245,7 @@ def identify(data: Dataset, cfg: IdentConfig) -> Tuple[InnovationModel, dict]:
     """
     if len(data) < 3:
         raise InsufficientDataError(f"dataset of length {len(data)} is too short")
-    p = _resolve_p(data, cfg)
+    p = resolve_p(cfg.p, data)
     D = p.shape[0]
     if int(data.q.max()) > D:
         raise DimensionError(
@@ -270,8 +272,7 @@ def identify(data: Dataset, cfg: IdentConfig) -> Tuple[InnovationModel, dict]:
             sel, sel_bar, search_diag = resolve_selections(
                 cov, cfg.n_x, n_bar, cfg.selection, cfg.selection_bar,
                 search_budget=cfg.search_budget, rank_tol=cfg.rank_tol,
-                fp_tol=cfg.fp_tol, fp_max_iter=cfg.fp_max_iter, skip=attempt,
-                retries=cfg.search_retries)
+                skip=attempt)
             model, real_diag = covariance_realization(cov, sel, sel_bar,
                                                       max_iter=cfg.fp_max_iter,
                                                       tol=cfg.fp_tol,

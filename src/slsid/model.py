@@ -31,6 +31,7 @@ __all__ = [
     "SwitchedModel",
     "InnovationModel",
     "numerical_rank",
+    "mean_square_operator",
     "stability_margin",
     "markov_parameter",
     "reach_obs_ranks",
@@ -270,17 +271,27 @@ def model_from_dict(d: dict):
                Dmat=d["D"], F=d["F"], p=d["p"], Q_u=d["Q_u"], Q_v=tuple(d["Q_v"]))
 
 
+def mean_square_operator(A: Sequence[np.ndarray],
+                         w: Sequence[float]) -> Tuple[np.ndarray, float]:
+    """sum_s w_s (A_s kron A_s) and its spectral radius.
+
+    The operator maps vec(X) to vec(sum_s w_s A_s X A_s^T) (row-major vec).
+    Families with sqrt(p) absorbed into A_s take unit weights.
+    """
+    A = [np.asarray(m, dtype=float) for m in A]
+    w = np.asarray(w, dtype=float)
+    if len(A) != w.shape[0]:
+        raise DimensionError(f"{len(A)} matrices but {w.shape[0]} weights")
+    op = sum(w[s] * np.kron(A[s], A[s]) for s in range(len(A)))
+    return op, float(np.max(np.abs(np.linalg.eigvals(op))))
+
+
 def stability_margin(A: Sequence[np.ndarray], p: Sequence[float]) -> float:
     """Spectral radius of sum_s p_s (A_s kron A_s).
 
     The switched model is wide-sense stationary iff this is < 1.
     """
-    A = [np.asarray(m, dtype=float) for m in A]
-    p = np.asarray(p, dtype=float)
-    if len(A) != p.shape[0]:
-        raise DimensionError(f"{len(A)} matrices but {p.shape[0]} probabilities")
-    acc = sum(p[s] * np.kron(A[s], A[s]) for s in range(len(A)))
-    return float(np.max(np.abs(np.linalg.eigvals(acc))))
+    return mean_square_operator(A, p)[1]
 
 
 def markov_parameter(m: DeterministicModel, w: Word) -> np.ndarray:

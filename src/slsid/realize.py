@@ -1,19 +1,25 @@
 """Realization engines: Ho-Kalman on selection-indexed Hankels, the
-stochastic/deterministic model conversions with their fixed-point
-recursions, and the minimal covariance realization pipeline.
+stochastic/deterministic model conversions, and the minimal covariance
+realization pipeline.
 
-Fixed-point conventions (all iterations start from zero and stop when the
-max-norm step falls below tol):
+Second moments are closed-form.  Under i.i.d. switching each per-mode moment
+is X_s = p_s Xbar with Xbar = sum_s w_s A_s Xbar A_s^T + const, one
+generalized Lyapunov solve vec(Xbar) = (I - sum_s w_s A_s kron A_s)^{-1}
+vec(const) that exists iff that operator is Schur:
 
-* state second moment: P_s = p_s * sum_s1 (A_s1 P_s1 A_s1^T + K_s1 Q_v[s1] K_s1^T)
-* input-part moment (on the sqrt(p)-absorbed dLSS): Pt_s = p_s * sum_s1
-  ((1/p_s1) At_s1 Pt_s1 At_s1^T + Bt_s1 Q_u Bt_s1^T)
-* innovation gain: with S_s = p_s T^{ys,ys}_{s,s},
-      Q_s = S_s - C P_s C^T
-      K_s = (sqrt(p_s) G_s - (1/sqrt(p_s)) At_s P_s C^T) Q_s^{-1}
-      P_s <- p_s * sum_s1 ((1/p_s1) At_s1 P_s1 At_s1^T + K_s1 Q_s1 K_s1^T)
-  whose limits are the innovation gain, p_s times the per-mode innovation
-  second moment, and p_s times the predictor-state second moment.
+* state second moment: w = p, const = sum_s K_s Q_v[s] K_s^T;
+* input-part moment on the sqrt(p)-absorbed dLSS: w = 1,
+  const = sum_s Bt_s Q_u Bt_s^T.
+
+Only the innovation gain iterates (Q_s enters it nonlinearly).  With
+S_s = p_s T^{ys,ys}_{s,s} and P_s = p_s Pbar, from Pbar = 0:
+      Q_s = S_s - p_s C Pbar C^T
+      K_s = sqrt(p_s) (G_s - At_s Pbar C^T) Q_s^{-1}
+      Pbar <- sum_s (At_s Pbar At_s^T + K_s Q_s K_s^T)
+until the max-norm step of p_s Pbar falls below tol.  The limits are the
+innovation gain, p_s times the per-mode innovation second moment, and p_s
+times the predictor-state second moment.  A Q_s that is not positive
+definite stops the iteration at once.
 """
 from __future__ import annotations
 
@@ -50,7 +56,9 @@ from .model import (
     DeterministicModel,
     InnovationModel,
     SwitchedModel,
+    mean_square_operator,
     numerical_rank,
+    stability_margin,
 )
 
 __all__ = [
@@ -67,84 +75,58 @@ __all__ = [
     "search_selection",
 ]
 
+# stopping rule of the innovation-gain iteration, the one that still iterates
 FP_TOL = 1e-10
 FP_MAX_ITER = 5000
 
 
-def _iterate_to_fixed_point(step: Callable, init, tol: float, max_iter: int,
-                            label: str) -> Tuple[list, List[float]]:
-    """Iterate P <- step(P) until the max-norm delta < tol; track deltas."""
-    P = list(init)
-    deltas: List[float] = []
-    for _ in range(max_iter):
-        P_next = step(P)
-        delta = max(float(np.max(np.abs(a - b))) for a, b in zip(P_next, P))
-        deltas.append(delta)
-        P = P_next
-        if delta < tol:
-            return P, deltas
-    raise NonConvergenceError(
-        f"{label} did not converge in {max_iter} iterations (last delta {deltas[-1]:.3e})",
-        last_delta=deltas[-1],
-    )
+def _lyapunov_mean(A: Sequence[np.ndarray], w: Sequence[float],
+                   const: np.ndarray, label: str) -> np.ndarray:
+    """Symmetric Xbar solving Xbar = sum_s w_s A_s Xbar A_s^T + const.
+
+    Raises NonConvergenceError when sum_s w_s A_s kron A_s is not Schur:
+    the moment then does not exist (its iteration would diverge).
+    """
+    op, rho = mean_square_operator(A, w)
+    if rho >= 1.0:
+        raise NonConvergenceError(
+            f"{label} is not mean-square stable (spectral radius {rho:.4f} >= 1); "
+            "its second moment does not exist",
+            last_delta=float("inf"),
+        )
+    n = const.shape[0]
+    X = np.linalg.solve(np.eye(n * n) - op, const.reshape(-1)).reshape(n, n)
+    return (X + X.T) / 2.0
 
 
-def state_second_moment(m: SwitchedModel, tol: float = FP_TOL,
-                        max_iter: int = FP_MAX_ITER) -> Tuple[np.ndarray, ...]:
+def state_second_moment(m: SwitchedModel) -> Tuple[np.ndarray, ...]:
     """Per-mode stationary second moments P_s = p_s E[x x^T] of the noise-driven state.
 
-    Fixed point of P_s = p_s sum_s1 (A_s1 P_s1 A_s1^T + K_s1 Q_v[s1] K_s1^T)
-    from P = 0; converges geometrically for stationary models.
+    P_s = p_s Pbar with Pbar = sum_s p_s A_s Pbar A_s^T + sum_s K_s Q_v[s] K_s^T.
     """
-    D, n_x = m.n_modes, m.n_x
-    const = sum(m.K[s] @ m.Q_v[s] @ m.K[s].T for s in range(D))
-
-    def step(P):
-        core = sum(m.A[s] @ P[s] @ m.A[s].T for s in range(D)) + const
-        return [m.p[s] * core for s in range(D)]
-
-    P, _ = _iterate_to_fixed_point(step, [np.zeros((n_x, n_x))] * D, tol, max_iter,
-                                   "state second-moment iteration")
-    return tuple((mat + mat.T) / 2.0 for mat in P)
+    const = sum(m.K[s] @ m.Q_v[s] @ m.K[s].T for s in range(m.n_modes))
+    P = _lyapunov_mean(m.A, m.p, const, "model")
+    return tuple(p_s * P for p_s in m.p)
 
 
 def input_state_second_moment(
     m_d: DeterministicModel,
     q_u: np.ndarray,
     p: Sequence[float],
-    tol: float = FP_TOL,
-    max_iter: int = FP_MAX_ITER,
 ) -> Tuple[np.ndarray, ...]:
     """Per-mode second moments Pt_s of the input-driven state of a dLSS.
 
-    Fixed point of
-        Pt_s = p_s sum_s1 ( A_s1 Pt_s1 A_s1^T / p_s1 + B_s1 Q_u B_s1^T )
-    from Pt = 0.
+    m_d has sqrt(p) absorbed into its A_s, so Pt_s = p_s Pbar with
+        Pbar = sum_s A_s Pbar A_s^T + sum_s B_s Q_u B_s^T.
     """
     p = np.asarray(p, dtype=float)
     D = m_d.n_modes
     if p.shape != (D,):
         raise DimensionError(f"p must have {D} entries, got {p.shape}")
     q_u = np.atleast_2d(np.asarray(q_u, dtype=float))
-    # the moment iteration contracts iff sum_s A_s kron A_s is Schur;
-    # checking up front turns a slow NaN divergence into an immediate error
-    rho = float(np.max(np.abs(np.linalg.eigvals(
-        sum(np.kron(a, a) for a in m_d.A)))))
-    if rho >= 1.0:
-        raise NonConvergenceError(
-            f"input-part realization is not mean-square stable "
-            f"(spectral radius {rho:.4f} >= 1); the moment iteration diverges",
-            last_delta=float("inf"),
-        )
-    const = [m_d.B[s] @ q_u @ m_d.B[s].T for s in range(D)]
-
-    def step(P):
-        core = sum((m_d.A[s] @ P[s] @ m_d.A[s].T) / p[s] + const[s] for s in range(D))
-        return [p[s] * (core + core.T) / 2.0 for s in range(D)]
-
-    P, _ = _iterate_to_fixed_point(step, [np.zeros((m_d.n_x, m_d.n_x))] * D,
-                                   tol, max_iter, "input-part moment iteration")
-    return tuple(P)
+    const = sum(b @ q_u @ b.T for b in m_d.B)
+    P = _lyapunov_mean(m_d.A, np.ones(D), const, "input-part realization")
+    return tuple(p_s * P for p_s in p)
 
 
 def ho_kalman(sel: Selection, M: WordIndexedMatrixTable, M_eps: np.ndarray,
@@ -179,8 +161,7 @@ def ho_kalman(sel: Selection, M: WordIndexedMatrixTable, M_eps: np.ndarray,
     return DeterministicModel(A=A, B=B, C=H_beta, Dmat=M_eps)
 
 
-def associated_dlss(m: SwitchedModel, tol: float = FP_TOL,
-                    max_iter: int = FP_MAX_ITER) -> DeterministicModel:
+def associated_dlss(m: SwitchedModel) -> DeterministicModel:
     """The deterministic realization of a stochastic model's covariances.
 
     Returns ({sqrt(p_s) A_s}, {[sqrt(p_s) B_s, G_s]}, C, [D, I]) with
@@ -189,7 +170,7 @@ def associated_dlss(m: SwitchedModel, tol: float = FP_TOL,
     Lambda^{y,u}_w Q_u^{-1} and Lambda^{ys,ys}_w side by side.
     """
     m.validate()
-    P = state_second_moment(m, tol=tol, max_iter=max_iter)
+    P = state_second_moment(m)
     D = m.n_modes
     sqrt_p = np.sqrt(m.p)
     G = [(m.A[s] @ P[s] @ m.C.T + m.K[s] @ m.Q_v[s] @ m.F.T) / sqrt_p[s]
@@ -220,36 +201,40 @@ def _kq_iteration(A_hat: Sequence[np.ndarray], C_hat: np.ndarray,
     sqrt_p = np.sqrt(p)
     S = [p[s] * np.asarray(t_ys_sigma[s + 1], dtype=float) for s in range(D)]
 
-    def kq_of(P):
+    def kq_of(P, it):
+        CPC = C_hat @ P @ C_hat.T
         Q, K = [], []
         for s in range(D):
-            Qs = S[s] - C_hat @ P[s] @ C_hat.T
+            Qs = S[s] - p[s] * CPC
             Qs = (Qs + Qs.T) / 2.0
-            svals = np.linalg.svd(Qs, compute_uv=False)
-            if svals[0] == 0.0 or svals[-1] < 1e-10 * svals[0]:
+            eig = np.linalg.eigvalsh(Qs)
+            if eig[0] <= 1e-10 * abs(eig[-1]):
                 raise NotFullRankError(
-                    f"per-mode innovation moment for mode {s + 1} is numerically "
-                    f"singular (smallest singular value {svals[-1]:.3e})"
+                    f"per-mode innovation moment for mode {s + 1} is not positive "
+                    f"definite at iteration {it} (smallest eigenvalue {eig[0]:.3e})"
                 )
-            rhs = sqrt_p[s] * G_hat[s] - (A_hat[s] @ P[s] @ C_hat.T) / sqrt_p[s]
+            rhs = sqrt_p[s] * (G_hat[s] - A_hat[s] @ P @ C_hat.T)
             K.append(np.linalg.solve(Qs, rhs.T).T)
             Q.append(Qs)
         return Q, K
 
-    P = [np.zeros((n_x, n_x))] * D
+    # P holds Pbar; the per-mode moments are p_s Pbar, and the step is
+    # measured on those
+    P = np.zeros((n_x, n_x))
+    p_max = float(np.max(p))
     deltas: List[float] = []
     for it in range(max_iter):
-        Q, K = kq_of(P)
-        core = sum((A_hat[s] @ P[s] @ A_hat[s].T) / p[s] + K[s] @ Q[s] @ K[s].T
-                   for s in range(D))
-        P_next = [p[s] * (core + core.T) / 2.0 for s in range(D)]
-        delta = max(float(np.max(np.abs(a - b))) for a, b in zip(P_next, P))
+        Q, K = kq_of(P, it)
+        core = sum(A_hat[s] @ P @ A_hat[s].T + K[s] @ Q[s] @ K[s].T for s in range(D))
+        P_next = (core + core.T) / 2.0
+        delta = p_max * float(np.max(np.abs(P_next - P)))
         deltas.append(delta)
         P = P_next
         if delta < tol:
-            Q, K = kq_of(P)
-            return KQIterationState(P=tuple(P), Q=tuple(Q), K=tuple(K),
-                                    iterations=it + 1, last_delta=delta, deltas=deltas)
+            Q, K = kq_of(P, it + 1)
+            return KQIterationState(P=tuple(p_s * P for p_s in p), Q=tuple(Q),
+                                    K=tuple(K), iterations=it + 1, last_delta=delta,
+                                    deltas=deltas)
     raise NonConvergenceError(
         f"innovation-gain iteration did not converge in {max_iter} iterations "
         f"(last delta {deltas[-1]:.3e})",
@@ -287,8 +272,7 @@ def associated_slss(
             f"column count {m_d.n_u} below output dimension {n_y}; "
             "expected [B | G] stacked columns"
         )
-    rho = float(np.max(np.abs(np.linalg.eigvals(
-        sum(np.kron(a, a) for a in m_d.A)))))
+    rho = stability_margin(m_d.A, np.ones(D))
     if rho >= 1.0:
         raise ModelInvalidError(
             f"sum of A_s kron A_s has spectral radius {rho:.6f} >= 1; "
@@ -332,14 +316,11 @@ def lambda_ydyd(
     p: Sequence[float],
     words: Iterable[Word],
     modes: Sequence[int],
-    tol: float = FP_TOL,
-    max_iter: int = FP_MAX_ITER,
 ) -> Tuple[WordIndexedMatrixTable, Dict[int, np.ndarray]]:
     """Output covariances of the input-driven subsystem from its dLSS.
 
     m_d realizes Psi (the sqrt(p)-absorbed input-to-output Markov function).
-    With Pt_s the fixed point of
-        Pt_s = p_s sum_s1 ((1/p_s1) A_s1 Pt_s1 A_s1^T + B_s1 Q_u B_s1^T),
+    With Pt_s the input-part moments (input_state_second_moment),
     the word-indexed covariances are, for w = s0 + rest,
         Lambda^{yd,yd}_w = C A_rest ((1/p_s0) A_s0 Pt_s0 C^T + B_s0 Q_u D^T)
     and the per-mode second moments
@@ -351,7 +332,7 @@ def lambda_ydyd(
     if p.shape != (D,):
         raise DimensionError(f"p must have {D} entries, got {p.shape}")
     q_u = np.atleast_2d(np.asarray(q_u, dtype=float))
-    P = input_state_second_moment(m_d, q_u, p, tol=tol, max_iter=max_iter)
+    P = input_state_second_moment(m_d, q_u, p)
     C, Dm = m_d.C, m_d.Dmat
     cores = [(m_d.A[s] @ P[s] @ C.T) / p[s] + m_d.B[s] @ q_u @ Dm.T for s in range(D)]
     table = WordIndexedMatrixTable((m_d.n_y, m_d.n_y))
@@ -430,8 +411,7 @@ def covariance_realization(
 
     words_full = required_words(sel)
     with _stage("steps 3-4 (noise-part covariances)"):
-        lam_dd, t_dd = lambda_ydyd(m_psi, cov.q_u, cov.p, words_full, modes,
-                                   tol=tol, max_iter=max_iter)
+        lam_dd, t_dd = lambda_ydyd(m_psi, cov.q_u, cov.p, words_full, modes)
         psi_full = psi_uy(cov, words_full)
         M = WordIndexedMatrixTable((sel.n_y, sel.n_cols))
         for w in words_full:

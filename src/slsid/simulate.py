@@ -19,7 +19,12 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import DimensionError, InvalidProbabilityError, ModelInvalidError
+from .errors import (
+    DimensionError,
+    InsufficientDataError,
+    InvalidProbabilityError,
+    ModelInvalidError,
+)
 from .model import SwitchedModel
 
 __all__ = ["Dataset", "SimConfig", "sample_switching", "simulate"]
@@ -60,6 +65,12 @@ class Dataset:
                     f"y_clean shape {clean.shape} does not match y {y.shape}"
                 )
             clean.flags.writeable = False
+        for name, arr in (("y", y), ("u", u), ("y_clean", clean)):
+            if arr is not None and not np.isfinite(arr).all():
+                row = int(np.flatnonzero(~np.isfinite(arr).all(axis=1))[0])
+                raise InsufficientDataError(
+                    f"{name} holds a non-finite value at row {row} (t = {self.t0 + row})"
+                )
         for arr in (y, u, q):
             arr.flags.writeable = False
         object.__setattr__(self, "y", y)

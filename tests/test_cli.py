@@ -190,6 +190,35 @@ def test_insufficient_data_exit_code(workspace, tmp_path):
                  "--out", str(tmp_path / "out")]) == 4
 
 
+def test_identify_rejects_non_finite_data(workspace, tmp_path, capsys):
+    rows = (workspace / "sim" / "data.csv").read_text().splitlines()[:200]
+    t, q, u, _ = rows[51].split(",")
+    rows[51] = ",".join([t, q, u, "nan"])
+    (tmp_path / "nan.csv").write_text("\n".join(rows) + "\n")
+    cfg = write_json(tmp_path / "ident_nan.json", {
+        "data": "nan.csv",
+        "ident": {"n_x": 1},
+    })
+    assert main(["identify", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 4
+    assert "y holds a non-finite value at row 50" in capsys.readouterr().err
+
+
+def test_estimate_normalizes_p_like_identify(workspace, tmp_path):
+    tables = []
+    for name, p in (("half", [0.5, 0.5]), ("ones", [1, 1])):
+        cfg = write_json(workspace / f"est_p_{name}.json", {
+            "data": "sim/data.csv", "p": p, "words": {"max_len": 2}})
+        assert main(["estimate", "--config", str(cfg),
+                     "--out", str(tmp_path / name)]) == 0
+        tables.append((tmp_path / name / "covariances.json").read_bytes())
+    assert tables[0] == tables[1]
+    cfg = write_json(workspace / "est_p_bad.json", {
+        "data": "sim/data.csv", "p": [1, 0], "words": {"max_len": 2}})
+    assert main(["estimate", "--config", str(cfg),
+                 "--out", str(tmp_path / "bad")]) == 2
+
+
 def test_invalid_model_exit_code(workspace, tmp_path, two_mode):
     unstable = two_mode.model.to_dict()
     unstable["A"] = [[[1.2, 0, 0], [0, 1.2, 0], [0, 0, 1.2]]] * 2

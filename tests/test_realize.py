@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slsid import (
+    CovarianceTable,
     DeterministicModel,
     EMPTY_WORD,
     InnovationModel,
@@ -11,6 +14,7 @@ from slsid import (
     NotFullRankError,
     Selection,
     SingularHankelError,
+    SwitchedModel,
     Word,
     WordIndexedMatrixTable,
     associated_dlss,
@@ -26,6 +30,7 @@ from slsid import (
     markov_parameter,
     psi_uy,
     search_selection,
+    stability_margin,
     state_second_moment,
 )
 from slsid.realize import _stage
@@ -66,12 +71,59 @@ def test_input_state_second_moment_scalar_closed_form(scalar):
     assert P[0][0, 0] == pytest.approx(want, abs=1e-9)
 
 
+def random_family(seed, D, n, rho):
+    """Random switched family: A scaled to stability margin rho under p."""
+    rng = np.random.default_rng(seed)
+    p = rng.dirichlet(np.ones(D))
+    A = [rng.normal(size=(n, n)) for _ in range(D)]
+    scale = np.sqrt(rho / stability_margin(A, p))
+    A = [scale * a for a in A]
+    B = [rng.normal(size=(n, 2)) for _ in range(D)]
+    G = [rng.normal(size=(2, 2)) for _ in range(D)]
+    Q_v = [g @ g.T + 0.1 * np.eye(2) for g in G]
+    m = SwitchedModel(A=A, B=B, K=B, C=rng.normal(size=(1, n)),
+                      Dmat=np.zeros((1, 2)), F=np.zeros((1, 2)), p=p,
+                      Q_u=np.eye(2), Q_v=Q_v)
+    return m, rng
+
+
+@settings(deadline=None, max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1), D=st.integers(1, 3), n=st.integers(1, 4),
+       rho=st.floats(0.05, 0.95))
+def test_closed_form_moments_satisfy_their_recursions(seed, D, n, rho):
+    m, rng = random_family(seed, D, n, rho)
+    P = state_second_moment(m)
+    core = sum(m.A[s] @ P[s] @ m.A[s].T + m.K[s] @ m.Q_v[s] @ m.K[s].T
+               for s in range(D))
+    scale = max(float(np.max(np.abs(x))) for x in P)
+    for s in range(D):
+        assert np.max(np.abs(P[s] - m.p[s] * core)) <= 1e-12 * scale
+
+    # the same family with sqrt(p) absorbed, as the input-part moment sees it
+    m_d = DeterministicModel(A=tuple(np.sqrt(m.p[s]) * m.A[s] for s in range(D)),
+                             B=m.B, C=m.C, Dmat=m.Dmat)
+    g = rng.normal(size=(2, 2))
+    q_u = g @ g.T + 0.1 * np.eye(2)
+    Pt = input_state_second_moment(m_d, q_u, m.p)
+    core = sum(m_d.A[s] @ Pt[s] @ m_d.A[s].T / m.p[s] + m_d.B[s] @ q_u @ m_d.B[s].T
+               for s in range(D))
+    scale = max(float(np.max(np.abs(x))) for x in Pt)
+    for s in range(D):
+        assert np.max(np.abs(Pt[s] - m.p[s] * core)) <= 1e-12 * scale
+
+
 def test_input_moment_fails_fast_on_unstable_family():
     m_d = DeterministicModel(A=(np.array([[1.2]]),), B=(np.array([[1.0]]),),
                              C=np.array([[1.0]]), Dmat=np.array([[0.0]]))
     with pytest.raises(NonConvergenceError) as err:
         input_state_second_moment(m_d, np.array([[1.0]]), (1.0,))
-    assert "spectral radius" in str(err.value)
+    assert "spectral radius 1.4400 >= 1" in str(err.value)
+    assert err.value.last_delta == np.inf
+
+    m, _ = random_family(5, 2, 3, 1.3)
+    with pytest.raises(NonConvergenceError) as err:
+        state_second_moment(m)
+    assert "spectral radius 1.3000 >= 1" in str(err.value)
     assert err.value.last_delta == np.inf
 
 
@@ -141,8 +193,6 @@ def test_psi_uy_divides_by_q_u(two_mode_cov):
 
 
 def test_psi_uy_rejects_singular_q_u(two_mode_cov):
-    from slsid import CovarianceTable
-
     broken = CovarianceTable(lambda_yu=two_mode_cov.lambda_yu,
                              lambda_yy=two_mode_cov.lambda_yy,
                              t_yy_sigma=two_mode_cov.t_yy_sigma,
@@ -266,6 +316,25 @@ def test_covariance_realization_rejects_overambitious_order(scalar):
     assert info.value.stage == stage
     assert info.value.rank == 1
     assert str(info.value).startswith(f"{stage}: ") and str(info.value).count(stage) == 1
+
+
+def test_gain_iteration_stops_when_innovation_moment_turns_negative(two_mode,
+                                                                     two_mode_cov):
+    # lowering T^{yy}_{1,1} by 2.3 leaves Q_1 = p_1 T^{ys}_{1,1} > 0 at P = 0,
+    # but no positive Q_1 at the fixed point: the gain iteration must stop as
+    # soon as Q_1 loses its sign instead of wandering for max_iter steps
+    t_yy = dict(two_mode_cov.t_yy_sigma)
+    t_yy[1] = t_yy[1] - 2.3
+    cov = CovarianceTable(lambda_yu=two_mode_cov.lambda_yu,
+                          lambda_yy=two_mode_cov.lambda_yy, t_yy_sigma=t_yy,
+                          q_u=two_mode_cov.q_u, p=two_mode_cov.p)
+    with pytest.raises(NotFullRankError) as info:
+        covariance_realization(cov, two_mode.sel, two_mode.sel_bar)
+    assert info.value.stage == "step 6 (innovation conversion)"
+    msg = str(info.value)
+    assert "mode 1 is not positive definite at iteration 1 " in msg
+    eig = float(msg.rsplit("smallest eigenvalue ", 1)[1].rstrip(")"))
+    assert eig < 0.0
 
 
 def test_stage_keeps_exceptions_with_other_signatures():

@@ -5,6 +5,7 @@ from slsid import (
     Dataset,
     DimensionError,
     InnovationModel,
+    InsufficientDataError,
     InvalidProbabilityError,
     ModelInvalidError,
     SimConfig,
@@ -136,6 +137,16 @@ def test_dataset_validation_and_immutability():
     data = Dataset(y=[[1.0], [2.0]], u=[[0.0], [0.0]], q=[1, 2])
     with pytest.raises(ValueError):
         data.y[0, 0] = 5.0
+
+
+@pytest.mark.parametrize("series, row", [("y", 2), ("u", 0), ("y_clean", 1)])
+def test_dataset_rejects_non_finite_values(series, row):
+    cols = {"y": [[1.0], [2.0], [3.0]], "u": [[4.0], [5.0], [6.0]],
+            "y_clean": [[0.5], [1.5], [2.5]]}
+    cols[series][row][0] = np.nan if series != "u" else -np.inf
+    with pytest.raises(InsufficientDataError,
+                       match=rf"^{series} holds a non-finite value at row {row} "):
+        Dataset(q=[1, 2, 1], t0=10, **cols)
 
 
 def test_dataset_slice():

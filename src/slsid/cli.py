@@ -39,7 +39,7 @@ from .errors import (
 from .identify import IdentConfig, identify, resolve_p, resolve_selections, validate_model
 from .model import SwitchedModel, find_isomorphism, model_from_dict, transform_model
 from .realize import FP_MAX_ITER, FP_TOL, covariance_realization
-from .simulate import Dataset, SimConfig, simulate
+from .simulate import Dataset, SimConfig, load_series_csv, simulate, write_csv
 
 __all__ = ["main"]
 
@@ -319,8 +319,6 @@ def cmd_validate(args) -> int:
     data = _load_dataset(_require(cfg, "data", "validate"), base)
     y_ref = None
     if "reference" in cfg:
-        from .simulate import load_series_csv
-
         y_ref = load_series_csv(base / str(cfg["reference"]))
     exclude = int(cfg.get("exclude", 0))
     rep = validate_model(model, data, y_ref=y_ref, exclude=exclude,
@@ -337,12 +335,10 @@ def cmd_validate(args) -> int:
         **rep.to_jsonable(),
     }
     _dump_json(report, out / "report.json")
-    header = ",".join(["t"] + [f"yhat_{i + 1}" for i in range(rep.predictions.shape[1])])
-    lines = [header]
-    for t in range(rep.predictions.shape[0]):
-        row = [str(t)] + [repr(float(v)) for v in rep.predictions[t]]
-        lines.append(",".join(row))
-    (out / "predictions.csv").write_text("\n".join(lines) + "\n")
+    yhat = rep.predictions
+    write_csv(out / "predictions.csv",
+              ["t"] + [f"yhat_{i + 1}" for i in range(yhat.shape[1])],
+              [np.arange(yhat.shape[0]), *yhat.T])
     _stderr(f"validate: BFR = {rep.bfr:.2f}% ({rep.runtime_seconds:.3f}s) -> {out}")
     return EXIT_OK
 

@@ -49,7 +49,7 @@ from .realize import (
     lambda_ydyd,
     psi_uy,
 )
-from .simulate import Dataset, SimConfig, simulate
+from .simulate import Dataset, SimConfig, affine_scan, simulate
 
 __all__ = [
     "IdentConfig",
@@ -294,8 +294,9 @@ def identify(data: Dataset, cfg: IdentConfig) -> Tuple[InnovationModel, dict]:
 def predict(m: SwitchedModel, data: Dataset) -> np.ndarray:
     """One-step-ahead predictions of an innovation-form model on a dataset.
 
-    Runs x(t+1) = (A_q - K_q C) x(t) + B_q u(t) + K_q (y(t) - D u(t)) from
-    x(0) = 0 and returns yhat(t) = C x(t) + D u(t) aligned with the data.
+    Runs x(t+1) = (A_q - K_q C) x(t) + (B_q - K_q D) u(t) + K_q y(t) from
+    x(0) = 0, as a chunked scan (`simulate.affine_scan`), and returns
+    yhat(t) = C x(t) + D u(t) aligned with the data.
     """
     if m.n_n != m.n_y or np.max(np.abs(m.F - np.eye(m.n_y))) != 0.0:
         raise ModelInvalidError("predictor needs an innovation-form model (F = I)")
@@ -308,19 +309,9 @@ def predict(m: SwitchedModel, data: Dataset) -> np.ndarray:
         raise DimensionError(
             f"data uses mode {int(data.q.max())} but the model has {m.n_modes}"
         )
-    closed = [np.asarray(m.A[s] - m.K[s] @ m.C) for s in range(m.n_modes)]
-    B = [np.asarray(b) for b in m.B]
-    K = [np.asarray(k) for k in m.K]
-    C, Dm = m.C, m.Dmat
-    T = len(data)
-    yhat = np.empty((T, m.n_y))
-    x = np.zeros(m.n_x)
-    for t in range(T):
-        s = data.q[t] - 1
-        feed = Dm @ data.u[t]
-        yhat[t] = C @ x + feed
-        x = closed[s] @ x + B[s] @ data.u[t] + K[s] @ (data.y[t] - feed)
-    return yhat
+    A, B, K = np.stack(m.A), np.stack(m.B), np.stack(m.K)
+    return affine_scan(data.q, A - K @ m.C, m.C,
+                       [(data.u, B - K @ m.Dmat, m.Dmat), (data.y, K, None)])
 
 
 def bfr(y_true: np.ndarray, y_pred: np.ndarray) -> float:
@@ -368,16 +359,19 @@ def validate_model(m: SwitchedModel, data: Dataset,
     length used in identification).
     """
     start = time.perf_counter()
-    yhat = predict(m, data)
     if y_ref is None:
         y_ref = data.y_clean if data.y_clean is not None else data.y
     y_ref = np.atleast_2d(np.asarray(y_ref, dtype=float))
     if y_ref.shape[0] == 1 and np.asarray(y_ref).ndim == 1:
         y_ref = y_ref.T
+    if not np.isfinite(y_ref).all():
+        row = int(np.flatnonzero(~np.isfinite(y_ref).all(axis=1))[0])
+        raise InsufficientDataError(f"y_ref holds a non-finite value at row {row}")
     if exclude >= len(data) - 1:
         raise InsufficientDataError(
             f"excluding {exclude} samples leaves too little validation data"
         )
+    yhat = predict(m, data)
     score = bfr(y_ref[exclude:], yhat[exclude:])
     whiteness = _whiteness_scores(m, data, data.y - yhat)
     return ValidationReport(
@@ -422,7 +416,8 @@ def consistency_experiment(
 
     A run whose realization fails numerically (noise can make the estimated
     Hankel realize an unusable model at small N) is recorded with infinite
-    error and failed=True; medians take those at face value.
+    error, failed=True and a "reason" naming the error class and its message
+    (which leads with the failing stage); medians take those at face value.
 
     With use_oracle=True the exact covariance table replaces estimation
     (errors then sit at solver tolerance).
@@ -440,7 +435,6 @@ def consistency_experiment(
     rows: List[dict] = []
     for N in Ns:
         for seed in seeds:
-            failed = False
             try:
                 if use_oracle:
                     n_bar = cfg.n_bar if cfg.n_bar is not None else cfg.n_x
@@ -469,11 +463,12 @@ def consistency_experiment(
                 err = max(float(np.max(np.abs(block(markov_parameter(d_hat, w))
                                               - ref_values[w])))
                           for w in words)
-            except (NumericalError, ModelInvalidError):
-                err = float("inf")
-                failed = True
+            except (NumericalError, ModelInvalidError) as exc:
+                rows.append({"N": int(N), "seed": int(seed), "error": float("inf"),
+                             "failed": True, "reason": f"{type(exc).__name__}: {exc}"})
+                continue
             rows.append({"N": int(N), "seed": int(seed), "error": err,
-                         "failed": failed})
+                         "failed": False})
     medians = {}
     for N in Ns:
         errs = sorted(r["error"] for r in rows if r["N"] == int(N))

@@ -14,6 +14,7 @@ give bit-identical datasets.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -99,42 +100,36 @@ class Dataset:
         header = ["t", "q"]
         header += [f"u_{i + 1}" for i in range(self.n_u)]
         header += [f"y_{i + 1}" for i in range(self.n_y)]
-        with open(path, "w") as fh:
-            fh.write(",".join(header) + "\n")
-            for t in range(len(self)):
-                row = [str(self.t0 + t), str(int(self.q[t]))]
-                row += [repr(float(v)) for v in self.u[t]]
-                row += [repr(float(v)) for v in self.y[t]]
-                fh.write(",".join(row) + "\n")
+        t = np.arange(self.t0, self.t0 + len(self))
+        write_csv(path, header, [t, self.q, *self.u.T, *self.y.T])
 
     def clean_to_csv(self, path) -> None:
         """Write the noise-free channel as t, y_1.. ."""
         if self.y_clean is None:
             raise DimensionError("dataset has no noise-free channel")
         header = ["t"] + [f"y_{i + 1}" for i in range(self.n_y)]
-        with open(path, "w") as fh:
-            fh.write(",".join(header) + "\n")
-            for t in range(len(self)):
-                row = [str(self.t0 + t)] + [repr(float(v)) for v in self.y_clean[t]]
-                fh.write(",".join(row) + "\n")
+        t = np.arange(self.t0, self.t0 + len(self))
+        write_csv(path, header, [t, *self.y_clean.T])
 
     @classmethod
     def from_csv(cls, path, clean_path=None) -> "Dataset":
-        with open(path) as fh:
-            header = fh.readline().strip().split(",")
-            if header[:2] != ["t", "q"]:
-                raise DimensionError(f"unexpected dataset header {header[:2]}")
-            n_u = sum(1 for name in header if name.startswith("u_"))
-            n_y = sum(1 for name in header if name.startswith("y_"))
-            rows = [line.strip().split(",") for line in fh if line.strip()]
-        if not rows:
+        """Read a dataset CSV written by to_csv (and its clean channel).
+
+        Integer t and q cells, float u and y cells, one row per line; blank
+        lines are skipped.  A ragged row or an unparsable cell raises
+        ValueError; a file without rows raises DimensionError.
+        """
+        header, lines = _read_csv_lines(path)
+        if header[:2] != ["t", "q"]:
+            raise DimensionError(f"unexpected dataset header {header[:2]}")
+        n_u = sum(1 for name in header if name.startswith("u_"))
+        n_y = sum(1 for name in header if name.startswith("y_"))
+        if not lines:
             raise DimensionError(f"dataset {path} has no rows")
-        t0 = int(rows[0][0])
-        q = np.array([int(r[1]) for r in rows], dtype=int)
-        u = np.array([[float(v) for v in r[2:2 + n_u]] for r in rows])
-        y = np.array([[float(v) for v in r[2 + n_u:2 + n_u + n_y]] for r in rows])
-        u = u.reshape(len(rows), n_u)
-        y = y.reshape(len(rows), n_y)
+        rows = _parse_rows(lines, [("t", np.int64), ("q", np.int64),
+                                   ("v", float, (n_u + n_y,))])
+        u = np.ascontiguousarray(rows["v"][:, :n_u])
+        y = np.ascontiguousarray(rows["v"][:, n_u:])
         clean = None
         if clean_path is not None:
             clean = load_series_csv(clean_path)
@@ -142,16 +137,46 @@ class Dataset:
                 raise DimensionError(
                     f"clean channel shape {clean.shape} does not match y {y.shape}"
                 )
-        return cls(y=y, u=u, q=q, t0=t0, y_clean=clean)
+        return cls(y=y, u=u, q=rows["q"].copy(), t0=int(rows["t"][0]), y_clean=clean)
 
 
 def load_series_csv(path) -> np.ndarray:
     """Read a t, y_1.. CSV (the noise-free channel format); returns the y block."""
+    header, lines = _read_csv_lines(path)
+    n_y = sum(1 for name in header if name.startswith("y_"))
+    if not lines:
+        return np.empty((0, n_y))
+    rows = _parse_rows(lines, [("t", np.int64), ("y", float, (n_y,))])
+    return rows["y"].copy()
+
+
+def write_csv(path, header, columns) -> None:
+    """Write equal-length columns under a header row.
+
+    Each cell is the repr of the column's Python value (.tolist()), so
+    integers print as digits and floats as their shortest exact text: a
+    float read back with float() or np.loadtxt is bit-identical.
+    """
+    cells = [map(repr, col.tolist()) for col in columns]
+    with open(path, "w") as fh:
+        fh.write("\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n")
+
+
+def _read_csv_lines(path):
+    """Header fields and the non-blank lines after the header."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-        n_y = sum(1 for name in header if name.startswith("y_"))
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    return np.array([[float(v) for v in r[1:1 + n_y]] for r in rows]).reshape(len(rows), n_y)
+        return header, list(filter(str.strip, fh))
+
+
+def _parse_rows(lines, dtype) -> np.ndarray:
+    """Parse CSV lines into a structured array; every row must fill dtype.
+
+    Raises ValueError naming the row (blank lines not counted) for a row
+    with another number of cells or a cell that does not parse as its
+    column's type; an integer column rejects text such as 1.5 or 1.0.
+    """
+    return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
 
 
 @dataclass(frozen=True)
@@ -226,12 +251,74 @@ def _draw_input(model: SwitchedModel, cfg: SimConfig, total: int,
     return rng.standard_normal((total, model.n_u)) @ L.T
 
 
+def affine_scan(q: np.ndarray, M: np.ndarray, C: np.ndarray, inputs) -> np.ndarray:
+    """Output of a switched affine recursion, evaluated as a chunked scan.
+
+    Returns out(t) = C x(t) + sum_i E_i w_i(t) for t < T, where x(0) = 0 and
+    x(t+1) = M_{q(t)} x(t) + sum_i N_{i,q(t)} w_i(t).  q (T,) holds modes
+    1..D, M is (D, n, n), and inputs is a sequence of (w_i, N_i, E_i) with
+    w_i (T, m_i), N_i (D, n, m_i) and E_i (n_out, m_i), or None when w_i has
+    no feedthrough.
+
+    The steps are cut into chunks of L = max(16, isqrt(T)).  Pass 1 advances
+    every chunk that has a successor from a zero state, all chunks together
+    one step at a time, to its zero-start response z_c and its transition
+    product Phi_c.  Pass 2 chains the start states x_{c+1} = Phi_c x_c + z_c.
+    Pass 3 reruns every chunk from its start state and writes the output
+    rows.  Step k of a pass touches rows k, k + L, k + 2L, ... through strided
+    views, so a pass costs L array steps and no (T, n) temporary is built.
+    Against the plain loop, results move only in the last bits.
+    """
+    T = q.shape[0]
+    D, n = M.shape[0], M.shape[1]
+    L = max(16, math.isqrt(T))
+    n_chunks = max(1, -(-T // L))
+    chunk = np.arange(n_chunks)
+    # mode-stacked transposes: x @ stack holds every mode's M_s x, picked per chunk
+    stacks = [M.reshape(D * n, n).T] + [N.reshape(D * n, -1).T for _, N, _ in inputs]
+
+    def advance(x, s, rows):
+        """x_c -> M_{s_c} x_c + sum_i N_{i,s_c} w_i(row c) for the chunks in s."""
+        m = s.shape[0]
+        nxt = (x @ stacks[0]).reshape(m, D, n)[chunk[:m], s]
+        for (w, _, _), stack in zip(inputs, stacks[1:]):
+            nxt += (w[rows] @ stack).reshape(m, D, n)[chunk[:m], s]
+        return nxt
+
+    head = (n_chunks - 1) * L
+    z = np.zeros((n_chunks - 1, n))
+    phi = np.broadcast_to(np.eye(n), (n_chunks - 1, n, n))
+    for k in range(L if head else 0):
+        rows = slice(k, head, L)
+        s = q[rows] - 1
+        phi = M[s] @ phi
+        z = advance(z, s, rows)
+
+    x = np.zeros((n_chunks, n))
+    for c in range(n_chunks - 1):
+        x[c + 1] = phi[c] @ x[c] + z[c]
+
+    out = np.empty((T, C.shape[0]))
+    for k in range(min(L, T)):
+        rows = slice(k, None, L)
+        s = q[rows] - 1
+        xs = x[:s.shape[0]]
+        y = xs @ C.T
+        for w, _, E in inputs:
+            if E is not None:
+                y += w[rows] @ E.T
+        out[rows] = y
+        x[:s.shape[0]] = advance(xs, s, rows)
+    return out
+
+
 def simulate(model: SwitchedModel, cfg: SimConfig) -> Dataset:
     """Generate one stationary-regime trajectory of the model.
 
     Validates the model first (an unstable model is refused), runs the state
-    recursion from x = 0 over burn_in + length steps, and returns the final
-    `length` samples together with the noise-free channel y - F v.
+    recursion from x = 0 over burn_in + length steps with `affine_scan`, and
+    returns the final `length` samples together with the noise-free channel
+    y - F v.
     """
     model.validate()
     rng = np.random.Generator(np.random.Philox(cfg.seed))
@@ -247,19 +334,11 @@ def simulate(model: SwitchedModel, cfg: SimConfig) -> Dataset:
         mask = q == s + 1
         v[mask] = g[mask] @ chol[s].T
 
-    A = [np.asarray(a) for a in model.A]
-    B = [np.asarray(b) for b in model.B]
-    K = [np.asarray(k) for k in model.K]
-    C, Dmat, F = model.C, model.Dmat, model.F
-    x = np.zeros(model.n_x)
-    y = np.empty((total, model.n_y))
-    y_clean = np.empty((total, model.n_y))
-    for t in range(total):
-        s = q[t] - 1
-        noise_free = C @ x + Dmat @ u[t]
-        y_clean[t] = noise_free
-        y[t] = noise_free + F @ v[t]
-        x = A[s] @ x + B[s] @ u[t] + K[s] @ v[t]
+    y_clean = affine_scan(q, np.stack(model.A), model.C,
+                          [(u, np.stack(model.B), model.Dmat),
+                           (v, np.stack(model.K), None)])
+    y = v @ model.F.T
+    y += y_clean
 
     lo = cfg.burn_in
     return Dataset(y=y[lo:], u=u[lo:], q=q[lo:], t0=0, y_clean=y_clean[lo:])

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from slsid import Dataset, find_isomorphism, model_from_dict
+from slsid import Dataset, find_isomorphism, model_from_dict, validate_model
 from slsid.cli import main
 
 
@@ -133,6 +133,56 @@ def test_validate_command(workspace):
     lines = (workspace / "val" / "predictions.csv").read_text().splitlines()
     assert lines[0] == "t,yhat_1"
     assert len(lines) == 20001
+    # the same bytes as a per-row repr writer
+    model = model_from_dict(json.loads((workspace / "ident" / "model.json").read_text()))
+    yhat = validate_model(model, Dataset.from_csv(workspace / "sim" / "data.csv"),
+                          keep_predictions=True).predictions
+    rows = ["t,yhat_1"] + [",".join([str(t)] + [repr(float(v)) for v in yhat[t]])
+                           for t in range(yhat.shape[0])]
+    want = ("\n".join(rows) + "\n").encode()
+    assert (workspace / "val" / "predictions.csv").read_bytes() == want
+
+
+def _validate_on(workspace, tmp_path, csv_text, **extra):
+    (tmp_path / "data.csv").write_text(csv_text)
+    cfg = write_json(tmp_path / "val.json", {
+        "model": str(workspace / "true_model.json"), "data": "data.csv", **extra})
+    return main(["validate", "--config", str(cfg), "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("edit, code", [
+    ("blank", 0),          # whitespace-only lines are skipped
+    ("header_only", 4),    # DimensionError: the dataset has no rows
+    ("ragged", 3),         # ValueError: a row with a missing cell
+    ("unparsable", 3),     # ValueError: a cell that is not a number
+    ("fractional_q", 3),   # ValueError: q = 1.5 is not truncated
+])
+def test_validate_reads_csv_by_its_contract(workspace, tmp_path, capsys, edit, code):
+    lines = (workspace / "sim" / "data.csv").read_text().splitlines()[:200]
+    t, q, u, y = lines[51].split(",")
+    lines[51] = {"blank": ",".join([t, q, u, y]) + "\n   \n\t",
+                 "header_only": "",
+                 "ragged": ",".join([t, q, u]),
+                 "unparsable": ",".join([t, q, "0.5x", y]),
+                 "fractional_q": ",".join([t, "1.5", u, y])}[edit]
+    if edit == "header_only":
+        lines = lines[:1]
+    assert _validate_on(workspace, tmp_path, "\n".join(lines) + "\n") == code
+    err = capsys.readouterr().err
+    if edit == "header_only":
+        assert "has no rows" in err
+    elif code == 3:
+        assert "at row" in err
+
+
+def test_validate_rejects_non_finite_reference(workspace, tmp_path, capsys):
+    lines = (workspace / "sim" / "data_clean.csv").read_text().splitlines()[:200]
+    lines[11] = lines[11].split(",")[0] + ",nan"
+    (tmp_path / "ref.csv").write_text("\n".join(lines) + "\n")
+    data = (workspace / "sim" / "data.csv").read_text().splitlines()[:200]
+    assert _validate_on(workspace, tmp_path, "\n".join(data) + "\n",
+                        reference="ref.csv") == 4
+    assert "y_ref holds a non-finite value at row 10" in capsys.readouterr().err
 
 
 def test_transform_then_compare_isomorphic(workspace, capsys):

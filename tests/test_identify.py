@@ -226,6 +226,16 @@ def test_validate_model_exclude_bounds(two_mode):
         validate_model(two_mode.model, data, exclude=49)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_validate_model_rejects_non_finite_reference(two_mode, bad):
+    data = simulate(two_mode.model, SimConfig(seed=43, length=200))
+    y_ref = data.y_clean.copy()
+    y_ref[10, 0] = bad
+    with pytest.raises(InsufficientDataError,
+                       match="^y_ref holds a non-finite value at row 10$"):
+        validate_model(two_mode.model, data, y_ref=y_ref)
+
+
 # ---------------------------------------------------------------- consistency
 
 
@@ -238,6 +248,19 @@ def test_consistency_experiment_oracle_mode(two_mode):
     assert all(not row["failed"] for row in result.rows)
     assert all(row["error"] < 1e-8 for row in result.rows)
     assert len(result.rows) == 4
+
+
+def test_consistency_experiment_keeps_the_failure_reason(two_mode):
+    cfg = IdentConfig(n_x=3, selection=two_mode.sel,
+                      selection_bar=two_mode.sel_bar, p=(0.5, 0.5))
+    result = consistency_experiment(two_mode.model, [1000], [0, 1], cfg)
+    assert [row["failed"] for row in result.rows] == [True, True]
+    assert result.rows[0]["reason"].startswith(
+        "NonConvergenceError: steps 3-4 (noise-part covariances): input-part "
+        "realization is not mean-square stable")
+    assert result.rows[1]["reason"].startswith(
+        "NotFullRankError: step 6 (innovation conversion): per-mode innovation "
+        "moment for mode 1 is not positive definite")
 
 
 def test_consistency_experiment_rejects_search_in_oracle_mode(two_mode):

@@ -1,5 +1,10 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slsid import (
     Dataset,
@@ -9,10 +14,14 @@ from slsid import (
     InvalidProbabilityError,
     ModelInvalidError,
     SimConfig,
+    SwitchedModel,
     load_series_csv,
+    predict,
     sample_switching,
     simulate,
+    stability_margin,
 )
+from slsid.simulate import _draw_input
 
 
 # ---------------------------------------------------------------- switching
@@ -106,6 +115,119 @@ def test_simulate_mode_frequencies_follow_p(two_mode):
     assert np.max(np.abs(freq - 0.5)) < 0.01
 
 
+# ---------------------------------------------------------------- chunked scan
+
+
+def _loop_simulate(model, cfg):
+    """Reference simulator: the same draws, then the state recursion one
+    sample at a time."""
+    model.validate()
+    rng = np.random.Generator(np.random.Philox(cfg.seed))
+    total = cfg.burn_in + cfg.length
+    q = sample_switching(model.p, total, rng)
+    u = _draw_input(model, cfg, total, rng)
+    chol = [np.linalg.cholesky(model.Q_v[s] / model.p[s]) for s in range(model.n_modes)]
+    g = rng.standard_normal((total, model.n_n))
+    v = np.empty_like(g)
+    for s in range(model.n_modes):
+        mask = q == s + 1
+        v[mask] = g[mask] @ chol[s].T
+    A = [np.asarray(a) for a in model.A]
+    B = [np.asarray(b) for b in model.B]
+    K = [np.asarray(k) for k in model.K]
+    C, Dmat, F = model.C, model.Dmat, model.F
+    x = np.zeros(model.n_x)
+    y = np.empty((total, model.n_y))
+    y_clean = np.empty((total, model.n_y))
+    for t in range(total):
+        s = q[t] - 1
+        noise_free = C @ x + Dmat @ u[t]
+        y_clean[t] = noise_free
+        y[t] = noise_free + F @ v[t]
+        x = A[s] @ x + B[s] @ u[t] + K[s] @ v[t]
+    lo = cfg.burn_in
+    return Dataset(y=y[lo:], u=u[lo:], q=q[lo:], t0=0, y_clean=y_clean[lo:])
+
+
+def _loop_predict(m, data):
+    """Reference one-step predictor, one sample at a time."""
+    closed = [np.asarray(m.A[s] - m.K[s] @ m.C) for s in range(m.n_modes)]
+    B = [np.asarray(b) for b in m.B]
+    K = [np.asarray(k) for k in m.K]
+    C, Dm = m.C, m.Dmat
+    yhat = np.empty((len(data), m.n_y))
+    x = np.zeros(m.n_x)
+    for t in range(len(data)):
+        s = data.q[t] - 1
+        feed = Dm @ data.u[t]
+        yhat[t] = C @ x + feed
+        x = closed[s] @ x + B[s] @ data.u[t] + K[s] @ (data.y[t] - feed)
+    return yhat
+
+
+def _assert_close(got, want):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * np.max(np.abs(want))
+
+
+def _scaled(family, p, rho):
+    return [np.sqrt(rho / stability_margin(family, p)) * a for a in family]
+
+
+# T = 1, 2, then L - 1, L, L + 1 for the smallest chunk length (16) and for
+# L = isqrt(T) = 24, then any length
+_SCAN_LENGTHS = st.sampled_from([1, 2, 15, 16, 17, 575, 576, 577]) | st.integers(3, 3000)
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), D=st.integers(1, 3), n_x=st.integers(1, 4),
+       n_u=st.integers(1, 2), n_y=st.integers(1, 2), rho=st.floats(0.05, 0.95),
+       T=_SCAN_LENGTHS)
+def test_scan_matches_the_loop(seed, D, n_x, n_u, n_y, rho, T):
+    rng = np.random.default_rng(seed)
+    p = rng.dirichlet(np.ones(D))
+    B = [rng.normal(size=(n_x, n_u)) for _ in range(D)]
+    K = [rng.normal(size=(n_x, n_y)) for _ in range(D)]
+    C = rng.normal(size=(n_y, n_x))
+    Dm = rng.normal(size=(n_y, n_u))
+    G = [rng.normal(size=(n_y, n_y)) for _ in range(D)]
+    Q_v = [p[s] * (G[s] @ G[s].T + 0.1 * np.eye(n_y)) for s in range(D)]
+    Q_u = np.eye(n_u) / 3.0
+    A = _scaled([rng.normal(size=(n_x, n_x)) for _ in range(D)], p, rho)
+    gen = SwitchedModel(A=A, B=B, K=K, C=C, Dmat=Dm, F=rng.normal(size=(n_y, n_y)),
+                        p=p, Q_u=Q_u, Q_v=Q_v)
+    cfg = SimConfig(seed=seed, length=T, burn_in=0)
+    data, want = simulate(gen, cfg), _loop_simulate(gen, cfg)
+    assert np.array_equal(data.q, want.q) and np.array_equal(data.u, want.u)
+    _assert_close(data.y_clean, want.y_clean)
+    _assert_close(data.y, want.y)
+
+    # the predictor's closed loop A - K C is the family scaled to rho
+    closed = _scaled([rng.normal(size=(n_x, n_x)) for _ in range(D)], p, rho)
+    m = InnovationModel.from_parts([closed[s] + K[s] @ C for s in range(D)], B, K,
+                                   C, Dm, p, Q_u, Q_v)
+    _assert_close(predict(m, data), _loop_predict(m, data))
+
+
+def _peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_scan_memory_stays_at_the_loop_level(two_mode):
+    cfg = SimConfig(seed=1, length=100_000)
+    simulate(two_mode.model, SimConfig(seed=1, length=100))  # lazy imports
+    peak = _peak_bytes(simulate, two_mode.model, cfg)
+    assert peak <= 1.1 * _peak_bytes(_loop_simulate, two_mode.model, cfg)
+    data = simulate(two_mode.model, cfg)
+    # the (T, n_y) predictions are 0.8 MB; the chunk states add O(sqrt(T))
+    assert _peak_bytes(predict, two_mode.model, data) < 2e6
+
+
 # ---------------------------------------------------------------- config
 
 
@@ -172,6 +294,114 @@ def test_csv_round_trip(tmp_path, two_mode):
     assert np.array_equal(back.q, data.q)
     assert np.array_equal(back.y_clean, data.y_clean)
     assert np.array_equal(load_series_csv(clean), data.y_clean)
+
+
+def _loop_to_csv(data, path):
+    """Reference per-row dataset writer."""
+    header = ["t", "q"]
+    header += [f"u_{i + 1}" for i in range(data.n_u)]
+    header += [f"y_{i + 1}" for i in range(data.n_y)]
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for t in range(len(data)):
+            row = [str(data.t0 + t), str(int(data.q[t]))]
+            row += [repr(float(v)) for v in data.u[t]]
+            row += [repr(float(v)) for v in data.y[t]]
+            fh.write(",".join(row) + "\n")
+
+
+def _loop_clean_to_csv(data, path):
+    """Reference per-row clean-channel writer."""
+    header = ["t"] + [f"y_{i + 1}" for i in range(data.n_y)]
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for t in range(len(data)):
+            row = [str(data.t0 + t)] + [repr(float(v)) for v in data.y_clean[t]]
+            fh.write(",".join(row) + "\n")
+
+
+def _edge_dataset():
+    edge = np.array([-0.0, 5e-324, 1.7976931348623157e308, 1.0 / 3.0,
+                     -5e-324, -1.7976931348623157e308, 0.1, 1e22])
+    u = np.column_stack([edge, edge[::-1]])
+    return Dataset(y=edge[:, None], u=u, q=[1, 2, 3, 1, 2, 3, 1, 2], t0=-3,
+                   y_clean=-edge[:, None])
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("case", ["edge", "simulated"])
+def test_csv_writer_bytes_and_exact_read_back(tmp_path, two_mode, case):
+    if case == "edge":
+        data = _edge_dataset()
+    else:
+        data = simulate(two_mode.model, SimConfig(seed=11, length=50_000))
+    data.to_csv(tmp_path / "data.csv")
+    data.clean_to_csv(tmp_path / "data_clean.csv")
+    _loop_to_csv(data, tmp_path / "ref.csv")
+    _loop_clean_to_csv(data, tmp_path / "ref_clean.csv")
+    assert (tmp_path / "data.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert ((tmp_path / "data_clean.csv").read_bytes()
+            == (tmp_path / "ref_clean.csv").read_bytes())
+    back = Dataset.from_csv(tmp_path / "data.csv", clean_path=tmp_path / "data_clean.csv")
+    assert back.t0 == data.t0
+    assert np.array_equal(back.q, data.q)
+    for name in ("y", "u", "y_clean"):
+        assert _same_bits(getattr(back, name), getattr(data, name))
+    assert _same_bits(load_series_csv(tmp_path / "data_clean.csv"), data.y_clean)
+
+
+def test_csv_reader_skips_whitespace_only_lines(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("t,q,u_1,y_1\n   \n5,1,0.5,1.5\n\t\n6,2,-0.5,2.5\n \n")
+    data = Dataset.from_csv(path)
+    assert data.t0 == 5
+    assert np.array_equal(data.q, [1, 2])
+    assert np.array_equal(data.u[:, 0], [0.5, -0.5])
+    assert np.array_equal(data.y[:, 0], [1.5, 2.5])
+    clean = tmp_path / "clean.csv"
+    clean.write_text("t,y_1\n  \n5,1.25\n\n6,2.25\n")
+    assert np.array_equal(load_series_csv(clean), [[1.25], [2.25]])
+
+
+def test_csv_reader_header_only(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("t,q,u_1,y_1,y_2\n  \n")
+    clean = tmp_path / "clean.csv"
+    clean.write_text("t,y_1,y_2\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DimensionError, match="has no rows"):
+            Dataset.from_csv(path)
+        empty = load_series_csv(clean)
+    assert empty.shape == (0, 2)
+
+
+@pytest.mark.parametrize("body, match", [
+    ("0,1,0.5,1.5\n1,1,0.5\n", "columns"),
+    ("0,1,0.5,1.5\n1,1,0.5,1.5,7\n", "columns"),
+    ("0,1,0.5,1.5\n1,1,abc,1.5\n", "abc"),
+    ("0,1,0.5,1.5\n1,1.5,0.5,1.5\n", "1.5"),
+    ("0.5,1,0.5,1.5\n", "0.5"),
+    ("0,1,0.5,#1.5\n", "#1.5"),
+])
+def test_csv_reader_rejects_malformed_rows(tmp_path, body, match):
+    path = tmp_path / "data.csv"
+    path.write_text("t,q,u_1,y_1\n" + body)
+    with pytest.raises(ValueError, match=match):
+        Dataset.from_csv(path)
+
+
+def test_series_reader_rejects_malformed_rows(tmp_path):
+    path = tmp_path / "clean.csv"
+    path.write_text("t,y_1\n0,1.5\n1,2.5,3.5\n")
+    with pytest.raises(ValueError):
+        load_series_csv(path)
+    path.write_text("t,y_1\n0,1.5\n1.5,2.5\n")
+    with pytest.raises(ValueError):
+        load_series_csv(path)
 
 
 def test_csv_rejects_foreign_header(tmp_path):

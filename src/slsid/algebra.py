@@ -49,8 +49,8 @@ class Word:
     letters: Tuple[int, ...] = ()
 
     def __post_init__(self):
-        letters = tuple(int(s) for s in self.letters)
-        if any(s < 1 for s in letters):
+        letters = tuple(map(int, self.letters))
+        if letters and min(letters) < 1:
             raise InvalidModeError(f"modes are 1-based, got {letters}")
         object.__setattr__(self, "letters", letters)
 
@@ -78,7 +78,10 @@ class Word:
 
     def __add__(self, other: "Word") -> "Word":
         """Concatenation: (self + other) plays self first, then other."""
-        return Word(self.letters + other.letters)
+        # two valid words make a valid one: skip __post_init__
+        out = object.__new__(Word)
+        object.__setattr__(out, "letters", self.letters + other.letters)
+        return out
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.letters)
@@ -92,10 +95,17 @@ class Word:
 EMPTY_WORD = Word(())
 
 
+def _as_word(w) -> Word:
+    """w itself when it is a Word (already valid), else Word(tuple(w))."""
+    return w if isinstance(w, Word) else Word(tuple(w))
+
+
 def _check_letters(w: Word, n_modes: int) -> None:
-    for s in w:
-        if not 1 <= s <= n_modes:
-            raise InvalidModeError(f"letter {s} outside alphabet {{1..{n_modes}}}")
+    # a Word's letters are >= 1, so only the upper end needs checking
+    letters = _as_word(w).letters
+    if letters and max(letters) > n_modes:
+        s = next(s for s in letters if s > n_modes)
+        raise InvalidModeError(f"letter {s} outside alphabet {{1..{n_modes}}}")
 
 
 def matrix_product_along_word(matrices: Sequence[np.ndarray], w: Word) -> np.ndarray:
@@ -164,8 +174,8 @@ class Selection:
     n_cols: int
 
     def __post_init__(self):
-        alpha = tuple((Word(tuple(u)), int(k)) for (u, k) in self.alpha)
-        beta = tuple((int(s), Word(tuple(v)), int(l)) for (s, v, l) in self.beta)
+        alpha = tuple((_as_word(u), int(k)) for (u, k) in self.alpha)
+        beta = tuple((int(s), _as_word(v), int(l)) for (s, v, l) in self.beta)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
         n = len(alpha)
@@ -228,16 +238,16 @@ class WordIndexedMatrixTable:
             raise DimensionError(
                 f"matrix for word '{w}' has shape {value.shape}, table holds {self.shape}"
             )
-        self._data[Word(tuple(w))] = value
+        self._data[_as_word(w)] = value
 
     def __getitem__(self, w: Word) -> np.ndarray:
         try:
-            return self._data[Word(tuple(w))]
+            return self._data[_as_word(w)]
         except KeyError:
             raise MissingMarkovParameterError(str(w)) from None
 
     def __contains__(self, w: Word) -> bool:
-        return Word(tuple(w)) in self._data
+        return _as_word(w) in self._data
 
     def __len__(self) -> int:
         return len(self._data)

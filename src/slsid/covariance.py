@@ -24,6 +24,7 @@ least-squares estimator and the per-mode moments use it directly.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -34,6 +35,7 @@ from .algebra import (
     EMPTY_WORD,
     Word,
     WordIndexedMatrixTable,
+    _as_word,
     enumerate_words,
     word_probability,
 )
@@ -168,7 +170,7 @@ def _z_block(b: np.ndarray, q: np.ndarray, p, w: Word, n0: int) -> np.ndarray:
 
 
 def _prepare(data: Dataset, words: Iterable[Word], modes: Sequence[int]):
-    words = sorted({Word(tuple(w)) for w in words}, key=lambda w: w.sort_key)
+    words = sorted({_as_word(w) for w in words}, key=lambda w: w.sort_key)
     max_len = max([len(w) for w in words] + [1 if modes else 0])
     n0 = max_len + 1
     n_eff = len(data) - n0
@@ -204,12 +206,21 @@ def _suffix_tables(words: Sequence[Word], n_modes: int) -> List[Tuple[np.ndarray
     Lag 0 has the root (id 0) and "none" (id 1).  The ids stay below the
     number of suffixes, so the tables never hold D^k entries or overflow.
     """
+    by_len: Dict[int, List[Word]] = {}
+    for w in words:
+        by_len.setdefault(len(w), []).append(w)
+    max_len = max(by_len, default=0)
+    # tails[k]: the k-long suffixes of the words longer than k
+    tails: List[set] = [set() for _ in range(max_len + 1)]
+    for k in range(max_len - 1, 0, -1):
+        tails[k] = {v[1:] for v in tails[k + 1]}
+        tails[k].update(w.letters[1:] for w in by_len.get(k + 1, ()))
     levels = []
     prev = {(): 0}
-    for k in range(1, max((len(w) for w in words), default=0) + 1):
-        heads = [w for w in words if len(w) == k]
+    for k in range(1, max_len + 1):
+        heads = by_len.get(k, [])
         nodes = dict.fromkeys(w.letters for w in heads)
-        nodes.update((w.letters[-k:], None) for w in words if len(w) > k)
+        nodes.update(dict.fromkeys(tails[k]))
         nodes = {v: i for i, v in enumerate(nodes)}
         table = np.full((len(prev) + 1, n_modes + 1), len(nodes), dtype=np.intp)
         for v, i in nodes.items():
@@ -254,20 +265,27 @@ def empirical_covariances(
         modes = list(range(1, p.shape[0] + 1))
     words, n0, n_eff = _prepare(data, words, modes)
     D, T = p.shape[0], len(data)
-    # Words with a letter outside 1..D get no bins: word_probability rejects them below.
-    valid = [w for w in words if len(w) > 0 and max(w) <= D]
+    nonempty = [w for w in words if len(w) > 0]
+    # word_probability validates p (once, on the first word) and rejects
+    # the words with a letter outside 1..D
+    for w in nonempty[:1] + [w for w in nonempty if max(w.letters) > D]:
+        word_probability(p, w)
+    p_list = p.tolist()
     mode_digit = np.where(data.q <= D, data.q - 1, D)
     node = np.zeros(n_eff, dtype=np.intp)
     y_block = data.y[n0:]
     sums = {}
-    for k, (table, heads) in enumerate(_suffix_tables(valid, D), start=1):
+    for k, (table, heads) in enumerate(_suffix_tables(nonempty, D), start=1):
         node = table[node, mode_digit[n0 - k:T - k]]
         if not heads:
             continue
         n_words = len(heads)
         y_lag = data.y[n0 - k:T - k]
-        s_yu = _binned_outer(node, y_block, data.u[n0 - k:T - k], n_words)
-        s_yy = _binned_outer(node, y_block, y_lag, n_words)
+        # the product p_w as word_probability takes it, left to right
+        probs = [math.prod([p_list[s - 1] for s in w.letters]) for w in heads]
+        scale = (n_eff * np.sqrt(np.array(probs)))[:, None, None]
+        s_yu = _binned_outer(node, y_block, data.u[n0 - k:T - k], n_words) / scale
+        s_yy = _binned_outer(node, y_block, y_lag, n_words) / scale
         occurs = np.bincount(node[np.any(y_lag != 0, axis=1)], minlength=n_words)[:n_words] > 0
         sums.update(zip(heads, zip(s_yu, s_yy, occurs)))
 
@@ -278,10 +296,7 @@ def empirical_covariances(
         if len(w) == 0:
             lam_yu[w] = y_block.T @ data.u[n0:] / n_eff
             continue
-        scale = n_eff * np.sqrt(word_probability(p, w))
-        s_yu, s_yy, occurs = sums[w]
-        lam_yu[w] = s_yu / scale
-        lam_yy[w] = s_yy / scale
+        lam_yu[w], lam_yy[w], occurs = sums[w]
         if not occurs:
             degenerate.append(str(w))
             warnings.warn(f"word '{w}' never occurs in the data; covariance set to 0")
@@ -310,11 +325,11 @@ def least_squares_covariances(
     p = np.asarray(p, dtype=float)
     if modes is None:
         modes = list(range(1, p.shape[0] + 1))
-    words_full = [Word(tuple(w)) for w in words_full]
+    words_full = [_as_word(w) for w in words_full]
     if words_y is None:
         words_y = [w for w in words_full if len(w) > 0]
     else:
-        words_y = [Word(tuple(w)) for w in words_y]
+        words_y = [_as_word(w) for w in words_y]
         probe = [w for w in words_full if w in set(words_y)]
         if probe != words_y:
             raise DimensionError("words_y must be an ordered sub-list of words_full")

@@ -19,6 +19,7 @@ from .algebra import (
     Selection,
     Word,
     WordIndexedMatrixTable,
+    _as_word,
     enumerate_words,
     required_words,
 )
@@ -150,7 +151,7 @@ def _estimate(data: Dataset, p: np.ndarray, words, cfg: IdentConfig) -> Covarian
     modes = list(range(1, p.shape[0] + 1))
     if cfg.estimator == "direct":
         return empirical_covariances(data, p, words, modes)
-    ordered = sorted({Word(tuple(w)) for w in words} | {EMPTY_WORD},
+    ordered = sorted({_as_word(w) for w in words} | {EMPTY_WORD},
                      key=lambda w: w.sort_key)
     return least_squares_covariances(data, p, ordered, modes=modes)
 
@@ -241,7 +242,10 @@ def identify(data: Dataset, cfg: IdentConfig) -> Tuple[InnovationModel, dict]:
     Returns (model, diagnostics).  With explicit selections only the words
     they require are estimated; with "search" the table covers all words up
     to 2*max(n_x, n_bar) + 2 and selections are found on the estimated Markov
-    values before realization.
+    values before realization.  A search retries with the next vetted
+    selections when realization fails; when a later attempt succeeds,
+    diagnostics["rejected_attempts"] lists each failed attempt as
+    "<ErrorClass>: <message>", the message leading with its stage.
     """
     if len(data) < 3:
         raise InsufficientDataError(f"dataset of length {len(data)} is too short")
@@ -264,9 +268,11 @@ def identify(data: Dataset, cfg: IdentConfig) -> Tuple[InnovationModel, dict]:
     cov = _estimate(data, p, words, cfg)
 
     # a vetted selection can still trip the innovation-gain fixed point
-    # (indefinite per-mode moments); bump the skip and re-resolve a few times
+    # (indefinite per-mode moments); bump the skip and re-resolve a few times,
+    # keeping why each rejected attempt failed
     attempts = 5 if searching else 1
     model = real_diag = None
+    rejected: List[str] = []
     for attempt in range(attempts):
         try:
             sel, sel_bar, search_diag = resolve_selections(
@@ -277,14 +283,17 @@ def identify(data: Dataset, cfg: IdentConfig) -> Tuple[InnovationModel, dict]:
                                                       max_iter=cfg.fp_max_iter,
                                                       tol=cfg.fp_tol,
                                                       rank_tol=cfg.rank_tol)
-        except (NumericalError, ModelInvalidError):
+        except (NumericalError, ModelInvalidError) as exc:
             if attempt == attempts - 1:
                 raise
+            rejected.append(f"{type(exc).__name__}: {exc}")
             continue
         break
     diagnostics.update(search_diag)
     if searching:
         diagnostics["search_attempts"] = attempt + 1
+    if rejected:
+        diagnostics["rejected_attempts"] = rejected
     diagnostics.update(real_diag)
     diagnostics["N"] = len(data)
     diagnostics["N_0"] = cov.metadata.get("N_0")

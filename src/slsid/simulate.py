@@ -15,6 +15,7 @@ give bit-identical datasets.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -172,11 +173,37 @@ def _read_csv_lines(path):
 def _parse_rows(lines, dtype) -> np.ndarray:
     """Parse CSV lines into a structured array; every row must fill dtype.
 
-    Raises ValueError naming the row (blank lines not counted) for a row
-    with another number of cells or a cell that does not parse as its
-    column's type; an integer column rejects text such as 1.5 or 1.0.
+    Raises ValueError naming the 0-based data row (blank lines not
+    counted, the row Dataset's non-finite check names) for a row with
+    another number of cells or a cell that does not parse as its column's
+    type; an integer column rejects text such as 1.5 or 1.0.  np.loadtxt
+    numbers rows differently by error kind, so its text is not passed on.
     """
-    return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    def parse(chunk):
+        return np.loadtxt(chunk, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+
+    try:
+        return parse(lines)
+    except ValueError as exc:
+        whole = exc
+    # lines[lo:hi] holds the first bad row and every row before lo parses;
+    # halving that span parses about len(lines) more rows in all
+    lo, hi = 0, len(lines)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            parse(lines[lo:mid])
+        except ValueError:
+            hi = mid
+        else:
+            lo = mid
+    try:
+        parse(lines[lo:hi])
+    except ValueError as exc:
+        found = re.match(r"(.*?) at row \d+(, column \d+)?", str(exc))
+        reason, column = found.group(1, 2) if found else (str(exc), None)
+        raise ValueError(f"{reason} at row {lo}{column or ''}") from None
+    raise whole
 
 
 @dataclass(frozen=True)

@@ -174,6 +174,30 @@ def test_table_set_get_and_errors():
         WordIndexedMatrixTable((0, 1))
 
 
+def test_table_keys_are_validated_once_at_the_boundary():
+    t = WordIndexedMatrixTable((1, 1))
+    t[(1, 2)] = [[1.0]]
+    t[[2]] = [[2.0]]
+    # tuple, list and Word keys for equal words hit the same entry
+    assert np.array_equal(t[Word((1, 2))], [[1.0]])
+    assert np.array_equal(t[[1, 2]], [[1.0]])
+    assert np.array_equal(t[Word((1,)) + Word((2,))], [[1.0]])
+    assert hash(Word((1,)) + Word((2,))) == hash(Word((1, 2)))
+    assert (2,) in t and [2] in t and Word((2,)) in t
+    t[Word((1, 2))] = [[3.0]]
+    assert len(t) == 2 and np.array_equal(t[(1, 2)], [[3.0]])
+    assert all(type(w) is Word for w in t.words())
+    # a letter below 1 is rejected on entry, whatever the access
+    for access in (lambda: t.__setitem__((1, 0), [[0.0]]),
+                   lambda: t[(0,)],
+                   lambda: (2, 0) in t):
+        with pytest.raises(InvalidModeError):
+            access()
+    with pytest.raises(InvalidModeError):
+        Word((1, -1))
+    assert Word(np.array([1, 2], dtype=np.int64)).letters == (1, 2)
+
+
 def test_table_words_sorted():
     t = WordIndexedMatrixTable((1, 1))
     for text in ("21", "2", "e", "1"):

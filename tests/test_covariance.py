@@ -185,6 +185,18 @@ def test_empirical_matches_oracle_on_all_short_words(D, n_y, n_u):
     assert_matches_oracle(data, p, list(enumerate_words(D, 4)))
 
 
+def test_empirical_takes_tuple_and_list_words_as_words():
+    data = random_dataset(3, 500, 2, 2, 2)
+    p = (0.3, 0.7)
+    words = list(enumerate_words(2, 8))
+    raw = [list(w.letters) if i % 2 else tuple(w.letters) for i, w in enumerate(words)]
+    by_word = assert_matches_oracle(data, p, words)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the length-8 words that never occur
+        by_raw = empirical_covariances(data, p, raw + words[:5])
+    assert json.dumps(by_raw.to_jsonable()) == json.dumps(by_word.to_jsonable())
+
+
 def test_modes_outside_the_alphabet_match_no_word():
     # With D = 2, mode 3 read as a base-2 digit would alias onto another word.
     data = random_dataset(5, 200, 1, 1, 3)

@@ -149,6 +149,26 @@ def test_identify_search_mode(two_mode):
     assert validate_model(model, noise_free, exclude=6).bfr > 50.0
 
 
+def test_identify_keeps_the_reasons_of_rejected_attempts(two_mode):
+    # at N = 1e5, seed 6 the first vetted selections fail in the gain
+    # iteration and the second attempt succeeds
+    data = simulate(two_mode.model, SimConfig(seed=6, length=100_000))
+    cfg = IdentConfig(n_x=3, p=(0.5, 0.5))
+    _, diag = identify(data, cfg)
+    assert diag["search_attempts"] == 2
+    assert diag["rejected_attempts"] == [
+        "NotFullRankError: step 6 (innovation conversion): per-mode innovation "
+        "moment for mode 1 is not positive definite at iteration 190 "
+        "(smallest eigenvalue -4.221e-01)"]
+    _, again = identify(data, cfg)
+    assert again == diag
+    # a first-try success carries no such entry
+    _, first_try = identify(simulate(two_mode.model, SimConfig(seed=0, length=100_000)),
+                            cfg)
+    assert first_try["search_attempts"] == 1
+    assert "rejected_attempts" not in first_try
+
+
 def test_identify_rejects_short_data(two_mode):
     data = Dataset(y=[[0.0], [0.0]], u=[[0.0], [0.0]], q=[1, 1])
     with pytest.raises(InsufficientDataError):

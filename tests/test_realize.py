@@ -8,6 +8,7 @@ from slsid import (
     DeterministicModel,
     EMPTY_WORD,
     InnovationModel,
+    InvalidModeError,
     MissingMarkovParameterError,
     NoSelectionFoundError,
     NonConvergenceError,
@@ -28,6 +29,7 @@ from slsid import (
     iter_full_rank_selections,
     lambda_ydyd,
     markov_parameter,
+    matrix_product_along_word,
     psi_uy,
     search_selection,
     stability_margin,
@@ -217,6 +219,71 @@ def test_lambda_ydyd_scalar_closed_form(scalar):
     assert t_dd[1][0, 0] == pytest.approx(want_t, abs=1e-9)
     # one mode: the stationary output moment equals the per-mode one
     assert table[EMPTY_WORD][0, 0] == pytest.approx(want_t, abs=1e-9)
+
+
+@pytest.mark.parametrize("n_y,n_u", [(1, 1), (2, 1), (1, 3), (3, 2)])
+def test_batched_psi_uy_matches_per_word_solves(n_y, n_u):
+    rng = np.random.default_rng(10 * n_y + n_u)
+    words = list(enumerate_words(2, 4))
+    lam_yu = WordIndexedMatrixTable((n_y, n_u))
+    for w in words:
+        lam_yu[w] = rng.normal(size=(n_y, n_u))
+    g = rng.normal(size=(n_u, n_u))
+    q_u = g @ g.T + 0.1 * np.eye(n_u)
+    cov = CovarianceTable(lambda_yu=lam_yu, lambda_yy=WordIndexedMatrixTable((n_y, n_y)),
+                          t_yy_sigma={}, q_u=q_u, p=(0.5, 0.5))
+    psi = psi_uy(cov, reversed(words))
+    assert psi.words() == words
+    for w in words:
+        want = np.linalg.solve(q_u, lam_yu[w].T).T
+        assert np.max(np.abs(psi[w] - want)) <= 1e-15 * np.max(np.abs(want))
+    assert len(psi_uy(cov, [])) == 0
+
+
+@settings(deadline=None, max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1), D=st.integers(1, 3), n=st.integers(1, 4),
+       n_y=st.integers(1, 2), n_u=st.integers(1, 2), data=st.data())
+def test_lambda_ydyd_matches_per_word_products(seed, D, n, n_y, n_u, data):
+    # the memoized prefix products give the per-word chain of matmuls exactly
+    rng = np.random.default_rng(seed)
+    p = rng.dirichlet(np.ones(D))
+    A = [rng.normal(size=(n, n)) for _ in range(D)]
+    scale = np.sqrt(rng.uniform(0.05, 0.95) / stability_margin(A, np.ones(D)))
+    m_d = DeterministicModel(A=tuple(scale * a for a in A),
+                             B=tuple(rng.normal(size=(n, n_u)) for _ in range(D)),
+                             C=rng.normal(size=(n_y, n)), Dmat=rng.normal(size=(n_y, n_u)))
+    g = rng.normal(size=(n_u, n_u))
+    q_u = g @ g.T + 0.1 * np.eye(n_u)
+    letters = st.lists(st.integers(1, D), max_size=8).map(lambda s: Word(tuple(s)))
+    words = data.draw(st.lists(letters, min_size=1, max_size=40))
+    table, _ = lambda_ydyd(m_d, q_u, p, words, range(1, D + 1))
+    P = input_state_second_moment(m_d, q_u, p)
+    C, Dm = m_d.C, m_d.Dmat
+    for w in words:
+        if len(w) == 0:
+            want = C @ sum(P) @ C.T + Dm @ q_u @ Dm.T
+        else:
+            s = w.letters[0] - 1
+            core = (m_d.A[s] @ P[s] @ C.T) / p[s] + m_d.B[s] @ q_u @ Dm.T
+            want = C @ matrix_product_along_word(m_d.A, Word(w.letters[1:])) @ core
+        assert np.array_equal(table[w], want), f"word {w}"
+
+
+def test_lambda_ydyd_rejects_letters_outside_the_alphabet(two_mode):
+    m_d = associated_dlss(two_mode.model)
+    m_in = DeterministicModel(A=m_d.A, B=tuple(b[:, :1] for b in m_d.B), C=m_d.C,
+                              Dmat=m_d.Dmat[:, :1])
+    for bad in (Word((3,)), Word((1, 2, 3)), Word((1, 3, 1))):
+        with pytest.raises(InvalidModeError, match="letter 3 outside alphabet"):
+            lambda_ydyd(m_in, two_mode.q_u, two_mode.p, [Word((1,)), bad], (1, 2))
+    with pytest.raises(InvalidModeError):
+        lambda_ydyd(m_in, two_mode.q_u, two_mode.p, [(1, 0)], (1, 2))
+    # tuple words are still accepted, and equal to their Word form
+    by_tuple, _ = lambda_ydyd(m_in, two_mode.q_u, two_mode.p, [(2, 1), [1]], (1, 2))
+    by_word, _ = lambda_ydyd(m_in, two_mode.q_u, two_mode.p,
+                             [Word((2, 1)), Word((1,))], (1, 2))
+    for w in by_word.words():
+        assert np.array_equal(by_tuple[w], by_word[w])
 
 
 def test_associated_slss_round_trip(two_mode):

@@ -394,6 +394,26 @@ def test_csv_reader_rejects_malformed_rows(tmp_path, body, match):
         Dataset.from_csv(path)
 
 
+@pytest.mark.parametrize("bad, reason", [
+    ("3,1,0.5", "requires 4 columns but 3 were found at row 3"),
+    ("3,1,0.5,1.5,7", "requires 4 columns but 5 were found at row 3"),
+    ("3,1,abc,1.5", "'abc' to float64 at row 3, column 3"),
+    ("3,1.5,0.5,1.5", "'1.5' to int64 at row 3, column 2"),
+])
+@pytest.mark.parametrize("n_rows", [4, 9, 4000])
+def test_csv_reader_names_the_data_row(tmp_path, bad, reason, n_rows):
+    # the row is 0-based over the data lines, blank lines not counted, and
+    # only the first bad row is named
+    rows = [f"{t},1,0.5,1.5" for t in range(n_rows)]
+    rows[3] = rows[n_rows - 1] = bad
+    rows.insert(1, "   ")
+    path = tmp_path / "data.csv"
+    path.write_text("t,q,u_1,y_1\n" + "\n".join(rows) + "\n")
+    with pytest.raises(ValueError) as err:
+        Dataset.from_csv(path)
+    assert str(err.value).endswith(reason)
+
+
 def test_series_reader_rejects_malformed_rows(tmp_path):
     path = tmp_path / "clean.csv"
     path.write_text("t,y_1\n0,1.5\n1,2.5,3.5\n")

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product as _cartesian
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -220,6 +220,11 @@ class WordIndexedMatrixTable:
 
     Shape mismatches are rejected at insertion; looking up a missing word
     raises MissingMarkovParameterError rather than returning a default.
+
+    A table made by `lazy` declares its words up front and computes the
+    value of a word the first time it is read, then keeps it; the shape
+    check runs on that read.  Membership, len() and words() cover every
+    declared word whether or not its value has been computed.
     """
 
     def __init__(self, shape: Tuple[int, int], entries: Dict[Word, np.ndarray] | None = None):
@@ -228,9 +233,21 @@ class WordIndexedMatrixTable:
             raise DimensionError(f"table shape must be positive, got {shape}")
         self.shape = (rows, cols)
         self._data: Dict[Word, np.ndarray] = {}
+        # declared words whose value is not computed yet, and how to compute it
+        self._pending: set = set()
+        self._value: Callable[[Word], np.ndarray] | None = None
         if entries:
             for w, m in entries.items():
                 self[w] = m
+
+    @classmethod
+    def lazy(cls, shape: Tuple[int, int], words: Iterable[Word],
+             value: Callable[[Word], np.ndarray]) -> "WordIndexedMatrixTable":
+        """Table over `words` whose entry for w is value(w), computed on first read."""
+        table = cls(shape)
+        table._pending = {_as_word(w) for w in words}
+        table._value = value
+        return table
 
     def __setitem__(self, w: Word, value: np.ndarray) -> None:
         value = np.asarray(value, dtype=float)
@@ -238,27 +255,34 @@ class WordIndexedMatrixTable:
             raise DimensionError(
                 f"matrix for word '{w}' has shape {value.shape}, table holds {self.shape}"
             )
-        self._data[_as_word(w)] = value
+        key = _as_word(w)
+        self._data[key] = value
+        self._pending.discard(key)
 
     def __getitem__(self, w: Word) -> np.ndarray:
+        key = _as_word(w)
         try:
-            return self._data[_as_word(w)]
+            return self._data[key]
         except KeyError:
-            raise MissingMarkovParameterError(str(w)) from None
+            if key not in self._pending:
+                raise MissingMarkovParameterError(str(w)) from None
+        self[key] = self._value(key)
+        return self._data[key]
 
     def __contains__(self, w: Word) -> bool:
-        return _as_word(w) in self._data
+        key = _as_word(w)
+        return key in self._data or key in self._pending
 
     def __len__(self) -> int:
-        return len(self._data)
+        return len(self._data) + len(self._pending)
 
     def words(self) -> List[Word]:
-        """Stored words in length-then-lex order."""
-        return sorted(self._data, key=lambda w: w.sort_key)
+        """Stored (or declared) words in length-then-lex order."""
+        return sorted([*self._data, *self._pending], key=lambda w: w.sort_key)
 
     def items(self) -> Iterable[Tuple[Word, np.ndarray]]:
         for w in self.words():
-            yield w, self._data[w]
+            yield w, self[w]
 
 
 def required_words(sel: Selection) -> frozenset:

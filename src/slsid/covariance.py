@@ -272,11 +272,14 @@ def empirical_covariances(
         word_probability(p, w)
     p_list = p.tolist()
     mode_digit = np.where(data.q <= D, data.q - 1, D)
+    # 1.0 where y(t) has a nonzero entry: a word occurs when one of its
+    # samples carries such a lagged y
+    y_nonzero = np.any(data.y != 0, axis=1).astype(float)
     node = np.zeros(n_eff, dtype=np.intp)
     y_block = data.y[n0:]
     sums = {}
     for k, (table, heads) in enumerate(_suffix_tables(nonempty, D), start=1):
-        node = table[node, mode_digit[n0 - k:T - k]]
+        node = table.ravel().take(node * (D + 1) + mode_digit[n0 - k:T - k])
         if not heads:
             continue
         n_words = len(heads)
@@ -286,7 +289,8 @@ def empirical_covariances(
         scale = (n_eff * np.sqrt(np.array(probs)))[:, None, None]
         s_yu = _binned_outer(node, y_block, data.u[n0 - k:T - k], n_words) / scale
         s_yy = _binned_outer(node, y_block, y_lag, n_words) / scale
-        occurs = np.bincount(node[np.any(y_lag != 0, axis=1)], minlength=n_words)[:n_words] > 0
+        occurs = np.bincount(node, weights=y_nonzero[n0 - k:T - k],
+                             minlength=n_words)[:n_words] > 0
         sums.update(zip(heads, zip(s_yu, s_yy, occurs)))
 
     lam_yu = WordIndexedMatrixTable((data.n_y, data.n_u))

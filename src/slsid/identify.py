@@ -210,13 +210,18 @@ def resolve_selections(
     are full-rank candidates realizing mean-square unstable models (up to
     SEARCH_RETRIES of them).  skip > 0 bypasses that many accepted hits,
     yielding the next distinct selection.
+
+    The tables searched (Psi and the joint table of Psi beside the noise
+    part Lambda^{y,y} - Lambda^{yd,yd}) compute a word's value the first
+    time the search reads it; the checks of psi_uy and lambda_ydyd still
+    run when the tables are made.
     """
     diag: dict = {}
     if isinstance(sel, Selection) and isinstance(sel_bar, Selection):
         return sel, sel_bar, diag
     D = cov.p.shape[0]
     modes = list(range(1, D + 1))
-    words = set(cov.lambda_yu.words())
+    words = cov.lambda_yu.words()
     psi = psi_uy(cov, words)
     if sel_bar == "search":
         sel_bar = _search_vetted(psi, n_bar, cov.n_y, cov.n_u, D,
@@ -224,12 +229,12 @@ def resolve_selections(
         diag["selection_bar_found"] = sel_bar.to_jsonable()
     if sel == "search":
         m_psi = ho_kalman(sel_bar, psi, psi[EMPTY_WORD], rank_tol=rank_tol)
-        nonempty = sorted((words & set(cov.lambda_yy.words())) - {EMPTY_WORD},
-                          key=lambda w: w.sort_key)
+        lam_yy = cov.lambda_yy
+        nonempty = [w for w in words if len(w) > 0 and w in lam_yy]
         lam_dd, _ = lambda_ydyd(m_psi, cov.q_u, cov.p, nonempty, modes)
-        M = WordIndexedMatrixTable((cov.n_y, cov.n_u + cov.n_y))
-        for w in nonempty:
-            M[w] = np.hstack([psi[w], cov.lambda_yy[w] - lam_dd[w]])
+        M = WordIndexedMatrixTable.lazy(
+            (cov.n_y, cov.n_u + cov.n_y), nonempty,
+            lambda w: np.hstack([psi[w], lam_yy[w] - lam_dd[w]]))
         sel = _search_vetted(M, n_x, cov.n_y, cov.n_u + cov.n_y, D,
                              search_budget, rank_tol, skip)
         diag["selection_found"] = sel.to_jsonable()
@@ -239,10 +244,12 @@ def resolve_selections(
 def identify(data: Dataset, cfg: IdentConfig) -> Tuple[InnovationModel, dict]:
     """Estimate covariances from one trajectory and realize an innovation model.
 
-    Returns (model, diagnostics).  With explicit selections only the words
-    they require are estimated; with "search" the table covers all words up
-    to 2*max(n_x, n_bar) + 2 and selections are found on the estimated Markov
-    values before realization.  A search retries with the next vetted
+    Returns (model, diagnostics).  Explicit selections are checked against
+    p and the data first (mode count, n_y and column count; DimensionError
+    names the selection), and only the words they require are estimated;
+    with "search" the table covers all words up to 2*max(n_x, n_bar) + 2
+    and selections are found on the estimated Markov values before
+    realization.  A search retries with the next vetted
     selections when realization fails; when a later attempt succeeds,
     diagnostics["rejected_attempts"] lists each failed attempt as
     "<ErrorClass>: <message>", the message leading with its stage.
@@ -255,6 +262,19 @@ def identify(data: Dataset, cfg: IdentConfig) -> Tuple[InnovationModel, dict]:
         raise DimensionError(
             f"data uses mode {int(data.q.max())} but p has {D} entries"
         )
+    # explicit selections must fit p and the data before anything is estimated
+    n_u_y = data.n_u + data.n_y
+    for name, sel, n_cols, cols in (("selection", cfg.selection, n_u_y, "n_u + n_y"),
+                                    ("selection_bar", cfg.selection_bar, data.n_u, "n_u")):
+        if not isinstance(sel, Selection):
+            continue
+        if sel.n_modes != D:
+            raise DimensionError(f"{name} has {sel.n_modes} modes but p has {D} entries")
+        if sel.n_y != data.n_y:
+            raise DimensionError(f"{name} has n_y = {sel.n_y} but the data has n_y = {data.n_y}")
+        if sel.n_cols != n_cols:
+            raise DimensionError(
+                f"{name} has {sel.n_cols} columns but needs {cols} = {n_cols}")
     n_bar = cfg.n_bar if cfg.n_bar is not None else cfg.n_x
     diagnostics: dict = {"p": p.tolist(), "estimator": cfg.estimator}
 

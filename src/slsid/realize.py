@@ -302,23 +302,23 @@ def associated_slss(
 def psi_uy(cov: CovarianceTable, words: Iterable[Word]) -> WordIndexedMatrixTable:
     """Input-to-output Markov values Psi(w) = Lambda^{y,u}_w Q_u^{-1}.
 
-    One batched np.linalg.solve with Q_u covers every word; each word's
-    block is solved as a solve of its own would solve it.
+    The table holds the given words and computes each value the first time
+    it is read, with its own np.linalg.solve against Q_u.  The checks run
+    here, before any value exists: Q_u must be numerically nonsingular and
+    every word must be in cov.lambda_yu (MissingMarkovParameterError names
+    the first one that is not).
     """
     q_u = cov.q_u
     svals = np.linalg.svd(q_u, compute_uv=False)
     if svals[0] == 0.0 or svals[-1] < 1e-10 * svals[0]:
         raise NotFullRankError("input covariance Q_u is numerically singular")
-    out = WordIndexedMatrixTable((cov.n_y, cov.n_u))
+    lam_yu = cov.lambda_yu
     words = list(words)
-    if not words:
-        return out
-    # one batched solve over the stacked Lambda_w^T
-    lam_t = np.stack([cov.lambda_yu[w] for w in words]).transpose(0, 2, 1)
-    sol = np.linalg.solve(q_u, lam_t).transpose(0, 2, 1)
-    for w, m in zip(words, sol):
-        out[w] = m
-    return out
+    for w in words:
+        if w not in lam_yu:
+            raise MissingMarkovParameterError(str(w))
+    return WordIndexedMatrixTable.lazy(
+        (cov.n_y, cov.n_u), words, lambda w: np.linalg.solve(q_u, lam_yu[w].T).T)
 
 
 def lambda_ydyd(
@@ -337,9 +337,13 @@ def lambda_ydyd(
     and the per-mode second moments
         T^{yd,yd}_{s,s} = (1/p_s) C Pt_s C^T + D Q_u D^T.
     The empty word, if requested, gets E[y_d y_d^T] = C (sum_s Pt_s) C^T + D Q_u D^T.
-    Words that share a rest share C A_rest, and A_rest extends the product
-    of its longest prefix already built; the matmuls are those of
-    matrix_product_along_word, so the values are the same to the bit.
+
+    The moments Pt_s and T^{yd,yd}_{s,s} are solved here, and every word's
+    letters are checked against 1..D here; the table computes a word's
+    value the first time it is read.  Words that share a rest share
+    C A_rest, and A_rest extends the product of its longest prefix already
+    built; the matmuls are those of matrix_product_along_word, so the
+    values are the same to the bit whatever order they are read in.
     """
     p = np.asarray(p, dtype=float)
     D = m_d.n_modes
@@ -349,17 +353,18 @@ def lambda_ydyd(
     P = input_state_second_moment(m_d, q_u, p)
     C, Dm = m_d.C, m_d.Dmat
     cores = [(m_d.A[s] @ P[s] @ C.T) / p[s] + m_d.B[s] @ q_u @ Dm.T for s in range(D)]
-    table = WordIndexedMatrixTable((m_d.n_y, m_d.n_y))
+    checked = []
+    for w in words:
+        w = _as_word(w)
+        _check_letters(w, D)
+        checked.append(w)
     # A_rest for every prefix of a rest seen so far: A_last @ A_(rest minus last)
     along = {(): np.eye(m_d.n_x)}
     c_along = {}
-    for w in words:
-        w = _as_word(w)
+
+    def value(w: Word) -> np.ndarray:
         if len(w) == 0:
-            total = sum(P)
-            table[w] = C @ total @ C.T + Dm @ q_u @ Dm.T
-            continue
-        _check_letters(w, D)
+            return C @ sum(P) @ C.T + Dm @ q_u @ Dm.T
         rest = w.letters[1:]
         if rest not in c_along:
             k = len(rest)
@@ -368,7 +373,9 @@ def lambda_ydyd(
             for j in range(k, len(rest)):
                 along[rest[:j + 1]] = m_d.A[rest[j] - 1] @ along[rest[:j]]
             c_along[rest] = C @ along[rest]
-        table[w] = c_along[rest] @ cores[w.letters[0] - 1]
+        return c_along[rest] @ cores[w.letters[0] - 1]
+
+    table = WordIndexedMatrixTable.lazy((m_d.n_y, m_d.n_y), checked, value)
     t_dd = {}
     for s in modes:
         m = (C @ P[s - 1] @ C.T) / p[s - 1] + Dm @ q_u @ Dm.T

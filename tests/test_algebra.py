@@ -198,6 +198,47 @@ def test_table_keys_are_validated_once_at_the_boundary():
     assert Word(np.array([1, 2], dtype=np.int64)).letters == (1, 2)
 
 
+def test_lazy_table_computes_each_read_word_once():
+    declared = [Word((2, 1)), (1,), [2], EMPTY_WORD]
+    calls = []
+
+    def value(w):
+        calls.append(w)
+        return [[float(len(w))]]
+
+    t = WordIndexedMatrixTable.lazy((1, 1), declared, value)
+    # membership, length and words() cover the declared set before any read
+    assert len(t) == 4 and calls == []
+    assert [str(w) for w in t.words()] == ["e", "1", "2", "21"]
+    assert (1,) in t and [2, 1] in t and Word((2,)) in t and Word((1, 1)) not in t
+    with pytest.raises(MissingMarkovParameterError, match="11"):
+        _ = t[Word((1, 1))]
+    assert calls == []
+    # tuple, list and Word keys hit one entry, computed once
+    assert np.array_equal(t[(2, 1)], [[2.0]])
+    assert t[[2, 1]] is t[Word((2, 1))]
+    assert calls == [Word((2, 1))]
+    # items() reads the rest, each once; len() does not change
+    assert [float(m[0, 0]) for _, m in t.items()] == [0.0, 1.0, 1.0, 2.0]
+    assert sorted(calls, key=lambda w: w.sort_key) == t.words()
+    assert len(t) == 4
+    # a stored value replaces the pending one without calling the function
+    t2 = WordIndexedMatrixTable.lazy((1, 1), [(1,)], value)
+    t2[(1,)] = [[5.0]]
+    assert t2[Word((1,))][0, 0] == 5.0 and len(t2) == 1 and len(calls) == 4
+
+
+def test_lazy_table_checks_the_shape_on_read():
+    t = WordIndexedMatrixTable.lazy((1, 2), [(1,), (2,)], lambda w: np.zeros((2, 1)))
+    assert len(t) == 2
+    with pytest.raises(DimensionError, match="matrix for word '1' has shape"):
+        _ = t[(1,)]
+    # a failed read stores nothing and leaves the word declared
+    assert (1,) in t and len(t) == 2
+    with pytest.raises(DimensionError):
+        _ = t[(1,)]
+
+
 def test_table_words_sorted():
     t = WordIndexedMatrixTable((1, 1))
     for text in ("21", "2", "e", "1"):

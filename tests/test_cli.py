@@ -256,6 +256,24 @@ def test_identify_rejects_non_finite_data(workspace, tmp_path, capsys):
     assert "y holds a non-finite value at row 50" in capsys.readouterr().err
 
 
+def test_identify_checks_explicit_selections_before_estimating(workspace, tmp_path,
+                                                              two_mode, capsys):
+    cfg = write_json(tmp_path / "ident_p3.json", {
+        "data": str(workspace / "sim" / "data.csv"),
+        "ident": {
+            "n_x": 3,
+            "p": [0.3, 0.3, 0.4],
+            "selection": two_mode.sel.to_jsonable(),
+            "selection_bar": two_mode.sel_bar.to_jsonable(),
+        },
+    })
+    assert main(["identify", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 4
+    err = capsys.readouterr().err
+    assert "selection has 2 modes but p has 3 entries" in err
+    assert "steps 3-4" not in err
+
+
 def test_estimate_normalizes_p_like_identify(workspace, tmp_path):
     tables = []
     for name, p in (("half", [0.5, 0.5]), ("ones", [1, 1])):

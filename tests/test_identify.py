@@ -1,7 +1,10 @@
+import sys
+
 import numpy as np
 import pytest
 
 from slsid import (
+    EMPTY_WORD,
     Dataset,
     DimensionError,
     IdentConfig,
@@ -9,16 +12,27 @@ from slsid import (
     InsufficientDataError,
     InvalidProbabilityError,
     ModelInvalidError,
+    Selection,
     SimConfig,
+    SingularHankelError,
     SwitchedModel,
     UndefinedBfrError,
+    Word,
+    WordIndexedMatrixTable,
     bfr,
     consistency_experiment,
+    empirical_covariances,
+    enumerate_words,
     find_isomorphism,
+    ho_kalman,
     identify,
+    input_state_second_moment,
+    iter_full_rank_selections,
+    matrix_product_along_word,
     predict,
     resolve_selections,
     simulate,
+    stability_margin,
     validate_model,
 )
 
@@ -169,6 +183,32 @@ def test_identify_keeps_the_reasons_of_rejected_attempts(two_mode):
     assert "rejected_attempts" not in first_try
 
 
+def test_identify_checks_explicit_selections_before_estimating(two_mode, monkeypatch):
+    data = simulate(two_mode.model, SimConfig(seed=7, length=500))
+
+    def no_estimate(*args, **kwargs):
+        raise AssertionError("estimated before the selections were checked")
+
+    # slsid.identify names the function; the module is in sys.modules
+    monkeypatch.setattr(sys.modules["slsid.identify"], "_estimate", no_estimate)
+    wide = Selection(two_mode.sel.alpha, two_mode.sel.beta, n_modes=2, n_y=2, n_cols=3)
+    cases = [
+        (dict(p=(0.3, 0.3, 0.4)), "selection has 2 modes but p has 3 entries"),
+        (dict(selection=wide), "selection has n_y = 2 but the data has n_y = 1"),
+        (dict(selection=two_mode.sel_bar),
+         "selection has 1 columns but needs n_u + n_y = 2"),
+        (dict(selection_bar=two_mode.sel),
+         "selection_bar has 2 columns but needs n_u = 1"),
+    ]
+    for change, message in cases:
+        fields = dict(n_x=3, selection=two_mode.sel, selection_bar=two_mode.sel_bar)
+        fields.update(change)
+        with pytest.raises(DimensionError) as err:
+            identify(data, IdentConfig(**fields))
+        assert str(err.value) == message
+        assert err.value.stage is None
+
+
 def test_identify_rejects_short_data(two_mode):
     data = Dataset(y=[[0.0], [0.0]], u=[[0.0], [0.0]], q=[1, 1])
     with pytest.raises(InsufficientDataError):
@@ -198,6 +238,59 @@ def test_resolve_selections_passthrough(two_mode, two_mode_cov):
                                             two_mode.sel, two_mode.sel_bar)
     assert sel is two_mode.sel and sel_bar is two_mode.sel_bar
     assert diag == {}
+
+
+def _stable_hit(table, n, n_cols, n_modes, skip):
+    """The (skip+1)-th full-rank candidate whose A family is mean-square stable."""
+    accepted = 0
+    for cand in iter_full_rank_selections(table, n, table.shape[0], n_cols, n_modes):
+        try:
+            m = ho_kalman(cand, table, np.zeros(table.shape))
+        except SingularHankelError:
+            continue
+        if stability_margin(m.A, np.ones(n_modes)) < 1.0:
+            if accepted == skip:
+                return cand
+            accepted += 1
+    raise AssertionError("no stable hit")
+
+
+def _eager_search(cov, n, skip):
+    # every table value computed up front by its per-word formula
+    D = cov.p.shape[0]
+    words = cov.lambda_yu.words()
+    psi = WordIndexedMatrixTable((cov.n_y, cov.n_u))
+    for w in words:
+        psi[w] = np.linalg.solve(cov.q_u, cov.lambda_yu[w].T).T
+    sel_bar = _stable_hit(psi, n, cov.n_u, D, skip)
+    m_psi = ho_kalman(sel_bar, psi, psi[EMPTY_WORD])
+    P = input_state_second_moment(m_psi, cov.q_u, cov.p)
+    C, Dm = m_psi.C, m_psi.Dmat
+    lam_dd = WordIndexedMatrixTable((cov.n_y, cov.n_y))
+    for w in words[1:]:
+        s = w.letters[0] - 1
+        core = (m_psi.A[s] @ P[s] @ C.T) / cov.p[s] + m_psi.B[s] @ cov.q_u @ Dm.T
+        lam_dd[w] = C @ matrix_product_along_word(m_psi.A, Word(w.letters[1:])) @ core
+    M = WordIndexedMatrixTable((cov.n_y, cov.n_u + cov.n_y))
+    for w in words[1:]:
+        M[w] = np.hstack([psi[w], cov.lambda_yy[w] - lam_dd[w]])
+    sel = _stable_hit(M, n, cov.n_u + cov.n_y, D, skip)
+    return sel, sel_bar
+
+
+@pytest.mark.parametrize("case", ["2e4-0", "2e4-1", "2e4-2", "2e4-3", "1e5-6", "exact"])
+def test_search_reads_the_values_an_eager_search_reads(two_mode, two_mode_cov, case):
+    # the search tables compute values on first read; an eager search over
+    # fully built tables must find the same selections
+    if case == "exact":
+        cov = two_mode_cov
+    else:
+        N, seed = case.split("-")
+        data = simulate(two_mode.model, SimConfig(seed=int(seed), length=int(float(N))))
+        cov = empirical_covariances(data, (0.5, 0.5), enumerate_words(2, 8))
+    for skip in (0, 1):
+        sel, sel_bar, _ = resolve_selections(cov, 3, 3, "search", "search", skip=skip)
+        assert (sel, sel_bar) == _eager_search(cov, 3, skip)
 
 
 def test_resolve_selections_search_on_oracle(two_mode, two_mode_cov):

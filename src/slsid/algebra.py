@@ -3,6 +3,9 @@
 Conventions used throughout the package:
 
 * Modes are 1-based: the alphabet is {1..D}.
+* A Word is a validated tuple of its letters: it equals and hashes like the
+  plain tuple, so tables keyed by Words hash and compare in C.  Letters are
+  checked once, when a Word is made from anything else.
 * A word w = s_1 s_2 ... s_k lists modes in time order; the matrix product
   along w multiplies on the LEFT as the word is read, i.e.
   ``A_w = A_{s_k} @ ... @ A_{s_1}`` and ``A_e = I`` for the empty word.
@@ -16,7 +19,7 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product as _cartesian
 from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
@@ -42,17 +45,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Word:
-    """A finite sequence of modes, each in {1..D}; may be empty."""
+class Word(tuple):
+    """A finite sequence of modes, each in {1..D}; may be empty.
 
-    letters: Tuple[int, ...] = ()
+    A Word is a validated tuple of ints: it equals and hashes like the plain
+    tuple of its letters, so hashing, equality, len() and ordering run in C.
+    Construction checks the letters once; concatenation of two Words and
+    enumerate_words build trusted Words without checking again.
+    """
 
-    def __post_init__(self):
-        letters = tuple(map(int, self.letters))
+    __slots__ = ()
+
+    def __new__(cls, letters=()):
+        letters = tuple(map(int, letters))
         if letters and min(letters) < 1:
             raise InvalidModeError(f"modes are 1-based, got {letters}")
-        object.__setattr__(self, "letters", letters)
+        return tuple.__new__(cls, letters)
+
+    @property
+    def letters(self) -> "Word":
+        return self
 
     @classmethod
     def parse(cls, text: str) -> "Word":
@@ -67,42 +79,39 @@ class Word:
         return cls(tuple(int(ch) for ch in text))
 
     def __str__(self) -> str:
-        if not self.letters:
+        if not self:
             return "e"
-        if max(self.letters) <= 9:
-            return "".join(str(s) for s in self.letters)
-        return ",".join(str(s) for s in self.letters)
+        if max(self) <= 9:
+            return "".join(str(s) for s in self)
+        return ",".join(str(s) for s in self)
 
-    def __len__(self) -> int:
-        return len(self.letters)
+    def __repr__(self) -> str:
+        return f"Word(letters={tuple(self)!r})"
 
     def __add__(self, other: "Word") -> "Word":
         """Concatenation: (self + other) plays self first, then other."""
-        # two valid words make a valid one: skip __post_init__
-        out = object.__new__(Word)
-        object.__setattr__(out, "letters", self.letters + other.letters)
-        return out
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.letters)
+        # two valid words make a valid one: only a non-Word is checked
+        if type(other) is not Word:
+            other = Word(other)
+        return tuple.__new__(Word, tuple.__add__(self, other))
 
     @property
-    def sort_key(self) -> Tuple[int, Tuple[int, ...]]:
+    def sort_key(self) -> Tuple[int, "Word"]:
         """Length-then-lexicographic order, the canonical enumeration order."""
-        return (len(self.letters), self.letters)
+        return (len(self), self)
 
 
 EMPTY_WORD = Word(())
 
 
 def _as_word(w) -> Word:
-    """w itself when it is a Word (already valid), else Word(tuple(w))."""
-    return w if isinstance(w, Word) else Word(tuple(w))
+    """w itself when it is a Word (already valid), else Word(w)."""
+    return w if type(w) is Word else Word(w)
 
 
 def _check_letters(w: Word, n_modes: int) -> None:
     # a Word's letters are >= 1, so only the upper end needs checking
-    letters = _as_word(w).letters
+    letters = _as_word(w)
     if letters and max(letters) > n_modes:
         s = next(s for s in letters if s > n_modes)
         raise InvalidModeError(f"letter {s} outside alphabet {{1..{n_modes}}}")
@@ -152,8 +161,9 @@ def enumerate_words(n_modes: int, max_len: int, min_len: int = 0) -> Iterator[Wo
     if n_modes < 1:
         raise InvalidModeError("need at least one mode")
     for k in range(min_len, max_len + 1):
+        # letters drawn from 1..n_modes make a valid Word: no check
         for letters in _cartesian(range(1, n_modes + 1), repeat=k):
-            yield Word(letters)
+            yield tuple.__new__(Word, letters)
 
 
 @dataclass(frozen=True)
@@ -245,8 +255,29 @@ class WordIndexedMatrixTable:
              value: Callable[[Word], np.ndarray]) -> "WordIndexedMatrixTable":
         """Table over `words` whose entry for w is value(w), computed on first read."""
         table = cls(shape)
-        table._pending = {_as_word(w) for w in words}
+        table._pending = set(map(_as_word, words))
         table._value = value
+        return table
+
+    @classmethod
+    def _from_stacks(cls, shape: Tuple[int, int],
+                     stacks: Iterable[Tuple[Sequence[Word], np.ndarray]]
+                     ) -> "WordIndexedMatrixTable":
+        """Table holding stack[i] for words[i], for each (words, stack) pair.
+
+        The words must be Words already (valid, distinct).  Each stack's
+        shape, (len(words),) + shape, is checked once instead of each
+        entry's on insertion; the entries are views of the stacks.
+        """
+        table = cls(shape)
+        for words, stack in stacks:
+            stack = np.asarray(stack, dtype=float)
+            if stack.shape != (len(words),) + table.shape:
+                raise DimensionError(
+                    f"stack of shape {stack.shape} does not hold {len(words)} "
+                    f"matrices of shape {table.shape}"
+                )
+            table._data.update(zip(words, stack))
         return table
 
     def __setitem__(self, w: Word, value: np.ndarray) -> None:
@@ -260,7 +291,8 @@ class WordIndexedMatrixTable:
         self._pending.discard(key)
 
     def __getitem__(self, w: Word) -> np.ndarray:
-        key = _as_word(w)
+        # a Word is valid already; any other key is checked on every access
+        key = w if type(w) is Word else Word(w)
         try:
             return self._data[key]
         except KeyError:
@@ -270,7 +302,7 @@ class WordIndexedMatrixTable:
         return self._data[key]
 
     def __contains__(self, w: Word) -> bool:
-        key = _as_word(w)
+        key = w if type(w) is Word else Word(w)
         return key in self._data or key in self._pending
 
     def __len__(self) -> int:
@@ -278,7 +310,7 @@ class WordIndexedMatrixTable:
 
     def words(self) -> List[Word]:
         """Stored (or declared) words in length-then-lex order."""
-        return sorted([*self._data, *self._pending], key=lambda w: w.sort_key)
+        return sorted(sorted([*self._data, *self._pending]), key=len)
 
     def items(self) -> Iterable[Tuple[Word, np.ndarray]]:
         for w in self.words():
@@ -332,18 +364,23 @@ def build_hankel(
             f"table shape {M.shape} does not match selection ({sel.n_y}, {sel.n_cols})"
         )
     n = sel.n
+    modes = range(1, sel.n_modes + 1)
     H = np.empty((n, n))
-    H_sigma = [np.empty((n, n)) for _ in range(sel.n_modes)]
-    H_alpha_sigma = [np.empty((n, sel.n_cols)) for _ in range(sel.n_modes)]
+    H_sigma = [np.empty((n, n)) for _ in modes]
+    H_alpha_sigma = [np.empty((n, sel.n_cols)) for _ in modes]
     H_beta = np.empty((sel.n_y, n))
+    # each row word u_i and shifted row word sig u_i is composed once, and
+    # the words are read in the same order as a plain loop over i, j, sig
+    rows = [(u, k - 1, [Word((sig,)) + u for sig in modes]) for u, k in sel.alpha]
     for j, (s, v, l) in enumerate(sel.beta):
         head = Word((s,)) + v
-        H_beta[:, j] = M[head][:, l - 1]
-        for i, (u, k) in enumerate(sel.alpha):
-            H[i, j] = M[head + u][k - 1, l - 1]
-            for sig in range(1, sel.n_modes + 1):
-                H_sigma[sig - 1][i, j] = M[head + Word((sig,)) + u][k - 1, l - 1]
-    for i, (u, k) in enumerate(sel.alpha):
-        for sig in range(1, sel.n_modes + 1):
-            H_alpha_sigma[sig - 1][i, :] = M[Word((sig,)) + u][k - 1, :]
+        l -= 1
+        H_beta[:, j] = M[head][:, l]
+        for i, (u, k, shifted) in enumerate(rows):
+            H[i, j] = M[head + u][k, l]
+            for H_s, su in zip(H_sigma, shifted):
+                H_s[i, j] = M[head + su][k, l]
+    for i, (u, k, shifted) in enumerate(rows):
+        for H_as, su in zip(H_alpha_sigma, shifted):
+            H_as[i, :] = M[su][k, :]
     return H, H_sigma, H_alpha_sigma, H_beta

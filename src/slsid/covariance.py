@@ -24,7 +24,7 @@ least-squares estimator and the per-mode moments use it directly.
 """
 from __future__ import annotations
 
-import math
+import functools
 import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -170,7 +170,8 @@ def _z_block(b: np.ndarray, q: np.ndarray, p, w: Word, n0: int) -> np.ndarray:
 
 
 def _prepare(data: Dataset, words: Iterable[Word], modes: Sequence[int]):
-    words = sorted({_as_word(w) for w in words}, key=lambda w: w.sort_key)
+    # length-then-lex order: a stable sort by length of the lex-sorted set
+    words = sorted(sorted(set(map(_as_word, words))), key=len)
     max_len = max([len(w) for w in words] + [1 if modes else 0])
     n0 = max_len + 1
     n_eff = len(data) - n0
@@ -194,17 +195,23 @@ def _moment_parts(data: Dataset, p, modes: Sequence[int], n0: int, n_eff: int):
     return t_yy, q_u
 
 
-def _suffix_tables(words: Sequence[Word], n_modes: int) -> List[Tuple[np.ndarray, List[Word]]]:
+@functools.lru_cache(maxsize=8)
+def _suffix_tables(words: Tuple[Word, ...],
+                   n_modes: int) -> Tuple[Tuple[np.ndarray, Tuple[Word, ...], np.ndarray], ...]:
     """Per-lag lookup tables that map mode windows to requested words.
 
-    Entry k-1 belongs to lag k and pairs its table with the requested words
-    of length k.  Its node ids index the k-long suffixes of the requested
-    words: first the words of length k, in the given order, then the other
-    suffixes, then one "none" node.  table[i, d] is the node
-    reached from node i of lag k-1 when the mode k steps back is d+1; column
-    n_modes stands for a mode outside 1..n_modes, which leads to "none".
+    Entry k-1 belongs to lag k and holds its table, the requested words of
+    length k, and their letters as one (#words, k) array.  Its node ids
+    index the k-long suffixes of the requested words: first the words of
+    length k, in the given order, then the other suffixes, then one "none"
+    node.  table[i, d] is the node reached from node i of lag k-1 when the
+    mode k steps back is d+1; column n_modes stands for a mode outside
+    1..n_modes, which leads to "none".
     Lag 0 has the root (id 0) and "none" (id 1).  The ids stay below the
     number of suffixes, so the tables never hold D^k entries or overflow.
+
+    The result is cached per (words, n_modes), since repeated estimations
+    ask for the same words; callers must not write to its tables.
     """
     by_len: Dict[int, List[Word]] = {}
     for w in words:
@@ -214,20 +221,23 @@ def _suffix_tables(words: Sequence[Word], n_modes: int) -> List[Tuple[np.ndarray
     tails: List[set] = [set() for _ in range(max_len + 1)]
     for k in range(max_len - 1, 0, -1):
         tails[k] = {v[1:] for v in tails[k + 1]}
-        tails[k].update(w.letters[1:] for w in by_len.get(k + 1, ()))
+        tails[k].update(w[1:] for w in by_len.get(k + 1, ()))
     levels = []
     prev = {(): 0}
     for k in range(1, max_len + 1):
-        heads = by_len.get(k, [])
-        nodes = dict.fromkeys(w.letters for w in heads)
+        heads = tuple(by_len.get(k, ()))
+        nodes = dict.fromkeys(heads)
         nodes.update(dict.fromkeys(tails[k]))
         nodes = {v: i for i, v in enumerate(nodes)}
         table = np.full((len(prev) + 1, n_modes + 1), len(nodes), dtype=np.intp)
         for v, i in nodes.items():
             table[prev[v[1:]], v[0] - 1] = i
-        levels.append((table, heads))
+        letters = np.array(heads, dtype=np.intp).reshape(len(heads), k)
+        table.flags.writeable = False
+        letters.flags.writeable = False
+        levels.append((table, heads, letters))
         prev = nodes
-    return levels
+    return tuple(levels)
 
 
 def _binned_outer(node: np.ndarray, r: np.ndarray, b: np.ndarray, n_bins: int) -> np.ndarray:
@@ -268,42 +278,49 @@ def empirical_covariances(
     nonempty = [w for w in words if len(w) > 0]
     # word_probability validates p (once, on the first word) and rejects
     # the words with a letter outside 1..D
-    for w in nonempty[:1] + [w for w in nonempty if max(w.letters) > D]:
+    for w in nonempty[:1] + [w for w in nonempty if max(w) > D]:
         word_probability(p, w)
-    p_list = p.tolist()
     mode_digit = np.where(data.q <= D, data.q - 1, D)
-    # 1.0 where y(t) has a nonzero entry: a word occurs when one of its
-    # samples carries such a lagged y
-    y_nonzero = np.any(data.y != 0, axis=1).astype(float)
+    # 1.0 where y(t) has a nonzero entry, made when first needed: a word
+    # occurs when one of its samples carries such a lagged y
+    y_nonzero = None
     node = np.zeros(n_eff, dtype=np.intp)
     y_block = data.y[n0:]
-    sums = {}
-    for k, (table, heads) in enumerate(_suffix_tables(nonempty, D), start=1):
+    stacks_yu, stacks_yy, missing = [], [], set()
+    levels = _suffix_tables(tuple(nonempty), D)
+    for k, (table, heads, letters) in enumerate(levels, start=1):
         node = table.ravel().take(node * (D + 1) + mode_digit[n0 - k:T - k])
         if not heads:
             continue
         n_words = len(heads)
         y_lag = data.y[n0 - k:T - k]
         # the product p_w as word_probability takes it, left to right
-        probs = [math.prod([p_list[s - 1] for s in w.letters]) for w in heads]
-        scale = (n_eff * np.sqrt(np.array(probs)))[:, None, None]
-        s_yu = _binned_outer(node, y_block, data.u[n0 - k:T - k], n_words) / scale
+        p_letters = p[letters - 1]
+        probs = p_letters[:, 0]
+        for j in range(1, k):
+            probs = probs * p_letters[:, j]
+        scale = (n_eff * np.sqrt(probs))[:, None, None]
+        stacks_yu.append((heads, _binned_outer(node, y_block, data.u[n0 - k:T - k],
+                                               n_words) / scale))
         s_yy = _binned_outer(node, y_block, y_lag, n_words) / scale
-        occurs = np.bincount(node, weights=y_nonzero[n0 - k:T - k],
-                             minlength=n_words)[:n_words] > 0
-        sums.update(zip(heads, zip(s_yu, s_yy, occurs)))
+        stacks_yy.append((heads, s_yy))
+        # a nonzero sum of y(t) y(t-k)^T needs a nonzero lagged y, so the
+        # word occurs; only words whose sum is zero need the count
+        unproven = ~s_yy.any(axis=(1, 2))
+        if unproven.any():
+            if y_nonzero is None:
+                y_nonzero = np.any(data.y != 0, axis=1).astype(float)
+            occurs = np.bincount(node, weights=y_nonzero[n0 - k:T - k],
+                                 minlength=n_words)[:n_words] > 0
+            missing.update(heads[i] for i in np.flatnonzero(unproven & ~occurs))
 
-    lam_yu = WordIndexedMatrixTable((data.n_y, data.n_u))
-    lam_yy = WordIndexedMatrixTable((data.n_y, data.n_y))
-    degenerate: List[str] = []
-    for w in words:
-        if len(w) == 0:
-            lam_yu[w] = y_block.T @ data.u[n0:] / n_eff
-            continue
-        lam_yu[w], lam_yy[w], occurs = sums[w]
-        if not occurs:
-            degenerate.append(str(w))
-            warnings.warn(f"word '{w}' never occurs in the data; covariance set to 0")
+    lam_yu = WordIndexedMatrixTable._from_stacks((data.n_y, data.n_u), stacks_yu)
+    lam_yy = WordIndexedMatrixTable._from_stacks((data.n_y, data.n_y), stacks_yy)
+    if words and len(words[0]) == 0:  # the empty word sorts first
+        lam_yu[EMPTY_WORD] = y_block.T @ data.u[n0:] / n_eff
+    degenerate = [str(w) for w in nonempty if w in missing]
+    for text in degenerate:
+        warnings.warn(f"word '{text}' never occurs in the data; covariance set to 0")
     t_yy, q_u = _moment_parts(data, p, modes, n0, n_eff)
     meta = {"estimator": "direct", "N": len(data), "N_0": n0, "n_eff": n_eff,
             "degenerate_words": degenerate}

@@ -43,6 +43,7 @@ from .model import InnovationModel, SwitchedModel, markov_parameter, stability_m
 from .realize import (
     FP_MAX_ITER,
     FP_TOL,
+    _check_iteration,
     associated_dlss,
     covariance_realization,
     ho_kalman,
@@ -98,6 +99,11 @@ class IdentConfig:
             raise DimensionError(f"n_bar must be >= 1, got {self.n_bar}")
         if self.estimator not in ("direct", "ls"):
             raise DimensionError(f"unknown estimator {self.estimator!r}")
+        _check_iteration(self.fp_max_iter, self.fp_tol, "fp_max_iter", "fp_tol")
+        if self.search_budget < 1:
+            raise DimensionError(f"search_budget must be >= 1, got {self.search_budget}")
+        if not 0.0 < self.rank_tol < 1.0:
+            raise DimensionError(f"rank_tol must lie in (0, 1), got {self.rank_tol}")
 
 
 @dataclass
@@ -151,8 +157,7 @@ def _estimate(data: Dataset, p: np.ndarray, words, cfg: IdentConfig) -> Covarian
     modes = list(range(1, p.shape[0] + 1))
     if cfg.estimator == "direct":
         return empirical_covariances(data, p, words, modes)
-    ordered = sorted({_as_word(w) for w in words} | {EMPTY_WORD},
-                     key=lambda w: w.sort_key)
+    ordered = sorted(sorted({*map(_as_word, words), EMPTY_WORD}), key=len)
     return least_squares_covariances(data, p, ordered, modes=modes)
 
 
@@ -281,7 +286,7 @@ def identify(data: Dataset, cfg: IdentConfig) -> Tuple[InnovationModel, dict]:
     searching = cfg.selection == "search" or cfg.selection_bar == "search"
     if searching:
         cap = 2 * max(cfg.n_x, n_bar) + 2
-        words = set(enumerate_words(D, cap))
+        words = list(enumerate_words(D, cap))
     else:
         words = (set(required_words(cfg.selection))
                  | set(required_words(cfg.selection_bar)) | {EMPTY_WORD})
@@ -396,6 +401,8 @@ def validate_model(m: SwitchedModel, data: Dataset,
     if not np.isfinite(y_ref).all():
         row = int(np.flatnonzero(~np.isfinite(y_ref).all(axis=1))[0])
         raise InsufficientDataError(f"y_ref holds a non-finite value at row {row}")
+    if exclude < 0:
+        raise DimensionError(f"exclude must be >= 0, got {exclude}")
     if exclude >= len(data) - 1:
         raise InsufficientDataError(
             f"excluding {exclude} samples leaves too little validation data"

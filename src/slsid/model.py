@@ -278,11 +278,16 @@ def mean_square_operator(A: Sequence[np.ndarray],
     The operator maps vec(X) to vec(sum_s w_s A_s X A_s^T) (row-major vec).
     Families with sqrt(p) absorbed into A_s take unit weights.
     """
-    A = [np.asarray(m, dtype=float) for m in A]
+    A = np.stack([np.asarray(m, dtype=float) for m in A])
     w = np.asarray(w, dtype=float)
-    if len(A) != w.shape[0]:
-        raise DimensionError(f"{len(A)} matrices but {w.shape[0]} weights")
-    op = sum(w[s] * np.kron(A[s], A[s]) for s in range(len(A)))
+    if A.shape[0] != w.shape[0]:
+        raise DimensionError(f"{A.shape[0]} matrices but {w.shape[0]} weights")
+    D, n = A.shape[0], A.shape[1]
+    # A_s kron A_s for every mode as one broadcast outer product: entry
+    # (i k, j l) is A_s[i, j] * A_s[k, l], the one product np.kron takes
+    kron = (A[:, :, None, :, None] * A[:, None, :, None, :]).reshape(D, n * n, n * n)
+    # sum() adds the modes in order from 0, as a loop over np.kron terms does
+    op = sum(w[:, None, None] * kron)
     return op, float(np.max(np.abs(np.linalg.eigvals(op))))
 
 

@@ -19,10 +19,13 @@ S_s = p_s T^{ys,ys}_{s,s} and P_s = p_s Pbar, from Pbar = 0:
 until the max-norm step of p_s Pbar falls below tol.  The limits are the
 innovation gain, p_s times the per-mode innovation second moment, and p_s
 times the predictor-state second moment.  A Q_s that is not positive
-definite stops the iteration at once.
+definite stops the iteration at once.  Each step updates all modes at once:
+S_s, A_s, G_s, Q_s and K_s are stacks over the modes, with one batched
+eigenvalue check and one batched solve per step.
 """
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -197,26 +200,32 @@ class KQIterationState:
 def _kq_iteration(A_hat: Sequence[np.ndarray], C_hat: np.ndarray,
                   G_hat: Sequence[np.ndarray], t_ys_sigma: Dict[int, np.ndarray],
                   p: np.ndarray, tol: float, max_iter: int) -> KQIterationState:
+    # every mode steps at once: S, A, G, Q and K are stacks over the modes,
+    # each step makes one eigvalsh and one solve on the stack, and the
+    # matmuls are those of a per-mode loop, so the result is the same to the
+    # bit (tested against that loop)
     D = len(A_hat)
     n_x = A_hat[0].shape[0]
-    sqrt_p = np.sqrt(p)
-    S = [p[s] * np.asarray(t_ys_sigma[s + 1], dtype=float) for s in range(D)]
+    p_col = p[:, None, None]
+    sqrt_p = np.sqrt(p)[:, None, None]
+    A = np.stack([np.asarray(a, dtype=float) for a in A_hat])
+    A_T = A.transpose(0, 2, 1)
+    G = np.stack([np.asarray(g, dtype=float) for g in G_hat])
+    S = p_col * np.stack([np.asarray(t_ys_sigma[s + 1], dtype=float) for s in range(D)])
 
     def kq_of(P, it):
-        CPC = C_hat @ P @ C_hat.T
-        Q, K = [], []
-        for s in range(D):
-            Qs = S[s] - p[s] * CPC
-            Qs = (Qs + Qs.T) / 2.0
-            eig = np.linalg.eigvalsh(Qs)
-            if eig[0] <= 1e-10 * abs(eig[-1]):
-                raise NotFullRankError(
-                    f"per-mode innovation moment for mode {s + 1} is not positive "
-                    f"definite at iteration {it} (smallest eigenvalue {eig[0]:.3e})"
-                )
-            rhs = sqrt_p[s] * (G_hat[s] - A_hat[s] @ P @ C_hat.T)
-            K.append(np.linalg.solve(Qs, rhs.T).T)
-            Q.append(Qs)
+        Q = S - p_col * (C_hat @ P @ C_hat.T)
+        Q = (Q + Q.transpose(0, 2, 1)) / 2.0
+        eig = np.linalg.eigvalsh(Q)
+        bad = eig[:, 0] <= 1e-10 * np.abs(eig[:, -1])
+        if bad.any():
+            s = int(bad.argmax())
+            raise NotFullRankError(
+                f"per-mode innovation moment for mode {s + 1} is not positive "
+                f"definite at iteration {it} (smallest eigenvalue {eig[s, 0]:.3e})"
+            )
+        rhs = sqrt_p * (G - A @ P @ C_hat.T)
+        K = np.linalg.solve(Q, rhs.transpose(0, 2, 1)).transpose(0, 2, 1)
         return Q, K
 
     # P holds Pbar; the per-mode moments are p_s Pbar, and the step is
@@ -226,9 +235,10 @@ def _kq_iteration(A_hat: Sequence[np.ndarray], C_hat: np.ndarray,
     deltas: List[float] = []
     for it in range(max_iter):
         Q, K = kq_of(P, it)
-        core = sum(A_hat[s] @ P @ A_hat[s].T + K[s] @ Q[s] @ K[s].T for s in range(D))
+        # sum() adds the modes in order from 0, as a per-mode loop does
+        core = sum(A @ P @ A_T + K @ Q @ K.transpose(0, 2, 1))
         P_next = (core + core.T) / 2.0
-        delta = p_max * float(np.max(np.abs(P_next - P)))
+        delta = p_max * float(np.abs(P_next - P).max())
         deltas.append(delta)
         P = P_next
         if delta < tol:
@@ -241,6 +251,15 @@ def _kq_iteration(A_hat: Sequence[np.ndarray], C_hat: np.ndarray,
         f"(last delta {deltas[-1]:.3e})",
         last_delta=deltas[-1],
     )
+
+
+def _check_iteration(max_iter: int, tol: float,
+                     max_iter_name: str = "max_iter", tol_name: str = "tol") -> None:
+    """Reject a gain-iteration stopping rule that can never run or stop."""
+    if max_iter < 1:
+        raise DimensionError(f"{max_iter_name} must be >= 1, got {max_iter}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DimensionError(f"{tol_name} must be finite and positive, got {tol}")
 
 
 def associated_slss(
@@ -262,6 +281,7 @@ def associated_slss(
     per-mode innovation moment limit.  q_u (default identity) only populates
     the model's input-covariance field.
     """
+    _check_iteration(max_iter, tol)
     p = np.asarray(p, dtype=float)
     D = m_d.n_modes
     if p.shape != (D,):
@@ -353,11 +373,11 @@ def lambda_ydyd(
     P = input_state_second_moment(m_d, q_u, p)
     C, Dm = m_d.C, m_d.Dmat
     cores = [(m_d.A[s] @ P[s] @ C.T) / p[s] + m_d.B[s] @ q_u @ Dm.T for s in range(D)]
-    checked = []
-    for w in words:
-        w = _as_word(w)
-        _check_letters(w, D)
-        checked.append(w)
+    checked = list(map(_as_word, words))
+    # one pass in C over every letter; the per-word check names the culprit
+    if max(map(max, filter(None, checked)), default=0) > D:
+        for w in checked:
+            _check_letters(w, D)
     # A_rest for every prefix of a rest seen so far: A_last @ A_(rest minus last)
     along = {(): np.eye(m_d.n_x)}
     c_along = {}
@@ -365,7 +385,7 @@ def lambda_ydyd(
     def value(w: Word) -> np.ndarray:
         if len(w) == 0:
             return C @ sum(P) @ C.T + Dm @ q_u @ Dm.T
-        rest = w.letters[1:]
+        rest = w[1:]
         if rest not in c_along:
             k = len(rest)
             while rest[:k] not in along:
@@ -373,7 +393,7 @@ def lambda_ydyd(
             for j in range(k, len(rest)):
                 along[rest[:j + 1]] = m_d.A[rest[j] - 1] @ along[rest[:j]]
             c_along[rest] = C @ along[rest]
-        return c_along[rest] @ cores[w.letters[0] - 1]
+        return c_along[rest] @ cores[w[0] - 1]
 
     table = WordIndexedMatrixTable.lazy((m_d.n_y, m_d.n_y), checked, value)
     t_dd = {}
@@ -422,6 +442,7 @@ def covariance_realization(
 
     Returns (model, diagnostics); failures carry the step that raised them.
     """
+    _check_iteration(max_iter, tol)
     cov.validate()
     diagnostics: dict = {
         "selection": sel.to_jsonable(),

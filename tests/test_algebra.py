@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -52,6 +55,38 @@ def test_word_concat_and_len():
     assert len(w) == 4
     assert len(EMPTY_WORD) == 0
     assert w + EMPTY_WORD == w
+
+
+def test_word_is_a_validated_tuple():
+    w = Word((1, 2, 1))
+    # equal and hashing like the plain tuple of its letters
+    assert isinstance(w, tuple) and w == (1, 2, 1) and hash(w) == hash((1, 2, 1))
+    assert {w: 0}[(1, 2, 1)] == 0 and (1, 2, 1) in {w}
+    assert w.letters == (1, 2, 1) and len(w) == 3 and list(w) == [1, 2, 1]
+    assert sorted([Word((2,)), Word((1, 2)), Word((1,))]) == [(1,), (1, 2), (2,)]
+    assert repr(w) == "Word(letters=(1, 2, 1))" and Word(letters=(2, 1)) == (2, 1)
+    # concatenation and enumeration give Words
+    assert type(w + Word((2,))) is Word and w + Word((2,)) == (1, 2, 1, 2)
+    assert type(w + (2,)) is Word
+    assert all(type(v) is Word for v in enumerate_words(2, 3))
+    # pickle and copy round-trip to an equal Word
+    for clone in (pickle.loads(pickle.dumps(w)), copy.copy(w), copy.deepcopy(w)):
+        assert type(clone) is Word and clone == w
+    # str and parse round-trip
+    for text in ("e", "2", "121", "1,12,3"):
+        assert str(Word.parse(text)) == text and Word.parse(str(Word.parse(text))) == Word.parse(text)
+    # a letter below 1 raises however the word is made or used
+    for make in (lambda: Word((1, 0)), lambda: Word.parse("10"), lambda: Word.parse("1,-2"),
+                 lambda: w + (0,)):
+        with pytest.raises(InvalidModeError):
+            make()
+    t = WordIndexedMatrixTable((1, 1))
+    t[w] = [[1.0]]
+    for access in (lambda: t[(0, 1)], lambda: (1, 0) in t, lambda: t.__setitem__((0,), [[0.0]])):
+        with pytest.raises(InvalidModeError):
+            access()
+    with pytest.raises(AttributeError):
+        w.letters = (2,)
 
 
 def test_enumerate_words_order_and_count():

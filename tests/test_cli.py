@@ -187,6 +187,45 @@ def test_validate_rejects_non_finite_reference(workspace, tmp_path, capsys):
     assert "y_ref holds a non-finite value at row 10" in capsys.readouterr().err
 
 
+def test_negative_exclude_exit_code(workspace, tmp_path, capsys, two_mode):
+    data = str(workspace / "sim" / "data.csv")
+    cfg = write_json(tmp_path / "val.json", {
+        "model": str(workspace / "true_model.json"), "data": data, "exclude": -5})
+    assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "val")]) == 4
+    assert "exclude must be >= 0, got -5" in capsys.readouterr().err
+    cfg = write_json(tmp_path / "ident.json", {
+        "data": data,
+        "ident": {"n_x": 3, "selection": two_mode.sel.to_jsonable(),
+                  "selection_bar": two_mode.sel_bar.to_jsonable()},
+        "validation": {"split": 1000, "exclude": -5},
+    })
+    assert main(["identify", "--config", str(cfg), "--out", str(tmp_path / "ident")]) == 4
+    assert "exclude must be >= 0, got -5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("setting, text", [
+    ({"fp_max_iter": 0}, "fp_max_iter must be >= 1, got 0"),
+    ({"fp_tol": -1.0}, "fp_tol must be finite and positive, got -1.0"),
+])
+def test_unusable_gain_iteration_settings_exit_code(workspace, tmp_path, capsys,
+                                                    two_mode, setting, text):
+    data = str(workspace / "sim" / "data.csv")
+    sels = {"selection": two_mode.sel.to_jsonable(),
+            "selection_bar": two_mode.sel_bar.to_jsonable()}
+    cfg = write_json(tmp_path / "ident.json", {
+        "data": data, "ident": {"n_x": 3, **sels, **setting}})
+    assert main(["identify", "--config", str(cfg), "--out", str(tmp_path / "ident")]) == 4
+    assert text in capsys.readouterr().err
+    # realize hands the settings to the gain iteration directly
+    est = write_json(tmp_path / "est.json", {
+        "data": data, "p": [0.5, 0.5], "words": {"max_len": 6}})
+    assert main(["estimate", "--config", str(est), "--out", str(tmp_path / "est")]) == 0
+    cfg = write_json(tmp_path / "real.json", {
+        "covariances": "est/covariances.json", "n_x": 3, **sels, **setting})
+    assert main(["realize", "--config", str(cfg), "--out", str(tmp_path / "real")]) == 4
+    assert text.replace("fp_", "") in capsys.readouterr().err
+
+
 def test_transform_then_compare_isomorphic(workspace, capsys):
     write_json(workspace / "T.json", [[2.0, 0.0, 0.0],
                                       [1.0, 1.0, 0.0],

@@ -219,6 +219,19 @@ def test_word_that_never_occurs_is_degenerate():
     assert not np.any(cov.lambda_yu[Word((2, 2))])
 
 
+def test_word_occurs_when_only_its_lagged_output_is_nonzero():
+    # y is zero at every odd t, so y(t) y(t-k)^T is zero for every odd k
+    # although the lagged y of half the samples is not: those words occur
+    data = random_dataset(11, 300, 1, 1, 2)
+    y = data.y.copy()
+    y[1::2] = 0.0
+    data = Dataset(y=y, u=data.u, q=data.q)
+    words = list(enumerate_words(2, 3, min_len=1))
+    cov = assert_matches_oracle(data, (0.5, 0.5), words)
+    assert cov.metadata["degenerate_words"] == []
+    assert not np.any(cov.lambda_yy[Word((1,))]) and not np.any(cov.lambda_yy[Word((2, 1, 2))])
+
+
 @pytest.mark.parametrize("k", [64, 65])
 def test_long_word_does_not_overflow(k):
     # A k-letter base-2 code needs k bits: past 63 a signed int64 code wraps,

@@ -227,6 +227,19 @@ def test_ident_config_validation(two_mode):
         IdentConfig(n_x=0)
     with pytest.raises(DimensionError):
         IdentConfig(n_x=1, estimator="mle")
+    for bad, name in ((dict(fp_max_iter=0), "fp_max_iter"),
+                      (dict(fp_max_iter=-3), "fp_max_iter"),
+                      (dict(fp_tol=0.0), "fp_tol"),
+                      (dict(fp_tol=-1e-10), "fp_tol"),
+                      (dict(fp_tol=float("nan")), "fp_tol"),
+                      (dict(fp_tol=float("inf")), "fp_tol"),
+                      (dict(search_budget=0), "search_budget"),
+                      (dict(rank_tol=0.0), "rank_tol"),
+                      (dict(rank_tol=1.0), "rank_tol"),
+                      (dict(rank_tol=float("nan")), "rank_tol")):
+        with pytest.raises(DimensionError, match=name):
+            IdentConfig(n_x=1, **bad)
+    IdentConfig(n_x=1, fp_max_iter=1, fp_tol=1e-3, search_budget=1, rank_tol=0.5)
     data = simulate(two_mode.model, SimConfig(seed=30, length=200))
     with pytest.raises(InvalidProbabilityError):
         identify(data, IdentConfig(n_x=3, selection=two_mode.sel,
@@ -337,6 +350,15 @@ def test_validate_model_exclude_bounds(two_mode):
     data = simulate(two_mode.model, SimConfig(seed=42, length=50))
     with pytest.raises(InsufficientDataError):
         validate_model(two_mode.model, data, exclude=49)
+
+
+def test_validate_model_rejects_negative_exclude(two_mode):
+    # a negative exclude would score only the last samples and report more
+    # compared samples than the data holds
+    data = simulate(two_mode.model, SimConfig(seed=42, length=200))
+    with pytest.raises(DimensionError, match="exclude must be >= 0, got -5"):
+        validate_model(two_mode.model, data, exclude=-5)
+    assert validate_model(two_mode.model, data, exclude=0).n_compared == 200
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

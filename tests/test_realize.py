@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from slsid import (
     CovarianceTable,
     DeterministicModel,
+    DimensionError,
     EMPTY_WORD,
     InnovationModel,
     InvalidModeError,
@@ -35,7 +36,8 @@ from slsid import (
     stability_margin,
     state_second_moment,
 )
-from slsid.realize import _stage
+from slsid.model import mean_square_operator
+from slsid.realize import KQIterationState, _kq_iteration, _stage
 
 
 def unit_innovation(a=0.5, k=1.0, c=1.0, b=0.0, d=0.0, q_v=1.0, q_u=1.0):
@@ -297,6 +299,125 @@ def test_associated_slss_round_trip(two_mode):
     find_isomorphism(back, m, tol=1e-8)
     for s in range(2):
         assert back.Q_v[s][0, 0] == pytest.approx(1.125, abs=1e-8)
+
+
+def test_associated_slss_rejects_a_stopping_rule_that_cannot_run(two_mode):
+    m = two_mode.model
+    P = state_second_moment(m)
+    t_ys = {s + 1: (m.C @ P[s] @ m.C.T + m.Q_v[s]) / m.p[s] for s in range(2)}
+    m_d = associated_dlss(m)
+    for bad, name in ((dict(max_iter=0), "max_iter"), (dict(max_iter=-1), "max_iter"),
+                      (dict(tol=0.0), "tol"), (dict(tol=-1.0), "tol"),
+                      (dict(tol=float("nan")), "tol"), (dict(tol=float("inf")), "tol")):
+        with pytest.raises(DimensionError, match=f"^{name} must be"):
+            associated_slss(m_d, m.p, t_ys, **bad)
+    # one step is a valid, if short, budget: it fails with a typed error
+    with pytest.raises(NonConvergenceError, match="in 1 iterations"):
+        associated_slss(m_d, m.p, t_ys, max_iter=1)
+
+
+def kq_iteration_per_mode(A_hat, C_hat, G_hat, t_ys_sigma, p, tol, max_iter):
+    """The innovation-gain iteration written as a loop over the modes: the
+    reference the stacked _kq_iteration must match to the bit."""
+    D = len(A_hat)
+    n_x = A_hat[0].shape[0]
+    sqrt_p = np.sqrt(p)
+    S = [p[s] * np.asarray(t_ys_sigma[s + 1], dtype=float) for s in range(D)]
+
+    def kq_of(P, it):
+        CPC = C_hat @ P @ C_hat.T
+        Q, K = [], []
+        for s in range(D):
+            Qs = S[s] - p[s] * CPC
+            Qs = (Qs + Qs.T) / 2.0
+            eig = np.linalg.eigvalsh(Qs)
+            if eig[0] <= 1e-10 * abs(eig[-1]):
+                raise NotFullRankError(
+                    f"per-mode innovation moment for mode {s + 1} is not positive "
+                    f"definite at iteration {it} (smallest eigenvalue {eig[0]:.3e})"
+                )
+            rhs = sqrt_p[s] * (G_hat[s] - A_hat[s] @ P @ C_hat.T)
+            K.append(np.linalg.solve(Qs, rhs.T).T)
+            Q.append(Qs)
+        return Q, K
+
+    P = np.zeros((n_x, n_x))
+    p_max = float(np.max(p))
+    deltas = []
+    for it in range(max_iter):
+        Q, K = kq_of(P, it)
+        core = sum(A_hat[s] @ P @ A_hat[s].T + K[s] @ Q[s] @ K[s].T for s in range(D))
+        P_next = (core + core.T) / 2.0
+        delta = p_max * float(np.max(np.abs(P_next - P)))
+        deltas.append(delta)
+        P = P_next
+        if delta < tol:
+            Q, K = kq_of(P, it + 1)
+            return KQIterationState(P=tuple(p_s * P for p_s in p), Q=tuple(Q),
+                                    K=tuple(K), iterations=it + 1, last_delta=delta,
+                                    deltas=deltas)
+    raise NonConvergenceError(
+        f"innovation-gain iteration did not converge in {max_iter} iterations "
+        f"(last delta {deltas[-1]:.3e})",
+        last_delta=deltas[-1],
+    )
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the class and the text must both match
+        return (type(exc), str(exc))
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@settings(deadline=None, max_examples=150)
+@given(seed=st.integers(0, 2**32 - 1), D=st.integers(1, 3), n=st.integers(1, 4),
+       n_y=st.integers(1, 2), rho=st.floats(0.05, 0.98), gain=st.floats(0.02, 0.3))
+def test_stacked_gain_iteration_matches_the_per_mode_loop(seed, D, n, n_y, rho, gain):
+    # about 40 % of these families converge, 55 % stop at an indefinite Q_s
+    # and 5 % run out of steps
+    rng = np.random.default_rng(seed)
+    p = rng.dirichlet(np.ones(D))
+    A = [rng.normal(size=(n, n)) for _ in range(D)]
+    scale = np.sqrt(rho / stability_margin(A, np.ones(D)))
+    A = [scale * a for a in A]
+    C = rng.normal(size=(n_y, n))
+    G = [gain * rng.normal(size=(n, n_y)) for _ in range(D)]
+    t_ys = {}
+    for s in range(D):
+        g = rng.normal(size=(n_y, n_y))
+        t_ys[s + 1] = g @ g.T + rng.uniform(0.0, 1.0) * np.eye(n_y)
+    # a short budget also exercises the non-convergence path
+    args = (A, C, G, t_ys, p, 1e-10, 60)
+    want = _outcome(kq_iteration_per_mode, *args)
+    got = _outcome(_kq_iteration, *args)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert isinstance(got, KQIterationState)
+    assert got.iterations == want.iterations
+    assert got.deltas == want.deltas and got.last_delta == want.last_delta
+    for name in ("P", "Q", "K"):
+        mine, ref = getattr(got, name), getattr(want, name)
+        assert len(mine) == len(ref) == D
+        assert all(_same_bits(x, y) for x, y in zip(mine, ref)), name
+
+
+@settings(deadline=None, max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1), D=st.integers(1, 3), n=st.integers(1, 4))
+def test_mean_square_operator_equals_the_kron_sum(seed, D, n):
+    rng = np.random.default_rng(seed)
+    A = [rng.normal(size=(n, n)) for _ in range(D)]
+    w = rng.dirichlet(np.ones(D))
+    op, rho = mean_square_operator(A, w)
+    want = sum(w[s] * np.kron(A[s], A[s]) for s in range(D))
+    assert np.array_equal(op, want) and _same_bits(op, want)
+    assert rho == float(np.max(np.abs(np.linalg.eigvals(want))))
 
 
 # ---------------------------------------------------------------- search

@@ -4,7 +4,7 @@ with independent, identically distributed switching.
 The pipeline: simulate (or load) a switched time series, estimate the
 word-indexed output/input covariances, realize a minimal innovation-form
 model from them by a switched Ho-Kalman step plus a per-mode gain/variance
-fixed point, and validate through the one-step-ahead innovation predictor.
+equation, and validate through the one-step-ahead innovation predictor.
 """
 from .algebra import (
     EMPTY_WORD,

@@ -19,9 +19,11 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import product as _cartesian
-from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -107,6 +109,14 @@ EMPTY_WORD = Word(())
 def _as_word(w) -> Word:
     """w itself when it is a Word (already valid), else Word(w)."""
     return w if type(w) is Word else Word(w)
+
+
+def _as_words(words: Iterable) -> Tuple[Word, ...]:
+    """The words as a tuple of Words; Words pass through without a check."""
+    words = tuple(words)
+    if set(map(type, words)) <= {Word}:
+        return words
+    return tuple(map(_as_word, words))
 
 
 def _check_letters(w: Word, n_modes: int) -> None:
@@ -226,15 +236,14 @@ class Selection:
 
 
 class WordIndexedMatrixTable:
-    """Map from Word to matrices of one fixed shape.
+    """Map from Word to matrices of one fixed shape, held in one array.
 
-    Shape mismatches are rejected at insertion; looking up a missing word
-    raises MissingMarkovParameterError rather than returning a default.
-
-    A table made by `lazy` declares its words up front and computes the
-    value of a word the first time it is read, then keeps it; the shape
-    check runs on that read.  Membership, len() and words() cover every
-    declared word whether or not its value has been computed.
+    The matrices are the rows of one (n_words, rows, cols) array, `array`,
+    in the order their words were added; a word -> row index finds them.
+    Bulk code reads `array` through `rows_of(words)`; single entries read and
+    write through [].  Shape mismatches are rejected at insertion; looking
+    up a missing word raises MissingMarkovParameterError rather than
+    returning a default.
     """
 
     def __init__(self, shape: Tuple[int, int], entries: Dict[Word, np.ndarray] | None = None):
@@ -242,43 +251,62 @@ class WordIndexedMatrixTable:
         if rows < 1 or cols < 1:
             raise DimensionError(f"table shape must be positive, got {shape}")
         self.shape = (rows, cols)
-        self._data: Dict[Word, np.ndarray] = {}
-        # declared words whose value is not computed yet, and how to compute it
-        self._pending: set = set()
-        self._value: Callable[[Word], np.ndarray] | None = None
+        self._index: Dict[Word, int] = {}
+        self._array = np.empty((0, rows, cols))
         if entries:
             for w, m in entries.items():
                 self[w] = m
 
     @classmethod
-    def lazy(cls, shape: Tuple[int, int], words: Iterable[Word],
-             value: Callable[[Word], np.ndarray]) -> "WordIndexedMatrixTable":
-        """Table over `words` whose entry for w is value(w), computed on first read."""
+    def _from_array(cls, shape: Tuple[int, int], words: Sequence[Word],
+                    array: np.ndarray) -> "WordIndexedMatrixTable":
+        """Table whose entry for words[i] is array[i]; the array is kept, not copied.
+
+        The words must be Words already (valid, distinct).
+        """
         table = cls(shape)
-        table._pending = set(map(_as_word, words))
-        table._value = value
+        if array.shape != (len(words),) + table.shape:
+            raise DimensionError(
+                f"array of shape {array.shape} does not hold {len(words)} "
+                f"matrices of shape {table.shape}"
+            )
+        table._index = dict(zip(words, range(len(words))))
+        table._array = array
         return table
 
     @classmethod
     def _from_stacks(cls, shape: Tuple[int, int],
-                     stacks: Iterable[Tuple[Sequence[Word], np.ndarray]]
+                     stacks: Sequence[Tuple[Sequence[Word], np.ndarray]]
                      ) -> "WordIndexedMatrixTable":
         """Table holding stack[i] for words[i], for each (words, stack) pair.
 
-        The words must be Words already (valid, distinct).  Each stack's
-        shape, (len(words),) + shape, is checked once instead of each
-        entry's on insertion; the entries are views of the stacks.
+        The words must be Words already (valid, distinct); the stacks,
+        each of shape (len(words),) + shape, become one array.
         """
-        table = cls(shape)
-        for words, stack in stacks:
-            stack = np.asarray(stack, dtype=float)
-            if stack.shape != (len(words),) + table.shape:
-                raise DimensionError(
-                    f"stack of shape {stack.shape} does not hold {len(words)} "
-                    f"matrices of shape {table.shape}"
-                )
-            table._data.update(zip(words, stack))
-        return table
+        words = [w for ws, _ in stacks for w in ws]
+        array = np.concatenate([np.asarray(stack, dtype=float) for _, stack in stacks]
+                               or [np.empty((0,) + tuple(shape))])
+        return cls._from_array(shape, words, array)
+
+    @property
+    def index(self) -> Mapping[Word, int]:
+        """Read-only map from each stored word to its row in `array`."""
+        return MappingProxyType(self._index)
+
+    @property
+    def array(self) -> np.ndarray:
+        """The (n_words, rows, cols) stack of the matrices, in row order."""
+        return self._array
+
+    def rows_of(self, words: Sequence[Word]) -> np.ndarray:
+        """Row of each word in `array`; the first missing word raises
+        MissingMarkovParameterError."""
+        index = self._index
+        try:
+            return np.fromiter(map(index.__getitem__, words), dtype=np.intp,
+                               count=len(words))
+        except KeyError as exc:
+            raise MissingMarkovParameterError(str(_as_word(exc.args[0]))) from None
 
     def __setitem__(self, w: Word, value: np.ndarray) -> None:
         value = np.asarray(value, dtype=float)
@@ -286,31 +314,29 @@ class WordIndexedMatrixTable:
             raise DimensionError(
                 f"matrix for word '{w}' has shape {value.shape}, table holds {self.shape}"
             )
-        key = _as_word(w)
-        self._data[key] = value
-        self._pending.discard(key)
+        row = self._index.setdefault(_as_word(w), len(self._index))
+        if row == len(self._array):
+            self._array = np.concatenate([self._array, value[None]])
+        else:
+            self._array[row] = value
 
     def __getitem__(self, w: Word) -> np.ndarray:
         # a Word is valid already; any other key is checked on every access
         key = w if type(w) is Word else Word(w)
         try:
-            return self._data[key]
+            return self._array[self._index[key]]
         except KeyError:
-            if key not in self._pending:
-                raise MissingMarkovParameterError(str(w)) from None
-        self[key] = self._value(key)
-        return self._data[key]
+            raise MissingMarkovParameterError(str(w)) from None
 
     def __contains__(self, w: Word) -> bool:
-        key = w if type(w) is Word else Word(w)
-        return key in self._data or key in self._pending
+        return (w if type(w) is Word else Word(w)) in self._index
 
     def __len__(self) -> int:
-        return len(self._data) + len(self._pending)
+        return len(self._index)
 
     def words(self) -> List[Word]:
-        """Stored (or declared) words in length-then-lex order."""
-        return sorted(sorted([*self._data, *self._pending]), key=len)
+        """Stored words in length-then-lex order."""
+        return sorted(sorted(self._index), key=len)
 
     def items(self) -> Iterable[Tuple[Word, np.ndarray]]:
         for w in self.words():
@@ -344,43 +370,69 @@ def required_words(sel: Selection) -> frozenset:
     return frozenset(out)
 
 
+@functools.lru_cache(maxsize=256)
+def _hankel_plan(sel: Selection) -> tuple:
+    """Where each entry of sel's four Hankels finds its word.
+
+    Returns (words, pos_H, pos_S, pos_A, pos_B, k, l): the distinct words
+    the Hankels read (as plain tuples, which find the same table rows as
+    Words), in the order a loop over j, i and sigma first reads them; the
+    position in `words` of each entry's word, as arrays shaped like
+    H (n, n), H_sigma (D, n, n), H_alpha_sigma (D, n) and H_beta (n,); and
+    the 0-based row indices k_i and column indices l_j.  Cached per
+    selection; the arrays are read-only.
+    """
+    order: Dict[tuple, int] = {}
+
+    def at(w: tuple) -> int:
+        return order.setdefault(w, len(order))
+
+    n, D = sel.n, sel.n_modes
+    rows = [[(sig,) + u for sig in range(1, D + 1)] for u, _ in sel.alpha]
+    pos_H = np.empty((n, n), dtype=np.intp)
+    pos_S = np.empty((D, n, n), dtype=np.intp)
+    pos_B = np.empty(n, dtype=np.intp)
+    for j, (s, v, _) in enumerate(sel.beta):
+        head = (s,) + v
+        pos_B[j] = at(head)
+        for i, (u, _) in enumerate(sel.alpha):
+            pos_H[i, j] = at(head + u)
+            pos_S[:, i, j] = [at(head + su) for su in rows[i]]
+    pos_A = np.array([[at(su) for su in shifted] for shifted in rows], dtype=np.intp).T
+    k = np.array([k - 1 for _, k in sel.alpha], dtype=np.intp)
+    l = np.array([l - 1 for _, _, l in sel.beta], dtype=np.intp)
+    plan = (pos_H, pos_S, pos_A, pos_B, k, l)
+    for arr in plan:
+        arr.flags.writeable = False
+    return (tuple(order),) + plan
+
+
 def build_hankel(
     sel: Selection, M: WordIndexedMatrixTable
-) -> Tuple[np.ndarray, List[np.ndarray], List[np.ndarray], np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Assemble the four Hankel matrices of a Markov-function table.
 
     Returns (H, H_sigma, H_alpha_sigma, H_beta) with
 
       H[i, j]             = M(sigma_j v_j u_i)[k_i, l_j]          (n x n)
-      H_sigma[s][i, j]    = M(sigma_j v_j (s+1) u_i)[k_i, l_j]    (n x n)
-      H_alpha_sigma[s][i] = M((s+1) u_i)[k_i, :]                  (n x n_cols)
+      H_sigma[s][i, j]    = M(sigma_j v_j (s+1) u_i)[k_i, l_j]    (D x n x n)
+      H_alpha_sigma[s][i] = M((s+1) u_i)[k_i, :]                  (D x n x n_cols)
       H_beta[:, j]        = M(sigma_j v_j)[:, l_j]                (n_y x n)
 
-    where s is the 0-based list position of mode s+1.  Missing words raise
-    MissingMarkovParameterError naming the word.
+    where s is the 0-based position of mode s+1.  Each is one gather from
+    the table's array through the selection's cached index plan.  Missing
+    words raise MissingMarkovParameterError naming the first one a loop
+    over j, i and sigma would read.
     """
     if M.shape != (sel.n_y, sel.n_cols):
         raise DimensionError(
             f"table shape {M.shape} does not match selection ({sel.n_y}, {sel.n_cols})"
         )
-    n = sel.n
-    modes = range(1, sel.n_modes + 1)
-    H = np.empty((n, n))
-    H_sigma = [np.empty((n, n)) for _ in modes]
-    H_alpha_sigma = [np.empty((n, sel.n_cols)) for _ in modes]
-    H_beta = np.empty((sel.n_y, n))
-    # each row word u_i and shifted row word sig u_i is composed once, and
-    # the words are read in the same order as a plain loop over i, j, sig
-    rows = [(u, k - 1, [Word((sig,)) + u for sig in modes]) for u, k in sel.alpha]
-    for j, (s, v, l) in enumerate(sel.beta):
-        head = Word((s,)) + v
-        l -= 1
-        H_beta[:, j] = M[head][:, l]
-        for i, (u, k, shifted) in enumerate(rows):
-            H[i, j] = M[head + u][k, l]
-            for H_s, su in zip(H_sigma, shifted):
-                H_s[i, j] = M[head + su][k, l]
-    for i, (u, k, shifted) in enumerate(rows):
-        for H_as, su in zip(H_alpha_sigma, shifted):
-            H_as[i, :] = M[su][k, :]
+    words, pos_H, pos_S, pos_A, pos_B, k, l = _hankel_plan(sel)
+    rows = M.rows_of(words)
+    values = M.array
+    H = values[rows[pos_H], k[:, None], l]
+    H_sigma = values[rows[pos_S], k[:, None], l]
+    H_alpha_sigma = values[rows[pos_A], k]
+    H_beta = np.ascontiguousarray(values[rows[pos_B], :, l].T)
     return H, H_sigma, H_alpha_sigma, H_beta

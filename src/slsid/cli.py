@@ -8,7 +8,7 @@ wall-clock data (timings go to stderr).
 
 Commands and their config sections are documented in the README.  Exit
 codes: 0 success, 2 invalid model, 3 I/O or config trouble, 4 dimension or
-data-sufficiency errors, 5 numerical failures (singular Hankel, fixed-point
+data-sufficiency errors, 5 numerical failures (singular Hankel, gain-equation
 non-convergence, rank deficiency, no selection found, not isomorphic).
 """
 from __future__ import annotations

@@ -36,6 +36,7 @@ from .algebra import (
     Word,
     WordIndexedMatrixTable,
     _as_word,
+    _as_words,
     enumerate_words,
     word_probability,
 )
@@ -46,7 +47,7 @@ from .errors import (
     ModelInvalidError,
 )
 from .model import SwitchedModel, numerical_rank
-from .simulate import Dataset
+from .simulate import Dataset, as_series
 
 __all__ = [
     "CovarianceTable",
@@ -142,9 +143,7 @@ def z_process(b: np.ndarray, q: np.ndarray, p: Sequence[float], w: Word, t: int)
     Returns b(t) for the empty word; otherwise b(t-|w|) scaled by the mode
     indicator product and 1/sqrt(p_w) (zero when the modes mismatch).
     """
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    if b.shape[0] == 1 and np.asarray(b).ndim == 1:
-        b = b.T
+    b = as_series(b)
     q = np.asarray(q, dtype=int)
     k = len(w)
     if t < k or t >= b.shape[0]:
@@ -169,9 +168,16 @@ def _z_block(b: np.ndarray, q: np.ndarray, p, w: Word, n0: int) -> np.ndarray:
     return (b[n0 - k:T - k] * ind[:, None]) / np.sqrt(word_probability(p, w))
 
 
+@functools.lru_cache(maxsize=8)
+def _ordered_words(words: Tuple[Word, ...]) -> Tuple[Word, ...]:
+    """The distinct words in length-then-lex order: a stable sort by length
+    of the lex-sorted set.  Cached, since repeated estimations ask for the
+    same words."""
+    return tuple(sorted(sorted(set(words)), key=len))
+
+
 def _prepare(data: Dataset, words: Iterable[Word], modes: Sequence[int]):
-    # length-then-lex order: a stable sort by length of the lex-sorted set
-    words = sorted(sorted(set(map(_as_word, words))), key=len)
+    words = _ordered_words(_as_words(words))
     max_len = max([len(w) for w in words] + [1 if modes else 0])
     n0 = max_len + 1
     n_eff = len(data) - n0
@@ -287,6 +293,8 @@ def empirical_covariances(
     node = np.zeros(n_eff, dtype=np.intp)
     y_block = data.y[n0:]
     stacks_yu, stacks_yy, missing = [], [], set()
+    if words and len(words[0]) == 0:  # the empty word sorts first
+        stacks_yu.append(([EMPTY_WORD], (y_block.T @ data.u[n0:] / n_eff)[None]))
     levels = _suffix_tables(tuple(nonempty), D)
     for k, (table, heads, letters) in enumerate(levels, start=1):
         node = table.ravel().take(node * (D + 1) + mode_digit[n0 - k:T - k])
@@ -316,8 +324,6 @@ def empirical_covariances(
 
     lam_yu = WordIndexedMatrixTable._from_stacks((data.n_y, data.n_u), stacks_yu)
     lam_yy = WordIndexedMatrixTable._from_stacks((data.n_y, data.n_y), stacks_yy)
-    if words and len(words[0]) == 0:  # the empty word sorts first
-        lam_yu[EMPTY_WORD] = y_block.T @ data.u[n0:] / n_eff
     degenerate = [str(w) for w in nonempty if w in missing]
     for text in degenerate:
         warnings.warn(f"word '{text}' never occurs in the data; covariance set to 0")

@@ -8,6 +8,7 @@ exactly a function of the covariance table.
 """
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -39,11 +40,21 @@ from .errors import (
     SingularHankelError,
     UndefinedBfrError,
 )
-from .model import InnovationModel, SwitchedModel, markov_parameter, stability_margin
+from .model import (
+    DeterministicModel,
+    InnovationModel,
+    SwitchedModel,
+    markov_parameter,
+    stability_margin,
+)
 from .realize import (
     FP_MAX_ITER,
     FP_TOL,
     _check_iteration,
+    _innovation_form,
+    _joint_table,
+    _JointRealization,
+    _stage,
     associated_dlss,
     covariance_realization,
     ho_kalman,
@@ -51,7 +62,7 @@ from .realize import (
     lambda_ydyd,
     psi_uy,
 )
-from .simulate import Dataset, SimConfig, affine_scan, simulate
+from .simulate import Dataset, SimConfig, affine_scan, as_series, simulate
 
 __all__ = [
     "IdentConfig",
@@ -153,6 +164,12 @@ def resolve_p(spec: Union[Sequence[float], str], data: Dataset) -> np.ndarray:
     return p / p.sum()
 
 
+@functools.lru_cache(maxsize=8)
+def _words_up_to(n_modes: int, max_len: int) -> Tuple[Word, ...]:
+    """Every word of length <= max_len, the table a selection search needs."""
+    return tuple(enumerate_words(n_modes, max_len))
+
+
 def _estimate(data: Dataset, p: np.ndarray, words, cfg: IdentConfig) -> CovarianceTable:
     modes = list(range(1, p.shape[0] + 1))
     if cfg.estimator == "direct":
@@ -161,33 +178,28 @@ def _estimate(data: Dataset, p: np.ndarray, words, cfg: IdentConfig) -> Covarian
     return least_squares_covariances(data, p, ordered, modes=modes)
 
 
-def _realizes_stable(sel: Selection, table: WordIndexedMatrixTable,
-                     rank_tol: float) -> bool:
-    """Whether the A-family realized through sel is mean-square stable.
+def _search_vetted(table: WordIndexedMatrixTable, M_eps: np.ndarray, n: int, n_y: int,
+                   n_cols: int, D: int, budget: int, rank_tol: float,
+                   skip: int) -> Tuple[Selection, DeterministicModel]:
+    """(skip+1)-th full-rank selection whose realization is mean-square stable,
+    with that realization (feedthrough M_eps).
 
     Table entries absorb sqrt(p), so the realized A_s are the deterministic
     ones and the relevant operator is sum_s A_s kron A_s.  Under estimation
     noise a full-rank selection can still realize an unstable family, which
     every later stage rejects; vetting here keeps the search moving.
     """
-    try:
-        # the feedthrough does not enter A; any matrix of the right shape does
-        m = ho_kalman(sel, table, np.zeros(table.shape), rank_tol=rank_tol)
-    except SingularHankelError:
-        return False
-    return stability_margin(m.A, np.ones(m.n_modes)) < 1.0
-
-
-def _search_vetted(table: WordIndexedMatrixTable, n: int, n_y: int, n_cols: int,
-                   D: int, budget: int, rank_tol: float, skip: int) -> Selection:
-    """(skip+1)-th full-rank selection whose realization is mean-square stable."""
     examined = 0
     accepted = 0
     for cand in iter_full_rank_selections(table, n, n_y, n_cols, D,
                                           budget=budget, rank_tol=rank_tol):
-        if _realizes_stable(cand, table, rank_tol):
+        try:
+            m = ho_kalman(cand, table, M_eps, rank_tol=rank_tol)
+        except SingularHankelError:
+            m = None
+        if m is not None and stability_margin(m.A, np.ones(D)) < 1.0:
             if accepted == skip:
-                return cand
+                return cand, m
             accepted += 1
         examined += 1
         if examined >= SEARCH_RETRIES + skip:
@@ -196,6 +208,14 @@ def _search_vetted(table: WordIndexedMatrixTable, n: int, n_y: int, n_cols: int,
         f"{examined} full-rank selection(s) examined, none usable; "
         "more data or an explicit selection is needed"
     )
+
+
+class _Resolved(tuple):
+    """resolve_selections' (sel, sel_bar, diag).  After a search, `joint`
+    also holds steps 1-5 of the realization at those selections, which the
+    search made on its way."""
+
+    joint: Optional[_JointRealization] = None
 
 
 def resolve_selections(
@@ -216,34 +236,43 @@ def resolve_selections(
     SEARCH_RETRIES of them).  skip > 0 bypasses that many accepted hits,
     yielding the next distinct selection.
 
-    The tables searched (Psi and the joint table of Psi beside the noise
-    part Lambda^{y,y} - Lambda^{yd,yd}) compute a word's value the first
-    time the search reads it; the checks of psi_uy and lambda_ydyd still
-    run when the tables are made.
+    The sel_bar search runs on Psi over every word of the table; the sel
+    search on the joint table of Psi beside the noise part
+    Lambda^{y,y} - Lambda^{yd,yd}, built from the input part realized at
+    sel_bar.  Each accepted selection's vetting realization is kept, so
+    the realization steps 1-5 at the returned selections are done once.
     """
     diag: dict = {}
     if isinstance(sel, Selection) and isinstance(sel_bar, Selection):
-        return sel, sel_bar, diag
+        return _Resolved((sel, sel_bar, diag))
     D = cov.p.shape[0]
     modes = list(range(1, D + 1))
-    words = cov.lambda_yu.words()
+    words = list(cov.lambda_yu.index)
     psi = psi_uy(cov, words)
+    psi_eps = psi[EMPTY_WORD]
     if sel_bar == "search":
-        sel_bar = _search_vetted(psi, n_bar, cov.n_y, cov.n_u, D,
-                                 search_budget, rank_tol, skip)
+        sel_bar, m_psi = _search_vetted(psi, psi_eps, n_bar, cov.n_y, cov.n_u, D,
+                                        search_budget, rank_tol, skip)
         diag["selection_bar_found"] = sel_bar.to_jsonable()
+    else:
+        with _stage("step 2 (input-part realization)"):
+            m_psi = ho_kalman(sel_bar, psi, psi_eps, rank_tol=rank_tol)
+    in_yy = cov.lambda_yy.index
+    nonempty = [w for w in words if w and w in in_yy]
+    with _stage("steps 3-4 (noise-part covariances)"):
+        lam_dd, t_dd = lambda_ydyd(m_psi, cov.q_u, cov.p, nonempty, modes)
+        M = _joint_table(cov, psi, lam_dd, nonempty)
+    M_eps = np.hstack([psi_eps, np.eye(cov.n_y)])
     if sel == "search":
-        m_psi = ho_kalman(sel_bar, psi, psi[EMPTY_WORD], rank_tol=rank_tol)
-        lam_yy = cov.lambda_yy
-        nonempty = [w for w in words if len(w) > 0 and w in lam_yy]
-        lam_dd, _ = lambda_ydyd(m_psi, cov.q_u, cov.p, nonempty, modes)
-        M = WordIndexedMatrixTable.lazy(
-            (cov.n_y, cov.n_u + cov.n_y), nonempty,
-            lambda w: np.hstack([psi[w], lam_yy[w] - lam_dd[w]]))
-        sel = _search_vetted(M, n_x, cov.n_y, cov.n_u + cov.n_y, D,
-                             search_budget, rank_tol, skip)
+        sel, m_full = _search_vetted(M, M_eps, n_x, cov.n_y, cov.n_u + cov.n_y, D,
+                                     search_budget, rank_tol, skip)
         diag["selection_found"] = sel.to_jsonable()
-    return sel, sel_bar, diag
+    else:
+        with _stage("step 5 (joint realization)"):
+            m_full = ho_kalman(sel, M, M_eps, rank_tol=rank_tol)
+    resolved = _Resolved((sel, sel_bar, diag))
+    resolved.joint = _JointRealization(sel, sel_bar, m_psi, t_dd, m_full)
+    return resolved
 
 
 def identify(data: Dataset, cfg: IdentConfig) -> Tuple[InnovationModel, dict]:
@@ -285,14 +314,13 @@ def identify(data: Dataset, cfg: IdentConfig) -> Tuple[InnovationModel, dict]:
 
     searching = cfg.selection == "search" or cfg.selection_bar == "search"
     if searching:
-        cap = 2 * max(cfg.n_x, n_bar) + 2
-        words = list(enumerate_words(D, cap))
+        words = _words_up_to(D, 2 * max(cfg.n_x, n_bar) + 2)
     else:
         words = (set(required_words(cfg.selection))
                  | set(required_words(cfg.selection_bar)) | {EMPTY_WORD})
     cov = _estimate(data, p, words, cfg)
 
-    # a vetted selection can still trip the innovation-gain fixed point
+    # a vetted selection can still trip the innovation-gain solve
     # (indefinite per-mode moments); bump the skip and re-resolve a few times,
     # keeping why each rejected attempt failed
     attempts = 5 if searching else 1
@@ -300,14 +328,21 @@ def identify(data: Dataset, cfg: IdentConfig) -> Tuple[InnovationModel, dict]:
     rejected: List[str] = []
     for attempt in range(attempts):
         try:
-            sel, sel_bar, search_diag = resolve_selections(
+            resolved = resolve_selections(
                 cov, cfg.n_x, n_bar, cfg.selection, cfg.selection_bar,
                 search_budget=cfg.search_budget, rank_tol=cfg.rank_tol,
                 skip=attempt)
-            model, real_diag = covariance_realization(cov, sel, sel_bar,
-                                                      max_iter=cfg.fp_max_iter,
-                                                      tol=cfg.fp_tol,
-                                                      rank_tol=cfg.rank_tol)
+            sel, sel_bar, search_diag = resolved
+            if resolved.joint is None:
+                model, real_diag = covariance_realization(cov, sel, sel_bar,
+                                                          max_iter=cfg.fp_max_iter,
+                                                          tol=cfg.fp_tol,
+                                                          rank_tol=cfg.rank_tol)
+            else:
+                cov.validate()
+                model, real_diag = _innovation_form(cov, resolved.joint,
+                                                    max_iter=cfg.fp_max_iter,
+                                                    tol=cfg.fp_tol)
         except (NumericalError, ModelInvalidError) as exc:
             if attempt == attempts - 1:
                 raise
@@ -350,12 +385,7 @@ def predict(m: SwitchedModel, data: Dataset) -> np.ndarray:
 
 def bfr(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     """Best fit rate: max(1 - ||y - yhat|| / ||y - mean(y)||, 0) * 100."""
-    y_true = np.atleast_2d(np.asarray(y_true, dtype=float))
-    y_pred = np.atleast_2d(np.asarray(y_pred, dtype=float))
-    if y_true.shape[0] == 1 and np.asarray(y_true).ndim == 1:
-        y_true = y_true.T
-    if y_pred.shape[0] == 1 and np.asarray(y_pred).ndim == 1:
-        y_pred = y_pred.T
+    y_true, y_pred = as_series(y_true), as_series(y_pred)
     if y_true.shape != y_pred.shape:
         raise DimensionError(f"shape mismatch {y_true.shape} vs {y_pred.shape}")
     if y_true.shape[0] < 2:
@@ -395,9 +425,7 @@ def validate_model(m: SwitchedModel, data: Dataset,
     start = time.perf_counter()
     if y_ref is None:
         y_ref = data.y_clean if data.y_clean is not None else data.y
-    y_ref = np.atleast_2d(np.asarray(y_ref, dtype=float))
-    if y_ref.shape[0] == 1 and np.asarray(y_ref).ndim == 1:
-        y_ref = y_ref.T
+    y_ref = as_series(y_ref)
     if not np.isfinite(y_ref).all():
         row = int(np.flatnonzero(~np.isfinite(y_ref).all(axis=1))[0])
         raise InsufficientDataError(f"y_ref holds a non-finite value at row {row}")

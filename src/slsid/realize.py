@@ -11,24 +11,31 @@ vec(const) that exists iff that operator is Schur:
 * input-part moment on the sqrt(p)-absorbed dLSS: w = 1,
   const = sum_s Bt_s Q_u Bt_s^T.
 
-Only the innovation gain iterates (Q_s enters it nonlinearly).  With
-S_s = p_s T^{ys,ys}_{s,s} and P_s = p_s Pbar, from Pbar = 0:
+Only the innovation gain is solved iteratively (Q_s enters it nonlinearly).  With
+S_s = p_s T^{ys,ys}_{s,s} and P_s = p_s Pbar, Pbar solves Pbar = R(Pbar) with
       Q_s = S_s - p_s C Pbar C^T
       K_s = sqrt(p_s) (G_s - At_s Pbar C^T) Q_s^{-1}
-      Pbar <- sum_s (At_s Pbar At_s^T + K_s Q_s K_s^T)
-until the max-norm step of p_s Pbar falls below tol.  The limits are the
-innovation gain, p_s times the per-mode innovation second moment, and p_s
-times the predictor-state second moment.  A Q_s that is not positive
-definite stops the iteration at once.  Each step updates all modes at once:
-S_s, A_s, G_s, Q_s and K_s are stacks over the modes, with one batched
-eigenvalue check and one batched solve per step.
+      R(Pbar) = sum_s (At_s Pbar At_s^T + K_s Q_s K_s^T).
+From Pbar = 0 it takes Newton (Kleinman) steps: with the closed loop
+Abar_s = At_s - sqrt(p_s) K_s C at the current Pbar_k, each step is one
+generalized Lyapunov solve
+      Pbar - sum_s Abar_s Pbar Abar_s^T = R(Pbar_k) - sum_s Abar_s Pbar_k Abar_s^T,
+and a step whose sum_s Abar_s kron Abar_s is not Schur is the plain
+fixed-point step Pbar = R(Pbar_k).  It stops when the max-norm step of
+p_s Pbar falls below tol.  The limits are the innovation gain, p_s times
+the per-mode innovation second moment, and p_s times the predictor-state
+second moment.  A Q_s that is not positive definite stops the solve at
+once.  Each step updates all modes at once: S_s, A_s, G_s, Q_s and K_s are
+stacks over the modes, with one batched eigenvalue check and one batched
+solve per step.
 """
 from __future__ import annotations
 
+import functools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, repeat
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -38,7 +45,7 @@ from .algebra import (
     Selection,
     Word,
     WordIndexedMatrixTable,
-    _as_word,
+    _as_words,
     _check_letters,
     build_hankel,
     enumerate_words,
@@ -153,10 +160,11 @@ def ho_kalman(sel: Selection, M: WordIndexedMatrixTable, M_eps: np.ndarray,
         )
 
     def solve(rhs: np.ndarray) -> np.ndarray:
+        # one stack per call: the matmuls of a per-mode loop, to the bit
         return Vh.T @ ((U.T @ rhs) / s[:, None])
 
-    A = tuple(solve(Hs) for Hs in H_sigma)
-    B = tuple(solve(Has) for Has in H_alpha_sigma)
+    A = tuple(solve(H_sigma))
+    B = tuple(solve(H_alpha_sigma))
     M_eps = np.atleast_2d(np.asarray(M_eps, dtype=float))
     if M_eps.shape != M.shape:
         raise DimensionError(
@@ -187,7 +195,7 @@ def associated_dlss(m: SwitchedModel) -> DeterministicModel:
 
 @dataclass
 class KQIterationState:
-    """Converged state of the innovation-gain fixed point (and its history)."""
+    """Converged state of the innovation-gain solve (and its history)."""
 
     P: Tuple[np.ndarray, ...]
     Q: Tuple[np.ndarray, ...]
@@ -201,9 +209,7 @@ def _kq_iteration(A_hat: Sequence[np.ndarray], C_hat: np.ndarray,
                   G_hat: Sequence[np.ndarray], t_ys_sigma: Dict[int, np.ndarray],
                   p: np.ndarray, tol: float, max_iter: int) -> KQIterationState:
     # every mode steps at once: S, A, G, Q and K are stacks over the modes,
-    # each step makes one eigvalsh and one solve on the stack, and the
-    # matmuls are those of a per-mode loop, so the result is the same to the
-    # bit (tested against that loop)
+    # with one eigvalsh and one solve on the stack per step
     D = len(A_hat)
     n_x = A_hat[0].shape[0]
     p_col = p[:, None, None]
@@ -212,6 +218,7 @@ def _kq_iteration(A_hat: Sequence[np.ndarray], C_hat: np.ndarray,
     A_T = A.transpose(0, 2, 1)
     G = np.stack([np.asarray(g, dtype=float) for g in G_hat])
     S = p_col * np.stack([np.asarray(t_ys_sigma[s + 1], dtype=float) for s in range(D)])
+    ones = np.ones(D)
 
     def kq_of(P, it):
         Q = S - p_col * (C_hat @ P @ C_hat.T)
@@ -235,9 +242,17 @@ def _kq_iteration(A_hat: Sequence[np.ndarray], C_hat: np.ndarray,
     deltas: List[float] = []
     for it in range(max_iter):
         Q, K = kq_of(P, it)
-        # sum() adds the modes in order from 0, as a per-mode loop does
+        # R(P), the fixed-point map
         core = sum(A @ P @ A_T + K @ Q @ K.transpose(0, 2, 1))
-        P_next = (core + core.T) / 2.0
+        R = (core + core.T) / 2.0
+        # Newton step on P = R(P): the derivative of R at P is
+        # X -> sum_s Acl_s X Acl_s^T with the closed loop Acl_s = A_s - sqrt(p_s) K_s C
+        A_cl = A - sqrt_p * (K @ C_hat)
+        try:
+            P_next = _lyapunov_mean(A_cl, ones, R - sum(A_cl @ P @ A_cl.transpose(0, 2, 1)),
+                                    "closed-loop family")
+        except NonConvergenceError:
+            P_next = R
         delta = p_max * float(np.abs(P_next - P).max())
         deltas.append(delta)
         P = P_next
@@ -275,8 +290,8 @@ def associated_slss(
 
     m_d must carry the stacked input/noise structure produced by
     associated_dlss or by Ho-Kalman on the joint Markov function: B blocks
-    [B_hat | G_hat] with n_u = n_cols - n_y, D block [D | ~I].  Runs the
-    innovation-gain fixed point and returns
+    [B_hat | G_hat] with n_u = n_cols - n_y, D block [D | ~I].  Solves the
+    innovation-gain equation and returns
     ({A_hat_s/sqrt(p_s), B_hat_s/sqrt(p_s), K_s}, C, D, F=I) with Q_v[s] the
     per-mode innovation moment limit.  q_u (default identity) only populates
     the model's input-covariance field.
@@ -322,23 +337,55 @@ def associated_slss(
 def psi_uy(cov: CovarianceTable, words: Iterable[Word]) -> WordIndexedMatrixTable:
     """Input-to-output Markov values Psi(w) = Lambda^{y,u}_w Q_u^{-1}.
 
-    The table holds the given words and computes each value the first time
-    it is read, with its own np.linalg.solve against Q_u.  The checks run
-    here, before any value exists: Q_u must be numerically nonsingular and
-    every word must be in cov.lambda_yu (MissingMarkovParameterError names
-    the first one that is not).
+    One batched np.linalg.solve against Q_u over the given words, which
+    gives the bits of a solve per word.  Q_u must be numerically
+    nonsingular and every word must be in cov.lambda_yu
+    (MissingMarkovParameterError names the first one that is not).
     """
     q_u = cov.q_u
     svals = np.linalg.svd(q_u, compute_uv=False)
     if svals[0] == 0.0 or svals[-1] < 1e-10 * svals[0]:
         raise NotFullRankError("input covariance Q_u is numerically singular")
     lam_yu = cov.lambda_yu
-    words = list(words)
-    for w in words:
-        if w not in lam_yu:
-            raise MissingMarkovParameterError(str(w))
-    return WordIndexedMatrixTable.lazy(
-        (cov.n_y, cov.n_u), words, lambda w: np.linalg.solve(q_u, lam_yu[w].T).T)
+    words = list(dict.fromkeys(_as_words(words)))
+    lam_t = lam_yu.array[lam_yu.rows_of(words)].transpose(0, 2, 1)
+    values = np.linalg.solve(q_u, lam_t).transpose(0, 2, 1)
+    return WordIndexedMatrixTable._from_array((cov.n_y, cov.n_u), words,
+                                              np.ascontiguousarray(values))
+
+
+@functools.lru_cache(maxsize=8)
+def _ydyd_plan(words: Tuple[Word, ...], n_modes: int) -> tuple:
+    """Index plan of lambda_ydyd for a word list.
+
+    Returns (words, spans, parent, last, rest_ids, nonempty, first, empty):
+    the distinct words; the nodes, i.e. the root () and every rest and
+    prefix of a rest, ordered by length, with node i made as
+    A_{last[i]} @ A_{parent[i]} and the nodes of each length k >= 1
+    spanning [lo, hi) in `spans`; the node of each nonempty word's rest,
+    those words' positions and 0-based first letters; and the empty word's
+    position, or None.  Raises InvalidModeError for a letter outside
+    1..n_modes.  Cached per (words, n_modes); the arrays are read-only.
+    """
+    words = tuple(dict.fromkeys(words))
+    # one pass in C over every letter; the per-word check names the culprit
+    if max(map(max, filter(None, words)), default=0) > n_modes:
+        for w in words:
+            _check_letters(w, n_modes)
+    nonempty = [i for i, w in enumerate(words) if w]
+    rests = {words[i][1:] for i in nonempty}
+    nodes = [()] + sorted({r[:k] for r in rests for k in range(1, len(r) + 1)}, key=len)
+    ids = {r: i for i, r in enumerate(nodes)}
+    edges = np.searchsorted([len(r) for r in nodes], range(1, len(nodes[-1]) + 2))
+    plan = (np.array([0] + [ids[r[:-1]] for r in nodes[1:]], dtype=np.intp),
+            np.array([0] + [r[-1] - 1 for r in nodes[1:]], dtype=np.intp),
+            np.array([ids[words[i][1:]] for i in nonempty], dtype=np.intp),
+            np.array(nonempty, dtype=np.intp),
+            np.array([words[i][0] - 1 for i in nonempty], dtype=np.intp))
+    for arr in plan:
+        arr.flags.writeable = False
+    empty = words.index(EMPTY_WORD) if len(nonempty) < len(words) else None
+    return (words, tuple(zip(edges[:-1], edges[1:]))) + plan + (empty,)
 
 
 def lambda_ydyd(
@@ -358,44 +405,35 @@ def lambda_ydyd(
         T^{yd,yd}_{s,s} = (1/p_s) C Pt_s C^T + D Q_u D^T.
     The empty word, if requested, gets E[y_d y_d^T] = C (sum_s Pt_s) C^T + D Q_u D^T.
 
-    The moments Pt_s and T^{yd,yd}_{s,s} are solved here, and every word's
-    letters are checked against 1..D here; the table computes a word's
-    value the first time it is read.  Words that share a rest share
-    C A_rest, and A_rest extends the product of its longest prefix already
-    built; the matmuls are those of matrix_product_along_word, so the
-    values are the same to the bit whatever order they are read in.
+    Every word's letters are checked against 1..D.  The products go level
+    by level through a plan cached per word list: A_rest for all rests (and
+    their prefixes) of length k is one stacked matmul
+    A_last @ A_(rest minus last) on those of length k-1, then C A_rest and
+    C A_rest @ core are one stacked matmul each.  The matmuls are those of
+    matrix_product_along_word, so every value has the bits of its per-word
+    chain.
     """
     p = np.asarray(p, dtype=float)
     D = m_d.n_modes
     if p.shape != (D,):
         raise DimensionError(f"p must have {D} entries, got {p.shape}")
     q_u = np.atleast_2d(np.asarray(q_u, dtype=float))
+    words, spans, parent, last, rest_ids, nonempty, first, empty = _ydyd_plan(
+        _as_words(words), D)
     P = input_state_second_moment(m_d, q_u, p)
     C, Dm = m_d.C, m_d.Dmat
-    cores = [(m_d.A[s] @ P[s] @ C.T) / p[s] + m_d.B[s] @ q_u @ Dm.T for s in range(D)]
-    checked = list(map(_as_word, words))
-    # one pass in C over every letter; the per-word check names the culprit
-    if max(map(max, filter(None, checked)), default=0) > D:
-        for w in checked:
-            _check_letters(w, D)
-    # A_rest for every prefix of a rest seen so far: A_last @ A_(rest minus last)
-    along = {(): np.eye(m_d.n_x)}
-    c_along = {}
-
-    def value(w: Word) -> np.ndarray:
-        if len(w) == 0:
-            return C @ sum(P) @ C.T + Dm @ q_u @ Dm.T
-        rest = w[1:]
-        if rest not in c_along:
-            k = len(rest)
-            while rest[:k] not in along:
-                k -= 1
-            for j in range(k, len(rest)):
-                along[rest[:j + 1]] = m_d.A[rest[j] - 1] @ along[rest[:j]]
-            c_along[rest] = C @ along[rest]
-        return c_along[rest] @ cores[w[0] - 1]
-
-    table = WordIndexedMatrixTable.lazy((m_d.n_y, m_d.n_y), checked, value)
+    A = np.stack(m_d.A)
+    cores = np.stack([(m_d.A[s] @ P[s] @ C.T) / p[s] + m_d.B[s] @ q_u @ Dm.T
+                      for s in range(D)])
+    along = np.empty((len(parent), m_d.n_x, m_d.n_x))
+    along[0] = np.eye(m_d.n_x)
+    for lo, hi in spans:
+        along[lo:hi] = A[last[lo:hi]] @ along[parent[lo:hi]]
+    values = np.empty((len(words), m_d.n_y, m_d.n_y))
+    values[nonempty] = (C @ along)[rest_ids] @ cores[first]
+    if empty is not None:
+        values[empty] = C @ sum(P) @ C.T + Dm @ q_u @ Dm.T
+    table = WordIndexedMatrixTable._from_array((m_d.n_y, m_d.n_y), words, values)
     t_dd = {}
     for s in modes:
         m = (C @ P[s - 1] @ C.T) / p[s - 1] + Dm @ q_u @ Dm.T
@@ -422,6 +460,63 @@ def _stage(stage: str):
         raise
 
 
+@dataclass
+class _JointRealization:
+    """What steps 1-5 of the covariance realization made for one pair of selections.
+
+    m_psi is the input-part realization at sel_bar (step 2), t_dd its
+    per-mode output moments T^{yd,yd}_{s,s} (step 3), and m_full the joint
+    realization at sel (step 5), which step 6 converts.
+    """
+
+    sel: Selection
+    sel_bar: Selection
+    m_psi: DeterministicModel
+    t_dd: Dict[int, np.ndarray]
+    m_full: DeterministicModel
+
+
+def _joint_table(cov: CovarianceTable, psi: WordIndexedMatrixTable,
+                lam_dd: WordIndexedMatrixTable, words: Sequence[Word]
+                ) -> WordIndexedMatrixTable:
+    """The joint Markov values M(w) = [Psi(w), Lambda^{y,y}_w - Lambda^{yd,yd}_w].
+
+    words must be Words; the first one missing from cov.lambda_yy raises
+    MissingMarkovParameterError.
+    """
+    lam_yy = cov.lambda_yy
+    noise = lam_yy.array[lam_yy.rows_of(words)] - lam_dd.array[lam_dd.rows_of(words)]
+    values = np.concatenate([psi.array[psi.rows_of(words)], noise], axis=2)
+    return WordIndexedMatrixTable._from_array((cov.n_y, cov.n_u + cov.n_y), words, values)
+
+
+def _innovation_form(cov: CovarianceTable, joint: _JointRealization,
+                     max_iter: int, tol: float) -> Tuple[InnovationModel, dict]:
+    """Step 6: the innovation-form model of a joint realization, and diagnostics.
+
+    Solves the innovation-gain equation on the leftover per-mode moments
+    T^{yy}_{s,s} - T^{yd,yd}_{s,s} (see associated_slss).
+    """
+    diagnostics: dict = {
+        "selection": joint.sel.to_jsonable(),
+        "selection_bar": joint.sel_bar.to_jsonable(),
+        "estimator": cov.metadata.get("estimator"),
+        "warnings": list(cov.metadata.get("degenerate_words", [])),
+        "n_bar": joint.m_psi.n_x,
+    }
+    t_ys = {}
+    for s in range(1, joint.sel.n_modes + 1):
+        leftover = cov.t_yy_sigma[s] - joint.t_dd[s]
+        t_ys[s] = (leftover + leftover.T) / 2.0
+    with _stage("step 6 (innovation conversion)"):
+        model, state = associated_slss(joint.m_full, cov.p, t_ys, max_iter=max_iter,
+                                       tol=tol, q_u=cov.q_u, return_state=True)
+    diagnostics["kq_iterations"] = state.iterations
+    diagnostics["kq_last_delta"] = state.last_delta
+    diagnostics["n_x"] = model.n_x
+    return model, diagnostics
+
+
 def covariance_realization(
     cov: CovarianceTable,
     sel: Selection,
@@ -437,19 +532,13 @@ def covariance_realization(
     subtracted from Lambda^{y,y} to expose the noise part; (4) both blocks
     assemble the joint Markov values M(w) = [Lambda^{y,u}_w Q_u^{-1},
     Lambda^{ys,ys}_w]; (5) Ho-Kalman at sel realizes the joint model; (6) the
-    innovation-gain fixed point on the leftover per-mode moments
+    innovation-gain equation on the leftover per-mode moments
     T^{yy}_{s,s} - T^{yd,yd}_{s,s} yields K and the innovation moments.
 
     Returns (model, diagnostics); failures carry the step that raised them.
     """
     _check_iteration(max_iter, tol)
     cov.validate()
-    diagnostics: dict = {
-        "selection": sel.to_jsonable(),
-        "selection_bar": sel_bar.to_jsonable(),
-        "estimator": cov.metadata.get("estimator"),
-        "warnings": list(cov.metadata.get("degenerate_words", [])),
-    }
     D = sel.n_modes
     modes = list(range(1, D + 1))
 
@@ -459,31 +548,42 @@ def covariance_realization(
         psi_eps = np.linalg.solve(cov.q_u, cov.lambda_yu[EMPTY_WORD].T).T
     with _stage("step 2 (input-part realization)"):
         m_psi = ho_kalman(sel_bar, psi, psi_eps, rank_tol=rank_tol)
-    diagnostics["n_bar"] = m_psi.n_x
 
-    words_full = required_words(sel)
+    words_full = list(required_words(sel))
     with _stage("steps 3-4 (noise-part covariances)"):
         lam_dd, t_dd = lambda_ydyd(m_psi, cov.q_u, cov.p, words_full, modes)
-        psi_full = psi_uy(cov, words_full)
-        M = WordIndexedMatrixTable((sel.n_y, sel.n_cols))
-        for w in words_full:
-            M[w] = np.hstack([psi_full[w], cov.lambda_yy[w] - lam_dd[w]])
+        M = _joint_table(cov, psi_uy(cov, words_full), lam_dd, words_full)
         M_eps = np.hstack([psi_eps, np.eye(sel.n_y)])
     with _stage("step 5 (joint realization)"):
         m_full = ho_kalman(sel, M, M_eps, rank_tol=rank_tol)
+    return _innovation_form(cov, _JointRealization(sel, sel_bar, m_psi, t_dd, m_full),
+                           max_iter=max_iter, tol=tol)
 
-    t_ys = {}
-    for s in modes:
-        leftover = cov.t_yy_sigma[s] - t_dd[s]
-        t_ys[s] = (leftover + leftover.T) / 2.0
-    with _stage("step 6 (innovation conversion)"):
-        model, state = associated_slss(m_full, cov.p, t_ys, max_iter=max_iter,
-                                       tol=tol, q_u=cov.q_u, return_state=True)
 
-    diagnostics["kq_iterations"] = state.iterations
-    diagnostics["kq_last_delta"] = state.last_delta
-    diagnostics["n_x"] = model.n_x
-    return model, diagnostics
+@functools.lru_cache(maxsize=16)
+def _selection_pools(n_modes: int, cap: int, n_y: int, n_cols: int) -> tuple:
+    """Row and column pools of the selection search and their pool Hankel plan.
+
+    Returns (alpha_pool, beta_pool, words, pos, k, l): the pools in
+    enumeration order, the distinct words sigma v u of the pool Hankel,
+    the position in `words` of every entry's word ((#alpha, #beta)), and
+    the 0-based row and column index of each pool entry.  Cached; the
+    arrays are read-only.
+    """
+    word_pool = list(enumerate_words(n_modes, cap))
+    modes = range(1, n_modes + 1)
+    alpha_pool = tuple((w, k) for w in word_pool for k in range(1, n_y + 1))
+    beta_pool = tuple((s, w, l) for w in word_pool for s in modes
+                      for l in range(1, n_cols + 1))
+    heads = [Word((s,)) + v for s, v, _ in beta_pool]
+    order: Dict[Word, int] = {}
+    pos = np.array([[order.setdefault(head + u, len(order)) for head in heads]
+                    for u, _ in alpha_pool], dtype=np.intp)
+    k = np.array([k - 1 for _, k in alpha_pool], dtype=np.intp)
+    l = np.array([l - 1 for _, _, l in beta_pool], dtype=np.intp)
+    for arr in (pos, k, l):
+        arr.flags.writeable = False
+    return alpha_pool, beta_pool, tuple(order), pos, k, l
 
 
 def iter_full_rank_selections(
@@ -503,59 +603,45 @@ def iter_full_rank_selections(
     combinations fastest.  Every evaluated candidate counts against the
     budget; exhausting it raises NoSelectionFoundError mid-iteration.
 
-    M may be a word-indexed table (missing words skip the candidate) or a
-    callable returning the Markov value of a word.
+    The main Hankel over the whole pools is gathered from M once; each
+    candidate's Hankel is its sub-matrix.  M may be a word-indexed table or
+    a callable returning the (n_y x n_cols) Markov value of a word; a
+    candidate that needs a word M lacks (missing from the table, or
+    MissingMarkovParameterError from the callable) is skipped.
     """
     if n < 1:
         raise DimensionError(f"target dimension must be >= 1, got {n}")
     cap = min(n, word_cap) if word_cap is not None else n
-    if isinstance(M, WordIndexedMatrixTable):
-        table = M
-
-        def lookup(w: Word) -> Optional[np.ndarray]:
-            return table[w] if w in table else None
-    else:
-        fn = M
-        cache: Dict[Word, Optional[np.ndarray]] = {}
-
-        def lookup(w: Word) -> Optional[np.ndarray]:
-            if w not in cache:
-                try:
-                    cache[w] = np.asarray(fn(w), dtype=float)
-                except MissingMarkovParameterError:
-                    cache[w] = None
-            return cache[w]
-
-    word_pool = list(enumerate_words(n_modes, cap))
-    alpha_pool = [(w, k) for w in word_pool for k in range(1, n_y + 1)]
-    beta_pool = [(s, w, l) for w in word_pool for s in range(1, n_modes + 1)
-                 for l in range(1, n_cols + 1)]
+    alpha_pool, beta_pool, words, pos, k, l = _selection_pools(n_modes, cap, n_y, n_cols)
+    if not isinstance(M, WordIndexedMatrixTable):
+        fn, M = M, WordIndexedMatrixTable((n_y, n_cols))
+        for w in words:
+            try:
+                M[w] = fn(w)
+            except MissingMarkovParameterError:
+                pass
+    rows = np.fromiter(map(M.index.get, words, repeat(-1)), dtype=np.intp,
+                       count=len(words))[pos]
+    missing = rows < 0
+    # a missing word's row, -1, reads the zero matrix appended last
+    padded = np.concatenate([M.array, np.zeros((1,) + M.shape)])
+    pool = padded[rows, k[:, None], l]
     evaluated = 0
-    for alpha in combinations(alpha_pool, n):
-        for beta in combinations(beta_pool, n):
+    for alpha in combinations(range(len(alpha_pool)), n):
+        pool_rows, missing_rows = pool[alpha, :], missing[alpha, :]
+        for beta in combinations(range(len(beta_pool)), n):
             if evaluated >= budget:
                 raise NoSelectionFoundError(
                     f"no rank-{n} selection within budget {budget} "
                     "(larger budget, different n, or more data may help)"
                 )
             evaluated += 1
-            H = np.empty((n, n))
-            ok = True
-            for j, (s, v, l) in enumerate(beta):
-                head = Word((s,)) + v
-                for i, (u, k) in enumerate(alpha):
-                    val = lookup(head + u)
-                    if val is None:
-                        ok = False
-                        break
-                    H[i, j] = val[k - 1, l - 1]
-                if not ok:
-                    break
-            if not ok:
+            if missing_rows[:, beta].any():
                 continue
-            rank, _ = numerical_rank(H, rank_tol)
+            rank, _ = numerical_rank(pool_rows[:, beta], rank_tol)
             if rank == n:
-                yield Selection(alpha=tuple(alpha), beta=tuple(beta),
+                yield Selection(alpha=tuple(alpha_pool[i] for i in alpha),
+                                beta=tuple(beta_pool[j] for j in beta),
                                 n_modes=n_modes, n_y=n_y, n_cols=n_cols)
 
 

@@ -52,7 +52,18 @@ class Dataset:
             y = y.T
         if u.shape[0] == 1 and u.shape[1] > 1 and np.asarray(self.u).ndim == 1:
             u = u.T
-        q = np.asarray(self.q, dtype=int)
+        q = np.asarray(self.q)
+        if q.dtype.kind not in "iu":
+            # a fractional or non-finite mode would truncate (or warn) in the cast
+            values = q.astype(float)
+            bad = ~np.isfinite(values) | (values != np.round(values))
+            if bad.any():
+                row = int(np.flatnonzero(bad)[0])
+                raise DimensionError(
+                    f"mode series holds the non-integral value {float(values[row])!r} "
+                    f"at row {row} (t = {self.t0 + row})"
+                )
+        q = q.astype(int, copy=False)
         if not (y.shape[0] == u.shape[0] == q.shape[0]):
             raise DimensionError(
                 f"series lengths differ: y {y.shape[0]}, u {u.shape[0]}, q {q.shape[0]}"
@@ -139,6 +150,12 @@ class Dataset:
                     f"clean channel shape {clean.shape} does not match y {y.shape}"
                 )
         return cls(y=y, u=u, q=rows["q"].copy(), t0=int(rows["t"][0]), y_clean=clean)
+
+
+def as_series(x) -> np.ndarray:
+    """A T x n float array of x; a 1-D x is one channel of T samples."""
+    x = np.asarray(x, dtype=float)
+    return x[:, None] if x.ndim == 1 else np.atleast_2d(x)
 
 
 def load_series_csv(path) -> np.ndarray:
@@ -287,18 +304,21 @@ def affine_scan(q: np.ndarray, M: np.ndarray, C: np.ndarray, inputs) -> np.ndarr
     w_i (T, m_i), N_i (D, n, m_i) and E_i (n_out, m_i), or None when w_i has
     no feedthrough.
 
-    The steps are cut into chunks of L = max(16, isqrt(T)).  Pass 1 advances
-    every chunk that has a successor from a zero state, all chunks together
-    one step at a time, to its zero-start response z_c and its transition
-    product Phi_c.  Pass 2 chains the start states x_{c+1} = Phi_c x_c + z_c.
-    Pass 3 reruns every chunk from its start state and writes the output
-    rows.  Step k of a pass touches rows k, k + L, k + 2L, ... through strided
-    views, so a pass costs L array steps and no (T, n) temporary is built.
-    Against the plain loop, results move only in the last bits.
+    The steps are cut into chunks of L = max(16, isqrt(T // 8)).  Pass 1
+    advances every chunk that has a successor from a zero state, all chunks
+    together one step at a time, to its zero-start response z_c and its
+    transition product Phi_c.  Pass 2 chains the start states
+    x_{c+1} = Phi_c x_c + z_c, one chunk per step.  Pass 3 reruns every chunk
+    from its start state and writes the output rows.  Step k of passes 1 and
+    3 touches rows k, k + L, k + 2L, ... through strided views, so those
+    passes cost L array steps each and pass 2 costs T / L small steps; a
+    pass-2 step costs about a tenth of a pass-1 or pass-3 step, which is why
+    L sits near sqrt(T / 8) rather than sqrt(T).  No (T, n) temporary is
+    built.  Against the plain loop, results move only in the last bits.
     """
     T = q.shape[0]
     D, n = M.shape[0], M.shape[1]
-    L = max(16, math.isqrt(T))
+    L = max(16, math.isqrt(T // 8))
     n_chunks = max(1, -(-T // L))
     chunk = np.arange(n_chunks)
     # mode-stacked transposes: x @ stack holds every mode's M_s x, picked per chunk

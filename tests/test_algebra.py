@@ -233,45 +233,30 @@ def test_table_keys_are_validated_once_at_the_boundary():
     assert Word(np.array([1, 2], dtype=np.int64)).letters == (1, 2)
 
 
-def test_lazy_table_computes_each_read_word_once():
-    declared = [Word((2, 1)), (1,), [2], EMPTY_WORD]
-    calls = []
-
-    def value(w):
-        calls.append(w)
-        return [[float(len(w))]]
-
-    t = WordIndexedMatrixTable.lazy((1, 1), declared, value)
-    # membership, length and words() cover the declared set before any read
-    assert len(t) == 4 and calls == []
-    assert [str(w) for w in t.words()] == ["e", "1", "2", "21"]
-    assert (1,) in t and [2, 1] in t and Word((2,)) in t and Word((1, 1)) not in t
-    with pytest.raises(MissingMarkovParameterError, match="11"):
-        _ = t[Word((1, 1))]
-    assert calls == []
-    # tuple, list and Word keys hit one entry, computed once
-    assert np.array_equal(t[(2, 1)], [[2.0]])
-    assert t[[2, 1]] is t[Word((2, 1))]
-    assert calls == [Word((2, 1))]
-    # items() reads the rest, each once; len() does not change
-    assert [float(m[0, 0]) for _, m in t.items()] == [0.0, 1.0, 1.0, 2.0]
-    assert sorted(calls, key=lambda w: w.sort_key) == t.words()
-    assert len(t) == 4
-    # a stored value replaces the pending one without calling the function
-    t2 = WordIndexedMatrixTable.lazy((1, 1), [(1,)], value)
-    t2[(1,)] = [[5.0]]
-    assert t2[Word((1,))][0, 0] == 5.0 and len(t2) == 1 and len(calls) == 4
-
-
-def test_lazy_table_checks_the_shape_on_read():
-    t = WordIndexedMatrixTable.lazy((1, 2), [(1,), (2,)], lambda w: np.zeros((2, 1)))
-    assert len(t) == 2
-    with pytest.raises(DimensionError, match="matrix for word '1' has shape"):
-        _ = t[(1,)]
-    # a failed read stores nothing and leaves the word declared
-    assert (1,) in t and len(t) == 2
-    with pytest.raises(DimensionError):
-        _ = t[(1,)]
+def test_table_holds_its_matrices_in_one_array():
+    t = WordIndexedMatrixTable((1, 2))
+    words = list(enumerate_words(2, 4))
+    for i, w in enumerate(reversed(words)):  # more entries than the first room
+        t[w] = [[float(i), -float(i)]]
+    t[words[-1]] = [[7.0, 8.0]]  # a new value for a stored word keeps its row
+    assert len(t) == len(words) and t.array.shape == (len(words), 1, 2)
+    assert np.array_equal(t.array[0], [[7.0, 8.0]]) and t.array[5][0, 0] == 5.0
+    rows = t.rows_of([words[0], words[-1], words[1]])
+    assert rows.tolist() == [len(words) - 1, 0, len(words) - 2]
+    assert all(np.array_equal(t.array[r], t[w]) for r, w in zip(rows, (words[0], words[-1])))
+    with pytest.raises(MissingMarkovParameterError, match="'12111'$"):
+        t.rows_of([words[1], Word((1, 2, 1, 1, 1)), Word((2, 2, 2, 2, 2))])
+    assert t.index[words[-1]] == 0
+    with pytest.raises(TypeError):
+        t.index[words[0]] = 3
+    # stacks become one array, in the order given
+    stacked = WordIndexedMatrixTable._from_stacks(
+        (1, 1), [([Word((2,)), Word((1,))], np.array([[[2.0]], [[1.0]]])),
+                 ([EMPTY_WORD], np.zeros((1, 1, 1)))])
+    assert stacked.array[:, 0, 0].tolist() == [2.0, 1.0, 0.0]
+    assert [str(w) for w in stacked.words()] == ["e", "1", "2"]
+    with pytest.raises(DimensionError, match="does not hold 2 matrices"):
+        WordIndexedMatrixTable._from_stacks((1, 1), [([Word((1,)), Word((2,))], np.zeros((3, 1, 1)))])
 
 
 def test_table_words_sorted():
@@ -332,6 +317,64 @@ def test_build_hankel_missing_word_and_shape_checks(two_mode):
         build_hankel(two_mode.sel, t)
     with pytest.raises(DimensionError):
         build_hankel(two_mode.sel_bar, t)  # table is (1, 2), selection wants (1, 1)
+
+
+def build_hankel_per_entry(sel, M):
+    """build_hankel written as a loop that reads the table entry by entry:
+    the reference the gathered build_hankel must match."""
+    n, modes = sel.n, range(1, sel.n_modes + 1)
+    H = np.empty((n, n))
+    H_sigma = [np.empty((n, n)) for _ in modes]
+    H_alpha_sigma = [np.empty((n, sel.n_cols)) for _ in modes]
+    H_beta = np.empty((sel.n_y, n))
+    for j, (s, v, l) in enumerate(sel.beta):
+        head = Word((s,)) + v
+        H_beta[:, j] = M[head][:, l - 1]
+        for i, (u, k) in enumerate(sel.alpha):
+            H[i, j] = M[head + u][k - 1, l - 1]
+            for H_s, sig in zip(H_sigma, modes):
+                H_s[i, j] = M[head + Word((sig,)) + u][k - 1, l - 1]
+    for i, (u, k) in enumerate(sel.alpha):
+        for H_as, sig in zip(H_alpha_sigma, modes):
+            H_as[i, :] = M[Word((sig,)) + u][k - 1, :]
+    return H, H_sigma, H_alpha_sigma, H_beta
+
+
+def _first_missing(fn, *args):
+    try:
+        fn(*args)
+    except MissingMarkovParameterError as exc:
+        return str(exc)
+    return None
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), D=st.integers(1, 3), n=st.integers(1, 3),
+       n_y=st.integers(1, 2), n_cols=st.integers(1, 3), data=st.data())
+def test_gathered_hankels_have_the_bits_of_the_per_entry_loop(seed, D, n, n_y, n_cols,
+                                                             data):
+    rng = np.random.default_rng(seed)
+    words = st.lists(st.integers(1, D), max_size=n).map(lambda ls: Word(tuple(ls)))
+    alpha = data.draw(st.lists(st.tuples(words, st.integers(1, n_y)),
+                               min_size=n, max_size=n))
+    beta = data.draw(st.lists(st.tuples(st.integers(1, D), words, st.integers(1, n_cols)),
+                              min_size=n, max_size=n))
+    sel = Selection(tuple(alpha), tuple(beta), n_modes=D, n_y=n_y, n_cols=n_cols)
+    table = WordIndexedMatrixTable((n_y, n_cols))
+    for w in enumerate_words(D, 2 * n + 2, min_len=1):
+        table[w] = rng.normal(size=(n_y, n_cols))
+    got, want = build_hankel(sel, table), build_hankel_per_entry(sel, table)
+    for part_got, part_want in zip(got, want):
+        for x, y in zip(np.reshape(part_got, (-1,) + np.shape(part_want)[-2:]),
+                        np.reshape(part_want, (-1,) + np.shape(part_want)[-2:])):
+            assert x.shape == y.shape and x.tobytes() == np.ascontiguousarray(y).tobytes()
+    # with some words left out, both name the same first missing word
+    partial = WordIndexedMatrixTable((n_y, n_cols))
+    for w in table.words():
+        if rng.uniform() < 0.8:
+            partial[w] = table[w]
+    assert (_first_missing(build_hankel, sel, partial)
+            == _first_missing(build_hankel_per_entry, sel, partial))
 
 
 def test_build_hankel_is_linear_in_the_table():

@@ -48,6 +48,15 @@ def test_z_process_hand_values():
         z_process(b, q, p, Word((1,)), 0)
 
 
+def test_z_process_takes_a_one_dimensional_signal_as_one_channel():
+    b = np.arange(10.0)
+    q = np.array([1, 2] * 5)
+    for w, t in ((Word((1,)), 3), (Word((2, 1)), 3), (EMPTY_WORD, 9)):
+        assert np.array_equal(z_process(b, q, (0.5, 0.5), w, t),
+                              z_process(b[:, None], q, (0.5, 0.5), w, t))
+    assert z_process(b, q, (0.5, 0.5), Word((1,)), 3)[0] == pytest.approx(2.0 / np.sqrt(0.5))
+
+
 # ---------------------------------------------------------------- direct
 
 

@@ -119,6 +119,12 @@ def test_bfr_error_cases():
         bfr([[1.0]], [[1.0]])
 
 
+def test_bfr_takes_a_one_dimensional_series_as_one_channel():
+    y = np.arange(5.0)
+    assert bfr(y, y + 0.1) == bfr(y[:, None], y[:, None] + 0.1)
+    assert bfr(y, y + 0.1) == pytest.approx(100.0 * (1.0 - np.sqrt(0.05 / 10.0)))
+
+
 # ---------------------------------------------------------------- identify
 
 
@@ -172,8 +178,8 @@ def test_identify_keeps_the_reasons_of_rejected_attempts(two_mode):
     assert diag["search_attempts"] == 2
     assert diag["rejected_attempts"] == [
         "NotFullRankError: step 6 (innovation conversion): per-mode innovation "
-        "moment for mode 1 is not positive definite at iteration 190 "
-        "(smallest eigenvalue -4.221e-01)"]
+        "moment for mode 1 is not positive definite at iteration 16 "
+        "(smallest eigenvalue -9.888e-01)"]
     _, again = identify(data, cfg)
     assert again == diag
     # a first-try success carries no such entry
@@ -359,6 +365,13 @@ def test_validate_model_rejects_negative_exclude(two_mode):
     with pytest.raises(DimensionError, match="exclude must be >= 0, got -5"):
         validate_model(two_mode.model, data, exclude=-5)
     assert validate_model(two_mode.model, data, exclude=0).n_compared == 200
+
+
+def test_validate_model_takes_a_one_dimensional_reference(two_mode):
+    data = simulate(two_mode.model, SimConfig(seed=44, length=300))
+    flat = validate_model(two_mode.model, data, y_ref=data.y_clean[:, 0], exclude=6)
+    assert flat.bfr == validate_model(two_mode.model, data, exclude=6).bfr
+    assert flat.n_compared == 294
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

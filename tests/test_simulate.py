@@ -261,6 +261,20 @@ def test_dataset_validation_and_immutability():
         data.y[0, 0] = 5.0
 
 
+def test_dataset_rejects_non_integral_modes():
+    cols = dict(y=np.zeros((4, 1)), u=np.zeros((4, 1)))
+    with pytest.raises(DimensionError,
+                       match=r"^mode series holds the non-integral value 1\.7 at row 0 \(t = 0\)$"):
+        Dataset(q=[1.7, 2.2, 1.0, 2.9], **cols)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DimensionError, match=r"value nan at row 2 \(t = 12\)$"):
+            Dataset(q=[1.0, 2.0, np.nan, 1.0], t0=10, **cols)
+    # integral floats are modes
+    data = Dataset(q=[1.0, 2.0, 2.0, 1.0], **cols)
+    assert data.q.dtype.kind == "i" and data.q.tolist() == [1, 2, 2, 1]
+
+
 @pytest.mark.parametrize("series, row", [("y", 2), ("u", 0), ("y_clean", 1)])
 def test_dataset_rejects_non_finite_values(series, row):
     cols = {"y": [[1.0], [2.0], [3.0]], "u": [[4.0], [5.0], [6.0]],

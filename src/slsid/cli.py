@@ -128,6 +128,11 @@ def cmd_simulate(args) -> int:
     sim_section = dict(_require(cfg, "sim", "simulate"))
     if args.seed is not None:
         sim_section["seed"] = args.seed
+    for key in sim_section:
+        if key not in SimConfig.__dataclass_fields__:
+            raise _fail_io(f"config section 'sim' has unknown key {key!r}")
+    for key in ("seed", "length"):
+        _require(sim_section, key, "sim")
     sim_cfg = SimConfig.from_jsonable(sim_section)
     out = Path(args.out)
     t0 = time.perf_counter()

@@ -328,6 +328,41 @@ def test_estimate_normalizes_p_like_identify(workspace, tmp_path):
                  "--out", str(tmp_path / "bad")]) == 2
 
 
+def _simulate_with(workspace, tmp_path, sim_text, *flags):
+    tmp_path.mkdir(exist_ok=True)
+    cfg = tmp_path / "sim.json"
+    cfg.write_text('{"model": "%s", "sim": %s}' % (workspace / "true_model.json", sim_text))
+    return main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out"), *flags])
+
+
+def test_simulate_takes_integral_floats_as_counts(workspace, tmp_path):
+    # JSON 3e2 and 50.0 are floats; they count as the integers 300 and 50
+    assert _simulate_with(workspace, tmp_path / "a", '{"seed": 2.0, "length": 3e2, "burn_in": 50.0}') == 0
+    assert _simulate_with(workspace, tmp_path / "b", '{"seed": 2, "length": 300, "burn_in": 50}') == 0
+    assert ((tmp_path / "a" / "out" / "data.csv").read_bytes()
+            == (tmp_path / "b" / "out" / "data.csv").read_bytes())
+    manifest = json.loads((tmp_path / "a" / "out" / "manifest.json").read_text())
+    assert manifest["effective_config"]["sim"]["length"] == 300
+    assert isinstance(manifest["effective_config"]["sim"]["length"], int)
+
+
+@pytest.mark.parametrize("sim_text, flags, code, text", [
+    ('{"seed": 1, "length": 2000.5}', [], 4, "length must be an integer, got 2000.5"),
+    ('{"seed": 1, "length": "2000"}', [], 4, "length must be an integer, got '2000'"),
+    ('{"seed": 1, "length": 300, "burn_in": 10.5}', [], 4,
+     "burn_in must be an integer, got 10.5"),
+    ('{"seed": -1, "length": 300}', [], 4, "seed must be >= 0, got -1"),
+    ('{"seed": 1, "length": 300}', ["--seed", "-2"], 4, "seed must be >= 0, got -2"),
+    ('{"seed": 1, "lenght": 300}', [], 3, "config section 'sim' has unknown key 'lenght'"),
+    ('{"seed": 1}', [], 3, "config section 'sim' is missing required key 'length'"),
+])
+def test_simulate_rejects_a_malformed_sim_section(workspace, tmp_path, capsys,
+                                                  sim_text, flags, code, text):
+    assert _simulate_with(workspace, tmp_path, sim_text, *flags) == code
+    assert text in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_invalid_model_exit_code(workspace, tmp_path, two_mode):
     unstable = two_mode.model.to_dict()
     unstable["A"] = [[[1.2, 0, 0], [0, 1.2, 0], [0, 0, 1.2]]] * 2

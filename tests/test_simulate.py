@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 
@@ -21,7 +22,7 @@ from slsid import (
     simulate,
     stability_margin,
 )
-from slsid.simulate import _draw_input
+from slsid.simulate import _chunk_length, _draw_input
 
 
 # ---------------------------------------------------------------- switching
@@ -174,17 +175,24 @@ def _scaled(family, p, rho):
     return [np.sqrt(rho / stability_margin(family, p)) * a for a in family]
 
 
-# T = 1, 2, then L - 1, L, L + 1 for the smallest chunk length (16) and for
-# L = isqrt(T) = 24, then any length
-_SCAN_LENGTHS = st.sampled_from([1, 2, 15, 16, 17, 575, 576, 577]) | st.integers(3, 3000)
+def _chunk_edges(L):
+    """T = m - 1, m, m + 1 for the smallest multiple m of the chunk length L
+    whose neighbours are cut into chunks of L too: the last chunk is one step
+    short, full, or a single step."""
+    m = next(m for m in range(L, 64 * L * L, L)
+             if _chunk_length(m - 1) == _chunk_length(m + 1) == L)
+    return [m - 1, m, m + 1]
 
 
-@settings(deadline=None, max_examples=60)
-@given(seed=st.integers(0, 2**32 - 1), D=st.integers(1, 3), n_x=st.integers(1, 4),
-       n_u=st.integers(1, 2), n_y=st.integers(1, 2), rho=st.floats(0.05, 0.95),
-       T=_SCAN_LENGTHS)
-def test_scan_matches_the_loop(seed, D, n_x, n_u, n_y, rho, T):
-    rng = np.random.default_rng(seed)
+# T = 1, 2, then the chunk edges of the smallest chunk length (16) and of the
+# next two, then any length
+_SCAN_LENGTHS = (st.sampled_from([1, 2] + [T for L in (16, 17, 18) for T in _chunk_edges(L)])
+                 | st.integers(3, 3000))
+
+
+def _random_systems(rng, D, n_x, n_u, n_y, rho):
+    """A generator and an innovation model with the same B, K, C and D, the
+    generator's A and the predictor's A - K C both scaled to rho."""
     p = rng.dirichlet(np.ones(D))
     B = [rng.normal(size=(n_x, n_u)) for _ in range(D)]
     K = [rng.normal(size=(n_x, n_y)) for _ in range(D)]
@@ -196,16 +204,23 @@ def test_scan_matches_the_loop(seed, D, n_x, n_u, n_y, rho, T):
     A = _scaled([rng.normal(size=(n_x, n_x)) for _ in range(D)], p, rho)
     gen = SwitchedModel(A=A, B=B, K=K, C=C, Dmat=Dm, F=rng.normal(size=(n_y, n_y)),
                         p=p, Q_u=Q_u, Q_v=Q_v)
+    closed = _scaled([rng.normal(size=(n_x, n_x)) for _ in range(D)], p, rho)
+    m = InnovationModel.from_parts([closed[s] + K[s] @ C for s in range(D)], B, K,
+                                   C, Dm, p, Q_u, Q_v)
+    return gen, m
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), D=st.integers(1, 3), n_x=st.integers(1, 4),
+       n_u=st.integers(1, 2), n_y=st.integers(1, 2), rho=st.floats(0.05, 0.95),
+       T=_SCAN_LENGTHS)
+def test_scan_matches_the_loop(seed, D, n_x, n_u, n_y, rho, T):
+    gen, m = _random_systems(np.random.default_rng(seed), D, n_x, n_u, n_y, rho)
     cfg = SimConfig(seed=seed, length=T, burn_in=0)
     data, want = simulate(gen, cfg), _loop_simulate(gen, cfg)
     assert np.array_equal(data.q, want.q) and np.array_equal(data.u, want.u)
     _assert_close(data.y_clean, want.y_clean)
     _assert_close(data.y, want.y)
-
-    # the predictor's closed loop A - K C is the family scaled to rho
-    closed = _scaled([rng.normal(size=(n_x, n_x)) for _ in range(D)], p, rho)
-    m = InnovationModel.from_parts([closed[s] + K[s] @ C for s in range(D)], B, K,
-                                   C, Dm, p, Q_u, Q_v)
     _assert_close(predict(m, data), _loop_predict(m, data))
 
 
@@ -228,6 +243,17 @@ def test_scan_memory_stays_at_the_loop_level(two_mode):
     assert _peak_bytes(predict, two_mode.model, data) < 2e6
 
 
+def test_scan_memory_stays_at_the_loop_level_for_a_mimo_system():
+    gen, m = _random_systems(np.random.default_rng(3), D=3, n_x=4, n_u=2, n_y=2, rho=0.8)
+    cfg = SimConfig(seed=1, length=100_000)
+    simulate(gen, SimConfig(seed=1, length=100))  # lazy imports
+    assert _peak_bytes(simulate, gen, cfg) <= 1.1 * _peak_bytes(_loop_simulate, gen, cfg)
+    data = simulate(gen, cfg)
+    # the (T, 2) predictions are 1.6 MB and the stacked map's chunk buffers
+    # O(sqrt(T)); one (T, n_x) state or (T, n_u + n_y) input stack adds 3.2 MB
+    assert _peak_bytes(predict, m, data) < 3.2e6
+
+
 # ---------------------------------------------------------------- config
 
 
@@ -240,6 +266,33 @@ def test_sim_config_validation():
         SimConfig(seed=0, length=10, input_dist="poisson")
     with pytest.raises(DimensionError):
         SimConfig(seed=0, length=10, input_low=1.0, input_high=-1.0)
+
+
+@pytest.mark.parametrize("field, value, text", [
+    ("length", 2000.5, "length must be an integer, got 2000.5"),
+    ("length", "2000", "length must be an integer, got '2000'"),
+    ("length", float("nan"), "length must be an integer, got nan"),
+    ("burn_in", 99.9, "burn_in must be an integer, got 99.9"),
+    ("burn_in", -1.0, "burn_in must be >= 0, got -1.0"),
+    ("burn_in", None, "burn_in must be an integer, got None"),
+    ("seed", -1, "seed must be >= 0, got -1"),
+    ("seed", 0.5, "seed must be an integer, got 0.5"),
+    ("seed", True, "seed must be an integer, got True"),
+    ("input_low", "-1", "input_low must be a finite number, got '-1'"),
+    ("input_high", float("inf"), "input_high must be a finite number, got inf"),
+])
+def test_sim_config_names_a_malformed_field(field, value, text):
+    kwargs = {"seed": 0, "length": 10, field: value}
+    with pytest.raises(DimensionError, match=f"^{re.escape(text)}$"):
+        SimConfig(**kwargs)
+
+
+def test_sim_config_takes_integral_floats_as_ints(two_mode):
+    cfg = SimConfig(seed=4.0, length=1e3, burn_in=np.float64(100.0))
+    assert cfg == SimConfig(seed=4, length=1000, burn_in=100)
+    assert all(type(getattr(cfg, name)) is int for name in ("seed", "length", "burn_in"))
+    again = simulate(two_mode.model, SimConfig(seed=4, length=1000, burn_in=100))
+    assert np.array_equal(simulate(two_mode.model, cfg).y, again.y)
 
 
 def test_sim_config_json_round_trip():

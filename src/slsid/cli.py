@@ -39,7 +39,7 @@ from .errors import (
 from .identify import IdentConfig, identify, resolve_p, resolve_selections, validate_model
 from .model import SwitchedModel, find_isomorphism, model_from_dict, transform_model
 from .realize import FP_MAX_ITER, FP_TOL, covariance_realization
-from .simulate import Dataset, SimConfig, load_series_csv, simulate, write_csv
+from .simulate import Dataset, SimConfig, _is_number, load_series_csv, simulate, write_csv
 
 __all__ = ["main"]
 
@@ -87,6 +87,25 @@ def _require(cfg: dict, key: str, where: str):
     return cfg[key]
 
 
+def _check_keys(section: dict, known, where: str) -> None:
+    for key in section:
+        if key not in known:
+            raise _fail_io(f"config section '{where}' has unknown key {key!r}")
+
+
+def _count(section: dict, key: str, where: str, default: Optional[int] = None) -> int:
+    """section[key] (required when default is None) as an int.
+
+    The rule of the "sim" section: an integral float such as 2e3 counts as
+    an integer; a fraction, a bool or a non-number is a config error.
+    """
+    value = _require(section, key, where) if default is None else section.get(key, default)
+    if not _is_number(value) or value != int(value):
+        raise _fail_io(f"config section '{where}' key {key!r} must be an integer, "
+                       f"got {value!r}")
+    return int(value)
+
+
 def _load_model(spec, base: Path) -> SwitchedModel:
     """Model from an inline dict or a path relative to the config file."""
     if isinstance(spec, dict):
@@ -128,9 +147,7 @@ def cmd_simulate(args) -> int:
     sim_section = dict(_require(cfg, "sim", "simulate"))
     if args.seed is not None:
         sim_section["seed"] = args.seed
-    for key in sim_section:
-        if key not in SimConfig.__dataclass_fields__:
-            raise _fail_io(f"config section 'sim' has unknown key {key!r}")
+    _check_keys(sim_section, SimConfig.__dataclass_fields__, "sim")
     for key in ("seed", "length"):
         _require(sim_section, key, "sim")
     sim_cfg = SimConfig.from_jsonable(sim_section)
@@ -154,7 +171,8 @@ def cmd_simulate(args) -> int:
 
 def _word_list(spec, n_modes: int):
     if isinstance(spec, dict) and "max_len" in spec:
-        return list(enumerate_words(n_modes, int(spec["max_len"])))
+        _check_keys(spec, ("max_len",), "words")
+        return list(enumerate_words(n_modes, _count(spec, "max_len", "words")))
     if isinstance(spec, list):
         return [Word.parse(str(s)) for s in spec]
     raise _fail_io("'words' must be a list of word strings or {\"max_len\": L}")
@@ -192,19 +210,19 @@ def cmd_realize(args) -> int:
     cov_obj = _load_json(base / str(_require(cfg, "covariances", "realize")))
     cov_obj.pop("effective_config", None)
     cov = CovarianceTable.from_jsonable(cov_obj)
-    n_x = int(_require(cfg, "n_x", "realize"))
-    n_bar = int(cfg.get("n_bar", n_x))
+    n_x = _count(cfg, "n_x", "realize")
+    n_bar = _count(cfg, "n_bar", "realize", n_x)
     D, n_y, n_u = cov.p.shape[0], cov.n_y, cov.n_u
     sel_spec = args.selection or cfg.get("selection", "search")
     sel = _selection_spec(sel_spec, base, D, n_y, n_u + n_y)
     sel_bar = _selection_spec(cfg.get("selection_bar", "search"), base, D, n_y, n_u)
     fp_tol = float(cfg.get("fp_tol", FP_TOL))
-    fp_max_iter = int(cfg.get("fp_max_iter", FP_MAX_ITER))
+    fp_max_iter = _count(cfg, "fp_max_iter", "realize", FP_MAX_ITER)
     rank_tol = float(cfg.get("rank_tol", 1e-8))
     t0 = time.perf_counter()
     sel, sel_bar, search_diag = resolve_selections(
         cov, n_x, n_bar, sel, sel_bar,
-        search_budget=int(cfg.get("search_budget", 50000)),
+        search_budget=_count(cfg, "search_budget", "realize", 50000),
         rank_tol=rank_tol)
     model, diag = covariance_realization(cov, sel, sel_bar, max_iter=fp_max_iter,
                                          tol=fp_tol, rank_tol=rank_tol)
@@ -243,15 +261,25 @@ def _jsonable_diag(diag: dict) -> dict:
 def cmd_identify(args) -> int:
     cfg = _load_json(args.config)
     base = Path(args.config).parent
-    data = _load_dataset(_require(cfg, "data", "identify"), base)
     section = dict(_require(cfg, "ident", "identify"))
     if args.estimator is not None:
         section["estimator"] = args.estimator
     if args.selection is not None:
         section["selection"] = args.selection
         section["selection_bar"] = args.selection
-    n_x = int(_require(section, "n_x", "ident"))
-    n_bar = int(section.get("n_bar", n_x))
+    _check_keys(section, IdentConfig.__dataclass_fields__, "ident")
+    n_x = _count(section, "n_x", "ident")
+    n_bar = _count(section, "n_bar", "ident", n_x)
+    # the validation settings are checked before the identification runs
+    val_section = cfg.get("validation")
+    if val_section:
+        _check_keys(val_section, ("data", "split", "exclude"), "validation")
+        if "data" not in val_section and "split" not in val_section:
+            raise _fail_io("'validation' needs 'data' or 'split'")
+        exclude = _count(val_section, "exclude", "validation", 0)
+        if "split" in val_section:
+            n_val = _count(val_section, "split", "validation")
+    data = _load_dataset(_require(cfg, "data", "identify"), base)
     n_cols = data.n_u + data.n_y
     ident_cfg = IdentConfig(
         n_x=n_x,
@@ -262,9 +290,9 @@ def cmd_identify(args) -> int:
                                       int(data.q.max()), data.n_y, data.n_u),
         estimator=section.get("estimator", "direct"),
         fp_tol=float(section.get("fp_tol", FP_TOL)),
-        fp_max_iter=int(section.get("fp_max_iter", FP_MAX_ITER)),
+        fp_max_iter=_count(section, "fp_max_iter", "ident", FP_MAX_ITER),
         p=section.get("p", "empirical"),
-        search_budget=int(section.get("search_budget", 50000)),
+        search_budget=_count(section, "search_budget", "ident", 50000),
         rank_tol=float(section.get("rank_tol", 1e-8)),
     )
     t0 = time.perf_counter()
@@ -275,20 +303,15 @@ def cmd_identify(args) -> int:
         "model_sha256": _canonical_sha256(model.to_dict()),
     }
 
-    val_section = cfg.get("validation")
     if val_section:
-        exclude = int(val_section.get("exclude", 0))
         if "data" in val_section:
             val_data = _load_dataset(val_section["data"], base)
-        elif "split" in val_section:
-            n_val = int(val_section["split"])
+        else:
             if n_val >= len(data):
                 raise InsufficientDataError(
                     f"validation split {n_val} >= dataset length {len(data)}"
                 )
             val_data = data.slice(len(data) - n_val, len(data))
-        else:
-            raise _fail_io("'validation' needs 'data' or 'split'")
         rep = validate_model(model, val_data, exclude=exclude)
         report["validation"] = rep.to_jsonable()
         _stderr(f"validation: BFR = {rep.bfr:.2f}% ({rep.runtime_seconds:.3f}s)")
@@ -306,7 +329,7 @@ def cmd_identify(args) -> int:
         "search_budget": ident_cfg.search_budget, "rank_tol": ident_cfg.rank_tol,
     }}
     if val_section:
-        effective["validation"] = {k: (str(v) if k == "data" else v)
+        effective["validation"] = {k: (str(v) if k == "data" else int(v))
                                    for k, v in val_section.items()}
     report["effective_config"] = effective
     out = Path(args.out)
@@ -325,7 +348,7 @@ def cmd_validate(args) -> int:
     y_ref = None
     if "reference" in cfg:
         y_ref = load_series_csv(base / str(cfg["reference"]))
-    exclude = int(cfg.get("exclude", 0))
+    exclude = _count(cfg, "exclude", "validate", 0)
     rep = validate_model(model, data, y_ref=y_ref, exclude=exclude,
                          keep_predictions=True)
     out = Path(args.out)

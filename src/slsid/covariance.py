@@ -13,21 +13,27 @@ Both estimators produce the same sums: the least-squares route recovers them
 from the normal equations of a linear regression, which is the identity the
 tests pin down.
 
-The direct estimator makes one pass per lag k.  Each sample's k-long mode
-window is extended by one letter per lag and looked up as the index of a
-requested word of length k (or "none"), and np.bincount adds y(t) u(t-k)^T
-and y(t) y(t-k)^T into one bin per word.  That costs
-O(N * max|w| * n_y * (n_u + n_y)) for the passes plus O(#words * max|w| * D)
-for the lookup tables, independent of how many words share a length.  The
-per-word masked block _z_block is the reference it is tested against; the
-least-squares estimator and the per-mode moments use it directly.
+The direct estimator walks the samples once per lag k, in blocks of
+_BLOCK samples.  Each sample's k-long mode window is extended by one letter
+per lag and mapped to a node of the requested words' suffix tree, and
+np.add.at adds y(t) u(t-k)^T and y(t) y(t-k)^T into one bin per node, in
+time order, two products per pass as the parts of one complex weight.  On
+the leading lags where every one of the D^k windows is a requested word or
+a suffix of one (all lags of the search's table), the node is the window's
+base-D code, stepped by arithmetic; longer lags look it up in a per-lag
+table.  The passes cost O(N * max|w| * n_y * (n_u + n_y))
+and the tables O(#words * max|w| * D), independent of how many words share
+a length.  Memory grows with the requested words and the block, never with
+N or D^|w|.  The per-word masked block _z_block is the reference it is
+tested against; the least-squares estimator and its per-mode moments use
+it directly.
 """
 from __future__ import annotations
 
 import functools
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -178,7 +184,8 @@ def _ordered_words(words: Tuple[Word, ...]) -> Tuple[Word, ...]:
 
 def _prepare(data: Dataset, words: Iterable[Word], modes: Sequence[int]):
     words = _ordered_words(_as_words(words))
-    max_len = max([len(w) for w in words] + [1 if modes else 0])
+    # the words are ordered by length
+    max_len = max(len(words[-1]) if words else 0, 1 if modes else 0)
     n0 = max_len + 1
     n_eff = len(data) - n0
     if n_eff <= 0:
@@ -188,36 +195,56 @@ def _prepare(data: Dataset, words: Iterable[Word], modes: Sequence[int]):
     return words, n0, n_eff
 
 
+def _input_moment(data: Dataset, n0: int, n_eff: int) -> np.ndarray:
+    """The empirical q_u = E[u u^T] over t = n0 .. T-1, made symmetric."""
+    u_block = data.u[n0:]
+    q_u = u_block.T @ u_block / n_eff
+    return (q_u + q_u.T) / 2.0
+
+
 def _moment_parts(data: Dataset, p, modes: Sequence[int], n0: int, n_eff: int):
-    """T^{y,y}_{s,s} and q_u sums shared by both estimators."""
+    """T^{y,y}_{s,s} from the per-mode _z_block products, and q_u."""
     t_yy: Dict[int, np.ndarray] = {}
     for s in modes:
         z = _z_block(data.y, data.q, p, Word((s,)), n0)
         m = z.T @ z / n_eff
         t_yy[s] = (m + m.T) / 2.0
-    u_block = data.u[n0:]
-    q_u = u_block.T @ u_block / n_eff
-    q_u = (q_u + q_u.T) / 2.0
-    return t_yy, q_u
+    return t_yy, _input_moment(data, n0, n_eff)
+
+
+class _Lag(NamedTuple):
+    """One lag k of _suffix_tables."""
+
+    table: np.ndarray    # (#nodes of lag k-1 + 1, D + 1) next node ids
+    heads: Tuple[Word, ...]  # the requested words of length k
+    letters: np.ndarray  # their letters, (#heads, k)
+    ids: np.ndarray      # their node ids
+    n_ids: int           # node ids of lag k, "none" included
 
 
 @functools.lru_cache(maxsize=8)
-def _suffix_tables(words: Tuple[Word, ...],
-                   n_modes: int) -> Tuple[Tuple[np.ndarray, Tuple[Word, ...], np.ndarray], ...]:
+def _suffix_tables(words: Tuple[Word, ...], n_modes: int) -> Tuple[Tuple[_Lag, ...], int]:
     """Per-lag lookup tables that map mode windows to requested words.
 
-    Entry k-1 belongs to lag k and holds its table, the requested words of
-    length k, and their letters as one (#words, k) array.  Its node ids
-    index the k-long suffixes of the requested words: first the words of
-    length k, in the given order, then the other suffixes, then one "none"
-    node.  table[i, d] is the node reached from node i of lag k-1 when the
-    mode k steps back is d+1; column n_modes stands for a mode outside
-    1..n_modes, which leads to "none".
-    Lag 0 has the root (id 0) and "none" (id 1).  The ids stay below the
-    number of suffixes, so the tables never hold D^k entries or overflow.
+    Returns (levels, n_dense), with levels[k-1] the _Lag of lag k.  The
+    node ids of lag k index the k-long suffixes of the requested words, and
+    one more id is "none".  table[i, d] is the node reached from node i of
+    lag k-1 when the mode k steps back is d+1; column n_modes stands for a
+    mode outside 1..n_modes, which leads to "none".  Lag 0 has the root
+    (id 0) and "none" (id 1).
+
+    n_dense counts the leading lags k whose nodes are all D^k windows
+    (D = n_modes).  Such a dense lag numbers its nodes in lex order, so a
+    window's id is its base-D code with the lag-k letter most significant,
+    and the code of lag k is that of lag k-1 plus D^(k-1) (mode(t-k) - 1).
+    Any other lag numbers the heads first, in the given order, then the
+    other suffixes.  Either way the ids stay below the number of suffixes,
+    so no table holds D^k entries for a k that no requested word fills, and
+    none overflows.  A letter outside 1..D gets no table entry: no window
+    reaches it.
 
     The result is cached per (words, n_modes), since repeated estimations
-    ask for the same words; callers must not write to its tables.
+    ask for the same words; callers must not write to its arrays.
     """
     by_len: Dict[int, List[Word]] = {}
     for w in words:
@@ -230,30 +257,90 @@ def _suffix_tables(words: Tuple[Word, ...],
         tails[k].update(w[1:] for w in by_len.get(k + 1, ()))
     levels = []
     prev = {(): 0}
+    n_dense = 0
     for k in range(1, max_len + 1):
         heads = tuple(by_len.get(k, ()))
         nodes = dict.fromkeys(heads)
         nodes.update(dict.fromkeys(tails[k]))
+        if (n_dense == k - 1 and len(nodes) == n_modes ** k
+                and all(v[0] <= n_modes for v in nodes)):
+            n_dense = k
+            nodes = sorted(nodes)
         nodes = {v: i for i, v in enumerate(nodes)}
         table = np.full((len(prev) + 1, n_modes + 1), len(nodes), dtype=np.intp)
         for v, i in nodes.items():
-            table[prev[v[1:]], v[0] - 1] = i
+            if v[0] <= n_modes:
+                table[prev[v[1:]], v[0] - 1] = i
         letters = np.array(heads, dtype=np.intp).reshape(len(heads), k)
-        table.flags.writeable = False
-        letters.flags.writeable = False
-        levels.append((table, heads, letters))
+        ids = np.array([nodes[w] for w in heads], dtype=np.intp)
+        for arr in (table, letters, ids):
+            arr.flags.writeable = False
+        levels.append(_Lag(table, heads, letters, ids, len(nodes) + 1))
         prev = nodes
-    return tuple(levels)
+    return tuple(levels), n_dense
 
 
-def _binned_outer(node: np.ndarray, r: np.ndarray, b: np.ndarray, n_bins: int) -> np.ndarray:
-    """Sums of r(t) b(t)^T over the samples whose node is i, for i < n_bins."""
-    out = np.empty((n_bins, r.shape[1], b.shape[1]))
-    for a in range(r.shape[1]):
-        for c in range(b.shape[1]):
-            out[:, a, c] = np.bincount(node, weights=r[:, a] * b[:, c],
-                                       minlength=n_bins)[:n_bins]
-    return out
+# samples per block of the walk: a block's work arrays (512 KB in all) stay
+# in cache, and the walk makes no array as long as the data
+_BLOCK = 16384
+
+
+def _walk(levels: Tuple[_Lag, ...], n_dense: int, q: np.ndarray, n0: int,
+          D: int) -> Iterator[Tuple[int, int, np.ndarray]]:
+    """Every sample's node at every lag, block by block.
+
+    Yields (t0, k, node) for each block of samples t = t0 .. t0+len(node)-1
+    and each lag k, in time order: node[i] is the id in levels[k-1] of the
+    window of modes q(t-k) .. q(t-1).  Lags k <= n_dense step the code in
+    place by D^(k-1) (mode(t-k) - 1); the others look it up in the lag's
+    table.  node is a work array that the next step overwrites.
+    """
+    T, L = q.shape[0], len(levels)
+    if not L:
+        return
+    node = np.empty(min(_BLOCK, T - n0), dtype=np.intp)
+    step = np.empty_like(node)
+    for t0 in range(n0, T, _BLOCK):
+        n = min(_BLOCK, T - t0)
+        nd, st = node[:n], step[:n]
+        # digits[L - k + i] is mode(t0 + i - k) - 1, or D outside 1..D
+        digits = np.minimum(q[t0 - L:t0 + n - 1] - 1, D)
+        nd.fill(0)
+        for k, lag in enumerate(levels, start=1):
+            digit = digits[L - k:L - k + n]
+            if k <= n_dense:
+                nd += np.multiply(digit, D ** (k - 1), out=st)
+            else:
+                np.multiply(nd, D + 1, out=st)
+                st += digit
+                lag.table.ravel().take(st, out=nd, mode="clip")
+            yield t0, k, nd
+
+
+def _add_outer(acc: np.ndarray, node: np.ndarray, r: np.ndarray,
+               bs: Sequence[np.ndarray], work: np.ndarray) -> None:
+    """Adds r(t)_a b(t)_c over the samples of each node, for every b in bs.
+
+    The products, in the order (b, a, c), are paired up as the real and
+    imaginary parts of acc's rows: acc[j, i] gains the sums of products 2j
+    and 2j+1 over the samples whose node is i.  One complex np.add.at adds
+    both in a single pass, each part in time order, as np.bincount would
+    add either alone.  work is a complex work array as long as node.
+    """
+    products = [(r[:, a], b[:, c]) for b in bs
+                for a in range(r.shape[1]) for c in range(b.shape[1])]
+    for j in range(0, len(products), 2):
+        np.multiply(*products[j], out=work.real)
+        if j + 1 < len(products):
+            np.multiply(*products[j + 1], out=work.imag)
+        else:
+            work.imag.fill(0.0)
+        np.add.at(acc[j // 2], node, work)
+
+
+def _real_sums(acc: np.ndarray, m: int) -> np.ndarray:
+    """The first m sums _add_outer packed into acc, as an (m, #nodes) array."""
+    return np.stack([acc.real, acc.imag], axis=1).reshape(-1, acc.shape[1])[:m]
 
 
 def empirical_covariances(
@@ -270,68 +357,96 @@ def empirical_covariances(
     in the data yields a zero estimate plus a warning recorded under
     metadata["degenerate_words"].
 
-    One pass per lag k follows every sample's k-long mode window through
-    _suffix_tables and bincounts y(t) u(t-k)^T and y(t) y(t-k)^T into one
-    bin per requested word of length k; each bin is then scaled by
-    1/(n_eff sqrt(p_w)).  The sums equal those of the per-word _z_block
-    products up to rounding.
+    _walk gives every sample the node of its k-long mode window at each lag
+    k: the window's base-D code on the leading lags where all D^k windows
+    are nodes, a table lookup on the others and for data holding a mode
+    outside 1..D.  y(t) u(t-k)^T and y(t) y(t-k)^T are added into one bin
+    per node, and the bins of the requested words of length k are scaled
+    by 1/(n_eff sqrt(p_w)).  T^{y,y}_{s,s} adds y(t-1) y(t-1)^T into one bin
+    per mode(t-1) and scales it by 1/(n_eff p_s).  Every bin adds its
+    samples in time order, as one np.bincount over all of them would.  The
+    sums equal those of the per-word _z_block products up to rounding.
     """
     p = np.asarray(p, dtype=float)
     if modes is None:
         modes = list(range(1, p.shape[0] + 1))
     words, n0, n_eff = _prepare(data, words, modes)
     D, T = p.shape[0], len(data)
-    nonempty = [w for w in words if len(w) > 0]
-    # word_probability validates p (once, on the first word) and rejects
-    # the words with a letter outside 1..D
-    for w in nonempty[:1] + [w for w in nonempty if max(w) > D]:
-        word_probability(p, w)
-    mode_digit = np.where(data.q <= D, data.q - 1, D)
-    # 1.0 where y(t) has a nonzero entry, made when first needed: a word
-    # occurs when one of its samples carries such a lagged y
-    y_nonzero = None
-    node = np.zeros(n_eff, dtype=np.intp)
-    y_block = data.y[n0:]
-    stacks_yu, stacks_yy, missing = [], [], set()
-    if words and len(words[0]) == 0:  # the empty word sorts first
-        stacks_yu.append(([EMPTY_WORD], (y_block.T @ data.u[n0:] / n_eff)[None]))
-    levels = _suffix_tables(tuple(nonempty), D)
-    for k, (table, heads, letters) in enumerate(levels, start=1):
-        node = table.ravel().take(node * (D + 1) + mode_digit[n0 - k:T - k])
-        if not heads:
+    word_probability(p, EMPTY_WORD)  # validates p
+    levels, n_dense = _suffix_tables(words, D)
+    # the first word with a letter outside 1..D, in the table's order, is
+    # the one word_probability names
+    for lag in levels:
+        if lag.heads and lag.letters.max() > D:
+            word_probability(p, lag.heads[int(np.argmax(lag.letters.max(axis=1) > D))])
+    for s in modes:
+        if not 1 <= s <= D:
+            word_probability(p, Word((s,)))
+    if int(data.q.max()) > D:
+        n_dense = 0  # a mode outside 1..D has no code
+    y, u, n_y, n_u = data.y, data.u, data.n_y, data.n_u
+    work = np.empty(min(_BLOCK, n_eff), dtype=complex)
+    # acc[k-1] packs the sums of y(t) u(t-k)^T and y(t) y(t-k)^T per node of lag k
+    acc = [np.zeros(((n_y * (n_u + n_y) + 1) // 2, lag.n_ids), dtype=complex)
+           if lag.heads else None for lag in levels]
+    for t0, k, node in _walk(levels, n_dense, data.q, n0, D):
+        if acc[k - 1] is not None:
+            n = node.shape[0]
+            _add_outer(acc[k - 1], node, y[t0:t0 + n],
+                       (u[t0 - k:t0 - k + n], y[t0 - k:t0 - k + n]), work[:n])
+
+    stacks_yu, stacks_yy, unproven = [], [], {}
+    if words and not words[0]:  # the empty word sorts first
+        stacks_yu.append(([EMPTY_WORD], (y[n0:].T @ u[n0:] / n_eff)[None]))
+    for k, (lag, packed) in enumerate(zip(levels, acc), start=1):
+        if not lag.heads:
             continue
-        n_words = len(heads)
-        y_lag = data.y[n0 - k:T - k]
+        sums = _real_sums(packed, n_y * (n_u + n_y))
         # the product p_w as word_probability takes it, left to right
-        p_letters = p[letters - 1]
+        p_letters = p[lag.letters - 1]
         probs = p_letters[:, 0]
         for j in range(1, k):
             probs = probs * p_letters[:, j]
         scale = (n_eff * np.sqrt(probs))[:, None, None]
-        stacks_yu.append((heads, _binned_outer(node, y_block, data.u[n0 - k:T - k],
-                                               n_words) / scale))
-        s_yy = _binned_outer(node, y_block, y_lag, n_words) / scale
-        stacks_yy.append((heads, s_yy))
+        s_yu = sums[:n_y * n_u].reshape(n_y, n_u, lag.n_ids).transpose(2, 0, 1)[lag.ids] / scale
+        stacks_yu.append((lag.heads, s_yu))
+        s_yy = sums[n_y * n_u:].reshape(n_y, n_y, lag.n_ids).transpose(2, 0, 1)[lag.ids] / scale
+        stacks_yy.append((lag.heads, s_yy))
         # a nonzero sum of y(t) y(t-k)^T needs a nonzero lagged y, so the
         # word occurs; only words whose sum is zero need the count
-        unproven = ~s_yy.any(axis=(1, 2))
-        if unproven.any():
-            if y_nonzero is None:
-                y_nonzero = np.any(data.y != 0, axis=1).astype(float)
-            occurs = np.bincount(node, weights=y_nonzero[n0 - k:T - k],
-                                 minlength=n_words)[:n_words] > 0
-            missing.update(heads[i] for i in np.flatnonzero(unproven & ~occurs))
+        zero = ~s_yy.any(axis=(1, 2))
+        if zero.any():
+            unproven[k] = zero
+    missing = set()
+    if unproven:
+        # a second walk counts the samples whose lagged y is nonzero
+        y_nonzero = np.any(y != 0, axis=1).astype(float)
+        counts = {k: np.zeros(levels[k - 1].n_ids) for k in unproven}
+        for t0, k, node in _walk(levels, n_dense, data.q, n0, D):
+            if k in counts:
+                np.add.at(counts[k], node, y_nonzero[t0 - k:t0 - k + node.shape[0]])
+        for k, zero in unproven.items():
+            lag = levels[k - 1]
+            missing.update(lag.heads[i]
+                           for i in np.flatnonzero(zero & (counts[k][lag.ids] == 0)))
 
     lam_yu = WordIndexedMatrixTable._from_stacks((data.n_y, data.n_u), stacks_yu)
     lam_yy = WordIndexedMatrixTable._from_stacks((data.n_y, data.n_y), stacks_yy)
-    degenerate = [str(w) for w in nonempty if w in missing]
+    degenerate = [str(w) for w in words if w in missing]
     for text in degenerate:
         warnings.warn(f"word '{text}' never occurs in the data; covariance set to 0")
-    t_yy, q_u = _moment_parts(data, p, modes, n0, n_eff)
+    packed = np.zeros(((n_y * n_y + 1) // 2, D + 1), dtype=complex)
+    for t0 in range(n0, T, _BLOCK):
+        n = min(_BLOCK, T - t0)
+        y_prev = y[t0 - 1:t0 - 1 + n]
+        _add_outer(packed, np.minimum(data.q[t0 - 1:t0 - 1 + n] - 1, D),
+                   y_prev, (y_prev,), work[:n])
+    mode_sums = _real_sums(packed, n_y * n_y).reshape(n_y, n_y, D + 1)
+    t_yy = {s: mode_sums[:, :, s - 1] / (n_eff * p[s - 1]) for s in modes}
     meta = {"estimator": "direct", "N": len(data), "N_0": n0, "n_eff": n_eff,
             "degenerate_words": degenerate}
     return CovarianceTable(lambda_yu=lam_yu, lambda_yy=lam_yy, t_yy_sigma=t_yy,
-                           q_u=q_u, p=p, metadata=meta)
+                           q_u=_input_moment(data, n0, n_eff), p=p, metadata=meta)
 
 
 def least_squares_covariances(

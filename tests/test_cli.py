@@ -385,3 +385,90 @@ def test_estimate_ls_flag_overrides_config(workspace):
                  "--out", str(workspace / "est_ls"), "--estimator", "ls"]) == 0
     obj = json.loads((workspace / "est_ls" / "covariances.json").read_text())
     assert obj["effective_config"]["estimator"] == "ls"
+
+
+def _ident_config(workspace, two_mode, ident=None, validation=None):
+    cfg = {"data": str(workspace / "sim" / "data.csv"),
+           "ident": {"n_x": 3, "selection": two_mode.sel.to_jsonable(),
+                     "selection_bar": two_mode.sel_bar.to_jsonable(), **(ident or {})},
+           "validation": {"split": 1000, "exclude": 6, **(validation or {})}}
+    return cfg
+
+
+@pytest.mark.parametrize("ident, validation, text", [
+    ({"n_x": 3.7}, None, "config section 'ident' key 'n_x' must be an integer, got 3.7"),
+    ({"n_bar": True}, None, "config section 'ident' key 'n_bar' must be an integer, got True"),
+    ({"fp_max_iter": 50.5}, None,
+     "config section 'ident' key 'fp_max_iter' must be an integer, got 50.5"),
+    ({"search_budget": "100"}, None,
+     "config section 'ident' key 'search_budget' must be an integer, got '100'"),
+    ({"selction": "search"}, None, "config section 'ident' has unknown key 'selction'"),
+    (None, {"split": 1000.5}, "config section 'validation' key 'split' must be an integer"),
+    (None, {"exclude": 6.5}, "config section 'validation' key 'exclude' must be an integer"),
+    (None, {"spilt": 1000}, "config section 'validation' has unknown key 'spilt'"),
+])
+def test_identify_rejects_a_malformed_count_or_key(workspace, tmp_path, capsys, two_mode,
+                                                   ident, validation, text):
+    cfg = write_json(tmp_path / "ident.json",
+                     _ident_config(workspace, two_mode, ident, validation))
+    assert main(["identify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    assert text in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_identify_takes_integral_floats_as_counts(workspace, tmp_path, two_mode):
+    runs = {"int": ({"n_x": 3, "n_bar": 3, "fp_max_iter": 5000}, {"split": 1000, "exclude": 6}),
+            "float": ({"n_x": 3.0, "n_bar": 3e0, "fp_max_iter": 5e3},
+                      {"split": 1e3, "exclude": 6.0})}
+    for name, (ident, validation) in runs.items():
+        cfg = write_json(tmp_path / f"{name}.json",
+                         _ident_config(workspace, two_mode, ident, validation))
+        assert main(["identify", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+    for out in ("model.json", "report.json"):
+        assert (tmp_path / "int" / out).read_bytes() == (tmp_path / "float" / out).read_bytes()
+    effective = json.loads((tmp_path / "float" / "report.json").read_text())["effective_config"]
+    assert effective["validation"] == {"split": 1000, "exclude": 6}
+    assert isinstance(effective["ident"]["n_x"], int)
+
+
+@pytest.mark.parametrize("words, code, text", [
+    ({"max_len": 2.9}, 3, "config section 'words' key 'max_len' must be an integer, got 2.9"),
+    ({"max_len": 2, "min_len": 1}, 3, "config section 'words' has unknown key 'min_len'"),
+    ({"max_len": 2.0}, 0, "estimate: 7 words"),
+])
+def test_estimate_checks_the_word_cap(workspace, tmp_path, capsys, words, code, text):
+    cfg = write_json(tmp_path / "est.json", {
+        "data": str(workspace / "sim" / "data.csv"), "p": [0.5, 0.5], "words": words})
+    assert main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == code
+    assert text in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("setting, text", [
+    ({"n_x": 3.5}, "config section 'realize' key 'n_x' must be an integer, got 3.5"),
+    ({"n_bar": 2.5}, "config section 'realize' key 'n_bar' must be an integer, got 2.5"),
+    ({"fp_max_iter": False},
+     "config section 'realize' key 'fp_max_iter' must be an integer, got False"),
+    ({"search_budget": 10.25},
+     "config section 'realize' key 'search_budget' must be an integer, got 10.25"),
+])
+def test_realize_rejects_a_fractional_count(workspace, tmp_path, capsys, two_mode,
+                                            setting, text):
+    est = write_json(tmp_path / "est.json", {
+        "data": str(workspace / "sim" / "data.csv"), "p": [0.5, 0.5],
+        "words": {"max_len": 6}})
+    assert main(["estimate", "--config", str(est), "--out", str(tmp_path / "est")]) == 0
+    cfg = write_json(tmp_path / "real.json", {
+        "covariances": "est/covariances.json", "n_x": 3,
+        "selection": two_mode.sel.to_jsonable(),
+        "selection_bar": two_mode.sel_bar.to_jsonable(), **setting})
+    assert main(["realize", "--config", str(cfg), "--out", str(tmp_path / "real")]) == 3
+    assert text in capsys.readouterr().err
+
+
+def test_validate_rejects_a_fractional_exclude(workspace, tmp_path, capsys):
+    cfg = write_json(tmp_path / "val.json", {
+        "model": str(workspace / "true_model.json"),
+        "data": str(workspace / "sim" / "data.csv"), "exclude": 6.5})
+    assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "val")]) == 3
+    assert "config section 'validate' key 'exclude' must be an integer, got 6.5" in (
+        capsys.readouterr().err)

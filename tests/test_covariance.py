@@ -25,7 +25,8 @@ from slsid import (
     simulate,
     z_process,
 )
-from slsid.covariance import _z_block
+from slsid.algebra import word_probability
+from slsid.covariance import _BLOCK, _suffix_tables, _z_block
 
 
 # ---------------------------------------------------------------- z-process
@@ -119,8 +120,8 @@ def test_empirical_requires_enough_samples():
 def per_word_oracle(data, p, words):
     """The direct estimator written word by word from _z_block.
 
-    Returns (lambda_yu, lambda_yy, degenerate words) for the same N_0 the
-    estimator uses with the default modes.
+    Returns (lambda_yu, lambda_yy, degenerate words, t_yy_sigma, q_u) for
+    the same N_0 the estimator uses with the default modes.
     """
     words = sorted(set(words), key=lambda w: w.sort_key)
     n0 = max([len(w) for w in words] + [1]) + 1
@@ -134,20 +135,33 @@ def per_word_oracle(data, p, words):
             lam_yy[w] = y_block.T @ z_y / n_eff
             if not np.any(z_y):
                 degenerate.append(str(w))
-    return lam_yu, lam_yy, degenerate
+    t_yy = {}
+    for s in range(1, len(p) + 1):
+        z = _z_block(data.y, data.q, p, Word((s,)), n0)
+        t_yy[s] = z.T @ z / n_eff
+    q_u = data.u[n0:].T @ data.u[n0:] / n_eff
+    return lam_yu, lam_yy, degenerate, t_yy, q_u
+
+
+def assert_close_entries(got, want):
+    """got[key] matches want[key] for every key, to 1e-12 of the largest entry."""
+    scale = max([float(np.max(np.abs(m))) for m in want.values()] + [1e-300])
+    for key, m in want.items():
+        np.testing.assert_allclose(got[key], m, rtol=1e-12, atol=1e-12 * scale,
+                                   err_msg=f"entry {key}")
 
 
 def assert_matches_oracle(data, p, words):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         cov = empirical_covariances(data, p, words)
-    want_yu, want_yy, want_degenerate = per_word_oracle(data, p, words)
+    want_yu, want_yy, want_degenerate, want_t_yy, want_q_u = per_word_oracle(data, p, words)
     for got, want in ((cov.lambda_yu, want_yu), (cov.lambda_yy, want_yy)):
         assert got.words() == sorted(want, key=lambda w: w.sort_key)
-        scale = max([float(np.max(np.abs(m))) for m in want.values()] + [1e-300])
-        for w, m in want.items():
-            np.testing.assert_allclose(got[w], m, rtol=1e-12, atol=1e-12 * scale,
-                                       err_msg=f"word {w}")
+        assert_close_entries(got, want)
+    assert sorted(cov.t_yy_sigma) == sorted(want_t_yy)
+    assert_close_entries(cov.t_yy_sigma, want_t_yy)
+    assert_close_entries({"q_u": cov.q_u}, {"q_u": want_q_u})
     assert cov.metadata["degenerate_words"] == want_degenerate
     assert [str(c.message) for c in caught] == [
         f"word '{w}' never occurs in the data; covariance set to 0"
@@ -268,6 +282,146 @@ def test_sparse_request_memory_scales_with_words():
     assert peak < 16e6  # a dense table of all 12^8 words would take ~3.4 GB
     assert_matches_oracle(data, p, [w])
     assert cov.metadata["degenerate_words"] == []
+
+
+# ---------------------------------------------------------------- code walk vs table walk
+
+
+def table_walk_reference(data, p, words):
+    """The estimator's walk with a table lookup at every lag, over all samples at once.
+
+    Every sample's node comes from the lag's table (never from its base-D
+    code), and one np.bincount per product and lag adds it over all
+    samples.  Returns (lambda_yu, lambda_yy, degenerate words).
+    """
+    p = np.asarray(p, dtype=float)
+    D, T = len(p), len(data)
+    words = tuple(sorted(set(map(Word, words)), key=lambda w: w.sort_key))
+    n0 = max([len(w) for w in words] + [1]) + 1
+    n_eff = T - n0
+    levels, _ = _suffix_tables(words, D)
+    digit = np.where(data.q <= D, data.q - 1, D)
+    y_block = data.y[n0:]
+    y_nonzero = np.any(data.y != 0, axis=1).astype(float)
+    lam_yu, lam_yy, degenerate = {}, {}, []
+    if words and not words[0]:
+        lam_yu[EMPTY_WORD] = y_block.T @ data.u[n0:] / n_eff
+    node = np.zeros(n_eff, dtype=np.intp)
+    for k, (table, heads, _, ids, n_ids) in enumerate(levels, start=1):
+        node = table.ravel().take(node * (D + 1) + digit[n0 - k:T - k])
+
+        def sums(b):
+            out = np.empty((n_ids, y_block.shape[1], b.shape[1]))
+            for i in range(y_block.shape[1]):
+                for j in range(b.shape[1]):
+                    out[:, i, j] = np.bincount(node, weights=y_block[:, i] * b[:, j],
+                                               minlength=n_ids)
+            return out
+
+        s_yu, s_yy = sums(data.u[n0 - k:T - k]), sums(data.y[n0 - k:T - k])
+        occurs = np.bincount(node, weights=y_nonzero[n0 - k:T - k], minlength=n_ids) > 0
+        for w, i in zip(heads, ids):
+            scale = n_eff * np.sqrt(word_probability(p, w))
+            lam_yu[w], lam_yy[w] = s_yu[i] / scale, s_yy[i] / scale
+            if not np.any(lam_yy[w]) and not occurs[i]:
+                degenerate.append(str(w))
+    return lam_yu, lam_yy, degenerate
+
+
+def assert_walk_matches_reference(data, p, words, n_dense):
+    """Bit-identical tables and degenerate words; n_dense lags take the code walk."""
+    assert _suffix_tables(tuple(sorted(set(map(Word, words)), key=lambda w: w.sort_key)),
+                          len(p))[1] == n_dense
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cov = empirical_covariances(data, p, words)
+    want_yu, want_yy, want_degenerate = table_walk_reference(data, p, words)
+    for got, want in ((cov.lambda_yu, want_yu), (cov.lambda_yy, want_yy)):
+        assert got.words() == sorted(want, key=lambda w: w.sort_key)
+        for w, m in want.items():
+            assert np.array_equal(got[w], m), f"word {w}"
+    assert cov.metadata["degenerate_words"] == want_degenerate
+    return cov
+
+
+# samples over two block boundaries of the estimator's walk
+_LONG = 2 * _BLOCK + 123
+
+
+@pytest.mark.parametrize("D, max_len, n", [(2, 8, _LONG), (3, 4, _LONG), (2, 8, 300)])
+def test_code_walk_matches_table_walk_on_all_short_words(D, max_len, n):
+    data = random_dataset(D * 7 + n, n, 2, 2, D, zero_rows=0.1)
+    p = np.arange(1.0, D + 1) / np.sum(np.arange(1.0, D + 1))
+    words = list(enumerate_words(D, max_len))
+    cov = assert_walk_matches_reference(data, p, words, n_dense=max_len)
+    assert (cov.metadata["degenerate_words"] != []) == (n == 300)
+
+
+def test_code_walk_hands_over_to_the_tables_after_the_dense_lags():
+    data = random_dataset(21, _LONG, 1, 2, 2)
+    rng = np.random.default_rng(4)
+    longer = [Word(tuple(rng.integers(1, 3, size=k))) for k in (5, 6, 6, 7, 9)]
+    # a window of the data, so the longest word occurs
+    longer.append(Word(tuple(data.q[5000 - 9:5000])))
+    assert_walk_matches_reference(data, (0.3, 0.7), list(enumerate_words(2, 3)) + longer,
+                                  n_dense=3)
+    # lag 3 is dense through the suffixes of the longer words while it holds
+    # one word; lag 4 holds half of its windows and reads lag 3's codes
+    ones_first = [Word((1,) + w) for w in enumerate_words(2, 3, min_len=3)]
+    assert_walk_matches_reference(data, (0.3, 0.7), [Word((1, 1, 1))] + ones_first,
+                                  n_dense=3)
+
+
+def test_code_walk_matches_table_walk_with_one_mode():
+    data = random_dataset(22, _LONG, 2, 1, 1)
+    assert_walk_matches_reference(data, (1.0,), list(enumerate_words(1, 6)), n_dense=6)
+    # a mode outside the alphabet leaves the tables to do the walk
+    two = random_dataset(23, 500, 1, 1, 2)
+    cov = assert_walk_matches_reference(two, (1.0,), list(enumerate_words(1, 6)), n_dense=6)
+    assert_matches_oracle(two, (1.0,), list(enumerate_words(1, 6)))
+    assert cov.metadata["degenerate_words"] == []
+
+
+def test_data_without_inputs_gets_the_table_error():
+    # with n_u = 0 the bins of y(t) u(t-k)^T are empty; the estimator sums
+    # them and then stops where a word table needs a column
+    data = random_dataset(27, 3000, 2, 0, 2)
+    with pytest.raises(DimensionError, match="table shape must be positive"):
+        empirical_covariances(data, (0.4, 0.6), list(enumerate_words(2, 4)))
+
+
+def test_code_walk_matches_table_walk_on_the_longest_words_alone():
+    # the heads of lag 8 are all its nodes; lags 1-7 hold only suffixes
+    data = random_dataset(24, _LONG, 1, 1, 2)
+    assert_walk_matches_reference(data, (0.5, 0.5), list(enumerate_words(2, 8, min_len=8)),
+                                  n_dense=8)
+
+
+def test_modes_outside_the_alphabet_take_the_table_walk():
+    data = random_dataset(25, _LONG, 2, 1, 3)
+    words = list(enumerate_words(2, 5))
+    assert_walk_matches_reference(data, (0.4, 0.6), words, n_dense=5)
+    assert_matches_oracle(data.slice(0, 2000), (0.4, 0.6), words)
+
+
+def test_one_long_word_takes_no_dense_path():
+    # every lag holds one suffix of the word, so no lag is dense and no
+    # table, bin or code grows with 2^40
+    data = random_dataset(26, 400, 1, 1, 2)
+    w = Word(tuple(data.q[300 - 40:300]))
+    levels, n_dense = _suffix_tables((w,), 2)
+    assert n_dense == 0
+    assert max(lag.n_ids for lag in levels) == 2  # the suffix and "none"
+    tracemalloc.start()
+    try:
+        cov = empirical_covariances(data, (0.5, 0.5), [w])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    assert cov.metadata["degenerate_words"] == []
+    assert_walk_matches_reference(data, (0.5, 0.5), [w], n_dense=0)
+    assert_matches_oracle(data, (0.5, 0.5), [w])
 
 
 def test_empirical_rejects_bad_probabilities_and_letters():

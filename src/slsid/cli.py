@@ -23,7 +23,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .algebra import Selection, Word, WordIndexedMatrixTable, enumerate_words
+from .algebra import Selection, Word, enumerate_words
 from .covariance import CovarianceTable, empirical_covariances, least_squares_covariances
 from .errors import (
     DimensionError,
@@ -36,9 +36,8 @@ from .errors import (
     NumericalError,
     UndefinedBfrError,
 )
-from .identify import IdentConfig, identify, resolve_p, resolve_selections, validate_model
+from .identify import IdentConfig, _resolve_and_realize, identify, resolve_p, validate_model
 from .model import SwitchedModel, find_isomorphism, model_from_dict, transform_model
-from .realize import FP_MAX_ITER, FP_TOL, covariance_realization
 from .simulate import Dataset, SimConfig, _is_number, load_series_csv, simulate, write_csv
 
 __all__ = ["main"]
@@ -180,6 +179,7 @@ def _word_list(spec, n_modes: int):
 
 def cmd_estimate(args) -> int:
     cfg = _load_json(args.config)
+    _check_keys(cfg, ("data", "p", "estimator", "words"), "estimate")
     base = Path(args.config).parent
     data = _load_dataset(_require(cfg, "data", "estimate"), base)
     p = resolve_p(cfg.get("p", "empirical"), data)
@@ -206,6 +206,7 @@ def cmd_estimate(args) -> int:
 
 def cmd_realize(args) -> int:
     cfg = _load_json(args.config)
+    _check_keys(cfg, ("covariances", "n_x", "n_bar", "selection", "selection_bar"), "realize")
     base = Path(args.config).parent
     cov_obj = _load_json(base / str(_require(cfg, "covariances", "realize")))
     cov_obj.pop("effective_config", None)
@@ -216,17 +217,8 @@ def cmd_realize(args) -> int:
     sel_spec = args.selection or cfg.get("selection", "search")
     sel = _selection_spec(sel_spec, base, D, n_y, n_u + n_y)
     sel_bar = _selection_spec(cfg.get("selection_bar", "search"), base, D, n_y, n_u)
-    fp_tol = float(cfg.get("fp_tol", FP_TOL))
-    fp_max_iter = _count(cfg, "fp_max_iter", "realize", FP_MAX_ITER)
-    rank_tol = float(cfg.get("rank_tol", 1e-8))
     t0 = time.perf_counter()
-    sel, sel_bar, search_diag = resolve_selections(
-        cov, n_x, n_bar, sel, sel_bar,
-        search_budget=_count(cfg, "search_budget", "realize", 50000),
-        rank_tol=rank_tol)
-    model, diag = covariance_realization(cov, sel, sel_bar, max_iter=fp_max_iter,
-                                         tol=fp_tol, rank_tol=rank_tol)
-    diag.update(search_diag)
+    model, diag = _resolve_and_realize(cov, n_x, n_bar, sel, sel_bar)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _dump_json(model.to_dict(), out / "model.json")
@@ -235,8 +227,7 @@ def cmd_realize(args) -> int:
         "effective_config": {
             "covariances": str(cfg["covariances"]),
             "n_x": n_x, "n_bar": n_bar,
-            "selection": sel.to_jsonable(), "selection_bar": sel_bar.to_jsonable(),
-            "fp_tol": fp_tol, "fp_max_iter": fp_max_iter, "rank_tol": rank_tol,
+            "selection": diag["selection"], "selection_bar": diag["selection_bar"],
         },
         "diagnostics": _jsonable_diag(diag),
         "model_sha256": _canonical_sha256(model.to_dict()),
@@ -289,11 +280,7 @@ def cmd_identify(args) -> int:
         selection_bar=_selection_spec(section.get("selection_bar", "search"), base,
                                       int(data.q.max()), data.n_y, data.n_u),
         estimator=section.get("estimator", "direct"),
-        fp_tol=float(section.get("fp_tol", FP_TOL)),
-        fp_max_iter=_count(section, "fp_max_iter", "ident", FP_MAX_ITER),
         p=section.get("p", "empirical"),
-        search_budget=_count(section, "search_budget", "ident", 50000),
-        rank_tol=float(section.get("rank_tol", 1e-8)),
     )
     t0 = time.perf_counter()
     model, diag = identify(data, ident_cfg)
@@ -324,9 +311,7 @@ def cmd_identify(args) -> int:
                           if isinstance(ident_cfg.selection_bar, str)
                           else ident_cfg.selection_bar.to_jsonable()),
         "estimator": ident_cfg.estimator,
-        "fp_tol": ident_cfg.fp_tol, "fp_max_iter": ident_cfg.fp_max_iter,
         "p": ident_cfg.p if isinstance(ident_cfg.p, str) else list(ident_cfg.p),
-        "search_budget": ident_cfg.search_budget, "rank_tol": ident_cfg.rank_tol,
     }}
     if val_section:
         effective["validation"] = {k: (str(v) if k == "data" else int(v))
@@ -342,6 +327,7 @@ def cmd_identify(args) -> int:
 
 def cmd_validate(args) -> int:
     cfg = _load_json(args.config)
+    _check_keys(cfg, ("model", "data", "reference", "exclude"), "validate")
     base = Path(args.config).parent
     model = _load_model(_require(cfg, "model", "validate"), base)
     data = _load_dataset(_require(cfg, "data", "validate"), base)

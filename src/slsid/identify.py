@@ -48,9 +48,6 @@ from .model import (
     stability_margin,
 )
 from .realize import (
-    FP_MAX_ITER,
-    FP_TOL,
-    _check_iteration,
     _innovation_form,
     _joint_table,
     _JointRealization,
@@ -84,12 +81,17 @@ SEARCH_RETRIES = 200
 
 @dataclass
 class IdentConfig:
-    """Knobs of the identification pipeline.
+    """Modelling choices of the identification pipeline.
 
-    selection / selection_bar may be explicit Selection objects or the string
-    "search" (deterministic enumeration of full-rank candidates).  p is the
-    known mode-probability vector or "empirical" to use observed mode
-    frequencies.
+    n_x is the model order and n_bar the order of the input part (default
+    n_x).  selection / selection_bar may be explicit Selection objects or
+    the string "search" (deterministic enumeration of full-rank candidates).
+    estimator is "direct" or "ls".  p is the known mode-probability vector
+    or "empirical" to use observed mode frequencies.
+
+    The numerics are fixed, not settings: the rank threshold RANK_TOL
+    (model.py), the gain solve's stopping rule FP_TOL / FP_MAX_ITER
+    (realize.py) and the search's budget of 50000 candidates per table.
     """
 
     n_x: int
@@ -97,11 +99,7 @@ class IdentConfig:
     selection: Union[Selection, str] = "search"
     selection_bar: Union[Selection, str] = "search"
     estimator: str = "direct"
-    fp_tol: float = FP_TOL
-    fp_max_iter: int = FP_MAX_ITER
     p: Union[Sequence[float], str] = "empirical"
-    search_budget: int = 50000
-    rank_tol: float = 1e-8
 
     def __post_init__(self):
         if self.n_x < 1:
@@ -110,11 +108,6 @@ class IdentConfig:
             raise DimensionError(f"n_bar must be >= 1, got {self.n_bar}")
         if self.estimator not in ("direct", "ls"):
             raise DimensionError(f"unknown estimator {self.estimator!r}")
-        _check_iteration(self.fp_max_iter, self.fp_tol, "fp_max_iter", "fp_tol")
-        if self.search_budget < 1:
-            raise DimensionError(f"search_budget must be >= 1, got {self.search_budget}")
-        if not 0.0 < self.rank_tol < 1.0:
-            raise DimensionError(f"rank_tol must lie in (0, 1), got {self.rank_tol}")
 
 
 @dataclass
@@ -179,8 +172,7 @@ def _estimate(data: Dataset, p: np.ndarray, words, cfg: IdentConfig) -> Covarian
 
 
 def _search_vetted(table: WordIndexedMatrixTable, M_eps: np.ndarray, n: int, n_y: int,
-                   n_cols: int, D: int, budget: int, rank_tol: float,
-                   skip: int) -> Tuple[Selection, DeterministicModel]:
+                   n_cols: int, D: int, skip: int) -> Tuple[Selection, DeterministicModel]:
     """(skip+1)-th full-rank selection whose realization is mean-square stable,
     with that realization (feedthrough M_eps).
 
@@ -191,10 +183,9 @@ def _search_vetted(table: WordIndexedMatrixTable, M_eps: np.ndarray, n: int, n_y
     """
     examined = 0
     accepted = 0
-    for cand in iter_full_rank_selections(table, n, n_y, n_cols, D,
-                                          budget=budget, rank_tol=rank_tol):
+    for cand in iter_full_rank_selections(table, n, n_y, n_cols, D):
         try:
-            m = ho_kalman(cand, table, M_eps, rank_tol=rank_tol)
+            m = ho_kalman(cand, table, M_eps)
         except SingularHankelError:
             m = None
         if m is not None and stability_margin(m.A, np.ones(D)) < 1.0:
@@ -224,8 +215,6 @@ def resolve_selections(
     n_bar: int,
     sel: Union[Selection, str],
     sel_bar: Union[Selection, str],
-    search_budget: int = 50000,
-    rank_tol: float = 1e-8,
     skip: int = 0,
 ) -> Tuple[Selection, Selection, dict]:
     """Turn "search" placeholders into concrete selections on a table.
@@ -251,12 +240,11 @@ def resolve_selections(
     psi = psi_uy(cov, words)
     psi_eps = psi[EMPTY_WORD]
     if sel_bar == "search":
-        sel_bar, m_psi = _search_vetted(psi, psi_eps, n_bar, cov.n_y, cov.n_u, D,
-                                        search_budget, rank_tol, skip)
+        sel_bar, m_psi = _search_vetted(psi, psi_eps, n_bar, cov.n_y, cov.n_u, D, skip)
         diag["selection_bar_found"] = sel_bar.to_jsonable()
     else:
         with _stage("step 2 (input-part realization)"):
-            m_psi = ho_kalman(sel_bar, psi, psi_eps, rank_tol=rank_tol)
+            m_psi = ho_kalman(sel_bar, psi, psi_eps)
     in_yy = cov.lambda_yy.index
     nonempty = [w for w in words if w and w in in_yy]
     with _stage("steps 3-4 (noise-part covariances)"):
@@ -264,15 +252,33 @@ def resolve_selections(
         M = _joint_table(cov, psi, lam_dd, nonempty)
     M_eps = np.hstack([psi_eps, np.eye(cov.n_y)])
     if sel == "search":
-        sel, m_full = _search_vetted(M, M_eps, n_x, cov.n_y, cov.n_u + cov.n_y, D,
-                                     search_budget, rank_tol, skip)
+        sel, m_full = _search_vetted(M, M_eps, n_x, cov.n_y, cov.n_u + cov.n_y, D, skip)
         diag["selection_found"] = sel.to_jsonable()
     else:
         with _stage("step 5 (joint realization)"):
-            m_full = ho_kalman(sel, M, M_eps, rank_tol=rank_tol)
+            m_full = ho_kalman(sel, M, M_eps)
     resolved = _Resolved((sel, sel_bar, diag))
     resolved.joint = _JointRealization(sel, sel_bar, m_psi, t_dd, m_full)
     return resolved
+
+
+def _resolve_and_realize(cov: CovarianceTable, n_x: int, n_bar: int,
+                         sel: Union[Selection, str], sel_bar: Union[Selection, str],
+                         skip: int = 0) -> Tuple[InnovationModel, dict]:
+    """resolve_selections, then the realization at the selections it returns.
+
+    After a search only step 6 is left, since the search made steps 1-5 on
+    its way; explicit selections run the whole covariance_realization.
+    Returns (model, diagnostics), the search's entries included.
+    """
+    resolved = resolve_selections(cov, n_x, n_bar, sel, sel_bar, skip=skip)
+    sel, sel_bar, search_diag = resolved
+    if resolved.joint is None:
+        model, diag = covariance_realization(cov, sel, sel_bar)
+    else:
+        cov.validate()
+        model, diag = _innovation_form(cov, resolved.joint)
+    return model, {**search_diag, **diag}
 
 
 def identify(data: Dataset, cfg: IdentConfig) -> Tuple[InnovationModel, dict]:
@@ -324,37 +330,22 @@ def identify(data: Dataset, cfg: IdentConfig) -> Tuple[InnovationModel, dict]:
     # (indefinite per-mode moments); bump the skip and re-resolve a few times,
     # keeping why each rejected attempt failed
     attempts = 5 if searching else 1
-    model = real_diag = None
     rejected: List[str] = []
     for attempt in range(attempts):
         try:
-            resolved = resolve_selections(
-                cov, cfg.n_x, n_bar, cfg.selection, cfg.selection_bar,
-                search_budget=cfg.search_budget, rank_tol=cfg.rank_tol,
-                skip=attempt)
-            sel, sel_bar, search_diag = resolved
-            if resolved.joint is None:
-                model, real_diag = covariance_realization(cov, sel, sel_bar,
-                                                          max_iter=cfg.fp_max_iter,
-                                                          tol=cfg.fp_tol,
-                                                          rank_tol=cfg.rank_tol)
-            else:
-                cov.validate()
-                model, real_diag = _innovation_form(cov, resolved.joint,
-                                                    max_iter=cfg.fp_max_iter,
-                                                    tol=cfg.fp_tol)
+            model, real_diag = _resolve_and_realize(cov, cfg.n_x, n_bar, cfg.selection,
+                                                    cfg.selection_bar, skip=attempt)
         except (NumericalError, ModelInvalidError) as exc:
             if attempt == attempts - 1:
                 raise
             rejected.append(f"{type(exc).__name__}: {exc}")
             continue
         break
-    diagnostics.update(search_diag)
+    diagnostics.update(real_diag)
     if searching:
         diagnostics["search_attempts"] = attempt + 1
     if rejected:
         diagnostics["rejected_attempts"] = rejected
-    diagnostics.update(real_diag)
     diagnostics["N"] = len(data)
     diagnostics["N_0"] = cov.metadata.get("N_0")
     return model, diagnostics
@@ -508,10 +499,7 @@ def consistency_experiment(
                         raise DimensionError(
                             "oracle mode needs explicit selections in the config"
                         )
-                    m_hat, _ = covariance_realization(cov, sel, sel_bar,
-                                                      max_iter=cfg.fp_max_iter,
-                                                      tol=cfg.fp_tol,
-                                                      rank_tol=cfg.rank_tol)
+                    m_hat, _ = covariance_realization(cov, sel, sel_bar)
                 else:
                     if sim_template is None:
                         sim_cfg = SimConfig(seed=seed, length=int(N))

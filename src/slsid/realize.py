@@ -21,22 +21,22 @@ Abar_s = At_s - sqrt(p_s) K_s C at the current Pbar_k, each step is one
 generalized Lyapunov solve
       Pbar - sum_s Abar_s Pbar Abar_s^T = R(Pbar_k) - sum_s Abar_s Pbar_k Abar_s^T,
 and a step whose sum_s Abar_s kron Abar_s is not Schur is the plain
-fixed-point step Pbar = R(Pbar_k).  It stops when the max-norm step of
-p_s Pbar falls below tol.  The limits are the innovation gain, p_s times
-the per-mode innovation second moment, and p_s times the predictor-state
-second moment.  A Q_s that is not positive definite stops the solve at
-once.  Each step updates all modes at once: S_s, A_s, G_s, Q_s and K_s are
-stacks over the modes, with one batched eigenvalue check and one batched
-solve per step.
+fixed-point step Pbar = R(Pbar_k).  The stopping rule is fixed: the solve
+stops when the max-norm step of p_s Pbar falls below FP_TOL = 1e-10, and
+raises NonConvergenceError after FP_MAX_ITER = 5000 steps that did not.
+The limits are the innovation gain, p_s times the per-mode innovation
+second moment, and p_s times the predictor-state second moment.  A Q_s
+that is not positive definite stops the solve at once.  Each step updates
+all modes at once: S_s, A_s, G_s, Q_s and K_s are stacks over the modes,
+with one batched eigenvalue check and one batched solve per step.
 """
 from __future__ import annotations
 
 import functools
-import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, repeat
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,7 +54,6 @@ from .algebra import (
 from .covariance import CovarianceTable
 from .errors import (
     DimensionError,
-    MissingMarkovParameterError,
     ModelInvalidError,
     NonConvergenceError,
     NoSelectionFoundError,
@@ -140,20 +139,20 @@ def input_state_second_moment(
     return tuple(p_s * P for p_s in p)
 
 
-def ho_kalman(sel: Selection, M: WordIndexedMatrixTable, M_eps: np.ndarray,
-              rank_tol: float = RANK_TOL) -> DeterministicModel:
+def ho_kalman(sel: Selection, M: WordIndexedMatrixTable, M_eps: np.ndarray) -> DeterministicModel:
     """Realize a dLSS from a Markov-function table through one selection.
 
     Builds the four Hankel matrices and returns
         A_s = H^{-1} H_s,  B_s = H^{-1} H_{alpha,s},  C = H_beta,  D = M_eps.
-    The inversion is a rank-revealing solve: if the numerical rank of H is
-    below n the selection cannot support dimension n and SingularHankelError
-    reports the rank (choose a different selection).
+    The inversion is a rank-revealing solve: if the numerical rank of H
+    (its singular values above RANK_TOL times the largest) is below n the
+    selection cannot support dimension n and SingularHankelError reports
+    the rank (choose a different selection).
     """
     H, H_sigma, H_alpha_sigma, H_beta = build_hankel(sel, M)
     n = sel.n
     U, s, Vh = np.linalg.svd(H)
-    rank = int(np.sum(s > rank_tol * s[0])) if s[0] > 0 else 0
+    rank = int(np.sum(s > RANK_TOL * s[0])) if s[0] > 0 else 0
     if rank < n:
         raise SingularHankelError(
             f"Hankel matrix has numerical rank {rank} < n = {n}", rank=rank
@@ -195,14 +194,13 @@ def associated_dlss(m: SwitchedModel) -> DeterministicModel:
 
 @dataclass
 class KQIterationState:
-    """Converged state of the innovation-gain solve (and its history)."""
+    """Converged state of the innovation-gain solve."""
 
     P: Tuple[np.ndarray, ...]
     Q: Tuple[np.ndarray, ...]
     K: Tuple[np.ndarray, ...]
     iterations: int
     last_delta: float
-    deltas: List[float] = field(default_factory=list)
 
 
 def _kq_iteration(A_hat: Sequence[np.ndarray], C_hat: np.ndarray,
@@ -239,7 +237,6 @@ def _kq_iteration(A_hat: Sequence[np.ndarray], C_hat: np.ndarray,
     # measured on those
     P = np.zeros((n_x, n_x))
     p_max = float(np.max(p))
-    deltas: List[float] = []
     for it in range(max_iter):
         Q, K = kq_of(P, it)
         # R(P), the fixed-point map
@@ -254,35 +251,22 @@ def _kq_iteration(A_hat: Sequence[np.ndarray], C_hat: np.ndarray,
         except NonConvergenceError:
             P_next = R
         delta = p_max * float(np.abs(P_next - P).max())
-        deltas.append(delta)
         P = P_next
         if delta < tol:
             Q, K = kq_of(P, it + 1)
             return KQIterationState(P=tuple(p_s * P for p_s in p), Q=tuple(Q),
-                                    K=tuple(K), iterations=it + 1, last_delta=delta,
-                                    deltas=deltas)
+                                    K=tuple(K), iterations=it + 1, last_delta=delta)
     raise NonConvergenceError(
         f"innovation-gain iteration did not converge in {max_iter} iterations "
-        f"(last delta {deltas[-1]:.3e})",
-        last_delta=deltas[-1],
+        f"(last delta {delta:.3e})",
+        last_delta=delta,
     )
-
-
-def _check_iteration(max_iter: int, tol: float,
-                     max_iter_name: str = "max_iter", tol_name: str = "tol") -> None:
-    """Reject a gain-iteration stopping rule that can never run or stop."""
-    if max_iter < 1:
-        raise DimensionError(f"{max_iter_name} must be >= 1, got {max_iter}")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise DimensionError(f"{tol_name} must be finite and positive, got {tol}")
 
 
 def associated_slss(
     m_d: DeterministicModel,
     p: Sequence[float],
     t_ys_sigma: Dict[int, np.ndarray],
-    max_iter: int = FP_MAX_ITER,
-    tol: float = FP_TOL,
     q_u: Optional[np.ndarray] = None,
     return_state: bool = False,
 ):
@@ -296,7 +280,6 @@ def associated_slss(
     per-mode innovation moment limit.  q_u (default identity) only populates
     the model's input-covariance field.
     """
-    _check_iteration(max_iter, tol)
     p = np.asarray(p, dtype=float)
     D = m_d.n_modes
     if p.shape != (D,):
@@ -315,7 +298,7 @@ def associated_slss(
             "the stochastic conversion needs a Schur matrix"
         )
     G_hat = [np.asarray(b)[:, n_u:] for b in m_d.B]
-    state = _kq_iteration(list(m_d.A), m_d.C, G_hat, t_ys_sigma, p, tol, max_iter)
+    state = _kq_iteration(list(m_d.A), m_d.C, G_hat, t_ys_sigma, p, FP_TOL, FP_MAX_ITER)
     sqrt_p = np.sqrt(p)
     if q_u is None:
         q_u = np.eye(n_u)
@@ -490,8 +473,8 @@ def _joint_table(cov: CovarianceTable, psi: WordIndexedMatrixTable,
     return WordIndexedMatrixTable._from_array((cov.n_y, cov.n_u + cov.n_y), words, values)
 
 
-def _innovation_form(cov: CovarianceTable, joint: _JointRealization,
-                     max_iter: int, tol: float) -> Tuple[InnovationModel, dict]:
+def _innovation_form(cov: CovarianceTable,
+                     joint: _JointRealization) -> Tuple[InnovationModel, dict]:
     """Step 6: the innovation-form model of a joint realization, and diagnostics.
 
     Solves the innovation-gain equation on the leftover per-mode moments
@@ -509,8 +492,8 @@ def _innovation_form(cov: CovarianceTable, joint: _JointRealization,
         leftover = cov.t_yy_sigma[s] - joint.t_dd[s]
         t_ys[s] = (leftover + leftover.T) / 2.0
     with _stage("step 6 (innovation conversion)"):
-        model, state = associated_slss(joint.m_full, cov.p, t_ys, max_iter=max_iter,
-                                       tol=tol, q_u=cov.q_u, return_state=True)
+        model, state = associated_slss(joint.m_full, cov.p, t_ys, q_u=cov.q_u,
+                                       return_state=True)
     diagnostics["kq_iterations"] = state.iterations
     diagnostics["kq_last_delta"] = state.last_delta
     diagnostics["n_x"] = model.n_x
@@ -521,9 +504,6 @@ def covariance_realization(
     cov: CovarianceTable,
     sel: Selection,
     sel_bar: Selection,
-    max_iter: int = FP_MAX_ITER,
-    tol: float = FP_TOL,
-    rank_tol: float = RANK_TOL,
 ) -> Tuple[InnovationModel, dict]:
     """Minimal innovation-form model from output/input covariances.
 
@@ -537,7 +517,6 @@ def covariance_realization(
 
     Returns (model, diagnostics); failures carry the step that raised them.
     """
-    _check_iteration(max_iter, tol)
     cov.validate()
     D = sel.n_modes
     modes = list(range(1, D + 1))
@@ -547,7 +526,7 @@ def covariance_realization(
         psi = psi_uy(cov, words_bar)
         psi_eps = np.linalg.solve(cov.q_u, cov.lambda_yu[EMPTY_WORD].T).T
     with _stage("step 2 (input-part realization)"):
-        m_psi = ho_kalman(sel_bar, psi, psi_eps, rank_tol=rank_tol)
+        m_psi = ho_kalman(sel_bar, psi, psi_eps)
 
     words_full = list(required_words(sel))
     with _stage("steps 3-4 (noise-part covariances)"):
@@ -555,9 +534,8 @@ def covariance_realization(
         M = _joint_table(cov, psi_uy(cov, words_full), lam_dd, words_full)
         M_eps = np.hstack([psi_eps, np.eye(sel.n_y)])
     with _stage("step 5 (joint realization)"):
-        m_full = ho_kalman(sel, M, M_eps, rank_tol=rank_tol)
-    return _innovation_form(cov, _JointRealization(sel, sel_bar, m_psi, t_dd, m_full),
-                           max_iter=max_iter, tol=tol)
+        m_full = ho_kalman(sel, M, M_eps)
+    return _innovation_form(cov, _JointRealization(sel, sel_bar, m_psi, t_dd, m_full))
 
 
 @functools.lru_cache(maxsize=16)
@@ -587,39 +565,28 @@ def _selection_pools(n_modes: int, cap: int, n_y: int, n_cols: int) -> tuple:
 
 
 def iter_full_rank_selections(
-    M: Union[WordIndexedMatrixTable, Callable[[Word], np.ndarray]],
+    M: WordIndexedMatrixTable,
     n: int,
     n_y: int,
     n_cols: int,
     n_modes: int,
     budget: int = 50000,
-    word_cap: Optional[int] = None,
-    rank_tol: float = RANK_TOL,
 ) -> Iterator[Selection]:
     """Yield selections with full-rank main Hankel, in deterministic order.
 
-    Row and column pools follow length-then-lex word order crossed with index
-    order (empty words included); alpha combinations vary slowest and beta
+    Row and column pools hold the words up to length n, in length-then-lex
+    order crossed with index order (empty words included); alpha combinations vary slowest and beta
     combinations fastest.  Every evaluated candidate counts against the
     budget; exhausting it raises NoSelectionFoundError mid-iteration.
 
     The main Hankel over the whole pools is gathered from M once; each
-    candidate's Hankel is its sub-matrix.  M may be a word-indexed table or
-    a callable returning the (n_y x n_cols) Markov value of a word; a
-    candidate that needs a word M lacks (missing from the table, or
-    MissingMarkovParameterError from the callable) is skipped.
+    candidate's Hankel is its sub-matrix, and it is full rank when n of its
+    singular values exceed RANK_TOL times the largest.  A candidate that
+    needs a word M lacks is skipped.
     """
     if n < 1:
         raise DimensionError(f"target dimension must be >= 1, got {n}")
-    cap = min(n, word_cap) if word_cap is not None else n
-    alpha_pool, beta_pool, words, pos, k, l = _selection_pools(n_modes, cap, n_y, n_cols)
-    if not isinstance(M, WordIndexedMatrixTable):
-        fn, M = M, WordIndexedMatrixTable((n_y, n_cols))
-        for w in words:
-            try:
-                M[w] = fn(w)
-            except MissingMarkovParameterError:
-                pass
+    alpha_pool, beta_pool, words, pos, k, l = _selection_pools(n_modes, n, n_y, n_cols)
     rows = np.fromiter(map(M.index.get, words, repeat(-1)), dtype=np.intp,
                        count=len(words))[pos]
     missing = rows < 0
@@ -638,7 +605,7 @@ def iter_full_rank_selections(
             evaluated += 1
             if missing_rows[:, beta].any():
                 continue
-            rank, _ = numerical_rank(pool_rows[:, beta], rank_tol)
+            rank, _ = numerical_rank(pool_rows[:, beta])
             if rank == n:
                 yield Selection(alpha=tuple(alpha_pool[i] for i in alpha),
                                 beta=tuple(beta_pool[j] for j in beta),
@@ -646,14 +613,12 @@ def iter_full_rank_selections(
 
 
 def search_selection(
-    M: Union[WordIndexedMatrixTable, Callable[[Word], np.ndarray]],
+    M: WordIndexedMatrixTable,
     n: int,
     n_y: int,
     n_cols: int,
     n_modes: int,
     budget: int = 50000,
-    word_cap: Optional[int] = None,
-    rank_tol: float = RANK_TOL,
     skip: int = 0,
 ) -> Selection:
     """First selection whose main Hankel has full numerical rank n.
@@ -662,9 +627,7 @@ def search_selection(
     and budget semantics.  skip > 0 returns the (skip+1)-th hit instead of
     the first; running out of hits raises NoSelectionFoundError.
     """
-    hits = iter_full_rank_selections(M, n, n_y, n_cols, n_modes,
-                                     budget=budget, word_cap=word_cap,
-                                     rank_tol=rank_tol)
+    hits = iter_full_rank_selections(M, n, n_y, n_cols, n_modes, budget=budget)
     found = 0
     for cand in hits:
         if found == skip:

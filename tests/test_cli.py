@@ -203,29 +203,6 @@ def test_negative_exclude_exit_code(workspace, tmp_path, capsys, two_mode):
     assert "exclude must be >= 0, got -5" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("setting, text", [
-    ({"fp_max_iter": 0}, "fp_max_iter must be >= 1, got 0"),
-    ({"fp_tol": -1.0}, "fp_tol must be finite and positive, got -1.0"),
-])
-def test_unusable_gain_iteration_settings_exit_code(workspace, tmp_path, capsys,
-                                                    two_mode, setting, text):
-    data = str(workspace / "sim" / "data.csv")
-    sels = {"selection": two_mode.sel.to_jsonable(),
-            "selection_bar": two_mode.sel_bar.to_jsonable()}
-    cfg = write_json(tmp_path / "ident.json", {
-        "data": data, "ident": {"n_x": 3, **sels, **setting}})
-    assert main(["identify", "--config", str(cfg), "--out", str(tmp_path / "ident")]) == 4
-    assert text in capsys.readouterr().err
-    # realize hands the settings to the gain iteration directly
-    est = write_json(tmp_path / "est.json", {
-        "data": data, "p": [0.5, 0.5], "words": {"max_len": 6}})
-    assert main(["estimate", "--config", str(est), "--out", str(tmp_path / "est")]) == 0
-    cfg = write_json(tmp_path / "real.json", {
-        "covariances": "est/covariances.json", "n_x": 3, **sels, **setting})
-    assert main(["realize", "--config", str(cfg), "--out", str(tmp_path / "real")]) == 4
-    assert text.replace("fp_", "") in capsys.readouterr().err
-
-
 def test_transform_then_compare_isomorphic(workspace, capsys):
     write_json(workspace / "T.json", [[2.0, 0.0, 0.0],
                                       [1.0, 1.0, 0.0],
@@ -398,14 +375,17 @@ def _ident_config(workspace, two_mode, ident=None, validation=None):
 @pytest.mark.parametrize("ident, validation, text", [
     ({"n_x": 3.7}, None, "config section 'ident' key 'n_x' must be an integer, got 3.7"),
     ({"n_bar": True}, None, "config section 'ident' key 'n_bar' must be an integer, got True"),
-    ({"fp_max_iter": 50.5}, None,
-     "config section 'ident' key 'fp_max_iter' must be an integer, got 50.5"),
-    ({"search_budget": "100"}, None,
-     "config section 'ident' key 'search_budget' must be an integer, got '100'"),
+    ({"n_x": "3"}, None, "config section 'ident' key 'n_x' must be an integer, got '3'"),
+    ({"n_bar": 2.5}, None, "config section 'ident' key 'n_bar' must be an integer, got 2.5"),
     ({"selction": "search"}, None, "config section 'ident' has unknown key 'selction'"),
     (None, {"split": 1000.5}, "config section 'validation' key 'split' must be an integer"),
     (None, {"exclude": 6.5}, "config section 'validation' key 'exclude' must be an integer"),
     (None, {"spilt": 1000}, "config section 'validation' has unknown key 'spilt'"),
+    # the fixed numerical settings are not config keys, not even at their values
+    ({"fp_tol": 1e-10}, None, "config section 'ident' has unknown key 'fp_tol'"),
+    ({"fp_max_iter": 5000}, None, "config section 'ident' has unknown key 'fp_max_iter'"),
+    ({"search_budget": 50000}, None, "config section 'ident' has unknown key 'search_budget'"),
+    ({"rank_tol": 1e-8}, None, "config section 'ident' has unknown key 'rank_tol'"),
 ])
 def test_identify_rejects_a_malformed_count_or_key(workspace, tmp_path, capsys, two_mode,
                                                    ident, validation, text):
@@ -417,9 +397,8 @@ def test_identify_rejects_a_malformed_count_or_key(workspace, tmp_path, capsys, 
 
 
 def test_identify_takes_integral_floats_as_counts(workspace, tmp_path, two_mode):
-    runs = {"int": ({"n_x": 3, "n_bar": 3, "fp_max_iter": 5000}, {"split": 1000, "exclude": 6}),
-            "float": ({"n_x": 3.0, "n_bar": 3e0, "fp_max_iter": 5e3},
-                      {"split": 1e3, "exclude": 6.0})}
+    runs = {"int": ({"n_x": 3, "n_bar": 3}, {"split": 1000, "exclude": 6}),
+            "float": ({"n_x": 3.0, "n_bar": 3e0}, {"split": 1e3, "exclude": 6.0})}
     for name, (ident, validation) in runs.items():
         cfg = write_json(tmp_path / f"{name}.json",
                          _ident_config(workspace, two_mode, ident, validation))
@@ -446,10 +425,10 @@ def test_estimate_checks_the_word_cap(workspace, tmp_path, capsys, words, code, 
 @pytest.mark.parametrize("setting, text", [
     ({"n_x": 3.5}, "config section 'realize' key 'n_x' must be an integer, got 3.5"),
     ({"n_bar": 2.5}, "config section 'realize' key 'n_bar' must be an integer, got 2.5"),
-    ({"fp_max_iter": False},
-     "config section 'realize' key 'fp_max_iter' must be an integer, got False"),
-    ({"search_budget": 10.25},
-     "config section 'realize' key 'search_budget' must be an integer, got 10.25"),
+    ({"fp_tol": 1e-10}, "config section 'realize' has unknown key 'fp_tol'"),
+    ({"fp_max_iter": 5000}, "config section 'realize' has unknown key 'fp_max_iter'"),
+    ({"search_budget": 50000}, "config section 'realize' has unknown key 'search_budget'"),
+    ({"rank_tol": 1e-8}, "config section 'realize' has unknown key 'rank_tol'"),
 ])
 def test_realize_rejects_a_fractional_count(workspace, tmp_path, capsys, two_mode,
                                             setting, text):
@@ -463,6 +442,24 @@ def test_realize_rejects_a_fractional_count(workspace, tmp_path, capsys, two_mod
         "selection_bar": two_mode.sel_bar.to_jsonable(), **setting})
     assert main(["realize", "--config", str(cfg), "--out", str(tmp_path / "real")]) == 3
     assert text in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, key", [
+    ("estimate", "word"), ("estimate", "n_x"), ("validate", "exlcude"), ("validate", "split"),
+])
+def test_commands_reject_an_unknown_config_key(workspace, tmp_path, capsys, command, key):
+    # realize's keys are checked in test_realize_rejects_a_fractional_count
+    data = str(workspace / "sim" / "data.csv")
+    good = {"estimate": {"data": data, "p": [0.5, 0.5], "words": {"max_len": 2}},
+            "validate": {"model": str(workspace / "true_model.json"), "data": data,
+                         "exclude": 6}}[command]
+    # the config runs as it is, and exits 3 with one key more
+    cfg = write_json(tmp_path / "run.json", good)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "good")]) == 0
+    cfg = write_json(tmp_path / "run.json", {**good, key: 1})
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    assert f"config section '{command}' has unknown key '{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_validate_rejects_a_fractional_exclude(workspace, tmp_path, capsys):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from slsid import (
     CovarianceTable,
     DeterministicModel,
-    DimensionError,
     EMPTY_WORD,
     InnovationModel,
     InvalidModeError,
@@ -322,19 +321,16 @@ def test_associated_slss_round_trip(two_mode):
         assert back.Q_v[s][0, 0] == pytest.approx(1.125, abs=1e-8)
 
 
-def test_associated_slss_rejects_a_stopping_rule_that_cannot_run(two_mode):
+def test_kq_iteration_fails_typed_when_its_step_budget_runs_out(two_mode):
     m = two_mode.model
     P = state_second_moment(m)
     t_ys = {s + 1: (m.C @ P[s] @ m.C.T + m.Q_v[s]) / m.p[s] for s in range(2)}
     m_d = associated_dlss(m)
-    for bad, name in ((dict(max_iter=0), "max_iter"), (dict(max_iter=-1), "max_iter"),
-                      (dict(tol=0.0), "tol"), (dict(tol=-1.0), "tol"),
-                      (dict(tol=float("nan")), "tol"), (dict(tol=float("inf")), "tol")):
-        with pytest.raises(DimensionError, match=f"^{name} must be"):
-            associated_slss(m_d, m.p, t_ys, **bad)
-    # one step is a valid, if short, budget: it fails with a typed error
-    with pytest.raises(NonConvergenceError, match="in 1 iterations"):
-        associated_slss(m_d, m.p, t_ys, max_iter=1)
+    G = [np.asarray(b)[:, m.n_u:] for b in m_d.B]
+    # one step cannot meet the stopping rule: a typed error with the last step
+    with pytest.raises(NonConvergenceError, match="in 1 iterations") as info:
+        _kq_iteration(list(m_d.A), m_d.C, G, t_ys, np.asarray(m.p), 1e-10, 1)
+    assert np.isfinite(info.value.last_delta) and info.value.last_delta >= 1e-10
 
 
 def kq_iteration_per_mode(A_hat, C_hat, G_hat, t_ys_sigma, p, tol, max_iter):
@@ -365,23 +361,20 @@ def kq_iteration_per_mode(A_hat, C_hat, G_hat, t_ys_sigma, p, tol, max_iter):
 
     P = np.zeros((n_x, n_x))
     p_max = float(np.max(p))
-    deltas = []
     for it in range(max_iter):
         Q, K = kq_of(P, it)
         core = sum(A_hat[s] @ P @ A_hat[s].T + K[s] @ Q[s] @ K[s].T for s in range(D))
         P_next = (core + core.T) / 2.0
         delta = p_max * float(np.max(np.abs(P_next - P)))
-        deltas.append(delta)
         P = P_next
         if delta < tol:
             Q, K = kq_of(P, it + 1)
             return KQIterationState(P=tuple(p_s * P for p_s in p), Q=tuple(Q),
-                                    K=tuple(K), iterations=it + 1, last_delta=delta,
-                                    deltas=deltas)
+                                    K=tuple(K), iterations=it + 1, last_delta=delta)
     raise NonConvergenceError(
         f"innovation-gain iteration did not converge in {max_iter} iterations "
-        f"(last delta {deltas[-1]:.3e})",
-        last_delta=deltas[-1],
+        f"(last delta {delta:.3e})",
+        last_delta=delta,
     )
 
 
@@ -542,13 +535,6 @@ def test_search_selection_skip_advances(two_mode):
     hits = iter_full_rank_selections(table, 3, 1, 2, 2)
     assert next(hits) == first
     assert next(hits) == second
-
-
-def test_search_selection_callable_table(two_mode):
-    d = associated_dlss(two_mode.model)
-    table = markov_table(d, 5)
-    via_fn = search_selection(lambda w: markov_parameter(d, w), 3, 1, 2, 2)
-    assert via_fn == search_selection(table, 3, 1, 2, 2)
 
 
 def test_search_selection_budget_exhaustion(two_mode):

@@ -24,7 +24,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .algebra import Selection, Word, enumerate_words
-from .covariance import CovarianceTable, empirical_covariances, least_squares_covariances
+from .covariance import CovarianceTable
 from .errors import (
     DimensionError,
     InsufficientDataError,
@@ -36,8 +36,9 @@ from .errors import (
     NumericalError,
     UndefinedBfrError,
 )
-from .identify import IdentConfig, _resolve_and_realize, identify, resolve_p, validate_model
+from .identify import IdentConfig, _estimate, identify, resolve_p, validate_model
 from .model import SwitchedModel, find_isomorphism, model_from_dict, transform_model
+from .realize import _realize
 from .simulate import Dataset, SimConfig, _is_number, load_series_csv, simulate, write_csv
 
 __all__ = ["main"]
@@ -185,14 +186,10 @@ def cmd_estimate(args) -> int:
     p = resolve_p(cfg.get("p", "empirical"), data)
     estimator = args.estimator or cfg.get("estimator", "direct")
     words = _word_list(_require(cfg, "words", "estimate"), p.shape[0])
-    t0 = time.perf_counter()
-    if estimator == "direct":
-        table = empirical_covariances(data, p, words)
-    elif estimator == "ls":
-        ordered = sorted(set(words), key=lambda w: w.sort_key)
-        table = least_squares_covariances(data, p, ordered)
-    else:
+    if estimator not in ("direct", "ls"):
         raise _fail_io(f"unknown estimator {estimator!r}")
+    t0 = time.perf_counter()
+    table = _estimate(data, p, words, estimator)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     effective = {"data": str(cfg["data"]), "p": p.tolist(), "estimator": estimator,
@@ -218,7 +215,7 @@ def cmd_realize(args) -> int:
     sel = _selection_spec(sel_spec, base, D, n_y, n_u + n_y)
     sel_bar = _selection_spec(cfg.get("selection_bar", "search"), base, D, n_y, n_u)
     t0 = time.perf_counter()
-    model, diag = _resolve_and_realize(cov, n_x, n_bar, sel, sel_bar)
+    model, diag = _realize(cov, n_x, n_bar, sel, sel_bar)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _dump_json(model.to_dict(), out / "model.json")

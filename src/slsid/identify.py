@@ -11,21 +11,15 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass
+from itertools import islice
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .algebra import (
-    EMPTY_WORD,
-    Selection,
-    Word,
-    WordIndexedMatrixTable,
-    _as_word,
-    enumerate_words,
-    required_words,
-)
+from .algebra import EMPTY_WORD, Selection, Word, _as_words, enumerate_words, required_words
 from .covariance import (
     CovarianceTable,
+    _ordered_words,
     empirical_covariances,
     exact_covariances,
     least_squares_covariances,
@@ -35,30 +29,11 @@ from .errors import (
     InsufficientDataError,
     InvalidProbabilityError,
     ModelInvalidError,
-    NonConvergenceError,
     NumericalError,
-    SingularHankelError,
     UndefinedBfrError,
 )
-from .model import (
-    DeterministicModel,
-    InnovationModel,
-    SwitchedModel,
-    markov_parameter,
-    stability_margin,
-)
-from .realize import (
-    _innovation_form,
-    _joint_table,
-    _JointRealization,
-    _stage,
-    associated_dlss,
-    covariance_realization,
-    ho_kalman,
-    iter_full_rank_selections,
-    lambda_ydyd,
-    psi_uy,
-)
+from .model import InnovationModel, SwitchedModel, markov_parameter
+from .realize import _attempts, _realize, associated_dlss, covariance_realization
 from .simulate import Dataset, SimConfig, affine_scan, as_series, simulate
 
 __all__ = [
@@ -73,10 +48,6 @@ __all__ = [
     "resolve_selections",
     "resolve_p",
 ]
-
-# full-rank candidates a selection search examines (beyond the skipped hits)
-# before it gives up on finding a mean-square stable realization
-SEARCH_RETRIES = 200
 
 
 @dataclass
@@ -163,50 +134,16 @@ def _words_up_to(n_modes: int, max_len: int) -> Tuple[Word, ...]:
     return tuple(enumerate_words(n_modes, max_len))
 
 
-def _estimate(data: Dataset, p: np.ndarray, words, cfg: IdentConfig) -> CovarianceTable:
-    modes = list(range(1, p.shape[0] + 1))
-    if cfg.estimator == "direct":
-        return empirical_covariances(data, p, words, modes)
-    ordered = sorted(sorted({*map(_as_word, words), EMPTY_WORD}), key=len)
-    return least_squares_covariances(data, p, ordered, modes=modes)
+def _estimate(data: Dataset, p: np.ndarray, words, estimator: str) -> CovarianceTable:
+    """The covariance table over the given words, from the named estimator.
 
-
-def _search_vetted(table: WordIndexedMatrixTable, M_eps: np.ndarray, n: int, n_y: int,
-                   n_cols: int, D: int, skip: int) -> Tuple[Selection, DeterministicModel]:
-    """(skip+1)-th full-rank selection whose realization is mean-square stable,
-    with that realization (feedthrough M_eps).
-
-    Table entries absorb sqrt(p), so the realized A_s are the deterministic
-    ones and the relevant operator is sum_s A_s kron A_s.  Under estimation
-    noise a full-rank selection can still realize an unstable family, which
-    every later stage rejects; vetting here keeps the search moving.
+    The words go to either estimator in length-then-lex order, duplicates
+    dropped; none is added.
     """
-    examined = 0
-    accepted = 0
-    for cand in iter_full_rank_selections(table, n, n_y, n_cols, D):
-        try:
-            m = ho_kalman(cand, table, M_eps)
-        except SingularHankelError:
-            m = None
-        if m is not None and stability_margin(m.A, np.ones(D)) < 1.0:
-            if accepted == skip:
-                return cand, m
-            accepted += 1
-        examined += 1
-        if examined >= SEARCH_RETRIES + skip:
-            break
-    raise NonConvergenceError(
-        f"{examined} full-rank selection(s) examined, none usable; "
-        "more data or an explicit selection is needed"
-    )
-
-
-class _Resolved(tuple):
-    """resolve_selections' (sel, sel_bar, diag).  After a search, `joint`
-    also holds steps 1-5 of the realization at those selections, which the
-    search made on its way."""
-
-    joint: Optional[_JointRealization] = None
+    words = _ordered_words(_as_words(words))
+    if estimator == "direct":
+        return empirical_covariances(data, p, words)
+    return least_squares_covariances(data, p, words)
 
 
 def resolve_selections(
@@ -217,68 +154,16 @@ def resolve_selections(
     sel_bar: Union[Selection, str],
     skip: int = 0,
 ) -> Tuple[Selection, Selection, dict]:
-    """Turn "search" placeholders into concrete selections on a table.
+    """The selections the covariance realization uses in attempt `skip`.
 
-    Explicit selections pass through untouched.  Searches run over whatever
-    words the table holds; candidates needing absent words are skipped, as
-    are full-rank candidates realizing mean-square unstable models (up to
-    SEARCH_RETRIES of them).  skip > 0 bypasses that many accepted hits,
-    yielding the next distinct selection.
-
-    The sel_bar search runs on Psi over every word of the table; the sel
-    search on the joint table of Psi beside the noise part
-    Lambda^{y,y} - Lambda^{yd,yd}, built from the input part realized at
-    sel_bar.  Each accepted selection's vetting realization is kept, so
-    the realization steps 1-5 at the returned selections are done once.
+    Explicit selections pass through; "search" placeholders become the
+    vetted selections of that attempt, found by the realization's own steps
+    1-5 (see realize._attempts), and the returned dict holds them under
+    "selection_bar_found" and "selection_found".  Raises what stops steps
+    1-5 of that attempt.
     """
-    diag: dict = {}
-    if isinstance(sel, Selection) and isinstance(sel_bar, Selection):
-        return _Resolved((sel, sel_bar, diag))
-    D = cov.p.shape[0]
-    modes = list(range(1, D + 1))
-    words = list(cov.lambda_yu.index)
-    psi = psi_uy(cov, words)
-    psi_eps = psi[EMPTY_WORD]
-    if sel_bar == "search":
-        sel_bar, m_psi = _search_vetted(psi, psi_eps, n_bar, cov.n_y, cov.n_u, D, skip)
-        diag["selection_bar_found"] = sel_bar.to_jsonable()
-    else:
-        with _stage("step 2 (input-part realization)"):
-            m_psi = ho_kalman(sel_bar, psi, psi_eps)
-    in_yy = cov.lambda_yy.index
-    nonempty = [w for w in words if w and w in in_yy]
-    with _stage("steps 3-4 (noise-part covariances)"):
-        lam_dd, t_dd = lambda_ydyd(m_psi, cov.q_u, cov.p, nonempty, modes)
-        M = _joint_table(cov, psi, lam_dd, nonempty)
-    M_eps = np.hstack([psi_eps, np.eye(cov.n_y)])
-    if sel == "search":
-        sel, m_full = _search_vetted(M, M_eps, n_x, cov.n_y, cov.n_u + cov.n_y, D, skip)
-        diag["selection_found"] = sel.to_jsonable()
-    else:
-        with _stage("step 5 (joint realization)"):
-            m_full = ho_kalman(sel, M, M_eps)
-    resolved = _Resolved((sel, sel_bar, diag))
-    resolved.joint = _JointRealization(sel, sel_bar, m_psi, t_dd, m_full)
-    return resolved
-
-
-def _resolve_and_realize(cov: CovarianceTable, n_x: int, n_bar: int,
-                         sel: Union[Selection, str], sel_bar: Union[Selection, str],
-                         skip: int = 0) -> Tuple[InnovationModel, dict]:
-    """resolve_selections, then the realization at the selections it returns.
-
-    After a search only step 6 is left, since the search made steps 1-5 on
-    its way; explicit selections run the whole covariance_realization.
-    Returns (model, diagnostics), the search's entries included.
-    """
-    resolved = resolve_selections(cov, n_x, n_bar, sel, sel_bar, skip=skip)
-    sel, sel_bar, search_diag = resolved
-    if resolved.joint is None:
-        model, diag = covariance_realization(cov, sel, sel_bar)
-    else:
-        cov.validate()
-        model, diag = _innovation_form(cov, resolved.joint)
-    return model, {**search_diag, **diag}
+    joint = next(islice(_attempts(cov, n_x, n_bar, sel, sel_bar), skip, None))()
+    return joint.sel, joint.sel_bar, joint.found
 
 
 def identify(data: Dataset, cfg: IdentConfig) -> Tuple[InnovationModel, dict]:
@@ -289,10 +174,9 @@ def identify(data: Dataset, cfg: IdentConfig) -> Tuple[InnovationModel, dict]:
     names the selection), and only the words they require are estimated;
     with "search" the table covers all words up to 2*max(n_x, n_bar) + 2
     and selections are found on the estimated Markov values before
-    realization.  A search retries with the next vetted
-    selections when realization fails; when a later attempt succeeds,
-    diagnostics["rejected_attempts"] lists each failed attempt as
-    "<ErrorClass>: <message>", the message leading with its stage.
+    realization.  The realization is realize._realize, which makes up to
+    five attempts when a selection is searched; its diagnostics
+    ("search_attempts", "rejected_attempts") are passed on.
     """
     if len(data) < 3:
         raise InsufficientDataError(f"dataset of length {len(data)} is too short")
@@ -318,34 +202,14 @@ def identify(data: Dataset, cfg: IdentConfig) -> Tuple[InnovationModel, dict]:
     n_bar = cfg.n_bar if cfg.n_bar is not None else cfg.n_x
     diagnostics: dict = {"p": p.tolist(), "estimator": cfg.estimator}
 
-    searching = cfg.selection == "search" or cfg.selection_bar == "search"
-    if searching:
+    if "search" in (cfg.selection, cfg.selection_bar):
         words = _words_up_to(D, 2 * max(cfg.n_x, n_bar) + 2)
     else:
         words = (set(required_words(cfg.selection))
                  | set(required_words(cfg.selection_bar)) | {EMPTY_WORD})
-    cov = _estimate(data, p, words, cfg)
-
-    # a vetted selection can still trip the innovation-gain solve
-    # (indefinite per-mode moments); bump the skip and re-resolve a few times,
-    # keeping why each rejected attempt failed
-    attempts = 5 if searching else 1
-    rejected: List[str] = []
-    for attempt in range(attempts):
-        try:
-            model, real_diag = _resolve_and_realize(cov, cfg.n_x, n_bar, cfg.selection,
-                                                    cfg.selection_bar, skip=attempt)
-        except (NumericalError, ModelInvalidError) as exc:
-            if attempt == attempts - 1:
-                raise
-            rejected.append(f"{type(exc).__name__}: {exc}")
-            continue
-        break
+    cov = _estimate(data, p, words, cfg.estimator)
+    model, real_diag = _realize(cov, cfg.n_x, n_bar, cfg.selection, cfg.selection_bar)
     diagnostics.update(real_diag)
-    if searching:
-        diagnostics["search_attempts"] = attempt + 1
-    if rejected:
-        diagnostics["rejected_attempts"] = rejected
     diagnostics["N"] = len(data)
     diagnostics["N_0"] = cov.metadata.get("N_0")
     return model, diagnostics

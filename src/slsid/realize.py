@@ -35,8 +35,8 @@ from __future__ import annotations
 import functools
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import combinations, repeat
-from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
+from itertools import combinations, count, repeat
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -58,6 +58,7 @@ from .errors import (
     NonConvergenceError,
     NoSelectionFoundError,
     NotFullRankError,
+    NumericalError,
     SingularHankelError,
     SlsidError,
 )
@@ -88,6 +89,10 @@ __all__ = [
 # stopping rule of the innovation-gain iteration, the one that still iterates
 FP_TOL = 1e-10
 FP_MAX_ITER = 5000
+# a realization that searches a selection makes this many attempts; attempt
+# a's searches examine at most SEARCH_RETRIES + a full-rank candidates
+SEARCH_ATTEMPTS = 5
+SEARCH_RETRIES = 200
 
 
 def _lyapunov_mean(A: Sequence[np.ndarray], w: Sequence[float],
@@ -445,11 +450,12 @@ def _stage(stage: str):
 
 @dataclass
 class _JointRealization:
-    """What steps 1-5 of the covariance realization made for one pair of selections.
+    """What steps 1-5 of the covariance realization made in one attempt.
 
     m_psi is the input-part realization at sel_bar (step 2), t_dd its
     per-mode output moments T^{yd,yd}_{s,s} (step 3), and m_full the joint
-    realization at sel (step 5), which step 6 converts.
+    realization at sel (step 5), which step 6 converts.  found holds the
+    searched selections under "selection_bar_found" and "selection_found".
     """
 
     sel: Selection
@@ -457,6 +463,7 @@ class _JointRealization:
     m_psi: DeterministicModel
     t_dd: Dict[int, np.ndarray]
     m_full: DeterministicModel
+    found: dict
 
 
 def _joint_table(cov: CovarianceTable, psi: WordIndexedMatrixTable,
@@ -473,31 +480,112 @@ def _joint_table(cov: CovarianceTable, psi: WordIndexedMatrixTable,
     return WordIndexedMatrixTable._from_array((cov.n_y, cov.n_u + cov.n_y), words, values)
 
 
-def _innovation_form(cov: CovarianceTable,
-                     joint: _JointRealization) -> Tuple[InnovationModel, dict]:
-    """Step 6: the innovation-form model of a joint realization, and diagnostics.
+def _attempts(cov: CovarianceTable, n_x: int, n_bar: int,
+              sel: Union[Selection, str], sel_bar: Union[Selection, str]
+              ) -> Iterator[Callable[[], _JointRealization]]:
+    """Steps 1-5 of the covariance realization, attempt after attempt.
 
-    Solves the innovation-gain equation on the leftover per-mode moments
-    T^{yy}_{s,s} - T^{yd,yd}_{s,s} (see associated_slss).
+    sel and sel_bar are Selections or "search".  Step 1 builds Psi once:
+    over every word of the table when a selection is searched, else over
+    the words the selections need.  Each attempt makes step 2 and yields a
+    call that makes its steps 3-5 and returns its _JointRealization, so
+    that their errors are raised where the attempt is run.  An explicit
+    selection goes straight to Ho-Kalman; "search" takes the next vetted
+    candidate (_iter_vetted): attempt a uses the a-th vetted sel_bar, from
+    one search kept across attempts, and the a-th vetted sel on that
+    sel_bar's joint table.  Step 1 and step 2 errors end the attempts,
+    since every later attempt would repeat them.
     """
-    diagnostics: dict = {
-        "selection": joint.sel.to_jsonable(),
-        "selection_bar": joint.sel_bar.to_jsonable(),
-        "estimator": cov.metadata.get("estimator"),
-        "warnings": list(cov.metadata.get("degenerate_words", [])),
-        "n_bar": joint.m_psi.n_x,
-    }
-    t_ys = {}
-    for s in range(1, joint.sel.n_modes + 1):
-        leftover = cov.t_yy_sigma[s] - joint.t_dd[s]
-        t_ys[s] = (leftover + leftover.T) / 2.0
-    with _stage("step 6 (innovation conversion)"):
-        model, state = associated_slss(joint.m_full, cov.p, t_ys, q_u=cov.q_u,
-                                       return_state=True)
-    diagnostics["kq_iterations"] = state.iterations
-    diagnostics["kq_last_delta"] = state.last_delta
-    diagnostics["n_x"] = model.n_x
-    return model, diagnostics
+    cov.validate()
+    D = cov.p.shape[0]
+    modes = list(range(1, D + 1))
+    if isinstance(sel, Selection) and isinstance(sel_bar, Selection):
+        words = [EMPTY_WORD, *required_words(sel_bar), *required_words(sel)]
+    else:
+        words = list(cov.lambda_yu.index)
+    with _stage("step 1 (input Markov values)"):
+        psi = psi_uy(cov, words)
+        psi_eps = psi[EMPTY_WORD]
+    M_eps = np.hstack([psi_eps, np.eye(cov.n_y)])
+    if isinstance(sel, Selection):
+        joint_words = list(required_words(sel))
+    else:
+        in_yy = cov.lambda_yy.index
+        joint_words = [w for w in psi.index if w and w in in_yy]
+
+    def steps_3_to_5(bar: Selection, m_psi: DeterministicModel,
+                     attempt: int) -> _JointRealization:
+        found = {"selection_bar_found": bar.to_jsonable()} if sel_bar == "search" else {}
+        with _stage("steps 3-4 (noise-part covariances)"):
+            lam_dd, t_dd = lambda_ydyd(m_psi, cov.q_u, cov.p, joint_words, modes)
+            M = _joint_table(cov, psi, lam_dd, joint_words)
+        with _stage("step 5 (joint realization)"):
+            if sel == "search":
+                joint, m_full = next(_iter_vetted(M, M_eps, n_x, cov.n_y,
+                                                  cov.n_u + cov.n_y, D, attempt))
+                found["selection_found"] = joint.to_jsonable()
+            else:
+                joint, m_full = sel, ho_kalman(sel, M, M_eps)
+        return _JointRealization(joint, bar, m_psi, t_dd, m_full, found)
+
+    step_2 = "step 2 (input-part realization)"
+    with _stage(step_2):
+        bars = (_iter_vetted(psi, psi_eps, n_bar, cov.n_y, cov.n_u, D)
+                if sel_bar == "search"
+                else repeat((sel_bar, ho_kalman(sel_bar, psi, psi_eps))))
+    for attempt in count():
+        with _stage(step_2):
+            bar, m_psi = next(bars)
+        yield functools.partial(steps_3_to_5, bar, m_psi, attempt)
+
+
+def _realize(cov: CovarianceTable, n_x: int, n_bar: int,
+             sel: Union[Selection, str], sel_bar: Union[Selection, str]
+             ) -> Tuple[InnovationModel, dict]:
+    """The covariance realization, steps 1-6, at explicit or searched selections.
+
+    Runs the attempts of _attempts: SEARCH_ATTEMPTS of them when either
+    selection is "search", else one.  Step 6 solves the innovation-gain
+    equation on the leftover per-mode moments T^{yy}_{s,s} - T^{yd,yd}_{s,s}
+    (see associated_slss).  The first attempt that converts is returned as
+    (model, diagnostics); a search adds "search_attempts" and, when an
+    attempt failed first, "rejected_attempts", each failure as
+    "<ErrorClass>: <message>" with the message leading with its stage.
+    The last attempt's failure is raised.
+    """
+    attempts = SEARCH_ATTEMPTS if "search" in (sel, sel_bar) else 1
+    rejected: List[str] = []
+    for attempt, steps_3_to_5 in enumerate(_attempts(cov, n_x, n_bar, sel, sel_bar)):
+        try:
+            joint = steps_3_to_5()
+            t_ys = {}
+            for s in range(1, joint.sel.n_modes + 1):
+                leftover = cov.t_yy_sigma[s] - joint.t_dd[s]
+                t_ys[s] = (leftover + leftover.T) / 2.0
+            with _stage("step 6 (innovation conversion)"):
+                model, state = associated_slss(joint.m_full, cov.p, t_ys, q_u=cov.q_u,
+                                               return_state=True)
+        except (NumericalError, ModelInvalidError) as exc:
+            if attempt == attempts - 1:
+                raise
+            rejected.append(f"{type(exc).__name__}: {exc}")
+            continue
+        diagnostics = {
+            **joint.found,
+            "selection": joint.sel.to_jsonable(),
+            "selection_bar": joint.sel_bar.to_jsonable(),
+            "estimator": cov.metadata.get("estimator"),
+            "warnings": list(cov.metadata.get("degenerate_words", [])),
+            "n_bar": joint.m_psi.n_x,
+            "kq_iterations": state.iterations,
+            "kq_last_delta": state.last_delta,
+            "n_x": model.n_x,
+        }
+        if attempts > 1:
+            diagnostics["search_attempts"] = attempt + 1
+        if rejected:
+            diagnostics["rejected_attempts"] = rejected
+        return model, diagnostics
 
 
 def covariance_realization(
@@ -517,25 +605,7 @@ def covariance_realization(
 
     Returns (model, diagnostics); failures carry the step that raised them.
     """
-    cov.validate()
-    D = sel.n_modes
-    modes = list(range(1, D + 1))
-
-    words_bar = required_words(sel_bar)
-    with _stage("step 1 (input Markov values)"):
-        psi = psi_uy(cov, words_bar)
-        psi_eps = np.linalg.solve(cov.q_u, cov.lambda_yu[EMPTY_WORD].T).T
-    with _stage("step 2 (input-part realization)"):
-        m_psi = ho_kalman(sel_bar, psi, psi_eps)
-
-    words_full = list(required_words(sel))
-    with _stage("steps 3-4 (noise-part covariances)"):
-        lam_dd, t_dd = lambda_ydyd(m_psi, cov.q_u, cov.p, words_full, modes)
-        M = _joint_table(cov, psi_uy(cov, words_full), lam_dd, words_full)
-        M_eps = np.hstack([psi_eps, np.eye(sel.n_y)])
-    with _stage("step 5 (joint realization)"):
-        m_full = ho_kalman(sel, M, M_eps)
-    return _innovation_form(cov, _JointRealization(sel, sel_bar, m_psi, t_dd, m_full))
+    return _realize(cov, sel.n, sel_bar.n, sel, sel_bar)
 
 
 @functools.lru_cache(maxsize=16)
@@ -610,6 +680,42 @@ def iter_full_rank_selections(
                 yield Selection(alpha=tuple(alpha_pool[i] for i in alpha),
                                 beta=tuple(beta_pool[j] for j in beta),
                                 n_modes=n_modes, n_y=n_y, n_cols=n_cols)
+
+
+def _iter_vetted(M: WordIndexedMatrixTable, M_eps: np.ndarray, n: int, n_y: int,
+                 n_cols: int, n_modes: int, attempt: int = 0
+                 ) -> Iterator[Tuple[Selection, DeterministicModel]]:
+    """The vetted selections of attempts attempt, attempt + 1, ... on one table.
+
+    Attempt k's selection is the k-th (from 0) full-rank selection, in
+    iter_full_rank_selections' order, whose realization at feedthrough
+    M_eps is mean-square stable; it is yielded with that realization if it
+    is among the first SEARCH_RETRIES + k candidates, and otherwise
+    NoSelectionFoundError says how many were examined.  Table entries absorb
+    sqrt(p), so the realized A_s are the deterministic ones and the relevant
+    operator is sum_s A_s kron A_s.  Under estimation noise a full-rank
+    selection can still realize an unstable family, which every later stage
+    rejects; vetting here keeps the search moving.
+    """
+    ones = np.ones(n_modes)
+    examined = stable = 0
+    for cand in iter_full_rank_selections(M, n, n_y, n_cols, n_modes):
+        try:
+            m = ho_kalman(cand, M, M_eps)
+        except SingularHankelError:
+            m = None
+        if m is not None and stability_margin(m.A, ones) < 1.0:
+            if stable == attempt:
+                yield cand, m
+                attempt += 1
+            stable += 1
+        examined += 1
+        if examined >= SEARCH_RETRIES + attempt:
+            break
+    raise NoSelectionFoundError(
+        f"{examined} full-rank selection(s) examined, none usable; "
+        "more data or an explicit selection is needed"
+    )
 
 
 def search_selection(

@@ -91,6 +91,30 @@ def test_estimate_realize_compare_round_trip(workspace, two_mode):
     find_isomorphism(model, two_mode.model, tol=1.0)
 
 
+def test_realize_searches_with_the_attempts_of_identify(workspace, tmp_path):
+    # on this table the first vetted selections fail in step 6; realize must
+    # retry like identify does and land on identify's model
+    est_cfg = write_json(tmp_path / "est.json", {
+        "data": str(workspace / "sim" / "data.csv"), "p": [0.5, 0.5],
+        "words": {"max_len": 8}})
+    assert main(["estimate", "--config", str(est_cfg), "--out", str(tmp_path / "est")]) == 0
+    real_cfg = write_json(tmp_path / "real.json", {
+        "covariances": "est/covariances.json", "n_x": 3,
+        "selection": "search", "selection_bar": "search"})
+    assert main(["realize", "--config", str(real_cfg), "--out", str(tmp_path / "real")]) == 0
+    ident_cfg = write_json(tmp_path / "ident.json", {
+        "data": str(workspace / "sim" / "data.csv"),
+        "ident": {"n_x": 3, "p": [0.5, 0.5]}})
+    assert main(["identify", "--config", str(ident_cfg), "--out", str(tmp_path / "ident")]) == 0
+    realized = (tmp_path / "real" / "model.json").read_bytes()
+    assert realized == (tmp_path / "ident" / "model.json").read_bytes()
+    diag = json.loads((tmp_path / "real" / "report.json").read_text())["diagnostics"]
+    assert diag["search_attempts"] == 2
+    assert len(diag["rejected_attempts"]) == 1
+    assert diag["rejected_attempts"][0].startswith(
+        "NotFullRankError: step 6 (innovation conversion): ")
+
+
 def test_identify_with_validation_split(workspace, two_mode):
     cfg = write_json(workspace / "ident.json", {
         "data": "sim/data.csv",

@@ -12,6 +12,7 @@ from slsid import (
     InsufficientDataError,
     InvalidProbabilityError,
     ModelInvalidError,
+    NoSelectionFoundError,
     Selection,
     SimConfig,
     SingularHankelError,
@@ -23,6 +24,7 @@ from slsid import (
     consistency_experiment,
     empirical_covariances,
     enumerate_words,
+    exact_covariances,
     find_isomorphism,
     ho_kalman,
     identify,
@@ -187,6 +189,37 @@ def test_identify_keeps_the_reasons_of_rejected_attempts(two_mode):
                             cfg)
     assert first_try["search_attempts"] == 1
     assert "rejected_attempts" not in first_try
+    # at N = 1e4 seed 0 takes 3 attempts and seed 25 takes 4; the attempt
+    # that converts uses the selections of resolve_selections at its skip
+    for seed, attempts in ((0, 3), (25, 4)):
+        data = simulate(two_mode.model, SimConfig(seed=seed, length=10_000))
+        _, diag = identify(data, cfg)
+        assert diag["search_attempts"] == attempts
+        assert len(diag["rejected_attempts"]) == attempts - 1
+        cov = empirical_covariances(data, (0.5, 0.5), enumerate_words(2, 8))
+        sel, sel_bar, found = resolve_selections(cov, 3, 3, "search", "search",
+                                                 skip=attempts - 1)
+        assert diag["selection"] == sel.to_jsonable() == found["selection_found"]
+        assert diag["selection_bar"] == sel_bar.to_jsonable() == found["selection_bar_found"]
+
+
+def test_search_exhaustion_is_a_typed_error_naming_its_step(two_mode, scalar):
+    # N = 1e3, seed 9: attempts 0, 1 and 3 fail in step 6, and attempts 2 and
+    # 4 find too few vetted joint selections among their 202 and 204 candidates
+    data = simulate(two_mode.model, SimConfig(seed=9, length=1000))
+    with pytest.raises(NoSelectionFoundError) as err:
+        identify(data, IdentConfig(n_x=3, p=(0.5, 0.5)))
+    stage = "step 5 (joint realization)"
+    assert err.value.stage == stage
+    assert str(err.value) == (
+        f"{stage}: 204 full-rank selection(s) examined, none usable; more data or an "
+        "explicit selection is needed")
+    # the scalar system's Hankels have rank 1: a rank-2 input part has no candidate
+    cov = exact_covariances(scalar.model, 6)
+    with pytest.raises(NoSelectionFoundError) as err:
+        resolve_selections(cov, 2, 2, "search", "search")
+    assert err.value.stage == "step 2 (input-part realization)"
+    assert "0 full-rank selection(s) examined, none usable" in str(err.value)
 
 
 def test_identify_checks_explicit_selections_before_estimating(two_mode, monkeypatch):

@@ -153,6 +153,7 @@ def main(argv=None) -> int:
     for root in roots.values():
         if not (root / "perfbench" / "run.py").is_file():
             parser.error(f"no perfbench/run.py under {root}")
+    args.out_dir.mkdir(parents=True, exist_ok=True)
     path = args.out_dir / f"BENCH_perf_{args.pr}.json"
     doc = {"what": args.what,
            "command": f"python3 perfbench/run.py --workload W --seed S "

@@ -1,0 +1,71 @@
+"""Identify the reference system over a seed grid and record every result.
+
+    PYTHONPATH=DIR_A/src python3 tools/compare_identify.py a.json
+    PYTHONPATH=DIR_B/src python3 tools/compare_identify.py b.json --against a.json
+
+Runs search-mode `identify` (n_x = 3) on the two-mode reference system
+(`perfbench.workloads.reference_system`) for seeds 0-29, N in
+{1e3, 1e4, 1e5} and p in {(0.5, 0.5), "empirical"}: 180 runs, about 10 s.
+Each success is recorded as the JSON of `model.to_dict()` and of the
+diagnostics (sorted keys), each failure as its error class, its text and
+its stage.  With --against, the runs whose record differs from the other
+file's are printed, and the exit code is 1 if there are any.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+import warnings
+from pathlib import Path
+
+from slsid import IdentConfig, SimConfig, identify, simulate
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from perfbench.workloads import reference_system  # noqa: E402  (needs the repo root)
+
+
+def records() -> dict:
+    model, _, _ = reference_system()
+    out = {}
+    for N in (1000, 10000, 100000):
+        for seed in range(30):
+            data = simulate(model, SimConfig(seed=seed, length=N))
+            for p in ((0.5, 0.5), "empirical"):
+                key = f"N={N} seed={seed} p={p}"
+                try:
+                    m, diag = identify(data, IdentConfig(n_x=3, p=p))
+                except Exception as exc:  # every failure is part of the record
+                    out[key] = {"error": type(exc).__name__, "text": str(exc),
+                                "stage": getattr(exc, "stage", None)}
+                    continue
+                out[key] = {"model": json.dumps(m.to_dict(), sort_keys=True),
+                            "diagnostics": json.dumps(diag, sort_keys=True)}
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("out", help="JSON file the records are written to")
+    parser.add_argument("--against", help="records of another checkout to compare with")
+    args = parser.parse_args(argv)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # degenerate words at N = 1e3
+        mine = records()
+    with open(args.out, "w") as fh:
+        json.dump(mine, fh, indent=1, sort_keys=True)
+    if not args.against:
+        return 0
+    with open(args.against) as fh:
+        theirs = json.load(fh)
+    differ = [k for k in mine if mine[k] != theirs.get(k)]
+    for key in differ:
+        print(key)
+        for side, rec in (("against", theirs.get(key)), ("this", mine[key])):
+            print(f"  {side}: {rec if rec is None or 'error' in rec else 'success'}")
+    print(f"{len(mine) - len(differ)} of {len(mine)} runs identical")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

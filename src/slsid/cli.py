@@ -349,7 +349,7 @@ def cmd_validate(args) -> int:
     yhat = rep.predictions
     write_csv(out / "predictions.csv",
               ["t"] + [f"yhat_{i + 1}" for i in range(yhat.shape[1])],
-              [np.arange(yhat.shape[0]), *yhat.T])
+              [data.t0 + np.arange(yhat.shape[0]), *yhat.T])
     _stderr(f"validate: BFR = {rep.bfr:.2f}% ({rep.runtime_seconds:.3f}s) -> {out}")
     return EXIT_OK
 

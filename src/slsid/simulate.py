@@ -130,27 +130,33 @@ class Dataset:
 
         Integer t and q cells, float u and y cells, one row per line; blank
         lines are skipped.  A ragged row or an unparsable cell raises
-        ValueError; a file without rows raises DimensionError.
+        ValueError; a file without rows, a t column that does not step by
+        one, or a clean channel whose t differs from the dataset's raises
+        DimensionError.
         """
-        header, lines = _read_csv_lines(path)
-        if header[:2] != ["t", "q"]:
-            raise DimensionError(f"unexpected dataset header {header[:2]}")
+        header, rows = _read_csv(path, _dataset_dtype)
         n_u = sum(1 for name in header if name.startswith("u_"))
-        n_y = sum(1 for name in header if name.startswith("y_"))
-        if not lines:
+        if not rows.size:
             raise DimensionError(f"dataset {path} has no rows")
-        rows = _parse_rows(lines, [("t", np.int64), ("q", np.int64),
-                                   ("v", float, (n_u + n_y,))])
         u = np.ascontiguousarray(rows["v"][:, :n_u])
         y = np.ascontiguousarray(rows["v"][:, n_u:])
+        q = rows["q"].copy()
+        t0 = int(rows["t"][0])
+        del rows  # freed before the clean channel is read
         clean = None
         if clean_path is not None:
-            clean = load_series_csv(clean_path)
+            _, clean_rows = _read_csv(clean_path, _series_dtype)
+            clean = clean_rows["y"].copy()
             if clean.shape != y.shape:
                 raise DimensionError(
                     f"clean channel shape {clean.shape} does not match y {y.shape}"
                 )
-        return cls(y=y, u=u, q=rows["q"].copy(), t0=int(rows["t"][0]), y_clean=clean)
+            if clean_rows["t"][0] != t0:
+                raise DimensionError(
+                    f"clean channel {clean_path} starts at t = {clean_rows['t'][0]}, "
+                    f"the dataset at t = {t0}"
+                )
+        return cls(y=y, u=u, q=q, t0=t0, y_clean=clean)
 
 
 def as_series(x) -> np.ndarray:
@@ -161,31 +167,77 @@ def as_series(x) -> np.ndarray:
 
 def load_series_csv(path) -> np.ndarray:
     """Read a t, y_1.. CSV (the noise-free channel format); returns the y block."""
-    header, lines = _read_csv_lines(path)
-    n_y = sum(1 for name in header if name.startswith("y_"))
-    if not lines:
-        return np.empty((0, n_y))
-    rows = _parse_rows(lines, [("t", np.int64), ("y", float, (n_y,))])
+    _, rows = _read_csv(path, _series_dtype)
     return rows["y"].copy()
 
 
+# Rows per block of `write_csv`.  A block's text is the writer's only
+# temporary, so this bounds its memory.  Writing a 5e4-row dataset on a
+# 2-vCPU Xeon VM: the tracemalloc peak is 0.65, 0.89, 1.37, 2.30 and 4.21 MB
+# at 512, 1024, 2048, 4096 and 8192 rows, against 19 MB for whole columns;
+# the best time is flat (74-77 ms) from 512 to 8192 rows and 4 % higher at 256.
+CSV_BLOCK_ROWS = 1024
+
+
 def write_csv(path, header, columns) -> None:
-    """Write equal-length columns under a header row.
+    """Write equal-length columns under a header row, CSV_BLOCK_ROWS rows at a time.
 
     Each cell is the repr of the column's Python value (.tolist()), so
     integers print as digits and floats as their shortest exact text: a
-    float read back with float() or np.loadtxt is bit-identical.
+    float read back with float() or np.loadtxt is bit-identical.  A list's
+    repr is its items' reprs joined by ", ", which splits back into cells.
     """
-    cells = [map(repr, col.tolist()) for col in columns]
+    n = len(columns[0])
     with open(path, "w") as fh:
-        fh.write("\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n")
+        fh.write(",".join(header) + "\n")
+        for a in range(0, n, CSV_BLOCK_ROWS):
+            cells = [repr(col[a:a + CSV_BLOCK_ROWS].tolist())[1:-1].split(", ")
+                     for col in columns]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
-def _read_csv_lines(path):
-    """Header fields and the non-blank lines after the header."""
+def _dataset_dtype(header):
+    if header[:2] != ["t", "q"]:
+        raise DimensionError(f"unexpected dataset header {header[:2]}")
+    n_cols = sum(1 for name in header if name.startswith(("u_", "y_")))
+    return [("t", np.int64), ("q", np.int64), ("v", float, (n_cols,))]
+
+
+def _series_dtype(header):
+    n_y = sum(1 for name in header if name.startswith("y_"))
+    return [("t", np.int64), ("y", float, (n_y,))]
+
+
+def _read_csv(path, dtype_of):
+    """Header fields and the rows of a CSV as a structured array.
+
+    dtype_of(header) gives the rows' dtype, whose first field is the
+    integer t column.  np.loadtxt parses the open file as it streams and
+    skips empty lines; only when it raises (a whitespace-only line, a bad
+    cell) are the lines read again into a list for `_parse_rows`, which
+    skips whitespace-only lines and names the first bad data row.  Raises
+    DimensionError, naming the 0-based data row, when t does not step by one.
+    """
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-        return header, list(filter(str.strip, fh))
+        dtype = np.dtype(dtype_of(header))
+        start = fh.tell()
+        if not any(map(str.strip, fh)):
+            # np.loadtxt warns on input without rows
+            return header, np.empty(0, dtype)
+        fh.seek(start)
+        try:
+            rows = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+        except ValueError:
+            fh.seek(start)
+            rows = _parse_rows(list(filter(str.strip, fh)), dtype)
+    t = rows["t"]
+    jumps = np.flatnonzero(np.diff(t) != 1)
+    if jumps.size:
+        row = int(jumps[0]) + 1
+        raise DimensionError(f"{path}: t goes from {t[row - 1]} to {t[row]} at row {row}; "
+                             f"t must step by one")
+    return header, rows
 
 
 def _parse_rows(lines, dtype) -> np.ndarray:

@@ -4,8 +4,18 @@ import re
 import numpy as np
 import pytest
 
-from slsid import Dataset, find_isomorphism, model_from_dict, validate_model
-from slsid.cli import main
+from slsid import (
+    Dataset,
+    IdentConfig,
+    NumericalError,
+    SimConfig,
+    find_isomorphism,
+    identify,
+    model_from_dict,
+    simulate,
+    validate_model,
+)
+from slsid.cli import EXIT_NUMERICAL, main
 
 
 def write_json(path, obj):
@@ -168,6 +178,16 @@ def test_validate_command(workspace):
     assert (workspace / "val" / "predictions.csv").read_bytes() == want
 
 
+def test_validate_predictions_carry_the_data_t(workspace, tmp_path):
+    data = Dataset.from_csv(workspace / "sim" / "data.csv").slice(100, 300)
+    data.to_csv(tmp_path / "data.csv")
+    cfg = write_json(tmp_path / "val.json", {
+        "model": str(workspace / "true_model.json"), "data": "data.csv"})
+    assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "val")]) == 0
+    rows = np.loadtxt(tmp_path / "val" / "predictions.csv", delimiter=",", skiprows=1)
+    assert np.array_equal(rows[:, 0], np.arange(100, 300))
+
+
 def _validate_on(workspace, tmp_path, csv_text, **extra):
     (tmp_path / "data.csv").write_text(csv_text)
     cfg = write_json(tmp_path / "val.json", {
@@ -181,6 +201,8 @@ def _validate_on(workspace, tmp_path, csv_text, **extra):
     ("ragged", 3),         # ValueError: a row with a missing cell
     ("unparsable", 3),     # ValueError: a cell that is not a number
     ("fractional_q", 3),   # ValueError: q = 1.5 is not truncated
+    ("gap_in_t", 4),       # DimensionError: t skips a value
+    ("repeated_t", 4),     # DimensionError: t repeats a value
 ])
 def test_validate_reads_csv_by_its_contract(workspace, tmp_path, capsys, edit, code):
     lines = (workspace / "sim" / "data.csv").read_text().splitlines()[:200]
@@ -189,14 +211,16 @@ def test_validate_reads_csv_by_its_contract(workspace, tmp_path, capsys, edit, c
                  "header_only": "",
                  "ragged": ",".join([t, q, u]),
                  "unparsable": ",".join([t, q, "0.5x", y]),
-                 "fractional_q": ",".join([t, "1.5", u, y])}[edit]
+                 "fractional_q": ",".join([t, "1.5", u, y]),
+                 "gap_in_t": ",".join([str(int(t) + 1), q, u, y]),
+                 "repeated_t": ",".join([str(int(t) - 1), q, u, y])}[edit]
     if edit == "header_only":
         lines = lines[:1]
     assert _validate_on(workspace, tmp_path, "\n".join(lines) + "\n") == code
     err = capsys.readouterr().err
     if edit == "header_only":
         assert "has no rows" in err
-    elif code == 3:
+    elif code in (3, 4):
         # lines[51] is data row 50, whatever the kind of error
         assert re.search(r"\bat row 50\b", err), err
 
@@ -493,3 +517,33 @@ def test_validate_rejects_a_fractional_exclude(workspace, tmp_path, capsys):
     assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "val")]) == 3
     assert "config section 'validate' key 'exclude' must be an integer, got 6.5" in (
         capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_cli_identify_agrees_with_the_library(tmp_path, two_mode, seed):
+    # N = 2e4 spans several CSV blocks; the CLI's files must carry the
+    # library's dataset into the library's outcome
+    n = 20_000
+    write_json(tmp_path / "model.json", two_mode.model.to_dict())
+    sim = write_json(tmp_path / "sim.json",
+                     {"model": "model.json", "sim": {"seed": seed, "length": n}})
+    assert main(["simulate", "--config", str(sim), "--out", str(tmp_path / "sim")]) == 0
+    ident = write_json(tmp_path / "ident.json", {
+        "data": "sim/data.csv",
+        "ident": {"n_x": 3, "selection": two_mode.sel.to_jsonable(),
+                  "selection_bar": two_mode.sel_bar.to_jsonable(), "p": [0.5, 0.5]},
+        "validation": {"split": n // 5}})
+    code = main(["identify", "--config", str(ident), "--out", str(tmp_path / "ident")])
+
+    data = simulate(two_mode.model, SimConfig(seed=seed, length=n))
+    try:
+        model, _ = identify(data, IdentConfig(n_x=3, selection=two_mode.sel,
+                                              selection_bar=two_mode.sel_bar, p=[0.5, 0.5]))
+    except NumericalError:
+        assert code == EXIT_NUMERICAL
+        return
+    assert code == 0
+    assert (json.loads((tmp_path / "ident" / "model.json").read_text())
+            == json.loads(json.dumps(model.to_dict())))
+    report = json.loads((tmp_path / "ident" / "report.json").read_text())
+    assert report["validation"]["bfr"] == validate_model(model, data.slice(n - n // 5, n)).bfr

@@ -1,6 +1,8 @@
 import re
+import sys
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +24,14 @@ from slsid import (
     simulate,
     stability_margin,
 )
-from slsid.simulate import _chunk_length, _draw_input
+from slsid.simulate import (
+    CSV_BLOCK_ROWS,
+    _chunk_length,
+    _dataset_dtype,
+    _draw_input,
+    _parse_rows,
+    _read_csv,
+)
 
 
 # ---------------------------------------------------------------- switching
@@ -387,11 +396,13 @@ def _loop_clean_to_csv(data, path):
             fh.write(",".join(row) + "\n")
 
 
-def _edge_dataset():
-    edge = np.array([-0.0, 5e-324, 1.7976931348623157e308, 1.0 / 3.0,
-                     -5e-324, -1.7976931348623157e308, 0.1, 1e22])
+def _edge_dataset(n=8):
+    """n rows cycling through float edge cases (signed zero, subnormals,
+    extremes, inexact decimals) in every float column."""
+    edge = np.resize([-0.0, 5e-324, 1.7976931348623157e308, 1.0 / 3.0,
+                      -5e-324, -1.7976931348623157e308, 0.1, 1e22], n)
     u = np.column_stack([edge, edge[::-1]])
-    return Dataset(y=edge[:, None], u=u, q=[1, 2, 3, 1, 2, 3, 1, 2], t0=-3,
+    return Dataset(y=edge[:, None], u=u, q=np.resize([1, 2, 3], n), t0=-3,
                    y_clean=-edge[:, None])
 
 
@@ -399,12 +410,18 @@ def _same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
-@pytest.mark.parametrize("case", ["edge", "simulated"])
+_B = CSV_BLOCK_ROWS
+
+
+@pytest.mark.parametrize("case", [pytest.param(8, id="edge"), 0, 1, _B - 1, _B, _B + 1,
+                                  2 * _B + 3, "simulated"])
 def test_csv_writer_bytes_and_exact_read_back(tmp_path, two_mode, case):
-    if case == "edge":
-        data = _edge_dataset()
-    else:
+    # the writer formats CSV_BLOCK_ROWS rows at a time: lengths on both
+    # sides of one and two blocks give the per-row writer's bytes
+    if case == "simulated":
         data = simulate(two_mode.model, SimConfig(seed=11, length=50_000))
+    else:
+        data = _edge_dataset(case)
     data.to_csv(tmp_path / "data.csv")
     data.clean_to_csv(tmp_path / "data_clean.csv")
     _loop_to_csv(data, tmp_path / "ref.csv")
@@ -412,12 +429,79 @@ def test_csv_writer_bytes_and_exact_read_back(tmp_path, two_mode, case):
     assert (tmp_path / "data.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
     assert ((tmp_path / "data_clean.csv").read_bytes()
             == (tmp_path / "ref_clean.csv").read_bytes())
+    if not len(data):
+        with pytest.raises(DimensionError, match="has no rows"):
+            Dataset.from_csv(tmp_path / "data.csv")
+        return
     back = Dataset.from_csv(tmp_path / "data.csv", clean_path=tmp_path / "data_clean.csv")
     assert back.t0 == data.t0
     assert np.array_equal(back.q, data.q)
     for name in ("y", "u", "y_clean"):
         assert _same_bits(getattr(back, name), getattr(data, name))
     assert _same_bits(load_series_csv(tmp_path / "data_clean.csv"), data.y_clean)
+
+
+def test_csv_round_trip_memory_stays_at_the_block_level(tmp_path, two_mode):
+    data = simulate(two_mode.model, SimConfig(seed=11, length=50_000))
+    path, clean = tmp_path / "data.csv", tmp_path / "data_clean.csv"
+    data.to_csv(path)
+    data.clean_to_csv(clean)
+    Dataset.from_csv(path, clean_path=clean)  # lazy imports
+    # measured 0.89 MB to write (a block's text) and 2.80 MB to read (the
+    # parsed rows beside the dataset's arrays); holding the whole text took
+    # 11.5 and 8.1 MB
+    assert _peak_bytes(data.to_csv, path) < 1.5e6
+    assert _peak_bytes(Dataset.from_csv, path, clean) < 4e6
+
+
+_BLANK = st.sampled_from(["", " ", "\t", " \t "])
+
+
+def _outcome(read):
+    try:
+        rows = read()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return rows.dtype, rows.tobytes()
+
+
+@settings(deadline=None, max_examples=60)
+@given(n_rows=st.sampled_from([1, 2, 9, _B - 1, _B, _B + 1]), seed=st.integers(0, 2**32 - 1),
+       blanks=st.lists(st.tuples(st.one_of(st.just(_B), st.integers(0, _B + 2)), _BLANK),
+                       max_size=4),
+       bad=st.sampled_from([None, "ragged", "abc", "1.5"]),
+       eol=st.sampled_from(["\n", "\r\n"]), final_eol=st.booleans())
+def test_csv_reader_paths_agree(tmp_path_factory, n_rows, seed, blanks, bad, eol, final_eol):
+    # the streaming np.loadtxt read and the line-list fallback give the same
+    # rows, or the same error; without a whitespace-only line or a bad cell
+    # the fallback never runs
+    rng = np.random.default_rng(seed)
+    q = rng.integers(1, 3, n_rows)
+    u, y = (rng.normal(size=(2, n_rows)) * 10.0 ** rng.integers(-300, 300, (2, n_rows))).tolist()
+    lines = [f"{k - 7},{q[k]},{u[k]!r},{y[k]!r}" for k in range(n_rows)]
+    if bad is not None:
+        k = min(_B, n_rows - 1)
+        lines[k] = {"ragged": f"{k - 7},{q[k]},{u[k]!r}",
+                    "abc": f"{k - 7},{q[k]},abc,{y[k]!r}",
+                    "1.5": f"{k - 7},1.5,{u[k]!r},{y[k]!r}"}[bad]
+    for at, text in sorted(blanks, reverse=True):
+        lines.insert(min(at, len(lines)), text)
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    path.write_bytes(eol.join(["t,q,u_1,y_1", *lines]).encode() + (eol.encode() if final_eol
+                                                                    else b""))
+
+    def fallback():
+        with open(path) as fh:
+            fh.readline()
+            lines = list(filter(str.strip, fh))
+        return _parse_rows(lines, _dataset_dtype(["t", "q", "u_1", "y_1"]))
+
+    streamed = bad is None and not any(text for _, text in blanks)
+    with mock.patch.object(sys.modules["slsid.simulate"], "_parse_rows",
+                           wraps=_parse_rows) as slow:
+        got = _outcome(lambda: _read_csv(path, _dataset_dtype)[1])
+    assert slow.called != streamed
+    assert got == _outcome(fallback)
 
 
 def test_csv_reader_skips_whitespace_only_lines(tmp_path):
@@ -496,3 +580,29 @@ def test_csv_rejects_foreign_header(tmp_path):
     path.write_text("time,mode,u_1,y_1\n0,1,0.0,0.0\n")
     with pytest.raises(DimensionError):
         Dataset.from_csv(path)
+
+
+@pytest.mark.parametrize("ts, text", [
+    ((5, 6, 8, 9), "t goes from 6 to 8 at row 2; t must step by one"),   # a gap
+    ((5, 6, 6, 7), "t goes from 6 to 6 at row 2; t must step by one"),   # a repeat
+    ((5, 6, 7, 5), "t goes from 7 to 5 at row 3; t must step by one"),
+])
+def test_csv_reader_rejects_t_that_does_not_step_by_one(tmp_path, ts, text):
+    # a lost or doubled row would shift every lagged product after it; the
+    # row is 0-based over the data lines, blank lines not counted
+    path = tmp_path / "data.csv"
+    path.write_text("t,q,u_1,y_1\n\n" + "".join(f"{t},1,0.5,1.5\n" for t in ts))
+    with pytest.raises(DimensionError, match=re.escape(text)):
+        Dataset.from_csv(path)
+    path.write_text("t,y_1\n  \n" + "".join(f"{t},1.5\n" for t in ts))
+    with pytest.raises(DimensionError, match=re.escape(text)):
+        load_series_csv(path)
+
+
+def test_csv_reader_rejects_a_shifted_clean_channel(tmp_path):
+    data = _edge_dataset()
+    data.to_csv(tmp_path / "data.csv")
+    Dataset(y=data.y, u=data.u, q=data.q, t0=data.t0 + 1,
+            y_clean=data.y_clean).clean_to_csv(tmp_path / "shifted.csv")
+    with pytest.raises(DimensionError, match="starts at t = -2, the dataset at t = -3"):
+        Dataset.from_csv(tmp_path / "data.csv", clean_path=tmp_path / "shifted.csv")

@@ -15,11 +15,14 @@ The file ``BENCH_perf_<pr>.json`` (in the form of the committed
 metrics, and beside them the raw figures those metrics divide: the median set-up wall time ``setup_wall_s``
 (``setup_s`` divides it by ``loop_reference``), the mean time of the ops that
 succeeded at the first try and the mean reference time (``op_mean_ref`` is
-their quotient).  Each summary gives both sides' medians and quartiles, the
-number of pairs the change wins and the per-pair change/parent ratios of the
-raw times.  ``--second-set`` repeats the protocol on other seeds, and
-``--traced`` adds one traced run per side with its per-layer metrics.  The
-file is rewritten after every run, so a stopped run keeps what it ran.
+their quotient), and the inputs whose ops failed (input seed + k % cycle for
+op k).  Each summary gives both sides' medians and quartiles, the number of
+pairs the change wins, the per-pair change/parent ratios of the raw times and
+the pairs in which the change failed a larger share of its ops, with the
+inputs that failed only there; any such pair fails the claim.
+``--second-set`` repeats the protocol on other seeds, and ``--traced`` adds
+one traced run per side with its per-layer metrics.  The file is rewritten
+after every run, so a stopped run keeps what it ran.
 
 Standard library only; the benchmark's own process loads numpy.
 """
@@ -63,6 +66,9 @@ def side_record(run: dict) -> dict:
     detail, result = run["detail"], run["result"]
     out = {k: result[k] for k in ("correct", "attempted", "failed")}
     out.update({k: v["value"] for k, v in result["metrics"].items()})
+    # op k runs input seed + k % cycle: the inputs that failed, not the ops
+    out["failed_inputs"] = sorted({detail["seed"] + k % detail["cycle"]
+                                   for k in detail.get("failed_ops", [])})
     skip = set(detail.get("failed_ops", [])) | set(detail.get("retried_ops", []))
     first = [t for k, t in enumerate(detail.get("op_s", [])) if k not in skip]
     refs = detail.get("ref_s", [])
@@ -94,26 +100,38 @@ def summarise(pairs: list) -> dict:
         if key in RAW:
             out[key]["change_over_parent"] = [y / x for x, y in zip(a, b)]
     share = {side: [p[side]["failed"] / p[side]["attempted"] for p in done] for side in SIDES}
+    more = [{"seed": p["seed"], "parent": x, "change": y,
+             "inputs_failing_only_in_change": sorted(set(p["change"]["failed_inputs"])
+                                                     - set(p["parent"]["failed_inputs"]))}
+            for p, x, y in zip(done, share["parent"], share["change"]) if y > x]
     out["failed_share"] = {"per_pair_parent": share["parent"],
                            "per_pair_change": share["change"],
-                           "equal_in_pairs": sum(x == y for x, y in zip(*share.values()))}
+                           "equal_in_pairs": sum(x == y for x, y in zip(*share.values())),
+                           "same_inputs_in_pairs": sum(p["parent"]["failed_inputs"]
+                                                       == p["change"]["failed_inputs"]
+                                                       for p in done),
+                           "change_above_parent": more}
     return out
 
 
 def verdict(summary: dict, metric: str, drop: float) -> dict:
     """The claim rule: lower in >= 9/10 of pairs, median lower by >= ``drop``
-    and by more than the parent's quartile spread."""
+    and by more than the parent's quartile spread, and in no pair a larger
+    share of failed ops than the parent's."""
     s = summary.get(metric)
     if not s:
         return {}
-    pairs = len(summary["failed_share"]["per_pair_parent"])
+    failed = summary["failed_share"]
+    pairs = len(failed["per_pair_parent"])
     gap = s["parent"]["median"] - s["change"]["median"]
     iqr = s["parent"]["q3"] - s["parent"]["q1"]
     return {"change_lower_in": s["change_lower_in"], "pairs": pairs,
             "median_change_frac": s["median_change_frac"],
             "median_gap": gap, "parent_quartile_spread": iqr,
+            "more_failures": failed["change_above_parent"],
             "met": (10 * s["change_lower_in"] >= 9 * pairs
-                    and -s["median_change_frac"] >= drop and gap > iqr)}
+                    and -s["median_change_frac"] >= drop and gap > iqr
+                    and not failed["change_above_parent"])}
 
 
 def traced_record(run: dict) -> dict:

@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Each run is driven by one JSON config file (nested sections, matrices as
-nested arrays); command-line flags override the matching config keys.  Every
-command is a pure function of its config and input files, so reruns produce
-byte-identical outputs: reports embed the fully resolved config and never
-wall-clock data (timings go to stderr).
+nested arrays); the one flag that overrides a config key is simulate's
+--seed.  Every command is a pure function of its config and input files, so
+reruns produce byte-identical outputs: reports embed the fully resolved
+config and never wall-clock data (timings go to stderr).
 
 Commands and their config sections are documented in the README.  Exit
 codes: 0 success, 2 invalid model, 3 I/O or config trouble, 4 dimension or
@@ -24,7 +24,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .algebra import Selection, Word, enumerate_words
-from .covariance import CovarianceTable
+from .covariance import CovarianceTable, empirical_covariances
 from .errors import (
     DimensionError,
     InsufficientDataError,
@@ -36,10 +36,10 @@ from .errors import (
     NumericalError,
     UndefinedBfrError,
 )
-from .identify import IdentConfig, _estimate, identify, resolve_p, validate_model
+from .identify import IdentConfig, identify, resolve_p, validate_model
 from .model import SwitchedModel, find_isomorphism, model_from_dict, transform_model
 from .realize import _realize
-from .simulate import Dataset, SimConfig, _is_number, load_series_csv, simulate, write_csv
+from .simulate import Dataset, SimConfig, _is_number, simulate, write_csv
 
 __all__ = ["main"]
 
@@ -113,12 +113,21 @@ def _load_model(spec, base: Path) -> SwitchedModel:
     return model_from_dict(_load_json(base / str(spec)))
 
 
-def _load_dataset(spec, base: Path) -> Dataset:
+def _load_dataset(spec, base: Path, clean_spec=None) -> Dataset:
+    """The dataset at a path relative to the config file, with its clean channel.
+
+    The clean channel is read from clean_spec when given, else from the
+    sibling "<stem>_clean" file when it exists.
+    """
     path = base / str(spec)
     if not path.exists():
         raise _fail_io(f"dataset not found: {path}")
-    clean = path.with_name(path.stem + "_clean" + path.suffix)
-    return Dataset.from_csv(path, clean_path=clean if clean.exists() else None)
+    if clean_spec is not None:
+        clean = base / str(clean_spec)
+    else:
+        clean = path.with_name(path.stem + "_clean" + path.suffix)
+        clean = clean if clean.exists() else None
+    return Dataset.from_csv(path, clean_path=clean)
 
 
 def _selection_spec(spec, base: Path, n_modes: int, n_y: int, n_cols: int):
@@ -180,19 +189,16 @@ def _word_list(spec, n_modes: int):
 
 def cmd_estimate(args) -> int:
     cfg = _load_json(args.config)
-    _check_keys(cfg, ("data", "p", "estimator", "words"), "estimate")
+    _check_keys(cfg, ("data", "p", "words"), "estimate")
     base = Path(args.config).parent
     data = _load_dataset(_require(cfg, "data", "estimate"), base)
     p = resolve_p(cfg.get("p", "empirical"), data)
-    estimator = args.estimator or cfg.get("estimator", "direct")
     words = _word_list(_require(cfg, "words", "estimate"), p.shape[0])
-    if estimator not in ("direct", "ls"):
-        raise _fail_io(f"unknown estimator {estimator!r}")
     t0 = time.perf_counter()
-    table = _estimate(data, p, words, estimator)
+    table = empirical_covariances(data, p, words)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    effective = {"data": str(cfg["data"]), "p": p.tolist(), "estimator": estimator,
+    effective = {"data": str(cfg["data"]), "p": p.tolist(),
                  "words": sorted(str(w) for w in words)}
     obj = table.to_jsonable()
     obj["effective_config"] = effective
@@ -211,8 +217,7 @@ def cmd_realize(args) -> int:
     n_x = _count(cfg, "n_x", "realize")
     n_bar = _count(cfg, "n_bar", "realize", n_x)
     D, n_y, n_u = cov.p.shape[0], cov.n_y, cov.n_u
-    sel_spec = args.selection or cfg.get("selection", "search")
-    sel = _selection_spec(sel_spec, base, D, n_y, n_u + n_y)
+    sel = _selection_spec(cfg.get("selection", "search"), base, D, n_y, n_u + n_y)
     sel_bar = _selection_spec(cfg.get("selection_bar", "search"), base, D, n_y, n_u)
     t0 = time.perf_counter()
     model, diag = _realize(cov, n_x, n_bar, sel, sel_bar)
@@ -249,12 +254,7 @@ def _jsonable_diag(diag: dict) -> dict:
 def cmd_identify(args) -> int:
     cfg = _load_json(args.config)
     base = Path(args.config).parent
-    section = dict(_require(cfg, "ident", "identify"))
-    if args.estimator is not None:
-        section["estimator"] = args.estimator
-    if args.selection is not None:
-        section["selection"] = args.selection
-        section["selection_bar"] = args.selection
+    section = _require(cfg, "ident", "identify")
     _check_keys(section, IdentConfig.__dataclass_fields__, "ident")
     n_x = _count(section, "n_x", "ident")
     n_bar = _count(section, "n_bar", "ident", n_x)
@@ -276,7 +276,6 @@ def cmd_identify(args) -> int:
                                   int(data.q.max()), data.n_y, n_cols),
         selection_bar=_selection_spec(section.get("selection_bar", "search"), base,
                                       int(data.q.max()), data.n_y, data.n_u),
-        estimator=section.get("estimator", "direct"),
         p=section.get("p", "empirical"),
     )
     t0 = time.perf_counter()
@@ -307,7 +306,6 @@ def cmd_identify(args) -> int:
         "selection_bar": (ident_cfg.selection_bar
                           if isinstance(ident_cfg.selection_bar, str)
                           else ident_cfg.selection_bar.to_jsonable()),
-        "estimator": ident_cfg.estimator,
         "p": ident_cfg.p if isinstance(ident_cfg.p, str) else list(ident_cfg.p),
     }}
     if val_section:
@@ -327,13 +325,10 @@ def cmd_validate(args) -> int:
     _check_keys(cfg, ("model", "data", "reference", "exclude"), "validate")
     base = Path(args.config).parent
     model = _load_model(_require(cfg, "model", "validate"), base)
-    data = _load_dataset(_require(cfg, "data", "validate"), base)
-    y_ref = None
-    if "reference" in cfg:
-        y_ref = load_series_csv(base / str(cfg["reference"]))
+    # a reference is the data's clean channel, so it must match the data's t and shape
+    data = _load_dataset(_require(cfg, "data", "validate"), base, cfg.get("reference"))
     exclude = _count(cfg, "exclude", "validate", 0)
-    rep = validate_model(model, data, y_ref=y_ref, exclude=exclude,
-                         keep_predictions=True)
+    rep = validate_model(model, data, exclude=exclude, keep_predictions=True)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     report = {
@@ -397,31 +392,22 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def with_common(p, selection=False, estimator=False, seed=False):
+    def with_common(p, seed=False):
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out", required=True, help="output directory")
         if seed:
             p.add_argument("--seed", type=int, default=None,
                            help="override the config seed")
-        if estimator:
-            p.add_argument("--estimator", choices=["direct", "ls"], default=None,
-                           help="override the config estimator")
-        if selection:
-            p.add_argument("--selection", default=None,
-                           help="'search' or 'file:PATH' (overrides the config)")
         return p
 
     p = with_common(sub.add_parser("simulate", help="simulate a model to CSV"),
                     seed=True)
     p.set_defaults(func=cmd_simulate)
-    p = with_common(sub.add_parser("estimate", help="estimate a covariance table"),
-                    estimator=True)
+    p = with_common(sub.add_parser("estimate", help="estimate a covariance table"))
     p.set_defaults(func=cmd_estimate)
-    p = with_common(sub.add_parser("realize", help="realize a model from covariances"),
-                    selection=True)
+    p = with_common(sub.add_parser("realize", help="realize a model from covariances"))
     p.set_defaults(func=cmd_realize)
-    p = with_common(sub.add_parser("identify", help="identify a model from data"),
-                    selection=True, estimator=True)
+    p = with_common(sub.add_parser("identify", help="identify a model from data"))
     p.set_defaults(func=cmd_identify)
     p = with_common(sub.add_parser("validate", help="score a model on a dataset"))
     p.set_defaults(func=cmd_validate)

@@ -11,7 +11,9 @@ The estimators average over t = N_0 .. T-1 with N_0 = (max word length) + 1
 so every z value is in range, dividing by the number of retained samples.
 Both estimators produce the same sums: the least-squares route recovers them
 from the normal equations of a linear regression, which is the identity the
-tests pin down.
+tests pin down.  The pipeline uses the direct estimator; the least-squares
+one, which builds and solves a regression per table and so costs far more,
+is kept as the oracle the direct one is checked against.
 
 The direct estimator walks the samples once per lag k, in blocks of
 _BLOCK samples.  Each sample's k-long mode window is extended by one letter
@@ -462,7 +464,8 @@ def least_squares_covariances(
     separately, on the z^y columns of words_y (a prefix of words_full;
     defaults to all its nonempty words).  With Theta the least-squares
     coefficients, (Phi^T Phi) Theta / n_eff reproduces the direct covariance
-    sums Phi^T R / n_eff, which is how the table is filled.
+    sums Phi^T R / n_eff, which is how the table is filled.  An oracle for
+    empirical_covariances, not part of the identification pipeline.
     """
     p = np.asarray(p, dtype=float)
     if modes is None:

@@ -16,14 +16,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .algebra import EMPTY_WORD, Selection, Word, _as_words, enumerate_words, required_words
-from .covariance import (
-    CovarianceTable,
-    _ordered_words,
-    empirical_covariances,
-    exact_covariances,
-    least_squares_covariances,
-)
+from .algebra import EMPTY_WORD, Selection, Word, enumerate_words, required_words
+from .covariance import CovarianceTable, empirical_covariances, exact_covariances
 from .errors import (
     DimensionError,
     InsufficientDataError,
@@ -57,11 +51,12 @@ class IdentConfig:
     n_x is the model order and n_bar the order of the input part (default
     n_x).  selection / selection_bar may be explicit Selection objects or
     the string "search" (deterministic enumeration of full-rank candidates).
-    estimator is "direct" or "ls".  p is the known mode-probability vector
-    or "empirical" to use observed mode frequencies.
+    p is the known mode-probability vector or "empirical" to use observed
+    mode frequencies.
 
-    The numerics are fixed, not settings: the rank threshold RANK_TOL
-    (model.py), the gain solve's stopping rule FP_TOL / FP_MAX_ITER
+    The rest is fixed, not settings: the covariances come from the direct
+    estimator empirical_covariances, and the numerics are the rank threshold
+    RANK_TOL (model.py), the gain solve's stopping rule FP_TOL / FP_MAX_ITER
     (realize.py) and the search's budget of 50000 candidates per table.
     """
 
@@ -69,7 +64,6 @@ class IdentConfig:
     n_bar: Optional[int] = None
     selection: Union[Selection, str] = "search"
     selection_bar: Union[Selection, str] = "search"
-    estimator: str = "direct"
     p: Union[Sequence[float], str] = "empirical"
 
     def __post_init__(self):
@@ -77,8 +71,6 @@ class IdentConfig:
             raise DimensionError(f"n_x must be >= 1, got {self.n_x}")
         if self.n_bar is not None and self.n_bar < 1:
             raise DimensionError(f"n_bar must be >= 1, got {self.n_bar}")
-        if self.estimator not in ("direct", "ls"):
-            raise DimensionError(f"unknown estimator {self.estimator!r}")
 
 
 @dataclass
@@ -132,18 +124,6 @@ def resolve_p(spec: Union[Sequence[float], str], data: Dataset) -> np.ndarray:
 def _words_up_to(n_modes: int, max_len: int) -> Tuple[Word, ...]:
     """Every word of length <= max_len, the table a selection search needs."""
     return tuple(enumerate_words(n_modes, max_len))
-
-
-def _estimate(data: Dataset, p: np.ndarray, words, estimator: str) -> CovarianceTable:
-    """The covariance table over the given words, from the named estimator.
-
-    The words go to either estimator in length-then-lex order, duplicates
-    dropped; none is added.
-    """
-    words = _ordered_words(_as_words(words))
-    if estimator == "direct":
-        return empirical_covariances(data, p, words)
-    return least_squares_covariances(data, p, words)
 
 
 def resolve_selections(
@@ -200,14 +180,14 @@ def identify(data: Dataset, cfg: IdentConfig) -> Tuple[InnovationModel, dict]:
             raise DimensionError(
                 f"{name} has {sel.n_cols} columns but needs {cols} = {n_cols}")
     n_bar = cfg.n_bar if cfg.n_bar is not None else cfg.n_x
-    diagnostics: dict = {"p": p.tolist(), "estimator": cfg.estimator}
+    diagnostics: dict = {"p": p.tolist()}
 
     if "search" in (cfg.selection, cfg.selection_bar):
         words = _words_up_to(D, 2 * max(cfg.n_x, n_bar) + 2)
     else:
         words = (set(required_words(cfg.selection))
                  | set(required_words(cfg.selection_bar)) | {EMPTY_WORD})
-    cov = _estimate(data, p, words, cfg.estimator)
+    cov = empirical_covariances(data, p, words)
     model, real_diag = _realize(cov, cfg.n_x, n_bar, cfg.selection, cfg.selection_bar)
     diagnostics.update(real_diag)
     diagnostics["N"] = len(data)

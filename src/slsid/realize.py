@@ -574,7 +574,6 @@ def _realize(cov: CovarianceTable, n_x: int, n_bar: int,
             **joint.found,
             "selection": joint.sel.to_jsonable(),
             "selection_bar": joint.sel_bar.to_jsonable(),
-            "estimator": cov.metadata.get("estimator"),
             "warnings": list(cov.metadata.get("degenerate_words", [])),
             "n_bar": joint.m_psi.n_x,
             "kq_iterations": state.iterations,

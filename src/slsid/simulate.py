@@ -283,7 +283,8 @@ class SimConfig:
     input_dist "uniform" draws each input channel independently from
     U(input_low, input_high); "gaussian" draws u ~ N(0, Q_u) with the model's
     Q_u.  For uniform input, the model's Q_u must equal the implied diagonal
-    (high - low)^2 / 12 * I; the default U(-1, 1) gives Q_u = I/3.
+    (high - low)^2 / 12 * I; the default U(-1, 1) gives Q_u = I/3.  The
+    noise v is always Gaussian, with covariance Q_v[s] / p_s in mode s.
 
     seed, length and burn_in are integers (an integral float such as 2000.0,
     JSON's 2e3, is taken as one) with seed >= 0, length >= 1 and
@@ -297,7 +298,6 @@ class SimConfig:
     input_dist: str = "uniform"
     input_low: float = -1.0
     input_high: float = 1.0
-    noise_dist: str = "gaussian"
 
     def __post_init__(self):
         for name, least in (("seed", 0), ("length", 1), ("burn_in", 0)):
@@ -313,8 +313,6 @@ class SimConfig:
                                      f"{getattr(self, name)!r}")
         if self.input_dist not in ("uniform", "gaussian"):
             raise DimensionError(f"unknown input_dist {self.input_dist!r}")
-        if self.noise_dist != "gaussian":
-            raise DimensionError(f"unknown noise_dist {self.noise_dist!r}")
         if self.input_dist == "uniform" and not self.input_high > self.input_low:
             raise DimensionError("uniform input needs input_high > input_low")
 
@@ -326,7 +324,6 @@ class SimConfig:
             "input_dist": self.input_dist,
             "input_low": self.input_low,
             "input_high": self.input_high,
-            "noise_dist": self.noise_dist,
         }
 
     @classmethod

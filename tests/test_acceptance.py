@@ -207,8 +207,7 @@ def test_5_markov_error_shrinks_with_data(two_mode, capsys):
     """
     t0 = time.perf_counter()
     cfg = IdentConfig(n_x=3, selection=two_mode.sel,
-                      selection_bar=two_mode.sel_bar,
-                      estimator="direct", p=(0.5, 0.5))
+                      selection_bar=two_mode.sel_bar, p=(0.5, 0.5))
     res = consistency_experiment(two_mode.model, [1000, 100000], range(10),
                                  cfg, word_len=2, markov_block="input")
     elapsed = time.perf_counter() - t0
@@ -228,8 +227,7 @@ def test_6_bfr_on_noise_free_validation(two_mode, capsys):
     Failed identifications score 0, the worst possible BFR.
     """
     cfg = IdentConfig(n_x=3, selection=two_mode.sel,
-                      selection_bar=two_mode.sel_bar,
-                      estimator="direct", p=(0.5, 0.5))
+                      selection_bar=two_mode.sel_bar, p=(0.5, 0.5))
     scores = {5000: [], 10000: []}
     for seed in range(10):
         val = simulate(two_mode.model, SimConfig(seed=seed + 7000, length=500))

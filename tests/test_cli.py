@@ -16,6 +16,7 @@ from slsid import (
     validate_model,
 )
 from slsid.cli import EXIT_NUMERICAL, main
+from slsid.simulate import write_csv
 
 
 def write_json(path, obj):
@@ -74,12 +75,12 @@ def test_estimate_realize_compare_round_trip(workspace, two_mode):
         "data": "sim/data.csv",
         "p": [0.5, 0.5],
         "words": {"max_len": 5},
-        "estimator": "direct",
     })
     assert main(["estimate", "--config", str(est_cfg),
                  "--out", str(workspace / "est")]) == 0
     cov_obj = json.loads((workspace / "est" / "covariances.json").read_text())
-    assert cov_obj["effective_config"]["estimator"] == "direct"
+    assert set(cov_obj["effective_config"]) == {"data", "p", "words"}
+    assert cov_obj["metadata"]["estimator"] == "direct"
     assert cov_obj["n_y"] == 1 and cov_obj["n_u"] == 1
 
     real_cfg = write_json(workspace / "real.json", {
@@ -141,7 +142,9 @@ def test_identify_with_validation_split(workspace, two_mode):
     assert 0.0 <= report["validation"]["bfr"] <= 100.0
     assert report["validation"]["n_excluded"] == 6
     assert "runtime_seconds" not in report["validation"]
-    assert report["effective_config"]["ident"]["estimator"] == "direct"
+    assert set(report["effective_config"]["ident"]) == {
+        "n_x", "n_bar", "selection", "selection_bar", "p"}
+    assert "estimator" not in report["diagnostics"]
     model_from_dict(
         json.loads((workspace / "ident" / "model.json").read_text())).validate()
 
@@ -232,7 +235,40 @@ def test_validate_rejects_non_finite_reference(workspace, tmp_path, capsys):
     data = (workspace / "sim" / "data.csv").read_text().splitlines()[:200]
     assert _validate_on(workspace, tmp_path, "\n".join(data) + "\n",
                         reference="ref.csv") == 4
-    assert "y_ref holds a non-finite value at row 10" in capsys.readouterr().err
+    # the reference is read as the data's clean channel, which Dataset checks
+    assert "y_clean holds a non-finite value at row 10 (t = 10)" in capsys.readouterr().err
+
+
+def _validate_with_reference(workspace, tmp_path, t_ref):
+    """validate on the first 200 rows, scored against their noisy y written from t_ref.
+
+    The data's own clean file beside it starts at t = 500, so reading it fails.
+    """
+    data = Dataset.from_csv(workspace / "sim" / "data.csv",
+                            clean_path=workspace / "sim" / "data_clean.csv").slice(0, 200)
+    data.to_csv(tmp_path / "data.csv")
+    Dataset(y=data.y, u=data.u, q=data.q, t0=500, y_clean=data.y_clean).clean_to_csv(
+        tmp_path / "data_clean.csv")
+    write_csv(tmp_path / "ref.csv", ["t", "y_1"], [t_ref + np.arange(200), data.y[:, 0]])
+    cfg = write_json(tmp_path / "val.json", {
+        "model": str(workspace / "true_model.json"), "data": "data.csv",
+        "reference": "ref.csv", "exclude": 6})
+    return data, main(["validate", "--config", str(cfg), "--out", str(tmp_path / "out")])
+
+
+def test_validate_scores_against_the_reference(workspace, tmp_path, two_mode):
+    data, code = _validate_with_reference(workspace, tmp_path, 0)
+    assert code == 0
+    bfr = json.loads((tmp_path / "out" / "report.json").read_text())["bfr"]
+    assert bfr == validate_model(two_mode.model, data, y_ref=data.y, exclude=6).bfr
+    assert bfr != validate_model(two_mode.model, data, exclude=6).bfr
+
+
+def test_validate_rejects_a_shifted_reference(workspace, tmp_path, capsys):
+    _, code = _validate_with_reference(workspace, tmp_path, 1000)
+    assert code == 4
+    assert "starts at t = 1000, the dataset at t = 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_negative_exclude_exit_code(workspace, tmp_path, capsys, two_mode):
@@ -380,6 +416,9 @@ def test_simulate_takes_integral_floats_as_counts(workspace, tmp_path):
     ('{"seed": 1, "length": 300}', ["--seed", "-2"], 4, "seed must be >= 0, got -2"),
     ('{"seed": 1, "lenght": 300}', [], 3, "config section 'sim' has unknown key 'lenght'"),
     ('{"seed": 1}', [], 3, "config section 'sim' is missing required key 'length'"),
+    # the noise is always Gaussian
+    ('{"seed": 1, "length": 300, "noise_dist": "gaussian"}', [], 3,
+     "config section 'sim' has unknown key 'noise_dist'"),
 ])
 def test_simulate_rejects_a_malformed_sim_section(workspace, tmp_path, capsys,
                                                   sim_text, flags, code, text):
@@ -400,16 +439,17 @@ def test_invalid_model_exit_code(workspace, tmp_path, two_mode):
                  "--out", str(tmp_path / "out")]) == 2
 
 
-def test_estimate_ls_flag_overrides_config(workspace):
-    est_cfg = write_json(workspace / "est_ls.json", {
-        "data": "sim/data.csv",
-        "words": {"max_len": 3},
-        "estimator": "direct",
-    })
-    assert main(["estimate", "--config", str(est_cfg),
-                 "--out", str(workspace / "est_ls"), "--estimator", "ls"]) == 0
-    obj = json.loads((workspace / "est_ls" / "covariances.json").read_text())
-    assert obj["effective_config"]["estimator"] == "ls"
+@pytest.mark.parametrize("command, flag", [
+    ("estimate", "--estimator"), ("identify", "--estimator"),
+    ("identify", "--selection"), ("realize", "--selection"),
+])
+def test_commands_have_no_estimator_or_selection_flag(tmp_path, capsys, command, flag):
+    # the config file is the one place these are set
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(tmp_path / "run.json"), "--out", str(tmp_path / "out"),
+              flag, "search"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def _ident_config(workspace, two_mode, ident=None, validation=None):
@@ -434,6 +474,8 @@ def _ident_config(workspace, two_mode, ident=None, validation=None):
     ({"fp_max_iter": 5000}, None, "config section 'ident' has unknown key 'fp_max_iter'"),
     ({"search_budget": 50000}, None, "config section 'ident' has unknown key 'search_budget'"),
     ({"rank_tol": 1e-8}, None, "config section 'ident' has unknown key 'rank_tol'"),
+    # the covariances always come from the direct estimator
+    ({"estimator": "direct"}, None, "config section 'ident' has unknown key 'estimator'"),
 ])
 def test_identify_rejects_a_malformed_count_or_key(workspace, tmp_path, capsys, two_mode,
                                                    ident, validation, text):
@@ -493,7 +535,8 @@ def test_realize_rejects_a_fractional_count(workspace, tmp_path, capsys, two_mod
 
 
 @pytest.mark.parametrize("command, key", [
-    ("estimate", "word"), ("estimate", "n_x"), ("validate", "exlcude"), ("validate", "split"),
+    ("estimate", "word"), ("estimate", "n_x"), ("estimate", "estimator"),
+    ("validate", "exlcude"), ("validate", "split"),
 ])
 def test_commands_reject_an_unknown_config_key(workspace, tmp_path, capsys, command, key):
     # realize's keys are checked in test_realize_rejects_a_fractional_count

@@ -137,26 +137,12 @@ def test_identify_with_explicit_selections(two_mode):
     model, diag = identify(data, cfg)
     model.validate()
     assert diag["N"] == 10000
-    assert diag["estimator"] == "direct"
+    assert "estimator" not in diag
     assert abs(diag["p"][0] - 0.5) < 0.02  # empirical mode frequency
     fresh = simulate(two_mode.model, SimConfig(seed=7007, length=500))
     noise_free = Dataset(y=fresh.y_clean, u=fresh.u, q=fresh.q)
     report = validate_model(model, noise_free, exclude=6)
     assert report.bfr > 75.0
-
-
-def test_identify_estimators_agree(two_mode):
-    data = simulate(two_mode.model, SimConfig(seed=7, length=10000))
-    cfg_d = IdentConfig(n_x=3, selection=two_mode.sel,
-                        selection_bar=two_mode.sel_bar, estimator="direct")
-    cfg_l = IdentConfig(n_x=3, selection=two_mode.sel,
-                        selection_bar=two_mode.sel_bar, estimator="ls")
-    m_d, _ = identify(data, cfg_d)
-    m_l, _ = identify(data, cfg_l)
-    for s in range(2):
-        assert np.allclose(m_d.A[s], m_l.A[s], atol=1e-8)
-        assert np.allclose(m_d.K[s], m_l.K[s], atol=1e-8)
-        assert np.allclose(m_d.Q_v[s], m_l.Q_v[s], atol=1e-8)
 
 
 def test_identify_search_mode(two_mode):
@@ -229,7 +215,8 @@ def test_identify_checks_explicit_selections_before_estimating(two_mode, monkeyp
         raise AssertionError("estimated before the selections were checked")
 
     # slsid.identify names the function; the module is in sys.modules
-    monkeypatch.setattr(sys.modules["slsid.identify"], "_estimate", no_estimate)
+    monkeypatch.setattr(sys.modules["slsid.identify"], "empirical_covariances",
+                        no_estimate)
     wide = Selection(two_mode.sel.alpha, two_mode.sel.beta, n_modes=2, n_y=2, n_cols=3)
     cases = [
         (dict(p=(0.3, 0.3, 0.4)), "selection has 2 modes but p has 3 entries"),
@@ -264,12 +251,10 @@ def test_identify_rejects_missing_modes():
 def test_ident_config_validation(two_mode):
     with pytest.raises(DimensionError):
         IdentConfig(n_x=0)
-    with pytest.raises(DimensionError):
-        IdentConfig(n_x=1, estimator="mle")
     with pytest.raises(DimensionError, match="n_bar must be >= 1, got 0"):
         IdentConfig(n_x=1, n_bar=0)
-    # the numerics are fixed constants, not fields
-    for name in ("fp_tol", "fp_max_iter", "search_budget", "rank_tol"):
+    # the numerics and the estimator are fixed, not fields
+    for name in ("fp_tol", "fp_max_iter", "search_budget", "rank_tol", "estimator"):
         with pytest.raises(TypeError, match=name):
             IdentConfig(n_x=1, **{name: 1})
     data = simulate(two_mode.model, SimConfig(seed=30, length=200))

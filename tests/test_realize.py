@@ -561,7 +561,7 @@ def test_covariance_realization_oracle_quality(two_mode, two_mode_cov):
     assert diag["n_x"] == 3
     assert diag["n_bar"] == 3
     assert diag["kq_last_delta"] < 1e-10
-    assert {"selection", "selection_bar", "estimator", "kq_iterations"} <= set(diag)
+    assert {"selection", "selection_bar", "kq_iterations"} <= set(diag)
     find_isomorphism(model, two_mode.model, tol=1e-8)
 
 

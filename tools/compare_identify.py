@@ -3,9 +3,10 @@
     PYTHONPATH=DIR_A/src python3 tools/compare_identify.py a.json
     PYTHONPATH=DIR_B/src python3 tools/compare_identify.py b.json --against a.json
 
-Runs search-mode `identify` (n_x = 3) on the two-mode reference system
+Runs `identify` (n_x = 3) on the two-mode reference system
 (`perfbench.workloads.reference_system`) for seeds 0-29, N in
-{1e3, 1e4, 1e5} and p in {(0.5, 0.5), "empirical"}: 180 runs, about 10 s.
+{1e3, 1e4, 1e5}, p in {(0.5, 0.5), "empirical"} and the selections
+"search" or the system's bundled explicit ones: 360 runs, about 15 s.
 Each success is recorded as the JSON of `model.to_dict()` and of the
 diagnostics (sorted keys), each failure as its error class, its text and
 its stage.  With --against, the runs whose record differs from the other
@@ -26,21 +27,24 @@ from perfbench.workloads import reference_system  # noqa: E402  (needs the repo 
 
 
 def records() -> dict:
-    model, _, _ = reference_system()
+    model, sel, sel_bar = reference_system()
+    selections = {"search": ("search", "search"), "explicit": (sel, sel_bar)}
     out = {}
     for N in (1000, 10000, 100000):
         for seed in range(30):
             data = simulate(model, SimConfig(seed=seed, length=N))
             for p in ((0.5, 0.5), "empirical"):
-                key = f"N={N} seed={seed} p={p}"
-                try:
-                    m, diag = identify(data, IdentConfig(n_x=3, p=p))
-                except Exception as exc:  # every failure is part of the record
-                    out[key] = {"error": type(exc).__name__, "text": str(exc),
-                                "stage": getattr(exc, "stage", None)}
-                    continue
-                out[key] = {"model": json.dumps(m.to_dict(), sort_keys=True),
-                            "diagnostics": json.dumps(diag, sort_keys=True)}
+                for name, (s, s_bar) in selections.items():
+                    key = f"N={N} seed={seed} p={p} selection={name}"
+                    cfg = IdentConfig(n_x=3, selection=s, selection_bar=s_bar, p=p)
+                    try:
+                        m, diag = identify(data, cfg)
+                    except Exception as exc:  # every failure is part of the record
+                        out[key] = {"error": type(exc).__name__, "text": str(exc),
+                                    "stage": getattr(exc, "stage", None)}
+                        continue
+                    out[key] = {"model": json.dumps(m.to_dict(), sort_keys=True),
+                                "diagnostics": json.dumps(diag, sort_keys=True)}
     return out
 
 

@@ -246,16 +246,13 @@ class WordIndexedMatrixTable:
     returning a default.
     """
 
-    def __init__(self, shape: Tuple[int, int], entries: Dict[Word, np.ndarray] | None = None):
+    def __init__(self, shape: Tuple[int, int]):
         rows, cols = int(shape[0]), int(shape[1])
         if rows < 1 or cols < 1:
             raise DimensionError(f"table shape must be positive, got {shape}")
         self.shape = (rows, cols)
         self._index: Dict[Word, int] = {}
         self._array = np.empty((0, rows, cols))
-        if entries:
-            for w, m in entries.items():
-                self[w] = m
 
     @classmethod
     def _from_array(cls, shape: Tuple[int, int], words: Sequence[Word],
@@ -344,30 +341,15 @@ class WordIndexedMatrixTable:
 
 
 def required_words(sel: Selection) -> frozenset:
-    """Every word whose Markov value appears in one of the four Hankels.
+    """Every word whose Markov value one of sel's four Hankels reads.
 
-    The templates are u_i, sigma_j v_j, sigma_j v_j u_i,
-    sigma_j v_j sigma u_i, and sigma u_i with sigma ranging over the whole
+    These are the words of _hankel_plan: sigma_j v_j, sigma_j v_j u_i,
+    sigma_j v_j sigma u_i and sigma u_i, with sigma ranging over the whole
     alphabet.  Words compose in time order: the sigma_j letter plays first,
-    then v_j, then (for the shifted matrices) sigma, then u_i.  The result
-    never contains the empty word: each template starts with a letter, and
-    u_i alone is included only when u_i is nonempty.
+    then v_j, then (for the shifted matrices) sigma, then u_i.  Each starts
+    with a letter, so the empty word is never among them.
     """
-    out = set()
-    sigmas = [Word((s,)) for s in range(1, sel.n_modes + 1)]
-    for u, _ in sel.alpha:
-        if len(u) > 0:
-            out.add(u)
-        for sig in sigmas:
-            out.add(sig + u)
-    for s, v, _ in sel.beta:
-        head = Word((s,)) + v
-        out.add(head)
-        for u, _ in sel.alpha:
-            out.add(head + u)
-            for sig in sigmas:
-                out.add(head + sig + u)
-    return frozenset(out)
+    return frozenset(map(Word, _hankel_plan(sel)[0]))
 
 
 @functools.lru_cache(maxsize=256)

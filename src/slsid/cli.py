@@ -54,19 +54,16 @@ class ConfigError(Exception):
     """Malformed or incomplete run configuration (exit code 3)."""
 
 
-def _fail_io(msg: str) -> "ConfigError":
-    return ConfigError(msg)
-
-
 def _load_json(path: Union[str, Path]) -> dict:
     path = Path(path)
     if not path.exists():
-        raise _fail_io(f"file not found: {path}")
+        raise ConfigError(f"file not found: {path}")
     try:
         with open(path) as fh:
             return json.load(fh)
     except json.JSONDecodeError as exc:
-        raise _fail_io(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+        raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}, "
+                          f"column {exc.colno}: {exc.msg}")
 
 
 def _dump_json(obj, path: Path) -> None:
@@ -83,14 +80,18 @@ def _canonical_sha256(obj) -> str:
 
 def _require(cfg: dict, key: str, where: str):
     if key not in cfg:
-        raise _fail_io(f"config section '{where}' is missing required key '{key}'")
+        raise ConfigError(f"config section '{where}' is missing required key '{key}'")
     return cfg[key]
 
 
-def _check_keys(section: dict, known, where: str) -> None:
+def _check_keys(section, known, where: str) -> None:
+    """Every config and config section passes here: it must be a JSON object
+    whose keys are all in `known`."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"config section '{where}' must be a JSON object")
     for key in section:
         if key not in known:
-            raise _fail_io(f"config section '{where}' has unknown key {key!r}")
+            raise ConfigError(f"config section '{where}' has unknown key {key!r}")
 
 
 def _count(section: dict, key: str, where: str, default: Optional[int] = None) -> int:
@@ -101,8 +102,8 @@ def _count(section: dict, key: str, where: str, default: Optional[int] = None) -
     """
     value = _require(section, key, where) if default is None else section.get(key, default)
     if not _is_number(value) or value != int(value):
-        raise _fail_io(f"config section '{where}' key {key!r} must be an integer, "
-                       f"got {value!r}")
+        raise ConfigError(f"config section '{where}' key {key!r} must be an integer, "
+                          f"got {value!r}")
     return int(value)
 
 
@@ -121,7 +122,7 @@ def _load_dataset(spec, base: Path, clean_spec=None) -> Dataset:
     """
     path = base / str(spec)
     if not path.exists():
-        raise _fail_io(f"dataset not found: {path}")
+        raise ConfigError(f"dataset not found: {path}")
     if clean_spec is not None:
         clean = base / str(clean_spec)
     else:
@@ -139,7 +140,7 @@ def _selection_spec(spec, base: Path, n_modes: int, n_y: int, n_cols: int):
         return Selection.from_jsonable(obj, n_modes, n_y, n_cols)
     if isinstance(spec, dict):
         return Selection.from_jsonable(spec, n_modes, n_y, n_cols)
-    raise _fail_io(f"selection spec must be 'search', 'file:PATH', or an object, got {spec!r}")
+    raise ConfigError(f"selection spec must be 'search', 'file:PATH', or an object, got {spec!r}")
 
 
 def _stderr(msg: str) -> None:
@@ -151,12 +152,13 @@ def _stderr(msg: str) -> None:
 
 def cmd_simulate(args) -> int:
     cfg = _load_json(args.config)
+    _check_keys(cfg, ("model", "sim"), "simulate")
     base = Path(args.config).parent
     model = _load_model(_require(cfg, "model", "simulate"), base)
-    sim_section = dict(_require(cfg, "sim", "simulate"))
-    if args.seed is not None:
-        sim_section["seed"] = args.seed
+    sim_section = _require(cfg, "sim", "simulate")
     _check_keys(sim_section, SimConfig.__dataclass_fields__, "sim")
+    if args.seed is not None:
+        sim_section = {**sim_section, "seed": args.seed}
     for key in ("seed", "length"):
         _require(sim_section, key, "sim")
     sim_cfg = SimConfig.from_jsonable(sim_section)
@@ -184,7 +186,7 @@ def _word_list(spec, n_modes: int):
         return list(enumerate_words(n_modes, _count(spec, "max_len", "words")))
     if isinstance(spec, list):
         return [Word.parse(str(s)) for s in spec]
-    raise _fail_io("'words' must be a list of word strings or {\"max_len\": L}")
+    raise ConfigError("'words' must be a list of word strings or {\"max_len\": L}")
 
 
 def cmd_estimate(args) -> int:
@@ -253,6 +255,7 @@ def _jsonable_diag(diag: dict) -> dict:
 
 def cmd_identify(args) -> int:
     cfg = _load_json(args.config)
+    _check_keys(cfg, ("data", "ident", "validation"), "identify")
     base = Path(args.config).parent
     section = _require(cfg, "ident", "identify")
     _check_keys(section, IdentConfig.__dataclass_fields__, "ident")
@@ -260,10 +263,10 @@ def cmd_identify(args) -> int:
     n_bar = _count(section, "n_bar", "ident", n_x)
     # the validation settings are checked before the identification runs
     val_section = cfg.get("validation")
-    if val_section:
+    if "validation" in cfg:
         _check_keys(val_section, ("data", "split", "exclude"), "validation")
         if "data" not in val_section and "split" not in val_section:
-            raise _fail_io("'validation' needs 'data' or 'split'")
+            raise ConfigError("'validation' needs 'data' or 'split'")
         exclude = _count(val_section, "exclude", "validation", 0)
         if "split" in val_section:
             n_val = _count(val_section, "split", "validation")
@@ -286,7 +289,7 @@ def cmd_identify(args) -> int:
         "model_sha256": _canonical_sha256(model.to_dict()),
     }
 
-    if val_section:
+    if "validation" in cfg:
         if "data" in val_section:
             val_data = _load_dataset(val_section["data"], base)
         else:
@@ -308,7 +311,7 @@ def cmd_identify(args) -> int:
                           else ident_cfg.selection_bar.to_jsonable()),
         "p": ident_cfg.p if isinstance(ident_cfg.p, str) else list(ident_cfg.p),
     }}
-    if val_section:
+    if "validation" in cfg:
         effective["validation"] = {k: (str(v) if k == "data" else int(v))
                                    for k, v in val_section.items()}
     report["effective_config"] = effective
@@ -340,6 +343,8 @@ def cmd_validate(args) -> int:
         },
         **rep.to_jsonable(),
     }
+    if "reference" in cfg:
+        report["effective_config"]["reference"] = str(cfg["reference"])
     _dump_json(report, out / "report.json")
     yhat = rep.predictions
     write_csv(out / "predictions.csv",

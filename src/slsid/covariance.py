@@ -35,7 +35,7 @@ from __future__ import annotations
 import functools
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -184,10 +184,10 @@ def _ordered_words(words: Tuple[Word, ...]) -> Tuple[Word, ...]:
     return tuple(sorted(sorted(set(words)), key=len))
 
 
-def _prepare(data: Dataset, words: Iterable[Word], modes: Sequence[int]):
+def _prepare(data: Dataset, words: Iterable[Word]):
     words = _ordered_words(_as_words(words))
-    # the words are ordered by length
-    max_len = max(len(words[-1]) if words else 0, 1 if modes else 0)
+    # the words are ordered by length; T^{y,y}_{s,s} reads y(t-1)
+    max_len = max(len(words[-1]) if words else 0, 1)
     n0 = max_len + 1
     n_eff = len(data) - n0
     if n_eff <= 0:
@@ -204,10 +204,10 @@ def _input_moment(data: Dataset, n0: int, n_eff: int) -> np.ndarray:
     return (q_u + q_u.T) / 2.0
 
 
-def _moment_parts(data: Dataset, p, modes: Sequence[int], n0: int, n_eff: int):
-    """T^{y,y}_{s,s} from the per-mode _z_block products, and q_u."""
+def _moment_parts(data: Dataset, p, n0: int, n_eff: int):
+    """T^{y,y}_{s,s} for every mode from the per-mode _z_block products, and q_u."""
     t_yy: Dict[int, np.ndarray] = {}
-    for s in modes:
+    for s in range(1, len(p) + 1):
         z = _z_block(data.y, data.q, p, Word((s,)), n0)
         m = z.T @ z / n_eff
         t_yy[s] = (m + m.T) / 2.0
@@ -349,13 +349,12 @@ def empirical_covariances(
     data: Dataset,
     p: Sequence[float],
     words: Iterable[Word],
-    modes: Optional[Sequence[int]] = None,
 ) -> CovarianceTable:
     """Direct averaging estimator of the covariance table.
 
     Fills Lambda^{y,u}_w and Lambda^{y,y}_w for every requested word (the
-    empty word contributes only to Lambda^{y,u}), T^{y,y}_{s,s} for the
-    requested modes, and the empirical q_u.  A word pattern that never occurs
+    empty word contributes only to Lambda^{y,u}), T^{y,y}_{s,s} for every
+    mode 1..D, and the empirical q_u.  A word pattern that never occurs
     in the data yields a zero estimate plus a warning recorded under
     metadata["degenerate_words"].
 
@@ -370,9 +369,7 @@ def empirical_covariances(
     sums equal those of the per-word _z_block products up to rounding.
     """
     p = np.asarray(p, dtype=float)
-    if modes is None:
-        modes = list(range(1, p.shape[0] + 1))
-    words, n0, n_eff = _prepare(data, words, modes)
+    words, n0, n_eff = _prepare(data, words)
     D, T = p.shape[0], len(data)
     word_probability(p, EMPTY_WORD)  # validates p
     levels, n_dense = _suffix_tables(words, D)
@@ -381,9 +378,6 @@ def empirical_covariances(
     for lag in levels:
         if lag.heads and lag.letters.max() > D:
             word_probability(p, lag.heads[int(np.argmax(lag.letters.max(axis=1) > D))])
-    for s in modes:
-        if not 1 <= s <= D:
-            word_probability(p, Word((s,)))
     if int(data.q.max()) > D:
         n_dense = 0  # a mode outside 1..D has no code
     y, u, n_y, n_u = data.y, data.u, data.n_y, data.n_u
@@ -444,7 +438,7 @@ def empirical_covariances(
         _add_outer(packed, np.minimum(data.q[t0 - 1:t0 - 1 + n] - 1, D),
                    y_prev, (y_prev,), work[:n])
     mode_sums = _real_sums(packed, n_y * n_y).reshape(n_y, n_y, D + 1)
-    t_yy = {s: mode_sums[:, :, s - 1] / (n_eff * p[s - 1]) for s in modes}
+    t_yy = {s: mode_sums[:, :, s - 1] / (n_eff * p[s - 1]) for s in range(1, D + 1)}
     meta = {"estimator": "direct", "N": len(data), "N_0": n0, "n_eff": n_eff,
             "degenerate_words": degenerate}
     return CovarianceTable(lambda_yu=lam_yu, lambda_yy=lam_yy, t_yy_sigma=t_yy,
@@ -455,30 +449,19 @@ def least_squares_covariances(
     data: Dataset,
     p: Sequence[float],
     words_full: Sequence[Word],
-    words_y: Optional[Sequence[Word]] = None,
-    modes: Optional[Sequence[int]] = None,
 ) -> CovarianceTable:
     """Covariances recovered through the normal equations of a regression.
 
     y(t) is regressed on the stacked z^u columns of words_full and,
-    separately, on the z^y columns of words_y (a prefix of words_full;
-    defaults to all its nonempty words).  With Theta the least-squares
-    coefficients, (Phi^T Phi) Theta / n_eff reproduces the direct covariance
-    sums Phi^T R / n_eff, which is how the table is filled.  An oracle for
-    empirical_covariances, not part of the identification pipeline.
+    separately, on the z^y columns of its nonempty words.  With Theta the
+    least-squares coefficients, (Phi^T Phi) Theta / n_eff reproduces the
+    direct covariance sums Phi^T R / n_eff, which is how the table is
+    filled.  An oracle for empirical_covariances, not part of the
+    identification pipeline.
     """
     p = np.asarray(p, dtype=float)
-    if modes is None:
-        modes = list(range(1, p.shape[0] + 1))
     words_full = [_as_word(w) for w in words_full]
-    if words_y is None:
-        words_y = [w for w in words_full if len(w) > 0]
-    else:
-        words_y = [_as_word(w) for w in words_y]
-        probe = [w for w in words_full if w in set(words_y)]
-        if probe != words_y:
-            raise DimensionError("words_y must be an ordered sub-list of words_full")
-    _, n0, n_eff = _prepare(data, words_full, modes)
+    _, n0, n_eff = _prepare(data, words_full)
     R = data.y[n0:]
 
     def regress(b: np.ndarray, word_list: Sequence[Word]):
@@ -505,14 +488,14 @@ def least_squares_covariances(
         return out, phi
 
     lam_u_entries, _ = regress(data.u, words_full)
-    lam_y_entries, _ = regress(data.y, words_y)
+    lam_y_entries, _ = regress(data.y, [w for w in words_full if w])
     lam_yu = WordIndexedMatrixTable((data.n_y, data.n_u))
     for w, m in lam_u_entries.items():
         lam_yu[w] = m
     lam_yy = WordIndexedMatrixTable((data.n_y, data.n_y))
     for w, m in lam_y_entries.items():
         lam_yy[w] = m
-    t_yy, q_u = _moment_parts(data, p, modes, n0, n_eff)
+    t_yy, q_u = _moment_parts(data, p, n0, n_eff)
     meta = {"estimator": "ls", "N": len(data), "N_0": n0, "n_eff": n_eff,
             "degenerate_words": []}
     return CovarianceTable(lambda_yu=lam_yu, lambda_yy=lam_yy, t_yy_sigma=t_yy,
@@ -558,8 +541,7 @@ def exact_covariances(
         Dmat=model.Dmat,
     )
     nonempty = [w for w in words if len(w) > 0]
-    modes = list(range(1, D + 1))
-    lam_dd, t_dd = lambda_ydyd(m_tilde, model.Q_u, model.p, nonempty, modes)
+    lam_dd, t_dd = lambda_ydyd(m_tilde, model.Q_u, model.p, nonempty)
 
     lam_yy = WordIndexedMatrixTable((n_y, n_y))
     for w in nonempty:
@@ -567,7 +549,7 @@ def exact_covariances(
 
     P = state_second_moment(model)
     t_yy = {}
-    for s in modes:
+    for s in range(1, D + 1):
         t_ys = (model.C @ P[s - 1] @ model.C.T
                 + model.F @ model.Q_v[s - 1] @ model.F.T) / model.p[s - 1]
         m = t_dd[s] + t_ys

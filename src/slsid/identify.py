@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .algebra import EMPTY_WORD, Selection, Word, enumerate_words, required_words
-from .covariance import CovarianceTable, empirical_covariances, exact_covariances
+from .covariance import CovarianceTable, empirical_covariances
 from .errors import (
     DimensionError,
     InsufficientDataError,
@@ -27,7 +27,7 @@ from .errors import (
     UndefinedBfrError,
 )
 from .model import InnovationModel, SwitchedModel, markov_parameter
-from .realize import _attempts, _realize, associated_dlss, covariance_realization
+from .realize import _attempts, _realize, associated_dlss
 from .simulate import Dataset, SimConfig, affine_scan, as_series, simulate
 
 __all__ = [
@@ -84,16 +84,15 @@ class ValidationReport:
     runtime_seconds: float
     predictions: Optional[np.ndarray] = None
 
-    def to_jsonable(self, include_runtime: bool = False) -> dict:
-        out = {
+    def to_jsonable(self) -> dict:
+        """The report's scores; the runtime is left out, so reports of equal
+        runs are byte-identical."""
+        return {
             "bfr": self.bfr,
             "whiteness": {str(s): v for s, v in sorted(self.whiteness.items())},
             "n_excluded": self.n_excluded,
             "n_compared": self.n_compared,
         }
-        if include_runtime:
-            out["runtime_seconds"] = self.runtime_seconds
-        return out
 
 
 def resolve_p(spec: Union[Sequence[float], str], data: Dataset) -> np.ndarray:
@@ -246,30 +245,23 @@ def _whiteness_scores(m: SwitchedModel, data: Dataset, residuals: np.ndarray) ->
     return scores
 
 
-def validate_model(m: SwitchedModel, data: Dataset,
-                   y_ref: Optional[np.ndarray] = None,
-                   exclude: int = 0,
+def validate_model(m: SwitchedModel, data: Dataset, exclude: int = 0,
                    keep_predictions: bool = False) -> ValidationReport:
     """Predict on a dataset and score the fit.
 
-    y_ref defaults to the dataset's noise-free channel when present, else its
-    y.  The first `exclude` samples are dropped from the BFR to suppress the
-    predictor's zero-state transient (callers typically pass the longest word
-    length used in identification).
+    The BFR scores the predictions against the dataset's noise-free channel
+    when it has one, else against its y.  The first `exclude` samples are
+    dropped from the BFR to suppress the predictor's zero-state transient
+    (callers typically pass the longest word length used in identification).
     """
     start = time.perf_counter()
-    if y_ref is None:
-        y_ref = data.y_clean if data.y_clean is not None else data.y
-    y_ref = as_series(y_ref)
-    if not np.isfinite(y_ref).all():
-        row = int(np.flatnonzero(~np.isfinite(y_ref).all(axis=1))[0])
-        raise InsufficientDataError(f"y_ref holds a non-finite value at row {row}")
     if exclude < 0:
         raise DimensionError(f"exclude must be >= 0, got {exclude}")
     if exclude >= len(data) - 1:
         raise InsufficientDataError(
             f"excluding {exclude} samples leaves too little validation data"
         )
+    y_ref = data.y_clean if data.y_clean is not None else data.y
     yhat = predict(m, data)
     score = bfr(y_ref[exclude:], yhat[exclude:])
     whiteness = _whiteness_scores(m, data, data.y - yhat)
@@ -294,69 +286,36 @@ def consistency_experiment(
     Ns: Sequence[int],
     seeds: Sequence[int],
     cfg: IdentConfig,
-    use_oracle: bool = False,
-    word_len: int = 3,
-    sim_template: Optional[SimConfig] = None,
-    markov_block: str = "full",
 ) -> ConsistencyResult:
     """Identification error versus data length over a seed ensemble.
 
     For each (N, seed) pair a fresh trajectory is simulated and identified;
     the error is the largest max-norm deviation of the identified model's
-    Markov parameters (associated deterministic realization) from the
-    generator's, over all words up to word_len.  Markov parameters are
-    invariant under state isomorphism, so no basis alignment is needed.
-
-    markov_block chooses the compared columns: "full" covers the joint
-    input/noise parameters, "input" restricts to the input-to-output block.
-    The noise block inherits the sampling noise of raw output covariances
-    (per-entry standard error of order E[y^2]/sqrt(N)), so the input block
-    is the sharper consistency probe at moderate N.
+    input-to-output Markov parameters (the input block of its associated
+    deterministic realization) from the generator's, over all words up to
+    length 2.  Markov parameters are invariant under state isomorphism, so
+    no basis alignment is needed.  The noise block is left out: it inherits
+    the sampling noise of raw output covariances (per-entry standard error
+    of order E[y^2]/sqrt(N)), so the input block is the sharper consistency
+    probe at moderate N.
 
     A run whose realization fails numerically (noise can make the estimated
     Hankel realize an unusable model at small N) is recorded with infinite
     error, failed=True and a "reason" naming the error class and its message
     (which leads with the failing stage); medians take those at face value.
-
-    With use_oracle=True the exact covariance table replaces estimation
-    (errors then sit at solver tolerance).
     """
-    if markov_block not in ("full", "input"):
-        raise DimensionError(f"unknown markov_block {markov_block!r}")
     ref = associated_dlss(model)
-    words = list(enumerate_words(model.n_modes, word_len))
+    words = list(enumerate_words(model.n_modes, 2))
     n_u = model.n_u
-
-    def block(mat: np.ndarray) -> np.ndarray:
-        return mat[:, :n_u] if markov_block == "input" else mat
-
-    ref_values = {w: block(markov_parameter(ref, w)) for w in words}
+    ref_values = {w: markov_parameter(ref, w)[:, :n_u] for w in words}
     rows: List[dict] = []
     for N in Ns:
         for seed in seeds:
             try:
-                if use_oracle:
-                    n_bar = cfg.n_bar if cfg.n_bar is not None else cfg.n_x
-                    cov = exact_covariances(model, 2 * max(cfg.n_x, n_bar) + 2)
-                    sel, sel_bar = cfg.selection, cfg.selection_bar
-                    if sel == "search" or sel_bar == "search":
-                        raise DimensionError(
-                            "oracle mode needs explicit selections in the config"
-                        )
-                    m_hat, _ = covariance_realization(cov, sel, sel_bar)
-                else:
-                    if sim_template is None:
-                        sim_cfg = SimConfig(seed=seed, length=int(N))
-                    else:
-                        sim_cfg = SimConfig(seed=seed, length=int(N),
-                                            burn_in=sim_template.burn_in,
-                                            input_dist=sim_template.input_dist,
-                                            input_low=sim_template.input_low,
-                                            input_high=sim_template.input_high)
-                    data = simulate(model, sim_cfg)
-                    m_hat, _ = identify(data, cfg)
+                data = simulate(model, SimConfig(seed=seed, length=int(N)))
+                m_hat, _ = identify(data, cfg)
                 d_hat = associated_dlss(m_hat)
-                err = max(float(np.max(np.abs(block(markov_parameter(d_hat, w))
+                err = max(float(np.max(np.abs(markov_parameter(d_hat, w)[:, :n_u]
                                               - ref_values[w])))
                           for w in words)
             except (NumericalError, ModelInvalidError) as exc:

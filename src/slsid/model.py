@@ -43,10 +43,10 @@ __all__ = [
 RANK_TOL = 1e-8  # singular values above RANK_TOL * s_max count toward rank
 
 
-def numerical_rank(mat: np.ndarray, tol_factor: float = RANK_TOL) -> Tuple[int, float]:
+def numerical_rank(mat: np.ndarray) -> Tuple[int, float]:
     """Rank by singular-value thresholding.
 
-    Returns (rank, threshold) where threshold = tol_factor * largest singular
+    Returns (rank, threshold) where threshold = RANK_TOL * largest singular
     value; a zero matrix has rank 0 and threshold 0.
     """
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
@@ -55,7 +55,7 @@ def numerical_rank(mat: np.ndarray, tol_factor: float = RANK_TOL) -> Tuple[int, 
     s = np.linalg.svd(mat, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0, 0.0
-    thr = tol_factor * float(s[0])
+    thr = RANK_TOL * float(s[0])
     return int(np.sum(s > thr)), thr
 
 
@@ -310,37 +310,31 @@ def markov_parameter(m: DeterministicModel, w: Word) -> np.ndarray:
     return m.C @ matrix_product_along_word(m.A, rest) @ m.B[s0 - 1]
 
 
-def _reach_matrix(m: DeterministicModel, depth: int) -> np.ndarray:
+def _reach_matrix(m: DeterministicModel) -> np.ndarray:
     cols = []
-    for w in enumerate_words(m.n_modes, depth - 1):
+    for w in enumerate_words(m.n_modes, m.n_x - 1):
         Aw = matrix_product_along_word(m.A, w)
         for s in range(m.n_modes):
             cols.append(Aw @ m.B[s])
     return np.hstack(cols)
 
 
-def _obs_matrix(m: DeterministicModel, depth: int) -> np.ndarray:
+def _obs_matrix(m: DeterministicModel) -> np.ndarray:
     rows = []
-    for w in enumerate_words(m.n_modes, depth - 1):
+    for w in enumerate_words(m.n_modes, m.n_x - 1):
         rows.append(m.C @ matrix_product_along_word(m.A, w))
     return np.vstack(rows)
 
 
-def reach_obs_ranks(
-    m: DeterministicModel, depth: int | None = None, tol_factor: float = RANK_TOL
-) -> Tuple[int, int]:
+def reach_obs_ranks(m: DeterministicModel) -> Tuple[int, int]:
     """Numerical ranks of the reachability and observability span matrices.
 
-    Columns A_w B_s and rows C A_w over all words with |w| < depth; depth
-    defaults to n_x, which suffices for the minimality test (both ranks
-    equal n_x iff the model is minimal).
+    Columns A_w B_s and rows C A_w over all words with |w| < n_x, which
+    suffices for the minimality test (both ranks equal n_x iff the model is
+    minimal).
     """
-    if depth is None:
-        depth = m.n_x
-    if depth < m.n_x:
-        raise DimensionError(f"depth {depth} below state dimension {m.n_x}")
-    reach, _ = numerical_rank(_reach_matrix(m, depth), tol_factor)
-    obs, _ = numerical_rank(_obs_matrix(m, depth), tol_factor)
+    reach, _ = numerical_rank(_reach_matrix(m))
+    obs, _ = numerical_rank(_obs_matrix(m))
     return reach, obs
 
 
@@ -387,7 +381,7 @@ def find_isomorphism(m1: SwitchedModel, m2: SwitchedModel, tol: float = 1e-6) ->
             residuals={"p": float(np.max(np.abs(m1.p - m2.p)))},
         )
     d1, d2 = associated_dlss(m1), associated_dlss(m2)
-    R1, R2 = _reach_matrix(d1, m1.n_x), _reach_matrix(d2, m2.n_x)
+    R1, R2 = _reach_matrix(d1), _reach_matrix(d2)
     rank1, _ = numerical_rank(R1)
     if rank1 < m1.n_x:
         raise NotIsomorphicError(

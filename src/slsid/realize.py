@@ -36,7 +36,7 @@ import functools
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import combinations, count, repeat
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -272,18 +272,17 @@ def associated_slss(
     m_d: DeterministicModel,
     p: Sequence[float],
     t_ys_sigma: Dict[int, np.ndarray],
-    q_u: Optional[np.ndarray] = None,
-    return_state: bool = False,
-):
+    q_u: np.ndarray,
+) -> Tuple[InnovationModel, KQIterationState]:
     """Innovation-form stochastic model behind a [B | G]-split deterministic one.
 
     m_d must carry the stacked input/noise structure produced by
     associated_dlss or by Ho-Kalman on the joint Markov function: B blocks
     [B_hat | G_hat] with n_u = n_cols - n_y, D block [D | ~I].  Solves the
-    innovation-gain equation and returns
+    innovation-gain equation and returns (model, state): the model
     ({A_hat_s/sqrt(p_s), B_hat_s/sqrt(p_s), K_s}, C, D, F=I) with Q_v[s] the
-    per-mode innovation moment limit.  q_u (default identity) only populates
-    the model's input-covariance field.
+    per-mode innovation moment limit, and the KQIterationState of the solve.
+    q_u only populates the model's input-covariance field.
     """
     p = np.asarray(p, dtype=float)
     D = m_d.n_modes
@@ -305,8 +304,6 @@ def associated_slss(
     G_hat = [np.asarray(b)[:, n_u:] for b in m_d.B]
     state = _kq_iteration(list(m_d.A), m_d.C, G_hat, t_ys_sigma, p, FP_TOL, FP_MAX_ITER)
     sqrt_p = np.sqrt(p)
-    if q_u is None:
-        q_u = np.eye(n_u)
     model = InnovationModel.from_parts(
         A=tuple(m_d.A[s] / sqrt_p[s] for s in range(D)),
         B=tuple(np.asarray(m_d.B[s])[:, :n_u] / sqrt_p[s] for s in range(D)),
@@ -317,9 +314,7 @@ def associated_slss(
         Q_u=q_u,
         Q_v=tuple(state.Q),
     ).validate()
-    if return_state:
-        return model, state
-    return model
+    return model, state
 
 
 def psi_uy(cov: CovarianceTable, words: Iterable[Word]) -> WordIndexedMatrixTable:
@@ -381,7 +376,6 @@ def lambda_ydyd(
     q_u: np.ndarray,
     p: Sequence[float],
     words: Iterable[Word],
-    modes: Sequence[int],
 ) -> Tuple[WordIndexedMatrixTable, Dict[int, np.ndarray]]:
     """Output covariances of the input-driven subsystem from its dLSS.
 
@@ -389,7 +383,7 @@ def lambda_ydyd(
     With Pt_s the input-part moments (input_state_second_moment),
     the word-indexed covariances are, for w = s0 + rest,
         Lambda^{yd,yd}_w = C A_rest ((1/p_s0) A_s0 Pt_s0 C^T + B_s0 Q_u D^T)
-    and the per-mode second moments
+    and the per-mode second moments, for every mode s = 1..D,
         T^{yd,yd}_{s,s} = (1/p_s) C Pt_s C^T + D Q_u D^T.
     The empty word, if requested, gets E[y_d y_d^T] = C (sum_s Pt_s) C^T + D Q_u D^T.
 
@@ -423,7 +417,7 @@ def lambda_ydyd(
         values[empty] = C @ sum(P) @ C.T + Dm @ q_u @ Dm.T
     table = WordIndexedMatrixTable._from_array((m_d.n_y, m_d.n_y), words, values)
     t_dd = {}
-    for s in modes:
+    for s in range(1, D + 1):
         m = (C @ P[s - 1] @ C.T) / p[s - 1] + Dm @ q_u @ Dm.T
         t_dd[s] = (m + m.T) / 2.0
     return table, t_dd
@@ -498,7 +492,6 @@ def _attempts(cov: CovarianceTable, n_x: int, n_bar: int,
     """
     cov.validate()
     D = cov.p.shape[0]
-    modes = list(range(1, D + 1))
     if isinstance(sel, Selection) and isinstance(sel_bar, Selection):
         words = [EMPTY_WORD, *required_words(sel_bar), *required_words(sel)]
     else:
@@ -517,7 +510,7 @@ def _attempts(cov: CovarianceTable, n_x: int, n_bar: int,
                      attempt: int) -> _JointRealization:
         found = {"selection_bar_found": bar.to_jsonable()} if sel_bar == "search" else {}
         with _stage("steps 3-4 (noise-part covariances)"):
-            lam_dd, t_dd = lambda_ydyd(m_psi, cov.q_u, cov.p, joint_words, modes)
+            lam_dd, t_dd = lambda_ydyd(m_psi, cov.q_u, cov.p, joint_words)
             M = _joint_table(cov, psi, lam_dd, joint_words)
         with _stage("step 5 (joint realization)"):
             if sel == "search":
@@ -563,8 +556,7 @@ def _realize(cov: CovarianceTable, n_x: int, n_bar: int,
                 leftover = cov.t_yy_sigma[s] - joint.t_dd[s]
                 t_ys[s] = (leftover + leftover.T) / 2.0
             with _stage("step 6 (innovation conversion)"):
-                model, state = associated_slss(joint.m_full, cov.p, t_ys, q_u=cov.q_u,
-                                               return_state=True)
+                model, state = associated_slss(joint.m_full, cov.p, t_ys, cov.q_u)
         except (NumericalError, ModelInvalidError) as exc:
             if attempt == attempts - 1:
                 raise

@@ -122,7 +122,7 @@ def test_3_fixed_point_recursions(two_mode, capsys):
     m_big = associated_dlss(gen)
     t_ys = {s + 1: (gen.C @ P[s] @ gen.C.T + gen.Q_v[s]) / p[s]
             for s in range(n_modes)}
-    _, state = associated_slss(m_big, p, t_ys, return_state=True)
+    _, state = associated_slss(m_big, p, t_ys, q_u)
     res_q = res_k = 0.0
     for s in range(n_modes):
         S = p[s] * t_ys[s + 1]
@@ -208,8 +208,7 @@ def test_5_markov_error_shrinks_with_data(two_mode, capsys):
     t0 = time.perf_counter()
     cfg = IdentConfig(n_x=3, selection=two_mode.sel,
                       selection_bar=two_mode.sel_bar, p=(0.5, 0.5))
-    res = consistency_experiment(two_mode.model, [1000, 100000], range(10),
-                                 cfg, word_len=2, markov_block="input")
+    res = consistency_experiment(two_mode.model, [1000, 100000], range(10), cfg)
     elapsed = time.perf_counter() - t0
     med_small, med_large = res.medians[1000], res.medians[100000]
     ok = med_large < 0.05 and med_small > med_large and elapsed < 600.0

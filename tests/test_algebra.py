@@ -191,6 +191,27 @@ def test_required_words_two_mode_membership(two_mode):
     assert all(len(Word.parse(w)) <= 6 for w in got)
 
 
+def test_required_words_are_the_words_the_hankels_read():
+    # u_1 = "2" alone is read by no Hankel: H_alpha_sigma reads sigma u_1
+    sel = Selection(((Word.parse("2"), 1),), ((1, EMPTY_WORD, 1),),
+                    n_modes=2, n_y=1, n_cols=1)
+    words = required_words(sel)
+    assert {str(w) for w in words} == {"1", "12", "112", "122", "22"}
+    assert all(type(w) is Word for w in words)
+    rng = np.random.default_rng(3)
+    values = {w: rng.normal(size=(1, 1)) for w in words}
+    table = WordIndexedMatrixTable((1, 1))
+    for w, m in values.items():
+        table[w] = m
+    build_hankel(sel, table)
+    for dropped in words:
+        partial = WordIndexedMatrixTable((1, 1))
+        for w in words - {dropped}:
+            partial[w] = values[w]
+        with pytest.raises(MissingMarkovParameterError):
+            build_hankel(sel, partial)
+
+
 # ---------------------------------------------------------------- tables
 
 

@@ -260,7 +260,8 @@ def test_validate_scores_against_the_reference(workspace, tmp_path, two_mode):
     data, code = _validate_with_reference(workspace, tmp_path, 0)
     assert code == 0
     bfr = json.loads((tmp_path / "out" / "report.json").read_text())["bfr"]
-    assert bfr == validate_model(two_mode.model, data, y_ref=data.y, exclude=6).bfr
+    as_reference = Dataset(y=data.y, u=data.u, q=data.q, y_clean=data.y)
+    assert bfr == validate_model(two_mode.model, as_reference, exclude=6).bfr
     assert bfr != validate_model(two_mode.model, data, exclude=6).bfr
 
 
@@ -534,16 +535,27 @@ def test_realize_rejects_a_fractional_count(workspace, tmp_path, capsys, two_mod
     assert text in capsys.readouterr().err
 
 
+def _runnable_config(workspace, two_mode, command):
+    """A config on which the command runs (realize's needs est/covariances.json)."""
+    data = str(workspace / "sim" / "data.csv")
+    return {"simulate": {"model": str(workspace / "true_model.json"),
+                         "sim": {"seed": 0, "length": 100}},
+            "estimate": {"data": data, "p": [0.5, 0.5], "words": {"max_len": 2}},
+            "realize": {"covariances": "est/covariances.json", "n_x": 3},
+            "identify": _ident_config(workspace, two_mode),
+            "validate": {"model": str(workspace / "true_model.json"), "data": data,
+                         "exclude": 6}}[command]
+
+
 @pytest.mark.parametrize("command, key", [
     ("estimate", "word"), ("estimate", "n_x"), ("estimate", "estimator"),
     ("validate", "exlcude"), ("validate", "split"),
+    ("simulate", "seed"), ("identify", "validaton"),
 ])
-def test_commands_reject_an_unknown_config_key(workspace, tmp_path, capsys, command, key):
+def test_commands_reject_an_unknown_config_key(workspace, tmp_path, capsys, two_mode,
+                                               command, key):
     # realize's keys are checked in test_realize_rejects_a_fractional_count
-    data = str(workspace / "sim" / "data.csv")
-    good = {"estimate": {"data": data, "p": [0.5, 0.5], "words": {"max_len": 2}},
-            "validate": {"model": str(workspace / "true_model.json"), "data": data,
-                         "exclude": 6}}[command]
+    good = _runnable_config(workspace, two_mode, command)
     # the config runs as it is, and exits 3 with one key more
     cfg = write_json(tmp_path / "run.json", good)
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "good")]) == 0
@@ -551,6 +563,62 @@ def test_commands_reject_an_unknown_config_key(workspace, tmp_path, capsys, comm
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
     assert f"config section '{command}' has unknown key '{key}'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, section, value", [
+    ("simulate", "simulate", 5),
+    ("simulate", "sim", 5),
+    ("simulate", "sim", [["seed", 0], ["length", 100]]),
+    ("estimate", "estimate", []),
+    ("realize", "realize", "real.json"),
+    ("identify", "identify", 3),
+    ("identify", "ident", 3),
+    ("identify", "validation", 7),
+    # a falsy section is not skipped
+    ("identify", "validation", []),
+    ("identify", "validation", 0),
+    ("identify", "validation", ""),
+    ("identify", "validation", None),
+    ("validate", "validate", None),
+])
+def test_a_config_section_must_be_an_object(workspace, tmp_path, capsys, two_mode,
+                                            command, section, value):
+    # the section named after the command is the whole config
+    good = _runnable_config(workspace, two_mode, command)
+    cfg = write_json(tmp_path / "run.json",
+                     value if section == command else {**good, section: value})
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    assert (f"config section '{section}' must be a JSON object"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_empty_validation_section_is_not_skipped(workspace, tmp_path, capsys, two_mode):
+    cfg = write_json(tmp_path / "run.json",
+                     {**_runnable_config(workspace, two_mode, "identify"), "validation": {}})
+    assert main(["identify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    assert "'validation' needs 'data' or 'split'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_validate_records_its_reference(workspace, tmp_path):
+    data = Dataset.from_csv(workspace / "sim" / "data.csv",
+                            clean_path=workspace / "sim" / "data_clean.csv").slice(0, 200)
+    data.to_csv(tmp_path / "data.csv")
+    write_csv(tmp_path / "ref_a.csv", ["t", "y_1"], [np.arange(200), data.y_clean[:, 0]])
+    write_csv(tmp_path / "ref_b.csv", ["t", "y_1"], [np.arange(200), data.y[:, 0]])
+    effective = {}
+    for name, extra in (("a", {"reference": "ref_a.csv"}), ("b", {"reference": "ref_b.csv"}),
+                        ("none", {})):
+        cfg = write_json(tmp_path / f"{name}.json", {
+            "model": str(workspace / "true_model.json"), "data": "data.csv", **extra})
+        assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+        report = json.loads((tmp_path / name / "report.json").read_text())
+        effective[name] = report["effective_config"]
+    assert effective["a"]["reference"] == "ref_a.csv"
+    assert effective["b"]["reference"] == "ref_b.csv"
+    assert effective["a"] != effective["b"]
+    assert "reference" not in effective["none"]
 
 
 def test_validate_rejects_a_fractional_exclude(workspace, tmp_path, capsys):

@@ -121,7 +121,7 @@ def per_word_oracle(data, p, words):
     """The direct estimator written word by word from _z_block.
 
     Returns (lambda_yu, lambda_yy, degenerate words, t_yy_sigma, q_u) for
-    the same N_0 the estimator uses with the default modes.
+    the same N_0 the estimator uses.
     """
     words = sorted(set(words), key=lambda w: w.sort_key)
     n0 = max([len(w) for w in words] + [1]) + 1
@@ -475,14 +475,6 @@ def test_least_squares_rejects_more_columns_than_samples(two_mode):
         least_squares_covariances(data, two_mode.p, words)
 
 
-def test_least_squares_words_y_must_nest(two_mode):
-    data = simulate(two_mode.model, SimConfig(seed=13, length=500))
-    with pytest.raises(DimensionError):
-        least_squares_covariances(data, two_mode.p,
-                                  [EMPTY_WORD, Word((1,))],
-                                  words_y=[Word((2,))])
-
-
 # ---------------------------------------------------------------- exact
 
 
@@ -539,8 +531,10 @@ def test_covariance_table_json_round_trip(two_mode_cov):
 def test_covariance_table_validate():
     from slsid import WordIndexedMatrixTable
 
-    lam_yu = WordIndexedMatrixTable((1, 1), {EMPTY_WORD: [[0.1]]})
-    lam_yy = WordIndexedMatrixTable((1, 1), {Word((1,)): [[0.2]]})
+    lam_yu = WordIndexedMatrixTable((1, 1))
+    lam_yu[EMPTY_WORD] = [[0.1]]
+    lam_yy = WordIndexedMatrixTable((1, 1))
+    lam_yy[Word((1,))] = [[0.2]]
     good = CovarianceTable(lambda_yu=lam_yu, lambda_yy=lam_yy,
                            t_yy_sigma={1: [[1.0]]}, q_u=[[0.3]], p=[1.0])
     good.validate()

@@ -18,8 +18,11 @@ from slsid import (
     SingularHankelError,
     SwitchedModel,
     UndefinedBfrError,
+    ValidationReport,
     Word,
     WordIndexedMatrixTable,
+    associated_dlss,
+    associated_slss,
     bfr,
     consistency_experiment,
     empirical_covariances,
@@ -30,13 +33,17 @@ from slsid import (
     identify,
     input_state_second_moment,
     iter_full_rank_selections,
+    lambda_ydyd,
+    least_squares_covariances,
     matrix_product_along_word,
     predict,
+    reach_obs_ranks,
     resolve_selections,
     simulate,
     stability_margin,
     validate_model,
 )
+from slsid.model import numerical_rank
 
 
 def scalar_predictor(a=0.5, k=0.2, c=1.0, b=0.0, d=0.0):
@@ -349,7 +356,6 @@ def test_validate_model_report_fields(two_mode):
     obj = report.to_jsonable()
     assert "runtime_seconds" not in obj
     assert set(obj["whiteness"]) == {"1", "2"}
-    assert "runtime_seconds" in report.to_jsonable(include_runtime=True)
 
 
 def test_validate_model_prefers_clean_channel(two_mode):
@@ -357,7 +363,8 @@ def test_validate_model_prefers_clean_channel(two_mode):
     with_clean = validate_model(two_mode.model, data)
     stripped = Dataset(y=data.y, u=data.u, q=data.q)
     against_noisy = validate_model(two_mode.model, stripped)
-    explicit = validate_model(two_mode.model, stripped, y_ref=data.y_clean)
+    explicit = validate_model(two_mode.model, Dataset(y=data.y, u=data.u, q=data.q,
+                                                      y_clean=data.y_clean))
     assert with_clean.bfr == pytest.approx(explicit.bfr)
     # scoring against the noisy output can only look worse
     assert against_noisy.bfr < with_clean.bfr
@@ -378,35 +385,7 @@ def test_validate_model_rejects_negative_exclude(two_mode):
     assert validate_model(two_mode.model, data, exclude=0).n_compared == 200
 
 
-def test_validate_model_takes_a_one_dimensional_reference(two_mode):
-    data = simulate(two_mode.model, SimConfig(seed=44, length=300))
-    flat = validate_model(two_mode.model, data, y_ref=data.y_clean[:, 0], exclude=6)
-    assert flat.bfr == validate_model(two_mode.model, data, exclude=6).bfr
-    assert flat.n_compared == 294
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_validate_model_rejects_non_finite_reference(two_mode, bad):
-    data = simulate(two_mode.model, SimConfig(seed=43, length=200))
-    y_ref = data.y_clean.copy()
-    y_ref[10, 0] = bad
-    with pytest.raises(InsufficientDataError,
-                       match="^y_ref holds a non-finite value at row 10$"):
-        validate_model(two_mode.model, data, y_ref=y_ref)
-
-
 # ---------------------------------------------------------------- consistency
-
-
-def test_consistency_experiment_oracle_mode(two_mode):
-    cfg = IdentConfig(n_x=3, selection=two_mode.sel,
-                      selection_bar=two_mode.sel_bar)
-    result = consistency_experiment(two_mode.model, [100, 200], [0, 1], cfg,
-                                    use_oracle=True, word_len=2)
-    assert sorted(result.medians) == [100, 200]
-    assert all(not row["failed"] for row in result.rows)
-    assert all(row["error"] < 1e-8 for row in result.rows)
-    assert len(result.rows) == 4
 
 
 def test_consistency_experiment_keeps_the_failure_reason(two_mode):
@@ -422,7 +401,33 @@ def test_consistency_experiment_keeps_the_failure_reason(two_mode):
         "moment for mode 1 is not positive definite")
 
 
-def test_consistency_experiment_rejects_search_in_oracle_mode(two_mode):
-    with pytest.raises(DimensionError):
-        consistency_experiment(two_mode.model, [100], [0],
-                               IdentConfig(n_x=3), use_oracle=True)
+# ---------------------------------------------------------------- removed parameters
+
+
+@pytest.mark.parametrize("func, name", [
+    (consistency_experiment, "use_oracle"),
+    (consistency_experiment, "word_len"),
+    (consistency_experiment, "sim_template"),
+    (consistency_experiment, "markov_block"),
+    (validate_model, "y_ref"),
+    (ValidationReport.to_jsonable, "include_runtime"),
+    (empirical_covariances, "modes"),
+    (least_squares_covariances, "words_y"),
+    (least_squares_covariances, "modes"),
+    (lambda_ydyd, "modes"),
+    (numerical_rank, "tol_factor"),
+    (reach_obs_ranks, "depth"),
+    (reach_obs_ranks, "tol_factor"),
+    (associated_slss, "return_state"),
+    (WordIndexedMatrixTable, "entries"),
+])
+def test_removed_parameters_are_gone(func, name):
+    # each had one value on every program path; that value is now fixed
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+        func(**{name: None})
+
+
+def test_associated_slss_needs_q_u(two_mode):
+    m = two_mode.model
+    with pytest.raises(TypeError, match="missing 1 required positional argument: 'q_u'"):
+        associated_slss(associated_dlss(m), m.p, {1: np.eye(1), 2: np.eye(1)})

@@ -212,7 +212,7 @@ def test_lambda_ydyd_scalar_closed_form(scalar):
                              C=np.array([[scalar.c]]),
                              Dmat=np.array([[scalar.d]]))
     words = [EMPTY_WORD] + [Word((1,) * m) for m in range(1, 4)]
-    table, t_dd = lambda_ydyd(m_d, np.array([[scalar.q_u]]), (1.0,), words, (1,))
+    table, t_dd = lambda_ydyd(m_d, np.array([[scalar.q_u]]), (1.0,), words)
     pi_d = scalar.b ** 2 * scalar.q_u / (1 - scalar.a ** 2)
     core = scalar.a * pi_d * scalar.c + scalar.b * scalar.q_u * scalar.d
     for m in range(1, 4):
@@ -278,7 +278,7 @@ def test_lambda_ydyd_matches_per_word_products(seed, D, n, n_y, n_u, data):
     q_u = g @ g.T + 0.1 * np.eye(n_u)
     letters = st.lists(st.integers(1, D), max_size=8).map(lambda s: Word(tuple(s)))
     words = data.draw(st.lists(letters, min_size=1, max_size=40))
-    table, _ = lambda_ydyd(m_d, q_u, p, words, range(1, D + 1))
+    table, _ = lambda_ydyd(m_d, q_u, p, words)
     P = input_state_second_moment(m_d, q_u, p)
     C, Dm = m_d.C, m_d.Dmat
     for w in words:
@@ -297,13 +297,13 @@ def test_lambda_ydyd_rejects_letters_outside_the_alphabet(two_mode):
                               Dmat=m_d.Dmat[:, :1])
     for bad in (Word((3,)), Word((1, 2, 3)), Word((1, 3, 1))):
         with pytest.raises(InvalidModeError, match="letter 3 outside alphabet"):
-            lambda_ydyd(m_in, two_mode.q_u, two_mode.p, [Word((1,)), bad], (1, 2))
+            lambda_ydyd(m_in, two_mode.q_u, two_mode.p, [Word((1,)), bad])
     with pytest.raises(InvalidModeError):
-        lambda_ydyd(m_in, two_mode.q_u, two_mode.p, [(1, 0)], (1, 2))
+        lambda_ydyd(m_in, two_mode.q_u, two_mode.p, [(1, 0)])
     # tuple words are still accepted, and equal to their Word form
-    by_tuple, _ = lambda_ydyd(m_in, two_mode.q_u, two_mode.p, [(2, 1), [1]], (1, 2))
+    by_tuple, _ = lambda_ydyd(m_in, two_mode.q_u, two_mode.p, [(2, 1), [1]])
     by_word, _ = lambda_ydyd(m_in, two_mode.q_u, two_mode.p,
-                             [Word((2, 1)), Word((1,))], (1, 2))
+                             [Word((2, 1)), Word((1,))])
     for w in by_word.words():
         assert np.array_equal(by_tuple[w], by_word[w])
 
@@ -312,8 +312,7 @@ def test_associated_slss_round_trip(two_mode):
     m = two_mode.model
     P = state_second_moment(m)
     t_ys = {s + 1: (m.C @ P[s] @ m.C.T + m.Q_v[s]) / m.p[s] for s in range(2)}
-    back, state = associated_slss(associated_dlss(m), m.p, t_ys,
-                                  q_u=m.Q_u, return_state=True)
+    back, state = associated_slss(associated_dlss(m), m.p, t_ys, m.Q_u)
     assert state.last_delta < 1e-10
     assert state.iterations < 200
     find_isomorphism(back, m, tol=1e-8)

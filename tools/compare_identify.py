@@ -8,9 +8,11 @@ Runs `identify` (n_x = 3) on the two-mode reference system
 {1e3, 1e4, 1e5}, p in {(0.5, 0.5), "empirical"} and the selections
 "search" or the system's bundled explicit ones: 360 runs, about 15 s.
 Each success is recorded as the JSON of `model.to_dict()` and of the
-diagnostics (sorted keys), each failure as its error class, its text and
-its stage.  With --against, the runs whose record differs from the other
-file's are printed, and the exit code is 1 if there are any.
+diagnostics (sorted keys), and as the BFR `validate_model` gives the model
+on a noise-free validation set (seed + 7000, 2000 samples, first 6
+excluded); each failure as its error class, its text and its stage.  With
+--against, the runs whose record differs from the other file's are
+printed, and the exit code is 1 if there are any.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ import sys
 import warnings
 from pathlib import Path
 
-from slsid import IdentConfig, SimConfig, identify, simulate
+from slsid import Dataset, IdentConfig, SimConfig, identify, simulate, validate_model
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from perfbench.workloads import reference_system  # noqa: E402  (needs the repo root)
@@ -33,6 +35,8 @@ def records() -> dict:
     for N in (1000, 10000, 100000):
         for seed in range(30):
             data = simulate(model, SimConfig(seed=seed, length=N))
+            fresh = simulate(model, SimConfig(seed=seed + 7000, length=2000))
+            noise_free = Dataset(y=fresh.y_clean, u=fresh.u, q=fresh.q)
             for p in ((0.5, 0.5), "empirical"):
                 for name, (s, s_bar) in selections.items():
                     key = f"N={N} seed={seed} p={p} selection={name}"
@@ -44,7 +48,8 @@ def records() -> dict:
                                     "stage": getattr(exc, "stage", None)}
                         continue
                     out[key] = {"model": json.dumps(m.to_dict(), sort_keys=True),
-                                "diagnostics": json.dumps(diag, sort_keys=True)}
+                                "diagnostics": json.dumps(diag, sort_keys=True),
+                                "bfr": validate_model(m, noise_free, exclude=6).bfr}
     return out
 
 

@@ -233,24 +233,12 @@ def cmd_realize(args) -> int:
             "n_x": n_x, "n_bar": n_bar,
             "selection": diag["selection"], "selection_bar": diag["selection_bar"],
         },
-        "diagnostics": _jsonable_diag(diag),
+        "diagnostics": diag,
         "model_sha256": _canonical_sha256(model.to_dict()),
     }
     _dump_json(report, out / "report.json")
     _stderr(f"realize: n_x={model.n_x} in {time.perf_counter() - t0:.2f}s -> {out}")
     return EXIT_OK
-
-
-def _jsonable_diag(diag: dict) -> dict:
-    out = {}
-    for k, v in diag.items():
-        if isinstance(v, np.ndarray):
-            out[k] = v.tolist()
-        elif isinstance(v, (np.floating, np.integer)):
-            out[k] = v.item()
-        else:
-            out[k] = v
-    return out
 
 
 def cmd_identify(args) -> int:
@@ -285,7 +273,7 @@ def cmd_identify(args) -> int:
     model, diag = identify(data, ident_cfg)
     report: dict = {
         "command": "identify",
-        "diagnostics": _jsonable_diag(diag),
+        "diagnostics": diag,
         "model_sha256": _canonical_sha256(model.to_dict()),
     }
 
@@ -359,14 +347,8 @@ def cmd_compare(args) -> int:
     m_b = model_from_dict(_load_json(args.model_b))
     T = find_isomorphism(m_a, m_b, tol=args.tol)
     moved = transform_model(m_a, T)
-    worst = 0.0
-    for s in range(m_a.n_modes):
-        worst = max(worst,
-                    float(np.max(np.abs(moved.A[s] - m_b.A[s]))),
-                    float(np.max(np.abs(moved.B[s] - m_b.B[s]))),
-                    float(np.max(np.abs(moved.K[s] - m_b.K[s]))))
-    worst = max(worst, float(np.max(np.abs(moved.C - m_b.C))),
-                float(np.max(np.abs(moved.Dmat - m_b.Dmat))))
+    worst = max(float(np.max(np.abs(getattr(moved, f) - getattr(m_b, f))))
+                for f in ("A", "B", "K", "C", "Dmat"))
     print("isomorphic: yes")
     print(f"worst residual: {worst:.3e}")
     print("T =")
@@ -377,7 +359,11 @@ def cmd_compare(args) -> int:
 
 def cmd_transform(args) -> int:
     model = model_from_dict(_load_json(args.model))
-    T = np.asarray(_load_json(args.matrix), dtype=float)
+    T = _load_json(args.matrix)
+    try:
+        T = np.asarray(T, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{args.matrix}: T must be a matrix of numbers") from None
     out_model = transform_model(model, T)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -54,7 +54,7 @@ from .errors import (
     InsufficientDataError,
     ModelInvalidError,
 )
-from .model import SwitchedModel, numerical_rank
+from .model import DeterministicModel, SwitchedModel, markov_parameter, numerical_rank
 from .simulate import Dataset, as_series
 
 __all__ = [
@@ -72,14 +72,15 @@ class CovarianceTable:
 
     lambda_yu[w] = Lambda^{y,u}_w (n_y x n_u, includes the empty word),
     lambda_yy[w] = Lambda^{y,y}_w (n_y x n_y),
-    t_yy_sigma[s] = T^{y,y}_{s,s} for modes s in {1..D},
+    t_yy[s - 1] = T^{y,y}_{s,s} for modes s in {1..D}, a (D, n_y, n_y) array,
     q_u = E[u u^T], p = mode probabilities.
+    The JSON form keys T^{y,y}_{s,s} by the mode, "1".."D", under "t_yy_sigma".
     metadata records provenance (estimator, sample counts, warnings).
     """
 
     lambda_yu: WordIndexedMatrixTable
     lambda_yy: WordIndexedMatrixTable
-    t_yy_sigma: Dict[int, np.ndarray]
+    t_yy: np.ndarray
     q_u: np.ndarray
     p: np.ndarray
     metadata: dict = field(default_factory=dict)
@@ -87,8 +88,7 @@ class CovarianceTable:
     def __post_init__(self):
         self.q_u = np.atleast_2d(np.asarray(self.q_u, dtype=float))
         self.p = np.atleast_1d(np.asarray(self.p, dtype=float))
-        self.t_yy_sigma = {int(s): np.atleast_2d(np.asarray(m, dtype=float))
-                           for s, m in self.t_yy_sigma.items()}
+        self.t_yy = np.asarray(self.t_yy, dtype=float)
 
     @property
     def n_y(self) -> int:
@@ -104,9 +104,10 @@ class CovarianceTable:
             raise DimensionError("lambda_yu shape mismatch")
         if self.q_u.shape != (n_u, n_u):
             raise DimensionError(f"q_u must be {n_u}x{n_u}, got {self.q_u.shape}")
-        for s, m in self.t_yy_sigma.items():
-            if m.shape != (n_y, n_y):
-                raise DimensionError(f"T_yy[{s}] must be {n_y}x{n_y}, got {m.shape}")
+        want = (self.p.shape[0], n_y, n_y)
+        if self.t_yy.shape != want:
+            raise DimensionError(f"t_yy must have shape {want}, got {self.t_yy.shape}")
+        for s, m in enumerate(self.t_yy, start=1):
             if np.max(np.abs(m - m.T)) > 1e-10 * max(1.0, float(np.max(np.abs(m)))):
                 raise DimensionError(f"T_yy[{s}] is not symmetric")
             eigmin = float(np.linalg.eigvalsh(m).min())
@@ -124,12 +125,14 @@ class CovarianceTable:
             "q_u": self.q_u.tolist(),
             "lambda_yu": {str(w): m.tolist() for w, m in self.lambda_yu.items()},
             "lambda_yy": {str(w): m.tolist() for w, m in self.lambda_yy.items()},
-            "t_yy_sigma": {str(s): m.tolist() for s, m in sorted(self.t_yy_sigma.items())},
+            "t_yy_sigma": {str(s): m.tolist() for s, m in enumerate(self.t_yy, start=1)},
             "metadata": self.metadata,
         }
 
     @classmethod
     def from_jsonable(cls, obj: dict) -> "CovarianceTable":
+        """Inverse of to_jsonable.  "t_yy_sigma" must key exactly the modes
+        "1".."D", D = len(p); DimensionError names a missing or extra key."""
         n_y, n_u = int(obj["n_y"]), int(obj["n_u"])
         lam_yu = WordIndexedMatrixTable((n_y, n_u))
         for text, m in obj["lambda_yu"].items():
@@ -137,10 +140,18 @@ class CovarianceTable:
         lam_yy = WordIndexedMatrixTable((n_y, n_y))
         for text, m in obj["lambda_yy"].items():
             lam_yy[Word.parse(text)] = np.asarray(m, dtype=float)
-        t_yy = {int(s): np.asarray(m, dtype=float) for s, m in obj["t_yy_sigma"].items()}
-        return cls(lambda_yu=lam_yu, lambda_yy=lam_yy, t_yy_sigma=t_yy,
-                   q_u=np.asarray(obj["q_u"], dtype=float),
-                   p=np.asarray(obj["p"], dtype=float),
+        p = np.atleast_1d(np.asarray(obj["p"], dtype=float))
+        modes = [str(s) for s in range(1, p.shape[0] + 1)]
+        t_obj = obj["t_yy_sigma"]
+        for key in modes:
+            if key not in t_obj:
+                raise DimensionError(f"t_yy_sigma lacks mode {key!r} of {p.shape[0]}")
+        for key in t_obj:
+            if key not in modes:
+                raise DimensionError(f"t_yy_sigma has key {key!r}, not a mode of {p.shape[0]}")
+        return cls(lambda_yu=lam_yu, lambda_yy=lam_yy,
+                   t_yy=np.array([t_obj[key] for key in modes], dtype=float),
+                   q_u=np.asarray(obj["q_u"], dtype=float), p=p,
                    metadata=dict(obj.get("metadata", {})))
 
 
@@ -206,12 +217,9 @@ def _input_moment(data: Dataset, n0: int, n_eff: int) -> np.ndarray:
 
 def _moment_parts(data: Dataset, p, n0: int, n_eff: int):
     """T^{y,y}_{s,s} for every mode from the per-mode _z_block products, and q_u."""
-    t_yy: Dict[int, np.ndarray] = {}
-    for s in range(1, len(p) + 1):
-        z = _z_block(data.y, data.q, p, Word((s,)), n0)
-        m = z.T @ z / n_eff
-        t_yy[s] = (m + m.T) / 2.0
-    return t_yy, _input_moment(data, n0, n_eff)
+    z = np.array([_z_block(data.y, data.q, p, Word((s,)), n0) for s in range(1, len(p) + 1)])
+    m = z.transpose(0, 2, 1) @ z / n_eff
+    return (m + m.transpose(0, 2, 1)) / 2.0, _input_moment(data, n0, n_eff)
 
 
 class _Lag(NamedTuple):
@@ -438,10 +446,10 @@ def empirical_covariances(
         _add_outer(packed, np.minimum(data.q[t0 - 1:t0 - 1 + n] - 1, D),
                    y_prev, (y_prev,), work[:n])
     mode_sums = _real_sums(packed, n_y * n_y).reshape(n_y, n_y, D + 1)
-    t_yy = {s: mode_sums[:, :, s - 1] / (n_eff * p[s - 1]) for s in range(1, D + 1)}
+    t_yy = mode_sums[:, :, :D].transpose(2, 0, 1) / (n_eff * p[:, None, None])
     meta = {"estimator": "direct", "N": len(data), "N_0": n0, "n_eff": n_eff,
             "degenerate_words": degenerate}
-    return CovarianceTable(lambda_yu=lam_yu, lambda_yy=lam_yy, t_yy_sigma=t_yy,
+    return CovarianceTable(lambda_yu=lam_yu, lambda_yy=lam_yy, t_yy=t_yy,
                            q_u=_input_moment(data, n0, n_eff), p=p, metadata=meta)
 
 
@@ -498,7 +506,7 @@ def least_squares_covariances(
     t_yy, q_u = _moment_parts(data, p, n0, n_eff)
     meta = {"estimator": "ls", "N": len(data), "N_0": n0, "n_eff": n_eff,
             "degenerate_words": []}
-    return CovarianceTable(lambda_yu=lam_yu, lambda_yy=lam_yy, t_yy_sigma=t_yy,
+    return CovarianceTable(lambda_yu=lam_yu, lambda_yy=lam_yy, t_yy=t_yy,
                            q_u=q_u, p=p, metadata=meta)
 
 
@@ -519,10 +527,8 @@ def exact_covariances(
 
     model.validate()
     d_assoc = associated_dlss(model)
-    D, n_u, n_y = model.n_modes, model.n_u, model.n_y
-    words = list(enumerate_words(D, max_len))
-    from .model import markov_parameter
-
+    n_u, n_y = model.n_u, model.n_y
+    words = list(enumerate_words(model.n_modes, max_len))
     lam_yu = WordIndexedMatrixTable((n_y, n_u))
     lam_ys = {}
     for w in words:
@@ -531,15 +537,9 @@ def exact_covariances(
         if len(w) > 0:
             lam_ys[w] = Mw[:, n_u:]
 
-    from .model import DeterministicModel
-
-    sqrt_p = np.sqrt(model.p)
-    m_tilde = DeterministicModel(
-        A=tuple(sqrt_p[s] * model.A[s] for s in range(D)),
-        B=tuple(sqrt_p[s] * model.B[s] for s in range(D)),
-        C=model.C,
-        Dmat=model.Dmat,
-    )
+    sqrt_p = np.sqrt(model.p)[:, None, None]
+    m_tilde = DeterministicModel(A=sqrt_p * model.A, B=sqrt_p * model.B, C=model.C,
+                                 Dmat=model.Dmat)
     nonempty = [w for w in words if len(w) > 0]
     lam_dd, t_dd = lambda_ydyd(m_tilde, model.Q_u, model.p, nonempty)
 
@@ -548,13 +548,10 @@ def exact_covariances(
         lam_yy[w] = lam_ys[w] + lam_dd[w]
 
     P = state_second_moment(model)
-    t_yy = {}
-    for s in range(1, D + 1):
-        t_ys = (model.C @ P[s - 1] @ model.C.T
-                + model.F @ model.Q_v[s - 1] @ model.F.T) / model.p[s - 1]
-        m = t_dd[s] + t_ys
-        t_yy[s] = (m + m.T) / 2.0
+    t_ys = (model.C @ P @ model.C.T + model.F @ model.Q_v @ model.F.T) / model.p[:, None, None]
+    t_yy = t_dd + t_ys
+    t_yy = (t_yy + t_yy.transpose(0, 2, 1)) / 2.0
 
     meta = {"estimator": "exact", "max_len": max_len}
-    return CovarianceTable(lambda_yu=lam_yu, lambda_yy=lam_yy, t_yy_sigma=t_yy,
+    return CovarianceTable(lambda_yu=lam_yu, lambda_yy=lam_yy, t_yy=t_yy,
                            q_u=model.Q_u.copy(), p=model.p.copy(), metadata=meta).validate()

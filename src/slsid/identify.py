@@ -28,7 +28,7 @@ from .errors import (
 )
 from .model import InnovationModel, SwitchedModel, markov_parameter
 from .realize import _attempts, _realize, associated_dlss
-from .simulate import Dataset, SimConfig, affine_scan, as_series, simulate
+from .simulate import Dataset, SimConfig, _count, affine_scan, as_series, simulate
 
 __all__ = [
     "IdentConfig",
@@ -49,8 +49,10 @@ class IdentConfig:
     """Modelling choices of the identification pipeline.
 
     n_x is the model order and n_bar the order of the input part (default
-    n_x).  selection / selection_bar may be explicit Selection objects or
-    the string "search" (deterministic enumeration of full-rank candidates).
+    n_x); both are integers >= 1 (an integral float such as 3.0 is taken
+    as one), and any other value raises DimensionError naming the field.
+    selection / selection_bar may be explicit Selection objects or the
+    string "search" (deterministic enumeration of full-rank candidates).
     p is the known mode-probability vector or "empirical" to use observed
     mode frequencies.
 
@@ -67,10 +69,9 @@ class IdentConfig:
     p: Union[Sequence[float], str] = "empirical"
 
     def __post_init__(self):
-        if self.n_x < 1:
-            raise DimensionError(f"n_x must be >= 1, got {self.n_x}")
-        if self.n_bar is not None and self.n_bar < 1:
-            raise DimensionError(f"n_bar must be >= 1, got {self.n_bar}")
+        self.n_x = _count(self.n_x, "n_x", 1)
+        if self.n_bar is not None:
+            self.n_bar = _count(self.n_bar, "n_bar", 1)
 
 
 @dataclass
@@ -212,9 +213,8 @@ def predict(m: SwitchedModel, data: Dataset) -> np.ndarray:
         raise DimensionError(
             f"data uses mode {int(data.q.max())} but the model has {m.n_modes}"
         )
-    A, B, K = np.stack(m.A), np.stack(m.B), np.stack(m.K)
-    return affine_scan(data.q, A - K @ m.C, m.C,
-                       [(data.u, B - K @ m.Dmat, m.Dmat), (data.y, K, None)])
+    return affine_scan(data.q, m.A - m.K @ m.C, m.C,
+                       [(data.u, m.B - m.K @ m.Dmat, m.Dmat), (data.y, m.K, None)])
 
 
 def bfr(y_true: np.ndarray, y_pred: np.ndarray) -> float:

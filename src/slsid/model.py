@@ -59,16 +59,28 @@ def numerical_rank(mat: np.ndarray) -> Tuple[int, float]:
     return int(np.sum(s > thr)), thr
 
 
-def _freeze(a) -> np.ndarray:
-    out = np.array(a, dtype=float)
+def _freeze(a, name: str) -> np.ndarray:
+    """A read-only float copy of a; ModelInvalidError names a non-numeric field."""
+    try:
+        out = np.array(a, dtype=float)
+    except (TypeError, ValueError):
+        raise ModelInvalidError(f"{name} is not numeric, or its rows differ in length") from None
     out.flags.writeable = False
     return out
 
 
-def _as_matrix_family(mats, name: str) -> Tuple[np.ndarray, ...]:
-    fam = tuple(_freeze(m) for m in mats)
-    if not fam:
-        raise ModelInvalidError(f"{name} family is empty")
+def _as_matrix_family(mats, name: str) -> np.ndarray:
+    """The family as one read-only (D, rows, cols) float array.
+
+    The one layout of values indexed by mode: a list, tuple or array of D
+    equal-shaped matrices.  A ragged, empty or non-numeric family raises
+    ModelInvalidError naming it.
+    """
+    fam = _freeze(mats, name)
+    if fam.ndim != 3 or not len(fam):
+        raise ModelInvalidError(
+            f"{name} family must be a nonempty list of equal-shaped matrices, "
+            f"got an array of shape {fam.shape}")
     return fam
 
 
@@ -76,30 +88,27 @@ def _as_matrix_family(mats, name: str) -> Tuple[np.ndarray, ...]:
 class DeterministicModel:
     """Noise-free switched model ({A_s}, {B_s}, C, Dmat); carrier of M(w)."""
 
-    A: Tuple[np.ndarray, ...]
-    B: Tuple[np.ndarray, ...]
+    A: np.ndarray
+    B: np.ndarray
     C: np.ndarray
     Dmat: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "A", _as_matrix_family(self.A, "A"))
         object.__setattr__(self, "B", _as_matrix_family(self.B, "B"))
-        object.__setattr__(self, "C", _freeze(np.atleast_2d(self.C)))
-        object.__setattr__(self, "Dmat", _freeze(np.atleast_2d(self.Dmat)))
-        n_x = self.A[0].shape[0]
-        if len(self.A) != len(self.B):
-            raise ModelInvalidError("A and B must list the same number of modes")
-        for m in self.A:
-            if m.shape != (n_x, n_x):
-                raise ModelInvalidError(f"A matrices must be {n_x}x{n_x}, got {m.shape}")
-        for m in self.B:
-            if m.shape[0] != n_x:
-                raise ModelInvalidError(f"B matrices must have {n_x} rows, got {m.shape}")
+        object.__setattr__(self, "C", np.atleast_2d(_freeze(self.C, "C")))
+        object.__setattr__(self, "Dmat", np.atleast_2d(_freeze(self.Dmat, "Dmat")))
+        D, n_x = self.A.shape[:2]
+        if self.A.shape != (D, n_x, n_x):
+            raise ModelInvalidError(f"A matrices must be {n_x}x{n_x}, got {self.A.shape[1:]}")
+        if self.B.shape[:2] != (D, n_x):
+            raise ModelInvalidError(
+                f"B must list {D} matrices of {n_x} rows, got shape {self.B.shape}")
         if self.C.shape[1] != n_x:
             raise ModelInvalidError(f"C must have {n_x} columns, got {self.C.shape}")
-        if self.Dmat.shape != (self.C.shape[0], self.B[0].shape[1]):
+        if self.Dmat.shape != (self.C.shape[0], self.n_u):
             raise ModelInvalidError(
-                f"Dmat must be {self.C.shape[0]}x{self.B[0].shape[1]}, got {self.Dmat.shape}"
+                f"Dmat must be {self.C.shape[0]}x{self.n_u}, got {self.Dmat.shape}"
             )
 
     @property
@@ -108,11 +117,11 @@ class DeterministicModel:
 
     @property
     def n_x(self) -> int:
-        return self.A[0].shape[0]
+        return self.A.shape[1]
 
     @property
     def n_u(self) -> int:
-        return self.B[0].shape[1]
+        return self.B.shape[2]
 
     @property
     def n_y(self) -> int:
@@ -121,8 +130,8 @@ class DeterministicModel:
     def to_dict(self) -> dict:
         return {
             "type": "deterministic",
-            "A": [m.tolist() for m in self.A],
-            "B": [m.tolist() for m in self.B],
+            "A": self.A.tolist(),
+            "B": self.B.tolist(),
             "C": self.C.tolist(),
             "D": self.Dmat.tolist(),
         }
@@ -146,26 +155,22 @@ class SwitchedModel:
     per-mode conditional covariance.
     """
 
-    A: Tuple[np.ndarray, ...]
-    B: Tuple[np.ndarray, ...]
-    K: Tuple[np.ndarray, ...]
+    A: np.ndarray
+    B: np.ndarray
+    K: np.ndarray
     C: np.ndarray
     Dmat: np.ndarray
     F: np.ndarray
     p: np.ndarray
     Q_u: np.ndarray
-    Q_v: Tuple[np.ndarray, ...]
+    Q_v: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "A", _as_matrix_family(self.A, "A"))
-        object.__setattr__(self, "B", _as_matrix_family(self.B, "B"))
-        object.__setattr__(self, "K", _as_matrix_family(self.K, "K"))
-        object.__setattr__(self, "C", _freeze(np.atleast_2d(self.C)))
-        object.__setattr__(self, "Dmat", _freeze(np.atleast_2d(self.Dmat)))
-        object.__setattr__(self, "F", _freeze(np.atleast_2d(self.F)))
-        object.__setattr__(self, "p", _freeze(np.atleast_1d(self.p)))
-        object.__setattr__(self, "Q_u", _freeze(np.atleast_2d(self.Q_u)))
-        object.__setattr__(self, "Q_v", _as_matrix_family(self.Q_v, "Q_v"))
+        for name in ("A", "B", "K", "Q_v"):
+            object.__setattr__(self, name, _as_matrix_family(getattr(self, name), name))
+        for name in ("C", "Dmat", "F", "Q_u"):
+            object.__setattr__(self, name, np.atleast_2d(_freeze(getattr(self, name), name)))
+        object.__setattr__(self, "p", np.atleast_1d(_freeze(self.p, "p")))
 
     @property
     def n_modes(self) -> int:
@@ -173,11 +178,11 @@ class SwitchedModel:
 
     @property
     def n_x(self) -> int:
-        return self.A[0].shape[0]
+        return self.A.shape[1]
 
     @property
     def n_u(self) -> int:
-        return self.B[0].shape[1]
+        return self.B.shape[2]
 
     @property
     def n_y(self) -> int:
@@ -185,7 +190,7 @@ class SwitchedModel:
 
     @property
     def n_n(self) -> int:
-        return self.K[0].shape[1]
+        return self.K.shape[2]
 
     def validate(self) -> "SwitchedModel":
         """Raise ModelInvalidError on any violated invariant; return self."""
@@ -193,11 +198,9 @@ class SwitchedModel:
         families = {"A": (self.A, (n_x, n_x)), "B": (self.B, (n_x, n_u)),
                     "K": (self.K, (n_x, n_n)), "Q_v": (self.Q_v, (n_n, n_n))}
         for name, (fam, shape) in families.items():
-            if len(fam) != D:
-                raise ModelInvalidError(f"{name} must list {D} modes, got {len(fam)}")
-            for m in fam:
-                if m.shape != shape:
-                    raise ModelInvalidError(f"{name} matrices must be {shape}, got {m.shape}")
+            if fam.shape != (D,) + shape:
+                raise ModelInvalidError(
+                    f"{name} must list {D} matrices of shape {shape}, got shape {fam.shape}")
         if self.C.shape != (n_y, n_x):
             raise ModelInvalidError(f"C must be {(n_y, n_x)}, got {self.C.shape}")
         if self.Dmat.shape != (n_y, n_u):
@@ -223,15 +226,15 @@ class SwitchedModel:
     def to_dict(self) -> dict:
         return {
             "type": self._type_tag(),
-            "A": [m.tolist() for m in self.A],
-            "B": [m.tolist() for m in self.B],
-            "K": [m.tolist() for m in self.K],
+            "A": self.A.tolist(),
+            "B": self.B.tolist(),
+            "K": self.K.tolist(),
             "C": self.C.tolist(),
             "D": self.Dmat.tolist(),
             "F": self.F.tolist(),
             "p": self.p.tolist(),
             "Q_u": self.Q_u.tolist(),
-            "Q_v": [m.tolist() for m in self.Q_v],
+            "Q_v": self.Q_v.tolist(),
         }
 
     def _type_tag(self) -> str:
@@ -257,18 +260,29 @@ class InnovationModel(SwitchedModel):
     @classmethod
     def from_parts(cls, A, B, K, C, Dmat, p, Q_u, Q_v) -> "InnovationModel":
         C = np.atleast_2d(C)
-        return cls(A=tuple(A), B=tuple(B), K=tuple(K), C=C, Dmat=Dmat,
-                   F=np.eye(C.shape[0]), p=p, Q_u=Q_u, Q_v=tuple(Q_v))
+        return cls(A=A, B=B, K=K, C=C, Dmat=Dmat, F=np.eye(C.shape[0]), p=p, Q_u=Q_u, Q_v=Q_v)
 
 
 def model_from_dict(d: dict):
-    """Inverse of the models' to_dict()."""
+    """Inverse of the models' to_dict().
+
+    Raises ModelInvalidError when d is not a dict, lacks a key of its
+    model type, or holds a field that is not numeric or a family that is
+    not equal-shaped matrices.
+    """
+    if not isinstance(d, dict):
+        raise ModelInvalidError(f"a model must be a JSON object, got {type(d).__name__}")
     kind = d.get("type", "switched")
+    keys = ("A", "B", "C", "D") if kind == "deterministic" else (
+        "A", "B", "K", "C", "D", "F", "p", "Q_u", "Q_v")
+    missing = [key for key in keys if key not in d]
+    if missing:
+        raise ModelInvalidError(f"model lacks the key {missing[0]!r}")
     if kind == "deterministic":
-        return DeterministicModel(A=tuple(d["A"]), B=tuple(d["B"]), C=d["C"], Dmat=d["D"])
+        return DeterministicModel(A=d["A"], B=d["B"], C=d["C"], Dmat=d["D"])
     cls = InnovationModel if kind == "innovation" else SwitchedModel
-    return cls(A=tuple(d["A"]), B=tuple(d["B"]), K=tuple(d["K"]), C=d["C"],
-               Dmat=d["D"], F=d["F"], p=d["p"], Q_u=d["Q_u"], Q_v=tuple(d["Q_v"]))
+    return cls(A=d["A"], B=d["B"], K=d["K"], C=d["C"], Dmat=d["D"], F=d["F"], p=d["p"],
+               Q_u=d["Q_u"], Q_v=d["Q_v"])
 
 
 def mean_square_operator(A: Sequence[np.ndarray],
@@ -278,7 +292,7 @@ def mean_square_operator(A: Sequence[np.ndarray],
     The operator maps vec(X) to vec(sum_s w_s A_s X A_s^T) (row-major vec).
     Families with sqrt(p) absorbed into A_s take unit weights.
     """
-    A = np.stack([np.asarray(m, dtype=float) for m in A])
+    A = np.asarray(A, dtype=float)
     w = np.asarray(w, dtype=float)
     if A.shape[0] != w.shape[0]:
         raise DimensionError(f"{A.shape[0]} matrices but {w.shape[0]} weights")
@@ -313,9 +327,7 @@ def markov_parameter(m: DeterministicModel, w: Word) -> np.ndarray:
 def _reach_matrix(m: DeterministicModel) -> np.ndarray:
     cols = []
     for w in enumerate_words(m.n_modes, m.n_x - 1):
-        Aw = matrix_product_along_word(m.A, w)
-        for s in range(m.n_modes):
-            cols.append(Aw @ m.B[s])
+        cols.extend(matrix_product_along_word(m.A, w) @ m.B)
     return np.hstack(cols)
 
 
@@ -344,18 +356,8 @@ def transform_model(m: SwitchedModel, T: np.ndarray) -> SwitchedModel:
     if T.shape != (m.n_x, m.n_x):
         raise DimensionError(f"T must be {m.n_x}x{m.n_x}, got {T.shape}")
     Tinv = np.linalg.inv(T)
-    cls = type(m)
-    return cls(
-        A=tuple(T @ a @ Tinv for a in m.A),
-        B=tuple(T @ b for b in m.B),
-        K=tuple(T @ k for k in m.K),
-        C=m.C @ Tinv,
-        Dmat=m.Dmat,
-        F=m.F,
-        p=m.p,
-        Q_u=m.Q_u,
-        Q_v=m.Q_v,
-    )
+    return type(m)(A=T @ m.A @ Tinv, B=T @ m.B, K=T @ m.K, C=m.C @ Tinv, Dmat=m.Dmat,
+                   F=m.F, p=m.p, Q_u=m.Q_u, Q_v=m.Q_v)
 
 
 def find_isomorphism(m1: SwitchedModel, m2: SwitchedModel, tol: float = 1e-6) -> np.ndarray:

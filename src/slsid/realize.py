@@ -114,34 +114,34 @@ def _lyapunov_mean(A: Sequence[np.ndarray], w: Sequence[float],
     return (X + X.T) / 2.0
 
 
-def state_second_moment(m: SwitchedModel) -> Tuple[np.ndarray, ...]:
+def state_second_moment(m: SwitchedModel) -> np.ndarray:
     """Per-mode stationary second moments P_s = p_s E[x x^T] of the noise-driven state.
 
-    P_s = p_s Pbar with Pbar = sum_s p_s A_s Pbar A_s^T + sum_s K_s Q_v[s] K_s^T.
+    P_s = p_s Pbar with Pbar = sum_s p_s A_s Pbar A_s^T + sum_s K_s Q_v[s] K_s^T,
+    returned as a (D, n_x, n_x) array.
     """
-    const = sum(m.K[s] @ m.Q_v[s] @ m.K[s].T for s in range(m.n_modes))
-    P = _lyapunov_mean(m.A, m.p, const, "model")
-    return tuple(p_s * P for p_s in m.p)
+    const = sum(m.K @ m.Q_v @ m.K.transpose(0, 2, 1))
+    return m.p[:, None, None] * _lyapunov_mean(m.A, m.p, const, "model")
 
 
 def input_state_second_moment(
     m_d: DeterministicModel,
     q_u: np.ndarray,
     p: Sequence[float],
-) -> Tuple[np.ndarray, ...]:
+) -> np.ndarray:
     """Per-mode second moments Pt_s of the input-driven state of a dLSS.
 
     m_d has sqrt(p) absorbed into its A_s, so Pt_s = p_s Pbar with
-        Pbar = sum_s A_s Pbar A_s^T + sum_s B_s Q_u B_s^T.
+        Pbar = sum_s A_s Pbar A_s^T + sum_s B_s Q_u B_s^T,
+    returned as a (D, n_x, n_x) array.
     """
     p = np.asarray(p, dtype=float)
     D = m_d.n_modes
     if p.shape != (D,):
         raise DimensionError(f"p must have {D} entries, got {p.shape}")
     q_u = np.atleast_2d(np.asarray(q_u, dtype=float))
-    const = sum(b @ q_u @ b.T for b in m_d.B)
-    P = _lyapunov_mean(m_d.A, np.ones(D), const, "input-part realization")
-    return tuple(p_s * P for p_s in p)
+    const = sum(m_d.B @ q_u @ m_d.B.transpose(0, 2, 1))
+    return p[:, None, None] * _lyapunov_mean(m_d.A, np.ones(D), const, "input-part realization")
 
 
 def ho_kalman(sel: Selection, M: WordIndexedMatrixTable, M_eps: np.ndarray) -> DeterministicModel:
@@ -167,14 +167,12 @@ def ho_kalman(sel: Selection, M: WordIndexedMatrixTable, M_eps: np.ndarray) -> D
         # one stack per call: the matmuls of a per-mode loop, to the bit
         return Vh.T @ ((U.T @ rhs) / s[:, None])
 
-    A = tuple(solve(H_sigma))
-    B = tuple(solve(H_alpha_sigma))
     M_eps = np.atleast_2d(np.asarray(M_eps, dtype=float))
     if M_eps.shape != M.shape:
         raise DimensionError(
             f"M_eps shape {M_eps.shape} does not match table shape {M.shape}"
         )
-    return DeterministicModel(A=A, B=B, C=H_beta, Dmat=M_eps)
+    return DeterministicModel(A=solve(H_sigma), B=solve(H_alpha_sigma), C=H_beta, Dmat=M_eps)
 
 
 def associated_dlss(m: SwitchedModel) -> DeterministicModel:
@@ -187,40 +185,35 @@ def associated_dlss(m: SwitchedModel) -> DeterministicModel:
     """
     m.validate()
     P = state_second_moment(m)
-    D = m.n_modes
-    sqrt_p = np.sqrt(m.p)
-    G = [(m.A[s] @ P[s] @ m.C.T + m.K[s] @ m.Q_v[s] @ m.F.T) / sqrt_p[s]
-         for s in range(D)]
-    A = tuple(sqrt_p[s] * m.A[s] for s in range(D))
-    B = tuple(np.hstack([sqrt_p[s] * m.B[s], G[s]]) for s in range(D))
-    Dmat = np.hstack([m.Dmat, np.eye(m.n_y)])
-    return DeterministicModel(A=A, B=B, C=m.C, Dmat=Dmat)
+    sqrt_p = np.sqrt(m.p)[:, None, None]
+    G = (m.A @ P @ m.C.T + m.K @ m.Q_v @ m.F.T) / sqrt_p
+    return DeterministicModel(A=sqrt_p * m.A, B=np.concatenate([sqrt_p * m.B, G], axis=2),
+                              C=m.C, Dmat=np.hstack([m.Dmat, np.eye(m.n_y)]))
 
 
 @dataclass
 class KQIterationState:
-    """Converged state of the innovation-gain solve."""
+    """Converged state of the innovation-gain solve; P, Q and K are (D, ...) arrays."""
 
-    P: Tuple[np.ndarray, ...]
-    Q: Tuple[np.ndarray, ...]
-    K: Tuple[np.ndarray, ...]
+    P: np.ndarray
+    Q: np.ndarray
+    K: np.ndarray
     iterations: int
     last_delta: float
 
 
-def _kq_iteration(A_hat: Sequence[np.ndarray], C_hat: np.ndarray,
-                  G_hat: Sequence[np.ndarray], t_ys_sigma: Dict[int, np.ndarray],
-                  p: np.ndarray, tol: float, max_iter: int) -> KQIterationState:
-    # every mode steps at once: S, A, G, Q and K are stacks over the modes,
-    # with one eigvalsh and one solve on the stack per step
-    D = len(A_hat)
-    n_x = A_hat[0].shape[0]
+def _kq_iteration(A_hat: np.ndarray, C_hat: np.ndarray, G_hat: np.ndarray,
+                  t_ys: np.ndarray, p: np.ndarray, tol: float,
+                  max_iter: int) -> KQIterationState:
+    # every mode steps at once: S, A, G, Q and K are (D, ...) stacks, with
+    # one eigvalsh and one solve on the stack per step
+    A = np.asarray(A_hat, dtype=float)
+    D, n_x = A.shape[:2]
     p_col = p[:, None, None]
     sqrt_p = np.sqrt(p)[:, None, None]
-    A = np.stack([np.asarray(a, dtype=float) for a in A_hat])
     A_T = A.transpose(0, 2, 1)
-    G = np.stack([np.asarray(g, dtype=float) for g in G_hat])
-    S = p_col * np.stack([np.asarray(t_ys_sigma[s + 1], dtype=float) for s in range(D)])
+    G = np.asarray(G_hat, dtype=float)
+    S = p_col * np.asarray(t_ys, dtype=float)
     ones = np.ones(D)
 
     def kq_of(P, it):
@@ -259,8 +252,8 @@ def _kq_iteration(A_hat: Sequence[np.ndarray], C_hat: np.ndarray,
         P = P_next
         if delta < tol:
             Q, K = kq_of(P, it + 1)
-            return KQIterationState(P=tuple(p_s * P for p_s in p), Q=tuple(Q),
-                                    K=tuple(K), iterations=it + 1, last_delta=delta)
+            return KQIterationState(P=p_col * P, Q=Q, K=K, iterations=it + 1,
+                                    last_delta=delta)
     raise NonConvergenceError(
         f"innovation-gain iteration did not converge in {max_iter} iterations "
         f"(last delta {delta:.3e})",
@@ -271,7 +264,7 @@ def _kq_iteration(A_hat: Sequence[np.ndarray], C_hat: np.ndarray,
 def associated_slss(
     m_d: DeterministicModel,
     p: Sequence[float],
-    t_ys_sigma: Dict[int, np.ndarray],
+    t_ys: np.ndarray,
     q_u: np.ndarray,
 ) -> Tuple[InnovationModel, KQIterationState]:
     """Innovation-form stochastic model behind a [B | G]-split deterministic one.
@@ -282,7 +275,8 @@ def associated_slss(
     innovation-gain equation and returns (model, state): the model
     ({A_hat_s/sqrt(p_s), B_hat_s/sqrt(p_s), K_s}, C, D, F=I) with Q_v[s] the
     per-mode innovation moment limit, and the KQIterationState of the solve.
-    q_u only populates the model's input-covariance field.
+    t_ys holds the per-mode moments T^{ys,ys}_{s,s} as a (D, n_y, n_y)
+    array.  q_u only populates the model's input-covariance field.
     """
     p = np.asarray(p, dtype=float)
     D = m_d.n_modes
@@ -301,18 +295,11 @@ def associated_slss(
             f"sum of A_s kron A_s has spectral radius {rho:.6f} >= 1; "
             "the stochastic conversion needs a Schur matrix"
         )
-    G_hat = [np.asarray(b)[:, n_u:] for b in m_d.B]
-    state = _kq_iteration(list(m_d.A), m_d.C, G_hat, t_ys_sigma, p, FP_TOL, FP_MAX_ITER)
-    sqrt_p = np.sqrt(p)
+    state = _kq_iteration(m_d.A, m_d.C, m_d.B[:, :, n_u:], t_ys, p, FP_TOL, FP_MAX_ITER)
+    sqrt_p = np.sqrt(p)[:, None, None]
     model = InnovationModel.from_parts(
-        A=tuple(m_d.A[s] / sqrt_p[s] for s in range(D)),
-        B=tuple(np.asarray(m_d.B[s])[:, :n_u] / sqrt_p[s] for s in range(D)),
-        K=state.K,
-        C=m_d.C,
-        Dmat=m_d.Dmat[:, :n_u],
-        p=p,
-        Q_u=q_u,
-        Q_v=tuple(state.Q),
+        A=m_d.A / sqrt_p, B=m_d.B[:, :, :n_u] / sqrt_p, K=state.K, C=m_d.C,
+        Dmat=m_d.Dmat[:, :n_u], p=p, Q_u=q_u, Q_v=state.Q,
     ).validate()
     return model, state
 
@@ -376,14 +363,15 @@ def lambda_ydyd(
     q_u: np.ndarray,
     p: Sequence[float],
     words: Iterable[Word],
-) -> Tuple[WordIndexedMatrixTable, Dict[int, np.ndarray]]:
+) -> Tuple[WordIndexedMatrixTable, np.ndarray]:
     """Output covariances of the input-driven subsystem from its dLSS.
 
     m_d realizes Psi (the sqrt(p)-absorbed input-to-output Markov function).
     With Pt_s the input-part moments (input_state_second_moment),
     the word-indexed covariances are, for w = s0 + rest,
         Lambda^{yd,yd}_w = C A_rest ((1/p_s0) A_s0 Pt_s0 C^T + B_s0 Q_u D^T)
-    and the per-mode second moments, for every mode s = 1..D,
+    and the per-mode second moments, for every mode s = 1..D, as a
+    (D, n_y, n_y) array,
         T^{yd,yd}_{s,s} = (1/p_s) C Pt_s C^T + D Q_u D^T.
     The empty word, if requested, gets E[y_d y_d^T] = C (sum_s Pt_s) C^T + D Q_u D^T.
 
@@ -403,10 +391,9 @@ def lambda_ydyd(
     words, spans, parent, last, rest_ids, nonempty, first, empty = _ydyd_plan(
         _as_words(words), D)
     P = input_state_second_moment(m_d, q_u, p)
-    C, Dm = m_d.C, m_d.Dmat
-    A = np.stack(m_d.A)
-    cores = np.stack([(m_d.A[s] @ P[s] @ C.T) / p[s] + m_d.B[s] @ q_u @ Dm.T
-                      for s in range(D)])
+    C, Dm, A = m_d.C, m_d.Dmat, m_d.A
+    p_col = p[:, None, None]
+    cores = (A @ P @ C.T) / p_col + m_d.B @ q_u @ Dm.T
     along = np.empty((len(parent), m_d.n_x, m_d.n_x))
     along[0] = np.eye(m_d.n_x)
     for lo, hi in spans:
@@ -416,11 +403,8 @@ def lambda_ydyd(
     if empty is not None:
         values[empty] = C @ sum(P) @ C.T + Dm @ q_u @ Dm.T
     table = WordIndexedMatrixTable._from_array((m_d.n_y, m_d.n_y), words, values)
-    t_dd = {}
-    for s in range(1, D + 1):
-        m = (C @ P[s - 1] @ C.T) / p[s - 1] + Dm @ q_u @ Dm.T
-        t_dd[s] = (m + m.T) / 2.0
-    return table, t_dd
+    t_dd = (C @ P @ C.T) / p_col + Dm @ q_u @ Dm.T
+    return table, (t_dd + t_dd.transpose(0, 2, 1)) / 2.0
 
 
 @contextmanager
@@ -455,7 +439,7 @@ class _JointRealization:
     sel: Selection
     sel_bar: Selection
     m_psi: DeterministicModel
-    t_dd: Dict[int, np.ndarray]
+    t_dd: np.ndarray
     m_full: DeterministicModel
     found: dict
 
@@ -551,10 +535,8 @@ def _realize(cov: CovarianceTable, n_x: int, n_bar: int,
     for attempt, steps_3_to_5 in enumerate(_attempts(cov, n_x, n_bar, sel, sel_bar)):
         try:
             joint = steps_3_to_5()
-            t_ys = {}
-            for s in range(1, joint.sel.n_modes + 1):
-                leftover = cov.t_yy_sigma[s] - joint.t_dd[s]
-                t_ys[s] = (leftover + leftover.T) / 2.0
+            leftover = cov.t_yy - joint.t_dd
+            t_ys = (leftover + leftover.transpose(0, 2, 1)) / 2.0
             with _stage("step 6 (innovation conversion)"):
                 model, state = associated_slss(joint.m_full, cov.p, t_ys, cov.q_u)
         except (NumericalError, ModelInvalidError) as exc:

@@ -301,12 +301,7 @@ class SimConfig:
 
     def __post_init__(self):
         for name, least in (("seed", 0), ("length", 1), ("burn_in", 0)):
-            value = getattr(self, name)
-            if not _is_number(value) or value != int(value):
-                raise DimensionError(f"{name} must be an integer, got {value!r}")
-            if value < least:
-                raise DimensionError(f"{name} must be >= {least}, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _count(getattr(self, name), name, least))
         for name in ("input_low", "input_high"):
             if not _is_number(getattr(self, name)):
                 raise DimensionError(f"{name} must be a finite number, got "
@@ -336,6 +331,18 @@ def _is_number(value) -> bool:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         return False
     return isinstance(value, numbers.Integral) or math.isfinite(value)
+
+
+def _count(value, name: str, least: int) -> int:
+    """value as an int: an integral number (2000.0 counts) >= least.
+
+    Anything else raises DimensionError naming the field.
+    """
+    if not _is_number(value) or value != int(value):
+        raise DimensionError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise DimensionError(f"{name} must be >= {least}, got {value!r}")
+    return int(value)
 
 
 def sample_switching(p, T: int, rng: np.random.Generator) -> np.ndarray:
@@ -473,15 +480,11 @@ def simulate(model: SwitchedModel, cfg: SimConfig) -> Dataset:
     u = _draw_input(model, cfg, total, rng)
 
     # v(t) | q(t)=s ~ N(0, Q_v[s] / p_s): one product of each draw with the
-    # Cholesky factor of its mode (row 0 pads the stack so q indexes it)
-    chol = np.zeros((model.n_modes + 1, model.n_n, model.n_n))
-    for s in range(model.n_modes):
-        chol[s + 1] = np.linalg.cholesky(model.Q_v[s] / model.p[s])
-    v = (chol[q] @ rng.standard_normal((total, model.n_n, 1)))[:, :, 0]
+    # Cholesky factor of its mode
+    chol = np.linalg.cholesky(model.Q_v / model.p[:, None, None])
+    v = (chol[q - 1] @ rng.standard_normal((total, model.n_n, 1)))[:, :, 0]
 
-    y_clean = affine_scan(q, np.stack(model.A), model.C,
-                          [(u, np.stack(model.B), model.Dmat),
-                           (v, np.stack(model.K), None)])
+    y_clean = affine_scan(q, model.A, model.C, [(u, model.B, model.Dmat), (v, model.K, None)])
     y = v @ model.F.T
     y += y_clean
 

@@ -120,12 +120,12 @@ def test_3_fixed_point_recursions(two_mode, capsys):
                  for s in range(n_modes))
 
     m_big = associated_dlss(gen)
-    t_ys = {s + 1: (gen.C @ P[s] @ gen.C.T + gen.Q_v[s]) / p[s]
-            for s in range(n_modes)}
+    t_ys = np.array([(gen.C @ P[s] @ gen.C.T + gen.Q_v[s]) / p[s]
+                     for s in range(n_modes)])
     _, state = associated_slss(m_big, p, t_ys, q_u)
     res_q = res_k = 0.0
     for s in range(n_modes):
-        S = p[s] * t_ys[s + 1]
+        S = p[s] * t_ys[s]
         res_q = max(res_q, float(np.max(np.abs(
             state.Q[s] - (S - m_big.C @ state.P[s] @ m_big.C.T)))))
         g_hat = m_big.B[s][:, gen.n_u:]
@@ -170,9 +170,9 @@ def test_4_single_mode_closed_form(scalar, capsys):
         lam_yu[w] = [[c * a ** (m - 1) * b * q_u]]
         lam_yy[w] = [[c * a ** (m - 1)
                       * (a * (pi_s + pi_d) * c + k * q_v + b * q_u * d)]]
-    t_yy = {1: [[c * c * (pi_s + pi_d) + q_v + d * d * q_u]]}
+    t_yy = [[[c * c * (pi_s + pi_d) + q_v + d * d * q_u]]]
     hand = CovarianceTable(lambda_yu=lam_yu, lambda_yy=lam_yy,
-                           t_yy_sigma=t_yy, q_u=[[q_u]], p=[1.0])
+                           t_yy=t_yy, q_u=[[q_u]], p=[1.0])
 
     oracle = exact_covariances(scalar.model, 4)
     cross = max(
@@ -180,7 +180,7 @@ def test_4_single_mode_closed_form(scalar, capsys):
             for w, _ in hand.lambda_yu.items()),
         max(float(np.max(np.abs(hand.lambda_yy[w] - oracle.lambda_yy[w])))
             for w, _ in hand.lambda_yy.items()),
-        float(np.max(np.abs(hand.t_yy_sigma[1] - oracle.t_yy_sigma[1]))),
+        float(np.max(np.abs(hand.t_yy[0] - oracle.t_yy[0]))),
     )
 
     m_hat, _ = covariance_realization(hand, scalar.sel, scalar.sel_bar)
@@ -263,8 +263,8 @@ def test_7_estimator_equivalence(two_mode, capsys):
             for w in words),
         max(float(np.max(np.abs(cov_d.lambda_yy[w] - cov_l.lambda_yy[w])))
             for w in words if len(w) > 0),
-        max(float(np.max(np.abs(cov_d.t_yy_sigma[s] - cov_l.t_yy_sigma[s])))
-            for s in (1, 2)),
+        max(float(np.max(np.abs(cov_d.t_yy[s] - cov_l.t_yy[s])))
+            for s in (0, 1)),
     )
 
     m_d, _ = covariance_realization(cov_d, two_mode.sel, two_mode.sel_bar)

@@ -313,6 +313,45 @@ def test_compare_rejects_different_models(workspace, two_mode, capsys):
     assert "not isomorphic" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, edit, code, text", [
+    ("compare", lambda m: [1, 2], 2, "a model must be a JSON object, got list"),
+    ("compare", lambda m: 5, 2, "a model must be a JSON object, got int"),
+    ("compare", lambda m: {"A": 3}, 2, "model lacks the key 'B'"),
+    ("compare", lambda m: {**m, "K": [[[1.0], [0.0], [0.0]], [[1.0], [0.0]]]}, 2,
+     "K is not numeric, or its rows differ in length"),
+    ("compare", lambda m: {**m, "A": [1.0, 2.0]}, 2, "A family must be a nonempty list"),
+    ("compare", lambda m: {**m, "C": {"a": 1}}, 2, "C is not numeric"),
+    ("transform", lambda T: {"a": 1}, 3, "T must be a matrix of numbers"),
+    ("transform", lambda T: [[1.0, 0.0], [0.0, 1.0]], 4, "T must be 3x3"),
+    ("realize", lambda cov: {**cov, "t_yy_sigma": {"1": cov["t_yy_sigma"]["1"]}}, 4,
+     "t_yy_sigma lacks mode '2' of 2"),
+    ("realize", lambda cov: {**cov, "t_yy_sigma": {**cov["t_yy_sigma"], "3": [[1.0]]}}, 4,
+     "t_yy_sigma has key '3', not a mode of 2"),
+], ids=["list", "number", "missing-key", "ragged-family", "flat-family", "object-C",
+        "object-T", "T-shape", "t_yy-missing-mode", "t_yy-extra-key"])
+def test_a_malformed_input_file_exits_with_its_code(workspace, tmp_path, capsys, two_mode,
+                                                    command, edit, code, text):
+    # each edits a good input file: a model, a transformation T, or a
+    # covariance table that estimate wrote
+    model = workspace / "true_model.json"
+    if command == "compare":
+        bad = write_json(tmp_path / "bad.json", edit(two_mode.model.to_dict()))
+        argv = ["compare", str(bad), str(model)]
+    elif command == "transform":
+        bad = write_json(tmp_path / "T.json", edit(np.eye(3).tolist()))
+        argv = ["transform", str(model), str(bad), "--out", str(tmp_path / "out")]
+    else:
+        est = write_json(tmp_path / "est.json", {"data": str(workspace / "sim" / "data.csv"),
+                                                 "p": [0.5, 0.5], "words": {"max_len": 2}})
+        assert main(["estimate", "--config", str(est), "--out", str(tmp_path / "est")]) == 0
+        cov = json.loads((tmp_path / "est" / "covariances.json").read_text())
+        write_json(tmp_path / "cov.json", edit(cov))
+        real = write_json(tmp_path / "real.json", {"covariances": "cov.json", "n_x": 3})
+        argv = ["realize", "--config", str(real), "--out", str(tmp_path / "out")]
+    assert main(argv) == code
+    assert text in capsys.readouterr().err
+
+
 def test_config_error_paths(workspace, tmp_path, capsys):
     # missing config file
     assert main(["estimate", "--config", str(tmp_path / "nope.json"),

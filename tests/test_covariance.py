@@ -97,7 +97,7 @@ def test_empirical_matches_hand_sums():
 
     # T^{y,y}_{1,1} is the second moment of z^y_(1)(t) = y(t-1) 1{q(t-1)=1} / sqrt(p_1)
     want_t1 = sum(y[t - 1] ** 2 * (q[t - 1] == 1) for t in range(n0, 8)) / (n_eff * 0.5)
-    assert cov.t_yy_sigma[1][0, 0] == pytest.approx(want_t1, abs=1e-12)
+    assert cov.t_yy[0][0, 0] == pytest.approx(want_t1, abs=1e-12)
 
     want_qu = sum(u[t] ** 2 for t in range(n0, 8)) / n_eff
     assert cov.q_u[0, 0] == pytest.approx(want_qu, abs=1e-12)
@@ -120,8 +120,8 @@ def test_empirical_requires_enough_samples():
 def per_word_oracle(data, p, words):
     """The direct estimator written word by word from _z_block.
 
-    Returns (lambda_yu, lambda_yy, degenerate words, t_yy_sigma, q_u) for
-    the same N_0 the estimator uses.
+    Returns (lambda_yu, lambda_yy, degenerate words, t_yy, q_u) for the
+    same N_0 the estimator uses, with t_yy[s - 1] = T^{y,y}_{s,s}.
     """
     words = sorted(set(words), key=lambda w: w.sort_key)
     n0 = max([len(w) for w in words] + [1]) + 1
@@ -135,12 +135,12 @@ def per_word_oracle(data, p, words):
             lam_yy[w] = y_block.T @ z_y / n_eff
             if not np.any(z_y):
                 degenerate.append(str(w))
-    t_yy = {}
+    t_yy = []
     for s in range(1, len(p) + 1):
         z = _z_block(data.y, data.q, p, Word((s,)), n0)
-        t_yy[s] = z.T @ z / n_eff
+        t_yy.append(z.T @ z / n_eff)
     q_u = data.u[n0:].T @ data.u[n0:] / n_eff
-    return lam_yu, lam_yy, degenerate, t_yy, q_u
+    return lam_yu, lam_yy, degenerate, np.array(t_yy), q_u
 
 
 def assert_close_entries(got, want):
@@ -159,8 +159,8 @@ def assert_matches_oracle(data, p, words):
     for got, want in ((cov.lambda_yu, want_yu), (cov.lambda_yy, want_yy)):
         assert got.words() == sorted(want, key=lambda w: w.sort_key)
         assert_close_entries(got, want)
-    assert sorted(cov.t_yy_sigma) == sorted(want_t_yy)
-    assert_close_entries(cov.t_yy_sigma, want_t_yy)
+    assert cov.t_yy.shape == want_t_yy.shape
+    assert_close_entries(dict(enumerate(cov.t_yy)), dict(enumerate(want_t_yy)))
     assert_close_entries({"q_u": cov.q_u}, {"q_u": want_q_u})
     assert cov.metadata["degenerate_words"] == want_degenerate
     assert [str(c.message) for c in caught] == [
@@ -453,8 +453,8 @@ def test_least_squares_agrees_with_direct(two_mode):
         worst = max(worst, float(np.max(np.abs(cov_d.lambda_yu[w] - cov_l.lambda_yu[w]))))
         if len(w) > 0:
             worst = max(worst, float(np.max(np.abs(cov_d.lambda_yy[w] - cov_l.lambda_yy[w]))))
-    for s in (1, 2):
-        worst = max(worst, float(np.max(np.abs(cov_d.t_yy_sigma[s] - cov_l.t_yy_sigma[s]))))
+    for s in (0, 1):
+        worst = max(worst, float(np.max(np.abs(cov_d.t_yy[s] - cov_l.t_yy[s]))))
     assert worst < 1e-10
     assert cov_d.metadata["estimator"] == "direct"
     assert cov_l.metadata["estimator"] == "ls"
@@ -493,7 +493,7 @@ def test_exact_covariances_match_scalar_closed_form(scalar):
                                    + (a * pi_d * c + b * q_u * d))
         assert got.lambda_yy[w][0, 0] == pytest.approx(want, abs=1e-10)
     want_t = c * c * (pi_s + pi_d) + q_v + d * d * q_u
-    assert got.t_yy_sigma[1][0, 0] == pytest.approx(want_t, abs=1e-10)
+    assert got.t_yy[0][0, 0] == pytest.approx(want_t, abs=1e-10)
 
 
 def test_empirical_converges_to_exact(two_mode, two_mode_cov):
@@ -508,9 +508,9 @@ def test_empirical_converges_to_exact(two_mode, two_mode_cov):
             worst = max(worst, float(np.max(np.abs(
                 cov.lambda_yy[w] - two_mode_cov.lambda_yy[w]))))
     assert worst < 0.25
-    for s in (1, 2):
-        assert abs(cov.t_yy_sigma[s][0, 0]
-                   - two_mode_cov.t_yy_sigma[s][0, 0]) < 0.5
+    for s in (0, 1):
+        assert abs(cov.t_yy[s][0, 0]
+                   - two_mode_cov.t_yy[s][0, 0]) < 0.5
     assert abs(cov.q_u[0, 0] - 1.0 / 3.0) < 0.01
 
 
@@ -518,13 +518,15 @@ def test_empirical_converges_to_exact(two_mode, two_mode_cov):
 
 
 def test_covariance_table_json_round_trip(two_mode_cov):
-    obj = two_mode_cov.to_jsonable()
+    obj = json.loads(json.dumps(two_mode_cov.to_jsonable()))
+    assert sorted(obj["t_yy_sigma"]) == ["1", "2"]
     back = CovarianceTable.from_jsonable(obj)
     for w, m in two_mode_cov.lambda_yu.items():
         assert np.array_equal(back.lambda_yu[w], m)
     for w, m in two_mode_cov.lambda_yy.items():
         assert np.array_equal(back.lambda_yy[w], m)
-    assert np.array_equal(back.t_yy_sigma[2], two_mode_cov.t_yy_sigma[2])
+    assert back.t_yy.shape == (2, 1, 1) and back.t_yy.dtype == float
+    assert back.t_yy.tobytes() == two_mode_cov.t_yy.tobytes()
     assert np.array_equal(back.p, two_mode_cov.p)
 
 
@@ -536,11 +538,14 @@ def test_covariance_table_validate():
     lam_yy = WordIndexedMatrixTable((1, 1))
     lam_yy[Word((1,))] = [[0.2]]
     good = CovarianceTable(lambda_yu=lam_yu, lambda_yy=lam_yy,
-                           t_yy_sigma={1: [[1.0]]}, q_u=[[0.3]], p=[1.0])
+                           t_yy=[[[1.0]]], q_u=[[0.3]], p=[1.0])
     good.validate()
     with pytest.raises(DimensionError):
         CovarianceTable(lambda_yu=lam_yu, lambda_yy=lam_yy,
-                        t_yy_sigma={1: [[-1.0]]}, q_u=[[0.3]], p=[1.0]).validate()
-    with pytest.raises(DimensionError):
+                        t_yy=[[[-1.0]]], q_u=[[0.3]], p=[1.0]).validate()
+    with pytest.raises(DimensionError, match="invalid probability"):
         CovarianceTable(lambda_yu=lam_yu, lambda_yy=lam_yy,
-                        t_yy_sigma={1: [[1.0]]}, q_u=[[0.3]], p=[0.5, 0.6]).validate()
+                        t_yy=[[[1.0]], [[1.0]]], q_u=[[0.3]], p=[0.5, 0.6]).validate()
+    with pytest.raises(DimensionError, match=r"t_yy must have shape \(2, 1, 1\)"):
+        CovarianceTable(lambda_yu=lam_yu, lambda_yy=lam_yy,
+                        t_yy=[[[1.0]]], q_u=[[0.3]], p=[0.5, 0.5]).validate()

@@ -260,6 +260,15 @@ def test_ident_config_validation(two_mode):
         IdentConfig(n_x=0)
     with pytest.raises(DimensionError, match="n_bar must be >= 1, got 0"):
         IdentConfig(n_x=1, n_bar=0)
+    # the counts follow SimConfig's rule: a fraction, a bool or a non-number
+    # is refused by name, and an integral float is taken as an int
+    for name, value in (("n_x", 2.5), ("n_x", True), ("n_x", "3"), ("n_x", float("nan")),
+                        ("n_bar", 2.5), ("n_bar", False)):
+        with pytest.raises(DimensionError, match=f"{name} must be an integer, got"):
+            IdentConfig(**{"n_x": 1, name: value})
+    cfg = IdentConfig(n_x=3.0, n_bar=2.0)
+    assert (cfg.n_x, cfg.n_bar) == (3, 2)
+    assert type(cfg.n_x) is int and type(cfg.n_bar) is int
     # the numerics and the estimator are fixed, not fields
     for name in ("fp_tol", "fp_max_iter", "search_budget", "rank_tol", "estimator"):
         with pytest.raises(TypeError, match=name):

@@ -177,6 +177,44 @@ def test_model_dict_round_trip(two_mode):
     assert np.array_equal(back.p, two_mode.model.p)
 
 
+@pytest.mark.parametrize("layout", [
+    lambda fam: [m.tolist() for m in fam],   # nested lists, as JSON has them
+    lambda fam: tuple(np.array(m) for m in fam),
+    np.array,
+], ids=["lists", "tuple", "array"])
+def test_families_are_read_only_mode_stacks(two_mode, layout):
+    m = two_mode.model
+    built = InnovationModel.from_parts(layout(m.A), layout(m.B), layout(m.K), m.C, m.Dmat,
+                                       m.p, m.Q_u, layout(m.Q_v))
+    d = DeterministicModel(A=layout(m.A), B=layout(m.B), C=m.C, Dmat=m.Dmat)
+    for fam, want in ((built.A, m.A), (built.B, m.B), (built.K, m.K), (built.Q_v, m.Q_v),
+                      (d.A, m.A), (d.B, m.B)):
+        assert isinstance(fam, np.ndarray) and fam.dtype == float
+        assert fam.shape == want.shape and fam.ndim == 3 and len(fam) == 2
+        assert fam.tobytes() == want.tobytes()
+        assert not fam.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        built.A[0][0, 0] = 1.0
+    assert [a.shape for a in built.A] == [(3, 3), (3, 3)]
+
+
+@pytest.mark.parametrize("name, family", [
+    ("A", [np.eye(3), np.eye(2)]),          # ragged
+    ("K", []),                              # empty
+    ("Q_v", [[["x"]], [[1.0]]]),            # not numeric
+    ("B", [1.0, 2.0]),                      # numbers, not matrices
+])
+def test_a_malformed_family_is_named(two_mode, name, family):
+    m = two_mode.model
+    parts = dict(A=m.A, B=m.B, K=m.K, C=m.C, Dmat=m.Dmat, p=m.p, Q_u=m.Q_u, Q_v=m.Q_v)
+    parts[name] = family
+    with pytest.raises(ModelInvalidError, match=f"^{name} "):
+        InnovationModel.from_parts(**parts)
+    if name in ("A", "B"):
+        with pytest.raises(ModelInvalidError, match=f"^{name} "):
+            DeterministicModel(**{"A": m.A, "B": m.B, "C": m.C, "Dmat": m.Dmat, name: family})
+
+
 def test_deterministic_dict_round_trip(two_mode):
     d = associated_dlss(two_mode.model)
     back = model_from_dict(d.to_dict())

@@ -200,7 +200,7 @@ def test_psi_uy_divides_by_q_u(two_mode_cov):
 def test_psi_uy_rejects_singular_q_u(two_mode_cov):
     broken = CovarianceTable(lambda_yu=two_mode_cov.lambda_yu,
                              lambda_yy=two_mode_cov.lambda_yy,
-                             t_yy_sigma=two_mode_cov.t_yy_sigma,
+                             t_yy=two_mode_cov.t_yy,
                              q_u=[[0.0]], p=two_mode_cov.p)
     with pytest.raises(NotFullRankError):
         psi_uy(broken, [EMPTY_WORD])
@@ -219,7 +219,8 @@ def test_lambda_ydyd_scalar_closed_form(scalar):
         want = scalar.c * scalar.a ** (m - 1) * core
         assert table[Word((1,) * m)][0, 0] == pytest.approx(want, abs=1e-9)
     want_t = scalar.c ** 2 * pi_d + scalar.d ** 2 * scalar.q_u
-    assert t_dd[1][0, 0] == pytest.approx(want_t, abs=1e-9)
+    assert t_dd.shape == (1, 1, 1)
+    assert t_dd[0][0, 0] == pytest.approx(want_t, abs=1e-9)
     # one mode: the stationary output moment equals the per-mode one
     assert table[EMPTY_WORD][0, 0] == pytest.approx(want_t, abs=1e-9)
 
@@ -234,7 +235,7 @@ def test_batched_psi_uy_matches_per_word_solves(n_y, n_u):
     g = rng.normal(size=(n_u, n_u))
     q_u = g @ g.T + 0.1 * np.eye(n_u)
     cov = CovarianceTable(lambda_yu=lam_yu, lambda_yy=WordIndexedMatrixTable((n_y, n_y)),
-                          t_yy_sigma={}, q_u=q_u, p=(0.5, 0.5))
+                          t_yy=np.zeros((2, n_y, n_y)), q_u=q_u, p=(0.5, 0.5))
     psi = psi_uy(cov, reversed(words))
     assert psi.words() == words
     for w in words:
@@ -254,7 +255,8 @@ def test_psi_uy_has_the_bits_of_per_word_solves(seed, n_y, n_u, data):
         lam_yu[w] = rng.normal(size=(n_y, n_u))
     g = rng.normal(size=(n_u, n_u))
     cov = CovarianceTable(lambda_yu=lam_yu, lambda_yy=WordIndexedMatrixTable((n_y, n_y)),
-                          t_yy_sigma={}, q_u=g @ g.T + 0.1 * np.eye(n_u), p=(0.5, 0.5))
+                          t_yy=np.zeros((2, n_y, n_y)), q_u=g @ g.T + 0.1 * np.eye(n_u),
+                          p=(0.5, 0.5))
     words = data.draw(st.lists(st.sampled_from(stored), max_size=40))
     psi = psi_uy(cov, words)
     assert len(psi) == len(set(words))
@@ -311,7 +313,7 @@ def test_lambda_ydyd_rejects_letters_outside_the_alphabet(two_mode):
 def test_associated_slss_round_trip(two_mode):
     m = two_mode.model
     P = state_second_moment(m)
-    t_ys = {s + 1: (m.C @ P[s] @ m.C.T + m.Q_v[s]) / m.p[s] for s in range(2)}
+    t_ys = np.array([(m.C @ P[s] @ m.C.T + m.Q_v[s]) / m.p[s] for s in range(2)])
     back, state = associated_slss(associated_dlss(m), m.p, t_ys, m.Q_u)
     assert state.last_delta < 1e-10
     assert state.iterations < 200
@@ -323,7 +325,7 @@ def test_associated_slss_round_trip(two_mode):
 def test_kq_iteration_fails_typed_when_its_step_budget_runs_out(two_mode):
     m = two_mode.model
     P = state_second_moment(m)
-    t_ys = {s + 1: (m.C @ P[s] @ m.C.T + m.Q_v[s]) / m.p[s] for s in range(2)}
+    t_ys = np.array([(m.C @ P[s] @ m.C.T + m.Q_v[s]) / m.p[s] for s in range(2)])
     m_d = associated_dlss(m)
     G = [np.asarray(b)[:, m.n_u:] for b in m_d.B]
     # one step cannot meet the stopping rule: a typed error with the last step
@@ -332,14 +334,14 @@ def test_kq_iteration_fails_typed_when_its_step_budget_runs_out(two_mode):
     assert np.isfinite(info.value.last_delta) and info.value.last_delta >= 1e-10
 
 
-def kq_iteration_per_mode(A_hat, C_hat, G_hat, t_ys_sigma, p, tol, max_iter):
+def kq_iteration_per_mode(A_hat, C_hat, G_hat, t_ys, p, tol, max_iter):
     """The innovation-gain fixed-point iteration written as a loop over the
     modes: the reference whose limit and failures the Newton solve in
     _kq_iteration must reproduce."""
     D = len(A_hat)
     n_x = A_hat[0].shape[0]
     sqrt_p = np.sqrt(p)
-    S = [p[s] * np.asarray(t_ys_sigma[s + 1], dtype=float) for s in range(D)]
+    S = [p[s] * np.asarray(t_ys[s], dtype=float) for s in range(D)]
 
     def kq_of(P, it):
         CPC = C_hat @ P @ C_hat.T
@@ -408,10 +410,10 @@ def test_newton_gain_solve_agrees_with_the_per_mode_loop(seed, D, n, n_y, rho, g
     A = [scale * a for a in A]
     C = rng.normal(size=(n_y, n))
     G = [gain * rng.normal(size=(n, n_y)) for _ in range(D)]
-    t_ys = {}
+    t_ys = np.empty((D, n_y, n_y))
     for s in range(D):
         g = rng.normal(size=(n_y, n_y))
-        t_ys[s + 1] = g @ g.T + rng.uniform(0.0, 1.0) * np.eye(n_y)
+        t_ys[s] = g @ g.T + rng.uniform(0.0, 1.0) * np.eye(n_y)
     want = _outcome(kq_iteration_per_mode, A, C, G, t_ys, p, 1e-13, 20_000)
     if isinstance(want, KQIterationState):
         # the loop stops on an absolute step: for a small P, make it relative
@@ -597,10 +599,10 @@ def test_gain_iteration_stops_when_innovation_moment_turns_negative(two_mode,
     # lowering T^{yy}_{1,1} by 2.3 leaves Q_1 = p_1 T^{ys}_{1,1} > 0 at P = 0,
     # but no positive Q_1 at the fixed point: the gain iteration must stop as
     # soon as Q_1 loses its sign instead of wandering for max_iter steps
-    t_yy = dict(two_mode_cov.t_yy_sigma)
-    t_yy[1] = t_yy[1] - 2.3
+    t_yy = two_mode_cov.t_yy.copy()
+    t_yy[0] = t_yy[0] - 2.3
     cov = CovarianceTable(lambda_yu=two_mode_cov.lambda_yu,
-                          lambda_yy=two_mode_cov.lambda_yy, t_yy_sigma=t_yy,
+                          lambda_yy=two_mode_cov.lambda_yy, t_yy=t_yy,
                           q_u=two_mode_cov.q_u, p=two_mode_cov.p)
     with pytest.raises(NotFullRankError) as info:
         covariance_realization(cov, two_mode.sel, two_mode.sel_bar)

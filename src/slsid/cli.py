@@ -39,7 +39,7 @@ from .errors import (
 from .identify import IdentConfig, identify, resolve_p, validate_model
 from .model import SwitchedModel, find_isomorphism, model_from_dict, transform_model
 from .realize import _realize
-from .simulate import Dataset, SimConfig, _is_number, simulate, write_csv
+from .simulate import Dataset, SimConfig, as_count, simulate, write_csv
 
 __all__ = ["main"]
 
@@ -97,14 +97,15 @@ def _check_keys(section, known, where: str) -> None:
 def _count(section: dict, key: str, where: str, default: Optional[int] = None) -> int:
     """section[key] (required when default is None) as an int.
 
-    The rule of the "sim" section: an integral float such as 2e3 counts as
-    an integer; a fraction, a bool or a non-number is a config error.
+    The rule of the "sim" section (simulate.as_count): an integral float
+    such as 2e3 counts as an integer; a fraction, a bool or a non-number is
+    a config error.
     """
     value = _require(section, key, where) if default is None else section.get(key, default)
-    if not _is_number(value) or value != int(value):
-        raise ConfigError(f"config section '{where}' key {key!r} must be an integer, "
-                          f"got {value!r}")
-    return int(value)
+    try:  # the range is checked where the count is used
+        return as_count(value, repr(key), -np.inf)
+    except DimensionError as exc:
+        raise ConfigError(f"config section '{where}' key {exc}") from None
 
 
 def _load_model(spec, base: Path) -> SwitchedModel:

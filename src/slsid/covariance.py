@@ -132,7 +132,7 @@ class CovarianceTable:
     @classmethod
     def from_jsonable(cls, obj: dict) -> "CovarianceTable":
         """Inverse of to_jsonable.  "t_yy_sigma" must key exactly the modes
-        "1".."D", D = len(p); DimensionError names a missing or extra key."""
+        "1".."D", D = len(p), or DimensionError names the keys it has."""
         n_y, n_u = int(obj["n_y"]), int(obj["n_u"])
         lam_yu = WordIndexedMatrixTable((n_y, n_u))
         for text, m in obj["lambda_yu"].items():
@@ -143,12 +143,9 @@ class CovarianceTable:
         p = np.atleast_1d(np.asarray(obj["p"], dtype=float))
         modes = [str(s) for s in range(1, p.shape[0] + 1)]
         t_obj = obj["t_yy_sigma"]
-        for key in modes:
-            if key not in t_obj:
-                raise DimensionError(f"t_yy_sigma lacks mode {key!r} of {p.shape[0]}")
-        for key in t_obj:
-            if key not in modes:
-                raise DimensionError(f"t_yy_sigma has key {key!r}, not a mode of {p.shape[0]}")
+        if set(t_obj) != set(modes):
+            raise DimensionError(f"t_yy_sigma must key exactly the modes {modes}, "
+                                 f"got {sorted(t_obj)}")
         return cls(lambda_yu=lam_yu, lambda_yy=lam_yy,
                    t_yy=np.array([t_obj[key] for key in modes], dtype=float),
                    q_u=np.asarray(obj["q_u"], dtype=float), p=p,

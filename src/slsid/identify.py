@@ -28,7 +28,7 @@ from .errors import (
 )
 from .model import InnovationModel, SwitchedModel, markov_parameter
 from .realize import _attempts, _realize, associated_dlss
-from .simulate import Dataset, SimConfig, _count, affine_scan, as_series, simulate
+from .simulate import Dataset, SimConfig, affine_scan, as_count, as_series, simulate
 
 __all__ = [
     "IdentConfig",
@@ -69,9 +69,9 @@ class IdentConfig:
     p: Union[Sequence[float], str] = "empirical"
 
     def __post_init__(self):
-        self.n_x = _count(self.n_x, "n_x", 1)
+        self.n_x = as_count(self.n_x, "n_x", 1)
         if self.n_bar is not None:
-            self.n_bar = _count(self.n_bar, "n_bar", 1)
+            self.n_bar = as_count(self.n_bar, "n_bar", 1)
 
 
 @dataclass

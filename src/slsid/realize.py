@@ -280,9 +280,11 @@ def associated_slss(
     """
     p = np.asarray(p, dtype=float)
     D = m_d.n_modes
+    n_y = m_d.n_y
     if p.shape != (D,):
         raise DimensionError(f"p must have {D} entries, got {p.shape}")
-    n_y = m_d.n_y
+    if np.shape(t_ys) != (D, n_y, n_y):
+        raise DimensionError(f"t_ys must have shape {(D, n_y, n_y)}, got {np.shape(t_ys)}")
     n_u = m_d.n_u - n_y
     if n_u < 0:
         raise DimensionError(

@@ -301,7 +301,7 @@ class SimConfig:
 
     def __post_init__(self):
         for name, least in (("seed", 0), ("length", 1), ("burn_in", 0)):
-            object.__setattr__(self, name, _count(getattr(self, name), name, least))
+            object.__setattr__(self, name, as_count(getattr(self, name), name, least))
         for name in ("input_low", "input_high"):
             if not _is_number(getattr(self, name)):
                 raise DimensionError(f"{name} must be a finite number, got "
@@ -333,7 +333,7 @@ def _is_number(value) -> bool:
     return isinstance(value, numbers.Integral) or math.isfinite(value)
 
 
-def _count(value, name: str, least: int) -> int:
+def as_count(value, name: str, least: float) -> int:
     """value as an int: an integral number (2000.0 counts) >= least.
 
     Anything else raises DimensionError naming the field.

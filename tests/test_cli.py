@@ -324,9 +324,9 @@ def test_compare_rejects_different_models(workspace, two_mode, capsys):
     ("transform", lambda T: {"a": 1}, 3, "T must be a matrix of numbers"),
     ("transform", lambda T: [[1.0, 0.0], [0.0, 1.0]], 4, "T must be 3x3"),
     ("realize", lambda cov: {**cov, "t_yy_sigma": {"1": cov["t_yy_sigma"]["1"]}}, 4,
-     "t_yy_sigma lacks mode '2' of 2"),
+     "t_yy_sigma must key exactly the modes ['1', '2'], got ['1']"),
     ("realize", lambda cov: {**cov, "t_yy_sigma": {**cov["t_yy_sigma"], "3": [[1.0]]}}, 4,
-     "t_yy_sigma has key '3', not a mode of 2"),
+     "t_yy_sigma must key exactly the modes ['1', '2'], got ['1', '2', '3']"),
 ], ids=["list", "number", "missing-key", "ragged-family", "flat-family", "object-C",
         "object-T", "T-shape", "t_yy-missing-mode", "t_yy-extra-key"])
 def test_a_malformed_input_file_exits_with_its_code(workspace, tmp_path, capsys, two_mode,

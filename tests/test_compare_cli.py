@@ -1,6 +1,7 @@
-"""tools/compare_cli.py on short runs: records, and --against on equal and changed records."""
+"""tools/compare_cli.py on short runs: records, and the comparison of equal and changed records."""
+import copy
 import importlib.util
-import json
+import warnings
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_cli.py"
@@ -13,12 +14,12 @@ def load_tool():
     return module
 
 
-def test_compare_cli_hashes_every_file_and_names_a_changed_one(tmp_path, capsys):
+def test_compare_cli_hashes_every_file_and_names_a_changed_one(capsys):
     tool = load_tool()
-    args = ["--length", "2000", "--seeds", "0-1"]
-    first = tmp_path / "first.json"
-    assert tool.main([str(first), *args]) == 0
-    records = json.loads(first.read_text())
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # degenerate words at N = 2e3
+        records = tool.records(range(2), 2000)
+        again = tool.records(range(2), 2000)
     assert sorted(records) == ["seed=0", "seed=1"]
     for runs in records.values():
         assert runs["simulate"]["exit"] == 0
@@ -28,12 +29,11 @@ def test_compare_cli_hashes_every_file_and_names_a_changed_one(tmp_path, capsys)
         assert list(runs["estimate"]["files"]) == ["covariances.json"]
 
     # a rerun writes the same bytes
-    assert tool.main([str(tmp_path / "again.json"), *args, "--against", str(first)]) == 0
+    assert tool.compare(again, records) == 0
     assert "files identical" in capsys.readouterr().out
 
-    records["seed=1"]["estimate"]["files"]["covariances.json"] = "0" * 64
-    changed = tmp_path / "changed.json"
-    changed.write_text(json.dumps(records))
-    assert tool.main([str(tmp_path / "third.json"), *args, "--against", str(changed)]) == 1
+    changed = copy.deepcopy(records)
+    changed["seed=1"]["estimate"]["files"]["covariances.json"] = "0" * 64
+    assert tool.compare(again, changed) == 1
     out = capsys.readouterr().out
     assert "seed=1 estimate: exit 0 -> 0; differing files: covariances.json" in out

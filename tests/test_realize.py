@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from slsid import (
     CovarianceTable,
     DeterministicModel,
+    DimensionError,
     EMPTY_WORD,
     InnovationModel,
     InvalidModeError,
@@ -320,6 +321,15 @@ def test_associated_slss_round_trip(two_mode):
     find_isomorphism(back, m, tol=1e-8)
     for s in range(2):
         assert back.Q_v[s][0, 0] == pytest.approx(1.125, abs=1e-8)
+
+
+def test_associated_slss_rejects_a_t_ys_of_another_mode_count(two_mode):
+    # a one-mode T^{ys} would broadcast over both modes; it must be refused
+    m = two_mode.model
+    P = state_second_moment(m)
+    t_ys = np.array([(m.C @ P[0] @ m.C.T + m.Q_v[0]) / m.p[0]])
+    with pytest.raises(DimensionError, match=r"t_ys must have shape \(2, 1, 1\), got \(1, 1, 1\)"):
+        associated_slss(associated_dlss(m), m.p, t_ys, m.Q_u)
 
 
 def test_kq_iteration_fails_typed_when_its_step_budget_runs_out(two_mode):

@@ -3,21 +3,23 @@
     PYTHONPATH=DIR_A/src python3 tools/compare_cli.py a.json
     PYTHONPATH=DIR_B/src python3 tools/compare_cli.py b.json --against a.json
 
-For each input seed (0-9 by default) the two-mode reference system is
-simulated (N = 5e4 samples, `slsid simulate`), then identified with its
-bundled selections, p = (0.5, 0.5) and a validation split of N/5 samples
-(`slsid identify`), and the identified model is scored on the whole
-simulated dataset (`slsid validate`); the first 6 samples are excluded
-from both scores.  These are the configs of the benchmark's cli-roundtrip
-workload.  Each seed also runs `slsid estimate` over all words up to
-length 8 and `slsid realize` on that table with "search" selections.
+For each input seed 0-9 the two-mode reference system
+(`perfbench.workloads.reference_system`) is simulated (N = 5e4 samples,
+`slsid simulate`), then identified with its bundled selections,
+p = (0.5, 0.5) and a validation split of N/5 samples (`slsid identify`),
+and the identified model is scored on the whole simulated dataset
+(`slsid validate`); the first 6 samples are excluded from both scores.
+These are the configs of the benchmark's cli-roundtrip workload.  Each
+seed also runs `slsid estimate` over all words up to length 8 and
+`slsid realize` on that table with "search" selections.
 
 Every command runs in-process through `slsid.cli.main`.  Its exit code,
 its stderr when it fails, and the sha256 of every file it writes are
 recorded; a command whose input command failed is not run.  With
 --against, each command whose record differs from the other file's is
 printed with the differing files, and the exit code is 1 if any differ.
-Needs only the standard library and `slsid`.
+Run both sides with the same BLAS thread count (OPENBLAS_NUM_THREADS=1,
+say): the thread count changes the low bits of the results.
 """
 from __future__ import annotations
 
@@ -33,34 +35,24 @@ from pathlib import Path
 
 from slsid.cli import main as slsid_main
 
-REFERENCE_MODEL = {
-    "type": "innovation",
-    "A": [[[0.1039, 0.0255, 0.5598], [0.4338, 0.0067, 0.0078], [0.3435, 0.0412, 0.0776]],
-          [[0.1834, 0.2456, 0.0511], [0.0572, 0.2445, 0.0642], [0.1395, 0.6413, 0.5598]]],
-    "B": [[[1.6143], [5.9383], [7.3671]], [[6.0624], [4.98], [3.1372]]],
-    "K": [[[0.4942], [0.2827], [0.8098]], [[0.6215], [0.1561], [0.778]]],
-    "C": [[0.1144, 0.7623, 0.002]],
-    "D": [[1.0]],
-    "F": [[1.0]],
-    "p": [0.5, 0.5],
-    "Q_u": [[1.0 / 3.0]],
-    "Q_v": [[[1.125]], [[1.125]]],
-}
-# the bundled selection; with n_cols 2 it is sel, with n_cols 1 sel_bar
-SELECTION = {"alpha": [["11", 1], ["1", 1], ["e", 1]],
-             "beta": [[2, "e", 1], [1, "2", 1], [1, "1", 1]]}
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from perfbench.workloads import reference_system  # noqa: E402  (needs the repo root)
+
+SEEDS = range(10)
+LENGTH = 50_000
 EXCLUDE = 6
 
 
 def _configs(length: int) -> dict:
     """The model file and each command's config, named after the command."""
+    model, sel, sel_bar = reference_system()
     return {
-        "model.json": REFERENCE_MODEL,
+        "model.json": model.to_dict(),
         "simulate.json": {"model": "model.json", "sim": {"seed": 0, "length": length}},
         "identify.json": {
             "data": "simulate/data.csv",
-            "ident": {"n_x": 3, "selection": SELECTION, "selection_bar": SELECTION,
-                      "p": [0.5, 0.5]},
+            "ident": {"n_x": 3, "selection": sel.to_jsonable(),
+                      "selection_bar": sel_bar.to_jsonable(), "p": [0.5, 0.5]},
             "validation": {"split": length // 5, "exclude": EXCLUDE}},
         "validate.json": {"model": "identify/model.json", "data": "simulate/data.csv",
                           "exclude": EXCLUDE},
@@ -86,12 +78,13 @@ def _run(workdir: Path, command: str, *flags) -> dict:
 
 
 def records(seeds, length: int) -> dict:
-    out = {}
+    """Each seed's command records, keyed "seed=S" and then by command."""
+    configs, out = _configs(length), {}
     with tempfile.TemporaryDirectory(prefix="compare-cli-") as tmp:
         for seed in seeds:
             workdir = Path(tmp) / f"seed-{seed}"
             workdir.mkdir()
-            for name, obj in _configs(length).items():
+            for name, obj in configs.items():
                 (workdir / name).write_text(json.dumps(obj, indent=2))
             runs = {"simulate": _run(workdir, "simulate", "--seed", seed)}
             for chain in (("identify", "validate"), ("estimate", "realize")):
@@ -105,28 +98,9 @@ def records(seeds, length: int) -> dict:
     return out
 
 
-def _seed_range(text: str) -> range:
-    lo, _, hi = text.partition("-")
-    return range(int(lo), int(hi or lo) + 1)
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("out", help="JSON file the records are written to")
-    parser.add_argument("--against", help="records of another checkout to compare with")
-    parser.add_argument("--seeds", default="0-9", help="input seeds, as LO-HI (default 0-9)")
-    parser.add_argument("--length", type=int, default=50_000,
-                        help="samples per simulated dataset (default 50000)")
-    args = parser.parse_args(argv)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # degenerate words at small N
-        mine = records(_seed_range(args.seeds), args.length)
-    with open(args.out, "w") as fh:
-        json.dump(mine, fh, indent=1, sort_keys=True)
-    if not args.against:
-        return 0
-    with open(args.against) as fh:
-        theirs = json.load(fh)
+def compare(mine: dict, theirs: dict) -> int:
+    """Print each command whose record differs, with its differing files;
+    1 if any differ, else 0."""
     n_files = n_same = 0
     for seed in sorted(set(mine) | set(theirs)):
         runs, other_runs = mine.get(seed, {}), theirs.get(seed, {})
@@ -143,6 +117,22 @@ def main(argv=None) -> int:
                       f"differing files: {' '.join(differ) or 'none'}")
     print(f"{n_same} of {n_files} files identical")
     return 0 if mine == theirs else 1
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("out", help="JSON file the records are written to")
+    parser.add_argument("--against", help="records of another checkout to compare with")
+    args = parser.parse_args(argv)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # degenerate words in the estimate table
+        mine = records(SEEDS, LENGTH)
+    with open(args.out, "w") as fh:
+        json.dump(mine, fh, indent=1, sort_keys=True)
+    if not args.against:
+        return 0
+    with open(args.against) as fh:
+        return compare(mine, json.load(fh))
 
 
 if __name__ == "__main__":

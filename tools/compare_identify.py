@@ -12,7 +12,9 @@ diagnostics (sorted keys), and as the BFR `validate_model` gives the model
 on a noise-free validation set (seed + 7000, 2000 samples, first 6
 excluded); each failure as its error class, its text and its stage.  With
 --against, the runs whose record differs from the other file's are
-printed, and the exit code is 1 if there are any.
+printed, and the exit code is 1 if there are any.  Run both sides with
+the same BLAS thread count (OPENBLAS_NUM_THREADS=1, say): the thread count
+changes the low bits of the results.
 """
 from __future__ import annotations
 

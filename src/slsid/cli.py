@@ -214,9 +214,8 @@ def cmd_realize(args) -> int:
     cfg = _load_json(args.config)
     _check_keys(cfg, ("covariances", "n_x", "n_bar", "selection", "selection_bar"), "realize")
     base = Path(args.config).parent
-    cov_obj = _load_json(base / str(_require(cfg, "covariances", "realize")))
-    cov_obj.pop("effective_config", None)
-    cov = CovarianceTable.from_jsonable(cov_obj)
+    cov = CovarianceTable.from_jsonable(
+        _load_json(base / str(_require(cfg, "covariances", "realize"))))
     n_x = _count(cfg, "n_x", "realize")
     n_bar = _count(cfg, "n_bar", "realize", n_x)
     D, n_y, n_u = cov.p.shape[0], cov.n_y, cov.n_u

@@ -52,10 +52,9 @@ from .errors import (
     DimensionError,
     IllConditionedRegressorError,
     InsufficientDataError,
-    ModelInvalidError,
 )
 from .model import DeterministicModel, SwitchedModel, markov_parameter, numerical_rank
-from .simulate import Dataset, as_series
+from .simulate import Dataset, as_count, as_series
 
 __all__ = [
     "CovarianceTable",
@@ -131,25 +130,65 @@ class CovarianceTable:
 
     @classmethod
     def from_jsonable(cls, obj: dict) -> "CovarianceTable":
-        """Inverse of to_jsonable.  "t_yy_sigma" must key exactly the modes
-        "1".."D", D = len(p), or DimensionError names the keys it has."""
-        n_y, n_u = int(obj["n_y"]), int(obj["n_u"])
+        """Inverse of to_jsonable; the object's structure is checked here, once.
+
+        A non-object, a missing key, an n_y or n_u that is not a count >= 1,
+        a table or metadata that is not an object, a "degenerate_words"
+        entry of metadata that is not a list, a matrix that is not finite
+        numbers of its shape, or a "t_yy_sigma" that does not key exactly
+        the modes "1".."D", D = len(p), raises DimensionError naming the
+        field.
+        """
+        if not isinstance(obj, dict):
+            raise DimensionError(
+                f"a covariance table must be a JSON object, got {type(obj).__name__}")
+        for key in ("n_y", "n_u", "p", "q_u", "lambda_yu", "lambda_yy", "t_yy_sigma"):
+            if key not in obj:
+                raise DimensionError(f"covariance table lacks the key {key!r}")
+        for key in ("lambda_yu", "lambda_yy", "t_yy_sigma", "metadata"):
+            if not isinstance(obj.get(key, {}), dict):
+                raise DimensionError(
+                    f"{key} must be a JSON object, got {type(obj[key]).__name__}")
+        # the one metadata entry the realization reads
+        degenerate = obj.get("metadata", {}).get("degenerate_words", [])
+        if not isinstance(degenerate, list):
+            raise DimensionError(f"metadata's degenerate_words must be a list, "
+                                 f"got {type(degenerate).__name__}")
+        n_y, n_u = as_count(obj["n_y"], "n_y", 1), as_count(obj["n_u"], "n_u", 1)
         lam_yu = WordIndexedMatrixTable((n_y, n_u))
         for text, m in obj["lambda_yu"].items():
-            lam_yu[Word.parse(text)] = np.asarray(m, dtype=float)
+            lam_yu[Word.parse(text)] = _finite(m, f"lambda_yu[{text!r}]")
         lam_yy = WordIndexedMatrixTable((n_y, n_y))
         for text, m in obj["lambda_yy"].items():
-            lam_yy[Word.parse(text)] = np.asarray(m, dtype=float)
-        p = np.atleast_1d(np.asarray(obj["p"], dtype=float))
+            lam_yy[Word.parse(text)] = _finite(m, f"lambda_yy[{text!r}]")
+        p = np.atleast_1d(_finite(obj["p"], "p"))
+        if p.ndim != 1:
+            raise DimensionError(f"p must be a list of numbers, got shape {p.shape}")
         modes = [str(s) for s in range(1, p.shape[0] + 1)]
         t_obj = obj["t_yy_sigma"]
         if set(t_obj) != set(modes):
             raise DimensionError(f"t_yy_sigma must key exactly the modes {modes}, "
                                  f"got {sorted(t_obj)}")
-        return cls(lambda_yu=lam_yu, lambda_yy=lam_yy,
-                   t_yy=np.array([t_obj[key] for key in modes], dtype=float),
-                   q_u=np.asarray(obj["q_u"], dtype=float), p=p,
+        t_yy = [_finite(t_obj[key], f"t_yy_sigma[{key!r}]") for key in modes]
+        for key, m in zip(modes, t_yy):
+            if m.shape != (n_y, n_y):
+                raise DimensionError(
+                    f"t_yy_sigma[{key!r}] must be {n_y}x{n_y}, got shape {m.shape}")
+        return cls(lambda_yu=lam_yu, lambda_yy=lam_yy, t_yy=np.array(t_yy),
+                   q_u=_finite(obj["q_u"], "q_u"), p=p,
                    metadata=dict(obj.get("metadata", {})))
+
+
+def _finite(value, name: str) -> np.ndarray:
+    """value as a float array; DimensionError names a field that is not
+    finite numbers in rows of equal length."""
+    try:
+        out = np.array(value, dtype=float)
+    except (TypeError, ValueError):
+        out = None
+    if out is None or not np.isfinite(out).all():
+        raise DimensionError(f"{name} must hold finite numbers in rows of equal length")
+    return out
 
 
 def z_process(b: np.ndarray, q: np.ndarray, p: Sequence[float], w: Word, t: int) -> np.ndarray:
@@ -300,7 +339,9 @@ def _walk(levels: Tuple[_Lag, ...], n_dense: int, q: np.ndarray, n0: int,
     and each lag k, in time order: node[i] is the id in levels[k-1] of the
     window of modes q(t-k) .. q(t-1).  Lags k <= n_dense step the code in
     place by D^(k-1) (mode(t-k) - 1); the others look it up in the lag's
-    table.  node is a work array that the next step overwrites.
+    table.  node is a work array that the next step overwrites.  Each
+    block's modes are widened to intp before any arithmetic, since q may be
+    as narrow as int8.
     """
     T, L = q.shape[0], len(levels)
     if not L:
@@ -311,7 +352,7 @@ def _walk(levels: Tuple[_Lag, ...], n_dense: int, q: np.ndarray, n0: int,
         n = min(_BLOCK, T - t0)
         nd, st = node[:n], step[:n]
         # digits[L - k + i] is mode(t0 + i - k) - 1, or D outside 1..D
-        digits = np.minimum(q[t0 - L:t0 + n - 1] - 1, D)
+        digits = np.minimum(q[t0 - L:t0 + n - 1].astype(np.intp) - 1, D)
         nd.fill(0)
         for k, lag in enumerate(levels, start=1):
             digit = digits[L - k:L - k + n]
@@ -440,7 +481,7 @@ def empirical_covariances(
     for t0 in range(n0, T, _BLOCK):
         n = min(_BLOCK, T - t0)
         y_prev = y[t0 - 1:t0 - 1 + n]
-        _add_outer(packed, np.minimum(data.q[t0 - 1:t0 - 1 + n] - 1, D),
+        _add_outer(packed, np.minimum(data.q[t0 - 1:t0 - 1 + n].astype(np.intp) - 1, D),
                    y_prev, (y_prev,), work[:n])
     mode_sums = _real_sums(packed, n_y * n_y).reshape(n_y, n_y, D + 1)
     t_yy = mode_sums[:, :, :D].transpose(2, 0, 1) / (n_eff * p[:, None, None])

@@ -14,7 +14,7 @@ prediction error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -209,6 +209,12 @@ class SwitchedModel:
             raise ModelInvalidError(f"F must be {(n_y, n_n)}, got {self.F.shape}")
         if self.p.shape != (D,):
             raise ModelInvalidError(f"p must have {D} entries, got {self.p.shape}")
+        # a NaN slips past every comparison below, so it is named here
+        for name, value in (("A", self.A), ("B", self.B), ("K", self.K), ("C", self.C),
+                            ("D", self.Dmat), ("F", self.F), ("p", self.p),
+                            ("Q_u", self.Q_u), ("Q_v", self.Q_v)):
+            if not np.isfinite(value).all():
+                raise ModelInvalidError(f"{name} holds a non-finite entry")
         if np.any(self.p <= 0.0):
             raise ModelInvalidError("mode probabilities must be positive")
         if abs(float(self.p.sum()) - 1.0) > 1e-12:

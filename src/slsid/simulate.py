@@ -17,8 +17,8 @@ from __future__ import annotations
 import math
 import numbers
 import re
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -37,7 +37,11 @@ __all__ = ["Dataset", "SimConfig", "sample_switching", "simulate"]
 class Dataset:
     """Aligned series y (T x n_y), u (T x n_u), q (T,) with modes in {1..D}.
 
-    y_clean, when present, is the noise-free output channel y - F v.
+    q is held as the smallest signed integer type that holds its largest
+    mode (`_mode_dtype`): int8 for up to 127 modes.  A series that already
+    has that type is kept as it is; any other is narrowed once, after its
+    values are checked.  y, u and y_clean are float64.  y_clean, when
+    present, is the noise-free output channel y - F v.
     """
 
     y: np.ndarray
@@ -64,13 +68,17 @@ class Dataset:
                     f"mode series holds the non-integral value {float(values[row])!r} "
                     f"at row {row} (t = {self.t0 + row})"
                 )
-        q = q.astype(int, copy=False)
         if not (y.shape[0] == u.shape[0] == q.shape[0]):
             raise DimensionError(
                 f"series lengths differ: y {y.shape[0]}, u {u.shape[0]}, q {q.shape[0]}"
             )
+        # the checks read the input's own values, so no mode wraps into range
         if q.size and q.min() < 1:
             raise DimensionError("mode series must be 1-based")
+        top = q.max() if q.size else 1
+        if top > np.iinfo(np.int64).max:
+            raise DimensionError(f"mode series holds the mode {top}, beyond int64")
+        q = q.astype(_mode_dtype(int(top)), copy=False)
         clean = self.y_clean
         if clean is not None:
             clean = np.atleast_2d(np.asarray(clean, dtype=float))
@@ -345,14 +353,25 @@ def as_count(value, name: str, least: float) -> int:
     return int(value)
 
 
+def _mode_dtype(top: int) -> np.dtype:
+    """The smallest signed integer type that holds the modes 1..top."""
+    for dtype in (np.int8, np.int16, np.int32):
+        if top <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
+
+
 def sample_switching(p, T: int, rng: np.random.Generator) -> np.ndarray:
-    """T i.i.d. modes with P(q = s) = p_s; 1-based values."""
+    """T i.i.d. modes with P(q = s) = p_s: 1-based values, held as the
+    smallest signed integer type that holds len(p) (int8 up to 127 modes)."""
     p = np.asarray(p, dtype=float)
     if np.any(p <= 0.0) or abs(float(p.sum()) - 1.0) > 1e-8:
         raise InvalidProbabilityError(f"invalid mode probabilities {p}")
     edges = np.cumsum(p)
     edges[-1] = 1.0  # guard against rounding in the final bin
-    return np.searchsorted(edges, rng.random(int(T)), side="right").astype(int) + 1
+    q = np.searchsorted(edges, rng.random(int(T)), side="right")
+    q += 1
+    return q.astype(_mode_dtype(p.shape[0]))
 
 
 def _draw_input(model: SwitchedModel, cfg: SimConfig, total: int,

@@ -327,8 +327,24 @@ def test_compare_rejects_different_models(workspace, two_mode, capsys):
      "t_yy_sigma must key exactly the modes ['1', '2'], got ['1']"),
     ("realize", lambda cov: {**cov, "t_yy_sigma": {**cov["t_yy_sigma"], "3": [[1.0]]}}, 4,
      "t_yy_sigma must key exactly the modes ['1', '2'], got ['1', '2', '3']"),
+    ("realize", lambda cov: {**cov, "t_yy_sigma": 3}, 4,
+     "t_yy_sigma must be a JSON object, got int"),
+    ("realize", lambda cov: {**cov, "lambda_yu": [1]}, 4,
+     "lambda_yu must be a JSON object, got list"),
+    ("realize", lambda cov: {k: v for k, v in cov.items() if k != "p"}, 4,
+     "covariance table lacks the key 'p'"),
+    ("realize", lambda cov: {k: v for k, v in cov.items() if k != "n_y"}, 4,
+     "covariance table lacks the key 'n_y'"),
+    ("realize", lambda cov: {**cov, "metadata": 3}, 4, "metadata must be a JSON object, got int"),
+    ("realize", lambda cov: {**cov, "lambda_yy": {**cov["lambda_yy"], "1": {"a": 1}}}, 4,
+     "lambda_yy['1'] must hold finite numbers in rows of equal length"),
+    ("realize", lambda cov: [cov], 4, "a covariance table must be a JSON object, got list"),
+    ("realize", lambda cov: {**cov, "metadata": {"degenerate_words": 3}}, 4,
+     "metadata's degenerate_words must be a list, got int"),
 ], ids=["list", "number", "missing-key", "ragged-family", "flat-family", "object-C",
-        "object-T", "T-shape", "t_yy-missing-mode", "t_yy-extra-key"])
+        "object-T", "T-shape", "t_yy-missing-mode", "t_yy-extra-key", "t_yy-number",
+        "lambda_yu-list", "missing-p", "missing-n_y", "metadata-number",
+        "lambda_yy-entry-object", "table-list", "degenerate-words-number"])
 def test_a_malformed_input_file_exits_with_its_code(workspace, tmp_path, capsys, two_mode,
                                                     command, edit, code, text):
     # each edits a good input file: a model, a transformation T, or a
@@ -477,6 +493,24 @@ def test_invalid_model_exit_code(workspace, tmp_path, two_mode):
     })
     assert main(["simulate", "--config", str(cfg),
                  "--out", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("field, index", [
+    ("C", (0, 0)), ("B", (0, 1, 0)), ("Q_v", (1, 0, 0)), ("A", (0, 2, 2)), ("p", (0,))],
+    ids=["C", "B", "Q_v", "A", "p"])
+def test_simulate_names_a_non_finite_model_entry(tmp_path, capsys, two_mode, field, index):
+    # a NaN compares false everywhere, so it must be named before any check
+    # or computation that it would slip past or break
+    model = two_mode.model.to_dict()
+    entries = model[field]
+    for i in index[:-1]:
+        entries = entries[i]
+    entries[index[-1]] = float("nan")
+    write_json(tmp_path / "nan.json", model)
+    cfg = write_json(tmp_path / "sim.json", {"model": "nan.json",
+                                             "sim": {"seed": 1, "length": 100}})
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert f"invalid model: {field} holds a non-finite entry" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, flag", [

@@ -232,6 +232,17 @@ def test_modes_outside_the_alphabet_match_no_word():
     assert all(not np.any(m) for w, m in cov.lambda_yu.items() if len(w) > 0)
 
 
+def test_an_int8_series_takes_an_alphabet_beyond_int8():
+    # modes 1..3 make q int8 while p has 200 entries: the walk's digits
+    # min(q - 1, D) and the T_yy bins must be computed in intp, not int8
+    data = random_dataset(17, 400, 1, 1, 3)
+    assert data.q.dtype == np.int8
+    p = np.arange(1.0, 201) / np.sum(np.arange(1.0, 201))
+    words = list(enumerate_words(200, 1)) + [Word((1, 2)), Word((3, 1)), Word((150, 2))]
+    assert _suffix_tables(tuple(sorted(words, key=lambda w: w.sort_key)), 200)[1] == 1
+    assert_matches_oracle(data, p, words)
+
+
 def test_word_that_never_occurs_is_degenerate():
     data = hand_dataset()
     q = np.array([1, 1, 1, 2, 1, 1, 1, 1])

@@ -43,6 +43,8 @@ def test_sample_switching_range_and_determinism():
     assert q.min() >= 1 and q.max() <= 2
     rng2 = np.random.Generator(np.random.Philox(42))
     assert np.array_equal(q, sample_switching((0.5, 0.5), 1000, rng2))
+    assert q.dtype == np.int8
+    assert sample_switching(np.full(200, 0.005), 10, rng).dtype == np.int16
 
 
 def test_sample_switching_frequencies():
@@ -263,6 +265,23 @@ def test_scan_memory_stays_at_the_loop_level_for_a_mimo_system():
     assert _peak_bytes(predict, m, data) < 3.2e6
 
 
+def test_simulate_retains_three_float_series_and_one_byte_per_mode(two_mode):
+    cfg = SimConfig(seed=1, length=100_000)
+    m = two_mode.model
+    simulate(m, SimConfig(seed=1, length=100))  # lazy imports
+    tracemalloc.start()
+    try:
+        data = simulate(m, cfg)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # y, u and y_clean are views of float64 arrays and q of an int8 one, all
+    # of burn_in + length rows; an int64 q would add 0.8 MB
+    rows = cfg.burn_in + cfg.length
+    assert data.q.dtype == np.int8
+    assert retained <= rows * (8 * (2 * m.n_y + m.n_u) + 1) + 50_000
+
+
 # ---------------------------------------------------------------- config
 
 
@@ -335,6 +354,35 @@ def test_dataset_rejects_non_integral_modes():
     # integral floats are modes
     data = Dataset(q=[1.0, 2.0, 2.0, 1.0], **cols)
     assert data.q.dtype.kind == "i" and data.q.tolist() == [1, 2, 2, 1]
+
+
+@pytest.mark.parametrize("mode, dtype", [(127, np.int8), (128, np.int16), (40000, np.int32)])
+@pytest.mark.parametrize("given", ["int64", "unsigned", "float"])
+def test_dataset_holds_modes_in_the_smallest_signed_type(mode, dtype, given):
+    q = {"int64": np.array([1, mode]),
+         "unsigned": np.array([1, mode], dtype=np.min_scalar_type(mode)),  # uint8 up to 255
+         "float": np.array([1.0, mode])}[given]
+    data = Dataset(y=np.zeros((2, 1)), u=np.zeros((2, 1)), q=q)
+    assert data.q.dtype == dtype and data.q.dtype.kind == "i"
+    assert data.q.tolist() == [1, mode]
+
+
+def test_dataset_keeps_a_compact_mode_series_and_rejects_what_int64_cannot_hold():
+    q = np.array([1, 2, 2], dtype=np.int8)
+    assert Dataset(y=np.zeros((3, 1)), u=np.zeros((3, 1)), q=q).q is q
+    # the checks read the input's own values, so no mode wraps into range
+    for bad in (np.array([1, 2**64 - 1], dtype=np.uint64), np.array([1.0, 1e30])):
+        text = f"mode series holds the mode {bad[1]}, beyond int64"
+        with pytest.raises(DimensionError, match=f"^{re.escape(text)}$"):
+            Dataset(y=np.zeros((2, 1)), u=np.zeros((2, 1)), q=bad)
+
+
+def test_every_dataset_of_the_reference_system_holds_int8_modes(tmp_path, two_mode):
+    data = simulate(two_mode.model, SimConfig(seed=0, length=500))
+    data.to_csv(tmp_path / "data.csv")
+    for d in (data, data.slice(10, 20), Dataset.from_csv(tmp_path / "data.csv"),
+              Dataset(y=data.y, u=data.u, q=data.q.tolist())):
+        assert d.q.dtype == np.int8
 
 
 @pytest.mark.parametrize("series, row", [("y", 2), ("u", 0), ("y_clean", 1)])

@@ -21,12 +21,10 @@ from .covariance import (
     CovarianceTable,
     empirical_covariances,
     exact_covariances,
-    least_squares_covariances,
-    z_process,
 )
 from .errors import (
+    ConfigError,
     DimensionError,
-    IllConditionedRegressorError,
     InsufficientDataError,
     InvalidModeError,
     InvalidProbabilityError,
@@ -42,11 +40,9 @@ from .errors import (
     UndefinedBfrError,
 )
 from .identify import (
-    ConsistencyResult,
     IdentConfig,
     ValidationReport,
     bfr,
-    consistency_experiment,
     identify,
     predict,
     resolve_p,
@@ -60,7 +56,6 @@ from .model import (
     find_isomorphism,
     markov_parameter,
     model_from_dict,
-    reach_obs_ranks,
     stability_margin,
     transform_model,
 )
@@ -73,7 +68,6 @@ from .realize import (
     iter_full_rank_selections,
     lambda_ydyd,
     psi_uy,
-    search_selection,
     state_second_moment,
 )
 from .simulate import Dataset, SimConfig, load_series_csv, sample_switching, simulate
@@ -89,25 +83,22 @@ __all__ = [
     # model
     "DeterministicModel", "SwitchedModel", "InnovationModel",
     "model_from_dict", "markov_parameter", "stability_margin",
-    "reach_obs_ranks", "transform_model", "find_isomorphism",
+    "transform_model", "find_isomorphism",
     # simulate
     "Dataset", "SimConfig", "simulate", "sample_switching", "load_series_csv",
     # covariance
-    "CovarianceTable", "z_process", "empirical_covariances",
-    "least_squares_covariances", "exact_covariances",
+    "CovarianceTable", "empirical_covariances", "exact_covariances",
     # realize
     "state_second_moment", "input_state_second_moment", "ho_kalman",
     "associated_dlss", "associated_slss", "psi_uy", "lambda_ydyd",
-    "covariance_realization", "search_selection", "iter_full_rank_selections",
+    "covariance_realization", "iter_full_rank_selections",
     # identify
     "IdentConfig", "identify", "resolve_selections", "resolve_p", "predict", "bfr",
-    "ValidationReport", "validate_model", "consistency_experiment",
-    "ConsistencyResult",
+    "ValidationReport", "validate_model",
     # errors
-    "SlsidError", "InvalidModeError", "InvalidProbabilityError",
+    "SlsidError", "ConfigError", "InvalidModeError", "InvalidProbabilityError",
     "DimensionError", "ModelInvalidError", "MissingMarkovParameterError",
     "InsufficientDataError", "UndefinedBfrError", "NumericalError",
     "SingularHankelError", "NonConvergenceError", "NotFullRankError",
-    "IllConditionedRegressorError", "NoSelectionFoundError",
-    "NotIsomorphicError",
+    "NoSelectionFoundError", "NotIsomorphicError",
 ]

@@ -28,6 +28,7 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DimensionError,
     InvalidModeError,
     InvalidProbabilityError,
@@ -96,11 +97,6 @@ class Word(tuple):
         if type(other) is not Word:
             other = Word(other)
         return tuple.__new__(Word, tuple.__add__(self, other))
-
-    @property
-    def sort_key(self) -> Tuple[int, "Word"]:
-        """Length-then-lexicographic order, the canonical enumeration order."""
-        return (len(self), self)
 
 
 EMPTY_WORD = Word(())
@@ -176,6 +172,12 @@ def enumerate_words(n_modes: int, max_len: int, min_len: int = 0) -> Iterator[Wo
             yield tuple.__new__(Word, letters)
 
 
+def _is_a(value, kind: type) -> bool:
+    """A JSON string (kind str) or an integral number but not a bool (kind int)."""
+    integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    return isinstance(value, str) if kind is str else integral and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Selection:
     """Row/column index sets for the reduced Hankel matrices.
@@ -229,7 +231,27 @@ class Selection:
         }
 
     @classmethod
-    def from_jsonable(cls, obj: dict, n_modes: int, n_y: int, n_cols: int) -> "Selection":
+    def from_jsonable(cls, obj, n_modes: int, n_y: int, n_cols: int,
+                      name: str = "selection") -> "Selection":
+        """Inverse of to_jsonable(): alpha entries [word, row] and beta entries
+        [mode, word, column], each word a string and each index an integer.
+
+        An object of another structure raises ConfigError naming `name` and
+        the field; the constructor checks the entries' values.
+        """
+        if not isinstance(obj, dict):
+            raise ConfigError(f"{name} must be a JSON object, got {type(obj).__name__}")
+        for key, layout, kinds in (("alpha", "[word, row]", (str, int)),
+                                   ("beta", "[mode, word, column]", (int, str, int))):
+            entries = obj.get(key)
+            if not isinstance(entries, list):
+                raise ConfigError(f"{name} needs {key!r}, a list of {layout} entries")
+            for i, entry in enumerate(entries):
+                if (not isinstance(entry, list) or len(entry) != len(kinds)
+                        or not all(map(_is_a, entry, kinds))):
+                    raise ConfigError(
+                        f"{name} {key!r} entry {i} must be {layout} with the word a "
+                        f"string and integer indices, got {entry!r}")
         alpha = tuple((Word.parse(u), int(k)) for u, k in obj["alpha"])
         beta = tuple((int(s), Word.parse(v), int(l)) for s, v, l in obj["beta"])
         return cls(alpha, beta, n_modes, n_y, n_cols)

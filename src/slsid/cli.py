@@ -26,6 +26,7 @@ import numpy as np
 from .algebra import Selection, Word, enumerate_words
 from .covariance import CovarianceTable, empirical_covariances
 from .errors import (
+    ConfigError,
     DimensionError,
     InsufficientDataError,
     InvalidModeError,
@@ -38,7 +39,7 @@ from .errors import (
 )
 from .identify import IdentConfig, identify, resolve_p, validate_model
 from .model import SwitchedModel, find_isomorphism, model_from_dict, transform_model
-from .realize import _realize
+from .realize import covariance_realization
 from .simulate import Dataset, SimConfig, as_count, simulate, write_csv
 
 __all__ = ["main"]
@@ -48,10 +49,6 @@ EXIT_MODEL = 2
 EXIT_IO = 3
 EXIT_DIMENSION = 4
 EXIT_NUMERICAL = 5
-
-
-class ConfigError(Exception):
-    """Malformed or incomplete run configuration (exit code 3)."""
 
 
 def _load_json(path: Union[str, Path]) -> dict:
@@ -132,16 +129,18 @@ def _load_dataset(spec, base: Path, clean_spec=None) -> Dataset:
     return Dataset.from_csv(path, clean_path=clean)
 
 
-def _selection_spec(spec, base: Path, n_modes: int, n_y: int, n_cols: int):
-    """Decode a selection config value: "search", "file:PATH", or inline dict."""
+def _selection_spec(section: dict, key: str, base: Path, n_modes: int, n_y: int,
+                    n_cols: int):
+    """Decode section[key] (default "search"): "search", "file:PATH", or inline dict."""
+    spec = section.get(key, "search")
     if spec == "search":
         return "search"
     if isinstance(spec, str) and spec.startswith("file:"):
         obj = _load_json(base / spec[len("file:"):])
-        return Selection.from_jsonable(obj, n_modes, n_y, n_cols)
+        return Selection.from_jsonable(obj, n_modes, n_y, n_cols, key)
     if isinstance(spec, dict):
-        return Selection.from_jsonable(spec, n_modes, n_y, n_cols)
-    raise ConfigError(f"selection spec must be 'search', 'file:PATH', or an object, got {spec!r}")
+        return Selection.from_jsonable(spec, n_modes, n_y, n_cols, key)
+    raise ConfigError(f"{key} must be 'search', 'file:PATH', or an object, got {spec!r}")
 
 
 def _stderr(msg: str) -> None:
@@ -200,7 +199,6 @@ def cmd_estimate(args) -> int:
     t0 = time.perf_counter()
     table = empirical_covariances(data, p, words)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     effective = {"data": str(cfg["data"]), "p": p.tolist(),
                  "words": sorted(str(w) for w in words)}
     obj = table.to_jsonable()
@@ -219,12 +217,11 @@ def cmd_realize(args) -> int:
     n_x = _count(cfg, "n_x", "realize")
     n_bar = _count(cfg, "n_bar", "realize", n_x)
     D, n_y, n_u = cov.p.shape[0], cov.n_y, cov.n_u
-    sel = _selection_spec(cfg.get("selection", "search"), base, D, n_y, n_u + n_y)
-    sel_bar = _selection_spec(cfg.get("selection_bar", "search"), base, D, n_y, n_u)
+    sel = _selection_spec(cfg, "selection", base, D, n_y, n_u + n_y)
+    sel_bar = _selection_spec(cfg, "selection_bar", base, D, n_y, n_u)
     t0 = time.perf_counter()
-    model, diag = _realize(cov, n_x, n_bar, sel, sel_bar)
+    model, diag = covariance_realization(cov, n_x, n_bar, sel, sel_bar)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     _dump_json(model.to_dict(), out / "model.json")
     report = {
         "command": "realize",
@@ -263,9 +260,9 @@ def cmd_identify(args) -> int:
     ident_cfg = IdentConfig(
         n_x=n_x,
         n_bar=n_bar,
-        selection=_selection_spec(section.get("selection", "search"), base,
+        selection=_selection_spec(section, "selection", base,
                                   int(data.q.max()), data.n_y, n_cols),
-        selection_bar=_selection_spec(section.get("selection_bar", "search"), base,
+        selection_bar=_selection_spec(section, "selection_bar", base,
                                       int(data.q.max()), data.n_y, data.n_u),
         p=section.get("p", "empirical"),
     )
@@ -304,7 +301,6 @@ def cmd_identify(args) -> int:
                                    for k, v in val_section.items()}
     report["effective_config"] = effective
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     _dump_json(model.to_dict(), out / "model.json")
     _dump_json(report, out / "report.json")
     _stderr(f"identify: n_x={model.n_x} in {time.perf_counter() - t0:.2f}s -> {out}")
@@ -321,7 +317,6 @@ def cmd_validate(args) -> int:
     exclude = _count(cfg, "exclude", "validate", 0)
     rep = validate_model(model, data, exclude=exclude, keep_predictions=True)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     report = {
         "command": "validate",
         "effective_config": {
@@ -366,7 +361,6 @@ def cmd_transform(args) -> int:
         raise ConfigError(f"{args.matrix}: T must be a matrix of numbers") from None
     out_model = transform_model(model, T)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     _dump_json(out_model.to_dict(), out / "model.json")
     _stderr(f"transform: wrote {out / 'model.json'}")
     return EXIT_OK

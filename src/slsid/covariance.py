@@ -1,4 +1,4 @@
-"""Covariance calculus: z-processes, empirical estimators, exact oracle.
+"""Covariance calculus: z-processes, the empirical estimator, exact oracle.
 
 For a word w = s_1...s_k the z-process of a signal b is
     z^b_w(t) = b(t - k) * prod_i chi(q(t - k + i - 1) = s_i) / sqrt(p_w)
@@ -7,13 +7,8 @@ only when the observed modes spell w, normalized so the indicator has unit
 second moment.  Covariances are Lambda^{r,b}_w = E[r(t) z^b_w(t)^T] and
 T^{r,b}_{s,s} = E[z^r_s(t) z^b_s(t)^T].
 
-The estimators average over t = N_0 .. T-1 with N_0 = (max word length) + 1
+The estimator averages over t = N_0 .. T-1 with N_0 = (max word length) + 1
 so every z value is in range, dividing by the number of retained samples.
-Both estimators produce the same sums: the least-squares route recovers them
-from the normal equations of a linear regression, which is the identity the
-tests pin down.  The pipeline uses the direct estimator; the least-squares
-one, which builds and solves a regression per table and so costs far more,
-is kept as the oracle the direct one is checked against.
 
 The direct estimator walks the samples once per lag k, in blocks of
 _BLOCK samples.  Each sample's k-long mode window is extended by one letter
@@ -27,8 +22,7 @@ table.  The passes cost O(N * max|w| * n_y * (n_u + n_y))
 and the tables O(#words * max|w| * D), independent of how many words share
 a length.  Memory grows with the requested words and the block, never with
 N or D^|w|.  The per-word masked block _z_block is the reference it is
-tested against; the least-squares estimator and its per-mode moments use
-it directly.
+tested against.
 """
 from __future__ import annotations
 
@@ -43,24 +37,17 @@ from .algebra import (
     EMPTY_WORD,
     Word,
     WordIndexedMatrixTable,
-    _as_word,
     _as_words,
     enumerate_words,
     word_probability,
 )
-from .errors import (
-    DimensionError,
-    IllConditionedRegressorError,
-    InsufficientDataError,
-)
-from .model import DeterministicModel, SwitchedModel, markov_parameter, numerical_rank
-from .simulate import Dataset, as_count, as_series
+from .errors import DimensionError, InsufficientDataError
+from .model import DeterministicModel, SwitchedModel, markov_parameter
+from .simulate import Dataset, as_count
 
 __all__ = [
     "CovarianceTable",
-    "z_process",
     "empirical_covariances",
-    "least_squares_covariances",
     "exact_covariances",
 ]
 
@@ -191,26 +178,6 @@ def _finite(value, name: str) -> np.ndarray:
     return out
 
 
-def z_process(b: np.ndarray, q: np.ndarray, p: Sequence[float], w: Word, t: int) -> np.ndarray:
-    """Evaluate z^b_w(t) for one time index.
-
-    b is a T x n_b array, q the aligned mode series, and t a 0-based index.
-    Returns b(t) for the empty word; otherwise b(t-|w|) scaled by the mode
-    indicator product and 1/sqrt(p_w) (zero when the modes mismatch).
-    """
-    b = as_series(b)
-    q = np.asarray(q, dtype=int)
-    k = len(w)
-    if t < k or t >= b.shape[0]:
-        raise IndexError(f"time {t} out of range for |w| = {k} and {b.shape[0]} samples")
-    if k == 0:
-        return b[t].copy()
-    for i, s in enumerate(w):
-        if q[t - k + i] != s:
-            return np.zeros(b.shape[1])
-    return b[t - k] / np.sqrt(word_probability(p, w))
-
-
 def _z_block(b: np.ndarray, q: np.ndarray, p, w: Word, n0: int) -> np.ndarray:
     """Rows z^b_w(t)^T for t = n0 .. T-1 (vectorized)."""
     T = b.shape[0]
@@ -242,20 +209,6 @@ def _prepare(data: Dataset, words: Iterable[Word]):
             f"need more than {n0} samples for words up to length {max_len}, got {len(data)}"
         )
     return words, n0, n_eff
-
-
-def _input_moment(data: Dataset, n0: int, n_eff: int) -> np.ndarray:
-    """The empirical q_u = E[u u^T] over t = n0 .. T-1, made symmetric."""
-    u_block = data.u[n0:]
-    q_u = u_block.T @ u_block / n_eff
-    return (q_u + q_u.T) / 2.0
-
-
-def _moment_parts(data: Dataset, p, n0: int, n_eff: int):
-    """T^{y,y}_{s,s} for every mode from the per-mode _z_block products, and q_u."""
-    z = np.array([_z_block(data.y, data.q, p, Word((s,)), n0) for s in range(1, len(p) + 1)])
-    m = z.transpose(0, 2, 1) @ z / n_eff
-    return (m + m.transpose(0, 2, 1)) / 2.0, _input_moment(data, n0, n_eff)
 
 
 class _Lag(NamedTuple):
@@ -485,67 +438,11 @@ def empirical_covariances(
                    y_prev, (y_prev,), work[:n])
     mode_sums = _real_sums(packed, n_y * n_y).reshape(n_y, n_y, D + 1)
     t_yy = mode_sums[:, :, :D].transpose(2, 0, 1) / (n_eff * p[:, None, None])
+    q_u = u[n0:].T @ u[n0:] / n_eff
     meta = {"estimator": "direct", "N": len(data), "N_0": n0, "n_eff": n_eff,
             "degenerate_words": degenerate}
     return CovarianceTable(lambda_yu=lam_yu, lambda_yy=lam_yy, t_yy=t_yy,
-                           q_u=_input_moment(data, n0, n_eff), p=p, metadata=meta)
-
-
-def least_squares_covariances(
-    data: Dataset,
-    p: Sequence[float],
-    words_full: Sequence[Word],
-) -> CovarianceTable:
-    """Covariances recovered through the normal equations of a regression.
-
-    y(t) is regressed on the stacked z^u columns of words_full and,
-    separately, on the z^y columns of its nonempty words.  With Theta the
-    least-squares coefficients, (Phi^T Phi) Theta / n_eff reproduces the
-    direct covariance sums Phi^T R / n_eff, which is how the table is
-    filled.  An oracle for empirical_covariances, not part of the
-    identification pipeline.
-    """
-    p = np.asarray(p, dtype=float)
-    words_full = [_as_word(w) for w in words_full]
-    _, n0, n_eff = _prepare(data, words_full)
-    R = data.y[n0:]
-
-    def regress(b: np.ndarray, word_list: Sequence[Word]):
-        blocks = [_z_block(b, data.q, p, w, n0) for w in word_list]
-        phi = np.hstack(blocks) if blocks else np.empty((n_eff, 0))
-        if phi.shape[1] == 0:
-            return {}, phi
-        if n_eff <= phi.shape[1]:
-            raise InsufficientDataError(
-                f"{n_eff} samples cannot support {phi.shape[1]} regressor columns"
-            )
-        rank, _ = numerical_rank(phi)
-        if rank < phi.shape[1]:
-            raise IllConditionedRegressorError(
-                f"regressor matrix has rank {rank} < {phi.shape[1]} columns; "
-                "use longer data or fewer words"
-            )
-        theta, *_ = np.linalg.lstsq(phi, R, rcond=None)
-        gram_theta = phi.T @ (phi @ theta) / n_eff
-        n_b = b.shape[1]
-        out = {}
-        for j, w in enumerate(word_list):
-            out[w] = gram_theta[j * n_b:(j + 1) * n_b, :].T
-        return out, phi
-
-    lam_u_entries, _ = regress(data.u, words_full)
-    lam_y_entries, _ = regress(data.y, [w for w in words_full if w])
-    lam_yu = WordIndexedMatrixTable((data.n_y, data.n_u))
-    for w, m in lam_u_entries.items():
-        lam_yu[w] = m
-    lam_yy = WordIndexedMatrixTable((data.n_y, data.n_y))
-    for w, m in lam_y_entries.items():
-        lam_yy[w] = m
-    t_yy, q_u = _moment_parts(data, p, n0, n_eff)
-    meta = {"estimator": "ls", "N": len(data), "N_0": n0, "n_eff": n_eff,
-            "degenerate_words": []}
-    return CovarianceTable(lambda_yu=lam_yu, lambda_yy=lam_yy, t_yy=t_yy,
-                           q_u=q_u, p=p, metadata=meta)
+                           q_u=(q_u + q_u.T) / 2.0, p=p, metadata=meta)
 
 
 def exact_covariances(

@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
 Grouping matters for the CLI: subclasses of NumericalError map to exit code 5,
-DimensionError to 4, ModelInvalidError to 2, and plain I/O problems to 3.
+DimensionError to 4, ModelInvalidError to 2, and ConfigError and plain I/O
+problems to 3.
 """
 from __future__ import annotations
 
@@ -23,6 +24,11 @@ class SlsidError(Exception):
 
     def _message(self) -> str:
         return super().__str__()
+
+
+class ConfigError(SlsidError):
+    """A run configuration, or an object read from one, is malformed or
+    incomplete (CLI exit code 3)."""
 
 
 class InvalidModeError(SlsidError, ValueError):
@@ -83,10 +89,6 @@ class NonConvergenceError(NumericalError):
 
 class NotFullRankError(NumericalError):
     """A matrix that must be invertible (or positive definite) is not, numerically."""
-
-
-class IllConditionedRegressorError(NumericalError):
-    """The least-squares regressor matrix is rank deficient."""
 
 
 class NoSelectionFoundError(NumericalError):

@@ -1,5 +1,5 @@
 """End-to-end identification from a single trajectory, the innovation
-predictor, the BFR fit metric, and the consistency-experiment harness.
+predictor and the BFR fit metric.
 
 Identification estimates the covariance table over the words demanded by the
 chosen selections (or over all words up to a cap when selections are
@@ -12,7 +12,7 @@ import functools
 import time
 from dataclasses import dataclass
 from itertools import islice
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -23,12 +23,11 @@ from .errors import (
     InsufficientDataError,
     InvalidProbabilityError,
     ModelInvalidError,
-    NumericalError,
     UndefinedBfrError,
 )
-from .model import InnovationModel, SwitchedModel, markov_parameter
-from .realize import _attempts, _realize, associated_dlss
-from .simulate import Dataset, SimConfig, affine_scan, as_count, as_series, simulate
+from .model import InnovationModel, SwitchedModel
+from .realize import _attempts, _check_selections, covariance_realization
+from .simulate import Dataset, affine_scan, as_count, as_series
 
 __all__ = [
     "IdentConfig",
@@ -37,8 +36,6 @@ __all__ = [
     "predict",
     "bfr",
     "validate_model",
-    "consistency_experiment",
-    "ConsistencyResult",
     "resolve_selections",
     "resolve_p",
 ]
@@ -100,7 +97,8 @@ def resolve_p(spec: Union[Sequence[float], str], data: Dataset) -> np.ndarray:
     """Mode probabilities from a spec: a vector, or "empirical".
 
     A vector must be finite and positive and is normalized to sum 1;
-    "empirical" uses the observed mode frequencies of the data.
+    "empirical" uses the observed mode frequencies of the data.  Any other
+    spec raises InvalidProbabilityError naming p.
     """
     if isinstance(spec, str):
         if spec != "empirical":
@@ -114,7 +112,11 @@ def resolve_p(spec: Union[Sequence[float], str], data: Dataset) -> np.ndarray:
             )
         p = counts.astype(float)
         return p / p.sum()
-    p = np.atleast_1d(np.asarray(spec, dtype=float))
+    try:
+        p = np.atleast_1d(np.asarray(spec, dtype=float))
+    except (TypeError, ValueError):
+        raise InvalidProbabilityError(
+            f"p must be 'empirical' or a vector of numbers, got {spec!r}") from None
     if p.ndim != 1 or not np.all(np.isfinite(p)) or np.any(p <= 0.0):
         raise InvalidProbabilityError(f"probabilities must be positive, got {p}")
     return p / p.sum()
@@ -150,13 +152,13 @@ def identify(data: Dataset, cfg: IdentConfig) -> Tuple[InnovationModel, dict]:
     """Estimate covariances from one trajectory and realize an innovation model.
 
     Returns (model, diagnostics).  Explicit selections are checked against
-    p and the data first (mode count, n_y and column count; DimensionError
-    names the selection), and only the words they require are estimated;
-    with "search" the table covers all words up to 2*max(n_x, n_bar) + 2
-    and selections are found on the estimated Markov values before
-    realization.  The realization is realize._realize, which makes up to
-    five attempts when a selection is searched; its diagnostics
-    ("search_attempts", "rejected_attempts") are passed on.
+    p, the data, n_x and n_bar first (realize._check_selections;
+    DimensionError names the selection), and only the words they require
+    are estimated; with "search" the table covers all words up to
+    2*max(n_x, n_bar) + 2 and selections are found on the estimated Markov
+    values before realization.  The realization is covariance_realization,
+    which makes up to five attempts when a selection is searched; its
+    diagnostics ("search_attempts", "rejected_attempts") are passed on.
     """
     if len(data) < 3:
         raise InsufficientDataError(f"dataset of length {len(data)} is too short")
@@ -166,20 +168,9 @@ def identify(data: Dataset, cfg: IdentConfig) -> Tuple[InnovationModel, dict]:
         raise DimensionError(
             f"data uses mode {int(data.q.max())} but p has {D} entries"
         )
-    # explicit selections must fit p and the data before anything is estimated
-    n_u_y = data.n_u + data.n_y
-    for name, sel, n_cols, cols in (("selection", cfg.selection, n_u_y, "n_u + n_y"),
-                                    ("selection_bar", cfg.selection_bar, data.n_u, "n_u")):
-        if not isinstance(sel, Selection):
-            continue
-        if sel.n_modes != D:
-            raise DimensionError(f"{name} has {sel.n_modes} modes but p has {D} entries")
-        if sel.n_y != data.n_y:
-            raise DimensionError(f"{name} has n_y = {sel.n_y} but the data has n_y = {data.n_y}")
-        if sel.n_cols != n_cols:
-            raise DimensionError(
-                f"{name} has {sel.n_cols} columns but needs {cols} = {n_cols}")
     n_bar = cfg.n_bar if cfg.n_bar is not None else cfg.n_x
+    # explicit selections must fit before anything is estimated
+    _check_selections(cfg.selection, cfg.selection_bar, cfg.n_x, n_bar, D, data.n_y, data.n_u)
     diagnostics: dict = {"p": p.tolist()}
 
     if "search" in (cfg.selection, cfg.selection_bar):
@@ -188,7 +179,8 @@ def identify(data: Dataset, cfg: IdentConfig) -> Tuple[InnovationModel, dict]:
         words = (set(required_words(cfg.selection))
                  | set(required_words(cfg.selection_bar)) | {EMPTY_WORD})
     cov = empirical_covariances(data, p, words)
-    model, real_diag = _realize(cov, cfg.n_x, n_bar, cfg.selection, cfg.selection_bar)
+    model, real_diag = covariance_realization(cov, cfg.n_x, n_bar, cfg.selection,
+                                              cfg.selection_bar)
     diagnostics.update(real_diag)
     diagnostics["N"] = len(data)
     diagnostics["N_0"] = cov.metadata.get("N_0")
@@ -274,58 +266,3 @@ def validate_model(m: SwitchedModel, data: Dataset, exclude: int = 0,
         predictions=yhat if keep_predictions else None,
     )
 
-
-@dataclass
-class ConsistencyResult:
-    rows: List[dict]
-    medians: Dict[int, float]
-
-
-def consistency_experiment(
-    model: SwitchedModel,
-    Ns: Sequence[int],
-    seeds: Sequence[int],
-    cfg: IdentConfig,
-) -> ConsistencyResult:
-    """Identification error versus data length over a seed ensemble.
-
-    For each (N, seed) pair a fresh trajectory is simulated and identified;
-    the error is the largest max-norm deviation of the identified model's
-    input-to-output Markov parameters (the input block of its associated
-    deterministic realization) from the generator's, over all words up to
-    length 2.  Markov parameters are invariant under state isomorphism, so
-    no basis alignment is needed.  The noise block is left out: it inherits
-    the sampling noise of raw output covariances (per-entry standard error
-    of order E[y^2]/sqrt(N)), so the input block is the sharper consistency
-    probe at moderate N.
-
-    A run whose realization fails numerically (noise can make the estimated
-    Hankel realize an unusable model at small N) is recorded with infinite
-    error, failed=True and a "reason" naming the error class and its message
-    (which leads with the failing stage); medians take those at face value.
-    """
-    ref = associated_dlss(model)
-    words = list(enumerate_words(model.n_modes, 2))
-    n_u = model.n_u
-    ref_values = {w: markov_parameter(ref, w)[:, :n_u] for w in words}
-    rows: List[dict] = []
-    for N in Ns:
-        for seed in seeds:
-            try:
-                data = simulate(model, SimConfig(seed=seed, length=int(N)))
-                m_hat, _ = identify(data, cfg)
-                d_hat = associated_dlss(m_hat)
-                err = max(float(np.max(np.abs(markov_parameter(d_hat, w)[:, :n_u]
-                                              - ref_values[w])))
-                          for w in words)
-            except (NumericalError, ModelInvalidError) as exc:
-                rows.append({"N": int(N), "seed": int(seed), "error": float("inf"),
-                             "failed": True, "reason": f"{type(exc).__name__}: {exc}"})
-                continue
-            rows.append({"N": int(N), "seed": int(seed), "error": err,
-                         "failed": False})
-    medians = {}
-    for N in Ns:
-        errs = sorted(r["error"] for r in rows if r["N"] == int(N))
-        medians[int(N)] = float(np.median(errs))
-    return ConsistencyResult(rows=rows, medians=medians)

@@ -13,7 +13,7 @@ prediction error.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
@@ -34,7 +34,6 @@ __all__ = [
     "mean_square_operator",
     "stability_margin",
     "markov_parameter",
-    "reach_obs_ranks",
     "find_isomorphism",
     "transform_model",
     "model_from_dict",
@@ -84,9 +83,39 @@ def _as_matrix_family(mats, name: str) -> np.ndarray:
     return fam
 
 
+class _Model:
+    """What both kinds of model share: the dimensions, read from A, B and
+    C, and the JSON form."""
+
+    @property
+    def n_modes(self) -> int:
+        return len(self.A)
+
+    @property
+    def n_x(self) -> int:
+        return self.A.shape[1]
+
+    @property
+    def n_u(self) -> int:
+        return self.B.shape[2]
+
+    @property
+    def n_y(self) -> int:
+        return self.C.shape[0]
+
+    def to_dict(self) -> dict:
+        """The "type" and every field as nested lists, Dmat under the key "D"."""
+        out = {"type": self._TYPE}
+        for f in fields(self):
+            out["D" if f.name == "Dmat" else f.name] = getattr(self, f.name).tolist()
+        return out
+
+
 @dataclass(frozen=True)
-class DeterministicModel:
+class DeterministicModel(_Model):
     """Noise-free switched model ({A_s}, {B_s}, C, Dmat); carrier of M(w)."""
+
+    _TYPE = "deterministic"  # to_dict's "type"; not a field
 
     A: np.ndarray
     B: np.ndarray
@@ -111,31 +140,6 @@ class DeterministicModel:
                 f"Dmat must be {self.C.shape[0]}x{self.n_u}, got {self.Dmat.shape}"
             )
 
-    @property
-    def n_modes(self) -> int:
-        return len(self.A)
-
-    @property
-    def n_x(self) -> int:
-        return self.A.shape[1]
-
-    @property
-    def n_u(self) -> int:
-        return self.B.shape[2]
-
-    @property
-    def n_y(self) -> int:
-        return self.C.shape[0]
-
-    def to_dict(self) -> dict:
-        return {
-            "type": "deterministic",
-            "A": self.A.tolist(),
-            "B": self.B.tolist(),
-            "C": self.C.tolist(),
-            "D": self.Dmat.tolist(),
-        }
-
 
 def _check_spd(mat: np.ndarray, name: str) -> None:
     scale = max(1.0, float(np.max(np.abs(mat))))
@@ -147,13 +151,15 @@ def _check_spd(mat: np.ndarray, name: str) -> None:
 
 
 @dataclass(frozen=True)
-class SwitchedModel:
+class SwitchedModel(_Model):
     """Stochastic switched model with i.i.d. switching; see module docstring.
 
     Q_v[s] stores p_s * E[v(t) v(t)^T | q(t) = s], the quantity the
     realization recursions consume directly; divide by p_s for the
     per-mode conditional covariance.
     """
+
+    _TYPE = "switched"  # to_dict's "type"; not a field
 
     A: np.ndarray
     B: np.ndarray
@@ -171,22 +177,6 @@ class SwitchedModel:
         for name in ("C", "Dmat", "F", "Q_u"):
             object.__setattr__(self, name, np.atleast_2d(_freeze(getattr(self, name), name)))
         object.__setattr__(self, "p", np.atleast_1d(_freeze(self.p, "p")))
-
-    @property
-    def n_modes(self) -> int:
-        return len(self.A)
-
-    @property
-    def n_x(self) -> int:
-        return self.A.shape[1]
-
-    @property
-    def n_u(self) -> int:
-        return self.B.shape[2]
-
-    @property
-    def n_y(self) -> int:
-        return self.C.shape[0]
 
     @property
     def n_n(self) -> int:
@@ -229,26 +219,11 @@ class SwitchedModel:
             )
         return self
 
-    def to_dict(self) -> dict:
-        return {
-            "type": self._type_tag(),
-            "A": self.A.tolist(),
-            "B": self.B.tolist(),
-            "K": self.K.tolist(),
-            "C": self.C.tolist(),
-            "D": self.Dmat.tolist(),
-            "F": self.F.tolist(),
-            "p": self.p.tolist(),
-            "Q_u": self.Q_u.tolist(),
-            "Q_v": self.Q_v.tolist(),
-        }
-
-    def _type_tag(self) -> str:
-        return "switched"
-
 
 class InnovationModel(SwitchedModel):
     """SwitchedModel whose noise is the one-step prediction error: F = I."""
+
+    _TYPE = "innovation"
 
     def validate(self) -> "InnovationModel":
         super().validate()
@@ -259,9 +234,6 @@ class InnovationModel(SwitchedModel):
         if np.max(np.abs(self.F - np.eye(self.n_y))) != 0.0:
             raise ModelInvalidError("innovation form requires F = I exactly")
         return self
-
-    def _type_tag(self) -> str:
-        return "innovation"
 
     @classmethod
     def from_parts(cls, A, B, K, C, Dmat, p, Q_u, Q_v) -> "InnovationModel":
@@ -335,25 +307,6 @@ def _reach_matrix(m: DeterministicModel) -> np.ndarray:
     for w in enumerate_words(m.n_modes, m.n_x - 1):
         cols.extend(matrix_product_along_word(m.A, w) @ m.B)
     return np.hstack(cols)
-
-
-def _obs_matrix(m: DeterministicModel) -> np.ndarray:
-    rows = []
-    for w in enumerate_words(m.n_modes, m.n_x - 1):
-        rows.append(m.C @ matrix_product_along_word(m.A, w))
-    return np.vstack(rows)
-
-
-def reach_obs_ranks(m: DeterministicModel) -> Tuple[int, int]:
-    """Numerical ranks of the reachability and observability span matrices.
-
-    Columns A_w B_s and rows C A_w over all words with |w| < n_x, which
-    suffices for the minimality test (both ranks equal n_x iff the model is
-    minimal).
-    """
-    reach, _ = numerical_rank(_reach_matrix(m))
-    obs, _ = numerical_rank(_obs_matrix(m))
-    return reach, obs
 
 
 def transform_model(m: SwitchedModel, T: np.ndarray) -> SwitchedModel:

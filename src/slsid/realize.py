@@ -83,7 +83,6 @@ __all__ = [
     "lambda_ydyd",
     "covariance_realization",
     "iter_full_rank_selections",
-    "search_selection",
 ]
 
 # stopping rule of the innovation-gain iteration, the one that still iterates
@@ -460,24 +459,48 @@ def _joint_table(cov: CovarianceTable, psi: WordIndexedMatrixTable,
     return WordIndexedMatrixTable._from_array((cov.n_y, cov.n_u + cov.n_y), words, values)
 
 
+def _check_selections(sel: Union[Selection, str], sel_bar: Union[Selection, str],
+                      n_x: int, n_bar: int, D: int, n_y: int, n_u: int) -> None:
+    """Check that each explicit selection fits the realization asked of it.
+
+    sel must have D modes, n_y rows, n_u + n_y columns and n = n_x; sel_bar
+    the same with n_u columns and n = n_bar.  A misfit raises
+    DimensionError naming the selection; "search" passes.
+    """
+    for name, s, n_cols, cols, n, n_name in (
+            ("selection", sel, n_u + n_y, "n_u + n_y", n_x, "n_x"),
+            ("selection_bar", sel_bar, n_u, "n_u", n_bar, "n_bar")):
+        if not isinstance(s, Selection):
+            continue
+        if s.n_modes != D:
+            raise DimensionError(f"{name} has {s.n_modes} modes but p has {D} entries")
+        if s.n_y != n_y:
+            raise DimensionError(f"{name} has n_y = {s.n_y} but the data has n_y = {n_y}")
+        if s.n_cols != n_cols:
+            raise DimensionError(f"{name} has {s.n_cols} columns but needs {cols} = {n_cols}")
+        if s.n != n:
+            raise DimensionError(f"{name} has n = {s.n} but {n_name} = {n}")
+
+
 def _attempts(cov: CovarianceTable, n_x: int, n_bar: int,
               sel: Union[Selection, str], sel_bar: Union[Selection, str]
               ) -> Iterator[Callable[[], _JointRealization]]:
     """Steps 1-5 of the covariance realization, attempt after attempt.
 
-    sel and sel_bar are Selections or "search".  Step 1 builds Psi once:
-    over every word of the table when a selection is searched, else over
-    the words the selections need.  Each attempt makes step 2 and yields a
-    call that makes its steps 3-5 and returns its _JointRealization, so
-    that their errors are raised where the attempt is run.  An explicit
-    selection goes straight to Ho-Kalman; "search" takes the next vetted
-    candidate (_iter_vetted): attempt a uses the a-th vetted sel_bar, from
-    one search kept across attempts, and the a-th vetted sel on that
-    sel_bar's joint table.  Step 1 and step 2 errors end the attempts,
-    since every later attempt would repeat them.
+    sel and sel_bar are Selections, checked by _check_selections, or
+    "search".  Step 1 builds Psi once: over every word of the table when a
+    selection is searched, else over the words the selections need.  Each
+    attempt makes step 2 and yields a call that makes its steps 3-5 and
+    returns its _JointRealization, so that their errors are raised where
+    the attempt is run.  An explicit selection goes straight to Ho-Kalman;
+    "search" takes the next vetted candidate (_iter_vetted): attempt a uses
+    the a-th vetted sel_bar, from one search kept across attempts, and the
+    a-th vetted sel on that sel_bar's joint table.  Step 1 and step 2
+    errors end the attempts, since every later attempt would repeat them.
     """
     cov.validate()
     D = cov.p.shape[0]
+    _check_selections(sel, sel_bar, n_x, n_bar, D, cov.n_y, cov.n_u)
     if isinstance(sel, Selection) and isinstance(sel_bar, Selection):
         words = [EMPTY_WORD, *required_words(sel_bar), *required_words(sel)]
     else:
@@ -518,19 +541,33 @@ def _attempts(cov: CovarianceTable, n_x: int, n_bar: int,
         yield functools.partial(steps_3_to_5, bar, m_psi, attempt)
 
 
-def _realize(cov: CovarianceTable, n_x: int, n_bar: int,
-             sel: Union[Selection, str], sel_bar: Union[Selection, str]
-             ) -> Tuple[InnovationModel, dict]:
-    """The covariance realization, steps 1-6, at explicit or searched selections.
+def covariance_realization(
+    cov: CovarianceTable,
+    n_x: int,
+    n_bar: int,
+    sel: Union[Selection, str],
+    sel_bar: Union[Selection, str],
+) -> Tuple[InnovationModel, dict]:
+    """Minimal innovation-form model from output/input covariances.
 
-    Runs the attempts of _attempts: SEARCH_ATTEMPTS of them when either
-    selection is "search", else one.  Step 6 solves the innovation-gain
-    equation on the leftover per-mode moments T^{yy}_{s,s} - T^{yd,yd}_{s,s}
-    (see associated_slss).  The first attempt that converts is returned as
-    (model, diagnostics); a search adds "search_attempts" and, when an
-    attempt failed first, "rejected_attempts", each failure as
-    "<ErrorClass>: <message>" with the message leading with its stage.
-    The last attempt's failure is raised.
+    The six steps: (1) Psi values from Lambda^{y,u}; (2) Ho-Kalman on Psi at
+    sel_bar realizes the input-driven part; (3) its output covariances are
+    subtracted from Lambda^{y,y} to expose the noise part; (4) both blocks
+    assemble the joint Markov values M(w) = [Lambda^{y,u}_w Q_u^{-1},
+    Lambda^{ys,ys}_w]; (5) Ho-Kalman at sel realizes the joint model; (6) the
+    innovation-gain equation on the leftover per-mode moments
+    T^{yy}_{s,s} - T^{yd,yd}_{s,s} yields K and the innovation moments
+    (see associated_slss).
+
+    sel and sel_bar are Selections or "search"; an explicit one must fit
+    the table, with n = n_x (sel) or n = n_bar (sel_bar), else
+    DimensionError names it (_check_selections).  Runs the attempts of
+    _attempts: SEARCH_ATTEMPTS of them when either selection is "search",
+    else one.  The first attempt that converts is returned as (model,
+    diagnostics); a search adds "search_attempts" and, when an attempt
+    failed first, "rejected_attempts", each failure as "<ErrorClass>:
+    <message>" with the message leading with its stage.  The last
+    attempt's failure is raised, its stage in .stage.
     """
     attempts = SEARCH_ATTEMPTS if "search" in (sel, sel_bar) else 1
     rejected: List[str] = []
@@ -561,26 +598,6 @@ def _realize(cov: CovarianceTable, n_x: int, n_bar: int,
         if rejected:
             diagnostics["rejected_attempts"] = rejected
         return model, diagnostics
-
-
-def covariance_realization(
-    cov: CovarianceTable,
-    sel: Selection,
-    sel_bar: Selection,
-) -> Tuple[InnovationModel, dict]:
-    """Minimal innovation-form model from output/input covariances.
-
-    The six steps: (1) Psi values from Lambda^{y,u}; (2) Ho-Kalman on Psi at
-    sel_bar realizes the input-driven part; (3) its output covariances are
-    subtracted from Lambda^{y,y} to expose the noise part; (4) both blocks
-    assemble the joint Markov values M(w) = [Lambda^{y,u}_w Q_u^{-1},
-    Lambda^{ys,ys}_w]; (5) Ho-Kalman at sel realizes the joint model; (6) the
-    innovation-gain equation on the leftover per-mode moments
-    T^{yy}_{s,s} - T^{yd,yd}_{s,s} yields K and the innovation moments.
-
-    Returns (model, diagnostics); failures carry the step that raised them.
-    """
-    return _realize(cov, sel.n, sel_bar.n, sel, sel_bar)
 
 
 @functools.lru_cache(maxsize=16)
@@ -692,28 +709,3 @@ def _iter_vetted(M: WordIndexedMatrixTable, M_eps: np.ndarray, n: int, n_y: int,
         "more data or an explicit selection is needed"
     )
 
-
-def search_selection(
-    M: WordIndexedMatrixTable,
-    n: int,
-    n_y: int,
-    n_cols: int,
-    n_modes: int,
-    budget: int = 50000,
-    skip: int = 0,
-) -> Selection:
-    """First selection whose main Hankel has full numerical rank n.
-
-    See iter_full_rank_selections for the deterministic enumeration order
-    and budget semantics.  skip > 0 returns the (skip+1)-th hit instead of
-    the first; running out of hits raises NoSelectionFoundError.
-    """
-    hits = iter_full_rank_selections(M, n, n_y, n_cols, n_modes, budget=budget)
-    found = 0
-    for cand in hits:
-        if found == skip:
-            return cand
-        found += 1
-    raise NoSelectionFoundError(
-        f"selection pools exhausted without {skip + 1} rank-{n} hits"
-    )

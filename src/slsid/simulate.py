@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import numbers
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -51,12 +51,7 @@ class Dataset:
     y_clean: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        y = np.atleast_2d(np.asarray(self.y, dtype=float))
-        u = np.atleast_2d(np.asarray(self.u, dtype=float))
-        if y.shape[0] == 1 and y.shape[1] > 1 and np.asarray(self.y).ndim == 1:
-            y = y.T
-        if u.shape[0] == 1 and u.shape[1] > 1 and np.asarray(self.u).ndim == 1:
-            u = u.T
+        y, u = as_series(self.y), as_series(self.u)
         q = np.asarray(self.q)
         if q.dtype.kind not in "iu":
             # a fractional or non-finite mode would truncate (or warn) in the cast
@@ -320,14 +315,7 @@ class SimConfig:
             raise DimensionError("uniform input needs input_high > input_low")
 
     def to_jsonable(self) -> dict:
-        return {
-            "seed": self.seed,
-            "length": self.length,
-            "burn_in": self.burn_in,
-            "input_dist": self.input_dist,
-            "input_low": self.input_low,
-            "input_high": self.input_high,
-        }
+        return asdict(self)
 
     @classmethod
     def from_jsonable(cls, obj: dict) -> "SimConfig":

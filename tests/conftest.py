@@ -1,44 +1,28 @@
 """Shared fixtures: a two-mode reference system and a scalar one-mode system.
 
-The two-mode system is the package's standard workout: three states, one
-input, one output, equal mode probabilities, uniform input on [-1, 1]
-(Q_u = 1/3) and innovation variance 1.125 per mode.  Its minimality under
-the bundled selections is verified in the acceptance suite.
+The two-mode system is the package's standard workout,
+`perfbench.workloads.reference_system`: three states, one input, one
+output, equal mode probabilities, uniform input on [-1, 1] (Q_u = 1/3) and
+innovation variance 1.125 per mode.  Its minimality under the bundled
+selections is verified in the acceptance suite.
 """
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from slsid import EMPTY_WORD, InnovationModel, Selection, Word
+from slsid import EMPTY_WORD, InnovationModel, Selection
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from perfbench.workloads import reference_system  # noqa: E402  (needs the repo root)
 
 
 @pytest.fixture(scope="session")
 def two_mode():
-    A1 = np.array([[0.1039, 0.0255, 0.5598],
-                   [0.4338, 0.0067, 0.0078],
-                   [0.3435, 0.0412, 0.0776]])
-    A2 = np.array([[0.1834, 0.2456, 0.0511],
-                   [0.0572, 0.2445, 0.0642],
-                   [0.1395, 0.6413, 0.5598]])
-    B1 = np.array([[1.6143], [5.9383], [7.3671]])
-    B2 = np.array([[6.0624], [4.9800], [3.1372]])
-    K1 = np.array([[0.4942], [0.2827], [0.8098]])
-    K2 = np.array([[0.6215], [0.1561], [0.7780]])
-    C = np.array([[0.1144, 0.7623, 0.0020]])
-    Dm = np.array([[1.0]])
-    p = np.array([0.5, 0.5])
-    q_u = np.array([[1.0 / 3.0]])
-    q_v = (np.array([[1.125]]), np.array([[1.125]]))
-    model = InnovationModel.from_parts((A1, A2), (B1, B2), (K1, K2),
-                                       C, Dm, p, q_u, q_v)
-
-    alpha = ((Word.parse("11"), 1), (Word.parse("1"), 1), (EMPTY_WORD, 1))
-    beta = ((2, EMPTY_WORD, 1), (1, Word.parse("2"), 1), (1, Word.parse("1"), 1))
-    sel = Selection(alpha, beta, n_modes=2, n_y=1, n_cols=2)
-    sel_bar = Selection(alpha, beta, n_modes=2, n_y=1, n_cols=1)
-    return SimpleNamespace(model=model, sel=sel, sel_bar=sel_bar,
-                           p=p, q_u=q_u, q_v=q_v)
+    model, sel, sel_bar = reference_system()
+    return SimpleNamespace(model=model, sel=sel, sel_bar=sel_bar, p=model.p, q_u=model.Q_u)
 
 
 @pytest.fixture(scope="session")

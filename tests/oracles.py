@@ -1,0 +1,112 @@
+"""Reference implementations the tests check the library against, and
+the loader of the scripts under tools/.
+
+No oracle is on a program path: each recomputes, the slow and plain way,
+a quantity the pipeline computes fast.
+"""
+import importlib.util
+import sys
+from pathlib import Path
+from typing import Sequence, Tuple
+
+import numpy as np
+
+from slsid import (
+    CovarianceTable,
+    DeterministicModel,
+    InsufficientDataError,
+    NumericalError,
+    Word,
+    WordIndexedMatrixTable,
+    enumerate_words,
+    matrix_product_along_word,
+    word_probability,
+)
+from slsid.covariance import _prepare, _z_block
+from slsid.model import _reach_matrix, numerical_rank
+from slsid.simulate import Dataset, as_series
+
+
+def load_tool(name: str):
+    """tools/<name>.py, loaded as a module."""
+    path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # where a dataclass looks its module up
+    spec.loader.exec_module(module)
+    return module
+
+
+class IllConditionedRegressorError(NumericalError):
+    """The least-squares regressor matrix is rank deficient."""
+
+
+def z_process(b: np.ndarray, q: np.ndarray, p: Sequence[float], w: Word, t: int) -> np.ndarray:
+    """z^b_w(t) at one 0-based time t, from its definition.
+
+    b(t - |w|) / sqrt(p_w) when the modes q(t - |w|) .. q(t - 1) spell w,
+    else zeros; b(t) for the empty word.  b is a T x n_b array (a 1-D b is
+    one channel) and q the aligned mode series.
+    """
+    b, k = as_series(b), len(w)
+    if t < k or t >= b.shape[0]:
+        raise IndexError(f"time {t} out of range for |w| = {k} and {b.shape[0]} samples")
+    if tuple(np.asarray(q)[t - k:t]) != tuple(w):
+        return np.zeros(b.shape[1])
+    return b[t - k] / np.sqrt(word_probability(p, w))
+
+
+def least_squares_covariances(data: Dataset, p: Sequence[float],
+                              words_full: Sequence[Word]) -> CovarianceTable:
+    """Covariances recovered through the normal equations of a regression.
+
+    y(t) is regressed on the stacked z^u columns of words_full and,
+    separately, on the z^y columns of its nonempty words.  With Theta the
+    least-squares coefficients, (Phi^T Phi) Theta / n_eff reproduces the
+    direct covariance sums Phi^T R / n_eff, which is how the table is
+    filled: the identity that pins down empirical_covariances.  T^{y,y}_{s,s}
+    and q_u are the per-mode _z_block products.
+    """
+    p = np.asarray(p, dtype=float)
+    words_full = [Word(w) for w in words_full]
+    _, n0, n_eff = _prepare(data, words_full)
+
+    def regress(b: np.ndarray, words: Sequence[Word]) -> WordIndexedMatrixTable:
+        table = WordIndexedMatrixTable((data.n_y, b.shape[1]))
+        if not words:
+            return table
+        phi = np.hstack([_z_block(b, data.q, p, w, n0) for w in words])
+        if n_eff <= phi.shape[1]:
+            raise InsufficientDataError(
+                f"{n_eff} samples cannot support {phi.shape[1]} regressor columns")
+        rank, _ = numerical_rank(phi)
+        if rank < phi.shape[1]:
+            raise IllConditionedRegressorError(
+                f"regressor matrix has rank {rank} < {phi.shape[1]} columns")
+        theta = np.linalg.lstsq(phi, data.y[n0:], rcond=None)[0]
+        gram_theta = phi.T @ (phi @ theta) / n_eff
+        for j, w in enumerate(words):
+            table[w] = gram_theta[j * b.shape[1]:(j + 1) * b.shape[1], :].T
+        return table
+
+    z = np.array([_z_block(data.y, data.q, p, Word((s,)), n0) for s in range(1, len(p) + 1)])
+    t_yy = z.transpose(0, 2, 1) @ z / n_eff
+    q_u = data.u[n0:].T @ data.u[n0:] / n_eff
+    return CovarianceTable(
+        lambda_yu=regress(data.u, words_full),
+        lambda_yy=regress(data.y, [w for w in words_full if w]),
+        t_yy=(t_yy + t_yy.transpose(0, 2, 1)) / 2.0, q_u=(q_u + q_u.T) / 2.0, p=p,
+        metadata={"estimator": "ls", "N": len(data), "N_0": n0, "n_eff": n_eff,
+                  "degenerate_words": []})
+
+
+def reach_obs_ranks(m: DeterministicModel) -> Tuple[int, int]:
+    """Numerical ranks of the reachability and observability span matrices.
+
+    Columns A_w B_s and rows C A_w over all words with |w| < n_x, which
+    suffices for the minimality test (both ranks equal n_x iff the model is
+    minimal).
+    """
+    obs = np.vstack([m.C @ matrix_product_along_word(m.A, w)
+                     for w in enumerate_words(m.n_modes, m.n_x - 1)])
+    return numerical_rank(_reach_matrix(m))[0], numerical_rank(obs)[0]

@@ -6,6 +6,7 @@ bit for bit on one platform.  The two-mode reference system and the scalar
 one come from conftest.
 """
 import time
+from itertools import islice
 
 import numpy as np
 
@@ -22,7 +23,6 @@ from slsid import (
     associated_dlss,
     associated_slss,
     build_hankel,
-    consistency_experiment,
     covariance_realization,
     empirical_covariances,
     enumerate_words,
@@ -30,20 +30,21 @@ from slsid import (
     find_isomorphism,
     identify,
     input_state_second_moment,
-    least_squares_covariances,
+    iter_full_rank_selections,
     markov_parameter,
     predict,
     psi_uy,
-    search_selection,
     simulate,
     state_second_moment,
     transform_model,
     validate_model,
     word_probability,
-    z_process,
 )
 from slsid.errors import ModelInvalidError, NumericalError
-from slsid.identify import ValidationReport  # noqa: F401  (re-export sanity)
+
+from oracles import least_squares_covariances, load_tool, z_process
+
+consistency_experiment = load_tool("bench_quality").consistency_experiment
 
 
 def report(capsys, ok: bool, label: str, detail: str) -> None:
@@ -64,7 +65,7 @@ def model_residual(m1, m2, T) -> float:
 def test_1_oracle_realization_round_trip(two_mode, two_mode_cov, capsys):
     """Exact covariances of the two-mode system realize back to it."""
     t0 = time.perf_counter()
-    m_hat, diag = covariance_realization(two_mode_cov, two_mode.sel,
+    m_hat, diag = covariance_realization(two_mode_cov, 3, 3, two_mode.sel,
                                          two_mode.sel_bar)
     T = find_isomorphism(m_hat, two_mode.model, tol=1e-6)
     elapsed = time.perf_counter() - t0
@@ -183,7 +184,7 @@ def test_4_single_mode_closed_form(scalar, capsys):
         float(np.max(np.abs(hand.t_yy[0] - oracle.t_yy[0]))),
     )
 
-    m_hat, _ = covariance_realization(hand, scalar.sel, scalar.sel_bar)
+    m_hat, _ = covariance_realization(hand, 1, 1, scalar.sel, scalar.sel_bar)
     err_a = abs(float(m_hat.A[0][0, 0]) - a)
     err_ck = abs(float((m_hat.C @ m_hat.K[0])[0, 0]) - c * k)
     err_q = abs(float(m_hat.Q_v[0][0, 0]) - q_v)
@@ -267,15 +268,15 @@ def test_7_estimator_equivalence(two_mode, capsys):
             for s in (0, 1)),
     )
 
-    m_d, _ = covariance_realization(cov_d, two_mode.sel, two_mode.sel_bar)
-    m_d2, _ = covariance_realization(cov_d, two_mode.sel, two_mode.sel_bar)
+    m_d, _ = covariance_realization(cov_d, 3, 3, two_mode.sel, two_mode.sel_bar)
+    m_d2, _ = covariance_realization(cov_d, 3, 3, two_mode.sel, two_mode.sel_bar)
     deterministic = all(
         np.array_equal(np.asarray(x), np.asarray(y))
         for x, y in [(m_d.A[0], m_d2.A[0]), (m_d.A[1], m_d2.A[1]),
                      (m_d.K[0], m_d2.K[0]), (m_d.K[1], m_d2.K[1]),
                      (m_d.C, m_d2.C), (m_d.Q_v[0], m_d2.Q_v[0])])
 
-    m_l, _ = covariance_realization(cov_l, two_mode.sel, two_mode.sel_bar)
+    m_l, _ = covariance_realization(cov_l, 3, 3, two_mode.sel, two_mode.sel_bar)
     model_diff = max(
         float(np.max(np.abs(np.asarray(x) - np.asarray(y))))
         for x, y in [(m_d.A[0], m_l.A[0]), (m_d.A[1], m_l.A[1]),
@@ -300,7 +301,7 @@ def test_8_innovation_whiteness(two_mode, two_mode_cov, capsys):
     z-blocks (self-whiteness, the property that defines an innovation
     process), for every word of length 1 and 2.
     """
-    m_hat, _ = covariance_realization(two_mode_cov, two_mode.sel,
+    m_hat, _ = covariance_realization(two_mode_cov, 3, 3, two_mode.sel,
                                       two_mode.sel_bar)
     fresh = simulate(two_mode.model, SimConfig(seed=5001, length=100_000))
     e = fresh.y - predict(m_hat, fresh)
@@ -351,14 +352,15 @@ def test_9_selection_invariance(two_mode, two_mode_cov, capsys):
         joint[w] = val
         psi_table[w] = val[:, :1]
 
-    sel_a = search_selection(joint, 3, 1, 2, 2, skip=0)
-    sel_b = search_selection(joint, 3, 1, 2, 2, skip=1)
-    bar_a = search_selection(psi_table, 3, 1, 1, 2, skip=0)
-    bar_b = search_selection(psi_table, 3, 1, 1, 2, skip=1)
+    def hit(table, n_cols, skip):
+        return next(islice(iter_full_rank_selections(table, 3, 1, n_cols, 2), skip, None))
+
+    sel_a, sel_b = hit(joint, 2, 0), hit(joint, 2, 1)
+    bar_a, bar_b = hit(psi_table, 1, 0), hit(psi_table, 1, 1)
     distinct = sel_b.to_jsonable() != sel_a.to_jsonable()
 
-    m_a, _ = covariance_realization(two_mode_cov, sel_a, bar_a)
-    m_b, _ = covariance_realization(two_mode_cov, sel_b, bar_b)
+    m_a, _ = covariance_realization(two_mode_cov, 3, 3, sel_a, bar_a)
+    m_b, _ = covariance_realization(two_mode_cov, 3, 3, sel_b, bar_b)
     T = find_isomorphism(m_a, m_b, tol=1e-6)
     res = model_residual(m_a, m_b, T)
     ok = distinct and res < 1e-6

@@ -93,8 +93,8 @@ def test_enumerate_words_order_and_count():
     got = [str(w) for w in enumerate_words(2, 2)]
     assert got == ["e", "1", "2", "11", "12", "21", "22"]
     assert [str(w) for w in enumerate_words(2, 2, min_len=1)] == got[1:]
-    # enumeration order coincides with sort_key order
-    keys = [w.sort_key for w in enumerate_words(2, 3)]
+    # enumeration order is length-then-lex order
+    keys = [(len(w), w) for w in enumerate_words(2, 3)]
     assert keys == sorted(keys)
     with pytest.raises(InvalidModeError):
         list(enumerate_words(0, 2))

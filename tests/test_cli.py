@@ -1,4 +1,7 @@
+import copy
+import functools
 import json
+import operator
 import re
 
 import numpy as np
@@ -15,7 +18,7 @@ from slsid import (
     simulate,
     validate_model,
 )
-from slsid.cli import EXIT_NUMERICAL, main
+from slsid.cli import EXIT_DIMENSION, EXIT_IO, EXIT_MODEL, EXIT_NUMERICAL, EXIT_OK, main
 from slsid.simulate import write_csv
 
 
@@ -550,6 +553,15 @@ def _ident_config(workspace, two_mode, ident=None, validation=None):
     ({"rank_tol": 1e-8}, None, "config section 'ident' has unknown key 'rank_tol'"),
     # the covariances always come from the direct estimator
     ({"estimator": "direct"}, None, "config section 'ident' has unknown key 'estimator'"),
+    # a malformed selection crashed with a traceback, or named no field
+    ({"selection": {"alpha": [["e", 1]]}}, None,
+     "selection needs 'beta', a list of [mode, word, column] entries"),
+    ({"selection": {"alpha": 3, "beta": []}}, None,
+     "selection needs 'alpha', a list of [word, row] entries"),
+    ({"selection_bar": {"alpha": [["e", 1]], "beta": [[1, 5, 1]]}}, None,
+     "selection_bar 'beta' entry 0 must be [mode, word, column] with the word a string"),
+    ({"selection": {"alpha": [[1]], "beta": []}}, None,
+     "selection 'alpha' entry 0 must be [word, row] with the word a string"),
 ])
 def test_identify_rejects_a_malformed_count_or_key(workspace, tmp_path, capsys, two_mode,
                                                    ident, validation, text):
@@ -731,3 +743,75 @@ def test_cli_identify_agrees_with_the_library(tmp_path, two_mode, seed):
             == json.loads(json.dumps(model.to_dict())))
     report = json.loads((tmp_path / "ident" / "report.json").read_text())
     assert report["validation"]["bfr"] == validate_model(model, data.slice(n - n // 5, n)).bfr
+
+
+
+@pytest.mark.parametrize("command, setting, message", [
+    ("identify", {"n_x": 4}, "selection has n = 3 but n_x = 4"),
+    ("identify", {"n_bar": 5}, "selection_bar has n = 3 but n_bar = 5"),
+    ("realize", {"n_x": 2}, "selection has n = 3 but n_x = 2"),
+], ids=["identify-n_x", "identify-n_bar", "realize-n_x"])
+def test_explicit_selections_are_checked_against_n_x(workspace, tmp_path, capsys, two_mode,
+                                                      command, setting, message):
+    # the bundled selections have n = 3; they used to realize a 3-state
+    # model whatever n_x and n_bar the config asked for
+    cfg = _ident_config(workspace, two_mode, setting)
+    if command == "realize":
+        est = write_json(tmp_path / "est.json",
+                         {"data": cfg["data"], "p": [0.5, 0.5], "words": {"max_len": 6}})
+        assert main(["estimate", "--config", str(est), "--out", str(tmp_path / "est")]) == 0
+        cfg = {"covariances": "est/covariances.json", **cfg["ident"]}
+    path = write_json(tmp_path / "run.json", cfg)
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 4
+    assert f"error: {message}\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p", [[{"a": 1}, 0.5], {"a": 1}])
+def test_identify_names_a_p_that_is_not_numbers(workspace, tmp_path, capsys, two_mode, p):
+    # both crashed with a TypeError traceback
+    cfg = write_json(tmp_path / "ident.json", _ident_config(workspace, two_mode, {"p": p}))
+    assert main(["identify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert f"p must be 'empirical' or a vector of numbers, got {p!r}" in capsys.readouterr().err
+
+
+def test_a_mutated_identify_config_exits_with_a_documented_code(tmp_path, capsys, two_mode):
+    """Every key of "ident" and "validation", both lists of each selection
+    and their first entries, and p's first entry, each deleted or set to
+    null, 3, -1, "x", [1], {"a": 1} or NaN: 128 runs, none may raise."""
+    write_json(tmp_path / "model.json", two_mode.model.to_dict())
+    write_json(tmp_path / "sim.json", {"model": "model.json", "sim": {"seed": 0, "length": 5000}})
+    assert main(["simulate", "--config", str(tmp_path / "sim.json"),
+                 "--out", str(tmp_path / "sim")]) == 0
+    base = {"data": "sim/data.csv",
+            "ident": {"n_x": 3, "n_bar": 3, "selection": two_mode.sel.to_jsonable(),
+                      "selection_bar": two_mode.sel_bar.to_jsonable(), "p": [0.5, 0.5]},
+            "validation": {"split": 1000, "exclude": 6}}
+    paths = [(section, key) for section in ("ident", "validation") for key in base[section]]
+    paths += [("ident", sel, field) + entry for sel in ("selection", "selection_bar")
+              for field in ("alpha", "beta") for entry in ((), (0,))] + [("ident", "p", 0)]
+    delete = object()
+
+    def run(cfg):
+        path = write_json(tmp_path / "ident.json", cfg)
+        try:
+            return main(["identify", "--config", str(path), "--out", str(tmp_path / "out")])
+        except Exception as exc:  # the traceback the scan looks for
+            return f"{type(exc).__name__}: {exc}"
+
+    # validation is read last, so the base run must get through it (N = 5e3
+    # at seed 0 does with the bundled selections; N = 2e4 at seed 0 exits 5)
+    assert run(base) == EXIT_OK
+    wrong = []
+    for *parents, last in paths:
+        for value in (delete, None, 3, -1, "x", [1], {"a": 1}, float("nan")):
+            cfg = copy.deepcopy(base)
+            target = functools.reduce(operator.getitem, parents, cfg)
+            if value is delete:
+                del target[last]
+            else:
+                target[last] = value
+            code = run(cfg)
+            if code not in (EXIT_OK, EXIT_MODEL, EXIT_IO, EXIT_DIMENSION, EXIT_NUMERICAL):
+                wrong.append((*parents, last, value, code))
+    capsys.readouterr()
+    assert len(paths) == 16 and wrong == []

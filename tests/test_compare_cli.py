@@ -1,21 +1,12 @@
 """tools/compare_cli.py on short runs: records, and the comparison of equal and changed records."""
 import copy
-import importlib.util
 import warnings
-from pathlib import Path
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_cli.py"
-
-
-def load_tool():
-    spec = importlib.util.spec_from_file_location("compare_cli", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from oracles import load_tool
 
 
 def test_compare_cli_hashes_every_file_and_names_a_changed_one(capsys):
-    tool = load_tool()
+    tool = load_tool("compare_cli")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # degenerate words at N = 2e3
         records = tool.records(range(2), 2000)

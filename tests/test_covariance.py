@@ -12,7 +12,6 @@ from slsid import (
     Dataset,
     DimensionError,
     EMPTY_WORD,
-    IllConditionedRegressorError,
     InsufficientDataError,
     InvalidModeError,
     InvalidProbabilityError,
@@ -21,12 +20,12 @@ from slsid import (
     empirical_covariances,
     enumerate_words,
     exact_covariances,
-    least_squares_covariances,
     simulate,
-    z_process,
 )
 from slsid.algebra import word_probability
 from slsid.covariance import _BLOCK, _suffix_tables, _z_block
+
+from oracles import IllConditionedRegressorError, least_squares_covariances, z_process
 
 
 # ---------------------------------------------------------------- z-process
@@ -123,7 +122,7 @@ def per_word_oracle(data, p, words):
     Returns (lambda_yu, lambda_yy, degenerate words, t_yy, q_u) for the
     same N_0 the estimator uses, with t_yy[s - 1] = T^{y,y}_{s,s}.
     """
-    words = sorted(set(words), key=lambda w: w.sort_key)
+    words = sorted(set(words), key=lambda w: (len(w), w))
     n0 = max([len(w) for w in words] + [1]) + 1
     n_eff = len(data) - n0
     y_block = data.y[n0:]
@@ -157,7 +156,7 @@ def assert_matches_oracle(data, p, words):
         cov = empirical_covariances(data, p, words)
     want_yu, want_yy, want_degenerate, want_t_yy, want_q_u = per_word_oracle(data, p, words)
     for got, want in ((cov.lambda_yu, want_yu), (cov.lambda_yy, want_yy)):
-        assert got.words() == sorted(want, key=lambda w: w.sort_key)
+        assert got.words() == sorted(want, key=lambda w: (len(w), w))
         assert_close_entries(got, want)
     assert cov.t_yy.shape == want_t_yy.shape
     assert_close_entries(dict(enumerate(cov.t_yy)), dict(enumerate(want_t_yy)))
@@ -239,7 +238,7 @@ def test_an_int8_series_takes_an_alphabet_beyond_int8():
     assert data.q.dtype == np.int8
     p = np.arange(1.0, 201) / np.sum(np.arange(1.0, 201))
     words = list(enumerate_words(200, 1)) + [Word((1, 2)), Word((3, 1)), Word((150, 2))]
-    assert _suffix_tables(tuple(sorted(words, key=lambda w: w.sort_key)), 200)[1] == 1
+    assert _suffix_tables(tuple(sorted(words, key=lambda w: (len(w), w))), 200)[1] == 1
     assert_matches_oracle(data, p, words)
 
 
@@ -307,7 +306,7 @@ def table_walk_reference(data, p, words):
     """
     p = np.asarray(p, dtype=float)
     D, T = len(p), len(data)
-    words = tuple(sorted(set(map(Word, words)), key=lambda w: w.sort_key))
+    words = tuple(sorted(set(map(Word, words)), key=lambda w: (len(w), w)))
     n0 = max([len(w) for w in words] + [1]) + 1
     n_eff = T - n0
     levels, _ = _suffix_tables(words, D)
@@ -341,14 +340,14 @@ def table_walk_reference(data, p, words):
 
 def assert_walk_matches_reference(data, p, words, n_dense):
     """Bit-identical tables and degenerate words; n_dense lags take the code walk."""
-    assert _suffix_tables(tuple(sorted(set(map(Word, words)), key=lambda w: w.sort_key)),
+    assert _suffix_tables(tuple(sorted(set(map(Word, words)), key=lambda w: (len(w), w))),
                           len(p))[1] == n_dense
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         cov = empirical_covariances(data, p, words)
     want_yu, want_yy, want_degenerate = table_walk_reference(data, p, words)
     for got, want in ((cov.lambda_yu, want_yu), (cov.lambda_yy, want_yy)):
-        assert got.words() == sorted(want, key=lambda w: w.sort_key)
+        assert got.words() == sorted(want, key=lambda w: (len(w), w))
         for w, m in want.items():
             assert np.array_equal(got[w], m), f"word {w}"
     assert cov.metadata["degenerate_words"] == want_degenerate

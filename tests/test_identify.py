@@ -24,7 +24,7 @@ from slsid import (
     associated_dlss,
     associated_slss,
     bfr,
-    consistency_experiment,
+    covariance_realization,
     empirical_covariances,
     enumerate_words,
     exact_covariances,
@@ -34,16 +34,18 @@ from slsid import (
     input_state_second_moment,
     iter_full_rank_selections,
     lambda_ydyd,
-    least_squares_covariances,
     matrix_product_along_word,
     predict,
-    reach_obs_ranks,
     resolve_selections,
     simulate,
     stability_margin,
     validate_model,
 )
 from slsid.model import numerical_rank
+
+from oracles import least_squares_covariances, load_tool, reach_obs_ranks
+
+consistency_experiment = load_tool("bench_quality").consistency_experiment
 
 
 def scalar_predictor(a=0.5, k=0.2, c=1.0, b=0.0, d=0.0):
@@ -232,6 +234,10 @@ def test_identify_checks_explicit_selections_before_estimating(two_mode, monkeyp
          "selection has 1 columns but needs n_u + n_y = 2"),
         (dict(selection_bar=two_mode.sel),
          "selection_bar has 2 columns but needs n_u = 1"),
+        # a selection of n = 3 used to realize a 3-state model for any n_x
+        (dict(n_x=4), "selection has n = 3 but n_x = 4"),
+        (dict(n_x=2), "selection has n = 3 but n_x = 2"),
+        (dict(n_bar=5), "selection_bar has n = 3 but n_bar = 5"),
     ]
     for change, message in cases:
         fields = dict(n_x=3, selection=two_mode.sel, selection_bar=two_mode.sel_bar)
@@ -344,9 +350,7 @@ def test_resolve_selections_search_on_oracle(two_mode, two_mode_cov):
                                             "search", "search")
     assert sel.n == 3 and sel_bar.n == 3
     assert "selection_found" in diag and "selection_bar_found" in diag
-    from slsid import covariance_realization
-
-    model, _ = covariance_realization(two_mode_cov, sel, sel_bar)
+    model, _ = covariance_realization(two_mode_cov, 3, 3, sel, sel_bar)
     find_isomorphism(model, two_mode.model, tol=1e-6)
 
 

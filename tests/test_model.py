@@ -14,10 +14,11 @@ from slsid import (
     find_isomorphism,
     markov_parameter,
     model_from_dict,
-    reach_obs_ranks,
     stability_margin,
     transform_model,
 )
+
+from oracles import reach_obs_ranks
 
 
 def scalar_switched(a=0.5, f=1.0):

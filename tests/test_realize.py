@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 import pytest
@@ -34,7 +34,6 @@ from slsid import (
     markov_parameter,
     matrix_product_along_word,
     psi_uy,
-    search_selection,
     stability_margin,
     state_second_moment,
 )
@@ -166,7 +165,7 @@ def test_ho_kalman_recovers_markov_parameters():
     rng = np.random.default_rng(17)
     d0 = random_dlss(rng)
     table = markov_table(d0, 5)
-    sel = search_selection(table, 2, 1, 1, 2)
+    sel = next(iter_full_rank_selections(table, 2, 1, 1, 2))
     d1 = ho_kalman(sel, table, markov_parameter(d0, EMPTY_WORD))
     for w in enumerate_words(2, 4):
         assert np.allclose(markov_parameter(d1, w), markov_parameter(d0, w),
@@ -530,43 +529,40 @@ def test_pooled_search_yields_what_a_per_candidate_search_yields(two_mode, case)
 
 def test_search_selection_first_hit_is_deterministic(two_mode):
     table = markov_table(associated_dlss(two_mode.model), 5)
-    sel = search_selection(table, 3, 1, 2, 2)
+    sel = next(iter_full_rank_selections(table, 3, 1, 2, 2))
     assert sel.to_jsonable() == {
         "alpha": [["e", 1], ["1", 1], ["2", 1]],
         "beta": [[1, "e", 1], [1, "e", 2], [2, "e", 1]],
     }
-    assert search_selection(table, 3, 1, 2, 2) == sel
+    assert next(iter_full_rank_selections(table, 3, 1, 2, 2)) == sel
 
 
 def test_search_selection_skip_advances(two_mode):
+    # the hit after skip = 1, as acceptance check 9 takes it, is another selection
     table = markov_table(associated_dlss(two_mode.model), 5)
-    first = search_selection(table, 3, 1, 2, 2, skip=0)
-    second = search_selection(table, 3, 1, 2, 2, skip=1)
+    first, second = islice(iter_full_rank_selections(table, 3, 1, 2, 2), 2)
     assert first != second
-    hits = iter_full_rank_selections(table, 3, 1, 2, 2)
-    assert next(hits) == first
-    assert next(hits) == second
+    assert next(islice(iter_full_rank_selections(table, 3, 1, 2, 2), 1, None)) == second
 
 
 def test_search_selection_budget_exhaustion(two_mode):
     table = markov_table(associated_dlss(two_mode.model), 5)
     # the system has order 3; no rank-4 selection exists
-    with pytest.raises(NoSelectionFoundError):
-        search_selection(table, 4, 1, 2, 2, budget=2000)
+    with pytest.raises(NoSelectionFoundError, match="no rank-4 selection within budget 2000"):
+        next(iter_full_rank_selections(table, 4, 1, 2, 2, budget=2000))
 
 
 def test_search_selection_skips_missing_words(two_mode):
     d = associated_dlss(two_mode.model)
     table = markov_table(d, 1)  # too short for any rank-2 candidate
-    with pytest.raises(NoSelectionFoundError):
-        search_selection(table, 2, 1, 2, 2)
+    assert list(iter_full_rank_selections(table, 2, 1, 2, 2)) == []
 
 
 # ---------------------------------------------------------------- pipeline
 
 
 def test_covariance_realization_oracle_quality(two_mode, two_mode_cov):
-    model, diag = covariance_realization(two_mode_cov, two_mode.sel,
+    model, diag = covariance_realization(two_mode_cov, 3, 3, two_mode.sel,
                                          two_mode.sel_bar)
     model.validate()
     assert diag["n_x"] == 3
@@ -576,10 +572,18 @@ def test_covariance_realization_oracle_quality(two_mode, two_mode_cov):
     find_isomorphism(model, two_mode.model, tol=1e-8)
 
 
+def test_covariance_realization_checks_explicit_selections_against_n_x(two_mode, two_mode_cov):
+    # a selection of n = 3 used to realize a 3-state model for any n_x
+    for n_x, n_bar, message in ((4, 4, "selection has n = 3 but n_x = 4"),
+                                (3, 2, "selection_bar has n = 3 but n_bar = 2")):
+        with pytest.raises(DimensionError, match=f"^{message}$"):
+            covariance_realization(two_mode_cov, n_x, n_bar, two_mode.sel, two_mode.sel_bar)
+
+
 def test_covariance_realization_missing_words(two_mode):
     cov = exact_covariances(two_mode.model, 1)
     with pytest.raises(MissingMarkovParameterError) as info:
-        covariance_realization(cov, two_mode.sel, two_mode.sel_bar)
+        covariance_realization(cov, 3, 3, two_mode.sel, two_mode.sel_bar)
     exc = info.value
     stage = "step 1 (input Markov values)"
     assert exc.stage == stage
@@ -597,7 +601,7 @@ def test_covariance_realization_rejects_overambitious_order(scalar):
                         ((1, EMPTY_WORD, 1), (1, Word((1,)), 1)),
                         n_modes=1, n_y=1, n_cols=1)
     with pytest.raises(SingularHankelError) as info:
-        covariance_realization(cov, sel, sel_bar)
+        covariance_realization(cov, 2, 2, sel, sel_bar)
     stage = "step 2 (input-part realization)"
     assert info.value.stage == stage
     assert info.value.rank == 1
@@ -615,7 +619,7 @@ def test_gain_iteration_stops_when_innovation_moment_turns_negative(two_mode,
                           lambda_yy=two_mode_cov.lambda_yy, t_yy=t_yy,
                           q_u=two_mode_cov.q_u, p=two_mode_cov.p)
     with pytest.raises(NotFullRankError) as info:
-        covariance_realization(cov, two_mode.sel, two_mode.sel_bar)
+        covariance_realization(cov, 3, 3, two_mode.sel, two_mode.sel_bar)
     assert info.value.stage == "step 6 (innovation conversion)"
     msg = str(info.value)
     assert "mode 1 is not positive definite at iteration 1 " in msg

@@ -91,16 +91,17 @@ def _check_keys(section, known, where: str) -> None:
             raise ConfigError(f"config section '{where}' has unknown key {key!r}")
 
 
-def _count(section: dict, key: str, where: str, default: Optional[int] = None) -> int:
-    """section[key] (required when default is None) as an int.
+def _count(section: dict, key: str, where: str, default: Optional[int] = None,
+           least: float = -np.inf) -> int:
+    """section[key] (required when default is None) as an int >= least.
 
     The rule of the "sim" section (simulate.as_count): an integral float
-    such as 2e3 counts as an integer; a fraction, a bool or a non-number is
-    a config error.
+    such as 2e3 counts as an integer; a fraction, a bool, a non-number or a
+    count below least is a config error.
     """
     value = _require(section, key, where) if default is None else section.get(key, default)
-    try:  # the range is checked where the count is used
-        return as_count(value, repr(key), -np.inf)
+    try:  # without least, the range is checked where the count is used
+        return as_count(value, repr(key), least)
     except DimensionError as exc:
         raise ConfigError(f"config section '{where}' key {exc}") from None
 
@@ -254,7 +255,7 @@ def cmd_identify(args) -> int:
             raise ConfigError("'validation' needs 'data' or 'split'")
         exclude = _count(val_section, "exclude", "validation", 0)
         if "split" in val_section:
-            n_val = _count(val_section, "split", "validation")
+            n_val = _count(val_section, "split", "validation", least=1)
     data = _load_dataset(_require(cfg, "data", "identify"), base)
     n_cols = data.n_u + data.n_y
     ident_cfg = IdentConfig(
@@ -419,8 +420,11 @@ def main(argv: Optional[list] = None) -> int:
     except (ConfigError, OSError) as exc:
         _stderr(f"error: {exc}")
         return EXIT_IO
-    except (ModelInvalidError, InvalidProbabilityError) as exc:
+    except ModelInvalidError as exc:
         _stderr(f"invalid model: {exc}")
+        return EXIT_MODEL
+    except InvalidProbabilityError as exc:
+        _stderr(f"invalid probabilities: {exc}")
         return EXIT_MODEL
     except NotIsomorphicError as exc:
         _stderr(f"not isomorphic: {exc}")

@@ -104,7 +104,9 @@ def resolve_p(spec: Union[Sequence[float], str], data: Dataset) -> np.ndarray:
         if spec != "empirical":
             raise InvalidProbabilityError(f"unknown p mode {spec!r}")
         D = int(data.q.max())
-        counts = np.bincount(data.q, minlength=D + 1)[1:]
+        # one comparison per mode on the narrow mode series, which
+        # np.bincount would widen to intp
+        counts = np.array([np.count_nonzero(data.q == s) for s in range(1, D + 1)])
         if np.any(counts == 0):
             missing = [s + 1 for s in range(D) if counts[s] == 0]
             raise InvalidProbabilityError(
@@ -113,11 +115,13 @@ def resolve_p(spec: Union[Sequence[float], str], data: Dataset) -> np.ndarray:
         p = counts.astype(float)
         return p / p.sum()
     try:
-        p = np.atleast_1d(np.asarray(spec, dtype=float))
+        p = np.asarray(spec, dtype=float)
     except (TypeError, ValueError):
+        p = None
+    if p is None or p.ndim != 1:
         raise InvalidProbabilityError(
-            f"p must be 'empirical' or a vector of numbers, got {spec!r}") from None
-    if p.ndim != 1 or not np.all(np.isfinite(p)) or np.any(p <= 0.0):
+            f"p must be 'empirical' or a vector of numbers, got {spec!r}")
+    if not np.all(np.isfinite(p)) or np.any(p <= 0.0):
         raise InvalidProbabilityError(f"probabilities must be positive, got {p}")
     return p / p.sum()
 

@@ -351,15 +351,20 @@ def _mode_dtype(top: int) -> np.dtype:
 
 def sample_switching(p, T: int, rng: np.random.Generator) -> np.ndarray:
     """T i.i.d. modes with P(q = s) = p_s: 1-based values, held as the
-    smallest signed integer type that holds len(p) (int8 up to 127 modes)."""
+    smallest signed integer type that holds len(p) (int8 up to 127 modes).
+
+    A draw r in [0, 1) gets mode 1 plus the number of cumulative sums
+    p_1 + ... + p_s <= r for s < len(p); the last sum is never counted, so
+    rounding in it cannot push a draw past the last mode.
+    """
     p = np.asarray(p, dtype=float)
     if np.any(p <= 0.0) or abs(float(p.sum()) - 1.0) > 1e-8:
         raise InvalidProbabilityError(f"invalid mode probabilities {p}")
-    edges = np.cumsum(p)
-    edges[-1] = 1.0  # guard against rounding in the final bin
-    q = np.searchsorted(edges, rng.random(int(T)), side="right")
-    q += 1
-    return q.astype(_mode_dtype(p.shape[0]))
+    r = rng.random(int(T))
+    q = np.ones(r.shape, _mode_dtype(p.shape[0]))
+    for edge in np.cumsum(p)[:-1]:
+        q += r >= edge
+    return q
 
 
 def _draw_input(model: SwitchedModel, cfg: SimConfig, total: int,
@@ -372,8 +377,10 @@ def _draw_input(model: SwitchedModel, cfg: SimConfig, total: int,
                 f"uniform({cfg.input_low}, {cfg.input_high}) input implies "
                 f"Q_u = {var:.6g} I, which differs from the model's Q_u"
             )
-        width = cfg.input_high - cfg.input_low
-        return cfg.input_low + width * rng.random((total, model.n_u))
+        u = rng.random((total, model.n_u))
+        u *= cfg.input_high - cfg.input_low
+        u += cfg.input_low
+        return u
     L = np.linalg.cholesky(model.Q_u)
     return rng.standard_normal((total, model.n_u)) @ L.T
 
@@ -381,6 +388,15 @@ def _draw_input(model: SwitchedModel, cfg: SimConfig, total: int,
 def _chunk_length(T: int) -> int:
     """Steps per chunk of `affine_scan` over T steps."""
     return max(16, math.isqrt(T // 8))
+
+
+def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """out = a @ b, with the bits of a C-ordered a.
+
+    A product of one row or one column is a BLAS matrix-vector call, whose
+    sum order follows a's layout, so a is copied to C order for it.
+    """
+    np.matmul(np.ascontiguousarray(a) if 1 in out.shape else a, b, out=out)
 
 
 def affine_scan(q: np.ndarray, M: np.ndarray, C: np.ndarray, inputs) -> np.ndarray:
@@ -398,18 +414,35 @@ def affine_scan(q: np.ndarray, M: np.ndarray, C: np.ndarray, inputs) -> np.ndarr
     transition product Phi_c.  Pass 2 chains the start states
     x_{c+1} = Phi_c x_c + z_c, one chunk per step.  Pass 3 reruns every chunk
     from its start state and writes the output rows.  Step k of passes 1 and
-    3 touches rows k, k + L, k + 2L, ... through strided views.
+    3 reads rows k, k + L, k + 2L, ... of q and the inputs through strided
+    views.
 
     One stacked map G = [M; N_1; ...; N_k | C; E_1; ...] carries a step: a
     chunk's row [x, w_1(row), ..., w_k(row)] times G holds every mode's next
     state and the output row, and one take picks each chunk's mode.  Pass 1
     carries the n rows of Phi_c^T (zero inputs) in the same product.
 
+    The step buffers are feature-major, one column per carried row, and
+    np.matmul reads them through their F-ordered transpose.  So the take
+    writes every chunk's next state straight into the buffer's n contiguous
+    state rows, through a 2-D index whose chunk axis is the contiguous one:
+    pass 1 numbers the column for row r of chunk c as r (chunks) + c.  A
+    row-major buffer holds each state as an n-wide piece of a longer row:
+    at T = 1.01e5, copying a pass-1 step's picked states into those pieces
+    took 20-21 us, against 4 us for the same copy into contiguous memory,
+    and the whole pick took 41-53 us, against 19-28 us now.
+
+    The products keep the operand values and shapes of the row-major scan,
+    whose datasets this scan reproduces bit for bit: BLAS (OpenBLAS 0.3.31
+    here) sums a product's rows each on its own, whatever their order, but
+    changes the sum order with the product's shape, so G keeps its output
+    columns padded to whole n-wide blocks.  A product of one row or column
+    is a matrix-vector call, whose order follows the layout (`_matmul`).
+
     Passes 1 and 3 cost L steps each and pass 2 costs T / L.  Measured on a
-    2-vCPU Xeon VM (BLAS on one thread; n = 3, D = 2, two inputs), a pass-2
-    step costs about a seventh of a pass-1 step and a fifth of a pass-3 step
-    at T = 2000 (125 chunks; 3.8, 26 and 17 us), and a twenty-fifth and a
-    twelfth at T = 1.01e5 (902 chunks; 3.7, 94 and 45 us), where the
+    2-vCPU Xeon VM (BLAS on one thread; n = 3, D = 2, two inputs), a pass-1,
+    pass-2 and pass-3 step cost 13-19, 2-3 and 12-19 us at T = 2000 (125
+    chunks), and 50-53, 3 and 38-39 us at T = 1.01e5 (902 chunks), where the
     pass-1 and pass-3 steps grow with the number of chunks they carry.  The
     scan's total time is flat within noise for L = isqrt(T // d) with d from
     2 to 12, so d stays 8.  Buffers hold O(T / L) rows; no (T, n) temporary
@@ -421,8 +454,8 @@ def affine_scan(q: np.ndarray, M: np.ndarray, C: np.ndarray, inputs) -> np.ndarr
     n_chunks = max(1, -(-T // L))
     n_out = C.shape[0]
     # G's column block s (n wide) holds mode s's next state; the output
-    # columns after them are padded to whole blocks, so that the rows of a
-    # product split into n-wide blocks, one take of which is a mode pick
+    # columns after them are padded to whole blocks, the product shape whose
+    # bits the scan keeps
     blocks = D + -(-n_out // n)
     terms = [(None, M, C)] + list(inputs)
     offsets = np.cumsum([0] + [N.shape[2] for _, N, _ in terms])
@@ -432,43 +465,57 @@ def affine_scan(q: np.ndarray, M: np.ndarray, C: np.ndarray, inputs) -> np.ndarr
         if E is not None:
             G[a:b, D * n:D * n + n_out] = E.T
     spans = [(w, slice(a, b)) for (w, _, _), a, b in zip(inputs, offsets[1:], offsets[2:])]
+    # shift[s] moves a flat product index to mode s's block of n columns.
+    # The picks below index in range; take with mode="clip" writes straight
+    # into out, where the default mode="raise" goes through a copy of it
+    shift = np.arange(D + 1) * n - n
 
-    # pass 1: each chunk with a successor keeps the row [z_c, w(row)] and the
-    # n rows [row j of Phi_c^T, 0]; row r of chunk c reads its next value from
-    # n-wide block (c (n + 1) + r) D + q - 1 of the product
+    # pass 1: each of the A = ahead chunks with a successor keeps the column
+    # [z_c, w(row)] and the n columns [column j of Phi_c, 0]; column r of
+    # chunk c is column r A + c of the step buffer, and its entry j reads its
+    # next value from entry ((r A + c) D + q - 1) n + j of the product
     ahead = n_chunks - 1
     head = ahead * L
-    buf = np.zeros((ahead, n + 1, G.shape[0]))
-    buf[:, 1:, :n] = np.eye(n)
+    K = G.shape[0]
+    buf = np.zeros((K, n + 1, ahead))
+    buf[:n, 1:] = np.eye(n)[:, :, None]
     step = np.ascontiguousarray(G[:, :D * n])
-    prod = np.empty((ahead * (n + 1), D * n))
-    first = (np.arange(ahead)[:, None] * (n + 1) + np.arange(n + 1)) * D - 1
+    prod = np.empty(((n + 1) * ahead, D * n))
+    first = (np.arange((n + 1) * ahead).reshape(n + 1, ahead) * (D * n)
+             + np.arange(n)[:, None, None])
+    pick = np.empty_like(first)
     for k in range(L if head else 0):
         rows = slice(k, head, L)
         for w, span in spans:
-            buf[:, 0, span] = w[rows]
-        np.matmul(buf.reshape(-1, G.shape[0]), step, out=prod)
-        buf[:, :, :n] = np.take(prod.reshape(-1, n), first + q[rows, None], axis=0)
+            buf[span, 0] = w[rows].T
+        _matmul(buf.reshape(K, -1).T, step, prod)
+        np.add(first, shift[q[rows]], out=pick)
+        np.take(prod, pick, out=buf[:n], mode="clip")
 
-    # pass 2 chains the start states into the pass-3 rows [x_c, w(row)]
-    row = np.zeros((n_chunks, G.shape[0]))
-    start = row[0, :n]
-    for c, (phi_t, z) in enumerate(zip(buf[:, 1:, :n], buf[:, 0, :n]), 1):
-        start = start @ phi_t + z
-        row[c, :n] = start
+    # pass 2 chains the start states x_{c+1} = x_c Phi_c^T + z_c, which
+    # become the state rows of the pass-3 columns [x_c, w(row)]
+    starts = np.zeros((n_chunks, n))
+    chain = np.ascontiguousarray(buf[:n].transpose(2, 1, 0))
+    for x, nxt, phi_t, z in zip(starts, starts[1:], chain[:, 1:], chain[:, 0]):
+        np.matmul(x, phi_t, out=nxt)
+        nxt += z
+    row = np.zeros((K, n_chunks))
+    row[:n] = starts.T
 
     out = np.empty((T, n_out))
     prod = np.empty((n_chunks, blocks * n))
-    first = np.arange(n_chunks) * blocks - 1
+    first = np.arange(n_chunks) * (blocks * n) + np.arange(n)[:, None]
+    pick = np.empty_like(first)
     for k in range(min(L, T)):
         rows = slice(k, None, L)
         s = q[rows]
         m = s.shape[0]
         for w, span in spans:
-            row[:m, span] = w[rows]
-        np.matmul(row[:m], G, out=prod[:m])
+            row[span, :m] = w[rows].T
+        _matmul(row[:, :m].T, G, prod[:m])
         out[rows] = prod[:m, D * n:D * n + n_out]
-        row[:m, :n] = np.take(prod.reshape(-1, n), first[:m] + s, axis=0)
+        np.add(first[:, :m], shift[s], out=pick[:, :m])
+        np.take(prod, pick[:, :m], out=row[:n, :m], mode="clip")
     return out
 
 

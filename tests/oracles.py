@@ -2,7 +2,8 @@
 the loader of the scripts under tools/.
 
 No oracle is on a program path: each recomputes, the slow and plain way,
-a quantity the pipeline computes fast.
+a quantity the pipeline computes fast, or keeps an earlier form of a
+program path whose bits the current one must reproduce.
 """
 import importlib.util
 import sys
@@ -24,7 +25,7 @@ from slsid import (
 )
 from slsid.covariance import _prepare, _z_block
 from slsid.model import _reach_matrix, numerical_rank
-from slsid.simulate import Dataset, as_series
+from slsid.simulate import Dataset, _chunk_length, _mode_dtype, as_series
 
 
 def load_tool(name: str):
@@ -110,3 +111,76 @@ def reach_obs_ranks(m: DeterministicModel) -> Tuple[int, int]:
     obs = np.vstack([m.C @ matrix_product_along_word(m.A, w)
                      for w in enumerate_words(m.n_modes, m.n_x - 1)])
     return numerical_rank(_reach_matrix(m))[0], numerical_rank(obs)[0]
+
+
+def searchsorted_switching(p: Sequence[float], T: int, rng) -> np.ndarray:
+    """T i.i.d. modes by a binary search of the cumulative sums of p.
+
+    A draw r in [0, 1) gets mode 1 plus the number of sums <= r
+    (side="right"); the last sum is set to 1 against rounding.  The modes
+    have the dtype `sample_switching` gives len(p) modes.
+    """
+    p = np.asarray(p, dtype=float)
+    edges = np.cumsum(p)
+    edges[-1] = 1.0
+    q = np.searchsorted(edges, rng.random(int(T)), side="right")
+    q += 1
+    return q.astype(_mode_dtype(p.shape[0]))
+
+
+def row_major_scan(q: np.ndarray, M: np.ndarray, C: np.ndarray, inputs) -> np.ndarray:
+    """`simulate.affine_scan` with row-major step buffers, its earlier form.
+
+    Each step's product has the same operands, row by row, as the
+    feature-major scan, but every chunk's picked next state is copied into
+    an n-wide piece of the buffer row it carries.  Its outputs are the bits
+    the scan must keep.
+    """
+    T = q.shape[0]
+    D, n = M.shape[0], M.shape[1]
+    L = _chunk_length(T)
+    n_chunks = max(1, -(-T // L))
+    n_out = C.shape[0]
+    blocks = D + -(-n_out // n)
+    terms = [(None, M, C)] + list(inputs)
+    offsets = np.cumsum([0] + [N.shape[2] for _, N, _ in terms])
+    G = np.zeros((offsets[-1], blocks * n))
+    for (_, N, E), a, b in zip(terms, offsets, offsets[1:]):
+        G[a:b, :D * n] = N.transpose(2, 0, 1).reshape(b - a, D * n)
+        if E is not None:
+            G[a:b, D * n:D * n + n_out] = E.T
+    spans = [(w, slice(a, b)) for (w, _, _), a, b in zip(inputs, offsets[1:], offsets[2:])]
+
+    ahead = n_chunks - 1
+    head = ahead * L
+    buf = np.zeros((ahead, n + 1, G.shape[0]))
+    buf[:, 1:, :n] = np.eye(n)
+    step = np.ascontiguousarray(G[:, :D * n])
+    prod = np.empty((ahead * (n + 1), D * n))
+    first = (np.arange(ahead)[:, None] * (n + 1) + np.arange(n + 1)) * D - 1
+    for k in range(L if head else 0):
+        rows = slice(k, head, L)
+        for w, span in spans:
+            buf[:, 0, span] = w[rows]
+        np.matmul(buf.reshape(-1, G.shape[0]), step, out=prod)
+        buf[:, :, :n] = np.take(prod.reshape(-1, n), first + q[rows, None], axis=0)
+
+    row = np.zeros((n_chunks, G.shape[0]))
+    start = row[0, :n]
+    for c, (phi_t, z) in enumerate(zip(buf[:, 1:, :n], buf[:, 0, :n]), 1):
+        start = start @ phi_t + z
+        row[c, :n] = start
+
+    out = np.empty((T, n_out))
+    prod = np.empty((n_chunks, blocks * n))
+    first = np.arange(n_chunks) * blocks - 1
+    for k in range(min(L, T)):
+        rows = slice(k, None, L)
+        s = q[rows]
+        m = s.shape[0]
+        for w, span in spans:
+            row[:m, span] = w[rows]
+        np.matmul(row[:m], G, out=prod[:m])
+        out[rows] = prod[:m, D * n:D * n + n_out]
+        row[:m, :n] = np.take(prod.reshape(-1, n), first[:m] + s, axis=0)
+    return out

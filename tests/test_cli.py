@@ -562,6 +562,10 @@ def _ident_config(workspace, two_mode, ident=None, validation=None):
      "selection_bar 'beta' entry 0 must be [mode, word, column] with the word a string"),
     ({"selection": {"alpha": [[1]], "beta": []}}, None,
      "selection 'alpha' entry 0 must be [word, row] with the word a string"),
+    # a split below 1 left an empty validation set, and the run exited 4
+    # with a message that named neither the key nor its value
+    (None, {"split": -1}, "config section 'validation' key 'split' must be >= 1, got -1"),
+    (None, {"split": 0}, "config section 'validation' key 'split' must be >= 1, got 0"),
 ])
 def test_identify_rejects_a_malformed_count_or_key(workspace, tmp_path, capsys, two_mode,
                                                    ident, validation, text):
@@ -772,6 +776,25 @@ def test_identify_names_a_p_that_is_not_numbers(workspace, tmp_path, capsys, two
     cfg = write_json(tmp_path / "ident.json", _ident_config(workspace, two_mode, {"p": p}))
     assert main(["identify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert f"p must be 'empirical' or a vector of numbers, got {p!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p", [3, 0.5, True])
+def test_identify_names_a_p_that_is_not_a_vector(workspace, tmp_path, capsys, two_mode, p):
+    # a bare number or bool was taken as a one-entry vector, and the run
+    # exited 4 because the data has two modes
+    cfg = write_json(tmp_path / "ident.json", _ident_config(workspace, two_mode, {"p": p}))
+    assert main(["identify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert (f"invalid probabilities: p must be 'empirical' or a vector of numbers, got {p!r}\n"
+            in capsys.readouterr().err)
+
+
+def test_a_bad_p_is_reported_as_probabilities_not_as_a_model(workspace, tmp_path, capsys):
+    cfg = write_json(tmp_path / "est.json", {
+        "data": str(workspace / "sim" / "data.csv"), "p": [1, 0], "words": {"max_len": 2}})
+    assert main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "invalid probabilities: probabilities must be positive" in err
+    assert "invalid model" not in err
 
 
 def test_a_mutated_identify_config_exits_with_a_documented_code(tmp_path, capsys, two_mode):

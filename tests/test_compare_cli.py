@@ -15,9 +15,13 @@ def test_compare_cli_hashes_every_file_and_names_a_changed_one(capsys):
     for runs in records.values():
         assert runs["simulate"]["exit"] == 0
         assert list(runs["simulate"]["files"]) == ["data.csv", "data_clean.csv", "manifest.json"]
-        assert set(runs) <= {"simulate", "identify", "validate", "estimate", "realize"}
+        assert set(runs) <= {"simulate", "identify", "validate", "estimate", "realize",
+                             "mimo-simulate", "mimo-validate"}
         assert runs["estimate"]["exit"] == 0
         assert list(runs["estimate"]["files"]) == ["covariances.json"]
+        # the MIMO system's round: Gaussian input, two inputs and two outputs
+        assert runs["mimo-simulate"]["exit"] == 0 and runs["mimo-validate"]["exit"] == 0
+        assert list(runs["mimo-validate"]["files"]) == ["predictions.csv", "report.json"]
 
     # a rerun writes the same bytes
     assert tool.compare(again, records) == 0

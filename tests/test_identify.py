@@ -1,4 +1,6 @@
+import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +38,7 @@ from slsid import (
     lambda_ydyd,
     matrix_product_along_word,
     predict,
+    resolve_p,
     resolve_selections,
     simulate,
     stability_margin,
@@ -259,6 +262,33 @@ def test_identify_rejects_missing_modes():
                    u=np.zeros((50, 1)), q=[1, 3] * 25)
     with pytest.raises(InvalidProbabilityError):
         identify(data, IdentConfig(n_x=1))
+
+
+@pytest.mark.parametrize("spec", [3, 0.5, True, np.float64(2.0)])
+def test_resolve_p_names_a_p_that_is_not_a_vector(spec):
+    # a bare number or bool was taken as the one-entry vector [1.0]
+    data = Dataset(y=np.zeros((4, 1)), u=np.zeros((4, 1)), q=[1, 2, 1, 2])
+    with pytest.raises(InvalidProbabilityError,
+                       match=re.escape(f"or a vector of numbers, got {spec!r}")):
+        resolve_p(spec, data)
+
+
+def test_empirical_p_counts_the_modes_without_widening_them(two_mode):
+    data = simulate(two_mode.model, SimConfig(seed=4, length=100_000))
+    wide = np.random.default_rng(0).integers(1, 201, 5000)
+    for d in (data, Dataset(y=np.zeros((5000, 1)), u=np.zeros((5000, 1)), q=wide)):
+        counts = np.bincount(d.q)[1:].astype(float)
+        assert resolve_p("empirical", d).tobytes() == (counts / counts.sum()).tobytes()
+    resolve_p("empirical", data)  # lazy imports
+    tracemalloc.start()
+    try:
+        resolve_p("empirical", data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the int8 modes widened to intp would take 800 kB; one comparison's
+    # mask takes 100 kB
+    assert data.q.dtype == np.int8 and peak < 200_000
 
 
 def test_ident_config_validation(two_mode):

@@ -31,7 +31,10 @@ from slsid.simulate import (
     _draw_input,
     _parse_rows,
     _read_csv,
+    affine_scan,
 )
+
+from oracles import row_major_scan, searchsorted_switching
 
 
 # ---------------------------------------------------------------- switching
@@ -45,6 +48,26 @@ def test_sample_switching_range_and_determinism():
     assert np.array_equal(q, sample_switching((0.5, 0.5), 1000, rng2))
     assert q.dtype == np.int8
     assert sample_switching(np.full(200, 0.005), 10, rng).dtype == np.int16
+
+
+@pytest.mark.parametrize("T", [0, 1, 1000])
+@pytest.mark.parametrize("D", [1, 2, 3, 127, 128, 200])
+def test_sample_switching_maps_draws_to_modes_like_a_binary_search(D, T):
+    p = np.random.default_rng(D).dirichlet(np.ones(D))
+    got = sample_switching(p, T, np.random.Generator(np.random.Philox(T)))
+    want = searchsorted_switching(p, T, np.random.Generator(np.random.Philox(T)))
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_sample_switching_puts_a_draw_on_an_edge_in_the_upper_mode():
+    p = np.array([0.25, 0.5, 0.25])
+    edges = np.cumsum(p)
+    draws = np.array([0.0, np.nextafter(edges[0], 0), edges[0], edges[1],
+                      np.nextafter(edges[1], 1), np.nextafter(1.0, 0)])
+    rng = mock.Mock(random=lambda T: draws[:T])
+    want = searchsorted_switching(p, draws.size, rng)
+    assert want.tolist() == [1, 1, 2, 3, 3, 3]
+    assert sample_switching(p, draws.size, rng).tobytes() == want.tobytes()
 
 
 def test_sample_switching_frequencies():
@@ -233,6 +256,22 @@ def test_scan_matches_the_loop(seed, D, n_x, n_u, n_y, rho, T):
     _assert_close(data.y_clean, want.y_clean)
     _assert_close(data.y, want.y)
     _assert_close(predict(m, data), _loop_predict(m, data))
+
+
+@settings(deadline=None, max_examples=80)
+@given(seed=st.integers(0, 2**32 - 1), D=st.integers(1, 4), n=st.integers(1, 5),
+       n_out=st.integers(1, 3), widths=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+       T=_SCAN_LENGTHS)
+def test_scan_keeps_the_bits_of_the_row_major_scan(seed, D, n, n_out, widths, T):
+    # D = n = 1 makes pass 1's products matrix-vector, and a last chunk of
+    # one step makes pass 3's; T = 1 is one chunk and no pass 1
+    rng = np.random.default_rng(seed)
+    q = sample_switching(rng.dirichlet(np.ones(D)), T, rng)
+    M = rng.normal(size=(D, n, n)) * 0.3 / np.sqrt(n)
+    inputs = [(rng.normal(size=(T, m)), rng.normal(size=(D, n, m)),
+               rng.normal(size=(n_out, m)) if rng.random() < 0.6 else None) for m in widths]
+    C = rng.normal(size=(n_out, n))
+    assert affine_scan(q, M, C, inputs).tobytes() == row_major_scan(q, M, C, inputs).tobytes()
 
 
 def _peak_bytes(fn, *args):

@@ -11,7 +11,11 @@ and the identified model is scored on the whole simulated dataset
 (`slsid validate`); the first 6 samples are excluded from both scores.
 These are the configs of the benchmark's cli-roundtrip workload.  Each
 seed also runs `slsid estimate` over all words up to length 8 and
-`slsid realize` on that table with "search" selections.
+`slsid realize` on that table with "search" selections.  Then a fixed
+three-mode innovation model with four states, two inputs and two outputs
+(`mimo_system`) is simulated with Gaussian input at the same seed and
+length, and scored on its own data (`slsid validate`); these records are
+named "mimo-simulate" and "mimo-validate".
 
 Every command runs in-process through `slsid.cli.main`.  Its exit code,
 its stderr when it fails, and the sha256 of every file it writes are
@@ -33,6 +37,9 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
+
+from slsid import InnovationModel, stability_margin
 from slsid.cli import main as slsid_main
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
@@ -41,6 +48,33 @@ from perfbench.workloads import reference_system  # noqa: E402  (needs the repo 
 SEEDS = range(10)
 LENGTH = 50_000
 EXCLUDE = 6
+
+
+def mimo_system() -> InnovationModel:
+    """A fixed innovation model with D = 3 modes, n_x = 4, n_u = n_y = 2 and
+    Q_u = I: its predictor A_s - K_s C has mean-square radius 0.6, and A_s
+    has 0.49."""
+    rng = np.random.default_rng(0)
+    p = np.array([0.5, 0.3, 0.2])
+    C = rng.normal(size=(2, 4))
+    K = 0.3 * rng.normal(size=(3, 4, 2))
+    closed = rng.normal(size=(3, 4, 4))
+    closed *= np.sqrt(0.6 / stability_margin(closed, p))
+    B = rng.normal(size=(3, 4, 2))
+    G = rng.normal(size=(3, 2, 2))
+    Q_v = p[:, None, None] * (G @ G.transpose(0, 2, 1) + 0.1 * np.eye(2))
+    return InnovationModel.from_parts(closed + K @ C, B, K, C, rng.normal(size=(2, 2)),
+                                      p, np.eye(2), Q_v)
+
+
+def _mimo_configs(length: int) -> dict:
+    return {
+        "model.json": mimo_system().to_dict(),
+        "simulate.json": {"model": "model.json",
+                          "sim": {"seed": 0, "length": length, "input_dist": "gaussian"}},
+        "validate.json": {"model": "model.json", "data": "simulate/data.csv",
+                          "exclude": EXCLUDE},
+    }
 
 
 def _configs(length: int) -> dict:
@@ -77,23 +111,33 @@ def _run(workdir: Path, command: str, *flags) -> dict:
     return record
 
 
+def _round(workdir: Path, configs: dict, chains, seed: int) -> dict:
+    """Write the configs into workdir, simulate at seed, then run each chain
+    of commands on the data until one fails; the records by command."""
+    workdir.mkdir()
+    for name, obj in configs.items():
+        (workdir / name).write_text(json.dumps(obj, indent=2))
+    runs = {"simulate": _run(workdir, "simulate", "--seed", seed)}
+    for chain in chains:
+        failed = runs["simulate"]["exit"]
+        for command in chain:
+            if failed:
+                break
+            runs[command] = _run(workdir, command)
+            failed = runs[command]["exit"]
+    return runs
+
+
 def records(seeds, length: int) -> dict:
     """Each seed's command records, keyed "seed=S" and then by command."""
-    configs, out = _configs(length), {}
+    configs, mimo, out = _configs(length), _mimo_configs(length), {}
     with tempfile.TemporaryDirectory(prefix="compare-cli-") as tmp:
         for seed in seeds:
             workdir = Path(tmp) / f"seed-{seed}"
-            workdir.mkdir()
-            for name, obj in configs.items():
-                (workdir / name).write_text(json.dumps(obj, indent=2))
-            runs = {"simulate": _run(workdir, "simulate", "--seed", seed)}
-            for chain in (("identify", "validate"), ("estimate", "realize")):
-                failed = runs["simulate"]["exit"]
-                for command in chain:
-                    if failed:
-                        break
-                    runs[command] = _run(workdir, command)
-                    failed = runs[command]["exit"]
+            runs = _round(workdir, configs, (("identify", "validate"), ("estimate", "realize")),
+                          seed)
+            runs.update((f"mimo-{command}", record) for command, record
+                        in _round(workdir / "mimo", mimo, (("validate",),), seed).items())
             out[f"seed={seed}"] = runs
     return out
 

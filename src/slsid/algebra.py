@@ -23,7 +23,7 @@ import functools
 from dataclasses import dataclass
 from itertools import product as _cartesian
 from types import MappingProxyType
-from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -257,60 +257,63 @@ class Selection:
         return cls(alpha, beta, n_modes, n_y, n_cols)
 
 
-class WordIndexedMatrixTable:
-    """Map from Word to matrices of one fixed shape, held in one array.
+def _index_of(words: Sequence[Word]) -> Mapping[Word, int]:
+    """Read-only map from each of the distinct words to its position."""
+    words = _as_words(words)
+    index = dict(zip(words, range(len(words))))
+    if len(index) < len(words):
+        raise DimensionError("a table's words must be distinct")
+    return MappingProxyType(index)
 
-    The matrices are the rows of one (n_words, rows, cols) array, `array`,
-    in the order their words were added; a word -> row index finds them.
-    Bulk code reads `array` through `rows_of(words)`; single entries read and
-    write through [].  Shape mismatches are rejected at insertion; looking
-    up a missing word raises MissingMarkovParameterError rather than
-    returning a default.
+
+class WordIndexedMatrixTable:
+    """Map from Word to matrices of one fixed shape, built once.
+
+    A table is made from distinct words and one (n_words, rows, cols)
+    array, `array`, kept and not copied: the matrix of words[i] is
+    array[i], and a read-only word -> row `index` finds it.  A table made
+    over another table's `index` in place of a word list shares it, so the
+    tables derived from one set of words hold one index between them.  Bulk
+    code reads `array` through `rows_of(words)`; single entries read
+    through [].  Looking up a missing word raises
+    MissingMarkovParameterError rather than returning a default.
     """
 
-    def __init__(self, shape: Tuple[int, int]):
+    def __init__(self, shape: Tuple[int, int],
+                 words: Union[Sequence[Word], Mapping[Word, int]], array: np.ndarray):
         rows, cols = int(shape[0]), int(shape[1])
         if rows < 1 or cols < 1:
             raise DimensionError(f"table shape must be positive, got {shape}")
         self.shape = (rows, cols)
-        self._index: Dict[Word, int] = {}
-        self._array = np.empty((0, rows, cols))
-
-    @classmethod
-    def _from_array(cls, shape: Tuple[int, int], words: Sequence[Word],
-                    array: np.ndarray) -> "WordIndexedMatrixTable":
-        """Table whose entry for words[i] is array[i]; the array is kept, not copied.
-
-        The words must be Words already (valid, distinct).
-        """
-        table = cls(shape)
-        if array.shape != (len(words),) + table.shape:
+        self._index = words if isinstance(words, MappingProxyType) else _index_of(words)
+        self._array = np.asarray(array, dtype=float)
+        if self._array.shape != (len(self._index),) + self.shape:
             raise DimensionError(
-                f"array of shape {array.shape} does not hold {len(words)} "
-                f"matrices of shape {table.shape}"
+                f"array of shape {self._array.shape} does not hold {len(self._index)} "
+                f"matrices of shape {self.shape}"
             )
-        table._index = dict(zip(words, range(len(words))))
-        table._array = array
-        return table
 
     @classmethod
-    def _from_stacks(cls, shape: Tuple[int, int],
-                     stacks: Sequence[Tuple[Sequence[Word], np.ndarray]]
-                     ) -> "WordIndexedMatrixTable":
-        """Table holding stack[i] for words[i], for each (words, stack) pair.
-
-        The words must be Words already (valid, distinct); the stacks,
-        each of shape (len(words),) + shape, become one array.
-        """
-        words = [w for ws, _ in stacks for w in ws]
-        array = np.concatenate([np.asarray(stack, dtype=float) for _, stack in stacks]
-                               or [np.empty((0,) + tuple(shape))])
-        return cls._from_array(shape, words, array)
+    def from_pairs(cls, shape: Tuple[int, int],
+                   pairs: Iterable[Tuple[Word, np.ndarray]]) -> "WordIndexedMatrixTable":
+        """Table of (word, matrix) pairs, its rows in the order the words first
+        appear; a later pair for a word replaces its matrix.  A matrix of
+        another shape raises DimensionError naming its word."""
+        shape = (int(shape[0]), int(shape[1]))
+        entries: Dict[Word, np.ndarray] = {}
+        for w, value in pairs:
+            value = np.asarray(value, dtype=float)
+            if value.shape != shape:
+                raise DimensionError(f"matrix for word '{w}' has shape {value.shape}, "
+                                     f"table holds {shape}")
+            entries[_as_word(w)] = value
+        return cls(shape, tuple(entries), np.array(list(entries.values())).reshape(
+            (len(entries),) + shape))
 
     @property
     def index(self) -> Mapping[Word, int]:
         """Read-only map from each stored word to its row in `array`."""
-        return MappingProxyType(self._index)
+        return self._index
 
     @property
     def array(self) -> np.ndarray:
@@ -326,18 +329,6 @@ class WordIndexedMatrixTable:
                                count=len(words))
         except KeyError as exc:
             raise MissingMarkovParameterError(str(_as_word(exc.args[0]))) from None
-
-    def __setitem__(self, w: Word, value: np.ndarray) -> None:
-        value = np.asarray(value, dtype=float)
-        if value.shape != self.shape:
-            raise DimensionError(
-                f"matrix for word '{w}' has shape {value.shape}, table holds {self.shape}"
-            )
-        row = self._index.setdefault(_as_word(w), len(self._index))
-        if row == len(self._array):
-            self._array = np.concatenate([self._array, value[None]])
-        else:
-            self._array[row] = value
 
     def __getitem__(self, w: Word) -> np.ndarray:
         # a Word is valid already; any other key is checked on every access

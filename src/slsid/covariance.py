@@ -29,7 +29,7 @@ from __future__ import annotations
 import functools
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -38,10 +38,11 @@ from .algebra import (
     Word,
     WordIndexedMatrixTable,
     _as_words,
+    _index_of,
     enumerate_words,
     word_probability,
 )
-from .errors import DimensionError, InsufficientDataError
+from .errors import DimensionError, InsufficientDataError, InvalidModeError
 from .model import DeterministicModel, SwitchedModel, markov_parameter
 from .simulate import Dataset, as_count
 
@@ -86,6 +87,9 @@ class CovarianceTable:
 
     def validate(self) -> "CovarianceTable":
         n_y, n_u = self.n_y, self.n_u
+        if self.lambda_yy.shape != (n_y, n_y):
+            raise DimensionError(f"lambda_yy must hold {n_y}x{n_y} matrices, "
+                                 f"got {self.lambda_yy.shape}")
         if self.lambda_yu.shape != (n_y, n_u):
             raise DimensionError("lambda_yu shape mismatch")
         if self.q_u.shape != (n_u, n_u):
@@ -124,7 +128,8 @@ class CovarianceTable:
         entry of metadata that is not a list, a matrix that is not finite
         numbers of its shape, or a "t_yy_sigma" that does not key exactly
         the modes "1".."D", D = len(p), raises DimensionError naming the
-        field.
+        field.  A table word with a letter outside 1..D raises
+        InvalidModeError naming the table and the word.
         """
         if not isinstance(obj, dict):
             raise DimensionError(
@@ -142,15 +147,17 @@ class CovarianceTable:
             raise DimensionError(f"metadata's degenerate_words must be a list, "
                                  f"got {type(degenerate).__name__}")
         n_y, n_u = as_count(obj["n_y"], "n_y", 1), as_count(obj["n_u"], "n_u", 1)
-        lam_yu = WordIndexedMatrixTable((n_y, n_u))
-        for text, m in obj["lambda_yu"].items():
-            lam_yu[Word.parse(text)] = _finite(m, f"lambda_yu[{text!r}]")
-        lam_yy = WordIndexedMatrixTable((n_y, n_y))
-        for text, m in obj["lambda_yy"].items():
-            lam_yy[Word.parse(text)] = _finite(m, f"lambda_yy[{text!r}]")
+        tables = {key: WordIndexedMatrixTable.from_pairs(
+            shape, ((Word.parse(text), _finite(m, f"{key}[{text!r}]"))
+                    for text, m in obj[key].items()))
+            for key, shape in (("lambda_yu", (n_y, n_u)), ("lambda_yy", (n_y, n_y)))}
         p = np.atleast_1d(_finite(obj["p"], "p"))
         if p.ndim != 1:
             raise DimensionError(f"p must be a list of numbers, got shape {p.shape}")
+        for key, table in tables.items():
+            for w in (w for w in table.index if w and max(w) > p.shape[0]):
+                raise InvalidModeError(f"{key} word '{w}' has a letter outside "
+                                       f"the modes 1..{p.shape[0]}")
         modes = [str(s) for s in range(1, p.shape[0] + 1)]
         t_obj = obj["t_yy_sigma"]
         if set(t_obj) != set(modes):
@@ -161,8 +168,7 @@ class CovarianceTable:
             if m.shape != (n_y, n_y):
                 raise DimensionError(
                     f"t_yy_sigma[{key!r}] must be {n_y}x{n_y}, got shape {m.shape}")
-        return cls(lambda_yu=lam_yu, lambda_yy=lam_yy, t_yy=np.array(t_yy),
-                   q_u=_finite(obj["q_u"], "q_u"), p=p,
+        return cls(**tables, t_yy=np.array(t_yy), q_u=_finite(obj["q_u"], "q_u"), p=p,
                    metadata=dict(obj.get("metadata", {})))
 
 
@@ -191,15 +197,20 @@ def _z_block(b: np.ndarray, q: np.ndarray, p, w: Word, n0: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _ordered_words(words: Tuple[Word, ...]) -> Tuple[Word, ...]:
-    """The distinct words in length-then-lex order: a stable sort by length
-    of the lex-sorted set.  Cached, since repeated estimations ask for the
-    same words."""
-    return tuple(sorted(sorted(set(words)), key=len))
+def _ordered_words(words: Tuple[Word, ...]) -> Tuple[Tuple[Word, ...], Mapping, Mapping]:
+    """The distinct words in length-then-lex order (a stable sort by length
+    of the lex-sorted set), and the row indexes of the estimator's tables:
+    Lambda^{y,u}'s over those words and Lambda^{y,y}'s over the nonempty
+    ones.  Cached, since repeated estimations ask for the same words, so
+    their tables share the indexes."""
+    words = tuple(sorted(sorted(set(words)), key=len))
+    return words, _index_of(words), _index_of(words[1:] if words and not words[0] else words)
 
 
 def _prepare(data: Dataset, words: Iterable[Word]):
-    words = _ordered_words(_as_words(words))
+    """(ordered words, Lambda^{y,u} index, Lambda^{y,y} index), N_0, n_eff."""
+    ordered = _ordered_words(_as_words(words))
+    words = ordered[0]
     # the words are ordered by length; T^{y,y}_{s,s} reads y(t-1)
     max_len = max(len(words[-1]) if words else 0, 1)
     n0 = max_len + 1
@@ -208,7 +219,7 @@ def _prepare(data: Dataset, words: Iterable[Word]):
         raise InsufficientDataError(
             f"need more than {n0} samples for words up to length {max_len}, got {len(data)}"
         )
-    return words, n0, n_eff
+    return ordered, n0, n_eff
 
 
 class _Lag(NamedTuple):
@@ -368,7 +379,7 @@ def empirical_covariances(
     sums equal those of the per-word _z_block products up to rounding.
     """
     p = np.asarray(p, dtype=float)
-    words, n0, n_eff = _prepare(data, words)
+    (words, index_yu, index_yy), n0, n_eff = _prepare(data, words)
     D, T = p.shape[0], len(data)
     word_probability(p, EMPTY_WORD)  # validates p
     levels, n_dense = _suffix_tables(words, D)
@@ -390,9 +401,10 @@ def empirical_covariances(
             _add_outer(acc[k - 1], node, y[t0:t0 + n],
                        (u[t0 - k:t0 - k + n], y[t0 - k:t0 - k + n]), work[:n])
 
-    stacks_yu, stacks_yy, unproven = [], [], {}
+    # each table's rows, lag by lag, in the order of its index
+    parts_yu, parts_yy, unproven = [np.empty((0, n_y, n_u))], [np.empty((0, n_y, n_y))], {}
     if words and not words[0]:  # the empty word sorts first
-        stacks_yu.append(([EMPTY_WORD], (y[n0:].T @ u[n0:] / n_eff)[None]))
+        parts_yu.append((y[n0:].T @ u[n0:] / n_eff)[None])
     for k, (lag, packed) in enumerate(zip(levels, acc), start=1):
         if not lag.heads:
             continue
@@ -404,9 +416,9 @@ def empirical_covariances(
             probs = probs * p_letters[:, j]
         scale = (n_eff * np.sqrt(probs))[:, None, None]
         s_yu = sums[:n_y * n_u].reshape(n_y, n_u, lag.n_ids).transpose(2, 0, 1)[lag.ids] / scale
-        stacks_yu.append((lag.heads, s_yu))
         s_yy = sums[n_y * n_u:].reshape(n_y, n_y, lag.n_ids).transpose(2, 0, 1)[lag.ids] / scale
-        stacks_yy.append((lag.heads, s_yy))
+        parts_yu.append(s_yu)
+        parts_yy.append(s_yy)
         # a nonzero sum of y(t) y(t-k)^T needs a nonzero lagged y, so the
         # word occurs; only words whose sum is zero need the count
         zero = ~s_yy.any(axis=(1, 2))
@@ -425,8 +437,8 @@ def empirical_covariances(
             missing.update(lag.heads[i]
                            for i in np.flatnonzero(zero & (counts[k][lag.ids] == 0)))
 
-    lam_yu = WordIndexedMatrixTable._from_stacks((data.n_y, data.n_u), stacks_yu)
-    lam_yy = WordIndexedMatrixTable._from_stacks((data.n_y, data.n_y), stacks_yy)
+    lam_yu = WordIndexedMatrixTable((n_y, n_u), index_yu, np.concatenate(parts_yu))
+    lam_yy = WordIndexedMatrixTable((n_y, n_y), index_yy, np.concatenate(parts_yy))
     degenerate = [str(w) for w in words if w in missing]
     for text in degenerate:
         warnings.warn(f"word '{text}' never occurs in the data; covariance set to 0")
@@ -463,24 +475,17 @@ def exact_covariances(
     model.validate()
     d_assoc = associated_dlss(model)
     n_u, n_y = model.n_u, model.n_y
-    words = list(enumerate_words(model.n_modes, max_len))
-    lam_yu = WordIndexedMatrixTable((n_y, n_u))
-    lam_ys = {}
-    for w in words:
-        Mw = markov_parameter(d_assoc, w)
-        lam_yu[w] = Mw[:, :n_u] @ model.Q_u
-        if len(w) > 0:
-            lam_ys[w] = Mw[:, n_u:]
+    markov = {w: markov_parameter(d_assoc, w) for w in enumerate_words(model.n_modes, max_len)}
+    lam_yu = WordIndexedMatrixTable.from_pairs(
+        (n_y, n_u), ((w, Mw[:, :n_u] @ model.Q_u) for w, Mw in markov.items()))
 
     sqrt_p = np.sqrt(model.p)[:, None, None]
     m_tilde = DeterministicModel(A=sqrt_p * model.A, B=sqrt_p * model.B, C=model.C,
                                  Dmat=model.Dmat)
-    nonempty = [w for w in words if len(w) > 0]
+    nonempty = [w for w in markov if w]
     lam_dd, t_dd = lambda_ydyd(m_tilde, model.Q_u, model.p, nonempty)
-
-    lam_yy = WordIndexedMatrixTable((n_y, n_y))
-    for w in nonempty:
-        lam_yy[w] = lam_ys[w] + lam_dd[w]
+    lam_yy = WordIndexedMatrixTable.from_pairs(
+        (n_y, n_y), ((w, markov[w][:, n_u:] + lam_dd[w]) for w in nonempty))
 
     P = state_second_moment(model)
     t_ys = (model.C @ P @ model.C.T + model.F @ model.Q_v @ model.F.T) / model.p[:, None, None]

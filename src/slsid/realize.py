@@ -36,7 +36,8 @@ import functools
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import combinations, count, repeat
-from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple, Union
+from types import MappingProxyType
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -54,6 +55,7 @@ from .algebra import (
 from .covariance import CovarianceTable
 from .errors import (
     DimensionError,
+    MissingMarkovParameterError,
     ModelInvalidError,
     NonConvergenceError,
     NoSelectionFoundError,
@@ -305,24 +307,20 @@ def associated_slss(
     return model, state
 
 
-def psi_uy(cov: CovarianceTable, words: Iterable[Word]) -> WordIndexedMatrixTable:
+def psi_uy(cov: CovarianceTable) -> WordIndexedMatrixTable:
     """Input-to-output Markov values Psi(w) = Lambda^{y,u}_w Q_u^{-1}.
 
-    One batched np.linalg.solve against Q_u over the given words, which
-    gives the bits of a solve per word.  Q_u must be numerically
-    nonsingular and every word must be in cov.lambda_yu
-    (MissingMarkovParameterError names the first one that is not).
+    One batched np.linalg.solve against Q_u over every word of
+    cov.lambda_yu, which gives the bits of a solve per word; the result
+    shares cov.lambda_yu's index.  Q_u must be numerically nonsingular.
     """
     q_u = cov.q_u
     svals = np.linalg.svd(q_u, compute_uv=False)
     if svals[0] == 0.0 or svals[-1] < 1e-10 * svals[0]:
         raise NotFullRankError("input covariance Q_u is numerically singular")
     lam_yu = cov.lambda_yu
-    words = list(dict.fromkeys(_as_words(words)))
-    lam_t = lam_yu.array[lam_yu.rows_of(words)].transpose(0, 2, 1)
-    values = np.linalg.solve(q_u, lam_t).transpose(0, 2, 1)
-    return WordIndexedMatrixTable._from_array((cov.n_y, cov.n_u), words,
-                                              np.ascontiguousarray(values))
+    values = np.linalg.solve(q_u, lam_yu.array.transpose(0, 2, 1)).transpose(0, 2, 1)
+    return WordIndexedMatrixTable(lam_yu.shape, lam_yu.index, np.ascontiguousarray(values))
 
 
 @functools.lru_cache(maxsize=8)
@@ -363,7 +361,7 @@ def lambda_ydyd(
     m_d: DeterministicModel,
     q_u: np.ndarray,
     p: Sequence[float],
-    words: Iterable[Word],
+    words: Union[Iterable[Word], Mapping[Word, int]],
 ) -> Tuple[WordIndexedMatrixTable, np.ndarray]:
     """Output covariances of the input-driven subsystem from its dLSS.
 
@@ -375,6 +373,7 @@ def lambda_ydyd(
     (D, n_y, n_y) array,
         T^{yd,yd}_{s,s} = (1/p_s) C Pt_s C^T + D Q_u D^T.
     The empty word, if requested, gets E[y_d y_d^T] = C (sum_s Pt_s) C^T + D Q_u D^T.
+    words may be a table's `index`, which the returned table then shares.
 
     Every word's letters are checked against 1..D.  The products go level
     by level through a plan cached per word list: A_rest for all rests (and
@@ -389,7 +388,7 @@ def lambda_ydyd(
     if p.shape != (D,):
         raise DimensionError(f"p must have {D} entries, got {p.shape}")
     q_u = np.atleast_2d(np.asarray(q_u, dtype=float))
-    words, spans, parent, last, rest_ids, nonempty, first, empty = _ydyd_plan(
+    distinct, spans, parent, last, rest_ids, nonempty, first, empty = _ydyd_plan(
         _as_words(words), D)
     P = input_state_second_moment(m_d, q_u, p)
     C, Dm, A = m_d.C, m_d.Dmat, m_d.A
@@ -399,11 +398,12 @@ def lambda_ydyd(
     along[0] = np.eye(m_d.n_x)
     for lo, hi in spans:
         along[lo:hi] = A[last[lo:hi]] @ along[parent[lo:hi]]
-    values = np.empty((len(words), m_d.n_y, m_d.n_y))
+    values = np.empty((len(distinct), m_d.n_y, m_d.n_y))
     values[nonempty] = (C @ along)[rest_ids] @ cores[first]
     if empty is not None:
         values[empty] = C @ sum(P) @ C.T + Dm @ q_u @ Dm.T
-    table = WordIndexedMatrixTable._from_array((m_d.n_y, m_d.n_y), words, values)
+    shared = isinstance(words, MappingProxyType)
+    table = WordIndexedMatrixTable((m_d.n_y, m_d.n_y), words if shared else distinct, values)
     t_dd = (C @ P @ C.T) / p_col + Dm @ q_u @ Dm.T
     return table, (t_dd + t_dd.transpose(0, 2, 1)) / 2.0
 
@@ -445,20 +445,6 @@ class _JointRealization:
     found: dict
 
 
-def _joint_table(cov: CovarianceTable, psi: WordIndexedMatrixTable,
-                lam_dd: WordIndexedMatrixTable, words: Sequence[Word]
-                ) -> WordIndexedMatrixTable:
-    """The joint Markov values M(w) = [Psi(w), Lambda^{y,y}_w - Lambda^{yd,yd}_w].
-
-    words must be Words; the first one missing from cov.lambda_yy raises
-    MissingMarkovParameterError.
-    """
-    lam_yy = cov.lambda_yy
-    noise = lam_yy.array[lam_yy.rows_of(words)] - lam_dd.array[lam_dd.rows_of(words)]
-    values = np.concatenate([psi.array[psi.rows_of(words)], noise], axis=2)
-    return WordIndexedMatrixTable._from_array((cov.n_y, cov.n_u + cov.n_y), words, values)
-
-
 def _check_selections(sel: Union[Selection, str], sel_bar: Union[Selection, str],
                       n_x: int, n_bar: int, D: int, n_y: int, n_u: int) -> None:
     """Check that each explicit selection fits the realization asked of it.
@@ -488,39 +474,49 @@ def _attempts(cov: CovarianceTable, n_x: int, n_bar: int,
     """Steps 1-5 of the covariance realization, attempt after attempt.
 
     sel and sel_bar are Selections, checked by _check_selections, or
-    "search".  Step 1 builds Psi once: over every word of the table when a
-    selection is searched, else over the words the selections need.  Each
-    attempt makes step 2 and yields a call that makes its steps 3-5 and
-    returns its _JointRealization, so that their errors are raised where
-    the attempt is run.  An explicit selection goes straight to Ho-Kalman;
-    "search" takes the next vetted candidate (_iter_vetted): attempt a uses
-    the a-th vetted sel_bar, from one search kept across attempts, and the
-    a-th vetted sel on that sel_bar's joint table.  Step 1 and step 2
-    errors end the attempts, since every later attempt would repeat them.
+    "search".  Once per realization: Psi over Lambda^{y,u}'s words (step
+    1), and Lambda^{y,y} and Psi gathered over the joint words, the
+    nonempty words of both tables; each attempt's Lambda^{yd,yd} and joint
+    table share Lambda^{y,y}'s index over them.  An explicit selection's
+    missing words are found up front and raised in the stage that reads
+    them: step 1 (Lambda^{y,u}, both selections explicit) or steps 3-4.
+    Each attempt makes step 2 and yields a call that makes its steps 3-5
+    and returns its _JointRealization, so that their errors are raised
+    where the attempt is run.  An explicit selection goes straight to
+    Ho-Kalman; "search" takes the next vetted candidate (_iter_vetted):
+    attempt a uses the a-th vetted sel_bar, from one search kept across
+    attempts, and the a-th vetted sel on that sel_bar's joint table.  Step
+    1 and step 2 errors end the attempts.
     """
     cov.validate()
     D = cov.p.shape[0]
     _check_selections(sel, sel_bar, n_x, n_bar, D, cov.n_y, cov.n_u)
-    if isinstance(sel, Selection) and isinstance(sel_bar, Selection):
-        words = [EMPTY_WORD, *required_words(sel_bar), *required_words(sel)]
-    else:
-        words = list(cov.lambda_yu.index)
+    lam_yu, lam_yy = cov.lambda_yu, cov.lambda_yy
     with _stage("step 1 (input Markov values)"):
-        psi = psi_uy(cov, words)
+        psi = psi_uy(cov)
+        if isinstance(sel, Selection) and isinstance(sel_bar, Selection):
+            lam_yu.rows_of([EMPTY_WORD, *required_words(sel_bar), *required_words(sel)])
         psi_eps = psi[EMPTY_WORD]
     M_eps = np.hstack([psi_eps, np.eye(cov.n_y)])
-    if isinstance(sel, Selection):
-        joint_words = list(required_words(sel))
-    else:
-        in_yy = cov.lambda_yy.index
-        joint_words = [w for w in psi.index if w and w in in_yy]
+    in_yu = lam_yu.index
+    joint_words = [w for w in lam_yy.index if w and w in in_yu]
+    if len(joint_words) < len(lam_yy):
+        lam_yy = WordIndexedMatrixTable(lam_yy.shape, joint_words,
+                                        lam_yy.array[lam_yy.rows_of(joint_words)])
+    psi_joint = psi.array[psi.rows_of(joint_words)]
+    needed = required_words(sel) if isinstance(sel, Selection) else ()
+    absent = [w for w in needed if w not in cov.lambda_yy] or [w for w in needed if w not in lam_yu]
 
     def steps_3_to_5(bar: Selection, m_psi: DeterministicModel,
                      attempt: int) -> _JointRealization:
         found = {"selection_bar_found": bar.to_jsonable()} if sel_bar == "search" else {}
         with _stage("steps 3-4 (noise-part covariances)"):
-            lam_dd, t_dd = lambda_ydyd(m_psi, cov.q_u, cov.p, joint_words)
-            M = _joint_table(cov, psi, lam_dd, joint_words)
+            lam_dd, t_dd = lambda_ydyd(m_psi, cov.q_u, cov.p, lam_yy.index)
+            if absent:
+                raise MissingMarkovParameterError(str(absent[0]))
+            M = WordIndexedMatrixTable(
+                (cov.n_y, cov.n_u + cov.n_y), lam_yy.index,
+                np.concatenate([psi_joint, lam_yy.array - lam_dd.array], axis=2))
         with _stage("step 5 (joint realization)"):
             if sel == "search":
                 joint, m_full = next(_iter_vetted(M, M_eps, n_x, cov.n_y,

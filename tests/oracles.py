@@ -73,9 +73,8 @@ def least_squares_covariances(data: Dataset, p: Sequence[float],
     _, n0, n_eff = _prepare(data, words_full)
 
     def regress(b: np.ndarray, words: Sequence[Word]) -> WordIndexedMatrixTable:
-        table = WordIndexedMatrixTable((data.n_y, b.shape[1]))
         if not words:
-            return table
+            return WordIndexedMatrixTable.from_pairs((data.n_y, b.shape[1]), [])
         phi = np.hstack([_z_block(b, data.q, p, w, n0) for w in words])
         if n_eff <= phi.shape[1]:
             raise InsufficientDataError(
@@ -86,9 +85,10 @@ def least_squares_covariances(data: Dataset, p: Sequence[float],
                 f"regressor matrix has rank {rank} < {phi.shape[1]} columns")
         theta = np.linalg.lstsq(phi, data.y[n0:], rcond=None)[0]
         gram_theta = phi.T @ (phi @ theta) / n_eff
-        for j, w in enumerate(words):
-            table[w] = gram_theta[j * b.shape[1]:(j + 1) * b.shape[1], :].T
-        return table
+        return WordIndexedMatrixTable.from_pairs(
+            (data.n_y, b.shape[1]),
+            ((w, gram_theta[j * b.shape[1]:(j + 1) * b.shape[1], :].T)
+             for j, w in enumerate(words)))
 
     z = np.array([_z_block(data.y, data.q, p, Word((s,)), n0) for s in range(1, len(p) + 1)])
     t_yy = z.transpose(0, 2, 1) @ z / n_eff

@@ -80,9 +80,9 @@ def test_word_is_a_validated_tuple():
                  lambda: w + (0,)):
         with pytest.raises(InvalidModeError):
             make()
-    t = WordIndexedMatrixTable((1, 1))
-    t[w] = [[1.0]]
-    for access in (lambda: t[(0, 1)], lambda: (1, 0) in t, lambda: t.__setitem__((0,), [[0.0]])):
+    t = WordIndexedMatrixTable.from_pairs((1, 1), [(w, [[1.0]])])
+    for access in (lambda: t[(0, 1)], lambda: (1, 0) in t,
+                   lambda: WordIndexedMatrixTable.from_pairs((1, 1), [((0,), [[0.0]])])):
         with pytest.raises(InvalidModeError):
             access()
     with pytest.raises(AttributeError):
@@ -200,14 +200,10 @@ def test_required_words_are_the_words_the_hankels_read():
     assert all(type(w) is Word for w in words)
     rng = np.random.default_rng(3)
     values = {w: rng.normal(size=(1, 1)) for w in words}
-    table = WordIndexedMatrixTable((1, 1))
-    for w, m in values.items():
-        table[w] = m
-    build_hankel(sel, table)
+    build_hankel(sel, WordIndexedMatrixTable.from_pairs((1, 1), values.items()))
     for dropped in words:
-        partial = WordIndexedMatrixTable((1, 1))
-        for w in words - {dropped}:
-            partial[w] = values[w]
+        partial = WordIndexedMatrixTable.from_pairs(
+            (1, 1), ((w, values[w]) for w in words - {dropped}))
         with pytest.raises(MissingMarkovParameterError):
             build_hankel(sel, partial)
 
@@ -215,36 +211,39 @@ def test_required_words_are_the_words_the_hankels_read():
 # ---------------------------------------------------------------- tables
 
 
-def test_table_set_get_and_errors():
-    t = WordIndexedMatrixTable((1, 2))
-    t[Word.parse("1")] = [[1.0, 2.0]]
+def test_table_construction_get_and_errors():
+    t = WordIndexedMatrixTable.from_pairs((1, 2), [(Word.parse("1"), [[1.0, 2.0]])])
     assert np.array_equal(t[Word.parse("1")], [[1.0, 2.0]])
     assert Word.parse("1") in t and Word.parse("2") not in t
     assert len(t) == 1
-    with pytest.raises(DimensionError):
-        t[Word.parse("2")] = [[1.0]]
+    with pytest.raises(DimensionError, match="matrix for word '2' has shape"):
+        WordIndexedMatrixTable.from_pairs(
+            (1, 2), [(Word.parse("1"), [[1.0, 2.0]]), (Word.parse("2"), [[1.0]])])
+    # a table has no way to grow or to store an entry after it is built
+    assert not hasattr(t, "__setitem__")
     with pytest.raises(MissingMarkovParameterError) as err:
         _ = t[Word.parse("21")]
     assert "21" in str(err.value)
     with pytest.raises(DimensionError):
-        WordIndexedMatrixTable((0, 1))
+        WordIndexedMatrixTable((0, 1), [], np.empty((0, 0, 1)))
 
 
 def test_table_keys_are_validated_once_at_the_boundary():
-    t = WordIndexedMatrixTable((1, 1))
-    t[(1, 2)] = [[1.0]]
-    t[[2]] = [[2.0]]
+    t = WordIndexedMatrixTable.from_pairs((1, 1), [((1, 2), [[1.0]]), ([2], [[2.0]])])
     # tuple, list and Word keys for equal words hit the same entry
     assert np.array_equal(t[Word((1, 2))], [[1.0]])
     assert np.array_equal(t[[1, 2]], [[1.0]])
     assert np.array_equal(t[Word((1,)) + Word((2,))], [[1.0]])
     assert hash(Word((1,)) + Word((2,))) == hash(Word((1, 2)))
     assert (2,) in t and [2] in t and Word((2,)) in t
-    t[Word((1, 2))] = [[3.0]]
-    assert len(t) == 2 and np.array_equal(t[(1, 2)], [[3.0]])
+    # a later pair for an equal word replaces the value and keeps its row
+    t = WordIndexedMatrixTable.from_pairs(
+        (1, 1), [((1, 2), [[1.0]]), ([2], [[2.0]]), (Word((1, 2)), [[3.0]])])
+    assert len(t) == 2 and np.array_equal(t[(1, 2)], [[3.0]]) and t.index[(1, 2)] == 0
     assert all(type(w) is Word for w in t.words())
     # a letter below 1 is rejected on entry, whatever the access
-    for access in (lambda: t.__setitem__((1, 0), [[0.0]]),
+    for access in (lambda: WordIndexedMatrixTable.from_pairs((1, 1), [((1, 0), [[0.0]])]),
+                   lambda: WordIndexedMatrixTable((1, 1), [(1, 0)], np.zeros((1, 1, 1))),
                    lambda: t[(0,)],
                    lambda: (2, 0) in t):
         with pytest.raises(InvalidModeError):
@@ -255,11 +254,10 @@ def test_table_keys_are_validated_once_at_the_boundary():
 
 
 def test_table_holds_its_matrices_in_one_array():
-    t = WordIndexedMatrixTable((1, 2))
     words = list(enumerate_words(2, 4))
-    for i, w in enumerate(reversed(words)):  # more entries than the first room
-        t[w] = [[float(i), -float(i)]]
-    t[words[-1]] = [[7.0, 8.0]]  # a new value for a stored word keeps its row
+    pairs = [(w, [[float(i), -float(i)]]) for i, w in enumerate(reversed(words))]
+    # a new value for a stored word keeps its row
+    t = WordIndexedMatrixTable.from_pairs((1, 2), pairs + [(words[-1], [[7.0, 8.0]])])
     assert len(t) == len(words) and t.array.shape == (len(words), 1, 2)
     assert np.array_equal(t.array[0], [[7.0, 8.0]]) and t.array[5][0, 0] == 5.0
     rows = t.rows_of([words[0], words[-1], words[1]])
@@ -270,20 +268,26 @@ def test_table_holds_its_matrices_in_one_array():
     assert t.index[words[-1]] == 0
     with pytest.raises(TypeError):
         t.index[words[0]] = 3
-    # stacks become one array, in the order given
-    stacked = WordIndexedMatrixTable._from_stacks(
-        (1, 1), [([Word((2,)), Word((1,))], np.array([[[2.0]], [[1.0]]])),
-                 ([EMPTY_WORD], np.zeros((1, 1, 1)))])
-    assert stacked.array[:, 0, 0].tolist() == [2.0, 1.0, 0.0]
+    # words and an array make a table that keeps the array, in the order given
+    values = np.array([[[2.0]], [[1.0]], [[0.0]]])
+    stacked = WordIndexedMatrixTable((1, 1), [Word((2,)), Word((1,)), EMPTY_WORD], values)
+    assert stacked.array is values and stacked.array[:, 0, 0].tolist() == [2.0, 1.0, 0.0]
     assert [str(w) for w in stacked.words()] == ["e", "1", "2"]
+    assert len(WordIndexedMatrixTable.from_pairs((1, 1), [])) == 0
     with pytest.raises(DimensionError, match="does not hold 2 matrices"):
-        WordIndexedMatrixTable._from_stacks((1, 1), [([Word((1,)), Word((2,))], np.zeros((3, 1, 1)))])
+        WordIndexedMatrixTable((1, 1), [Word((1,)), Word((2,))], np.zeros((3, 1, 1)))
+    with pytest.raises(DimensionError, match="distinct"):
+        WordIndexedMatrixTable((1, 1), [Word((1,)), (1,)], np.zeros((2, 1, 1)))
+    # a table built over another's index shares it, and only reads through it
+    derived = WordIndexedMatrixTable((2, 2), stacked.index, np.ones((3, 2, 2)))
+    assert derived.index is stacked.index and derived.rows_of([Word((1,))]).tolist() == [1]
+    with pytest.raises(DimensionError, match="does not hold 3 matrices"):
+        WordIndexedMatrixTable((1, 1), stacked.index, np.zeros((2, 1, 1)))
 
 
 def test_table_words_sorted():
-    t = WordIndexedMatrixTable((1, 1))
-    for text in ("21", "2", "e", "1"):
-        t[Word.parse(text)] = [[0.0]]
+    t = WordIndexedMatrixTable.from_pairs(
+        (1, 1), ((Word.parse(text), [[0.0]]) for text in ("21", "2", "e", "1")))
     assert [str(w) for w in t.words()] == ["e", "1", "2", "21"]
 
 
@@ -292,10 +296,8 @@ def test_table_words_sorted():
 
 def scalar_markov_table(a, b, c, max_len):
     # one-mode family: M(1^m) = c a^{m-1} b
-    t = WordIndexedMatrixTable((1, 1))
-    for m in range(1, max_len + 1):
-        t[Word((1,) * m)] = [[c * a ** (m - 1) * b]]
-    return t
+    return WordIndexedMatrixTable.from_pairs(
+        (1, 1), ((Word((1,) * m), [[c * a ** (m - 1) * b]]) for m in range(1, max_len + 1)))
 
 
 def test_build_hankel_scalar_hand_values():
@@ -313,10 +315,9 @@ def test_build_hankel_composes_words_in_time_order(two_mode):
     # fill a table with values that encode the word itself, then check each
     # entry against an independent string recomposition head + shift + tail
     words = list(enumerate_words(2, 6, min_len=1))
-    t = WordIndexedMatrixTable((1, 2))
     code = {w: float(i + 1) for i, w in enumerate(words)}
-    for w in words:
-        t[w] = [[code[w], 10000.0 + code[w]]]
+    t = WordIndexedMatrixTable.from_pairs(
+        (1, 2), ((w, [[code[w], 10000.0 + code[w]]]) for w in words))
     H, H_sigma, _, _ = build_hankel(two_mode.sel, t)
 
     def digits(w):
@@ -332,8 +333,7 @@ def test_build_hankel_composes_words_in_time_order(two_mode):
 
 
 def test_build_hankel_missing_word_and_shape_checks(two_mode):
-    t = WordIndexedMatrixTable((1, 2))
-    t[Word.parse("1")] = [[1.0, 2.0]]
+    t = WordIndexedMatrixTable.from_pairs((1, 2), [(Word.parse("1"), [[1.0, 2.0]])])
     with pytest.raises(MissingMarkovParameterError):
         build_hankel(two_mode.sel, t)
     with pytest.raises(DimensionError):
@@ -381,19 +381,17 @@ def test_gathered_hankels_have_the_bits_of_the_per_entry_loop(seed, D, n, n_y, n
     beta = data.draw(st.lists(st.tuples(st.integers(1, D), words, st.integers(1, n_cols)),
                               min_size=n, max_size=n))
     sel = Selection(tuple(alpha), tuple(beta), n_modes=D, n_y=n_y, n_cols=n_cols)
-    table = WordIndexedMatrixTable((n_y, n_cols))
-    for w in enumerate_words(D, 2 * n + 2, min_len=1):
-        table[w] = rng.normal(size=(n_y, n_cols))
+    table = WordIndexedMatrixTable.from_pairs(
+        (n_y, n_cols), ((w, rng.normal(size=(n_y, n_cols)))
+                        for w in enumerate_words(D, 2 * n + 2, min_len=1)))
     got, want = build_hankel(sel, table), build_hankel_per_entry(sel, table)
     for part_got, part_want in zip(got, want):
         for x, y in zip(np.reshape(part_got, (-1,) + np.shape(part_want)[-2:]),
                         np.reshape(part_want, (-1,) + np.shape(part_want)[-2:])):
             assert x.shape == y.shape and x.tobytes() == np.ascontiguousarray(y).tobytes()
     # with some words left out, both name the same first missing word
-    partial = WordIndexedMatrixTable((n_y, n_cols))
-    for w in table.words():
-        if rng.uniform() < 0.8:
-            partial[w] = table[w]
+    partial = WordIndexedMatrixTable.from_pairs(
+        (n_y, n_cols), ((w, table[w]) for w in table.words() if rng.uniform() < 0.8))
     assert (_first_missing(build_hankel, sel, partial)
             == _first_missing(build_hankel_per_entry, sel, partial))
 
@@ -401,13 +399,9 @@ def test_gathered_hankels_have_the_bits_of_the_per_entry_loop(seed, D, n, n_y, n
 def test_build_hankel_is_linear_in_the_table():
     rng = np.random.default_rng(7)
     words = list(enumerate_words(2, 5, min_len=1))
-    t1 = WordIndexedMatrixTable((1, 1))
-    t2 = WordIndexedMatrixTable((1, 1))
-    t3 = WordIndexedMatrixTable((1, 1))
-    for w in words:
-        m1, m2 = rng.normal(size=(1, 1)), rng.normal(size=(1, 1))
-        t1[w], t2[w] = m1, m2
-        t3[w] = 0.7 * m1 - 1.3 * m2
+    draws = rng.normal(size=(len(words), 2, 1, 1))  # m1, m2 word by word
+    m1, m2 = draws[:, 0], draws[:, 1]
+    t1, t2, t3 = (WordIndexedMatrixTable((1, 1), words, m) for m in (m1, m2, 0.7 * m1 - 1.3 * m2))
     sel = Selection(((Word.parse("1"), 1), (EMPTY_WORD, 1)),
                     ((2, EMPTY_WORD, 1), (1, Word.parse("2"), 1)),
                     n_modes=2, n_y=1, n_cols=1)

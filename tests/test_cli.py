@@ -797,6 +797,33 @@ def test_a_bad_p_is_reported_as_probabilities_not_as_a_model(workspace, tmp_path
     assert "invalid model" not in err
 
 
+_DELETE = object()
+_DOCUMENTED = (EXIT_OK, EXIT_MODEL, EXIT_IO, EXIT_DIMENSION, EXIT_NUMERICAL)
+
+
+def _mutants(base, paths):
+    """(path, value, copy of base with the entry at path deleted or set to
+    value) for each path and each of delete, null, 3, -1, "x", [1],
+    {"a": 1} and NaN."""
+    for *parents, last in paths:
+        for value in (_DELETE, None, 3, -1, "x", [1], {"a": 1}, float("nan")):
+            obj = copy.deepcopy(base)
+            target = functools.reduce(operator.getitem, parents, obj)
+            if value is _DELETE:
+                del target[last]
+            else:
+                target[last] = value
+            yield (*parents, last), value, obj
+
+
+def _exit_of(argv):
+    """main's exit code, or the text of the exception it raised."""
+    try:
+        return main([str(a) for a in argv])
+    except Exception as exc:  # the traceback the scans look for
+        return f"{type(exc).__name__}: {exc}"
+
+
 def test_a_mutated_identify_config_exits_with_a_documented_code(tmp_path, capsys, two_mode):
     """Every key of "ident" and "validation", both lists of each selection
     and their first entries, and p's first entry, each deleted or set to
@@ -812,29 +839,69 @@ def test_a_mutated_identify_config_exits_with_a_documented_code(tmp_path, capsys
     paths = [(section, key) for section in ("ident", "validation") for key in base[section]]
     paths += [("ident", sel, field) + entry for sel in ("selection", "selection_bar")
               for field in ("alpha", "beta") for entry in ((), (0,))] + [("ident", "p", 0)]
-    delete = object()
 
     def run(cfg):
         path = write_json(tmp_path / "ident.json", cfg)
-        try:
-            return main(["identify", "--config", str(path), "--out", str(tmp_path / "out")])
-        except Exception as exc:  # the traceback the scan looks for
-            return f"{type(exc).__name__}: {exc}"
+        return _exit_of(["identify", "--config", path, "--out", tmp_path / "out"])
 
     # validation is read last, so the base run must get through it (N = 5e3
     # at seed 0 does with the bundled selections; N = 2e4 at seed 0 exits 5)
     assert run(base) == EXIT_OK
-    wrong = []
-    for *parents, last in paths:
-        for value in (delete, None, 3, -1, "x", [1], {"a": 1}, float("nan")):
-            cfg = copy.deepcopy(base)
-            target = functools.reduce(operator.getitem, parents, cfg)
-            if value is delete:
-                del target[last]
-            else:
-                target[last] = value
-            code = run(cfg)
-            if code not in (EXIT_OK, EXIT_MODEL, EXIT_IO, EXIT_DIMENSION, EXIT_NUMERICAL):
-                wrong.append((*parents, last, value, code))
+    wrong = [(path, value, code) for path, value, cfg in _mutants(base, paths)
+             if (code := run(cfg)) not in _DOCUMENTED]
     capsys.readouterr()
     assert len(paths) == 16 and wrong == []
+
+
+def test_a_mutated_written_file_exits_with_a_documented_code(tmp_path, capsys, two_mode):
+    """The files real runs write, mutated as the identify config is above:
+    a covariances.json from `slsid estimate` under `realize`, and the model
+    file `realize` writes under `simulate`, `validate` and `compare`.  Every
+    top-level field and the first entry of each table and list: 112 realize
+    and 456 model runs, none may raise."""
+    model_path = write_json(tmp_path / "true.json", two_mode.model.to_dict())
+    write_json(tmp_path / "sim.json", {"model": model_path.name,
+                                       "sim": {"seed": 0, "length": 10000}})
+    write_json(tmp_path / "est.json", {"data": "sim/data.csv", "p": [0.5, 0.5],
+                                       "words": {"max_len": 5}})
+    for command, config in (("simulate", "sim"), ("estimate", "est")):
+        assert main([command, "--config", str(tmp_path / f"{config}.json"),
+                     "--out", str(tmp_path / config)]) == 0
+    cov = json.loads((tmp_path / "est" / "covariances.json").read_text())
+    real = {"covariances": "cov.json", "n_x": 3, "selection": two_mode.sel.to_jsonable(),
+            "selection_bar": two_mode.sel_bar.to_jsonable()}
+    write_json(tmp_path / "real.json", real)
+
+    def realize(cov_obj):
+        write_json(tmp_path / "cov.json", cov_obj)
+        return _exit_of(["realize", "--config", tmp_path / "real.json",
+                         "--out", tmp_path / "real"])
+
+    # the bundled selections realize this table (at N = 3000 they exit 5)
+    assert realize(cov) == EXIT_OK
+    model = json.loads((tmp_path / "real" / "model.json").read_text())
+    write_json(tmp_path / "realized.json", model)
+    cov_paths = [(key,) for key in cov] + [("lambda_yu", "e"), ("lambda_yy", "1"),
+                                           ("t_yy_sigma", "1"), ("p", 0), ("q_u", 0)]
+    wrong = [(path, value, code) for path, value, obj in _mutants(cov, cov_paths)
+             if (code := realize(obj)) not in _DOCUMENTED]
+
+    # a realized model's Q_u is the data's, not uniform input's: Gaussian input
+    write_json(tmp_path / "simulate.json", {
+        "model": "model.json", "sim": {"seed": 0, "length": 300, "input_dist": "gaussian"}})
+    write_json(tmp_path / "validate.json", {"model": "model.json", "data": "short/data.csv",
+                                            "exclude": 6})
+    write_json(tmp_path / "model.json", model)
+    assert main(["simulate", "--config", str(tmp_path / "simulate.json"),
+                 "--out", str(tmp_path / "short")]) == 0
+    model_runs = [["simulate", "--config", tmp_path / "simulate.json", "--out", tmp_path / "o"],
+                  ["validate", "--config", tmp_path / "validate.json", "--out", tmp_path / "o"],
+                  ["compare", tmp_path / "model.json", tmp_path / "realized.json"]]
+    assert [_exit_of(argv) for argv in model_runs] == [EXIT_OK] * 3
+    model_paths = [(key,) for key in model] + [(key, 0) for key in model if key != "type"]
+    for path, value, obj in _mutants(model, model_paths):
+        write_json(tmp_path / "model.json", obj)
+        wrong += [(argv[0], path, value, code) for argv in model_runs
+                  if (code := _exit_of(argv)) not in _DOCUMENTED]
+    capsys.readouterr()
+    assert (len(cov_paths), len(model_paths)) == (14, 19) and wrong == []

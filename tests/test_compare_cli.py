@@ -16,7 +16,7 @@ def test_compare_cli_hashes_every_file_and_names_a_changed_one(capsys):
         assert runs["simulate"]["exit"] == 0
         assert list(runs["simulate"]["files"]) == ["data.csv", "data_clean.csv", "manifest.json"]
         assert set(runs) <= {"simulate", "identify", "validate", "estimate", "realize",
-                             "mimo-simulate", "mimo-validate"}
+                             "realize-explicit", "mimo-simulate", "mimo-validate"}
         assert runs["estimate"]["exit"] == 0
         assert list(runs["estimate"]["files"]) == ["covariances.json"]
         # the MIMO system's round: Gaussian input, two inputs and two outputs

@@ -543,10 +543,8 @@ def test_covariance_table_json_round_trip(two_mode_cov):
 def test_covariance_table_validate():
     from slsid import WordIndexedMatrixTable
 
-    lam_yu = WordIndexedMatrixTable((1, 1))
-    lam_yu[EMPTY_WORD] = [[0.1]]
-    lam_yy = WordIndexedMatrixTable((1, 1))
-    lam_yy[Word((1,))] = [[0.2]]
+    lam_yu = WordIndexedMatrixTable.from_pairs((1, 1), [(EMPTY_WORD, [[0.1]])])
+    lam_yy = WordIndexedMatrixTable.from_pairs((1, 1), [(Word((1,)), [[0.2]])])
     good = CovarianceTable(lambda_yu=lam_yu, lambda_yy=lam_yy,
                            t_yy=[[[1.0]]], q_u=[[0.3]], p=[1.0])
     good.validate()
@@ -559,3 +557,45 @@ def test_covariance_table_validate():
     with pytest.raises(DimensionError, match=r"t_yy must have shape \(2, 1, 1\)"):
         CovarianceTable(lambda_yu=lam_yu, lambda_yy=lam_yy,
                         t_yy=[[[1.0]]], q_u=[[0.3]], p=[0.5, 0.5]).validate()
+
+
+def test_validate_rejects_a_lambda_yy_that_is_not_n_y_by_n_y(two_mode, two_mode_cov):
+    # a (1, 2) Lambda^{y,y} used to pass, and the realization then stopped in
+    # steps 3-4 on an array shape
+    from slsid import WordIndexedMatrixTable, covariance_realization
+
+    lam_yy = two_mode_cov.lambda_yy
+    wide = WordIndexedMatrixTable((1, 2), lam_yy.index, np.concatenate([lam_yy.array] * 2, 2))
+    bad = CovarianceTable(lambda_yu=two_mode_cov.lambda_yu, lambda_yy=wide,
+                          t_yy=two_mode_cov.t_yy, q_u=two_mode_cov.q_u, p=two_mode_cov.p)
+    with pytest.raises(DimensionError, match=r"lambda_yy must hold 1x1 matrices, got \(1, 2\)"):
+        bad.validate()
+    for sel, sel_bar in (("search", "search"), (two_mode.sel, two_mode.sel_bar)):
+        with pytest.raises(DimensionError, match="lambda_yy must hold 1x1 matrices"):
+            covariance_realization(bad, 3, 3, sel, sel_bar)
+
+
+@pytest.mark.parametrize("key,text", [("lambda_yu", "31"), ("lambda_yy", "13"),
+                                      ("lambda_yy", "1,2,11")])
+def test_from_jsonable_names_a_word_with_a_letter_outside_the_modes(two_mode, two_mode_cov,
+                                                                   key, text):
+    from slsid import WordIndexedMatrixTable, covariance_realization
+
+    obj = two_mode_cov.to_jsonable()
+    obj[key][text] = [[0.0]]
+    with pytest.raises(InvalidModeError,
+                       match=f"{key} word '{text}' has a letter outside the modes 1..2"):
+        CovarianceTable.from_jsonable(obj)
+    # built in Python, such a word stops every realization in steps 3-4 (an
+    # explicit one used to ignore it)
+    word = Word.parse(text)
+    tables = {name: WordIndexedMatrixTable.from_pairs(
+        getattr(two_mode_cov, name).shape,
+        list(getattr(two_mode_cov, name).items()) + [(word, [[0.0]])])
+        for name in ("lambda_yu", "lambda_yy")}
+    cov = CovarianceTable(**tables, t_yy=two_mode_cov.t_yy, q_u=two_mode_cov.q_u,
+                          p=two_mode_cov.p)
+    for sel, sel_bar in (("search", "search"), (two_mode.sel, two_mode.sel_bar)):
+        with pytest.raises(InvalidModeError, match="outside alphabet") as err:
+            covariance_realization(cov, 3, 3, sel, sel_bar)
+        assert err.value.stage == "steps 3-4 (noise-part covariances)"

@@ -341,23 +341,66 @@ def _eager_search(cov, n, skip):
     # every table value computed up front by its per-word formula
     D = cov.p.shape[0]
     words = cov.lambda_yu.words()
-    psi = WordIndexedMatrixTable((cov.n_y, cov.n_u))
-    for w in words:
-        psi[w] = np.linalg.solve(cov.q_u, cov.lambda_yu[w].T).T
+    psi = WordIndexedMatrixTable.from_pairs(
+        (cov.n_y, cov.n_u), ((w, np.linalg.solve(cov.q_u, cov.lambda_yu[w].T).T) for w in words))
     sel_bar = _stable_hit(psi, n, cov.n_u, D, skip)
     m_psi = ho_kalman(sel_bar, psi, psi[EMPTY_WORD])
     P = input_state_second_moment(m_psi, cov.q_u, cov.p)
     C, Dm = m_psi.C, m_psi.Dmat
-    lam_dd = WordIndexedMatrixTable((cov.n_y, cov.n_y))
+    lam_dd = {}
     for w in words[1:]:
         s = w.letters[0] - 1
         core = (m_psi.A[s] @ P[s] @ C.T) / cov.p[s] + m_psi.B[s] @ cov.q_u @ Dm.T
         lam_dd[w] = C @ matrix_product_along_word(m_psi.A, Word(w.letters[1:])) @ core
-    M = WordIndexedMatrixTable((cov.n_y, cov.n_u + cov.n_y))
-    for w in words[1:]:
-        M[w] = np.hstack([psi[w], cov.lambda_yy[w] - lam_dd[w]])
+    M = WordIndexedMatrixTable.from_pairs(
+        (cov.n_y, cov.n_u + cov.n_y),
+        ((w, np.hstack([psi[w], cov.lambda_yy[w] - lam_dd[w]])) for w in words[1:]))
     sel = _stable_hit(M, n, cov.n_u + cov.n_y, D, skip)
     return sel, sel_bar
+
+
+def test_a_search_realization_builds_no_word_index_per_attempt(two_mode, monkeypatch):
+    # N = 1e4, seed 25 takes four attempts.  Psi reads Lambda^{y,u}'s own
+    # index, and every attempt's Lambda^{yd,yd} and joint table read
+    # Lambda^{y,y}'s: the realization builds no index
+    data = simulate(two_mode.model, SimConfig(seed=25, length=10_000))
+    cov = empirical_covariances(data, (0.5, 0.5), enumerate_words(2, 8))
+    realize, algebra = sys.modules["slsid.realize"], sys.modules["slsid.algebra"]
+    built, made = [], {"psi_uy": [], "lambda_ydyd": [], "ho_kalman": []}
+
+    def spy(name, pick):
+        real = getattr(realize, name)
+
+        def wrapper(*args):
+            out = real(*args)
+            made[name].append(pick(args, out))
+            return out
+        monkeypatch.setattr(realize, name, wrapper)
+
+    spy("psi_uy", lambda args, out: out)
+    spy("lambda_ydyd", lambda args, out: out[0])
+    spy("ho_kalman", lambda args, out: args[1])
+    index_of = algebra._index_of
+    monkeypatch.setattr(algebra, "_index_of", lambda words: built.append(len(words))
+                        or index_of(words))
+    _, diag = covariance_realization(cov, 3, 3, "search", "search")
+    assert diag["search_attempts"] == 4 and built == []
+    assert [psi.index is cov.lambda_yu.index for psi in made["psi_uy"]] == [True]
+    assert len(made["lambda_ydyd"]) == 4
+    assert all(t.index is cov.lambda_yy.index for t in made["lambda_ydyd"])
+    # Ho-Kalman reads Psi at sel_bar and the joint table at sel
+    assert {id(t.index) for t in made["ho_kalman"]} == {id(cov.lambda_yu.index),
+                                                        id(cov.lambda_yy.index)}
+    # a Lambda^{y,y} word that Lambda^{y,u} lacks: one index over the joint
+    # words, for the whole realization
+    extra = WordIndexedMatrixTable.from_pairs(
+        (1, 1), list(cov.lambda_yy.items()) + [(Word((1,) * 9), [[0.0]])])
+    cov.lambda_yy = extra
+    made = {name: [] for name in made}
+    built.clear()
+    assert covariance_realization(cov, 3, 3, "search", "search")[1] == diag
+    assert built == [len(extra) - 1]
+    assert len({id(t.index) for t in made["lambda_ydyd"]}) == 1
 
 
 @pytest.mark.parametrize("case", ["2e4-0", "2e4-1", "2e4-2", "2e4-3", "1e5-6", "exact"])

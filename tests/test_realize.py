@@ -155,10 +155,9 @@ def random_dlss(rng, n=2, n_modes=2):
 
 
 def markov_table(d, max_len):
-    t = WordIndexedMatrixTable((d.n_y, d.n_u))
-    for w in enumerate_words(d.n_modes, max_len, min_len=1):
-        t[w] = markov_parameter(d, w)
-    return t
+    return WordIndexedMatrixTable.from_pairs(
+        (d.n_y, d.n_u), ((w, markov_parameter(d, w))
+                         for w in enumerate_words(d.n_modes, max_len, min_len=1)))
 
 
 def test_ho_kalman_recovers_markov_parameters():
@@ -174,10 +173,8 @@ def test_ho_kalman_recovers_markov_parameters():
 
 def test_ho_kalman_reports_rank_deficiency():
     # a = 0 kills every parameter of length > 1, so no 2x2 sub-Hankel works
-    t = WordIndexedMatrixTable((1, 1))
-    t[Word((1,))] = [[1.0]]
-    for m in range(2, 5):
-        t[Word((1,) * m)] = [[0.0]]
+    t = WordIndexedMatrixTable.from_pairs(
+        (1, 1), [(Word((1,)), [[1.0]])] + [(Word((1,) * m), [[0.0]]) for m in range(2, 5)])
     sel = Selection(((EMPTY_WORD, 1), (Word((1,)), 1)),
                     ((1, EMPTY_WORD, 1), (1, Word((1,)), 1)),
                     n_modes=1, n_y=1, n_cols=1)
@@ -191,7 +188,7 @@ def test_ho_kalman_reports_rank_deficiency():
 
 def test_psi_uy_divides_by_q_u(two_mode_cov):
     words = [EMPTY_WORD, Word((1,)), Word((2, 1))]
-    psi = psi_uy(two_mode_cov, words)
+    psi = psi_uy(two_mode_cov)
     for w in words:
         want = two_mode_cov.lambda_yu[w] / two_mode_cov.q_u[0, 0]
         assert np.allclose(psi[w], want, atol=1e-12)
@@ -203,7 +200,7 @@ def test_psi_uy_rejects_singular_q_u(two_mode_cov):
                              t_yy=two_mode_cov.t_yy,
                              q_u=[[0.0]], p=two_mode_cov.p)
     with pytest.raises(NotFullRankError):
-        psi_uy(broken, [EMPTY_WORD])
+        psi_uy(broken)
 
 
 def test_lambda_ydyd_scalar_closed_form(scalar):
@@ -229,19 +226,23 @@ def test_lambda_ydyd_scalar_closed_form(scalar):
 def test_batched_psi_uy_matches_per_word_solves(n_y, n_u):
     rng = np.random.default_rng(10 * n_y + n_u)
     words = list(enumerate_words(2, 4))
-    lam_yu = WordIndexedMatrixTable((n_y, n_u))
-    for w in words:
-        lam_yu[w] = rng.normal(size=(n_y, n_u))
+    lam_yu = WordIndexedMatrixTable.from_pairs(
+        (n_y, n_u), ((w, rng.normal(size=(n_y, n_u))) for w in words))
     g = rng.normal(size=(n_u, n_u))
     q_u = g @ g.T + 0.1 * np.eye(n_u)
-    cov = CovarianceTable(lambda_yu=lam_yu, lambda_yy=WordIndexedMatrixTable((n_y, n_y)),
-                          t_yy=np.zeros((2, n_y, n_y)), q_u=q_u, p=(0.5, 0.5))
-    psi = psi_uy(cov, reversed(words))
-    assert psi.words() == words
+
+    def cov_of(lam_yu):
+        return CovarianceTable(lambda_yu=lam_yu,
+                               lambda_yy=WordIndexedMatrixTable.from_pairs((n_y, n_y), []),
+                               t_yy=np.zeros((2, n_y, n_y)), q_u=q_u, p=(0.5, 0.5))
+
+    # Psi covers every word of Lambda^{y,u} and reads Lambda^{y,u}'s own index
+    psi = psi_uy(cov_of(lam_yu))
+    assert psi.words() == words and psi.index is lam_yu.index
     for w in words:
         want = np.linalg.solve(q_u, lam_yu[w].T).T
         assert np.max(np.abs(psi[w] - want)) <= 1e-15 * np.max(np.abs(want))
-    assert len(psi_uy(cov, [])) == 0
+    assert len(psi_uy(cov_of(WordIndexedMatrixTable.from_pairs((n_y, n_u), [])))) == 0
 
 
 @settings(deadline=None, max_examples=50)
@@ -250,16 +251,17 @@ def test_batched_psi_uy_matches_per_word_solves(n_y, n_u):
 def test_psi_uy_has_the_bits_of_per_word_solves(seed, n_y, n_u, data):
     rng = np.random.default_rng(seed)
     stored = list(enumerate_words(2, 4))
-    lam_yu = WordIndexedMatrixTable((n_y, n_u))
-    for w in stored:
-        lam_yu[w] = rng.normal(size=(n_y, n_u))
+    values = {w: rng.normal(size=(n_y, n_u)) for w in stored}
     g = rng.normal(size=(n_u, n_u))
-    cov = CovarianceTable(lambda_yu=lam_yu, lambda_yy=WordIndexedMatrixTable((n_y, n_y)),
+    # a table over the drawn words, in the order drawn
+    words = list(dict.fromkeys(data.draw(st.lists(st.sampled_from(stored), max_size=40))))
+    lam_yu = WordIndexedMatrixTable.from_pairs((n_y, n_u), ((w, values[w]) for w in words))
+    cov = CovarianceTable(lambda_yu=lam_yu,
+                          lambda_yy=WordIndexedMatrixTable.from_pairs((n_y, n_y), []),
                           t_yy=np.zeros((2, n_y, n_y)), q_u=g @ g.T + 0.1 * np.eye(n_u),
                           p=(0.5, 0.5))
-    words = data.draw(st.lists(st.sampled_from(stored), max_size=40))
-    psi = psi_uy(cov, words)
-    assert len(psi) == len(set(words))
+    psi = psi_uy(cov)
+    assert len(psi) == len(words)
     for w in words:
         assert _same_bits(psi[w], np.linalg.solve(cov.q_u, lam_yu[w].T).T), f"word {w}"
 
@@ -508,19 +510,18 @@ def test_pooled_search_yields_what_a_per_candidate_search_yields(two_mode, case)
     elif case == "markov-short":  # words longer than 3 are missing
         table = markov_table(d, 3)
     elif case == "sparse":  # a random third of the words is missing
-        table = WordIndexedMatrixTable((1, 2))
-        for w in enumerate_words(2, 6, min_len=1):
-            if rng.uniform() < 0.67:
-                table[w] = markov_parameter(d, w)
+        table = WordIndexedMatrixTable.from_pairs(
+            (1, 2), ((w, markov_parameter(d, w)) for w in enumerate_words(2, 6, min_len=1)
+                     if rng.uniform() < 0.67))
     elif case == "rank-1":  # no rank-2 candidate: the budget runs out
-        n, table = 2, WordIndexedMatrixTable((1, 2))
-        for w in enumerate_words(2, 5, min_len=1):
-            table[w] = 0.5 ** len(w) * np.array([[1.0, 2.0]])
+        n, table = 2, WordIndexedMatrixTable.from_pairs(
+            (1, 2), ((w, 0.5 ** len(w) * np.array([[1.0, 2.0]]))
+                     for w in enumerate_words(2, 5, min_len=1)))
     else:
         n, n_y, n_cols = 2, 2, 1
-        table = WordIndexedMatrixTable((2, 1))
-        for w in enumerate_words(2, 5, min_len=1):
-            table[w] = rng.normal(size=(2, 1)) * (len(w) < 4)
+        table = WordIndexedMatrixTable.from_pairs(
+            (2, 1), ((w, rng.normal(size=(2, 1)) * (len(w) < 4))
+                     for w in enumerate_words(2, 5, min_len=1)))
     want = _hits(full_rank_selections_per_candidate(table, n, n_y, n_cols, 2, budget))
     got = _hits(iter_full_rank_selections(table, n, n_y, n_cols, 2, budget=budget))
     assert got == want

@@ -11,7 +11,9 @@ and the identified model is scored on the whole simulated dataset
 (`slsid validate`); the first 6 samples are excluded from both scores.
 These are the configs of the benchmark's cli-roundtrip workload.  Each
 seed also runs `slsid estimate` over all words up to length 8 and
-`slsid realize` on that table with "search" selections.  Then a fixed
+`slsid realize` on that 511-word table twice: with "search" selections,
+and with the bundled ones (the record "realize-explicit"), which read
+only some of its words.  Then a fixed
 three-mode innovation model with four states, two inputs and two outputs
 (`mimo_system`) is simulated with Gaussian input at the same seed and
 length, and scored on its own data (`slsid validate`); these records are
@@ -93,15 +95,20 @@ def _configs(length: int) -> dict:
         "estimate.json": {"data": "simulate/data.csv", "p": [0.5, 0.5], "words": {"max_len": 8}},
         "realize.json": {"covariances": "estimate/covariances.json", "n_x": 3,
                          "selection": "search", "selection_bar": "search"},
+        "realize-explicit.json": {"covariances": "estimate/covariances.json", "n_x": 3,
+                                  "selection": sel.to_jsonable(),
+                                  "selection_bar": sel_bar.to_jsonable()},
     }
 
 
-def _run(workdir: Path, command: str, *flags) -> dict:
-    """One command's record: its exit code, stderr on failure, and file hashes."""
-    out = workdir / command
+def _run(workdir: Path, name: str, *flags) -> dict:
+    """One record: its exit code, stderr on failure, and file hashes.  The
+    record "command" or "command-variant" runs the command with the config
+    and output directory of its name."""
+    out = workdir / name
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
-        code = slsid_main([command, "--config", str(workdir / f"{command}.json"),
+        code = slsid_main([name.partition("-")[0], "--config", str(workdir / f"{name}.json"),
                            "--out", str(out), *map(str, flags)])
     record = {"exit": code, "files": {
         str(path.relative_to(out)): hashlib.sha256(path.read_bytes()).hexdigest()
@@ -113,7 +120,8 @@ def _run(workdir: Path, command: str, *flags) -> dict:
 
 def _round(workdir: Path, configs: dict, chains, seed: int) -> dict:
     """Write the configs into workdir, simulate at seed, then run each chain
-    of commands on the data until one fails; the records by command."""
+    of commands on the data until one fails; a command an earlier chain ran
+    is not run again.  The records by command."""
     workdir.mkdir()
     for name, obj in configs.items():
         (workdir / name).write_text(json.dumps(obj, indent=2))
@@ -123,7 +131,8 @@ def _round(workdir: Path, configs: dict, chains, seed: int) -> dict:
         for command in chain:
             if failed:
                 break
-            runs[command] = _run(workdir, command)
+            if command not in runs:
+                runs[command] = _run(workdir, command)
             failed = runs[command]["exit"]
     return runs
 
@@ -134,8 +143,8 @@ def records(seeds, length: int) -> dict:
     with tempfile.TemporaryDirectory(prefix="compare-cli-") as tmp:
         for seed in seeds:
             workdir = Path(tmp) / f"seed-{seed}"
-            runs = _round(workdir, configs, (("identify", "validate"), ("estimate", "realize")),
-                          seed)
+            runs = _round(workdir, configs, (("identify", "validate"), ("estimate", "realize"),
+                                             ("estimate", "realize-explicit")), seed)
             runs.update((f"mimo-{command}", record) for command, record
                         in _round(workdir / "mimo", mimo, (("validate",),), seed).items())
             out[f"seed={seed}"] = runs

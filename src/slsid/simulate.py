@@ -437,7 +437,9 @@ def affine_scan(q: np.ndarray, M: np.ndarray, C: np.ndarray, inputs) -> np.ndarr
     here) sums a product's rows each on its own, whatever their order, but
     changes the sum order with the product's shape, so G keeps its output
     columns padded to whole n-wide blocks.  A product of one row or column
-    is a matrix-vector call, whose order follows the layout (`_matmul`).
+    is a matrix-vector call, whose order follows the layout (`_matmul`) and,
+    past 8 columns of its matrix, a row's place in it: pass 1 at D = n = 1
+    keeps the row-major scan's row order.
 
     Passes 1 and 3 cost L steps each and pass 2 costs T / L.  Measured on a
     2-vCPU Xeon VM (BLAS on one thread; n = 3, D = 2, two inputs), a pass-1,
@@ -488,7 +490,14 @@ def affine_scan(q: np.ndarray, M: np.ndarray, C: np.ndarray, inputs) -> np.ndarr
         rows = slice(k, head, L)
         for w, span in spans:
             buf[span, 0] = w[rows].T
-        _matmul(buf.reshape(K, -1).T, step, prod)
+        if D * n == 1:
+            # one product column: a matrix-vector call, whose sum for a row
+            # also depends on the row's place, so the rows go in the
+            # row-major scan's order, chunk by chunk; the pick is a copy
+            by_chunk = np.ascontiguousarray(buf.transpose(2, 1, 0)).reshape(-1, K)
+            buf[0] = (by_chunk @ step).reshape(ahead, 2).T
+            continue
+        np.matmul(buf.reshape(K, -1).T, step, out=prod)
         np.add(first, shift[q[rows]], out=pick)
         np.take(prod, pick, out=buf[:n], mode="clip")
 

@@ -97,12 +97,15 @@ class CovarianceTable:
         want = (self.p.shape[0], n_y, n_y)
         if self.t_yy.shape != want:
             raise DimensionError(f"t_yy must have shape {want}, got {self.t_yy.shape}")
-        for s, m in enumerate(self.t_yy, start=1):
+        # second moments: a singular q_u is left to psi_uy's rank check
+        moments = [("q_u", self.q_u)] + [(f"T_yy[{s}]", m)
+                                         for s, m in enumerate(self.t_yy, start=1)]
+        for name, m in moments:
             if np.max(np.abs(m - m.T)) > 1e-10 * max(1.0, float(np.max(np.abs(m)))):
-                raise DimensionError(f"T_yy[{s}] is not symmetric")
+                raise DimensionError(f"{name} is not symmetric")
             eigmin = float(np.linalg.eigvalsh(m).min())
             if eigmin < -1e-8 * max(1.0, float(np.max(np.abs(m)))):
-                raise DimensionError(f"T_yy[{s}] has negative eigenvalue {eigmin:.3e}")
+                raise DimensionError(f"{name} has negative eigenvalue {eigmin:.3e}")
         if np.any(self.p <= 0.0) or abs(float(self.p.sum()) - 1.0) > 1e-8:
             raise DimensionError(f"invalid probability vector {self.p}")
         return self

@@ -283,36 +283,27 @@ def _parse_rows(lines, dtype) -> np.ndarray:
 class SimConfig:
     """Simulation settings.
 
-    input_dist "uniform" draws each input channel independently from
-    U(input_low, input_high); "gaussian" draws u ~ N(0, Q_u) with the model's
-    Q_u.  For uniform input, the model's Q_u must equal the implied diagonal
-    (high - low)^2 / 12 * I; the default U(-1, 1) gives Q_u = I/3.  The
-    noise v is always Gaussian, with covariance Q_v[s] / p_s in mode s.
+    The model fixes the input's second moment Q_u, so input_dist picks only
+    its law: "uniform" draws channel i independently from U(-h_i, h_i) with
+    h_i = sqrt(3 Q_u[i, i]), which needs a diagonal Q_u (Q_u = I/3 gives
+    U(-1, 1)); "gaussian" draws u ~ N(0, Q_u).  The noise v is always
+    Gaussian, with covariance Q_v[s] / p_s in mode s.
 
     seed, length and burn_in are integers (an integral float such as 2000.0,
     JSON's 2e3, is taken as one) with seed >= 0, length >= 1 and
-    burn_in >= 0; input_low and input_high are finite numbers.  Any other
-    value raises DimensionError naming the field.
+    burn_in >= 0.  Any other value raises DimensionError naming the field.
     """
 
     seed: int
     length: int
     burn_in: int = 1000
     input_dist: str = "uniform"
-    input_low: float = -1.0
-    input_high: float = 1.0
 
     def __post_init__(self):
         for name, least in (("seed", 0), ("length", 1), ("burn_in", 0)):
             object.__setattr__(self, name, as_count(getattr(self, name), name, least))
-        for name in ("input_low", "input_high"):
-            if not _is_number(getattr(self, name)):
-                raise DimensionError(f"{name} must be a finite number, got "
-                                     f"{getattr(self, name)!r}")
         if self.input_dist not in ("uniform", "gaussian"):
             raise DimensionError(f"unknown input_dist {self.input_dist!r}")
-        if self.input_dist == "uniform" and not self.input_high > self.input_low:
-            raise DimensionError("uniform input needs input_high > input_low")
 
     def to_jsonable(self) -> dict:
         return asdict(self)
@@ -370,16 +361,16 @@ def sample_switching(p, T: int, rng: np.random.Generator) -> np.ndarray:
 def _draw_input(model: SwitchedModel, cfg: SimConfig, total: int,
                 rng: np.random.Generator) -> np.ndarray:
     if cfg.input_dist == "uniform":
-        var = (cfg.input_high - cfg.input_low) ** 2 / 12.0
-        implied = var * np.eye(model.n_u)
-        if np.max(np.abs(implied - model.Q_u)) > 1e-9 * max(1.0, var):
+        var = np.diag(model.Q_u)
+        if np.any(model.Q_u != np.diag(var)):
             raise ModelInvalidError(
-                f"uniform({cfg.input_low}, {cfg.input_high}) input implies "
-                f"Q_u = {var:.6g} I, which differs from the model's Q_u"
-            )
+                "uniform input draws independent channels, so it needs a diagonal "
+                'Q_u; the model\'s Q_u is not (use "input_dist": "gaussian")')
+        # U(-h, h) has second moment h^2 / 3
+        h = np.sqrt(3.0 * var)
         u = rng.random((total, model.n_u))
-        u *= cfg.input_high - cfg.input_low
-        u += cfg.input_low
+        u *= 2.0 * h
+        u -= h
         return u
     L = np.linalg.cholesky(model.Q_u)
     return rng.standard_normal((total, model.n_u)) @ L.T

@@ -344,10 +344,16 @@ def test_compare_rejects_different_models(workspace, two_mode, capsys):
     ("realize", lambda cov: [cov], 4, "a covariance table must be a JSON object, got list"),
     ("realize", lambda cov: {**cov, "metadata": {"degenerate_words": 3}}, 4,
      "metadata's degenerate_words must be a list, got int"),
+    # a second moment is checked before step 1; a singular one is step 1's
+    ("realize", lambda cov: {**cov, "q_u": [[-1.0 / 3.0]]}, 4,
+     "q_u has negative eigenvalue -3.333e-01"),
+    ("realize", lambda cov: {**cov, "q_u": [[0.0]]}, 5,
+     "input covariance Q_u is numerically singular"),
 ], ids=["list", "number", "missing-key", "ragged-family", "flat-family", "object-C",
         "object-T", "T-shape", "t_yy-missing-mode", "t_yy-extra-key", "t_yy-number",
         "lambda_yu-list", "missing-p", "missing-n_y", "metadata-number",
-        "lambda_yy-entry-object", "table-list", "degenerate-words-number"])
+        "lambda_yy-entry-object", "table-list", "degenerate-words-number",
+        "q_u-negative", "q_u-singular"])
 def test_a_malformed_input_file_exits_with_its_code(workspace, tmp_path, capsys, two_mode,
                                                     command, edit, code, text):
     # each edits a good input file: a model, a transformation T, or a
@@ -478,6 +484,11 @@ def test_simulate_takes_integral_floats_as_counts(workspace, tmp_path):
     # the noise is always Gaussian
     ('{"seed": 1, "length": 300, "noise_dist": "gaussian"}', [], 3,
      "config section 'sim' has unknown key 'noise_dist'"),
+    # the model's Q_u fixes the input's bounds
+    ('{"seed": 1, "length": 300, "input_low": -1.0}', [], 3,
+     "config section 'sim' has unknown key 'input_low'"),
+    ('{"seed": 1, "length": 300, "input_high": 1.0}', [], 3,
+     "config section 'sim' has unknown key 'input_high'"),
 ])
 def test_simulate_rejects_a_malformed_sim_section(workspace, tmp_path, capsys,
                                                   sim_text, flags, code, text):
@@ -886,9 +897,8 @@ def test_a_mutated_written_file_exits_with_a_documented_code(tmp_path, capsys, t
     wrong = [(path, value, code) for path, value, obj in _mutants(cov, cov_paths)
              if (code := realize(obj)) not in _DOCUMENTED]
 
-    # a realized model's Q_u is the data's, not uniform input's: Gaussian input
-    write_json(tmp_path / "simulate.json", {
-        "model": "model.json", "sim": {"seed": 0, "length": 300, "input_dist": "gaussian"}})
+    write_json(tmp_path / "simulate.json", {"model": "model.json",
+                                            "sim": {"seed": 0, "length": 300}})
     write_json(tmp_path / "validate.json", {"model": "model.json", "data": "short/data.csv",
                                             "exclude": 6})
     write_json(tmp_path / "model.json", model)
@@ -905,3 +915,44 @@ def test_a_mutated_written_file_exits_with_a_documented_code(tmp_path, capsys, t
                   if (code := _exit_of(argv)) not in _DOCUMENTED]
     capsys.readouterr()
     assert (len(cov_paths), len(model_paths)) == (14, 19) and wrong == []
+
+
+def test_every_command_reads_the_files_the_commands_before_it_write(tmp_path, capsys,
+                                                                     two_mode):
+    """The command graph on the reference system (N = 1e4, seed 0) with
+    default configs and the bundled selections: simulate -> estimate ->
+    realize, and identify; then each written model through simulate,
+    validate, and transform -> compare.  All 12 commands exit 0."""
+    sels = {"selection": two_mode.sel.to_jsonable(),
+            "selection_bar": two_mode.sel_bar.to_jsonable()}
+    sim = {"seed": 0, "length": 10000}
+    write_json(tmp_path / "true.json", two_mode.model.to_dict())
+    write_json(tmp_path / "T.json", [[2.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, -1.0]])
+
+    def run(command, config, out):
+        write_json(tmp_path / f"{out}.json", config)
+        return main([command, "--config", str(tmp_path / f"{out}.json"),
+                     "--out", str(tmp_path / out)])
+
+    codes = {
+        "simulate": run("simulate", {"model": "true.json", "sim": sim}, "sim"),
+        "estimate": run("estimate", {"data": "sim/data.csv", "words": {"max_len": 5}}, "est"),
+        "realize": run("realize", {"covariances": "est/covariances.json", "n_x": 3, **sels},
+                       "real"),
+        "identify": run("identify", {"data": "sim/data.csv", "ident": {"n_x": 3, **sels}},
+                        "ident"),
+    }
+    for name, out in (("realize", "real"), ("identify", "ident")):
+        model = tmp_path / out / "model.json"
+        moved = tmp_path / f"{name}-moved"
+        codes |= {
+            f"{name}: simulate": run("simulate", {"model": str(model), "sim": sim},
+                                     f"{name}-sim"),
+            f"{name}: validate": run("validate", {"model": str(model), "data": "sim/data.csv"},
+                                     f"{name}-val"),
+            f"{name}: transform": main(["transform", str(model), str(tmp_path / "T.json"),
+                                        "--out", str(moved)]),
+            f"{name}: compare": main(["compare", str(model), str(moved / "model.json")]),
+        }
+    capsys.readouterr()
+    assert codes == dict.fromkeys(codes, EXIT_OK)

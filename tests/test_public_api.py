@@ -1,6 +1,8 @@
 """Every public name serves a program path, and no module imports a name it
-does not use; both are read from the source with ast."""
+does not use; both are read from the source with ast.  SimConfig's fields
+are pinned too."""
 import ast
+import dataclasses
 from pathlib import Path
 
 import slsid
@@ -55,3 +57,9 @@ def test_no_module_imports_a_name_it_does_not_use():
                    and getattr(node, "module", "") != "__future__" for alias in node.names
                    if (alias.asname or alias.name).split(".")[0] not in used]
     assert unused == []
+
+
+def test_sim_config_holds_only_what_the_model_does_not_fix():
+    # the input's second moment is the model's Q_u, so no field sets its scale
+    assert [f.name for f in dataclasses.fields(slsid.SimConfig)] == [
+        "seed", "length", "burn_in", "input_dist"]

@@ -1,3 +1,4 @@
+import json
 import re
 import sys
 import tracemalloc
@@ -33,6 +34,7 @@ from slsid.simulate import (
     _read_csv,
     affine_scan,
 )
+from slsid.cli import main
 
 from oracles import row_major_scan, searchsorted_switching
 
@@ -104,15 +106,8 @@ def test_simulate_shapes_and_determinism(two_mode):
     assert not np.array_equal(data.y, other.y)
 
 
-def _uniform_cfg(q_u, **kwargs):
-    # input bounds whose implied variance (high - low)^2 / 12 matches q_u
-    h = float(np.sqrt(3.0 * q_u))
-    return SimConfig(input_low=-h, input_high=h, **kwargs)
-
-
 def test_simulate_zero_state_start_without_burn_in(scalar):
-    data = simulate(scalar.model, _uniform_cfg(scalar.q_u, seed=3, length=50,
-                                               burn_in=0))
+    data = simulate(scalar.model, SimConfig(seed=3, length=50, burn_in=0))
     # x(0) = 0, so the noise-free output at t = 0 is D u(0)
     assert data.y_clean[0, 0] == pytest.approx(scalar.d * data.u[0, 0])
 
@@ -123,16 +118,39 @@ def test_simulate_clean_channel_tracks_y_when_noise_vanishes(scalar):
         (np.array([[scalar.k]]),), np.array([[scalar.c]]),
         np.array([[scalar.d]]), (1.0,), np.array([[scalar.q_u]]),
         (np.array([[1e-14]]),))
-    data = simulate(tiny, _uniform_cfg(scalar.q_u, seed=4, length=400))
+    data = simulate(tiny, SimConfig(seed=4, length=400))
     assert np.max(np.abs(data.y - data.y_clean)) < 1e-5
 
 
-def test_simulate_uniform_input_bounds_and_qu_consistency(two_mode):
-    data = simulate(two_mode.model, SimConfig(seed=5, length=2000))
-    assert data.u.min() >= -1.0 and data.u.max() <= 1.0
-    with pytest.raises(ModelInvalidError):
-        simulate(two_mode.model,
-                 SimConfig(seed=5, length=100, input_low=-2.0, input_high=2.0))
+def _two_input_model(q_u):
+    return InnovationModel.from_parts(
+        (np.array([[0.5]]),), (np.array([[1.0, 0.5]]),), (np.array([[0.3]]),),
+        np.array([[1.0]]), np.array([[0.0, 0.0]]), (1.0,), q_u, (np.array([[1.0]]),))
+
+
+def test_simulate_uniform_input_bounds_and_qu_consistency(two_mode, tmp_path):
+    # Q_u = I/3 draws u = 2 r - 1 from the stream's next uniforms, the bits
+    # that every simulation of the reference system is set up from
+    cfg = SimConfig(seed=5, length=2000)
+    data = simulate(two_mode.model, cfg)
+    rng = np.random.Generator(np.random.Philox(cfg.seed))
+    total = cfg.burn_in + cfg.length
+    sample_switching(two_mode.p, total, rng)
+    r = rng.random((total, 1))
+    assert data.u.tobytes() == (2.0 * r - 1.0)[cfg.burn_in:].tobytes()
+    # each channel's bounds follow its own second moment
+    u = simulate(_two_input_model(np.diag([1.0 / 3.0, 4.0 / 3.0])), cfg).u
+    assert np.all(np.abs(u) <= [1.0, 2.0]) and np.abs(u[:, 1]).max() > 1.9
+    # independent channels cannot have correlated second moments
+    coupled = _two_input_model(np.array([[1.0 / 3.0, 0.1], [0.1, 4.0 / 3.0]]))
+    with pytest.raises(ModelInvalidError, match="diagonal Q_u"):
+        simulate(coupled, cfg)
+    assert len(simulate(coupled, SimConfig(seed=5, length=100, input_dist="gaussian"))) == 100
+    (tmp_path / "model.json").write_text(json.dumps(coupled.to_dict()))
+    (tmp_path / "sim.json").write_text(
+        json.dumps({"model": "model.json", "sim": {"seed": 5, "length": 100}}))
+    assert main(["simulate", "--config", str(tmp_path / "sim.json"),
+                 "--out", str(tmp_path / "out")]) == 2
 
 
 def test_simulate_refuses_unstable_model(scalar):
@@ -331,8 +349,6 @@ def test_sim_config_validation():
         SimConfig(seed=0, length=10, burn_in=-1)
     with pytest.raises(DimensionError):
         SimConfig(seed=0, length=10, input_dist="poisson")
-    with pytest.raises(DimensionError):
-        SimConfig(seed=0, length=10, input_low=1.0, input_high=-1.0)
 
 
 @pytest.mark.parametrize("field, value, text", [
@@ -345,8 +361,6 @@ def test_sim_config_validation():
     ("seed", -1, "seed must be >= 0, got -1"),
     ("seed", 0.5, "seed must be an integer, got 0.5"),
     ("seed", True, "seed must be an integer, got True"),
-    ("input_low", "-1", "input_low must be a finite number, got '-1'"),
-    ("input_high", float("inf"), "input_high must be a finite number, got inf"),
 ])
 def test_sim_config_names_a_malformed_field(field, value, text):
     kwargs = {"seed": 0, "length": 10, field: value}
@@ -363,8 +377,7 @@ def test_sim_config_takes_integral_floats_as_ints(two_mode):
 
 
 def test_sim_config_json_round_trip():
-    cfg = SimConfig(seed=7, length=123, burn_in=10, input_low=-2.0,
-                    input_high=2.0)
+    cfg = SimConfig(seed=7, length=123, burn_in=10, input_dist="gaussian")
     assert SimConfig.from_jsonable(cfg.to_jsonable()) == cfg
 
 

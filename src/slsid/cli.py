@@ -106,11 +106,18 @@ def _count(section: dict, key: str, where: str, default: Optional[int] = None,
         raise ConfigError(f"config section '{where}' key {exc}") from None
 
 
-def _load_model(spec, base: Path) -> SwitchedModel:
-    """Model from an inline dict or a path relative to the config file."""
-    if isinstance(spec, dict):
-        return model_from_dict(spec)
-    return model_from_dict(_load_json(base / str(spec)))
+def _load_model(spec, base: Path = Path()) -> SwitchedModel:
+    """Validated stochastic model from an inline dict or a path relative to base.
+
+    A deterministic model, or one that fails SwitchedModel.validate, raises
+    ModelInvalidError.
+    """
+    d = spec if isinstance(spec, dict) else _load_json(base / str(spec))
+    model = model_from_dict(d)
+    if not isinstance(model, SwitchedModel):
+        raise ModelInvalidError(f"the model's type is {d['type']!r}; a stochastic "
+                                "(switched or innovation) model is needed")
+    return model.validate()
 
 
 def _load_dataset(spec, base: Path, clean_spec=None) -> Dataset:
@@ -339,8 +346,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    m_a = model_from_dict(_load_json(args.model_a))
-    m_b = model_from_dict(_load_json(args.model_b))
+    m_a, m_b = _load_model(args.model_a), _load_model(args.model_b)
     T = find_isomorphism(m_a, m_b, tol=args.tol)
     moved = transform_model(m_a, T)
     worst = max(float(np.max(np.abs(getattr(moved, f) - getattr(m_b, f))))
@@ -354,12 +360,14 @@ def cmd_compare(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    model = model_from_dict(_load_json(args.model))
+    model = _load_model(args.model)
     T = _load_json(args.matrix)
     try:
         T = np.asarray(T, dtype=float)
     except (TypeError, ValueError):
         raise ConfigError(f"{args.matrix}: T must be a matrix of numbers") from None
+    if not np.isfinite(T).all():
+        raise ConfigError(f"{args.matrix}: T holds a non-finite entry")
     out_model = transform_model(model, T)
     out = Path(args.out)
     _dump_json(out_model.to_dict(), out / "model.json")

@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass
-from itertools import islice
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -26,7 +25,7 @@ from .errors import (
     UndefinedBfrError,
 )
 from .model import InnovationModel, SwitchedModel
-from .realize import _attempts, _check_selections, covariance_realization
+from .realize import _check_selections, _step_1, _steps_2_to_5, covariance_realization
 from .simulate import Dataset, affine_scan, as_count, as_series
 
 __all__ = [
@@ -143,13 +142,14 @@ def resolve_selections(
     """The selections the covariance realization uses in attempt `skip`.
 
     Explicit selections pass through; "search" placeholders become the
-    vetted selections of that attempt, found by the realization's own steps
-    1-5 (see realize._attempts), and the returned dict holds them under
-    "selection_bar_found" and "selection_found".  Raises what stops steps
-    1-5 of that attempt.
+    vetted selections of that attempt, found by the realization's own step
+    1 and steps 2-5 at index `skip` (see realize._steps_2_to_5), and the
+    returned dict holds them under "selection_bar_found" and
+    "selection_found".  Raises what stops steps 1-5 of that attempt.
     """
-    joint = next(islice(_attempts(cov, n_x, n_bar, sel, sel_bar), skip, None))()
-    return joint.sel, joint.sel_bar, joint.found
+    first = _step_1(cov, n_x, n_bar, sel, sel_bar)
+    joint, bar, found, _, _ = _steps_2_to_5(cov, first, n_x, n_bar, sel, sel_bar, skip)
+    return joint, bar, found
 
 
 def identify(data: Dataset, cfg: IdentConfig) -> Tuple[InnovationModel, dict]:

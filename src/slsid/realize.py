@@ -35,9 +35,9 @@ from __future__ import annotations
 import functools
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import combinations, count, repeat
+from itertools import combinations, repeat
 from types import MappingProxyType
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -427,24 +427,6 @@ def _stage(stage: str):
         raise
 
 
-@dataclass
-class _JointRealization:
-    """What steps 1-5 of the covariance realization made in one attempt.
-
-    m_psi is the input-part realization at sel_bar (step 2), t_dd its
-    per-mode output moments T^{yd,yd}_{s,s} (step 3), and m_full the joint
-    realization at sel (step 5), which step 6 converts.  found holds the
-    searched selections under "selection_bar_found" and "selection_found".
-    """
-
-    sel: Selection
-    sel_bar: Selection
-    m_psi: DeterministicModel
-    t_dd: np.ndarray
-    m_full: DeterministicModel
-    found: dict
-
-
 def _check_selections(sel: Union[Selection, str], sel_bar: Union[Selection, str],
                       n_x: int, n_bar: int, D: int, n_y: int, n_u: int) -> None:
     """Check that each explicit selection fits the realization asked of it.
@@ -468,36 +450,30 @@ def _check_selections(sel: Union[Selection, str], sel_bar: Union[Selection, str]
             raise DimensionError(f"{name} has n = {s.n} but {n_name} = {n}")
 
 
-def _attempts(cov: CovarianceTable, n_x: int, n_bar: int,
-              sel: Union[Selection, str], sel_bar: Union[Selection, str]
-              ) -> Iterator[Callable[[], _JointRealization]]:
-    """Steps 1-5 of the covariance realization, attempt after attempt.
+_STEP_2 = "step 2 (input-part realization)"
+
+
+def _step_1(cov: CovarianceTable, n_x: int, n_bar: int,
+            sel: Union[Selection, str], sel_bar: Union[Selection, str]) -> tuple:
+    """Step 1 of the covariance realization: what every attempt reads.
 
     sel and sel_bar are Selections, checked by _check_selections, or
-    "search".  Once per realization: Psi over Lambda^{y,u}'s words (step
-    1), and Lambda^{y,y} and Psi gathered over the joint words, the
-    nonempty words of both tables; each attempt's Lambda^{yd,yd} and joint
-    table share Lambda^{y,y}'s index over them.  An explicit selection's
-    missing words are found up front and raised in the stage that reads
-    them: step 1 (Lambda^{y,u}, both selections explicit) or steps 3-4.
-    Each attempt makes step 2 and yields a call that makes its steps 3-5
-    and returns its _JointRealization, so that their errors are raised
-    where the attempt is run.  An explicit selection goes straight to
-    Ho-Kalman; "search" takes the next vetted candidate (_iter_vetted):
-    attempt a uses the a-th vetted sel_bar, from one search kept across
-    attempts, and the a-th vetted sel on that sel_bar's joint table.  Step
-    1 and step 2 errors end the attempts.
+    "search".  Returns (psi, psi_eps, lam_yy, psi_joint, absent): Psi over
+    Lambda^{y,u}'s words and its empty-word value, and Lambda^{y,y} and
+    Psi's values gathered over the joint words, the nonempty words of both
+    tables; each attempt's Lambda^{yd,yd} and joint table share lam_yy's
+    index.  An explicit selection's missing words are found here and raised
+    in the stage that reads them: step 1 (Lambda^{y,u}, both selections
+    explicit) or steps 3-4 (the words of sel in `absent`).
     """
     cov.validate()
-    D = cov.p.shape[0]
-    _check_selections(sel, sel_bar, n_x, n_bar, D, cov.n_y, cov.n_u)
+    _check_selections(sel, sel_bar, n_x, n_bar, cov.p.shape[0], cov.n_y, cov.n_u)
     lam_yu, lam_yy = cov.lambda_yu, cov.lambda_yy
     with _stage("step 1 (input Markov values)"):
         psi = psi_uy(cov)
         if isinstance(sel, Selection) and isinstance(sel_bar, Selection):
             lam_yu.rows_of([EMPTY_WORD, *required_words(sel_bar), *required_words(sel)])
         psi_eps = psi[EMPTY_WORD]
-    M_eps = np.hstack([psi_eps, np.eye(cov.n_y)])
     in_yu = lam_yu.index
     joint_words = [w for w in lam_yy.index if w and w in in_yu]
     if len(joint_words) < len(lam_yy):
@@ -506,35 +482,39 @@ def _attempts(cov: CovarianceTable, n_x: int, n_bar: int,
     psi_joint = psi.array[psi.rows_of(joint_words)]
     needed = required_words(sel) if isinstance(sel, Selection) else ()
     absent = [w for w in needed if w not in cov.lambda_yy] or [w for w in needed if w not in lam_yu]
+    return psi, psi_eps, lam_yy, psi_joint, absent
 
-    def steps_3_to_5(bar: Selection, m_psi: DeterministicModel,
-                     attempt: int) -> _JointRealization:
-        found = {"selection_bar_found": bar.to_jsonable()} if sel_bar == "search" else {}
-        with _stage("steps 3-4 (noise-part covariances)"):
-            lam_dd, t_dd = lambda_ydyd(m_psi, cov.q_u, cov.p, lam_yy.index)
-            if absent:
-                raise MissingMarkovParameterError(str(absent[0]))
-            M = WordIndexedMatrixTable(
-                (cov.n_y, cov.n_u + cov.n_y), lam_yy.index,
-                np.concatenate([psi_joint, lam_yy.array - lam_dd.array], axis=2))
-        with _stage("step 5 (joint realization)"):
-            if sel == "search":
-                joint, m_full = next(_iter_vetted(M, M_eps, n_x, cov.n_y,
-                                                  cov.n_u + cov.n_y, D, attempt))
-                found["selection_found"] = joint.to_jsonable()
-            else:
-                joint, m_full = sel, ho_kalman(sel, M, M_eps)
-        return _JointRealization(joint, bar, m_psi, t_dd, m_full, found)
 
-    step_2 = "step 2 (input-part realization)"
-    with _stage(step_2):
-        bars = (_iter_vetted(psi, psi_eps, n_bar, cov.n_y, cov.n_u, D)
-                if sel_bar == "search"
-                else repeat((sel_bar, ho_kalman(sel_bar, psi, psi_eps))))
-    for attempt in count():
-        with _stage(step_2):
-            bar, m_psi = next(bars)
-        yield functools.partial(steps_3_to_5, bar, m_psi, attempt)
+def _steps_2_to_5(cov: CovarianceTable, first: tuple, n_x: int, n_bar: int,
+                  sel: Union[Selection, str], sel_bar: Union[Selection, str],
+                  attempt: int) -> tuple:
+    """Steps 2-5 of attempt `attempt` on `first`, what _step_1 returned.
+
+    Steps 2 and 5 realize at the attempt's index (_realize_at), so an
+    attempt is a function of its index.  Returns (joint, bar, found, t_dd,
+    m_full): the selections of steps 5 and 2, the searched ones under
+    "selection_bar_found" and "selection_found", the input part's per-mode
+    output moments T^{yd,yd}_{s,s} (step 3), and the joint realization,
+    which step 6 converts.
+    """
+    psi, psi_eps, lam_yy, psi_joint, absent = first
+    D = cov.p.shape[0]
+    with _stage(_STEP_2):
+        bar, m_psi = _realize_at(sel_bar, psi, psi_eps, n_bar, D, attempt)
+    found = {"selection_bar_found": bar.to_jsonable()} if sel_bar == "search" else {}
+    with _stage("steps 3-4 (noise-part covariances)"):
+        lam_dd, t_dd = lambda_ydyd(m_psi, cov.q_u, cov.p, lam_yy.index)
+        if absent:
+            raise MissingMarkovParameterError(str(absent[0]))
+        M = WordIndexedMatrixTable(
+            (cov.n_y, cov.n_u + cov.n_y), lam_yy.index,
+            np.concatenate([psi_joint, lam_yy.array - lam_dd.array], axis=2))
+    with _stage("step 5 (joint realization)"):
+        joint, m_full = _realize_at(sel, M, np.hstack([psi_eps, np.eye(cov.n_y)]), n_x, D,
+                                    attempt)
+    if sel == "search":
+        found["selection_found"] = joint.to_jsonable()
+    return joint, bar, found, t_dd, m_full
 
 
 def covariance_realization(
@@ -557,34 +537,39 @@ def covariance_realization(
 
     sel and sel_bar are Selections or "search"; an explicit one must fit
     the table, with n = n_x (sel) or n = n_bar (sel_bar), else
-    DimensionError names it (_check_selections).  Runs the attempts of
-    _attempts: SEARCH_ATTEMPTS of them when either selection is "search",
-    else one.  The first attempt that converts is returned as (model,
-    diagnostics); a search adds "search_attempts" and, when an attempt
-    failed first, "rejected_attempts", each failure as "<ErrorClass>:
-    <message>" with the message leading with its stage.  The last
-    attempt's failure is raised, its stage in .stage.
+    DimensionError names it (_check_selections).  Step 1 runs once
+    (_step_1), then attempt a = 0, 1, ... makes steps 2-6 at its index
+    (_steps_2_to_5): SEARCH_ATTEMPTS attempts when either selection is
+    "search", else one.  The first attempt that converts is returned as
+    (model, diagnostics); a search adds "search_attempts" and, when an
+    attempt failed first, "rejected_attempts", each failure as
+    "<ErrorClass>: <message>" with the message leading with its stage.  A
+    step-2 failure would recur at every later attempt (Psi is one table and
+    the search limit only grows), so it ends the attempts; otherwise the
+    last attempt's failure is raised.  Either way its stage is in .stage.
     """
     attempts = SEARCH_ATTEMPTS if "search" in (sel, sel_bar) else 1
+    first = _step_1(cov, n_x, n_bar, sel, sel_bar)
     rejected: List[str] = []
-    for attempt, steps_3_to_5 in enumerate(_attempts(cov, n_x, n_bar, sel, sel_bar)):
+    for attempt in range(attempts):
         try:
-            joint = steps_3_to_5()
-            leftover = cov.t_yy - joint.t_dd
+            joint, bar, found, t_dd, m_full = _steps_2_to_5(cov, first, n_x, n_bar, sel,
+                                                            sel_bar, attempt)
+            leftover = cov.t_yy - t_dd
             t_ys = (leftover + leftover.transpose(0, 2, 1)) / 2.0
             with _stage("step 6 (innovation conversion)"):
-                model, state = associated_slss(joint.m_full, cov.p, t_ys, cov.q_u)
+                model, state = associated_slss(m_full, cov.p, t_ys, cov.q_u)
         except (NumericalError, ModelInvalidError) as exc:
-            if attempt == attempts - 1:
+            if attempt == attempts - 1 or exc.stage == _STEP_2:
                 raise
             rejected.append(f"{type(exc).__name__}: {exc}")
             continue
         diagnostics = {
-            **joint.found,
-            "selection": joint.sel.to_jsonable(),
-            "selection_bar": joint.sel_bar.to_jsonable(),
+            **found,
+            "selection": joint.to_jsonable(),
+            "selection_bar": bar.to_jsonable(),
             "warnings": list(cov.metadata.get("degenerate_words", [])),
-            "n_bar": joint.m_psi.n_x,
+            "n_bar": bar.n,
             "kq_iterations": state.iterations,
             "kq_last_delta": state.last_delta,
             "n_x": model.n_x,
@@ -670,32 +655,32 @@ def iter_full_rank_selections(
                                 n_modes=n_modes, n_y=n_y, n_cols=n_cols)
 
 
-def _iter_vetted(M: WordIndexedMatrixTable, M_eps: np.ndarray, n: int, n_y: int,
-                 n_cols: int, n_modes: int, attempt: int = 0
-                 ) -> Iterator[Tuple[Selection, DeterministicModel]]:
-    """The vetted selections of attempts attempt, attempt + 1, ... on one table.
+def _realize_at(sel: Union[Selection, str], M: WordIndexedMatrixTable, M_eps: np.ndarray,
+                n: int, n_modes: int, attempt: int) -> Tuple[Selection, DeterministicModel]:
+    """The selection of attempt `attempt` on M, with its realization at feedthrough M_eps.
 
-    Attempt k's selection is the k-th (from 0) full-rank selection, in
-    iter_full_rank_selections' order, whose realization at feedthrough
-    M_eps is mean-square stable; it is yielded with that realization if it
-    is among the first SEARCH_RETRIES + k candidates, and otherwise
-    NoSelectionFoundError says how many were examined.  Table entries absorb
-    sqrt(p), so the realized A_s are the deterministic ones and the relevant
-    operator is sum_s A_s kron A_s.  Under estimation noise a full-rank
-    selection can still realize an unstable family, which every later stage
-    rejects; vetting here keeps the search moving.
+    An explicit selection is realized as it is.  "search" takes the
+    attempt-th (from 0) full-rank selection of dimension n, in
+    iter_full_rank_selections' order, whose realization is mean-square
+    stable, if it is among the first SEARCH_RETRIES + attempt candidates;
+    otherwise NoSelectionFoundError says how many were examined.  Table
+    entries absorb sqrt(p), so the realized A_s are the deterministic ones
+    and the relevant operator is sum_s A_s kron A_s.  Under estimation
+    noise a full-rank selection can still realize an unstable family, which
+    every later stage rejects; vetting here keeps the search moving.
     """
+    if isinstance(sel, Selection):
+        return sel, ho_kalman(sel, M, M_eps)
     ones = np.ones(n_modes)
     examined = stable = 0
-    for cand in iter_full_rank_selections(M, n, n_y, n_cols, n_modes):
+    for cand in iter_full_rank_selections(M, n, *M.shape, n_modes):
         try:
             m = ho_kalman(cand, M, M_eps)
         except SingularHankelError:
             m = None
         if m is not None and stability_margin(m.A, ones) < 1.0:
             if stable == attempt:
-                yield cand, m
-                attempt += 1
+                return cand, m
             stable += 1
         examined += 1
         if examined >= SEARCH_RETRIES + attempt:
@@ -704,4 +689,3 @@ def _iter_vetted(M: WordIndexedMatrixTable, M_eps: np.ndarray, n: int, n_y: int,
         f"{examined} full-rank selection(s) examined, none usable; "
         "more data or an explicit selection is needed"
     )
-

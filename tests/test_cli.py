@@ -105,6 +105,27 @@ def test_estimate_realize_compare_round_trip(workspace, two_mode):
     find_isomorphism(model, two_mode.model, tol=1.0)
 
 
+def test_realize_reads_selections_from_files(workspace, tmp_path, two_mode):
+    # "file:PATH" selections, read relative to the config, realize the bytes
+    # that the same selections given inline realize
+    est_cfg = write_json(tmp_path / "est.json", {
+        "data": str(workspace / "sim" / "data.csv"), "p": [0.5, 0.5],
+        "words": {"max_len": 5}})
+    assert main(["estimate", "--config", str(est_cfg), "--out", str(tmp_path / "est")]) == 0
+    (tmp_path / "sel").mkdir()
+    write_json(tmp_path / "sel" / "sel.json", two_mode.sel.to_jsonable())
+    write_json(tmp_path / "sel" / "sel_bar.json", two_mode.sel_bar.to_jsonable())
+    for name, sel, sel_bar in (
+            ("inline", two_mode.sel.to_jsonable(), two_mode.sel_bar.to_jsonable()),
+            ("files", "file:sel/sel.json", "file:sel/sel_bar.json")):
+        cfg = write_json(tmp_path / f"{name}.json", {
+            "covariances": "est/covariances.json", "n_x": 3,
+            "selection": sel, "selection_bar": sel_bar})
+        assert main(["realize", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+    assert ((tmp_path / "files" / "model.json").read_bytes()
+            == (tmp_path / "inline" / "model.json").read_bytes())
+
+
 def test_realize_searches_with_the_attempts_of_identify(workspace, tmp_path):
     # on this table the first vetted selections fail in step 6; realize must
     # retry like identify does and land on identify's model
@@ -316,6 +337,17 @@ def test_compare_rejects_different_models(workspace, two_mode, capsys):
     assert "not isomorphic" in capsys.readouterr().err
 
 
+def _deterministic(m):
+    return {**m, "type": "deterministic"}
+
+
+def _nan_c(m):
+    return {**m, "C": [[float("nan"), *m["C"][0][1:]]]}
+
+
+_NOT_STOCHASTIC = "the model's type is 'deterministic'; a stochastic"
+
+
 @pytest.mark.parametrize("command, edit, code, text", [
     ("compare", lambda m: [1, 2], 2, "a model must be a JSON object, got list"),
     ("compare", lambda m: 5, 2, "a model must be a JSON object, got int"),
@@ -349,30 +381,51 @@ def test_compare_rejects_different_models(workspace, two_mode, capsys):
      "q_u has negative eigenvalue -3.333e-01"),
     ("realize", lambda cov: {**cov, "q_u": [[0.0]]}, 5,
      "input covariance Q_u is numerically singular"),
+    # every command that reads a model refuses a deterministic one and runs
+    # the model's validate()
+    ("compare", _deterministic, 2, _NOT_STOCHASTIC),
+    ("simulate", _deterministic, 2, _NOT_STOCHASTIC),
+    ("validate", _deterministic, 2, _NOT_STOCHASTIC),
+    ("transform-model", _deterministic, 2, _NOT_STOCHASTIC),
+    ("validate", _nan_c, 2, "C holds a non-finite entry"),
+    ("transform-model", _nan_c, 2, "C holds a non-finite entry"),
+    ("transform", lambda T: [[float("nan"), 0.0, 0.0], *T[1:]], 3,
+     "T holds a non-finite entry"),
 ], ids=["list", "number", "missing-key", "ragged-family", "flat-family", "object-C",
         "object-T", "T-shape", "t_yy-missing-mode", "t_yy-extra-key", "t_yy-number",
         "lambda_yu-list", "missing-p", "missing-n_y", "metadata-number",
         "lambda_yy-entry-object", "table-list", "degenerate-words-number",
-        "q_u-negative", "q_u-singular"])
+        "q_u-negative", "q_u-singular", "compare-deterministic", "simulate-deterministic",
+        "validate-deterministic", "transform-deterministic", "validate-nan-C",
+        "transform-nan-C", "nan-T"])
 def test_a_malformed_input_file_exits_with_its_code(workspace, tmp_path, capsys, two_mode,
                                                     command, edit, code, text):
     # each edits a good input file: a model, a transformation T, or a
     # covariance table that estimate wrote
-    model = workspace / "true_model.json"
-    if command == "compare":
-        bad = write_json(tmp_path / "bad.json", edit(two_mode.model.to_dict()))
-        argv = ["compare", str(bad), str(model)]
-    elif command == "transform":
+    model, out = workspace / "true_model.json", str(tmp_path / "out")
+    if command == "transform":
         bad = write_json(tmp_path / "T.json", edit(np.eye(3).tolist()))
-        argv = ["transform", str(model), str(bad), "--out", str(tmp_path / "out")]
-    else:
+        argv = ["transform", str(model), str(bad), "--out", out]
+    elif command == "realize":
         est = write_json(tmp_path / "est.json", {"data": str(workspace / "sim" / "data.csv"),
                                                  "p": [0.5, 0.5], "words": {"max_len": 2}})
         assert main(["estimate", "--config", str(est), "--out", str(tmp_path / "est")]) == 0
         cov = json.loads((tmp_path / "est" / "covariances.json").read_text())
         write_json(tmp_path / "cov.json", edit(cov))
         real = write_json(tmp_path / "real.json", {"covariances": "cov.json", "n_x": 3})
-        argv = ["realize", "--config", str(real), "--out", str(tmp_path / "out")]
+        argv = ["realize", "--config", str(real), "--out", out]
+    else:
+        bad = write_json(tmp_path / "bad.json", edit(two_mode.model.to_dict()))
+        if command == "compare":
+            argv = ["compare", str(bad), str(model)]
+        elif command == "transform-model":
+            T = write_json(tmp_path / "T.json", np.eye(3).tolist())
+            argv = ["transform", str(bad), str(T), "--out", out]
+        else:
+            section = ({"sim": {"seed": 0, "length": 100}} if command == "simulate"
+                       else {"data": str(workspace / "sim" / "data.csv")})
+            cfg = write_json(tmp_path / "cfg.json", {"model": "bad.json", **section})
+            argv = [command, "--config", str(cfg), "--out", out]
     assert main(argv) == code
     assert text in capsys.readouterr().err
 

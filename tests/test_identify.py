@@ -45,6 +45,7 @@ from slsid import (
     validate_model,
 )
 from slsid.model import numerical_rank
+from slsid.realize import SEARCH_ATTEMPTS
 
 from oracles import least_squares_covariances, load_tool, reach_obs_ranks
 
@@ -218,6 +219,28 @@ def test_search_exhaustion_is_a_typed_error_naming_its_step(two_mode, scalar):
         resolve_selections(cov, 2, 2, "search", "search")
     assert err.value.stage == "step 2 (input-part realization)"
     assert "0 full-rank selection(s) examined, none usable" in str(err.value)
+
+
+def test_a_step_2_failure_ends_the_attempts(scalar, monkeypatch):
+    # a rank-2 input part of the scalar system has no candidate at any
+    # attempt: the realization and identify raise the first attempt's
+    # step-2 failure after one search, with no retry
+    cov = exact_covariances(scalar.model, 6)
+    realize = sys.modules["slsid.realize"]
+    searched, search = [], realize.iter_full_rank_selections
+    monkeypatch.setattr(realize, "iter_full_rank_selections",
+                        lambda *args: searched.append(args) or search(*args))
+    monkeypatch.setattr(sys.modules["slsid.identify"], "empirical_covariances",
+                        lambda *args: cov)
+    data = simulate(scalar.model, SimConfig(seed=0, length=100))
+    for run in (lambda: covariance_realization(cov, 2, 2, "search", "search"),
+                lambda: identify(data, IdentConfig(n_x=2, p=(1.0,)))):
+        searched.clear()
+        with pytest.raises(NoSelectionFoundError) as err:
+            run()
+        assert err.value.stage == "step 2 (input-part realization)"
+        assert "0 full-rank selection(s) examined, none usable" in str(err.value)
+        assert len(searched) == 1
 
 
 def test_identify_checks_explicit_selections_before_estimating(two_mode, monkeypatch):
@@ -413,7 +436,7 @@ def test_search_reads_the_values_an_eager_search_reads(two_mode, two_mode_cov, c
         N, seed = case.split("-")
         data = simulate(two_mode.model, SimConfig(seed=int(seed), length=int(float(N))))
         cov = empirical_covariances(data, (0.5, 0.5), enumerate_words(2, 8))
-    for skip in (0, 1):
+    for skip in range(SEARCH_ATTEMPTS):
         sel, sel_bar, _ = resolve_selections(cov, 3, 3, "search", "search", skip=skip)
         assert (sel, sel_bar) == _eager_search(cov, 3, skip)
 

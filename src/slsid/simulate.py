@@ -18,6 +18,7 @@ import math
 import numbers
 import re
 from dataclasses import asdict, dataclass
+from itertools import groupby
 from typing import Optional
 
 import numpy as np
@@ -113,9 +114,7 @@ class Dataset:
 
     def to_csv(self, path) -> None:
         """Write t, q, u_1.., y_1.. with a mandatory header row."""
-        header = ["t", "q"]
-        header += [f"u_{i + 1}" for i in range(self.n_u)]
-        header += [f"y_{i + 1}" for i in range(self.n_y)]
+        header = ["t", "q"] + _names("u", self.n_u) + _names("y", self.n_y)
         t = np.arange(self.t0, self.t0 + len(self))
         write_csv(path, header, [t, self.q, *self.u.T, *self.y.T])
 
@@ -123,7 +122,7 @@ class Dataset:
         """Write the noise-free channel as t, y_1.. ."""
         if self.y_clean is None:
             raise DimensionError("dataset has no noise-free channel")
-        header = ["t"] + [f"y_{i + 1}" for i in range(self.n_y)]
+        header = ["t"] + _names("y", self.n_y)
         t = np.arange(self.t0, self.t0 + len(self))
         write_csv(path, header, [t, *self.y_clean.T])
 
@@ -133,9 +132,10 @@ class Dataset:
 
         Integer t and q cells, float u and y cells, one row per line; blank
         lines are skipped.  A ragged row or an unparsable cell raises
-        ValueError; a file without rows, a t column that does not step by
-        one, or a clean channel whose t differs from the dataset's raises
-        DimensionError.
+        ValueError; a header other than t,q,u_1..u_m,y_1..y_n (t,y_1..y_n
+        for the clean channel), a file without rows, a t column that does
+        not step by one, or a clean channel whose t differs from the
+        dataset's raises DimensionError.
         """
         header, rows = _read_csv(path, _dataset_dtype)
         n_u = sum(1 for name in header if name.startswith("u_"))
@@ -169,46 +169,84 @@ def as_series(x) -> np.ndarray:
 
 
 def load_series_csv(path) -> np.ndarray:
-    """Read a t, y_1.. CSV (the noise-free channel format); returns the y block."""
+    """Read a t,y_1..y_n CSV (the noise-free channel format); returns the y block."""
     _, rows = _read_csv(path, _series_dtype)
     return rows["y"].copy()
 
 
-# Rows per block of `write_csv`.  A block's text is the writer's only
-# temporary, so this bounds its memory.  Writing a 5e4-row dataset on a
-# 2-vCPU Xeon VM: the tracemalloc peak is 0.65, 0.89, 1.37, 2.30 and 4.21 MB
-# at 512, 1024, 2048, 4096 and 8192 rows, against 19 MB for whole columns;
-# the best time is flat (74-77 ms) from 512 to 8192 rows and 4 % higher at 256.
+# Rows per block of `write_csv`.  A block's arrays and text are the writer's
+# only temporaries, so this bounds its memory.  Writing a 5e4-row dataset on
+# a 2-vCPU Xeon VM: the tracemalloc peak of `Dataset.to_csv` is 0.59, 0.76,
+# 1.15, 1.80 and 3.20 MB at 512, 1024, 2048, 4096 and 8192 rows (0.40 MB of
+# it the t column to_csv passes); the best time is flat (22-23 ms) over that
+# range, against 74-83 ms for the repr() writer it replaced.
 CSV_BLOCK_ROWS = 1024
 
 
 def write_csv(path, header, columns) -> None:
     """Write equal-length columns under a header row, CSV_BLOCK_ROWS rows at a time.
 
-    Each cell is the repr of the column's Python value (.tolist()), so
-    integers print as digits and floats as their shortest exact text: a
-    float read back with float() or np.loadtxt is bit-identical.  A list's
-    repr is its items' reprs joined by ", ", which splits back into cells.
+    Integer columns print as digits and float columns as the shortest
+    text that reads back bit-identical (float() or np.loadtxt): the cells
+    are those of repr() of each column's Python values.  Each run of
+    same-kind columns is stacked into one block (int64 or float64) whose
+    cells orjson.dumps formats; its Ryu digits are repr's, and its layout
+    is too for 0 and for 1e-4 <= |x| < 1e16.  A row with a float cell
+    outside those (a NaN, an inf, a nonzero |x| < 1e-4 or |x| >= 1e16) is
+    formatted with repr instead, so the bytes are repr's throughout.
     """
     n = len(columns[0])
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
+    runs = [(kind, list(cols)) for kind, cols in groupby(columns, key=_cell_kind)]
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
         for a in range(0, n, CSV_BLOCK_ROWS):
-            cells = [repr(col[a:a + CSV_BLOCK_ROWS].tolist())[1:-1].split(", ")
-                     for col in columns]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+            cells = [_run_rows([col[a:a + CSV_BLOCK_ROWS] for col in cols], kind)
+                     for kind, cols in runs]
+            fh.write(b"\n".join(map(b",".join, zip(*cells))) + b"\n")
+
+
+def _cell_kind(col) -> type:
+    return np.int64 if col.dtype.kind in "iu" else np.float64
+
+
+def _run_rows(cols, kind) -> list:
+    """A run of same-kind column slices, row by row, as b"a,b" cells in repr's text."""
+    import orjson  # here, not at the top: a process that writes no CSV skips its 0.8 MB
+
+    block = np.stack(cols, axis=1).astype(kind, copy=False)  # C-ordered, as orjson needs
+    rows = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].split(b"],[")
+    if kind is np.float64:
+        mag = np.abs(block)
+        as_repr = ~(((mag >= 1e-4) & (mag < 1e16)) | (mag == 0)).all(axis=1)
+        for i in np.flatnonzero(as_repr).tolist():
+            rows[i] = ",".join(map(repr, block[i].tolist())).encode()
+    return rows
 
 
 def _dataset_dtype(header):
-    if header[:2] != ["t", "q"]:
-        raise DimensionError(f"unexpected dataset header {header[:2]}")
-    n_cols = sum(1 for name in header if name.startswith(("u_", "y_")))
-    return [("t", np.int64), ("q", np.int64), ("v", float, (n_cols,))]
+    n_u = sum(1 for name in header if name.startswith("u_"))
+    _check_header(header, ["t", "q"] + _names("u", n_u))
+    return [("t", np.int64), ("q", np.int64), ("v", float, (len(header) - 2,))]
 
 
 def _series_dtype(header):
-    n_y = sum(1 for name in header if name.startswith("y_"))
-    return [("t", np.int64), ("y", float, (n_y,))]
+    _check_header(header, ["t"])
+    return [("t", np.int64), ("y", float, (len(header) - 1,))]
+
+
+def _names(prefix: str, n: int) -> list:
+    return [f"{prefix}_{i + 1}" for i in range(n)]
+
+
+def _check_header(header, head) -> None:
+    """header is head followed by y_1..y_n, n >= 1; else DimensionError.
+
+    Cells are read by position, so a header in another order would swap
+    columns silently.
+    """
+    if len(header) <= len(head) or header != head + _names("y", len(header) - len(head)):
+        raise DimensionError(f"unexpected header {','.join(header)}; "
+                             f"want {','.join(head + ['y_1..y_n'])}")
 
 
 def _read_csv(path, dtype_of):

@@ -184,3 +184,19 @@ def row_major_scan(q: np.ndarray, M: np.ndarray, C: np.ndarray, inputs) -> np.nd
         out[rows] = prod[:m, D * n:D * n + n_out]
         row[:m, :n] = np.take(prod.reshape(-1, n), first[:m] + s, axis=0)
     return out
+
+
+def repr_write_csv(path, header, columns) -> None:
+    """`simulate.write_csv` in its earlier form, whose bytes it must keep.
+
+    Each cell is the repr of the column's Python value (.tolist()): a
+    list's repr is its items' reprs joined by ", ", which splits back into
+    cells, 1024 rows at a time.
+    """
+    n = len(columns[0])
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for a in range(0, n, 1024):
+            cells = [repr(col[a:a + 1024].tolist())[1:-1].split(", ")
+                     for col in columns]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")

@@ -230,6 +230,7 @@ def _validate_on(workspace, tmp_path, csv_text, **extra):
     ("fractional_q", 3),   # ValueError: q = 1.5 is not truncated
     ("gap_in_t", 4),       # DimensionError: t skips a value
     ("repeated_t", 4),     # DimensionError: t repeats a value
+    ("swapped_columns", 4),  # DimensionError: the header is t,q,y_1,u_1
 ])
 def test_validate_reads_csv_by_its_contract(workspace, tmp_path, capsys, edit, code):
     lines = (workspace / "sim" / "data.csv").read_text().splitlines()[:200]
@@ -240,13 +241,18 @@ def test_validate_reads_csv_by_its_contract(workspace, tmp_path, capsys, edit, c
                  "unparsable": ",".join([t, q, "0.5x", y]),
                  "fractional_q": ",".join([t, "1.5", u, y]),
                  "gap_in_t": ",".join([str(int(t) + 1), q, u, y]),
-                 "repeated_t": ",".join([str(int(t) - 1), q, u, y])}[edit]
+                 "repeated_t": ",".join([str(int(t) - 1), q, u, y])}.get(edit, lines[51])
     if edit == "header_only":
         lines = lines[:1]
+    if edit == "swapped_columns":  # the u and y columns trade places, header and all
+        lines = [",".join([c[0], c[1], c[3], c[2]]) for c in (line.split(",") for line in lines)]
     assert _validate_on(workspace, tmp_path, "\n".join(lines) + "\n") == code
     err = capsys.readouterr().err
     if edit == "header_only":
         assert "has no rows" in err
+    elif edit == "swapped_columns":
+        # read by position, u and y would trade places without an error
+        assert "unexpected header t,q,y_1,u_1" in err and "row" not in err, err
     elif code in (3, 4):
         # lines[51] is data row 50, whatever the kind of error
         assert re.search(r"\bat row 50\b", err), err

@@ -3,7 +3,11 @@ does not use; both are read from the source with ast.  SimConfig's fields
 are pinned too."""
 import ast
 import dataclasses
+import re
+import sys
 from pathlib import Path
+
+import pytest
 
 import slsid
 
@@ -57,6 +61,23 @@ def test_no_module_imports_a_name_it_does_not_use():
                    and getattr(node, "module", "") != "__future__" for alias in node.names
                    if (alias.asname or alias.name).split(".")[0] not in used]
     assert unused == []
+
+
+def test_every_import_is_the_standard_library_or_a_declared_dependency():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[\w.-]+", dep).group().lower().replace("-", "_")
+                for dep in project["dependencies"]}
+    imported = set()
+    for tree in trees("src/slsid").values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add(node.module.split(".")[0])
+    assert sorted(imported - sys.stdlib_module_names - declared) == []
+    # and every declared dependency is imported
+    assert declared <= imported
 
 
 def test_sim_config_holds_only_what_the_model_does_not_fix():

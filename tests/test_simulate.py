@@ -33,10 +33,11 @@ from slsid.simulate import (
     _parse_rows,
     _read_csv,
     affine_scan,
+    write_csv,
 )
 from slsid.cli import main
 
-from oracles import row_major_scan, searchsorted_switching
+from oracles import repr_write_csv, row_major_scan, searchsorted_switching
 
 
 # ---------------------------------------------------------------- switching
@@ -496,11 +497,12 @@ def _loop_clean_to_csv(data, path):
             fh.write(",".join(row) + "\n")
 
 
-def _edge_dataset(n=8):
+def _edge_dataset(n=10):
     """n rows cycling through float edge cases (signed zero, subnormals,
-    extremes, inexact decimals) in every float column."""
+    extremes, inexact decimals, and the writer's repr rows: a value in
+    [1e-5, 1e-4) and 1e16) in every float column."""
     edge = np.resize([-0.0, 5e-324, 1.7976931348623157e308, 1.0 / 3.0,
-                      -5e-324, -1.7976931348623157e308, 0.1, 1e22], n)
+                      -5e-324, -1.7976931348623157e308, 0.1, 1e22, 3.5e-05, 1e16], n)
     u = np.column_stack([edge, edge[::-1]])
     return Dataset(y=edge[:, None], u=u, q=np.resize([1, 2, 3], n), t0=-3,
                    y_clean=-edge[:, None])
@@ -513,7 +515,7 @@ def _same_bits(a, b):
 _B = CSV_BLOCK_ROWS
 
 
-@pytest.mark.parametrize("case", [pytest.param(8, id="edge"), 0, 1, _B - 1, _B, _B + 1,
+@pytest.mark.parametrize("case", [pytest.param(10, id="edge"), 0, 1, _B - 1, _B, _B + 1,
                                   2 * _B + 3, "simulated"])
 def test_csv_writer_bytes_and_exact_read_back(tmp_path, two_mode, case):
     # the writer formats CSV_BLOCK_ROWS rows at a time: lengths on both
@@ -541,15 +543,66 @@ def test_csv_writer_bytes_and_exact_read_back(tmp_path, two_mode, case):
     assert _same_bits(load_series_csv(tmp_path / "data_clean.csv"), data.y_clean)
 
 
+# the writer's layout boundaries (1e-4, 1e16 and the largest double below
+# it), the values on both sides of them, and what repr prints but orjson
+# does not: signed zero, subnormals, nan and +-inf (predictions.csv's cells)
+_FLOAT_EDGES = np.array([1e-4, np.nextafter(1e-4, 0), 1e16, 9999999999999998.0, 1.5e-5,
+                         -3.1e-5, 1e-7, 2.5e17, 1e22, 1.7976931348623157e308, 0.0, -0.0,
+                         5e-324, 2.2250738585072009e-308, np.nan, np.inf, -np.inf])
+
+
+def _float_bits(rng, n, exponents=(0, 2048)):
+    """n doubles of uniform random sign and mantissa bits, biased exponent in range."""
+    sign = rng.integers(0, 2, n, dtype=np.uint64) << np.uint64(63)
+    exponent = rng.integers(*exponents, n, dtype=np.uint64) << np.uint64(52)
+    mantissa = rng.integers(0, 1 << 52, n, dtype=np.uint64)
+    return (sign | exponent | mantissa).view(np.float64)
+
+
+_COLUMNS = {
+    "bits": _float_bits,
+    # 2^-14 <= |x| < 2^54: the band orjson formats as repr does, [1e-4, 1e16),
+    # and a little on each side
+    "bits_in_band": lambda rng, n: _float_bits(rng, n, (1023 - 14, 1023 + 54)),
+    "below_1e-4": lambda rng, n: rng.uniform(1e-5, 1e-4, n) * rng.choice([-1, 1], n),
+    "from_1e16": lambda rng, n: 10.0 ** rng.uniform(16, 308, n) * rng.choice([-1, 1], n),
+    "edges": lambda rng, n: rng.choice(_FLOAT_EDGES, n),
+    "normal": lambda rng, n: rng.normal(size=n),
+    "int8": lambda rng, n: rng.integers(-128, 128, n).astype(np.int8),
+    "int16": lambda rng, n: rng.integers(-2**15, 2**15, n).astype(np.int16),
+    "int64": lambda rng, n: rng.integers(-2**63, 2**63 - 1, n, endpoint=True),
+}
+
+
+@settings(deadline=None, max_examples=150)
+@given(n=st.sampled_from([0, 1, _B - 1, _B, _B + 1]), seed=st.integers(0, 2**32 - 1),
+       kinds=st.lists(st.sampled_from([*_COLUMNS, "transposed"]), min_size=1, max_size=6))
+def test_csv_writer_gives_the_repr_writers_bytes(tmp_path_factory, n, seed, kinds):
+    # orjson's digits are repr's, its layout only in the band; every other
+    # row is formatted by repr, so the bytes are the repr writer's
+    rng = np.random.default_rng(seed)
+    columns = []
+    for kind in kinds:
+        if kind == "transposed":  # two strided float columns of one array
+            columns += [*np.column_stack([_float_bits(rng, n), rng.normal(size=n)]).T]
+        else:
+            columns.append(_COLUMNS[kind](rng, n))
+    header = [f"c_{k}" for k in range(len(columns))]
+    path = tmp_path_factory.mktemp("csv")
+    write_csv(path / "got.csv", header, columns)
+    repr_write_csv(path / "want.csv", header, columns)
+    assert (path / "got.csv").read_bytes() == (path / "want.csv").read_bytes()
+
+
 def test_csv_round_trip_memory_stays_at_the_block_level(tmp_path, two_mode):
     data = simulate(two_mode.model, SimConfig(seed=11, length=50_000))
     path, clean = tmp_path / "data.csv", tmp_path / "data_clean.csv"
     data.to_csv(path)
     data.clean_to_csv(clean)
     Dataset.from_csv(path, clean_path=clean)  # lazy imports
-    # measured 0.89 MB to write (a block's text) and 2.80 MB to read (the
-    # parsed rows beside the dataset's arrays); holding the whole text took
-    # 11.5 and 8.1 MB
+    # measured 0.76 MB to write (the t column and a block's arrays and text)
+    # and 2.80 MB to read (the parsed rows beside the dataset's arrays);
+    # holding the whole text took 11.5 and 8.1 MB
     assert _peak_bytes(data.to_csv, path) < 1.5e6
     assert _peak_bytes(Dataset.from_csv, path, clean) < 4e6
 
@@ -697,6 +750,21 @@ def test_csv_reader_rejects_t_that_does_not_step_by_one(tmp_path, ts, text):
     path.write_text("t,y_1\n  \n" + "".join(f"{t},1.5\n" for t in ts))
     with pytest.raises(DimensionError, match=re.escape(text)):
         load_series_csv(path)
+
+
+@pytest.mark.parametrize("kind, header", [
+    *[("dataset", h) for h in ["t,q,y_1,u_1", "t,q,u_2,y_1", "t,q,u_1", "q,t,u_1,y_1",
+                               "t,q,u_1,y_1,u_2", "t,y_1"]],
+    *[("series", h) for h in ["t,y_2", "t", "t,q,y_1", "y_1,t", "t,y_1,u_1"]],
+])
+def test_csv_reader_takes_columns_only_in_their_order(tmp_path, kind, header):
+    # cells are read by position, so a header in another order would swap columns
+    path = tmp_path / "data.csv"
+    cells = ["0", "1", "5.0", "6.0", "7.0"][:header.count(",") + 1]
+    path.write_text(header + "\n" + ",".join(cells) + "\n")
+    read = {"dataset": Dataset.from_csv, "series": load_series_csv}[kind]
+    with pytest.raises(DimensionError, match=re.escape(f"unexpected header {header}; want")):
+        read(path)
 
 
 def test_csv_reader_rejects_a_shifted_clean_channel(tmp_path):

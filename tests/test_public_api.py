@@ -1,6 +1,7 @@
 """Every public name serves a program path, and no module imports a name it
-does not use; both are read from the source with ast.  SimConfig's fields
-are pinned too."""
+does not use; both are read from the source with ast, as is that every
+import of the package is the standard library or a declared dependency.
+SimConfig's fields are pinned too."""
 import ast
 import dataclasses
 import re

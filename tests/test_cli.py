@@ -3,10 +3,12 @@ import functools
 import json
 import operator
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import slsid.cli
 from slsid import (
     Dataset,
     IdentConfig,
@@ -14,6 +16,7 @@ from slsid import (
     SimConfig,
     find_isomorphism,
     identify,
+    load_series_csv,
     model_from_dict,
     simulate,
     validate_model,
@@ -279,7 +282,7 @@ def _validate_with_reference(workspace, tmp_path, t_ref):
     data.to_csv(tmp_path / "data.csv")
     Dataset(y=data.y, u=data.u, q=data.q, t0=500, y_clean=data.y_clean).clean_to_csv(
         tmp_path / "data_clean.csv")
-    write_csv(tmp_path / "ref.csv", ["t", "y_1"], [t_ref + np.arange(200), data.y[:, 0]])
+    write_csv(tmp_path / "ref.csv", ["t", "y_1"], [data.y[:, 0]], t0=t_ref)
     cfg = write_json(tmp_path / "val.json", {
         "model": str(workspace / "true_model.json"), "data": "data.csv",
         "reference": "ref.csv", "exclude": 6})
@@ -760,12 +763,55 @@ def test_an_empty_validation_section_is_not_skipped(workspace, tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+def test_identify_checks_the_split_before_it_identifies(workspace, tmp_path, capsys,
+                                                       two_mode):
+    # a "data" file is scored in place of the split, as before
+    runs = {}
+    for name, validation in (("fits", {"split": 1000}), ("too_large", {"split": 20000}),
+                             ("data", {"split": 20000, "data": "sim/data.csv"})):
+        cfg = write_json(workspace / f"split_{name}.json",
+                         _ident_config(workspace, two_mode, validation=validation))
+        with mock.patch.object(slsid.cli, "identify", wraps=identify) as ident:
+            code = main(["identify", "--config", str(cfg), "--out", str(tmp_path / name)])
+        runs[name] = code, ident.call_count
+    assert runs == {"fits": (EXIT_OK, 1), "too_large": (EXIT_DIMENSION, 0),
+                    "data": (EXIT_OK, 1)}
+    assert "validation split 20000 >= dataset length 20000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, config, code", [
+    ("estimate", {"p": [0.5, 0.5], "words": {"max_len": 2}}, EXIT_OK),
+    ("identify", {}, EXIT_OK),
+    ("identify", {"validation": {"data": "val/data.csv"}}, EXIT_OK),
+    ("identify", {"validation": {"split": 1000}}, EXIT_IO),
+    ("validate", {"model": "model.json"}, EXIT_IO),
+])
+def test_only_a_command_that_scores_on_the_data_reads_its_clean_channel(
+        workspace, tmp_path, capsys, two_mode, command, config, code):
+    # the clean sibling is malformed: a command that never scores on the
+    # data does not parse it, and one that does stops at the reader's error
+    (tmp_path / "val").mkdir()
+    for path in (tmp_path / "data.csv", tmp_path / "val" / "data.csv"):
+        path.write_bytes((workspace / "sim" / "data.csv").read_bytes())
+    (tmp_path / "data_clean.csv").write_text("t,y_1\n0,abc\n")
+    with pytest.raises(ValueError) as reader:
+        load_series_csv(tmp_path / "data_clean.csv")
+    write_json(tmp_path / "model.json", two_mode.model.to_dict())
+    if command == "identify":
+        config = {"ident": {"n_x": 3, "selection": two_mode.sel.to_jsonable(),
+                            "selection_bar": two_mode.sel_bar.to_jsonable()}, **config}
+    cfg = write_json(tmp_path / "run.json", {"data": "data.csv", **config})
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert (f"error: {reader.value}" in err) == (code != EXIT_OK)
+
+
 def test_validate_records_its_reference(workspace, tmp_path):
     data = Dataset.from_csv(workspace / "sim" / "data.csv",
                             clean_path=workspace / "sim" / "data_clean.csv").slice(0, 200)
     data.to_csv(tmp_path / "data.csv")
-    write_csv(tmp_path / "ref_a.csv", ["t", "y_1"], [np.arange(200), data.y_clean[:, 0]])
-    write_csv(tmp_path / "ref_b.csv", ["t", "y_1"], [np.arange(200), data.y[:, 0]])
+    write_csv(tmp_path / "ref_a.csv", ["t", "y_1"], [data.y_clean[:, 0]], t0=0)
+    write_csv(tmp_path / "ref_b.csv", ["t", "y_1"], [data.y[:, 0]], t0=0)
     effective = {}
     for name, extra in (("a", {"reference": "ref_a.csv"}), ("b", {"reference": "ref_b.csv"}),
                         ("none", {})):

@@ -15,8 +15,11 @@ def test_compare_cli_hashes_every_file_and_names_a_changed_one(capsys):
     for runs in records.values():
         assert runs["simulate"]["exit"] == 0
         assert list(runs["simulate"]["files"]) == ["data.csv", "data_clean.csv", "manifest.json"]
-        assert set(runs) <= {"simulate", "identify", "validate", "estimate", "realize",
-                             "realize-explicit", "mimo-simulate", "mimo-validate"}
+        assert set(runs) <= {"simulate", "identify", "validate", "identify-plain",
+                             "identify-valdata", "estimate", "realize", "realize-explicit",
+                             "mimo-simulate", "mimo-validate"}
+        # identify with and without a validation file: both read the simulated data
+        assert {"identify-plain", "identify-valdata"} <= set(runs)
         assert runs["estimate"]["exit"] == 0
         assert list(runs["estimate"]["files"]) == ["covariances.json"]
         # the MIMO system's round: Gaussian input, two inputs and two outputs

@@ -576,10 +576,12 @@ _COLUMNS = {
 
 @settings(deadline=None, max_examples=150)
 @given(n=st.sampled_from([0, 1, _B - 1, _B, _B + 1]), seed=st.integers(0, 2**32 - 1),
+       t0=st.integers(-2**40, 2**40),
        kinds=st.lists(st.sampled_from([*_COLUMNS, "transposed"]), min_size=1, max_size=6))
-def test_csv_writer_gives_the_repr_writers_bytes(tmp_path_factory, n, seed, kinds):
+def test_csv_writer_gives_the_repr_writers_bytes(tmp_path_factory, n, seed, t0, kinds):
     # orjson's digits are repr's, its layout only in the band; every other
-    # row is formatted by repr, so the bytes are the repr writer's
+    # row is formatted by repr, so the bytes are the repr writer's, whose
+    # t column is given whole
     rng = np.random.default_rng(seed)
     columns = []
     for kind in kinds:
@@ -587,10 +589,10 @@ def test_csv_writer_gives_the_repr_writers_bytes(tmp_path_factory, n, seed, kind
             columns += [*np.column_stack([_float_bits(rng, n), rng.normal(size=n)]).T]
         else:
             columns.append(_COLUMNS[kind](rng, n))
-    header = [f"c_{k}" for k in range(len(columns))]
+    header = ["t"] + [f"c_{k}" for k in range(len(columns))]
     path = tmp_path_factory.mktemp("csv")
-    write_csv(path / "got.csv", header, columns)
-    repr_write_csv(path / "want.csv", header, columns)
+    write_csv(path / "got.csv", header, columns, t0=t0)
+    repr_write_csv(path / "want.csv", header, [t0 + np.arange(n), *columns])
     assert (path / "got.csv").read_bytes() == (path / "want.csv").read_bytes()
 
 
@@ -600,11 +602,25 @@ def test_csv_round_trip_memory_stays_at_the_block_level(tmp_path, two_mode):
     data.to_csv(path)
     data.clean_to_csv(clean)
     Dataset.from_csv(path, clean_path=clean)  # lazy imports
-    # measured 0.76 MB to write (the t column and a block's arrays and text)
-    # and 2.80 MB to read (the parsed rows beside the dataset's arrays);
-    # holding the whole text took 11.5 and 8.1 MB
+    # measured 0.37 MB to write (a block's arrays and text) and 2.80 MB to
+    # read (the parsed rows beside the dataset's arrays); holding the whole
+    # text took 11.5 and 8.1 MB
     assert _peak_bytes(data.to_csv, path) < 1.5e6
     assert _peak_bytes(Dataset.from_csv, path, clean) < 4e6
+
+
+def test_csv_writer_memory_does_not_grow_with_the_rows(tmp_path):
+    # the writer makes t block by block, so no column of N rows is built
+    rng = np.random.default_rng(0)
+
+    def peak(n):
+        data = Dataset(y=rng.normal(size=(n, 1)), u=rng.normal(size=(n, 1)),
+                       q=rng.integers(1, 3, n), t0=-5, y_clean=rng.normal(size=(n, 1)))
+        data.to_csv(tmp_path / "data.csv")  # lazy imports
+        return max(_peak_bytes(data.to_csv, tmp_path / "data.csv"),
+                   _peak_bytes(data.clean_to_csv, tmp_path / "data_clean.csv"))
+
+    assert abs(peak(200_000) - peak(50_000)) < 0.1e6
 
 
 _BLANK = st.sampled_from(["", " ", "\t", " \t "])
@@ -655,6 +671,19 @@ def test_csv_reader_paths_agree(tmp_path_factory, n_rows, seed, blanks, bad, eol
         got = _outcome(lambda: _read_csv(path, _dataset_dtype)[1])
     assert slow.called != streamed
     assert got == _outcome(fallback)
+
+
+def test_csv_reader_hands_loadtxt_the_path(tmp_path):
+    # given a path, np.loadtxt's C reader pulls the text in chunks; given an
+    # open file, it walks the file one Python line at a time
+    path = tmp_path / "data.csv"
+    path.write_text("t,q,u_1,y_1\n5,1,0.5,1.5\n6,2,-0.5,2.5\n")
+    with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt, \
+            mock.patch.object(sys.modules["slsid.simulate"], "_parse_rows") as slow:
+        _, rows = _read_csv(path, _dataset_dtype)
+    assert [call.args[0] for call in loadtxt.call_args_list] == [path]
+    assert not slow.called
+    assert rows["t"].tolist() == [5, 6] and rows["v"].tolist() == [[0.5, 1.5], [-0.5, 2.5]]
 
 
 def test_csv_reader_skips_whitespace_only_lines(tmp_path):

@@ -9,11 +9,14 @@ For each input seed 0-9 the two-mode reference system
 p = (0.5, 0.5) and a validation split of N/5 samples (`slsid identify`),
 and the identified model is scored on the whole simulated dataset
 (`slsid validate`); the first 6 samples are excluded from both scores.
-These are the configs of the benchmark's cli-roundtrip workload.  Each
-seed also runs `slsid estimate` over all words up to length 8 and
-`slsid realize` on that 511-word table twice: with "search" selections,
-and with the bundled ones (the record "realize-explicit"), which read
-only some of its words.  Then a fixed
+These are the configs of the benchmark's cli-roundtrip workload.  The
+same identification also runs without a "validation" section (the record
+"identify-plain"), and with the simulated file as its "validation.data"
+("identify-valdata"): the one reads no clean channel, the other only the
+validation file's.  Each seed also runs `slsid estimate` over all words
+up to length 8 and `slsid realize` on that 511-word table twice: with
+"search" selections, and with the bundled ones (the record
+"realize-explicit"), which read only some of its words.  Then a fixed
 three-mode innovation model with four states, two inputs and two outputs
 (`mimo_system`) is simulated with Gaussian input at the same seed and
 length, and scored on its own data (`slsid validate`); these records are
@@ -91,14 +94,18 @@ def _mimo_configs(length: int) -> dict:
 def _configs(length: int) -> dict:
     """The model file and each command's config, named after the command."""
     model, sel, sel_bar = reference_system()
+    ident = {"n_x": 3, "selection": sel.to_jsonable(), "selection_bar": sel_bar.to_jsonable(),
+             "p": [0.5, 0.5]}
     return {
         "model.json": model.to_dict(),
         "simulate.json": {"model": "model.json", "sim": {"seed": 0, "length": length}},
         "identify.json": {
-            "data": "simulate/data.csv",
-            "ident": {"n_x": 3, "selection": sel.to_jsonable(),
-                      "selection_bar": sel_bar.to_jsonable(), "p": [0.5, 0.5]},
+            "data": "simulate/data.csv", "ident": ident,
             "validation": {"split": length // 5, "exclude": EXCLUDE}},
+        "identify-plain.json": {"data": "simulate/data.csv", "ident": ident},
+        "identify-valdata.json": {
+            "data": "simulate/data.csv", "ident": ident,
+            "validation": {"data": "simulate/data.csv", "exclude": EXCLUDE}},
         "validate.json": {"model": "identify/model.json", "data": "simulate/data.csv",
                           "exclude": EXCLUDE},
         "estimate.json": {"data": "simulate/data.csv", "p": [0.5, 0.5], "words": {"max_len": 8}},
@@ -152,7 +159,8 @@ def records(seeds, length: int) -> dict:
     with tempfile.TemporaryDirectory(prefix="compare-cli-") as tmp:
         for seed in seeds:
             workdir = Path(tmp) / f"seed-{seed}"
-            runs = _round(workdir, configs, (("identify", "validate"), ("estimate", "realize"),
+            runs = _round(workdir, configs, (("identify", "validate"), ("identify-plain",),
+                                             ("identify-valdata",), ("estimate", "realize"),
                                              ("estimate", "realize-explicit")), seed)
             runs.update((f"mimo-{command}", record) for command, record
                         in _round(workdir / "mimo", mimo, (("validate",),), seed).items())

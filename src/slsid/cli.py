@@ -14,6 +14,7 @@ non-convergence, rank deficiency, no selection found, not isomorphic).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -270,6 +271,9 @@ def cmd_identify(args) -> int:
     data = _load_dataset(_require(cfg, "data", "identify"), base, clean=split)
     if split and n_val >= len(data):
         raise InsufficientDataError(f"validation split {n_val} >= dataset length {len(data)}")
+    if "validation" in cfg:  # read here, so a bad validation file fails before identify runs
+        val_data = (data.slice(len(data) - n_val, len(data)) if split
+                    else _load_dataset(val_section["data"], base))
     n_cols = data.n_u + data.n_y
     ident_cfg = IdentConfig(
         n_x=n_x,
@@ -289,8 +293,6 @@ def cmd_identify(args) -> int:
     }
 
     if "validation" in cfg:
-        val_data = (data.slice(len(data) - n_val, len(data)) if split
-                    else _load_dataset(val_section["data"], base))
         rep = validate_model(model, val_data, exclude=exclude)
         report["validation"] = rep.to_jsonable()
         _stderr(f"validation: BFR = {rep.bfr:.2f}% ({rep.runtime_seconds:.3f}s)")
@@ -378,7 +380,13 @@ def cmd_transform(args) -> int:
 # ---------------------------------------------------------------- plumbing
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    It names each command but holds no command function: `main` looks
+    `cmd_<command>` up at each call, so a patched module attribute is used.
+    """
     parser = argparse.ArgumentParser(
         prog="slsid",
         description="Simulation, covariance estimation, realization, and "
@@ -392,39 +400,29 @@ def _build_parser() -> argparse.ArgumentParser:
         if seed:
             p.add_argument("--seed", type=int, default=None,
                            help="override the config seed")
-        return p
 
-    p = with_common(sub.add_parser("simulate", help="simulate a model to CSV"),
-                    seed=True)
-    p.set_defaults(func=cmd_simulate)
-    p = with_common(sub.add_parser("estimate", help="estimate a covariance table"))
-    p.set_defaults(func=cmd_estimate)
-    p = with_common(sub.add_parser("realize", help="realize a model from covariances"))
-    p.set_defaults(func=cmd_realize)
-    p = with_common(sub.add_parser("identify", help="identify a model from data"))
-    p.set_defaults(func=cmd_identify)
-    p = with_common(sub.add_parser("validate", help="score a model on a dataset"))
-    p.set_defaults(func=cmd_validate)
+    with_common(sub.add_parser("simulate", help="simulate a model to CSV"), seed=True)
+    with_common(sub.add_parser("estimate", help="estimate a covariance table"))
+    with_common(sub.add_parser("realize", help="realize a model from covariances"))
+    with_common(sub.add_parser("identify", help="identify a model from data"))
+    with_common(sub.add_parser("validate", help="score a model on a dataset"))
 
     p = sub.add_parser("compare", help="test two model files for isomorphism")
     p.add_argument("model_a")
     p.add_argument("model_b")
     p.add_argument("--tol", type=float, default=1e-6)
-    p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("transform", help="apply a state-space change of basis")
     p.add_argument("model")
     p.add_argument("matrix", help="JSON file holding the square matrix T")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_transform)
     return parser
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (ConfigError, OSError) as exc:
         _stderr(f"error: {exc}")
         return EXIT_IO

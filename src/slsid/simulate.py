@@ -18,7 +18,6 @@ import math
 import numbers
 import re
 from dataclasses import asdict, dataclass
-from itertools import groupby
 from typing import Optional
 
 import numpy as np
@@ -172,12 +171,12 @@ def load_series_csv(path) -> np.ndarray:
     return rows["y"].copy()
 
 
-# Rows per block of `write_csv`.  A block's arrays and text are the writer's
-# only temporaries, so this bounds its memory.  Writing a 5e4-row dataset on
-# a 2-vCPU Xeon VM: the tracemalloc peak of `Dataset.to_csv` is 0.20, 0.37,
-# 0.77, 1.43 and 2.87 MB at 512, 1024, 2048, 4096 and 8192 rows; the best
-# time is flat (22-23 ms) over that range, against 74-83 ms for the repr()
-# writer it replaced.
+# Rows per block of `write_csv`.  A block's row tuples and text are the
+# writer's only temporaries, so this bounds its memory.  Writing a 5e4-row
+# dataset on a 2-vCPU Xeon VM: the tracemalloc peak of `Dataset.to_csv` is
+# 0.22, 0.38, 1.04, 2.00 and 4.01 MB at 512, 1024, 2048, 4096 and 8192 rows;
+# the best time is 22-32 ms up to 4096 rows and 34-37 ms at 8192, against
+# 31-47 ms for the per-kind stacked blocks it replaced (same runs).
 CSV_BLOCK_ROWS = 1024
 
 
@@ -190,40 +189,34 @@ def write_csv(path, header, columns, t0) -> None:
 
     Integer columns print as digits and float columns as the shortest
     text that reads back bit-identical (float() or np.loadtxt): the cells
-    are those of repr() of each column's Python values.  Each run of
-    same-kind columns is stacked into one block (int64 or float64) whose
-    cells orjson.dumps formats; its Ryu digits are repr's, and its layout
-    is too for 0 and for 1e-4 <= |x| < 1e16.  A row with a float cell
-    outside those (a NaN, an inf, a nonzero |x| < 1e-4 or |x| >= 1e16) is
-    formatted with repr instead, so the bytes are repr's throughout.
+    are those of repr() of each column's Python values.  One orjson.dumps
+    formats a block's row tuples, and its "],[" become line breaks; its
+    Ryu digits are repr's, and its layout is too for 0 and for
+    1e-4 <= |x| < 1e16.  A row with a float cell outside those (a NaN, an
+    inf, a nonzero |x| < 1e-4 or |x| >= 1e16) is formatted with repr
+    instead, so the bytes are repr's throughout; only a block that holds
+    such a row is split into lines.
     """
+    import orjson  # here, not at the top: a process that writes no CSV skips its 0.8 MB
+
     n = len(columns[0])
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
         for a in range(0, n, CSV_BLOCK_ROWS):
-            block = [col[a:a + CSV_BLOCK_ROWS] for col in columns]
-            block.insert(0, np.arange(t0 + a, t0 + a + len(block[0])))
-            cells = [_run_rows(list(cols), kind)
-                     for kind, cols in groupby(block, key=_cell_kind)]
-            fh.write(b"\n".join(map(b",".join, zip(*cells))) + b"\n")
-
-
-def _cell_kind(col) -> type:
-    return np.int64 if col.dtype.kind in "iu" else np.float64
-
-
-def _run_rows(cols, kind) -> list:
-    """A run of same-kind column slices, row by row, as b"a,b" cells in repr's text."""
-    import orjson  # here, not at the top: a process that writes no CSV skips its 0.8 MB
-
-    block = np.stack(cols, axis=1).astype(kind, copy=False)  # C-ordered, as orjson needs
-    rows = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].split(b"],[")
-    if kind is np.float64:
-        mag = np.abs(block)
-        as_repr = ~(((mag >= 1e-4) & (mag < 1e16)) | (mag == 0)).all(axis=1)
-        for i in np.flatnonzero(as_repr).tolist():
-            rows[i] = ",".join(map(repr, block[i].tolist())).encode()
-    return rows
+            b = min(a + CSV_BLOCK_ROWS, n)
+            rows = list(zip(range(t0 + a, t0 + b), *(col[a:b].tolist() for col in columns)))
+            text = orjson.dumps(rows)[2:-2].replace(b"],[", b"\n")
+            as_repr = np.zeros(b - a, bool)
+            for col in columns:
+                if col.dtype.kind == "f":
+                    mag = np.abs(col[a:b], dtype=float)  # a float32 1e-4 is below 1e-4
+                    as_repr |= ~(((mag >= 1e-4) & (mag < 1e16)) | (mag == 0))
+            if as_repr.any():
+                lines = text.split(b"\n")
+                for i in np.flatnonzero(as_repr).tolist():
+                    lines[i] = ",".join(map(repr, rows[i])).encode()
+                text = b"\n".join(lines)
+            fh.write(text + b"\n")
 
 
 def _dataset_dtype(header):

@@ -779,6 +779,42 @@ def test_identify_checks_the_split_before_it_identifies(workspace, tmp_path, cap
     assert "validation split 20000 >= dataset length 20000" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case, text", [
+    ("missing", "dataset not found"),
+    ("malformed", "could not convert"),
+    ("malformed_clean", "could not convert"),
+])
+def test_identify_reads_its_validation_file_before_it_identifies(
+        workspace, tmp_path, capsys, two_mode, case, text):
+    # a bad validation file, or its clean sibling, stops the command
+    # before the identification runs
+    (tmp_path / "val").mkdir()
+    val = tmp_path / "val" / "data.csv"
+    if case == "malformed":
+        val.write_text("t,q,u_1,y_1\n0,1,abc,0.5\n")
+    elif case == "malformed_clean":
+        val.write_bytes((workspace / "sim" / "data.csv").read_bytes())
+        (tmp_path / "val" / "data_clean.csv").write_text("t,y_1\n0,abc\n")
+    cfg = write_json(tmp_path / "run.json",
+                     _ident_config(workspace, two_mode, validation={"data": str(val)}))
+    with mock.patch.object(slsid.cli, "identify", wraps=identify) as ident:
+        code = main(["identify", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert (code, ident.call_count) == (EXIT_IO, 0)
+    assert text in capsys.readouterr().err
+
+
+def test_main_builds_its_parser_once_and_looks_each_command_up_per_call(
+        workspace, tmp_path, monkeypatch):
+    cfg = str(workspace / "sim.json")
+    assert main(["validate", "--config", cfg, "--out", str(tmp_path)]) == EXIT_IO
+    parser = slsid.cli._build_parser()
+    calls = []
+    monkeypatch.setattr(slsid.cli, "cmd_validate", lambda args: calls.append(args) or 7)
+    assert main(["validate", "--config", cfg, "--out", str(tmp_path)]) == 7
+    assert [(a.command, a.config) for a in calls] == [("validate", cfg)]
+    assert slsid.cli._build_parser() is parser
+
+
 @pytest.mark.parametrize("command, config, code", [
     ("estimate", {"p": [0.5, 0.5], "words": {"max_len": 2}}, EXIT_OK),
     ("identify", {}, EXIT_OK),

@@ -596,6 +596,46 @@ def test_csv_writer_gives_the_repr_writers_bytes(tmp_path_factory, n, seed, t0, 
     assert (path / "got.csv").read_bytes() == (path / "want.csv").read_bytes()
 
 
+def _repr_rows_at_block_edges(rng):
+    # a different out-of-band cell in each of three float columns, at the
+    # first and last row of a block and in a one-row last block
+    n = 2 * _B + 1
+    columns = [rng.normal(size=n) for _ in range(3)]
+    for row, value in zip([0, _B - 1, _B, 2 * _B], [1.5e-5, 1e16, np.nan, -np.inf]):
+        columns[row % 3][row] = value
+    return columns
+
+
+def _repr_block(rng):
+    # every row of the first block is out of band, one row of the second
+    column = rng.uniform(1e-5, 1e-4, _B + 7)
+    column[_B:] = rng.normal(size=7)
+    column[_B + 3] = 2.5e17
+    return [rng.normal(size=_B + 7), column]
+
+
+def _ints_between_floats(rng):
+    n = _B + 2
+    floats = [rng.normal(size=n) for _ in range(3)]
+    floats[1][[0, 5, _B - 1, _B + 1]] = [3.5e-5, -1e22, np.nan, 0.0]
+    floats[2] = floats[2].astype(np.float32)  # its 1e-4 is below 1e-4 as a double
+    floats[2][[3, _B + 1]] = [1e-4, -1e-7]
+    return [floats[0], rng.integers(-128, 128, n).astype(np.int8), floats[1],
+            rng.integers(-2**63, 2**63 - 1, n, endpoint=True), floats[2]]
+
+
+@pytest.mark.parametrize("make", [_repr_rows_at_block_edges, _repr_block, _ints_between_floats],
+                         ids=lambda make: make.__name__[1:])
+def test_csv_writer_patches_its_repr_rows_in_place(tmp_path, make):
+    # each out-of-band row is rewritten by repr on its own line of its block
+    columns = make(np.random.default_rng(0))
+    n = len(columns[0])
+    header = ["t"] + [f"c_{k}" for k in range(len(columns))]
+    write_csv(tmp_path / "got.csv", header, columns, t0=-_B)
+    repr_write_csv(tmp_path / "want.csv", header, [np.arange(-_B, n - _B), *columns])
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
 def test_csv_round_trip_memory_stays_at_the_block_level(tmp_path, two_mode):
     data = simulate(two_mode.model, SimConfig(seed=11, length=50_000))
     path, clean = tmp_path / "data.csv", tmp_path / "data_clean.csv"

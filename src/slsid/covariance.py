@@ -21,8 +21,12 @@ base-D code, stepped by arithmetic; longer lags look it up in a per-lag
 table.  The passes cost O(N * max|w| * n_y * (n_u + n_y))
 and the tables O(#words * max|w| * D), independent of how many words share
 a length.  Memory grows with the requested words and the block, never with
-N or D^|w|.  The per-word masked block _z_block is the reference it is
-tested against.
+N or D^|w|.  Data holding a mode outside 1..D are refused.
+
+Every sum over samples runs in numpy's own loops, never in a BLAS product,
+so no bit depends on the BLAS thread count: the lags' bins and _mode_sums'
+bin per mode (T^{y,y}_{s,s}, and identify's whiteness scores) add in time
+order through _add_outer, and Lambda^{y,u}_e and q_u are np.einsum sums.
 """
 from __future__ import annotations
 
@@ -38,6 +42,7 @@ from .algebra import (
     Word,
     WordIndexedMatrixTable,
     _as_words,
+    _check_letters,
     _index_of,
     enumerate_words,
     word_probability,
@@ -187,18 +192,6 @@ def _finite(value, name: str) -> np.ndarray:
     return out
 
 
-def _z_block(b: np.ndarray, q: np.ndarray, p, w: Word, n0: int) -> np.ndarray:
-    """Rows z^b_w(t)^T for t = n0 .. T-1 (vectorized)."""
-    T = b.shape[0]
-    k = len(w)
-    if k == 0:
-        return b[n0:]
-    ind = np.ones(T - n0, dtype=bool)
-    for i, s in enumerate(w):
-        ind &= q[n0 - k + i:T - k + i] == s
-    return (b[n0 - k:T - k] * ind[:, None]) / np.sqrt(word_probability(p, w))
-
-
 @functools.lru_cache(maxsize=8)
 def _ordered_words(words: Tuple[Word, ...]) -> Tuple[Tuple[Word, ...], Mapping, Mapping]:
     """The distinct words in length-then-lex order (a stable sort by length
@@ -228,7 +221,7 @@ def _prepare(data: Dataset, words: Iterable[Word]):
 class _Lag(NamedTuple):
     """One lag k of _suffix_tables."""
 
-    table: np.ndarray    # (#nodes of lag k-1 + 1, D + 1) next node ids
+    table: np.ndarray    # (#nodes of lag k-1 + 1, D) next node ids
     heads: Tuple[Word, ...]  # the requested words of length k
     letters: np.ndarray  # their letters, (#heads, k)
     ids: np.ndarray      # their node ids
@@ -242,9 +235,9 @@ def _suffix_tables(words: Tuple[Word, ...], n_modes: int) -> Tuple[Tuple[_Lag, .
     Returns (levels, n_dense), with levels[k-1] the _Lag of lag k.  The
     node ids of lag k index the k-long suffixes of the requested words, and
     one more id is "none".  table[i, d] is the node reached from node i of
-    lag k-1 when the mode k steps back is d+1; column n_modes stands for a
-    mode outside 1..n_modes, which leads to "none".  Lag 0 has the root
-    (id 0) and "none" (id 1).
+    lag k-1 when the mode k steps back is d+1.  Lag 0 has the root (id 0)
+    and "none" (id 1).  A word with a letter outside 1..n_modes raises
+    InvalidModeError.
 
     n_dense counts the leading lags k whose nodes are all D^k windows
     (D = n_modes).  Such a dense lag numbers its nodes in lex order, so a
@@ -253,14 +246,14 @@ def _suffix_tables(words: Tuple[Word, ...], n_modes: int) -> Tuple[Tuple[_Lag, .
     Any other lag numbers the heads first, in the given order, then the
     other suffixes.  Either way the ids stay below the number of suffixes,
     so no table holds D^k entries for a k that no requested word fills, and
-    none overflows.  A letter outside 1..D gets no table entry: no window
-    reaches it.
+    none overflows.
 
     The result is cached per (words, n_modes), since repeated estimations
     ask for the same words; callers must not write to its arrays.
     """
     by_len: Dict[int, List[Word]] = {}
     for w in words:
+        _check_letters(w, n_modes)
         by_len.setdefault(len(w), []).append(w)
     max_len = max(by_len, default=0)
     # tails[k]: the k-long suffixes of the words longer than k
@@ -275,15 +268,13 @@ def _suffix_tables(words: Tuple[Word, ...], n_modes: int) -> Tuple[Tuple[_Lag, .
         heads = tuple(by_len.get(k, ()))
         nodes = dict.fromkeys(heads)
         nodes.update(dict.fromkeys(tails[k]))
-        if (n_dense == k - 1 and len(nodes) == n_modes ** k
-                and all(v[0] <= n_modes for v in nodes)):
+        if n_dense == k - 1 and len(nodes) == n_modes ** k:
             n_dense = k
             nodes = sorted(nodes)
         nodes = {v: i for i, v in enumerate(nodes)}
-        table = np.full((len(prev) + 1, n_modes + 1), len(nodes), dtype=np.intp)
+        table = np.full((len(prev) + 1, n_modes), len(nodes), dtype=np.intp)
         for v, i in nodes.items():
-            if v[0] <= n_modes:
-                table[prev[v[1:]], v[0] - 1] = i
+            table[prev[v[1:]], v[0] - 1] = i
         letters = np.array(heads, dtype=np.intp).reshape(len(heads), k)
         ids = np.array([nodes[w] for w in heads], dtype=np.intp)
         for arr in (table, letters, ids):
@@ -308,7 +299,7 @@ def _walk(levels: Tuple[_Lag, ...], n_dense: int, q: np.ndarray, n0: int,
     place by D^(k-1) (mode(t-k) - 1); the others look it up in the lag's
     table.  node is a work array that the next step overwrites.  Each
     block's modes are widened to intp before any arithmetic, since q may be
-    as narrow as int8.
+    as narrow as int8.  Every mode of q must lie in 1..D.
     """
     T, L = q.shape[0], len(levels)
     if not L:
@@ -318,15 +309,16 @@ def _walk(levels: Tuple[_Lag, ...], n_dense: int, q: np.ndarray, n0: int,
     for t0 in range(n0, T, _BLOCK):
         n = min(_BLOCK, T - t0)
         nd, st = node[:n], step[:n]
-        # digits[L - k + i] is mode(t0 + i - k) - 1, or D outside 1..D
-        digits = np.minimum(q[t0 - L:t0 + n - 1].astype(np.intp) - 1, D)
+        # digits[L - k + i] is mode(t0 + i - k) - 1
+        digits = q[t0 - L:t0 + n - 1].astype(np.intp)
+        digits -= 1
         nd.fill(0)
         for k, lag in enumerate(levels, start=1):
             digit = digits[L - k:L - k + n]
             if k <= n_dense:
                 nd += np.multiply(digit, D ** (k - 1), out=st)
             else:
-                np.multiply(nd, D + 1, out=st)
+                np.multiply(nd, D, out=st)
                 st += digit
                 lag.table.ravel().take(st, out=nd, mode="clip")
             yield t0, k, nd
@@ -358,6 +350,24 @@ def _real_sums(acc: np.ndarray, m: int) -> np.ndarray:
     return np.stack([acc.real, acc.imag], axis=1).reshape(-1, acc.shape[1])[:m]
 
 
+def _mode_sums(r: np.ndarray, b: np.ndarray, modes: np.ndarray, n_modes: int) -> np.ndarray:
+    """Sums of r(t) b(t)^T over the samples of each mode, a (D, n_r, n_b) array.
+
+    out[s - 1] adds r(t) b(t)^T over the t with modes(t) = s, in time
+    order, block by block through _add_outer.  r, b and modes are aligned
+    rows, and every mode lies in 1..n_modes.
+    """
+    n, n_r, n_b = r.shape[0], r.shape[1], b.shape[1]
+    packed = np.zeros(((n_r * n_b + 1) // 2, n_modes), dtype=complex)
+    work = np.empty(min(_BLOCK, n), dtype=complex)
+    for a in range(0, n, _BLOCK):
+        z = min(a + _BLOCK, n)
+        node = modes[a:z].astype(np.intp)
+        node -= 1
+        _add_outer(packed, node, r[a:z], (b[a:z],), work[:z - a])
+    return _real_sums(packed, n_r * n_b).reshape(n_r, n_b, n_modes).transpose(2, 0, 1)
+
+
 def empirical_covariances(
     data: Dataset,
     p: Sequence[float],
@@ -369,30 +379,26 @@ def empirical_covariances(
     empty word contributes only to Lambda^{y,u}), T^{y,y}_{s,s} for every
     mode 1..D, and the empirical q_u.  A word pattern that never occurs
     in the data yields a zero estimate plus a warning recorded under
-    metadata["degenerate_words"].
+    metadata["degenerate_words"].  Data holding a mode outside 1..D, D =
+    len(p), raise DimensionError, as identify does.
 
     _walk gives every sample the node of its k-long mode window at each lag
     k: the window's base-D code on the leading lags where all D^k windows
-    are nodes, a table lookup on the others and for data holding a mode
-    outside 1..D.  y(t) u(t-k)^T and y(t) y(t-k)^T are added into one bin
-    per node, and the bins of the requested words of length k are scaled
-    by 1/(n_eff sqrt(p_w)).  T^{y,y}_{s,s} adds y(t-1) y(t-1)^T into one bin
-    per mode(t-1) and scales it by 1/(n_eff p_s).  Every bin adds its
-    samples in time order, as one np.bincount over all of them would.  The
-    sums equal those of the per-word _z_block products up to rounding.
+    are nodes, a table lookup on the others.  y(t) u(t-k)^T and
+    y(t) y(t-k)^T are added into one bin per node, and the bins of the
+    requested words of length k are scaled by 1/(n_eff sqrt(p_w)).
+    T^{y,y}_{s,s} is _mode_sums of y(t-1) y(t-1)^T per mode(t-1), scaled by
+    1/(n_eff p_s).  Every bin adds its samples in time order, as one
+    np.bincount over all of them would; Lambda^{y,u}_e and q_u are np.einsum
+    sums, which use no BLAS.
     """
     p = np.asarray(p, dtype=float)
     (words, index_yu, index_yy), n0, n_eff = _prepare(data, words)
-    D, T = p.shape[0], len(data)
+    D = p.shape[0]
     word_probability(p, EMPTY_WORD)  # validates p
     levels, n_dense = _suffix_tables(words, D)
-    # the first word with a letter outside 1..D, in the table's order, is
-    # the one word_probability names
-    for lag in levels:
-        if lag.heads and lag.letters.max() > D:
-            word_probability(p, lag.heads[int(np.argmax(lag.letters.max(axis=1) > D))])
     if int(data.q.max()) > D:
-        n_dense = 0  # a mode outside 1..D has no code
+        raise DimensionError(f"data uses mode {int(data.q.max())} but p has {D} entries")
     y, u, n_y, n_u = data.y, data.u, data.n_y, data.n_u
     work = np.empty(min(_BLOCK, n_eff), dtype=complex)
     # acc[k-1] packs the sums of y(t) u(t-k)^T and y(t) y(t-k)^T per node of lag k
@@ -407,7 +413,7 @@ def empirical_covariances(
     # each table's rows, lag by lag, in the order of its index
     parts_yu, parts_yy, unproven = [np.empty((0, n_y, n_u))], [np.empty((0, n_y, n_y))], {}
     if words and not words[0]:  # the empty word sorts first
-        parts_yu.append((y[n0:].T @ u[n0:] / n_eff)[None])
+        parts_yu.append((np.einsum("ti,tj->ij", y[n0:], u[n0:]) / n_eff)[None])
     for k, (lag, packed) in enumerate(zip(levels, acc), start=1):
         if not lag.heads:
             continue
@@ -445,15 +451,9 @@ def empirical_covariances(
     degenerate = [str(w) for w in words if w in missing]
     for text in degenerate:
         warnings.warn(f"word '{text}' never occurs in the data; covariance set to 0")
-    packed = np.zeros(((n_y * n_y + 1) // 2, D + 1), dtype=complex)
-    for t0 in range(n0, T, _BLOCK):
-        n = min(_BLOCK, T - t0)
-        y_prev = y[t0 - 1:t0 - 1 + n]
-        _add_outer(packed, np.minimum(data.q[t0 - 1:t0 - 1 + n].astype(np.intp) - 1, D),
-                   y_prev, (y_prev,), work[:n])
-    mode_sums = _real_sums(packed, n_y * n_y).reshape(n_y, n_y, D + 1)
-    t_yy = mode_sums[:, :, :D].transpose(2, 0, 1) / (n_eff * p[:, None, None])
-    q_u = u[n0:].T @ u[n0:] / n_eff
+    y_prev = y[n0 - 1:-1]
+    t_yy = _mode_sums(y_prev, y_prev, data.q[n0 - 1:-1], D) / (n_eff * p[:, None, None])
+    q_u = np.einsum("ti,tj->ij", u[n0:], u[n0:]) / n_eff
     meta = {"estimator": "direct", "N": len(data), "N_0": n0, "n_eff": n_eff,
             "degenerate_words": degenerate}
     return CovarianceTable(lambda_yu=lam_yu, lambda_yy=lam_yy, t_yy=t_yy,

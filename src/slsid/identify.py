@@ -16,7 +16,7 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .algebra import EMPTY_WORD, Selection, Word, enumerate_words, required_words
-from .covariance import CovarianceTable, empirical_covariances
+from .covariance import CovarianceTable, _mode_sums, empirical_covariances
 from .errors import (
     DimensionError,
     InsufficientDataError,
@@ -163,15 +163,12 @@ def identify(data: Dataset, cfg: IdentConfig) -> Tuple[InnovationModel, dict]:
     values before realization.  The realization is covariance_realization,
     which makes up to five attempts when a selection is searched; its
     diagnostics ("search_attempts", "rejected_attempts") are passed on.
+    Data holding a mode outside 1..len(p) raise the estimator's DimensionError.
     """
     if len(data) < 3:
         raise InsufficientDataError(f"dataset of length {len(data)} is too short")
     p = resolve_p(cfg.p, data)
     D = p.shape[0]
-    if int(data.q.max()) > D:
-        raise DimensionError(
-            f"data uses mode {int(data.q.max())} but p has {D} entries"
-        )
     n_bar = cfg.n_bar if cfg.n_bar is not None else cfg.n_x
     # explicit selections must fit before anything is estimated
     _check_selections(cfg.selection, cfg.selection_bar, cfg.n_x, n_bar, D, data.n_y, data.n_u)
@@ -229,16 +226,18 @@ def bfr(y_true: np.ndarray, y_pred: np.ndarray) -> float:
 
 
 def _whiteness_scores(m: SwitchedModel, data: Dataset, residuals: np.ndarray) -> Dict[int, float]:
-    from .covariance import _z_block
+    """Per mode s, the Frobenius norm of the empirical E[e(t) z^y_s(t)^T].
 
-    scores = {}
+    Sums e(t) y(t-1)^T per mode(t-1) in time order (_mode_sums) over
+    t = 2 .. T-1 and scales them by 1/((T - 2) sqrt(p_s)).
+    """
     n0 = 2
     if len(data) <= n0:
-        return scores
-    for s in range(1, m.n_modes + 1):
-        z = _z_block(data.y, data.q, m.p, Word((s,)), n0)
-        scores[s] = float(np.linalg.norm(residuals[n0:].T @ z / (len(data) - n0)))
-    return scores
+        return {}
+    sums = _mode_sums(residuals[n0:], data.y[n0 - 1:-1], data.q[n0 - 1:-1], m.n_modes)
+    scale = (len(data) - n0) * np.sqrt(m.p)[:, None, None]
+    norms = np.linalg.norm(sums / scale, axis=(1, 2))
+    return {s: float(v) for s, v in enumerate(norms, start=1)}
 
 
 def validate_model(m: SwitchedModel, data: Dataset, exclude: int = 0,

@@ -23,7 +23,7 @@ from slsid import (
     matrix_product_along_word,
     word_probability,
 )
-from slsid.covariance import _prepare, _z_block
+from slsid.covariance import _prepare
 from slsid.model import _reach_matrix, numerical_rank
 from slsid.simulate import Dataset, _chunk_length, _mode_dtype, as_series
 
@@ -55,6 +55,21 @@ def z_process(b: np.ndarray, q: np.ndarray, p: Sequence[float], w: Word, t: int)
     if tuple(np.asarray(q)[t - k:t]) != tuple(w):
         return np.zeros(b.shape[1])
     return b[t - k] / np.sqrt(word_probability(p, w))
+
+
+def _z_block(b: np.ndarray, q: np.ndarray, p, w: Word, n0: int) -> np.ndarray:
+    """Rows z^b_w(t)^T for t = n0 .. T-1, one masked block per word.
+
+    The per-word form the estimator's per-lag walk is compared with.
+    """
+    T = b.shape[0]
+    k = len(w)
+    if k == 0:
+        return b[n0:]
+    ind = np.ones(T - n0, dtype=bool)
+    for i, s in enumerate(w):
+        ind &= q[n0 - k + i:T - k + i] == s
+    return (b[n0 - k:T - k] * ind[:, None]) / np.sqrt(word_probability(p, w))
 
 
 def least_squares_covariances(data: Dataset, p: Sequence[float],

@@ -2,7 +2,11 @@ import copy
 import functools
 import json
 import operator
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -667,12 +671,44 @@ def test_identify_takes_integral_floats_as_counts(workspace, tmp_path, two_mode)
     ({"max_len": 2.9}, 3, "config section 'words' key 'max_len' must be an integer, got 2.9"),
     ({"max_len": 2, "min_len": 1}, 3, "config section 'words' has unknown key 'min_len'"),
     ({"max_len": 2.0}, 0, "estimate: 7 words"),
+    (3, 3, "'words' must be a list of word strings or {\"max_len\": L}"),
+    (["1x"], 4, "cannot parse word '1x'"),
 ])
 def test_estimate_checks_the_word_cap(workspace, tmp_path, capsys, words, code, text):
     cfg = write_json(tmp_path / "est.json", {
         "data": str(workspace / "sim" / "data.csv"), "p": [0.5, 0.5], "words": words})
     assert main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == code
     assert text in capsys.readouterr().err
+
+
+def test_estimate_takes_a_list_of_words(workspace, tmp_path):
+    # the same longest word as the cap, so both start at the same N_0
+    listed = ["e", "2", "12", "211"]
+    tables = {}
+    for name, words in (("cap", {"max_len": 3}), ("list", listed)):
+        cfg = write_json(tmp_path / f"{name}.json", {
+            "data": str(workspace / "sim" / "data.csv"), "p": [0.5, 0.5], "words": words})
+        assert main(["estimate", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+        tables[name] = json.loads((tmp_path / name / "covariances.json").read_text())
+    cap, by_list = tables["cap"], tables["list"]
+    assert by_list["effective_config"]["words"] == sorted(listed)
+    assert sorted(by_list["lambda_yu"]) == sorted(listed)
+    assert sorted(by_list["lambda_yy"]) == sorted(listed[1:])
+    for key in ("lambda_yu", "lambda_yy"):
+        for w, m in by_list[key].items():
+            assert m == cap[key][w], f"{key}[{w}]"
+    for key in ("p", "q_u", "t_yy_sigma"):
+        assert by_list[key] == cap[key]
+    assert by_list["metadata"]["N_0"] == cap["metadata"]["N_0"] == 4
+
+
+def test_estimate_refuses_data_with_a_mode_outside_p(workspace, tmp_path, capsys):
+    # the data hold mode 2, which a one-entry p does not describe
+    cfg = write_json(tmp_path / "est.json", {
+        "data": str(workspace / "sim" / "data.csv"), "p": [1.0], "words": {"max_len": 2}})
+    assert main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
+    assert "data uses mode 2 but p has 1 entries" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("setting, text", [
@@ -1097,3 +1133,48 @@ def test_every_command_reads_the_files_the_commands_before_it_write(tmp_path, ca
         }
     capsys.readouterr()
     assert codes == dict.fromkeys(codes, EXIT_OK)
+
+
+# runs each argv of the JSON list in sys.argv[1] through slsid.cli.main
+_RUN_COMMANDS = """
+import json, sys
+from slsid.cli import main
+for argv in json.loads(sys.argv[1]):
+    if main(argv):
+        sys.exit(1)
+"""
+
+
+def test_identify_and_validate_write_the_same_bytes_on_one_and_two_blas_threads(
+        tmp_path, two_mode):
+    # At this seed and length a BLAS product over the samples (of y(t) u(t)^T,
+    # u(t) u(t)^T or the whiteness terms) gives other low bits on two threads
+    # than on one, and they reach the model, both reports and the predictions.
+    write_json(tmp_path / "model.json", two_mode.model.to_dict())
+    write_json(tmp_path / "sim.json", {"model": "model.json",
+                                       "sim": {"seed": 0, "length": 50000}})
+    assert main(["simulate", "--config", str(tmp_path / "sim.json"),
+                 "--out", str(tmp_path / "sim")]) == 0
+    ident = {"n_x": 3, "selection": two_mode.sel.to_jsonable(),
+             "selection_bar": two_mode.sel_bar.to_jsonable(), "p": [0.5, 0.5]}
+    src = str(Path(slsid.cli.__file__).resolve().parents[1])
+    written = {}
+    for threads in ("1", "2"):
+        run = tmp_path / f"threads-{threads}"
+        run.mkdir()
+        write_json(run / "ident.json", {"data": "../sim/data.csv", "ident": ident,
+                                        "validation": {"split": 10000, "exclude": 6}})
+        write_json(run / "val.json", {"model": "identify/model.json",
+                                      "data": "../sim/data.csv", "exclude": 6})
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "MKL_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        commands = [[command, "--config", str(run / config), "--out", str(run / command)]
+                    for command, config in (("identify", "ident.json"), ("validate", "val.json"))]
+        subprocess.run([sys.executable, "-c", _RUN_COMMANDS, json.dumps(commands)],
+                       env=env, check=True)
+        written[threads] = {name: (run / name).read_bytes() for name in (
+            "identify/model.json", "identify/report.json",
+            "validate/report.json", "validate/predictions.csv")}
+    for name, text in written["1"].items():
+        assert written["2"][name] == text, name

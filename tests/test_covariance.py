@@ -23,9 +23,9 @@ from slsid import (
     simulate,
 )
 from slsid.algebra import word_probability
-from slsid.covariance import _BLOCK, _suffix_tables, _z_block
+from slsid.covariance import _BLOCK, _suffix_tables
 
-from oracles import IllConditionedRegressorError, least_squares_covariances, z_process
+from oracles import IllConditionedRegressorError, _z_block, least_squares_covariances, z_process
 
 
 # ---------------------------------------------------------------- z-process
@@ -185,18 +185,23 @@ def estimation_cases(draw):
     if draw(st.booleans()):
         words.append(EMPTY_WORD)
     raw_p = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=D, max_size=D)))
-    # Modes above D in the data must match no word.
     data = random_dataset(draw(st.integers(0, 2**32 - 1)), draw(st.integers(20, 300)),
-                          draw(st.integers(1, 2)), draw(st.integers(1, 2)),
-                          D + draw(st.integers(0, 2)),
+                          draw(st.integers(1, 2)), draw(st.integers(1, 2)), D,
                           zero_rows=draw(st.sampled_from([0.0, 0.5, 0.95])))
-    return data, raw_p / raw_p.sum(), words
+    return data, raw_p / raw_p.sum(), words, draw(st.integers(1, 2))
 
 
 @settings(deadline=None, max_examples=150)
 @given(estimation_cases())
 def test_empirical_matches_per_word_oracle(case):
-    assert_matches_oracle(*case)
+    data, p, words, extra = case
+    assert_matches_oracle(data, p, words)
+    # one sample of a mode above D = len(p), and the data are refused
+    q = data.q.astype(np.int64)
+    q[len(q) // 2] = len(p) + extra
+    with pytest.raises(DimensionError,
+                       match=f"^data uses mode {len(p) + extra} but p has {len(p)} entries$"):
+        empirical_covariances(Dataset(y=data.y, u=data.u, q=q), p, words)
 
 
 @pytest.mark.parametrize("D", [1, 2, 3])
@@ -219,21 +224,19 @@ def test_empirical_takes_tuple_and_list_words_as_words():
     assert json.dumps(by_raw.to_jsonable()) == json.dumps(by_word.to_jsonable())
 
 
-def test_modes_outside_the_alphabet_match_no_word():
-    # With D = 2, mode 3 read as a base-2 digit would alias onto another word.
+def test_modes_outside_the_alphabet_are_refused():
+    # p_w describes no window holding mode 3 when p has 2 entries; read as
+    # a base-2 digit, mode 3 would alias onto another word
     data = random_dataset(5, 200, 1, 1, 3)
-    words = list(enumerate_words(2, 3))
-    assert_matches_oracle(data, (0.5, 0.5), words)
     only_3 = Dataset(y=data.y, u=data.u, q=np.full(len(data), 3))
-    with pytest.warns(UserWarning):
-        cov = empirical_covariances(only_3, (0.5, 0.5), words)
-    assert cov.metadata["degenerate_words"] == [str(w) for w in words if len(w) > 0]
-    assert all(not np.any(m) for w, m in cov.lambda_yu.items() if len(w) > 0)
+    for d in (data, only_3):
+        with pytest.raises(DimensionError, match="^data uses mode 3 but p has 2 entries$"):
+            empirical_covariances(d, (0.5, 0.5), list(enumerate_words(2, 3)))
 
 
 def test_an_int8_series_takes_an_alphabet_beyond_int8():
     # modes 1..3 make q int8 while p has 200 entries: the walk's digits
-    # min(q - 1, D) and the T_yy bins must be computed in intp, not int8
+    # q - 1 and the T_yy bins must be computed in intp, not int8
     data = random_dataset(17, 400, 1, 1, 3)
     assert data.q.dtype == np.int8
     p = np.arange(1.0, 201) / np.sum(np.arange(1.0, 201))
@@ -310,15 +313,15 @@ def table_walk_reference(data, p, words):
     n0 = max([len(w) for w in words] + [1]) + 1
     n_eff = T - n0
     levels, _ = _suffix_tables(words, D)
-    digit = np.where(data.q <= D, data.q - 1, D)
+    digit = data.q.astype(np.intp) - 1
     y_block = data.y[n0:]
     y_nonzero = np.any(data.y != 0, axis=1).astype(float)
     lam_yu, lam_yy, degenerate = {}, {}, []
     if words and not words[0]:
-        lam_yu[EMPTY_WORD] = y_block.T @ data.u[n0:] / n_eff
+        lam_yu[EMPTY_WORD] = np.einsum("ti,tj->ij", y_block, data.u[n0:]) / n_eff
     node = np.zeros(n_eff, dtype=np.intp)
     for k, (table, heads, _, ids, n_ids) in enumerate(levels, start=1):
-        node = table.ravel().take(node * (D + 1) + digit[n0 - k:T - k])
+        node = table.ravel().take(node * D + digit[n0 - k:T - k])
 
         def sums(b):
             out = np.empty((n_ids, y_block.shape[1], b.shape[1]))
@@ -385,11 +388,10 @@ def test_code_walk_hands_over_to_the_tables_after_the_dense_lags():
 def test_code_walk_matches_table_walk_with_one_mode():
     data = random_dataset(22, _LONG, 2, 1, 1)
     assert_walk_matches_reference(data, (1.0,), list(enumerate_words(1, 6)), n_dense=6)
-    # a mode outside the alphabet leaves the tables to do the walk
+    # with one mode, a second one in the data has no p_w
     two = random_dataset(23, 500, 1, 1, 2)
-    cov = assert_walk_matches_reference(two, (1.0,), list(enumerate_words(1, 6)), n_dense=6)
-    assert_matches_oracle(two, (1.0,), list(enumerate_words(1, 6)))
-    assert cov.metadata["degenerate_words"] == []
+    with pytest.raises(DimensionError, match="^data uses mode 2 but p has 1 entries$"):
+        empirical_covariances(two, (1.0,), list(enumerate_words(1, 6)))
 
 
 def test_data_without_inputs_gets_the_table_error():
@@ -405,13 +407,6 @@ def test_code_walk_matches_table_walk_on_the_longest_words_alone():
     data = random_dataset(24, _LONG, 1, 1, 2)
     assert_walk_matches_reference(data, (0.5, 0.5), list(enumerate_words(2, 8, min_len=8)),
                                   n_dense=8)
-
-
-def test_modes_outside_the_alphabet_take_the_table_walk():
-    data = random_dataset(25, _LONG, 2, 1, 3)
-    words = list(enumerate_words(2, 5))
-    assert_walk_matches_reference(data, (0.4, 0.6), words, n_dense=5)
-    assert_matches_oracle(data.slice(0, 2000), (0.4, 0.6), words)
 
 
 def test_one_long_word_takes_no_dense_path():

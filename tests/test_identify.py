@@ -287,6 +287,14 @@ def test_identify_rejects_missing_modes():
         identify(data, IdentConfig(n_x=1))
 
 
+def test_identify_refuses_modes_outside_p():
+    # the estimator's check, the one identify relies on
+    data = Dataset(y=np.random.default_rng(0).normal(size=(50, 1)),
+                   u=np.ones((50, 1)), q=[1, 3] * 25)
+    with pytest.raises(DimensionError, match="^data uses mode 3 but p has 2 entries$"):
+        identify(data, IdentConfig(n_x=1, p=(0.5, 0.5)))
+
+
 @pytest.mark.parametrize("spec", [3, 0.5, True, np.float64(2.0)])
 def test_resolve_p_names_a_p_that_is_not_a_vector(spec):
     # a bare number or bool was taken as the one-entry vector [1.0]

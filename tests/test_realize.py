@@ -13,6 +13,7 @@ from slsid import (
     InnovationModel,
     InvalidModeError,
     MissingMarkovParameterError,
+    ModelInvalidError,
     NoSelectionFoundError,
     NonConvergenceError,
     NotFullRankError,
@@ -331,6 +332,22 @@ def test_associated_slss_rejects_a_t_ys_of_another_mode_count(two_mode):
     t_ys = np.array([(m.C @ P[0] @ m.C.T + m.Q_v[0]) / m.p[0]])
     with pytest.raises(DimensionError, match=r"t_ys must have shape \(2, 1, 1\), got \(1, 1, 1\)"):
         associated_slss(associated_dlss(m), m.p, t_ys, m.Q_u)
+
+
+def test_associated_slss_refuses_a_model_that_is_not_mean_square_stable(two_mode):
+    # doubling A takes the radius of sum_s A_s kron A_s from 0.42 to 1.66;
+    # without the check the gain solve stops later, on a symptom
+    # (NotFullRankError)
+    m = two_mode.model
+    P = state_second_moment(m)
+    t_ys = np.array([(m.C @ P[s] @ m.C.T + m.Q_v[s]) / m.p[s] for s in range(2)])
+    m_d = associated_dlss(m)
+    doubled = DeterministicModel(A=2.0 * m_d.A, B=m_d.B, C=m_d.C, Dmat=m_d.Dmat)
+    rho = stability_margin(doubled.A, np.ones(2))
+    assert 1.65 < rho < 1.67
+    with pytest.raises(ModelInvalidError,
+                       match=f"spectral radius {rho:.6f} >= 1; the stochastic conversion"):
+        associated_slss(doubled, m.p, t_ys, m.Q_u)
 
 
 def test_kq_iteration_fails_typed_when_its_step_budget_runs_out(two_mode):

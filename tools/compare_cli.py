@@ -27,11 +27,8 @@ its stderr when it fails, and the sha256 of every file it writes are
 recorded; a command whose input command failed is not run.  With
 --against, each command whose record differs from the other file's is
 printed with the differing files, and the exit code is 1 if any differ.
-Run as a script, the tool sets OMP_NUM_THREADS, OPENBLAS_NUM_THREADS and
-MKL_NUM_THREADS to 1 before numpy loads, as perfbench/run.py does, so both
-sides of a comparison run BLAS on one thread: the thread count changes the
-low bits of the results.  Loaded as a module, it keeps its caller's
-environment.
+No sum over samples is a BLAS product, so the records do not depend on
+the BLAS thread count.
 """
 from __future__ import annotations
 
@@ -40,16 +37,10 @@ import contextlib
 import hashlib
 import io
 import json
-import os
 import sys
 import tempfile
 import warnings
 from pathlib import Path
-
-if __name__ == "__main__":
-    # before numpy loads: the BLAS thread count changes the low bits of the results
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[_var] = "1"
 
 import numpy as np
 

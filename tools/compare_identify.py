@@ -12,25 +12,16 @@ diagnostics (sorted keys), and as the BFR `validate_model` gives the model
 on a noise-free validation set (seed + 7000, 2000 samples, first 6
 excluded); each failure as its error class, its text and its stage.  With
 --against, the runs whose record differs from the other file's are
-printed, and the exit code is 1 if there are any.  Run as a script, the
-tool sets OMP_NUM_THREADS, OPENBLAS_NUM_THREADS and MKL_NUM_THREADS to 1
-before numpy loads, as perfbench/run.py does, so both sides of a comparison
-run BLAS on one thread: the thread count changes the low bits of the
-results.  Loaded as a module, it keeps its caller's environment.
+printed, and the exit code is 1 if there are any.  No sum over samples
+is a BLAS product, so the records do not depend on the BLAS thread count.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import warnings
 from pathlib import Path
-
-if __name__ == "__main__":
-    # before numpy loads: the BLAS thread count changes the low bits of the results
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[_var] = "1"
 
 from slsid import Dataset, IdentConfig, SimConfig, identify, simulate, validate_model
 

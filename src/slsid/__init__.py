@@ -13,7 +13,6 @@ from .algebra import (
     WordIndexedMatrixTable,
     build_hankel,
     enumerate_words,
-    matrix_product_along_word,
     required_words,
     word_probability,
 )
@@ -78,8 +77,7 @@ __all__ = [
     "__version__",
     # algebra
     "Word", "EMPTY_WORD", "Selection", "WordIndexedMatrixTable",
-    "matrix_product_along_word", "word_probability", "enumerate_words",
-    "required_words", "build_hankel",
+    "word_probability", "enumerate_words", "required_words", "build_hankel",
     # model
     "DeterministicModel", "SwitchedModel", "InnovationModel",
     "model_from_dict", "markov_parameter", "stability_margin",

@@ -1,4 +1,4 @@
-"""Words over the mode alphabet, products along words, selections, Hankels.
+"""Words over the mode alphabet, Markov values over words, selections, Hankels.
 
 Conventions used throughout the package:
 
@@ -40,7 +40,7 @@ __all__ = [
     "EMPTY_WORD",
     "Selection",
     "WordIndexedMatrixTable",
-    "matrix_product_along_word",
+    "markov_table",
     "word_probability",
     "enumerate_words",
     "required_words",
@@ -101,6 +101,9 @@ class Word(tuple):
 
 EMPTY_WORD = Word(())
 
+# a probability vector may miss a sum of 1 by this much; every check of p uses it
+PROB_TOL = 1e-12
+
 
 def _as_word(w) -> Word:
     """w itself when it is a Word (already valid), else Word(w)."""
@@ -123,29 +126,69 @@ def _check_letters(w: Word, n_modes: int) -> None:
         raise InvalidModeError(f"letter {s} outside alphabet {{1..{n_modes}}}")
 
 
-def matrix_product_along_word(matrices: Sequence[np.ndarray], w: Word) -> np.ndarray:
-    """Product of square matrices along a word.
+@functools.lru_cache(maxsize=32)
+def _markov_plan(words: Tuple[Word, ...], n_modes: int) -> tuple:
+    """Index plan of markov_table for a word list.
 
-    Parameters
-    ----------
-    matrices : sequence of D arrays, each n x n; entry i-1 is the matrix of
-        mode i.
-    w : Word over {1..D}.
-
-    Returns
-    -------
-    A_{s_k} @ ... @ A_{s_1} for w = s_1...s_k; the identity for the empty word.
+    Returns (words, spans, parent, last, rest_ids, nonempty, first, empty):
+    the distinct words; the nodes, i.e. the root () and every rest and
+    prefix of a rest, ordered by length, with node i made as
+    A_{last[i]} @ A_{parent[i]} and the nodes of each length k >= 1
+    spanning [lo, hi) in `spans`; the node of each nonempty word's rest,
+    those words' positions and 0-based first letters; and the empty word's
+    position, or None.  Raises InvalidModeError for a letter outside
+    1..n_modes.  Cached per (words, n_modes); the arrays are read-only.
     """
-    mats = [np.asarray(m, dtype=float) for m in matrices]
-    n = mats[0].shape[0]
-    for m in mats:
-        if m.shape != (n, n):
-            raise DimensionError(f"expected square {n}x{n} family, got {m.shape}")
-    _check_letters(w, len(mats))
-    out = np.eye(n)
-    for s in w:
-        out = mats[s - 1] @ out
-    return out
+    words = tuple(dict.fromkeys(words))
+    # one pass in C over every letter; the per-word check names the culprit
+    if max(map(max, filter(None, words)), default=0) > n_modes:
+        for w in words:
+            _check_letters(w, n_modes)
+    nonempty = [i for i, w in enumerate(words) if w]
+    rests = {words[i][1:] for i in nonempty}
+    nodes = [()] + sorted({r[:k] for r in rests for k in range(1, len(r) + 1)}, key=len)
+    ids = {r: i for i, r in enumerate(nodes)}
+    edges = np.searchsorted([len(r) for r in nodes], range(1, len(nodes[-1]) + 2))
+    plan = (np.array([0] + [ids[r[:-1]] for r in nodes[1:]], dtype=np.intp),
+            np.array([0] + [r[-1] - 1 for r in nodes[1:]], dtype=np.intp),
+            np.array([ids[words[i][1:]] for i in nonempty], dtype=np.intp),
+            np.array(nonempty, dtype=np.intp),
+            np.array([words[i][0] - 1 for i in nonempty], dtype=np.intp))
+    for arr in plan:
+        arr.flags.writeable = False
+    empty = words.index(EMPTY_WORD) if len(nonempty) < len(words) else None
+    return (words, tuple(zip(edges[:-1], edges[1:]))) + plan + (empty,)
+
+
+def markov_table(A: np.ndarray, B: np.ndarray, C: np.ndarray, Dmat: np.ndarray,
+                 words: Union[Iterable[Word], Mapping[Word, int]]) -> WordIndexedMatrixTable:
+    """Markov values of (A, B, C, Dmat) over a word set, as one table.
+
+    M(w) = C A_rest B_{s0} for w = s0 + rest, and M(e) = Dmat; A is a
+    (D, n, n) float array, B a (D, n, m) one and C an (r, n) one.  The
+    table's rows follow the words' first appearance; words may be a
+    table's `index`, which the returned table then shares.  Every word's
+    letters are checked against 1..D.
+
+    The products go level by level through a plan cached per word list
+    (_markov_plan): A_rest for all rests (and their prefixes) of length k
+    is one stacked matmul A_last @ A_(rest minus last) on those of length
+    k-1, then C A_rest and C A_rest @ B_s0 are one stacked matmul each.
+    These are the matmuls of the per-word chain C @ (A_{s_k} @ ... @ A_{s_1}
+    @ I) @ B_s0, so every value has its bits.
+    """
+    distinct, spans, parent, last, rest_ids, nonempty, first, empty = _markov_plan(
+        _as_words(words), A.shape[0])
+    along = np.empty((len(parent),) + A.shape[1:])
+    along[0] = np.eye(A.shape[1])
+    for lo, hi in spans:
+        along[lo:hi] = A[last[lo:hi]] @ along[parent[lo:hi]]
+    values = np.empty((len(distinct), C.shape[0], B.shape[2]))
+    values[nonempty] = (C @ along)[rest_ids] @ B[first]
+    if empty is not None:
+        values[empty] = Dmat
+    shared = isinstance(words, MappingProxyType)
+    return WordIndexedMatrixTable(values.shape[1:], words if shared else distinct, values)
 
 
 def word_probability(p: Sequence[float], w: Word) -> float:
@@ -153,8 +196,8 @@ def word_probability(p: Sequence[float], w: Word) -> float:
     p = np.asarray(p, dtype=float)
     if np.any(p <= 0.0):
         raise InvalidProbabilityError(f"probabilities must be positive, got {p}")
-    if abs(float(p.sum()) - 1.0) > 1e-8:
-        raise InvalidProbabilityError(f"probabilities sum to {p.sum()!r}, not 1")
+    if abs(float(p.sum()) - 1.0) > PROB_TOL:
+        raise InvalidProbabilityError(f"probabilities sum to {float(p.sum())!r}, not 1")
     _check_letters(w, len(p))
     out = 1.0
     for s in w:

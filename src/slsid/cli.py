@@ -274,15 +274,16 @@ def cmd_identify(args) -> int:
     if "validation" in cfg:  # read here, so a bad validation file fails before identify runs
         val_data = (data.slice(len(data) - n_val, len(data)) if split
                     else _load_dataset(val_section["data"], base))
-    n_cols = data.n_u + data.n_y
+    # selections are read over p's alphabet, as identify resolves p
+    p = section.get("p", "empirical")
+    D = int(data.q.max()) if p == "empirical" else resolve_p(p, data).shape[0]
     ident_cfg = IdentConfig(
         n_x=n_x,
         n_bar=n_bar,
-        selection=_selection_spec(section, "selection", base,
-                                  int(data.q.max()), data.n_y, n_cols),
-        selection_bar=_selection_spec(section, "selection_bar", base,
-                                      int(data.q.max()), data.n_y, data.n_u),
-        p=section.get("p", "empirical"),
+        selection=_selection_spec(section, "selection", base, D, data.n_y,
+                                  data.n_u + data.n_y),
+        selection_bar=_selection_spec(section, "selection_bar", base, D, data.n_y, data.n_u),
+        p=p,
     )
     t0 = time.perf_counter()
     model, diag = identify(data, ident_cfg)

@@ -39,16 +39,18 @@ import numpy as np
 
 from .algebra import (
     EMPTY_WORD,
+    PROB_TOL,
     Word,
     WordIndexedMatrixTable,
     _as_words,
     _check_letters,
     _index_of,
     enumerate_words,
+    markov_table,
     word_probability,
 )
 from .errors import DimensionError, InsufficientDataError, InvalidModeError
-from .model import DeterministicModel, SwitchedModel, markov_parameter
+from .model import DeterministicModel, SwitchedModel
 from .simulate import Dataset, as_count
 
 __all__ = [
@@ -111,8 +113,8 @@ class CovarianceTable:
             eigmin = float(np.linalg.eigvalsh(m).min())
             if eigmin < -1e-8 * max(1.0, float(np.max(np.abs(m)))):
                 raise DimensionError(f"{name} has negative eigenvalue {eigmin:.3e}")
-        if np.any(self.p <= 0.0) or abs(float(self.p.sum()) - 1.0) > 1e-8:
-            raise DimensionError(f"invalid probability vector {self.p}")
+        if np.any(self.p <= 0.0) or abs(float(self.p.sum()) - 1.0) > PROB_TOL:
+            raise DimensionError(f"invalid probability vector p = {self.p.tolist()}")
         return self
 
     def to_jsonable(self) -> dict:
@@ -466,29 +468,28 @@ def exact_covariances(
 ) -> CovarianceTable:
     """Ground-truth covariance table of a known model, all words |w| <= max_len.
 
-    Reads the Markov parameters of the model's associated deterministic
-    realization: the first block column gives Lambda^{y,u}_w = block * Q_u,
-    the second gives the noise-part output covariances.  The input-part
-    covariances come from the stationary state second moment of the
-    input-driven subsystem, and the per-mode second moments add up as
+    Reads one Markov table of the model's associated deterministic
+    realization (algebra.markov_table): the first block column gives
+    Lambda^{y,u}_w = block * Q_u, the second the noise-part output
+    covariances.  The input-part covariances come from the realization's
+    sqrt(p)-scaled input blocks (lambda_ydyd over the same words), and the
+    per-mode second moments add up as
     T^{y,y}_{s,s} = T^{y_d,y_d}_{s,s} + (1/p_s)(C P_s C^T + F Q_v[s] F^T).
     """
     from .realize import associated_dlss, lambda_ydyd, state_second_moment
 
     model.validate()
-    d_assoc = associated_dlss(model)
+    d = associated_dlss(model)
     n_u, n_y = model.n_u, model.n_y
-    markov = {w: markov_parameter(d_assoc, w) for w in enumerate_words(model.n_modes, max_len)}
-    lam_yu = WordIndexedMatrixTable.from_pairs(
-        (n_y, n_u), ((w, Mw[:, :n_u] @ model.Q_u) for w, Mw in markov.items()))
-
-    sqrt_p = np.sqrt(model.p)[:, None, None]
-    m_tilde = DeterministicModel(A=sqrt_p * model.A, B=sqrt_p * model.B, C=model.C,
-                                 Dmat=model.Dmat)
-    nonempty = [w for w in markov if w]
-    lam_dd, t_dd = lambda_ydyd(m_tilde, model.Q_u, model.p, nonempty)
-    lam_yy = WordIndexedMatrixTable.from_pairs(
-        (n_y, n_y), ((w, markov[w][:, n_u:] + lam_dd[w]) for w in nonempty))
+    # the empty word comes first, so the nonempty words are rows 1 on
+    words = tuple(enumerate_words(model.n_modes, max_len))
+    markov = markov_table(d.A, d.B, d.C, d.Dmat, words)
+    lam_yu = WordIndexedMatrixTable((n_y, n_u), markov.index,
+                                    markov.array[:, :, :n_u] @ model.Q_u)
+    m_input = DeterministicModel(A=d.A, B=d.B[:, :, :n_u], C=d.C, Dmat=d.Dmat[:, :n_u])
+    lam_dd, t_dd = lambda_ydyd(m_input, model.Q_u, model.p, markov.index)
+    lam_yy = WordIndexedMatrixTable((n_y, n_y), words[1:],
+                                    markov.array[1:, :, n_u:] + lam_dd.array[1:])
 
     P = state_second_moment(model)
     t_ys = (model.C @ P @ model.C.T + model.F @ model.Q_v @ model.F.T) / model.p[:, None, None]

@@ -18,10 +18,9 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import Word, enumerate_words, matrix_product_along_word
+from .algebra import PROB_TOL, Word, enumerate_words, markov_table
 from .errors import (
     DimensionError,
-    InvalidModeError,
     ModelInvalidError,
     NotIsomorphicError,
 )
@@ -207,8 +206,8 @@ class SwitchedModel(_Model):
                 raise ModelInvalidError(f"{name} holds a non-finite entry")
         if np.any(self.p <= 0.0):
             raise ModelInvalidError("mode probabilities must be positive")
-        if abs(float(self.p.sum()) - 1.0) > 1e-12:
-            raise ModelInvalidError(f"mode probabilities sum to {self.p.sum()!r}, not 1")
+        if abs(float(self.p.sum()) - 1.0) > PROB_TOL:
+            raise ModelInvalidError(f"mode probabilities sum to {float(self.p.sum())!r}, not 1")
         _check_spd(self.Q_u, "Q_u")
         for s, q in enumerate(self.Q_v, start=1):
             _check_spd(q, f"Q_v[{s}]")
@@ -293,20 +292,16 @@ def stability_margin(A: Sequence[np.ndarray], p: Sequence[float]) -> float:
 
 def markov_parameter(m: DeterministicModel, w: Word) -> np.ndarray:
     """M(e) = Dmat; M(w) = C A_rest B_{s0} with s0 the first letter of w."""
-    if len(w) == 0:
-        return m.Dmat
-    s0 = w.letters[0]
-    if not 1 <= s0 <= m.n_modes:
-        raise InvalidModeError(f"letter {s0} outside alphabet {{1..{m.n_modes}}}")
-    rest = Word(w.letters[1:])
-    return m.C @ matrix_product_along_word(m.A, rest) @ m.B[s0 - 1]
+    return markov_table(m.A, m.B, m.C, m.Dmat, (w,)).array[0]
 
 
 def _reach_matrix(m: DeterministicModel) -> np.ndarray:
-    cols = []
-    for w in enumerate_words(m.n_modes, m.n_x - 1):
-        cols.extend(matrix_product_along_word(m.A, w) @ m.B)
-    return np.hstack(cols)
+    """[A_w B_s] over the words w with |w| < n_x, each w's modes s in order:
+    the Markov table with C = I over the words s w."""
+    words = [Word((s,)) + w for w in enumerate_words(m.n_modes, m.n_x - 1)
+             for s in range(1, m.n_modes + 1)]
+    reach = markov_table(m.A, m.B, np.eye(m.n_x), np.zeros((m.n_x, m.n_u)), words)
+    return np.hstack(reach.array)
 
 
 def transform_model(m: SwitchedModel, T: np.ndarray) -> SwitchedModel:

@@ -36,7 +36,6 @@ import functools
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import combinations, repeat
-from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple, Union
 
 import numpy as np
@@ -46,10 +45,9 @@ from .algebra import (
     Selection,
     Word,
     WordIndexedMatrixTable,
-    _as_words,
-    _check_letters,
     build_hankel,
     enumerate_words,
+    markov_table,
     required_words,
 )
 from .covariance import CovarianceTable
@@ -96,13 +94,10 @@ SEARCH_ATTEMPTS = 5
 SEARCH_RETRIES = 200
 
 
-def _lyapunov_mean(A: Sequence[np.ndarray], w: Sequence[float],
-                   const: np.ndarray, label: str) -> np.ndarray:
-    """Symmetric Xbar solving Xbar = sum_s w_s A_s Xbar A_s^T + const.
-
-    Raises NonConvergenceError when sum_s w_s A_s kron A_s is not Schur:
-    the moment then does not exist (its iteration would diverge).
-    """
+def _mean_square_stable(A: Sequence[np.ndarray], w: Sequence[float], label: str) -> np.ndarray:
+    """sum_s w_s A_s kron A_s; NonConvergenceError when it is not Schur, for
+    then the family's second moments do not exist (their iteration would
+    diverge)."""
     op, rho = mean_square_operator(A, w)
     if rho >= 1.0:
         raise NonConvergenceError(
@@ -110,6 +105,14 @@ def _lyapunov_mean(A: Sequence[np.ndarray], w: Sequence[float],
             "its second moment does not exist",
             last_delta=float("inf"),
         )
+    return op
+
+
+def _lyapunov_mean(A: Sequence[np.ndarray], w: Sequence[float],
+                   const: np.ndarray, label: str) -> np.ndarray:
+    """Symmetric Xbar solving Xbar = sum_s w_s A_s Xbar A_s^T + const;
+    NonConvergenceError when it does not exist (_mean_square_stable)."""
+    op = _mean_square_stable(A, w, label)
     n = const.shape[0]
     X = np.linalg.solve(np.eye(n * n) - op, const.reshape(-1)).reshape(n, n)
     return (X + X.T) / 2.0
@@ -277,7 +280,9 @@ def associated_slss(
     ({A_hat_s/sqrt(p_s), B_hat_s/sqrt(p_s), K_s}, C, D, F=I) with Q_v[s] the
     per-mode innovation moment limit, and the KQIterationState of the solve.
     t_ys holds the per-mode moments T^{ys,ys}_{s,s} as a (D, n_y, n_y)
-    array.  q_u only populates the model's input-covariance field.
+    array.  q_u only populates the model's input-covariance field.  A
+    family whose sum_s A_hat_s kron A_hat_s is not Schur has no stationary
+    moments: NonConvergenceError, as in _lyapunov_mean.
     """
     p = np.asarray(p, dtype=float)
     D = m_d.n_modes
@@ -292,12 +297,7 @@ def associated_slss(
             f"column count {m_d.n_u} below output dimension {n_y}; "
             "expected [B | G] stacked columns"
         )
-    rho = stability_margin(m_d.A, np.ones(D))
-    if rho >= 1.0:
-        raise ModelInvalidError(
-            f"sum of A_s kron A_s has spectral radius {rho:.6f} >= 1; "
-            "the stochastic conversion needs a Schur matrix"
-        )
+    _mean_square_stable(m_d.A, np.ones(D), "joint realization")
     state = _kq_iteration(m_d.A, m_d.C, m_d.B[:, :, n_u:], t_ys, p, FP_TOL, FP_MAX_ITER)
     sqrt_p = np.sqrt(p)[:, None, None]
     model = InnovationModel.from_parts(
@@ -323,40 +323,6 @@ def psi_uy(cov: CovarianceTable) -> WordIndexedMatrixTable:
     return WordIndexedMatrixTable(lam_yu.shape, lam_yu.index, np.ascontiguousarray(values))
 
 
-@functools.lru_cache(maxsize=8)
-def _ydyd_plan(words: Tuple[Word, ...], n_modes: int) -> tuple:
-    """Index plan of lambda_ydyd for a word list.
-
-    Returns (words, spans, parent, last, rest_ids, nonempty, first, empty):
-    the distinct words; the nodes, i.e. the root () and every rest and
-    prefix of a rest, ordered by length, with node i made as
-    A_{last[i]} @ A_{parent[i]} and the nodes of each length k >= 1
-    spanning [lo, hi) in `spans`; the node of each nonempty word's rest,
-    those words' positions and 0-based first letters; and the empty word's
-    position, or None.  Raises InvalidModeError for a letter outside
-    1..n_modes.  Cached per (words, n_modes); the arrays are read-only.
-    """
-    words = tuple(dict.fromkeys(words))
-    # one pass in C over every letter; the per-word check names the culprit
-    if max(map(max, filter(None, words)), default=0) > n_modes:
-        for w in words:
-            _check_letters(w, n_modes)
-    nonempty = [i for i, w in enumerate(words) if w]
-    rests = {words[i][1:] for i in nonempty}
-    nodes = [()] + sorted({r[:k] for r in rests for k in range(1, len(r) + 1)}, key=len)
-    ids = {r: i for i, r in enumerate(nodes)}
-    edges = np.searchsorted([len(r) for r in nodes], range(1, len(nodes[-1]) + 2))
-    plan = (np.array([0] + [ids[r[:-1]] for r in nodes[1:]], dtype=np.intp),
-            np.array([0] + [r[-1] - 1 for r in nodes[1:]], dtype=np.intp),
-            np.array([ids[words[i][1:]] for i in nonempty], dtype=np.intp),
-            np.array(nonempty, dtype=np.intp),
-            np.array([words[i][0] - 1 for i in nonempty], dtype=np.intp))
-    for arr in plan:
-        arr.flags.writeable = False
-    empty = words.index(EMPTY_WORD) if len(nonempty) < len(words) else None
-    return (words, tuple(zip(edges[:-1], edges[1:]))) + plan + (empty,)
-
-
 def lambda_ydyd(
     m_d: DeterministicModel,
     q_u: np.ndarray,
@@ -365,45 +331,22 @@ def lambda_ydyd(
 ) -> Tuple[WordIndexedMatrixTable, np.ndarray]:
     """Output covariances of the input-driven subsystem from its dLSS.
 
-    m_d realizes Psi (the sqrt(p)-absorbed input-to-output Markov function).
-    With Pt_s the input-part moments (input_state_second_moment),
-    the word-indexed covariances are, for w = s0 + rest,
+    m_d realizes Psi (the sqrt(p)-absorbed input-to-output Markov function)
+    and Pt_s are its input-part moments (input_state_second_moment).
+    Returns the Markov table (algebra.markov_table) of
+    (A, core, C, E[y_d y_d^T]) over `words`, i.e. for w = s0 + rest
         Lambda^{yd,yd}_w = C A_rest ((1/p_s0) A_s0 Pt_s0 C^T + B_s0 Q_u D^T)
-    and the per-mode second moments, for every mode s = 1..D, as a
-    (D, n_y, n_y) array,
+    and E[y_d y_d^T] = C (sum_s Pt_s) C^T + D Q_u D^T for the empty word,
+    with the per-mode second moments as a (D, n_y, n_y) array,
         T^{yd,yd}_{s,s} = (1/p_s) C Pt_s C^T + D Q_u D^T.
-    The empty word, if requested, gets E[y_d y_d^T] = C (sum_s Pt_s) C^T + D Q_u D^T.
-    words may be a table's `index`, which the returned table then shares.
-
-    Every word's letters are checked against 1..D.  The products go level
-    by level through a plan cached per word list: A_rest for all rests (and
-    their prefixes) of length k is one stacked matmul
-    A_last @ A_(rest minus last) on those of length k-1, then C A_rest and
-    C A_rest @ core are one stacked matmul each.  The matmuls are those of
-    matrix_product_along_word, so every value has the bits of its per-word
-    chain.
     """
     p = np.asarray(p, dtype=float)
-    D = m_d.n_modes
-    if p.shape != (D,):
-        raise DimensionError(f"p must have {D} entries, got {p.shape}")
     q_u = np.atleast_2d(np.asarray(q_u, dtype=float))
-    distinct, spans, parent, last, rest_ids, nonempty, first, empty = _ydyd_plan(
-        _as_words(words), D)
-    P = input_state_second_moment(m_d, q_u, p)
+    P = input_state_second_moment(m_d, q_u, p)  # checks p's length
     C, Dm, A = m_d.C, m_d.Dmat, m_d.A
     p_col = p[:, None, None]
     cores = (A @ P @ C.T) / p_col + m_d.B @ q_u @ Dm.T
-    along = np.empty((len(parent), m_d.n_x, m_d.n_x))
-    along[0] = np.eye(m_d.n_x)
-    for lo, hi in spans:
-        along[lo:hi] = A[last[lo:hi]] @ along[parent[lo:hi]]
-    values = np.empty((len(distinct), m_d.n_y, m_d.n_y))
-    values[nonempty] = (C @ along)[rest_ids] @ cores[first]
-    if empty is not None:
-        values[empty] = C @ sum(P) @ C.T + Dm @ q_u @ Dm.T
-    shared = isinstance(words, MappingProxyType)
-    table = WordIndexedMatrixTable((m_d.n_y, m_d.n_y), words if shared else distinct, values)
+    table = markov_table(A, cores, C, C @ sum(P) @ C.T + Dm @ q_u @ Dm.T, words)
     t_dd = (C @ P @ C.T) / p_col + Dm @ q_u @ Dm.T
     return table, (t_dd + t_dd.transpose(0, 2, 1)) / 2.0
 

@@ -28,6 +28,7 @@ from .errors import (
     InvalidProbabilityError,
     ModelInvalidError,
 )
+from .algebra import PROB_TOL
 from .model import SwitchedModel
 
 __all__ = ["Dataset", "SimConfig", "sample_switching", "simulate"]
@@ -386,7 +387,7 @@ def sample_switching(p, T: int, rng: np.random.Generator) -> np.ndarray:
     rounding in it cannot push a draw past the last mode.
     """
     p = np.asarray(p, dtype=float)
-    if np.any(p <= 0.0) or abs(float(p.sum()) - 1.0) > 1e-8:
+    if np.any(p <= 0.0) or abs(float(p.sum()) - 1.0) > PROB_TOL:
         raise InvalidProbabilityError(f"invalid mode probabilities {p}")
     r = rng.random(int(T))
     q = np.ones(r.shape, _mode_dtype(p.shape[0]))

@@ -15,14 +15,19 @@ import numpy as np
 from slsid import (
     CovarianceTable,
     DeterministicModel,
+    DimensionError,
     InsufficientDataError,
     NumericalError,
+    SwitchedModel,
     Word,
     WordIndexedMatrixTable,
+    associated_dlss,
     enumerate_words,
-    matrix_product_along_word,
+    input_state_second_moment,
+    state_second_moment,
     word_probability,
 )
+from slsid.algebra import _check_letters
 from slsid.covariance import _prepare
 from slsid.model import _reach_matrix, numerical_rank
 from slsid.simulate import Dataset, _chunk_length, _mode_dtype, as_series
@@ -36,6 +41,56 @@ def load_tool(name: str):
     sys.modules[name] = module  # where a dataclass looks its module up
     spec.loader.exec_module(module)
     return module
+
+
+def matrix_product_along_word(matrices: Sequence[np.ndarray], w: Word) -> np.ndarray:
+    """A_{s_k} @ ... @ A_{s_1} @ I for w = s_1...s_k, one letter at a time;
+    the identity for the empty word.  Entry i-1 of matrices is mode i's."""
+    mats = [np.asarray(m, dtype=float) for m in matrices]
+    n = mats[0].shape[0]
+    for m in mats:
+        if m.shape != (n, n):
+            raise DimensionError(f"expected square {n}x{n} family, got {m.shape}")
+    _check_letters(w, len(mats))
+    out = np.eye(n)
+    for s in w:
+        out = mats[s - 1] @ out
+    return out
+
+
+def markov_chain(A, B, C, Dmat, w: Word) -> np.ndarray:
+    """M(w) = C A_rest B_{s0} of one word by its per-word chain; Dmat for e."""
+    if not w:
+        return np.asarray(Dmat, dtype=float)
+    return C @ matrix_product_along_word(A, Word(w[1:])) @ np.asarray(B)[w[0] - 1]
+
+
+def per_word_exact_covariances(model: SwitchedModel, max_len: int) -> CovarianceTable:
+    """exact_covariances with every Markov value taken by its per-word chain.
+
+    Lambda^{y,u}_w = M(w)[:, :n_u] Q_u and Lambda^{y,y}_w = M(w)[:, n_u:] +
+    C A_rest core_s0 with M the associated dLSS's Markov function and core_s
+    = (1/p_s) A_s Pt_s C^T + B_s Q_u D^T on its sqrt(p)-scaled input part.
+    """
+    d = associated_dlss(model)
+    n_u, n_y, p = model.n_u, model.n_y, model.p
+    words = list(enumerate_words(model.n_modes, max_len))
+    A, B_in, C, Dm, Q_u = d.A, d.B[:, :, :n_u], d.C, model.Dmat, model.Q_u
+    P = input_state_second_moment(DeterministicModel(A=A, B=B_in, C=C, Dmat=Dm), Q_u, p)
+    p_col = p[:, None, None]
+    cores = (A @ P @ C.T) / p_col + B_in @ Q_u @ Dm.T
+    lam_yu = WordIndexedMatrixTable.from_pairs(
+        (n_y, n_u), ((w, markov_chain(A, d.B, C, d.Dmat, w)[:, :n_u] @ Q_u) for w in words))
+    lam_yy = WordIndexedMatrixTable.from_pairs((n_y, n_y), (
+        (w, markov_chain(A, d.B, C, d.Dmat, w)[:, n_u:] + markov_chain(A, cores, C, Dm, w))
+        for w in words if w))
+    t_dd = (C @ P @ C.T) / p_col + Dm @ Q_u @ Dm.T
+    t_dd = (t_dd + t_dd.transpose(0, 2, 1)) / 2.0
+    P_noise = state_second_moment(model)
+    t_yy = t_dd + (model.C @ P_noise @ model.C.T + model.F @ model.Q_v @ model.F.T) / p_col
+    return CovarianceTable(lambda_yu=lam_yu, lambda_yy=lam_yy,
+                           t_yy=(t_yy + t_yy.transpose(0, 2, 1)) / 2.0, q_u=Q_u.copy(),
+                           p=p.copy(), metadata={"estimator": "exact", "max_len": max_len})
 
 
 class IllConditionedRegressorError(NumericalError):

@@ -17,10 +17,12 @@ from slsid import (
     WordIndexedMatrixTable,
     build_hankel,
     enumerate_words,
-    matrix_product_along_word,
     required_words,
     word_probability,
 )
+from slsid.algebra import markov_table
+
+from oracles import markov_chain, matrix_product_along_word
 
 words_2 = st.lists(st.integers(1, 2), max_size=5).map(lambda ls: Word(tuple(ls)))
 
@@ -128,6 +130,28 @@ def test_product_concatenation_property(v, w):
     left = matrix_product_along_word(A, v + w)
     right = matrix_product_along_word(A, w) @ matrix_product_along_word(A, v)
     assert np.allclose(left, right, atol=1e-9)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.data())
+def test_markov_table_takes_each_value_by_its_per_word_chain(data):
+    D = data.draw(st.integers(1, 3))
+    n_x, n_y, n_cols = (data.draw(st.integers(1, top)) for top in (4, 2, 2))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    A, B = rng.normal(size=(D, n_x, n_x)), rng.normal(size=(D, n_x, n_cols))
+    C, Dmat = rng.normal(size=(n_y, n_x)), rng.normal(size=(n_y, n_cols))
+    letters = st.lists(st.integers(1, D), max_size=6).map(lambda s: Word(tuple(s)))
+    words = data.draw(st.lists(letters, min_size=1, max_size=30))
+    table = markov_table(A, B, C, Dmat, words)
+    # rows follow first appearance; repeats read the first one's row
+    assert list(table.index) == list(dict.fromkeys(words))
+    assert table.shape == (n_y, n_cols)
+    for w in words:
+        assert table[w].tobytes() == markov_chain(A, B, C, Dmat, w).tobytes(), f"word {w}"
+    # a table's index in place of the words is shared, not rebuilt
+    again = markov_table(A, B, C, Dmat, table.index)
+    assert again.index is table.index
+    assert again.array.tobytes() == table.array.tobytes()
 
 
 def test_word_probability_values():

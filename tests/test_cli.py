@@ -389,6 +389,9 @@ _NOT_STOCHASTIC = "the model's type is 'deterministic'; a stochastic"
     ("realize", lambda cov: [cov], 4, "a covariance table must be a JSON object, got list"),
     ("realize", lambda cov: {**cov, "metadata": {"degenerate_words": 3}}, 4,
      "metadata's degenerate_words must be a list, got int"),
+    # the model's tolerance on the sum of p, checked before step 1
+    ("realize", lambda cov: {**cov, "p": [0.5, 0.500000005]}, 4,
+     "invalid probability vector p = [0.5, 0.500000005]"),
     # a second moment is checked before step 1; a singular one is step 1's
     ("realize", lambda cov: {**cov, "q_u": [[-1.0 / 3.0]]}, 4,
      "q_u has negative eigenvalue -3.333e-01"),
@@ -407,7 +410,7 @@ _NOT_STOCHASTIC = "the model's type is 'deterministic'; a stochastic"
 ], ids=["list", "number", "missing-key", "ragged-family", "flat-family", "object-C",
         "object-T", "T-shape", "t_yy-missing-mode", "t_yy-extra-key", "t_yy-number",
         "lambda_yu-list", "missing-p", "missing-n_y", "metadata-number",
-        "lambda_yy-entry-object", "table-list", "degenerate-words-number",
+        "lambda_yy-entry-object", "table-list", "degenerate-words-number", "p-sum-off",
         "q_u-negative", "q_u-singular", "compare-deterministic", "simulate-deterministic",
         "validate-deterministic", "transform-deterministic", "validate-nan-C",
         "transform-nan-C", "nan-T"])
@@ -489,11 +492,11 @@ def test_identify_rejects_non_finite_data(workspace, tmp_path, capsys):
 
 def test_identify_checks_explicit_selections_before_estimating(workspace, tmp_path,
                                                               two_mode, capsys):
-    cfg = write_json(tmp_path / "ident_p3.json", {
+    # the bundled selections have n = 3, so n_x = 2 misfits them
+    cfg = write_json(tmp_path / "ident_n2.json", {
         "data": str(workspace / "sim" / "data.csv"),
         "ident": {
-            "n_x": 3,
-            "p": [0.3, 0.3, 0.4],
+            "n_x": 2,
             "selection": two_mode.sel.to_jsonable(),
             "selection_bar": two_mode.sel_bar.to_jsonable(),
         },
@@ -501,8 +504,46 @@ def test_identify_checks_explicit_selections_before_estimating(workspace, tmp_pa
     assert main(["identify", "--config", str(cfg),
                  "--out", str(tmp_path / "out")]) == 4
     err = capsys.readouterr().err
-    assert "selection has 2 modes but p has 3 entries" in err
+    assert "selection has n = 3 but n_x = 2" in err
     assert "steps 3-4" not in err
+
+
+def test_identify_reads_selections_over_the_alphabet_of_p(workspace, tmp_path, two_mode,
+                                                          capsys):
+    # the data never show mode 3, yet p has three entries: the selections
+    # are three-mode ones and the realization runs (mode 3's innovation
+    # moment, which no sample estimates, then stops step 6)
+    cfg = write_json(tmp_path / "ident_p3.json", {
+        "data": str(workspace / "sim" / "data.csv"),
+        "ident": {"n_x": 3, "p": [0.49, 0.49, 0.02],
+                  "selection": two_mode.sel.to_jsonable(),
+                  "selection_bar": two_mode.sel_bar.to_jsonable()},
+    })
+    with pytest.warns(UserWarning, match="never occurs in the data"):
+        code = main(["identify", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == EXIT_NUMERICAL
+    assert "modes but p has" not in err
+    assert "step 6 (innovation conversion)" in err
+
+
+def test_identify_names_a_data_mode_outside_p(workspace, tmp_path, two_mode, capsys):
+    # data that use mode 3 against a two-entry p: the selections are read
+    # over p's two modes, and the estimator names the data's mode
+    rows = (workspace / "sim" / "data.csv").read_text().splitlines()
+    t, _, u, y = rows[100].split(",")
+    rows[100] = ",".join([t, "3", u, y])
+    (tmp_path / "mode3.csv").write_text("\n".join(rows) + "\n")
+    cfg = write_json(tmp_path / "ident_mode3.json", {
+        "data": "mode3.csv",
+        "ident": {"n_x": 3, "p": [0.5, 0.5], "selection": two_mode.sel.to_jsonable(),
+                  "selection_bar": two_mode.sel_bar.to_jsonable()},
+    })
+    assert main(["identify", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == EXIT_DIMENSION
+    err = capsys.readouterr().err
+    assert "data uses mode 3 but p has 2 entries" in err
+    assert "selection has" not in err
 
 
 def test_estimate_normalizes_p_like_identify(workspace, tmp_path):

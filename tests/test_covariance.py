@@ -25,7 +25,14 @@ from slsid import (
 from slsid.algebra import word_probability
 from slsid.covariance import _BLOCK, _suffix_tables
 
-from oracles import IllConditionedRegressorError, _z_block, least_squares_covariances, z_process
+from oracles import (
+    IllConditionedRegressorError,
+    _z_block,
+    least_squares_covariances,
+    load_tool,
+    per_word_exact_covariances,
+    z_process,
+)
 
 
 # ---------------------------------------------------------------- z-process
@@ -481,6 +488,19 @@ def test_least_squares_rejects_more_columns_than_samples(two_mode):
 
 
 # ---------------------------------------------------------------- exact
+
+
+@pytest.mark.parametrize("system, depth", [("reference", 8), ("mimo", 6)])
+def test_exact_covariances_take_every_value_by_its_per_word_chain(two_mode, system, depth):
+    model = two_mode.model if system == "reference" else load_tool("compare_cli").mimo_system()
+    got, want = exact_covariances(model, depth), per_word_exact_covariances(model, depth)
+    for name in ("lambda_yu", "lambda_yy"):
+        mine, theirs = getattr(got, name), getattr(want, name)
+        assert list(mine.index) == list(theirs.index)
+        assert mine.array.tobytes() == theirs.array.tobytes(), name
+    for name in ("t_yy", "q_u", "p"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert got.metadata == want.metadata
 
 
 def test_exact_covariances_match_scalar_closed_form(scalar):

@@ -36,7 +36,6 @@ from slsid import (
     input_state_second_moment,
     iter_full_rank_selections,
     lambda_ydyd,
-    matrix_product_along_word,
     predict,
     resolve_p,
     resolve_selections,
@@ -47,7 +46,12 @@ from slsid import (
 from slsid.model import numerical_rank
 from slsid.realize import SEARCH_ATTEMPTS
 
-from oracles import least_squares_covariances, load_tool, reach_obs_ranks
+from oracles import (
+    least_squares_covariances,
+    load_tool,
+    matrix_product_along_word,
+    reach_obs_ranks,
+)
 
 consistency_experiment = load_tool("bench_quality").consistency_experiment
 

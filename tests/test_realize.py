@@ -1,3 +1,4 @@
+import re
 from itertools import combinations, islice
 
 import numpy as np
@@ -13,7 +14,6 @@ from slsid import (
     InnovationModel,
     InvalidModeError,
     MissingMarkovParameterError,
-    ModelInvalidError,
     NoSelectionFoundError,
     NonConvergenceError,
     NotFullRankError,
@@ -33,13 +33,14 @@ from slsid import (
     iter_full_rank_selections,
     lambda_ydyd,
     markov_parameter,
-    matrix_product_along_word,
     psi_uy,
     stability_margin,
     state_second_moment,
 )
 from slsid.model import mean_square_operator, numerical_rank
 from slsid.realize import KQIterationState, _kq_iteration, _stage
+
+from oracles import matrix_product_along_word
 
 
 def unit_innovation(a=0.5, k=1.0, c=1.0, b=0.0, d=0.0, q_v=1.0, q_u=1.0):
@@ -337,7 +338,8 @@ def test_associated_slss_rejects_a_t_ys_of_another_mode_count(two_mode):
 def test_associated_slss_refuses_a_model_that_is_not_mean_square_stable(two_mode):
     # doubling A takes the radius of sum_s A_s kron A_s from 0.42 to 1.66;
     # without the check the gain solve stops later, on a symptom
-    # (NotFullRankError)
+    # (NotFullRankError).  It is a numerical failure of the realization, as
+    # in _lyapunov_mean, not an invalid model
     m = two_mode.model
     P = state_second_moment(m)
     t_ys = np.array([(m.C @ P[s] @ m.C.T + m.Q_v[s]) / m.p[s] for s in range(2)])
@@ -345,8 +347,9 @@ def test_associated_slss_refuses_a_model_that_is_not_mean_square_stable(two_mode
     doubled = DeterministicModel(A=2.0 * m_d.A, B=m_d.B, C=m_d.C, Dmat=m_d.Dmat)
     rho = stability_margin(doubled.A, np.ones(2))
     assert 1.65 < rho < 1.67
-    with pytest.raises(ModelInvalidError,
-                       match=f"spectral radius {rho:.6f} >= 1; the stochastic conversion"):
+    with pytest.raises(NonConvergenceError, match=re.escape(
+            f"joint realization is not mean-square stable (spectral radius {rho:.4f} >= 1); "
+            "its second moment does not exist")):
         associated_slss(doubled, m.p, t_ys, m.Q_u)
 
 

@@ -10,9 +10,11 @@ Runs `identify` (n_x = 3) on the two-mode reference system
 Each success is recorded as the JSON of `model.to_dict()` and of the
 diagnostics (sorted keys), and as the BFR `validate_model` gives the model
 on a noise-free validation set (seed + 7000, 2000 samples, first 6
-excluded); each failure as its error class, its text and its stage.  With
---against, the runs whose record differs from the other file's are
-printed, and the exit code is 1 if there are any.  No sum over samples
+excluded); each failure as its error class, its text and its stage.  One
+more record, "exact max_len=8", holds the JSON of the reference model's
+`exact_covariances` over all words up to length 8, so the exact path is
+compared too: 361 records.  With --against, the records that differ from
+the other file's are printed, and the exit code is 1 if there are any.  No sum over samples
 is a BLAS product, so the records do not depend on the BLAS thread count.
 """
 from __future__ import annotations
@@ -23,7 +25,15 @@ import sys
 import warnings
 from pathlib import Path
 
-from slsid import Dataset, IdentConfig, SimConfig, identify, simulate, validate_model
+from slsid import (
+    Dataset,
+    IdentConfig,
+    SimConfig,
+    exact_covariances,
+    identify,
+    simulate,
+    validate_model,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from perfbench.workloads import reference_system  # noqa: E402  (needs the repo root)
@@ -51,6 +61,8 @@ def records() -> dict:
                     out[key] = {"model": json.dumps(m.to_dict(), sort_keys=True),
                                 "diagnostics": json.dumps(diag, sort_keys=True),
                                 "bfr": validate_model(m, noise_free, exclude=6).bfr}
+    exact = exact_covariances(model, 8).to_jsonable()
+    out["exact max_len=8"] = {"table": json.dumps(exact, sort_keys=True)}
     return out
 
 
@@ -73,7 +85,7 @@ def main(argv=None) -> int:
         print(key)
         for side, rec in (("against", theirs.get(key)), ("this", mine[key])):
             print(f"  {side}: {rec if rec is None or 'error' in rec else 'success'}")
-    print(f"{len(mine) - len(differ)} of {len(mine)} runs identical")
+    print(f"{len(mine) - len(differ)} of {len(mine)} records identical")
     return 1 if differ else 0
 
 

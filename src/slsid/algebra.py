@@ -405,40 +405,42 @@ def required_words(sel: Selection) -> frozenset:
     then v_j, then (for the shifted matrices) sigma, then u_i.  Each starts
     with a letter, so the empty word is never among them.
     """
-    return frozenset(map(Word, _hankel_plan(sel)[0]))
+    return frozenset(map(Word, _hankel_plan(sel.alpha, sel.beta, sel.n_modes)[0]))
 
 
 @functools.lru_cache(maxsize=256)
-def _hankel_plan(sel: Selection) -> tuple:
-    """Where each entry of sel's four Hankels finds its word.
+def _hankel_plan(alpha: tuple, beta: tuple, n_modes: int) -> tuple:
+    """Where each entry of the four Hankels over rows alpha and columns beta
+    (a Selection's, or the search's pools, of m and n entries) finds its word.
+    n_modes = 0 leaves out the shifted Hankels' words, for H alone.
 
     Returns (words, pos_H, pos_S, pos_A, pos_B, k, l): the distinct words
     the Hankels read (as plain tuples, which find the same table rows as
     Words), in the order a loop over j, i and sigma first reads them; the
     position in `words` of each entry's word, as arrays shaped like
-    H (n, n), H_sigma (D, n, n), H_alpha_sigma (D, n) and H_beta (n,); and
-    the 0-based row indices k_i and column indices l_j.  Cached per
-    selection; the arrays are read-only.
+    H (m, n), H_sigma (D, m, n), H_alpha_sigma (D, m) and H_beta (n,); and
+    the 0-based row indices k_i and column indices l_j.  Cached; the arrays
+    are read-only.
     """
     order: Dict[tuple, int] = {}
 
     def at(w: tuple) -> int:
         return order.setdefault(w, len(order))
 
-    n, D = sel.n, sel.n_modes
-    rows = [[(sig,) + u for sig in range(1, D + 1)] for u, _ in sel.alpha]
-    pos_H = np.empty((n, n), dtype=np.intp)
-    pos_S = np.empty((D, n, n), dtype=np.intp)
+    m, n = len(alpha), len(beta)
+    rows = [[(sig,) + u for sig in range(1, n_modes + 1)] for u, _ in alpha]
+    pos_H = np.empty((m, n), dtype=np.intp)
+    pos_S = np.empty((n_modes, m, n), dtype=np.intp)
     pos_B = np.empty(n, dtype=np.intp)
-    for j, (s, v, _) in enumerate(sel.beta):
+    for j, (s, v, _) in enumerate(beta):
         head = (s,) + v
         pos_B[j] = at(head)
-        for i, (u, _) in enumerate(sel.alpha):
+        for i, (u, _) in enumerate(alpha):
             pos_H[i, j] = at(head + u)
             pos_S[:, i, j] = [at(head + su) for su in rows[i]]
     pos_A = np.array([[at(su) for su in shifted] for shifted in rows], dtype=np.intp).T
-    k = np.array([k - 1 for _, k in sel.alpha], dtype=np.intp)
-    l = np.array([l - 1 for _, _, l in sel.beta], dtype=np.intp)
+    k = np.array([k - 1 for _, k in alpha], dtype=np.intp)
+    l = np.array([l - 1 for _, _, l in beta], dtype=np.intp)
     plan = (pos_H, pos_S, pos_A, pos_B, k, l)
     for arr in plan:
         arr.flags.writeable = False
@@ -466,7 +468,7 @@ def build_hankel(
         raise DimensionError(
             f"table shape {M.shape} does not match selection ({sel.n_y}, {sel.n_cols})"
         )
-    words, pos_H, pos_S, pos_A, pos_B, k, l = _hankel_plan(sel)
+    words, pos_H, pos_S, pos_A, pos_B, k, l = _hankel_plan(sel.alpha, sel.beta, sel.n_modes)
     rows = M.rows_of(words)
     values = M.array
     H = values[rows[pos_H], k[:, None], l]

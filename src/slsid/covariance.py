@@ -478,8 +478,7 @@ def exact_covariances(
     """
     from .realize import associated_dlss, lambda_ydyd, state_second_moment
 
-    model.validate()
-    d = associated_dlss(model)
+    d = associated_dlss(model)  # validates the model
     n_u, n_y = model.n_u, model.n_y
     # the empty word comes first, so the nonempty words are rows 1 on
     words = tuple(enumerate_words(model.n_modes, max_len))

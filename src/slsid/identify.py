@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -92,6 +92,13 @@ class ValidationReport:
         }
 
 
+def _mode_counts(data: Dataset, D: int) -> Tuple[np.ndarray, List[int]]:
+    """The samples of each mode 1..D, one comparison per mode on the narrow
+    mode series (np.bincount would widen it to intp), and the modes of none."""
+    counts = np.array([np.count_nonzero(data.q == s) for s in range(1, D + 1)])
+    return counts, [s for s, n in enumerate(counts, start=1) if n == 0]
+
+
 def resolve_p(spec: Union[Sequence[float], str], data: Dataset) -> np.ndarray:
     """Mode probabilities from a spec: a vector, or "empirical".
 
@@ -102,12 +109,8 @@ def resolve_p(spec: Union[Sequence[float], str], data: Dataset) -> np.ndarray:
     if isinstance(spec, str):
         if spec != "empirical":
             raise InvalidProbabilityError(f"unknown p mode {spec!r}")
-        D = int(data.q.max())
-        # one comparison per mode on the narrow mode series, which
-        # np.bincount would widen to intp
-        counts = np.array([np.count_nonzero(data.q == s) for s in range(1, D + 1)])
-        if np.any(counts == 0):
-            missing = [s + 1 for s in range(D) if counts[s] == 0]
+        counts, missing = _mode_counts(data, int(data.q.max()))
+        if missing:
             raise InvalidProbabilityError(
                 f"modes {missing} never occur; cannot use empirical probabilities"
             )
@@ -163,7 +166,8 @@ def identify(data: Dataset, cfg: IdentConfig) -> Tuple[InnovationModel, dict]:
     values before realization.  The realization is covariance_realization,
     which makes up to five attempts when a selection is searched; its
     diagnostics ("search_attempts", "rejected_attempts") are passed on.
-    Data holding a mode outside 1..len(p) raise the estimator's DimensionError.
+    A mode of an explicit p that no sample shows raises InsufficientDataError
+    first; a data mode outside 1..len(p), the estimator's DimensionError.
     """
     if len(data) < 3:
         raise InsufficientDataError(f"dataset of length {len(data)} is too short")
@@ -172,6 +176,11 @@ def identify(data: Dataset, cfg: IdentConfig) -> Tuple[InnovationModel, dict]:
     n_bar = cfg.n_bar if cfg.n_bar is not None else cfg.n_x
     # explicit selections must fit before anything is estimated
     _check_selections(cfg.selection, cfg.selection_bar, cfg.n_x, n_bar, D, data.n_y, data.n_u)
+    # "empirical" counted the modes; the estimator names a data mode outside p
+    absent = [] if isinstance(cfg.p, str) or data.q.max() > D else _mode_counts(data, D)[1]
+    if absent:
+        raise InsufficientDataError(f"the data never show mode(s) {absent} of p; "
+                                    "their covariances cannot be estimated")
     diagnostics: dict = {"p": p.tolist()}
 
     if "search" in (cfg.selection, cfg.selection_bar):

@@ -13,6 +13,7 @@ prediction error.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, fields
 from typing import Dict, Sequence, Tuple
 
@@ -84,7 +85,7 @@ def _as_matrix_family(mats, name: str) -> np.ndarray:
 
 class _Model:
     """What both kinds of model share: the dimensions, read from A, B and
-    C, and the JSON form."""
+    C, the mean-square operator of the family A, and the JSON form."""
 
     @property
     def n_modes(self) -> int:
@@ -101,6 +102,17 @@ class _Model:
     @property
     def n_y(self) -> int:
         return self.C.shape[0]
+
+    @functools.cached_property
+    def mean_square(self) -> Tuple[np.ndarray, float]:
+        """(sum_s w_s A_s kron A_s, its spectral radius), built on first read:
+        w = p for a SwitchedModel, 1 for a DeterministicModel (its A_s absorb
+        sqrt(p_s)).  A frozen model's A and p are read-only, so the cached,
+        read-only value never goes stale; to_dict and equality ignore it."""
+        w = self.p if isinstance(self, SwitchedModel) else np.ones(self.n_modes)
+        op, rho = mean_square_operator(self.A, w)
+        op.flags.writeable = False
+        return op, rho
 
     def to_dict(self) -> dict:
         """The "type" and every field as nested lists, Dmat under the key "D"."""
@@ -211,7 +223,7 @@ class SwitchedModel(_Model):
         _check_spd(self.Q_u, "Q_u")
         for s, q in enumerate(self.Q_v, start=1):
             _check_spd(q, f"Q_v[{s}]")
-        margin = stability_margin(self.A, self.p)
+        margin = self.mean_square[1]
         if margin >= 1.0:
             raise ModelInvalidError(
                 f"not stationary: spectral radius of sum p_s (A_s kron A_s) = {margin:.6f} >= 1"
@@ -267,7 +279,6 @@ def mean_square_operator(A: Sequence[np.ndarray],
     """sum_s w_s (A_s kron A_s) and its spectral radius.
 
     The operator maps vec(X) to vec(sum_s w_s A_s X A_s^T) (row-major vec).
-    Families with sqrt(p) absorbed into A_s take unit weights.
     """
     A = np.asarray(A, dtype=float)
     w = np.asarray(w, dtype=float)

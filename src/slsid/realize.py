@@ -5,7 +5,7 @@ realization pipeline.
 Second moments are closed-form.  Under i.i.d. switching each per-mode moment
 is X_s = p_s Xbar with Xbar = sum_s w_s A_s Xbar A_s^T + const, one
 generalized Lyapunov solve vec(Xbar) = (I - sum_s w_s A_s kron A_s)^{-1}
-vec(const) that exists iff that operator is Schur:
+vec(const) that exists iff that operator, the model's mean_square, is Schur:
 
 * state second moment: w = p, const = sum_s K_s Q_v[s] K_s^T;
 * input-part moment on the sqrt(p)-absorbed dLSS: w = 1,
@@ -20,15 +20,13 @@ From Pbar = 0 it takes Newton (Kleinman) steps: with the closed loop
 Abar_s = At_s - sqrt(p_s) K_s C at the current Pbar_k, each step is one
 generalized Lyapunov solve
       Pbar - sum_s Abar_s Pbar Abar_s^T = R(Pbar_k) - sum_s Abar_s Pbar_k Abar_s^T,
-and a step whose sum_s Abar_s kron Abar_s is not Schur is the plain
+or, where the radius of sum_s Abar_s kron Abar_s is >= 1, the plain
 fixed-point step Pbar = R(Pbar_k).  The stopping rule is fixed: the solve
 stops when the max-norm step of p_s Pbar falls below FP_TOL = 1e-10, and
 raises NonConvergenceError after FP_MAX_ITER = 5000 steps that did not.
 The limits are the innovation gain, p_s times the per-mode innovation
 second moment, and p_s times the predictor-state second moment.  A Q_s
-that is not positive definite stops the solve at once.  Each step updates
-all modes at once: S_s, A_s, G_s, Q_s and K_s are stacks over the modes,
-with one batched eigenvalue check and one batched solve per step.
+that is not positive definite stops the solve at once.
 """
 from __future__ import annotations
 
@@ -36,7 +34,7 @@ import functools
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import combinations, repeat
-from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -45,6 +43,7 @@ from .algebra import (
     Selection,
     Word,
     WordIndexedMatrixTable,
+    _hankel_plan,
     build_hankel,
     enumerate_words,
     markov_table,
@@ -69,7 +68,6 @@ from .model import (
     SwitchedModel,
     mean_square_operator,
     numerical_rank,
-    stability_margin,
 )
 
 __all__ = [
@@ -94,25 +92,22 @@ SEARCH_ATTEMPTS = 5
 SEARCH_RETRIES = 200
 
 
-def _mean_square_stable(A: Sequence[np.ndarray], w: Sequence[float], label: str) -> np.ndarray:
-    """sum_s w_s A_s kron A_s; NonConvergenceError when it is not Schur, for
-    then the family's second moments do not exist (their iteration would
-    diverge)."""
-    op, rho = mean_square_operator(A, w)
+def _stationary(mean_square: Tuple[np.ndarray, float], label: str) -> np.ndarray:
+    """The operator of a family's mean_square pair; NonConvergenceError when
+    it is not Schur, for then the family's second moments do not exist."""
+    op, rho = mean_square
     if rho >= 1.0:
         raise NonConvergenceError(
             f"{label} is not mean-square stable (spectral radius {rho:.4f} >= 1); "
-            "its second moment does not exist",
-            last_delta=float("inf"),
-        )
+            "its second moment does not exist", last_delta=float("inf"))
     return op
 
 
-def _lyapunov_mean(A: Sequence[np.ndarray], w: Sequence[float],
-                   const: np.ndarray, label: str) -> np.ndarray:
-    """Symmetric Xbar solving Xbar = sum_s w_s A_s Xbar A_s^T + const;
-    NonConvergenceError when it does not exist (_mean_square_stable)."""
-    op = _mean_square_stable(A, w, label)
+def _lyapunov_mean(mean_square: Tuple[np.ndarray, float], const: np.ndarray,
+                   label: str) -> np.ndarray:
+    """Symmetric Xbar solving Xbar = sum_s w_s A_s Xbar A_s^T + const for the
+    family's mean_square pair, if it exists (_stationary)."""
+    op = _stationary(mean_square, label)
     n = const.shape[0]
     X = np.linalg.solve(np.eye(n * n) - op, const.reshape(-1)).reshape(n, n)
     return (X + X.T) / 2.0
@@ -125,7 +120,7 @@ def state_second_moment(m: SwitchedModel) -> np.ndarray:
     returned as a (D, n_x, n_x) array.
     """
     const = sum(m.K @ m.Q_v @ m.K.transpose(0, 2, 1))
-    return m.p[:, None, None] * _lyapunov_mean(m.A, m.p, const, "model")
+    return m.p[:, None, None] * _lyapunov_mean(m.mean_square, const, "model")
 
 
 def input_state_second_moment(
@@ -145,7 +140,7 @@ def input_state_second_moment(
         raise DimensionError(f"p must have {D} entries, got {p.shape}")
     q_u = np.atleast_2d(np.asarray(q_u, dtype=float))
     const = sum(m_d.B @ q_u @ m_d.B.transpose(0, 2, 1))
-    return p[:, None, None] * _lyapunov_mean(m_d.A, np.ones(D), const, "input-part realization")
+    return p[:, None, None] * _lyapunov_mean(m_d.mean_square, const, "input-part realization")
 
 
 def ho_kalman(sel: Selection, M: WordIndexedMatrixTable, M_eps: np.ndarray) -> DeterministicModel:
@@ -207,8 +202,7 @@ class KQIterationState:
 
 
 def _kq_iteration(A_hat: np.ndarray, C_hat: np.ndarray, G_hat: np.ndarray,
-                  t_ys: np.ndarray, p: np.ndarray, tol: float,
-                  max_iter: int) -> KQIterationState:
+                  t_ys: np.ndarray, p: np.ndarray) -> KQIterationState:
     # every mode steps at once: S, A, G, Q and K are (D, ...) stacks, with
     # one eigvalsh and one solve on the stack per step
     A = np.asarray(A_hat, dtype=float)
@@ -239,7 +233,7 @@ def _kq_iteration(A_hat: np.ndarray, C_hat: np.ndarray, G_hat: np.ndarray,
     # measured on those
     P = np.zeros((n_x, n_x))
     p_max = float(np.max(p))
-    for it in range(max_iter):
+    for it in range(FP_MAX_ITER):
         Q, K = kq_of(P, it)
         # R(P), the fixed-point map
         core = sum(A @ P @ A_T + K @ Q @ K.transpose(0, 2, 1))
@@ -247,19 +241,17 @@ def _kq_iteration(A_hat: np.ndarray, C_hat: np.ndarray, G_hat: np.ndarray,
         # Newton step on P = R(P): the derivative of R at P is
         # X -> sum_s Acl_s X Acl_s^T with the closed loop Acl_s = A_s - sqrt(p_s) K_s C
         A_cl = A - sqrt_p * (K @ C_hat)
-        try:
-            P_next = _lyapunov_mean(A_cl, ones, R - sum(A_cl @ P @ A_cl.transpose(0, 2, 1)),
-                                    "closed-loop family")
-        except NonConvergenceError:
-            P_next = R
+        closed = mean_square_operator(A_cl, ones)
+        P_next = R if closed[1] >= 1.0 else _lyapunov_mean(
+            closed, R - sum(A_cl @ P @ A_cl.transpose(0, 2, 1)), "closed-loop family")
         delta = p_max * float(np.abs(P_next - P).max())
         P = P_next
-        if delta < tol:
+        if delta < FP_TOL:
             Q, K = kq_of(P, it + 1)
             return KQIterationState(P=p_col * P, Q=Q, K=K, iterations=it + 1,
                                     last_delta=delta)
     raise NonConvergenceError(
-        f"innovation-gain iteration did not converge in {max_iter} iterations "
+        f"innovation-gain iteration did not converge in {FP_MAX_ITER} iterations "
         f"(last delta {delta:.3e})",
         last_delta=delta,
     )
@@ -281,8 +273,8 @@ def associated_slss(
     per-mode innovation moment limit, and the KQIterationState of the solve.
     t_ys holds the per-mode moments T^{ys,ys}_{s,s} as a (D, n_y, n_y)
     array.  q_u only populates the model's input-covariance field.  A
-    family whose sum_s A_hat_s kron A_hat_s is not Schur has no stationary
-    moments: NonConvergenceError, as in _lyapunov_mean.
+    family whose sum_s A_hat_s kron A_hat_s (m_d.mean_square) is not Schur
+    has no stationary moments: NonConvergenceError, as in _lyapunov_mean.
     """
     p = np.asarray(p, dtype=float)
     D = m_d.n_modes
@@ -297,8 +289,8 @@ def associated_slss(
             f"column count {m_d.n_u} below output dimension {n_y}; "
             "expected [B | G] stacked columns"
         )
-    _mean_square_stable(m_d.A, np.ones(D), "joint realization")
-    state = _kq_iteration(m_d.A, m_d.C, m_d.B[:, :, n_u:], t_ys, p, FP_TOL, FP_MAX_ITER)
+    _stationary(m_d.mean_square, "joint realization")
+    state = _kq_iteration(m_d.A, m_d.C, m_d.B[:, :, n_u:], t_ys, p)
     sqrt_p = np.sqrt(p)[:, None, None]
     model = InnovationModel.from_parts(
         A=m_d.A / sqrt_p, B=m_d.B[:, :, :n_u] / sqrt_p, K=state.K, C=m_d.C,
@@ -526,28 +518,16 @@ def covariance_realization(
 
 @functools.lru_cache(maxsize=16)
 def _selection_pools(n_modes: int, cap: int, n_y: int, n_cols: int) -> tuple:
-    """Row and column pools of the selection search and their pool Hankel plan.
-
-    Returns (alpha_pool, beta_pool, words, pos, k, l): the pools in
-    enumeration order, the distinct words sigma v u of the pool Hankel,
-    the position in `words` of every entry's word ((#alpha, #beta)), and
-    the 0-based row and column index of each pool entry.  Cached; the
-    arrays are read-only.
+    """Row and column pools of the selection search, in enumeration order,
+    then their Hankel plan over no shifts (algebra._hankel_plan), whose
+    words are H's alone: H's word positions are (#alpha, #beta).  Cached.
     """
     word_pool = list(enumerate_words(n_modes, cap))
     modes = range(1, n_modes + 1)
     alpha_pool = tuple((w, k) for w in word_pool for k in range(1, n_y + 1))
     beta_pool = tuple((s, w, l) for w in word_pool for s in modes
                       for l in range(1, n_cols + 1))
-    heads = [Word((s,)) + v for s, v, _ in beta_pool]
-    order: Dict[Word, int] = {}
-    pos = np.array([[order.setdefault(head + u, len(order)) for head in heads]
-                    for u, _ in alpha_pool], dtype=np.intp)
-    k = np.array([k - 1 for _, k in alpha_pool], dtype=np.intp)
-    l = np.array([l - 1 for _, _, l in beta_pool], dtype=np.intp)
-    for arr in (pos, k, l):
-        arr.flags.writeable = False
-    return alpha_pool, beta_pool, tuple(order), pos, k, l
+    return (alpha_pool, beta_pool) + _hankel_plan(alpha_pool, beta_pool, 0)
 
 
 def iter_full_rank_selections(
@@ -572,7 +552,7 @@ def iter_full_rank_selections(
     """
     if n < 1:
         raise DimensionError(f"target dimension must be >= 1, got {n}")
-    alpha_pool, beta_pool, words, pos, k, l = _selection_pools(n_modes, n, n_y, n_cols)
+    alpha_pool, beta_pool, words, pos, _, _, _, k, l = _selection_pools(n_modes, n, n_y, n_cols)
     rows = np.fromiter(map(M.index.get, words, repeat(-1)), dtype=np.intp,
                        count=len(words))[pos]
     missing = rows < 0
@@ -606,22 +586,20 @@ def _realize_at(sel: Union[Selection, str], M: WordIndexedMatrixTable, M_eps: np
     attempt-th (from 0) full-rank selection of dimension n, in
     iter_full_rank_selections' order, whose realization is mean-square
     stable, if it is among the first SEARCH_RETRIES + attempt candidates;
-    otherwise NoSelectionFoundError says how many were examined.  Table
-    entries absorb sqrt(p), so the realized A_s are the deterministic ones
-    and the relevant operator is sum_s A_s kron A_s.  Under estimation
-    noise a full-rank selection can still realize an unstable family, which
-    every later stage rejects; vetting here keeps the search moving.
+    otherwise NoSelectionFoundError says how many were examined.  Under
+    estimation noise a full-rank selection can still realize a family that
+    is not mean-square stable (its mean_square), which every later stage
+    rejects; vetting here keeps the search moving.
     """
     if isinstance(sel, Selection):
         return sel, ho_kalman(sel, M, M_eps)
-    ones = np.ones(n_modes)
     examined = stable = 0
     for cand in iter_full_rank_selections(M, n, *M.shape, n_modes):
         try:
             m = ho_kalman(cand, M, M_eps)
         except SingularHankelError:
             m = None
-        if m is not None and stability_margin(m.A, ones) < 1.0:
+        if m is not None and m.mean_square[1] < 1.0:
             if stable == attempt:
                 return cand, m
             stable += 1

@@ -48,3 +48,22 @@ def scalar():
                         n_modes=1, n_y=1, n_cols=1)
     return SimpleNamespace(a=a, b=b, k=k, c=c, d=d, q_v=q_v, q_u=q_u,
                            model=model, sel=sel, sel_bar=sel_bar)
+
+
+@pytest.fixture
+def ms_builds(monkeypatch):
+    """One (A, radius) entry per build of a mean-square operator: every
+    call of model.mean_square_operator, from slsid.model or slsid.realize."""
+    import slsid.model
+    import slsid.realize
+
+    builds = []
+    build = slsid.model.mean_square_operator
+
+    def counting(A, w):
+        op, rho = build(A, w)
+        builds.append((A, rho))
+        return op, rho
+    for module in (slsid.model, slsid.realize):
+        monkeypatch.setattr(module, "mean_square_operator", counting)
+    return builds

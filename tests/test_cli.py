@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -68,6 +69,15 @@ def test_simulate_is_reproducible(workspace):
     a = (workspace / "sim" / "data.csv").read_bytes()
     b = (workspace / "sim_again" / "data.csv").read_bytes()
     assert a == b
+
+
+def test_simulate_builds_the_model_s_mean_square_operator_once(workspace, tmp_path,
+                                                              ms_builds):
+    # loading validates the model and simulate validates it again: the
+    # second validation reads the first one's operator
+    assert main(["simulate", "--config", str(workspace / "sim.json"),
+                 "--out", str(tmp_path / "sim")]) == 0
+    assert len(ms_builds) == 1
 
 
 def test_simulate_seed_override_changes_data(workspace):
@@ -511,20 +521,21 @@ def test_identify_checks_explicit_selections_before_estimating(workspace, tmp_pa
 def test_identify_reads_selections_over_the_alphabet_of_p(workspace, tmp_path, two_mode,
                                                           capsys):
     # the data never show mode 3, yet p has three entries: the selections
-    # are three-mode ones and the realization runs (mode 3's innovation
-    # moment, which no sample estimates, then stops step 6)
+    # are three-mode ones, so they pass, and identify then names mode 3,
+    # which no sample estimates, before it estimates any word
     cfg = write_json(tmp_path / "ident_p3.json", {
         "data": str(workspace / "sim" / "data.csv"),
         "ident": {"n_x": 3, "p": [0.49, 0.49, 0.02],
                   "selection": two_mode.sel.to_jsonable(),
                   "selection_bar": two_mode.sel_bar.to_jsonable()},
     })
-    with pytest.warns(UserWarning, match="never occurs in the data"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no word is estimated, so none is degenerate
         code = main(["identify", "--config", str(cfg), "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
-    assert code == EXIT_NUMERICAL
+    assert code == EXIT_DIMENSION
     assert "modes but p has" not in err
-    assert "step 6 (innovation conversion)" in err
+    assert "the data never show mode(s) [3] of p" in err
 
 
 def test_identify_names_a_data_mode_outside_p(workspace, tmp_path, two_mode, capsys):

@@ -20,6 +20,7 @@ from slsid import (
     empirical_covariances,
     enumerate_words,
     exact_covariances,
+    model_from_dict,
     simulate,
 )
 from slsid.algebra import word_probability
@@ -501,6 +502,18 @@ def test_exact_covariances_take_every_value_by_its_per_word_chain(two_mode, syst
     for name in ("t_yy", "q_u", "p"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
     assert got.metadata == want.metadata
+
+
+@pytest.mark.parametrize("system, depth", [("reference", 8), ("mimo", 6)])
+def test_exact_covariances_build_two_mean_square_operators(two_mode, system, depth,
+                                                           ms_builds):
+    # the model's, which its validation and its state moments share, and
+    # the input part's
+    model = (model_from_dict(two_mode.model.to_dict()) if system == "reference"
+             else load_tool("compare_cli").mimo_system())
+    ms_builds.clear()
+    exact_covariances(model, depth)
+    assert len(ms_builds) == 2
 
 
 def test_exact_covariances_match_scalar_closed_form(scalar):

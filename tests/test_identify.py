@@ -14,7 +14,9 @@ from slsid import (
     InsufficientDataError,
     InvalidProbabilityError,
     ModelInvalidError,
+    NonConvergenceError,
     NoSelectionFoundError,
+    NotFullRankError,
     Selection,
     SimConfig,
     SingularHankelError,
@@ -436,6 +438,44 @@ def test_a_search_realization_builds_no_word_index_per_attempt(two_mode, monkeyp
     assert covariance_realization(cov, 3, 3, "search", "search")[1] == diag
     assert built == [len(extra) - 1]
     assert len({id(t.index) for t in made["lambda_ydyd"]}) == 1
+
+
+def test_a_search_builds_each_realization_s_operator_once(two_mode_cov, ms_builds,
+                                                         monkeypatch):
+    # the search vets every realization by its mean-square radius; the
+    # input-part moments (steps 3-4) and the gain solve's check (step 6)
+    # read the vetted realizations' operators.  The other builds are one
+    # closed loop per gain step and the returned model's validation
+    realize = sys.modules["slsid.realize"]
+    real, made = realize.ho_kalman, []
+
+    def recording(*args):
+        made.append(real(*args))
+        return made[-1]
+    monkeypatch.setattr(realize, "ho_kalman", recording)
+    _, diag = covariance_realization(two_mode_cov, 3, 3, "search", "search")
+    assert [sum(A is m.A for A, _ in ms_builds) for m in made] == [1] * len(made)
+    assert len(ms_builds) == len(made) + diag["kq_iterations"] + 1
+
+
+def test_the_gain_solve_picks_its_step_by_the_radius(two_mode, ms_builds, monkeypatch):
+    # N = 5000, seed 5, bundled selections: the gain solve's closed loop is
+    # not Schur at most of its steps, which are then fixed-point steps (the
+    # solve stops later at an indefinite Q_s).  No error is made to pick them
+    made = []
+
+    class Recording(NonConvergenceError):
+        def __init__(self, *args, **kwargs):
+            made.append(args)
+            super().__init__(*args, **kwargs)
+    monkeypatch.setattr(sys.modules["slsid.realize"], "NonConvergenceError", Recording)
+    data = simulate(two_mode.model, SimConfig(seed=5, length=5000))
+    cfg = IdentConfig(n_x=3, selection=two_mode.sel, selection_bar=two_mode.sel_bar,
+                      p=(0.5, 0.5))
+    with pytest.raises(NotFullRankError, match="innovation moment"):
+        identify(data, cfg)
+    assert any(rho >= 1.0 for _, rho in ms_builds)
+    assert made == []
 
 
 @pytest.mark.parametrize("case", ["2e4-0", "2e4-1", "2e4-2", "2e4-3", "1e5-6", "exact"])

@@ -143,6 +143,17 @@ def test_find_isomorphism_recovers_alignment(two_mode):
         assert np.allclose(realigned.B[s], two_mode.model.B[s], atol=1e-7)
 
 
+def test_find_isomorphism_builds_no_operator_for_validated_models(two_mode, ms_builds):
+    # validation built each model's mean-square operator; the isomorphism's
+    # state moments read it
+    model = model_from_dict(two_mode.model.to_dict()).validate()
+    T = np.random.default_rng(2).normal(size=(3, 3)) + 3.0 * np.eye(3)
+    moved = transform_model(model, T).validate()
+    assert len(ms_builds) == 2
+    find_isomorphism(moved, model, tol=1e-6)
+    assert len(ms_builds) == 2
+
+
 def test_find_isomorphism_rejects_different_dynamics(two_mode):
     A = list(two_mode.model.A)
     A[0] = A[0] + 0.05

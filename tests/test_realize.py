@@ -353,15 +353,16 @@ def test_associated_slss_refuses_a_model_that_is_not_mean_square_stable(two_mode
         associated_slss(doubled, m.p, t_ys, m.Q_u)
 
 
-def test_kq_iteration_fails_typed_when_its_step_budget_runs_out(two_mode):
+def test_kq_iteration_fails_typed_when_its_step_budget_runs_out(two_mode, monkeypatch):
     m = two_mode.model
     P = state_second_moment(m)
     t_ys = np.array([(m.C @ P[s] @ m.C.T + m.Q_v[s]) / m.p[s] for s in range(2)])
     m_d = associated_dlss(m)
     G = [np.asarray(b)[:, m.n_u:] for b in m_d.B]
     # one step cannot meet the stopping rule: a typed error with the last step
+    monkeypatch.setattr("slsid.realize.FP_MAX_ITER", 1)
     with pytest.raises(NonConvergenceError, match="in 1 iterations") as info:
-        _kq_iteration(list(m_d.A), m_d.C, G, t_ys, np.asarray(m.p), 1e-10, 1)
+        _kq_iteration(list(m_d.A), m_d.C, G, t_ys, np.asarray(m.p))
     assert np.isfinite(info.value.last_delta) and info.value.last_delta >= 1e-10
 
 
@@ -451,7 +452,7 @@ def test_newton_gain_solve_agrees_with_the_per_mode_loop(seed, D, n, n_y, rho, g
         scale = float(np.max(np.abs(want.P[0]))) / p[0]
         if scale < 1.0:
             want = _outcome(kq_iteration_per_mode, A, C, G, t_ys, p, 1e-13 * scale, 20_000)
-    got = _outcome(_kq_iteration, A, C, G, t_ys, p, 1e-10, 5000)
+    got = _outcome(_kq_iteration, A, C, G, t_ys, p)
     if isinstance(want, KQIterationState):
         assert isinstance(got, KQIterationState), got
         assert got.last_delta < 1e-10

@@ -10,10 +10,12 @@ Runs `identify` (n_x = 3) on the two-mode reference system
 Each success is recorded as the JSON of `model.to_dict()` and of the
 diagnostics (sorted keys), and as the BFR `validate_model` gives the model
 on a noise-free validation set (seed + 7000, 2000 samples, first 6
-excluded); each failure as its error class, its text and its stage.  One
-more record, "exact max_len=8", holds the JSON of the reference model's
-`exact_covariances` over all words up to length 8, so the exact path is
-compared too: 361 records.  With --against, the records that differ from
+excluded); each failure as its error class, its text and its stage.  Two
+more records hold the JSON of `exact_covariances`, so the exact path is
+compared too: "exact max_len=8", the reference model's over all words up
+to length 8, and "exact mimo max_len=6", `tools/compare_cli.py`'s
+`mimo_system()`'s up to length 6 (D = 3, n_x = 4, 2 x 2 channels, unequal
+p): 362 records.  With --against, the records that differ from
 the other file's are printed, and the exit code is 1 if there are any.  No sum over samples
 is a BLAS product, so the records do not depend on the BLAS thread count.
 """
@@ -37,6 +39,7 @@ from slsid import (
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from perfbench.workloads import reference_system  # noqa: E402  (needs the repo root)
+from tools.compare_cli import mimo_system  # noqa: E402
 
 
 def records() -> dict:
@@ -63,6 +66,8 @@ def records() -> dict:
                                 "bfr": validate_model(m, noise_free, exclude=6).bfr}
     exact = exact_covariances(model, 8).to_jsonable()
     out["exact max_len=8"] = {"table": json.dumps(exact, sort_keys=True)}
+    exact = exact_covariances(mimo_system(), 6).to_jsonable()
+    out["exact mimo max_len=6"] = {"table": json.dumps(exact, sort_keys=True)}
     return out
 
 

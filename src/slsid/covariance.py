@@ -476,9 +476,11 @@ def exact_covariances(
     per-mode second moments add up as
     T^{y,y}_{s,s} = T^{y_d,y_d}_{s,s} + (1/p_s)(C P_s C^T + F Q_v[s] F^T).
     """
-    from .realize import associated_dlss, lambda_ydyd, state_second_moment
+    from .realize import _associated_dlss, lambda_ydyd, state_second_moment
 
-    d = associated_dlss(model)  # validates the model
+    model.validate()
+    P = state_second_moment(model)
+    d = _associated_dlss(model, P)
     n_u, n_y = model.n_u, model.n_y
     # the empty word comes first, so the nonempty words are rows 1 on
     words = tuple(enumerate_words(model.n_modes, max_len))
@@ -490,7 +492,6 @@ def exact_covariances(
     lam_yy = WordIndexedMatrixTable((n_y, n_y), words[1:],
                                     markov.array[1:, :, n_u:] + lam_dd.array[1:])
 
-    P = state_second_moment(model)
     t_ys = (model.C @ P @ model.C.T + model.F @ model.Q_v @ model.F.T) / model.p[:, None, None]
     t_yy = t_dd + t_ys
     t_yy = (t_yy + t_yy.transpose(0, 2, 1)) / 2.0

@@ -79,7 +79,7 @@ class SingularHankelError(NumericalError):
 
 
 class NonConvergenceError(NumericalError):
-    """A fixed-point iteration hit its iteration limit, or a stationary second
+    """The innovation-gain solve hit its step cap, or a stationary second
     moment does not exist because its family is not mean-square stable."""
 
     def __init__(self, message: str, last_delta: float | None = None):

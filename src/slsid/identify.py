@@ -54,8 +54,9 @@ class IdentConfig:
 
     The rest is fixed, not settings: the covariances come from the direct
     estimator empirical_covariances, and the numerics are the rank threshold
-    RANK_TOL (model.py), the gain solve's stopping rule FP_TOL / FP_MAX_ITER
-    (realize.py) and the search's budget of 50000 candidates per table.
+    RANK_TOL (model.py), the gain solve's stopping rule FP_TOL and step cap
+    NEWTON_MAX_STEPS (realize.py) and the search's budget of 50000
+    candidates per table.
     """
 
     n_x: int

@@ -20,13 +20,13 @@ From Pbar = 0 it takes Newton (Kleinman) steps: with the closed loop
 Abar_s = At_s - sqrt(p_s) K_s C at the current Pbar_k, each step is one
 generalized Lyapunov solve
       Pbar - sum_s Abar_s Pbar Abar_s^T = R(Pbar_k) - sum_s Abar_s Pbar_k Abar_s^T,
-or, where the radius of sum_s Abar_s kron Abar_s is >= 1, the plain
-fixed-point step Pbar = R(Pbar_k).  The stopping rule is fixed: the solve
-stops when the max-norm step of p_s Pbar falls below FP_TOL = 1e-10, and
-raises NonConvergenceError after FP_MAX_ITER = 5000 steps that did not.
-The limits are the innovation gain, p_s times the per-mode innovation
-second moment, and p_s times the predictor-state second moment.  A Q_s
-that is not positive definite stops the solve at once.
+which exists iff sum_s Abar_s kron Abar_s is Schur.  The solve stops when
+the max-norm step of p_s Pbar falls below FP_TOL = 1e-10; its limits are the
+innovation gain, p_s times the per-mode innovation second moment, and p_s
+times the predictor-state second moment.  It fails typed: NotFullRankError
+at a Q_s that is not positive definite or at a closed loop whose radius is
+>= 1 (no stabilizing solution exists), and NonConvergenceError after
+NEWTON_MAX_STEPS = 50 steps.
 """
 from __future__ import annotations
 
@@ -83,9 +83,11 @@ __all__ = [
     "iter_full_rank_selections",
 ]
 
-# stopping rule of the innovation-gain iteration, the one that still iterates
+# stopping rule of the innovation-gain solve, the one that still iterates;
+# Newton converges in a few steps (2-9 measured), so the cap only stops a
+# solve that cannot meet FP_TOL
 FP_TOL = 1e-10
-FP_MAX_ITER = 5000
+NEWTON_MAX_STEPS = 50
 # a realization that searches a selection makes this many attempts; attempt
 # a's searches examine at most SEARCH_RETRIES + a full-rank candidates
 SEARCH_ATTEMPTS = 5
@@ -183,7 +185,12 @@ def associated_dlss(m: SwitchedModel) -> DeterministicModel:
     Lambda^{y,u}_w Q_u^{-1} and Lambda^{ys,ys}_w side by side.
     """
     m.validate()
-    P = state_second_moment(m)
+    return _associated_dlss(m, state_second_moment(m))
+
+
+def _associated_dlss(m: SwitchedModel, P: np.ndarray) -> DeterministicModel:
+    """associated_dlss of a validated model whose state second moments P
+    (state_second_moment) the caller has already solved for."""
     sqrt_p = np.sqrt(m.p)[:, None, None]
     G = (m.A @ P @ m.C.T + m.K @ m.Q_v @ m.F.T) / sqrt_p
     return DeterministicModel(A=sqrt_p * m.A, B=np.concatenate([sqrt_p * m.B, G], axis=2),
@@ -233,17 +240,20 @@ def _kq_iteration(A_hat: np.ndarray, C_hat: np.ndarray, G_hat: np.ndarray,
     # measured on those
     P = np.zeros((n_x, n_x))
     p_max = float(np.max(p))
-    for it in range(FP_MAX_ITER):
+    for it in range(NEWTON_MAX_STEPS):
         Q, K = kq_of(P, it)
-        # R(P), the fixed-point map
         core = sum(A @ P @ A_T + K @ Q @ K.transpose(0, 2, 1))
         R = (core + core.T) / 2.0
         # Newton step on P = R(P): the derivative of R at P is
         # X -> sum_s Acl_s X Acl_s^T with the closed loop Acl_s = A_s - sqrt(p_s) K_s C
         A_cl = A - sqrt_p * (K @ C_hat)
         closed = mean_square_operator(A_cl, ones)
-        P_next = R if closed[1] >= 1.0 else _lyapunov_mean(
-            closed, R - sum(A_cl @ P @ A_cl.transpose(0, 2, 1)), "closed-loop family")
+        if closed[1] >= 1.0:
+            raise NotFullRankError(
+                "no stabilizing solution: closed-loop mean-square radius "
+                f"{closed[1]:.4f} >= 1 at Newton step {it}")
+        P_next = _lyapunov_mean(closed, R - sum(A_cl @ P @ A_cl.transpose(0, 2, 1)),
+                                "closed-loop family")
         delta = p_max * float(np.abs(P_next - P).max())
         P = P_next
         if delta < FP_TOL:
@@ -251,7 +261,7 @@ def _kq_iteration(A_hat: np.ndarray, C_hat: np.ndarray, G_hat: np.ndarray,
             return KQIterationState(P=p_col * P, Q=Q, K=K, iterations=it + 1,
                                     last_delta=delta)
     raise NonConvergenceError(
-        f"innovation-gain iteration did not converge in {FP_MAX_ITER} iterations "
+        f"innovation-gain iteration did not converge in {NEWTON_MAX_STEPS} iterations "
         f"(last delta {delta:.3e})",
         last_delta=delta,
     )

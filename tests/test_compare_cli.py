@@ -34,4 +34,14 @@ def test_compare_cli_hashes_every_file_and_names_a_changed_one(capsys):
     changed["seed=1"]["estimate"]["files"]["covariances.json"] = "0" * 64
     assert tool.compare(again, changed) == 1
     out = capsys.readouterr().out
-    assert "seed=1 estimate: exit 0 -> 0; differing files: covariances.json" in out
+    assert "seed=1 estimate: exit 0 -> 0; differing files: covariances.json\n" in out
+
+    # a failing command whose stderr alone changed
+    failed = copy.deepcopy(records)
+    failed["seed=0"]["identify"] = {"exit": 5, "files": {}, "stderr": "error: old text\n"}
+    renamed = copy.deepcopy(failed)
+    renamed["seed=0"]["identify"]["stderr"] = "error: new text\n"
+    assert tool.compare(renamed, failed) == 1
+    out = capsys.readouterr().out
+    assert "seed=0 identify: exit 5 -> 5; differing files: none; stderr differs" in out
+    assert "  against: 'error: old text\\n'\n  this:    'error: new text\\n'" in out

@@ -516,6 +516,21 @@ def test_exact_covariances_build_two_mean_square_operators(two_mode, system, dep
     assert len(ms_builds) == 2
 
 
+def test_exact_covariances_solves_the_state_moment_once(two_mode, monkeypatch):
+    # one Lyapunov solve for the state moments, which the associated dLSS's
+    # G and T^{ys} share, and one for the input part's
+    import slsid.realize
+
+    labels, solve = [], slsid.realize._lyapunov_mean
+
+    def counting(mean_square, const, label):
+        labels.append(label)
+        return solve(mean_square, const, label)
+    monkeypatch.setattr(slsid.realize, "_lyapunov_mean", counting)
+    exact_covariances(two_mode.model, 8)
+    assert labels == ["model", "input-part realization"]
+
+
 def test_exact_covariances_match_scalar_closed_form(scalar):
     a, b, k, c, d = scalar.a, scalar.b, scalar.k, scalar.c, scalar.d
     q_v, q_u = scalar.q_v, scalar.q_u

@@ -14,7 +14,6 @@ from slsid import (
     InsufficientDataError,
     InvalidProbabilityError,
     ModelInvalidError,
-    NonConvergenceError,
     NoSelectionFoundError,
     NotFullRankError,
     Selection,
@@ -184,9 +183,8 @@ def test_identify_keeps_the_reasons_of_rejected_attempts(two_mode):
     _, diag = identify(data, cfg)
     assert diag["search_attempts"] == 2
     assert diag["rejected_attempts"] == [
-        "NotFullRankError: step 6 (innovation conversion): per-mode innovation "
-        "moment for mode 1 is not positive definite at iteration 16 "
-        "(smallest eigenvalue -9.888e-01)"]
+        "NotFullRankError: step 6 (innovation conversion): no stabilizing "
+        "solution: closed-loop mean-square radius 1.1530 >= 1 at Newton step 3"]
     _, again = identify(data, cfg)
     assert again == diag
     # a first-try success carries no such entry
@@ -458,24 +456,30 @@ def test_a_search_builds_each_realization_s_operator_once(two_mode_cov, ms_build
     assert len(ms_builds) == len(made) + diag["kq_iterations"] + 1
 
 
-def test_the_gain_solve_picks_its_step_by_the_radius(two_mode, ms_builds, monkeypatch):
+def test_the_gain_solve_stops_where_no_newton_step_exists(two_mode, ms_builds, monkeypatch):
     # N = 5000, seed 5, bundled selections: the gain solve's closed loop is
-    # not Schur at most of its steps, which are then fixed-point steps (the
-    # solve stops later at an indefinite Q_s).  No error is made to pick them
-    made = []
+    # not mean-square stable at Newton step 1, so the stabilizing solution
+    # does not exist.  The solve names it there and solves no Lyapunov
+    # equation on that closed loop
+    realize = sys.modules["slsid.realize"]
+    real, solved = realize._lyapunov_mean, []
 
-    class Recording(NonConvergenceError):
-        def __init__(self, *args, **kwargs):
-            made.append(args)
-            super().__init__(*args, **kwargs)
-    monkeypatch.setattr(sys.modules["slsid.realize"], "NonConvergenceError", Recording)
+    def recording(mean_square, const, label):
+        solved.append((mean_square[1], label))
+        return real(mean_square, const, label)
+    monkeypatch.setattr(realize, "_lyapunov_mean", recording)
     data = simulate(two_mode.model, SimConfig(seed=5, length=5000))
     cfg = IdentConfig(n_x=3, selection=two_mode.sel, selection_bar=two_mode.sel_bar,
                       p=(0.5, 0.5))
-    with pytest.raises(NotFullRankError, match="innovation moment"):
+    with pytest.raises(NotFullRankError) as info:
         identify(data, cfg)
-    assert any(rho >= 1.0 for _, rho in ms_builds)
-    assert made == []
+    assert str(info.value) == (
+        "step 6 (innovation conversion): no stabilizing solution: closed-loop "
+        "mean-square radius 1.0607 >= 1 at Newton step 1")
+    # the last operator built is that closed loop's
+    assert f"{ms_builds[-1][1]:.4f}" == "1.0607"
+    assert [label for _, label in solved].count("closed-loop family") == 1
+    assert all(rho < 1.0 for rho, _ in solved)
 
 
 @pytest.mark.parametrize("case", ["2e4-0", "2e4-1", "2e4-2", "2e4-3", "1e5-6", "exact"])
@@ -557,9 +561,9 @@ def test_consistency_experiment_keeps_the_failure_reason(two_mode):
     assert result.rows[0]["reason"].startswith(
         "NonConvergenceError: steps 3-4 (noise-part covariances): input-part "
         "realization is not mean-square stable")
-    assert result.rows[1]["reason"].startswith(
-        "NotFullRankError: step 6 (innovation conversion): per-mode innovation "
-        "moment for mode 1 is not positive definite")
+    assert result.rows[1]["reason"] == (
+        "NotFullRankError: step 6 (innovation conversion): no stabilizing "
+        "solution: closed-loop mean-square radius 2.1259 >= 1 at Newton step 0")
 
 
 # ---------------------------------------------------------------- removed parameters

@@ -360,7 +360,7 @@ def test_kq_iteration_fails_typed_when_its_step_budget_runs_out(two_mode, monkey
     m_d = associated_dlss(m)
     G = [np.asarray(b)[:, m.n_u:] for b in m_d.B]
     # one step cannot meet the stopping rule: a typed error with the last step
-    monkeypatch.setattr("slsid.realize.FP_MAX_ITER", 1)
+    monkeypatch.setattr("slsid.realize.NEWTON_MAX_STEPS", 1)
     with pytest.raises(NonConvergenceError, match="in 1 iterations") as info:
         _kq_iteration(list(m_d.A), m_d.C, G, t_ys, np.asarray(m.p))
     assert np.isfinite(info.value.last_delta) and info.value.last_delta >= 1e-10
@@ -630,23 +630,38 @@ def test_covariance_realization_rejects_overambitious_order(scalar):
     assert str(info.value).startswith(f"{stage}: ") and str(info.value).count(stage) == 1
 
 
+def _lowered_t_yy_1(cov, shift):
+    """cov with T^{yy}_{1,1} lowered by shift."""
+    t_yy = cov.t_yy.copy()
+    t_yy[0] = t_yy[0] - shift
+    return CovarianceTable(lambda_yu=cov.lambda_yu, lambda_yy=cov.lambda_yy, t_yy=t_yy,
+                           q_u=cov.q_u, p=cov.p)
+
+
 def test_gain_iteration_stops_when_innovation_moment_turns_negative(two_mode,
                                                                      two_mode_cov):
-    # lowering T^{yy}_{1,1} by 2.3 leaves Q_1 = p_1 T^{ys}_{1,1} > 0 at P = 0,
-    # but no positive Q_1 at the fixed point: the gain iteration must stop as
-    # soon as Q_1 loses its sign instead of wandering for max_iter steps
-    t_yy = two_mode_cov.t_yy.copy()
-    t_yy[0] = t_yy[0] - 2.3
-    cov = CovarianceTable(lambda_yu=two_mode_cov.lambda_yu,
-                          lambda_yy=two_mode_cov.lambda_yy, t_yy=t_yy,
-                          q_u=two_mode_cov.q_u, p=two_mode_cov.p)
+    # T^{ys}_{1,1} is about 2.53: lowering T^{yy}_{1,1} by 3 leaves
+    # Q_1 = p_1 T^{ys}_{1,1} < 0 already at P = 0, and the solve stops there
+    cov = _lowered_t_yy_1(two_mode_cov, 3.0)
     with pytest.raises(NotFullRankError) as info:
         covariance_realization(cov, 3, 3, two_mode.sel, two_mode.sel_bar)
     assert info.value.stage == "step 6 (innovation conversion)"
     msg = str(info.value)
-    assert "mode 1 is not positive definite at iteration 1 " in msg
+    assert "mode 1 is not positive definite at iteration 0 " in msg
     eig = float(msg.rsplit("smallest eigenvalue ", 1)[1].rstrip(")"))
     assert eig < 0.0
+
+
+def test_gain_solve_names_the_missing_stabilizing_solution(two_mode, two_mode_cov):
+    # lowering T^{yy}_{1,1} by 2.3 leaves Q_1 > 0 at P = 0, but the first
+    # closed loop is not mean-square stable: no Newton step exists, and the
+    # solve says so at once
+    cov = _lowered_t_yy_1(two_mode_cov, 2.3)
+    with pytest.raises(NotFullRankError) as info:
+        covariance_realization(cov, 3, 3, two_mode.sel, two_mode.sel_bar)
+    assert str(info.value) == (
+        "step 6 (innovation conversion): no stabilizing solution: closed-loop "
+        "mean-square radius 4.4471 >= 1 at Newton step 0")
 
 
 def test_stage_keeps_exceptions_with_other_signatures():

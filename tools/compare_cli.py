@@ -26,7 +26,8 @@ Every command runs in-process through `slsid.cli.main`.  Its exit code,
 its stderr when it fails, and the sha256 of every file it writes are
 recorded; a command whose input command failed is not run.  With
 --against, each command whose record differs from the other file's is
-printed with the differing files, and the exit code is 1 if any differ.
+printed with the differing files and, when its stderr differs, both
+stderr texts; the exit code is 1 if any differ.
 No sum over samples is a BLAS product, so the records do not depend on
 the BLAS thread count.
 """
@@ -160,8 +161,8 @@ def records(seeds, length: int) -> dict:
 
 
 def compare(mine: dict, theirs: dict) -> int:
-    """Print each command whose record differs, with its differing files;
-    1 if any differ, else 0."""
+    """Print each command whose record differs, with its differing files
+    and any change of stderr; 1 if any differ, else 0."""
     n_files = n_same = 0
     for seed in sorted(set(mine) | set(theirs)):
         runs, other_runs = mine.get(seed, {}), theirs.get(seed, {})
@@ -174,8 +175,12 @@ def compare(mine: dict, theirs: dict) -> int:
             if rec != other:
                 differ = sorted(name for name in set(files) | set(other_files)
                                 if files.get(name) != other_files.get(name))
+                stderr_differs = rec.get("stderr") != other.get("stderr")
                 print(f"{seed} {command}: exit {other.get('exit')} -> {rec.get('exit')}; "
-                      f"differing files: {' '.join(differ) or 'none'}")
+                      f"differing files: {' '.join(differ) or 'none'}"
+                      + ("; stderr differs" if stderr_differs else ""))
+                if stderr_differs:
+                    print(f"  against: {other.get('stderr')!r}\n  this:    {rec.get('stderr')!r}")
     print(f"{n_same} of {n_files} files identical")
     return 0 if mine == theirs else 1
 

@@ -15,9 +15,11 @@ more records hold the JSON of `exact_covariances`, so the exact path is
 compared too: "exact max_len=8", the reference model's over all words up
 to length 8, and "exact mimo max_len=6", `tools/compare_cli.py`'s
 `mimo_system()`'s up to length 6 (D = 3, n_x = 4, 2 x 2 channels, unequal
-p): 362 records.  With --against, the records that differ from
-the other file's are printed, and the exit code is 1 if there are any.  No sum over samples
-is a BLAS product, so the records do not depend on the BLAS thread count.
+p): 362 records.  With --against, each record that differs from the other
+file's is printed with the fields it differs in (model, bfr, error, text,
+stage, and each diagnostics key on its own, whose two values are printed
+too), and the exit code is 1 if there are any.  No sum over samples is a
+BLAS product, so the records do not depend on the BLAS thread count.
 """
 from __future__ import annotations
 
@@ -71,6 +73,29 @@ def records() -> dict:
     return out
 
 
+def compare(mine: dict, theirs: dict) -> int:
+    """Print each record that differs, with the fields it differs in (each
+    diagnostics key on its own) and the two values of each differing
+    diagnostics key; 1 if any differ, else 0."""
+    differ = [k for k in mine if mine[k] != theirs.get(k)]
+    for key in differ:
+        print(key)
+        rec, other = mine[key], theirs.get(key)
+        for side, r in (("against", other), ("this", rec)):
+            print(f"  {side}: {r if r is None or 'error' in r else 'success'}")
+        other = other or {}
+        fields = sorted(k for k in set(rec) | set(other)
+                        if k != "diagnostics" and rec.get(k) != other.get(k))
+        diag, other_diag = (json.loads(r.get("diagnostics", "{}")) for r in (rec, other))
+        changed = [k for k in sorted(set(diag) | set(other_diag))
+                   if diag.get(k) != other_diag.get(k)]
+        print(f"  differing fields: {' '.join(fields + [f'diagnostics.{k}' for k in changed])}")
+        for k in changed:
+            print(f"  diagnostics.{k}: {other_diag.get(k)!r} -> {diag.get(k)!r}")
+    print(f"{len(mine) - len(differ)} of {len(mine)} records identical")
+    return 1 if differ else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("out", help="JSON file the records are written to")
@@ -84,14 +109,7 @@ def main(argv=None) -> int:
     if not args.against:
         return 0
     with open(args.against) as fh:
-        theirs = json.load(fh)
-    differ = [k for k in mine if mine[k] != theirs.get(k)]
-    for key in differ:
-        print(key)
-        for side, rec in (("against", theirs.get(key)), ("this", mine[key])):
-            print(f"  {side}: {rec if rec is None or 'error' in rec else 'success'}")
-    print(f"{len(mine) - len(differ)} of {len(mine)} records identical")
-    return 1 if differ else 0
+        return compare(mine, json.load(fh))
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ import math
 import numbers
 import re
 from dataclasses import asdict, dataclass
+from itertools import pairwise
 from typing import Optional
 
 import numpy as np
@@ -172,52 +173,52 @@ def load_series_csv(path) -> np.ndarray:
     return rows["y"].copy()
 
 
-# Rows per block of `write_csv`.  A block's row tuples and text are the
+# Rows per block of `write_csv`.  A block's cell list and text are the
 # writer's only temporaries, so this bounds its memory.  Writing a 5e4-row
 # dataset on a 2-vCPU Xeon VM: the tracemalloc peak of `Dataset.to_csv` is
-# 0.22, 0.38, 1.04, 2.00 and 4.01 MB at 512, 1024, 2048, 4096 and 8192 rows;
-# the best time is 22-32 ms up to 4096 rows and 34-37 ms at 8192, against
-# 31-47 ms for the per-kind stacked blocks it replaced (same runs).
+# 0.24, 0.43, 0.92, 1.67 and 3.32 MB at 512, 1024, 2048, 4096 and 8192 rows;
+# the best time of two sweeps is 20-22 ms up to 2048 rows and 23-26 ms at
+# 4096 and 8192 (the host drifted by up to 1.4x between the sweeps).
 CSV_BLOCK_ROWS = 1024
 
 
 def write_csv(path, header, columns, t0) -> None:
     """Write t = t0, t0 + 1, ... and equal-length columns under a header row.
 
-    The header names t first; columns does not hold it.  The rows are
-    written CSV_BLOCK_ROWS at a time, and each block makes its own rows
-    of t, so no whole t column is built.
+    The header names t first; columns does not hold it.  Each block of
+    CSV_BLOCK_ROWS rows makes its own t, so no whole t column is built.
 
-    Integer columns print as digits and float columns as the shortest
-    text that reads back bit-identical (float() or np.loadtxt): the cells
-    are those of repr() of each column's Python values.  One orjson.dumps
-    formats a block's row tuples, and its "],[" become line breaks; its
-    Ryu digits are repr's, and its layout is too for 0 and for
-    1e-4 <= |x| < 1e16.  A row with a float cell outside those (a NaN, an
-    inf, a nonzero |x| < 1e-4 or |x| >= 1e16) is formatted with repr
-    instead, so the bytes are repr's throughout; only a block that holds
-    such a row is split into lines.
+    Integer columns print as digits and float columns as the shortest text
+    that reads back bit-identical (float() or np.loadtxt): the cells are
+    those of repr() of each column's Python values.  One orjson.dumps
+    formats a block's cells, row after row in one flat list; the "," after
+    each row's last cell and the closing "]" become line breaks in place.
+    Its Ryu digits are repr's, and its layout is too for 0 and for 1e-4 <=
+    |x| < 1e16, |x| as a double.  A row with a float cell outside those
+    (NaN, inf, nonzero |x| < 1e-4, |x| >= 1e16) is formatted with repr, so
+    the bytes are repr's throughout; only a block that holds such a row is
+    split into lines.
     """
     import orjson  # here, not at the top: a process that writes no CSV skips its 0.8 MB
 
-    n = len(columns[0])
+    n, width = len(columns[0]), 1 + len(columns)
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
-        for a in range(0, n, CSV_BLOCK_ROWS):
-            b = min(a + CSV_BLOCK_ROWS, n)
-            rows = list(zip(range(t0 + a, t0 + b), *(col[a:b].tolist() for col in columns)))
-            text = orjson.dumps(rows)[2:-2].replace(b"],[", b"\n")
-            as_repr = np.zeros(b - a, bool)
-            for col in columns:
-                if col.dtype.kind == "f":
-                    mag = np.abs(col[a:b], dtype=float)  # a float32 1e-4 is below 1e-4
-                    as_repr |= ~(((mag >= 1e-4) & (mag < 1e16)) | (mag == 0))
+        for a, b in pairwise([*range(0, n, CSV_BLOCK_ROWS), n]):
+            cells = [None] * ((b - a) * width)
+            for j, part in enumerate([range(t0 + a, t0 + b), *(c[a:b].tolist() for c in columns)]):
+                cells[j::width] = part
+            text = np.frombuffer(bytearray(orjson.dumps(cells)), np.uint8)[1:]  # past the "["
+            text[np.flatnonzero(text == 44)[width - 1::width]] = 10
+            text[-1] = 10  # the closing "]"
+            mag = np.abs([col[a:b] for col in columns if col.dtype.kind == "f"], dtype=float)
+            as_repr = ~(((mag >= 1e-4) & (mag < 1e16)) | (mag == 0)).all(axis=0)
             if as_repr.any():
-                lines = text.split(b"\n")
+                lines = text.tobytes().split(b"\n")
                 for i in np.flatnonzero(as_repr).tolist():
-                    lines[i] = ",".join(map(repr, rows[i])).encode()
+                    lines[i] = ",".join(map(repr, cells[i * width:(i + 1) * width])).encode()
                 text = b"\n".join(lines)
-            fh.write(text + b"\n")
+            fh.write(text)
 
 
 def _dataset_dtype(header):

@@ -3,6 +3,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
 
 
@@ -68,3 +70,56 @@ def test_a_pair_with_more_failed_ops_fails_the_claim(tmp_path, monkeypatch):
         "seed": 5, "parent": 0.0, "change": 1 / 3, "inputs_failing_only_in_change": [6]}]
     assert entry["claim_verdict"]["met"] is False
     assert entry["summary"]["failed_share"]["same_inputs_in_pairs"] == 1
+
+
+@pytest.mark.parametrize("extra", [
+    ["--claim", "search-1e5:op_mean_ref"],
+    ["--claim", "search-1e5:op_mean_ref:five"],
+    ["--claim", "search-1e5:mean_op_s:0.05"],
+    ["--claim", "cli-roundtrip:op_mean_ref:0.05"],
+    ["--second-set", "search-1e5"],
+    ["--second-set", "search-1e5:20-x"],
+    ["--second-set", "search-1e5:29-20"],
+    ["--second-set", "search-1e6:20-29"],
+    ["--traced", "search-1e5:0:1"],
+    ["--traced", "search-1e5:first"],
+    ["--traced", "cli_roundtrip:0"],
+    ["--seeds", "0-x"],
+    ["--seeds", "0-"],
+    ["--workloads", "search-1e6"],
+], ids=" ".join)
+def test_a_bad_argument_exits_2_before_the_first_run(tmp_path, monkeypatch, capsys, extra):
+    tool = load_tool()
+    runs = []
+    monkeypatch.setattr(tool, "run_once", lambda *a: runs.append(a) or canned_run(*a))
+    for side in ("parent", "change"):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text("")
+    with pytest.raises(SystemExit) as exit_:
+        tool.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+                   "--pr", "7", "--out-dir", str(tmp_path), "--workloads", "search-1e5",
+                   "--seeds", "0-1", *extra])
+    assert exit_.value.code == 2
+    assert runs == []
+    assert extra[0] in capsys.readouterr().err
+    assert not (tmp_path / "BENCH_perf_7.json").exists()
+
+
+def test_second_set_and_traced_run_from_their_parsed_specs(tmp_path, monkeypatch):
+    tool = load_tool()
+    runs = []
+    monkeypatch.setattr(tool, "run_once", lambda *a: runs.append(a[1:]) or canned_run(*a))
+    for side in ("parent", "change"):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text("")
+    assert tool.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+                      "--pr", "7", "--out-dir", str(tmp_path), "--workloads", "search-1e5",
+                      "--seeds", "0", "--second-set", "cli-roundtrip:20-21",
+                      "--traced", "cli-roundtrip:3", "--seconds", "2",
+                      "--claim", "search-1e5:op_mean_ref:0.05"]) == 0
+    assert runs == 2 * [("search-1e5", 0, 2.0, False)] + 2 * [("cli-roundtrip", 20, 2.0, False)] + (
+        2 * [("cli-roundtrip", 21, 2.0, False)] + 2 * [("cli-roundtrip", 3, 2.0, True)])
+    doc = json.loads((tmp_path / "BENCH_perf_7.json").read_text())
+    assert doc["cli-roundtrip_second_set"]["seeds"] == "20-21"
+    assert [p["seed"] for p in doc["cli-roundtrip_second_set"]["pairs"]] == [20, 21]
+    assert set(doc["traced_cli-roundtrip_seed3"]) >= {"parent", "change"}

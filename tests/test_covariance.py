@@ -127,48 +127,61 @@ def test_empirical_requires_enough_samples():
 def per_word_oracle(data, p, words):
     """The direct estimator written word by word from _z_block.
 
-    Returns (lambda_yu, lambda_yy, degenerate words, t_yy, q_u) for the
-    same N_0 the estimator uses, with t_yy[s - 1] = T^{y,y}_{s,s}.
+    Returns (lambda_yu, lambda_yy, degenerate words, t_yy, q_u, size) for
+    the same N_0 the estimator uses, with t_yy[s - 1] = T^{y,y}_{s,s}.
+    size holds, per table ("yu", "yy", "t_yy", "q_u"), each entry's sum
+    of |y(t)| |z(t)|ᵀ / n_eff: the sum of the magnitudes of its terms.
     """
     words = sorted(set(words), key=lambda w: (len(w), w))
     n0 = max([len(w) for w in words] + [1]) + 1
     n_eff = len(data) - n0
+
+    def moment(a, b):
+        return a.T @ b / n_eff, np.abs(a).T @ np.abs(b) / n_eff
+
     y_block = data.y[n0:]
     lam_yu, lam_yy, degenerate = {}, {}, []
+    size = {"yu": {}, "yy": {}}
     for w in words:
-        lam_yu[w] = y_block.T @ _z_block(data.u, data.q, p, w, n0) / n_eff
+        lam_yu[w], size["yu"][w] = moment(y_block, _z_block(data.u, data.q, p, w, n0))
         if len(w) > 0:
             z_y = _z_block(data.y, data.q, p, w, n0)
-            lam_yy[w] = y_block.T @ z_y / n_eff
+            lam_yy[w], size["yy"][w] = moment(y_block, z_y)
             if not np.any(z_y):
                 degenerate.append(str(w))
-    t_yy = []
-    for s in range(1, len(p) + 1):
-        z = _z_block(data.y, data.q, p, Word((s,)), n0)
-        t_yy.append(z.T @ z / n_eff)
-    q_u = data.u[n0:].T @ data.u[n0:] / n_eff
-    return lam_yu, lam_yy, degenerate, np.array(t_yy), q_u
+    t_yy = [moment(z, z) for z in (_z_block(data.y, data.q, p, Word((s,)), n0)
+                                   for s in range(1, len(p) + 1))]
+    size["t_yy"] = np.array([s for _, s in t_yy])
+    q_u, size["q_u"] = moment(data.u[n0:], data.u[n0:])
+    return lam_yu, lam_yy, degenerate, np.array([m for m, _ in t_yy]), q_u, size
 
 
-def assert_close_entries(got, want):
-    """got[key] matches want[key] for every key, to 1e-12 of the largest entry."""
-    scale = max([float(np.max(np.abs(m))) for m in want.values()] + [1e-300])
+def assert_close_entries(got, want, size):
+    """got[key] matches want[key] entry by entry to 1e-12 of the entry and
+    1e-12 of size[key], the sum of the magnitudes of the entry's terms.
+
+    Two summation orders of one sum of n terms differ by at most about
+    n·eps times that sum, so a cancelled sum, small beside its terms, is
+    held to the rounding its terms allow.
+    """
     for key, m in want.items():
-        np.testing.assert_allclose(got[key], m, rtol=1e-12, atol=1e-12 * scale,
-                                   err_msg=f"entry {key}")
+        err = np.abs(np.asarray(got[key]) - m)
+        tol = 1e-12 * (np.asarray(size[key]) + np.abs(m))
+        assert np.all(err <= tol), f"entry {key}: got {got[key]}, want {m}, |error| {err} > {tol}"
 
 
 def assert_matches_oracle(data, p, words):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         cov = empirical_covariances(data, p, words)
-    want_yu, want_yy, want_degenerate, want_t_yy, want_q_u = per_word_oracle(data, p, words)
-    for got, want in ((cov.lambda_yu, want_yu), (cov.lambda_yy, want_yy)):
+    want_yu, want_yy, want_degenerate, want_t_yy, want_q_u, size = per_word_oracle(data, p, words)
+    for got, want, key in ((cov.lambda_yu, want_yu, "yu"), (cov.lambda_yy, want_yy, "yy")):
         assert got.words() == sorted(want, key=lambda w: (len(w), w))
-        assert_close_entries(got, want)
+        assert_close_entries(got, want, size[key])
     assert cov.t_yy.shape == want_t_yy.shape
-    assert_close_entries(dict(enumerate(cov.t_yy)), dict(enumerate(want_t_yy)))
-    assert_close_entries({"q_u": cov.q_u}, {"q_u": want_q_u})
+    assert_close_entries(dict(enumerate(cov.t_yy)), dict(enumerate(want_t_yy)),
+                         dict(enumerate(size["t_yy"])))
+    assert_close_entries({"q_u": cov.q_u}, {"q_u": want_q_u}, {"q_u": size["q_u"]})
     assert cov.metadata["degenerate_words"] == want_degenerate
     assert [str(c.message) for c in caught] == [
         f"word '{w}' never occurs in the data; covariance set to 0"
@@ -210,6 +223,22 @@ def test_empirical_matches_per_word_oracle(case):
     with pytest.raises(DimensionError,
                        match=f"^data uses mode {len(p) + extra} but p has {len(p)} entries$"):
         empirical_covariances(Dataset(y=data.y, u=data.u, q=q), p, words)
+
+
+def test_a_cancelled_entry_is_held_to_the_size_of_its_terms():
+    # lambda^{y,y}_212 sums to -3.3e-7 from terms of order 0.1: the
+    # estimator and the oracle differ by 1.7e-17, more than 1e-12 of the
+    # entry itself but far less than 1e-12 of the sum of |terms|
+    data = random_dataset(94290, 175, 1, 1, 2, zero_rows=0.5)
+    p, word = (2 / 3, 1 / 3), Word((2, 1, 2))
+    got = empirical_covariances(data, p, [word]).lambda_yy[word]
+    _, want, *_, size = per_word_oracle(data, p, [word])
+    want, size = want[word], size["yy"][word]
+    assert abs(want[0, 0]) < 1e-5 * size[0, 0]
+    with pytest.raises(AssertionError):  # scaled by the table's largest entry, this one
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+    assert_close_entries({word: got}, {word: want}, {word: size})
+    assert_matches_oracle(data, p, [word])
 
 
 @pytest.mark.parametrize("D", [1, 2, 3])

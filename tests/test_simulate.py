@@ -596,6 +596,25 @@ def test_csv_writer_gives_the_repr_writers_bytes(tmp_path_factory, n, seed, t0, 
     assert (path / "got.csv").read_bytes() == (path / "want.csv").read_bytes()
 
 
+@settings(deadline=None, max_examples=150)
+@given(block=st.integers(1, 3), n=st.integers(0, 20), width=st.integers(2, 6),
+       seed=st.integers(0, 2**32 - 1), t0=st.integers(-2**40, 2**40))
+def test_csv_writer_at_tiny_blocks_gives_the_repr_writers_bytes(tmp_path_factory, block, n,
+                                                                width, seed, t0):
+    # at 1-3 rows per block nearly every row is a block's first or last, so
+    # the row-ending commas and the closing "]" meet each edge value
+    rng = np.random.default_rng(seed)
+    columns = [rng.choice(_FLOAT_EDGES, n) if k % 2 else rng.integers(-2**63, 2**63 - 1, n)
+               for k in range(1, width)]
+    header = ["t"] + [f"c_{k}" for k in range(len(columns))]
+    path = tmp_path_factory.mktemp("csv")
+    # the module, not `slsid.simulate`, which the package binds to the function
+    with mock.patch.object(sys.modules["slsid.simulate"], "CSV_BLOCK_ROWS", block):
+        write_csv(path / "got.csv", header, columns, t0=t0)
+    repr_write_csv(path / "want.csv", header, [t0 + np.arange(n), *columns])
+    assert (path / "got.csv").read_bytes() == (path / "want.csv").read_bytes()
+
+
 def _repr_rows_at_block_edges(rng):
     # a different out-of-band cell in each of three float columns, at the
     # first and last row of a block and in a one-row last block
@@ -642,7 +661,7 @@ def test_csv_round_trip_memory_stays_at_the_block_level(tmp_path, two_mode):
     data.to_csv(path)
     data.clean_to_csv(clean)
     Dataset.from_csv(path, clean_path=clean)  # lazy imports
-    # measured 0.37 MB to write (a block's arrays and text) and 2.80 MB to
+    # measured 0.43 MB to write (a block's cells and text) and 2.80 MB to
     # read (the parsed rows beside the dataset's arrays); holding the whole
     # text took 11.5 and 8.1 MB
     assert _peak_bytes(data.to_csv, path) < 1.5e6

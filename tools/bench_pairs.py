@@ -21,14 +21,18 @@ pairs the change wins, the per-pair change/parent ratios of the raw times and
 the pairs in which the change failed a larger share of its ops, with the
 inputs that failed only there; any such pair fails the claim.
 ``--second-set`` repeats the protocol on other seeds, and ``--traced`` adds
-one traced run per side with its per-layer metrics.  The file is rewritten
-after every run, so a stopped run keeps what it ran.
+one traced run per side with its per-layer metrics.  Every argument is
+checked before the first run: a malformed spec, a workload outside
+``perfbench.workloads.NAMES`` (for ``--claim``, outside ``--workloads``) or a
+claimed metric that is not bounded exits 2.  The file is rewritten after
+every run, so a stopped run keeps what it ran.
 
 Standard library only; the benchmark's own process loads numpy.
 """
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import statistics
 import subprocess
@@ -39,12 +43,41 @@ from pathlib import Path
 SIDES = ("parent", "change")
 BOUNDED = ("setup_s", "op_mean_ref", "peak_rss_mb")
 RAW = ("setup_wall_s", "mean_op_s", "mean_ref_s")
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 def seed_range(text: str) -> list:
-    """"0-9" -> [0, ..., 9]; "3" -> [3]."""
-    lo, _, hi = text.partition("-")
-    return list(range(int(lo), int(hi or lo) + 1))
+    """"0-9" -> [0, ..., 9]; "3" -> [3]; "3-" raises ValueError."""
+    lo, dash, hi = text.partition("-")
+    return list(range(int(lo), int(hi if dash else lo) + 1))
+
+
+def workload_names() -> tuple:
+    """``perfbench.workloads.NAMES``, read from its source: the module imports numpy."""
+    for node in ast.parse(WORKLOADS.read_text()).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["NAMES"]:
+            return ast.literal_eval(node.value)
+    raise RuntimeError(f"no NAMES in {WORKLOADS}")
+
+
+def parse_spec(parser, flag: str, text: str, form: str, workloads=()) -> list:
+    """``text``'s ":"-separated fields, one per field of ``form`` (e.g.
+    "WORKLOAD:SEEDS"), converted; ``parser.error`` (exit 2) for another
+    form, an unparsable field, an empty seed range or a workload not in
+    ``workloads``."""
+    kinds, fields = form.split(":"), text.split(":")
+    convert = {"WORKLOAD": str, "METRIC": str, "SEEDS": seed_range, "SEED": int, "DROP": float}
+    try:
+        if len(fields) != len(kinds):
+            raise ValueError
+        out = [convert[kind](field) for kind, field in zip(kinds, fields)]
+    except ValueError:
+        parser.error(f"{flag} {text!r}: want {form}")
+    if [] in out:
+        parser.error(f"{flag} {text!r}: no seeds in that range")
+    if kinds[0] == "WORKLOAD" and out[0] not in workloads:
+        parser.error(f"{flag} {text!r}: workload {out[0]!r} is not one of {', '.join(workloads)}")
+    return out
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float, trace: bool) -> dict:
@@ -149,6 +182,7 @@ def traced_record(run: dict) -> dict:
 
 
 def main(argv=None) -> int:
+    names = workload_names()
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent")
     parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
@@ -156,7 +190,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out-dir", type=Path, default=Path("."))
     parser.add_argument("--what", default="", help="one line on what the change does")
     parser.add_argument("--parent-commit", default="", help="recorded as parent_commit")
-    parser.add_argument("--workloads", nargs="+", default=["search-1e5", "cli-roundtrip"])
+    parser.add_argument("--workloads", nargs="+", choices=names,
+                        default=["search-1e5", "cli-roundtrip"])
     parser.add_argument("--seeds", default="0-9", help="seed range of the pairs, e.g. 0-9")
     parser.add_argument("--second-set", default="",
                         help="WORKLOAD:SEEDS, the claim again on seeds not used while "
@@ -166,6 +201,18 @@ def main(argv=None) -> int:
                         help="WORKLOAD:METRIC:DROP, e.g. search-1e5:setup_s:0.25")
     parser.add_argument("--seconds", type=float, default=15.0)
     args = parser.parse_args(argv)
+    # every spec is checked here, so a typo ends the run before its first pair
+    [seeds] = parse_spec(parser, "--seeds", args.seeds, "SEEDS")
+    claim = second = trace_at = None
+    if args.claim:
+        claim = parse_spec(parser, "--claim", args.claim, "WORKLOAD:METRIC:DROP", args.workloads)
+        if claim[1] not in BOUNDED:
+            parser.error(f"--claim {args.claim!r}: metric {claim[1]!r} is not one of "
+                         f"{', '.join(BOUNDED)}")
+    if args.second_set:
+        second = parse_spec(parser, "--second-set", args.second_set, "WORKLOAD:SEEDS", names)
+    if args.traced:
+        trace_at = parse_spec(parser, "--traced", args.traced, "WORKLOAD:SEED", names)
 
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for root in roots.values():
@@ -179,13 +226,10 @@ def main(argv=None) -> int:
            "protocol": "parent first at even seeds, change first at odd seeds; each side "
                        "runs from its own checkout; perfbench/ is the same on both sides.",
            "parent_commit": args.parent_commit}
-    claim = None
-    if args.claim:
-        workload, metric, drop = args.claim.split(":")
-        claim = (workload, metric, float(drop))
-        doc["claim"] = {"workload": workload, "metric": metric,
+    if claim:
+        doc["claim"] = {"workload": claim[0], "metric": claim[1],
                         "rule": f"lower in >= 9 of 10 pairs, median lower by >= "
-                                f"{float(drop):.0%} and by more than the parent's "
+                                f"{claim[2]:.0%} and by more than the parent's "
                                 f"quartile spread"}
 
     def save():
@@ -211,20 +255,20 @@ def main(argv=None) -> int:
 
     doc["workloads"] = {workload: {} for workload in args.workloads}
     for workload in args.workloads:
-        run_pairs(workload, seed_range(args.seeds), doc["workloads"][workload])
-    if args.second_set:
-        workload, seeds = args.second_set.split(":")
-        doc[f"{workload}_second_set"] = {"seeds": seeds}
-        run_pairs(workload, seed_range(seeds), doc[f"{workload}_second_set"])
-    if args.traced:
-        workload, seed = args.traced.split(":")
+        run_pairs(workload, seeds, doc["workloads"][workload])
+    if second:
+        workload, second_seeds = second
+        doc[f"{workload}_second_set"] = {"seeds": args.second_set.partition(":")[2]}
+        run_pairs(workload, second_seeds, doc[f"{workload}_second_set"])
+    if trace_at:
+        workload, seed = trace_at
         traced = doc.setdefault(f"traced_{workload}_seed{seed}", {
             "command": f"python3 perfbench/run.py --workload {workload} --seed {seed} "
                        f"--seconds {args.seconds:g} --trace 1",
             "note": "busy/self times are per op, in ms; counts are totals over the run. "
                     "The parent ran first, the change right after it."})
         for side in SIDES:
-            traced[side] = traced_record(run_once(roots[side], workload, int(seed),
+            traced[side] = traced_record(run_once(roots[side], workload, seed,
                                                   args.seconds, True))
             save()
     save()

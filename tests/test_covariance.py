@@ -165,6 +165,7 @@ def assert_close_entries(got, want, size):
     held to the rounding its terms allow.
     """
     for key, m in want.items():
+        assert np.shape(got[key]) == np.shape(m), f"entry {key}: shape"
         err = np.abs(np.asarray(got[key]) - m)
         tol = 1e-12 * (np.asarray(size[key]) + np.abs(m))
         assert np.all(err <= tol), f"entry {key}: got {got[key]}, want {m}, |error| {err} > {tol}"
@@ -226,17 +227,21 @@ def test_empirical_matches_per_word_oracle(case):
 
 
 def test_a_cancelled_entry_is_held_to_the_size_of_its_terms():
-    # lambda^{y,y}_212 sums to -3.3e-7 from terms of order 0.1: the
-    # estimator and the oracle differ by 1.7e-17, more than 1e-12 of the
-    # entry itself but far less than 1e-12 of the sum of |terms|
+    # lambda^{y,y}_212 sums to -3.3e-7 from terms of order 0.1. A second
+    # summation order may move it by about n·eps·size: an error of
+    # 1e-14·size is more than 1e-12 of the entry itself (the old scale,
+    # the table's largest entry) but far less than 1e-12 of the sum of |terms|
     data = random_dataset(94290, 175, 1, 1, 2, zero_rows=0.5)
     p, word = (2 / 3, 1 / 3), Word((2, 1, 2))
     got = empirical_covariances(data, p, [word]).lambda_yy[word]
     _, want, *_, size = per_word_oracle(data, p, [word])
     want, size = want[word], size["yy"][word]
     assert abs(want[0, 0]) < 1e-5 * size[0, 0]
-    with pytest.raises(AssertionError):  # scaled by the table's largest entry, this one
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+    reordered = want + 1e-14 * size
+    with pytest.raises(AssertionError):
+        np.testing.assert_allclose(reordered, want, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(want)))
+    assert_close_entries({word: reordered}, {word: want}, {word: size})
     assert_close_entries({word: got}, {word: want}, {word: size})
     assert_matches_oracle(data, p, [word])
 
